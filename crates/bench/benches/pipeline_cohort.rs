@@ -9,7 +9,7 @@
 use ema_bench::Harness;
 use ema_core::experiments::ExperimentScale;
 use ema_core::{
-    run_cohort_sharded, run_cohort_with, CohortPath, Executor, GraphSpec, TrainConfig,
+    run_cohort_sharded, run_cohort_with, Executor, GraphSpec, RunSpec, TrainConfig,
     TrainStrategy,
 };
 use ema_data::{EmaGenerator, GeneratorConfig};
@@ -47,11 +47,9 @@ fn main() {
     // materialized at once — each shard job generates, trains and drops
     // its 64 individuals, so `peak_bytes` stays bounded by
     // (workers × shard) while `throughput_per_sec` records
-    // individuals/sec. The batched entry (one tape graph per shard per
-    // epoch) is gated against the per-individual oracle entry (one tape
-    // graph per individual per epoch); both are bit-identical in
-    // results. Individuals are kept tiny (V=3, ~12 time points, 2
-    // epochs) so one full stream fits a bench sample.
+    // individuals/sec, with one tape graph per shard per epoch.
+    // Individuals are kept tiny (V=3, ~12 time points, 4 epochs) so one
+    // full stream fits a bench sample.
     const STREAM_N: usize = 10_000;
     const SHARD: usize = 64;
     let generator = EmaGenerator::new(GeneratorConfig {
@@ -65,21 +63,14 @@ fn main() {
     stream_spec.model_config = ModelConfig::tiny(0);
     stream_spec.train_config = TrainConfig::quick(4, 7);
     let executor = Executor::with_threads(max);
-    for (name, path) in [
-        ("cohort_stream_10k_batched", CohortPath::Batched),
-        ("cohort_stream_10k_per_individual", CohortPath::PerIndividual),
-    ] {
-        let mut spec = stream_spec.clone();
-        spec.cohort_path = path;
-        harness.bench_function(name, |b| {
-            b.items(STREAM_N as f64);
-            // One full stream costs seconds; a handful of samples keeps
-            // the suite under the bench budget (baseline recorded with
-            // the same override).
-            b.samples(3);
-            b.iter(|| black_box(run_cohort_sharded(&generator, &spec, SHARD, &executor)));
-        });
-    }
+    harness.bench_function("cohort_stream_10k_batched", |b| {
+        b.items(STREAM_N as f64);
+        // One full stream costs seconds; a handful of samples keeps the
+        // suite under the bench budget (baseline recorded with the same
+        // override).
+        b.samples(3);
+        b.iter(|| black_box(run_cohort_sharded(&generator, &stream_spec, SHARD, &executor)));
+    });
 
     // Cluster-then-personalize at the same study scale: K-medoids over
     // representative individuals, 4 cluster models trained once on the
@@ -91,31 +82,23 @@ fn main() {
     // `cohort_stream_10k_batched`) isolates the training-strategy win;
     // `peak_bytes` stays (workers × shard)-bounded — the plan adds only
     // K checkpoints plus K flattened medoid series.
-    for (name, path) in [
-        ("cohort_stream_10k_warmstart_batched", CohortPath::Batched),
-        (
-            "cohort_stream_10k_warmstart_per_individual",
-            CohortPath::PerIndividual,
-        ),
-    ] {
-        let mut spec = stream_spec.clone();
-        spec.cohort_path = path;
-        spec.train_strategy = TrainStrategy::ClusterWarmStart {
+    let warm_spec = RunSpec {
+        train_strategy: TrainStrategy::ClusterWarmStart {
             k: 4,
             cluster_epochs: 4,
             fine_tune_epochs: 1,
-        };
-        harness.bench_function(name, |b| {
-            b.items(STREAM_N as f64);
-            b.samples(3);
-            b.iter(|| black_box(run_cohort_sharded(&generator, &spec, SHARD, &executor)));
-        });
-    }
+        },
+        ..stream_spec.clone()
+    };
+    harness.bench_function("cohort_stream_10k_warmstart_batched", |b| {
+        b.items(STREAM_N as f64);
+        b.samples(3);
+        b.iter(|| black_box(run_cohort_sharded(&generator, &warm_spec, SHARD, &executor)));
+    });
 
     // Graph-model streams at the same study scale: the grouped
     // graph-conv/attention ops put a whole shard's A3TGCN/MTGNN
-    // forward on one tape graph per epoch, gated here against the
-    // per-individual oracle path (bit-identical results, fewer graphs).
+    // forward on one tape graph per epoch.
     // Each individual builds its own training-split correlation graph
     // on the worker that generates its shard, so `peak_bytes` stays
     // bounded by (workers × shard) exactly as in the LSTM stream.
@@ -140,20 +123,13 @@ fn main() {
         // LSTM's, so halve the epochs to keep one full stream inside a
         // bench sample.
         model_spec.train_config = TrainConfig::quick(2, 7);
-        for (path, suffix) in [
-            (CohortPath::Batched, "batched"),
-            (CohortPath::PerIndividual, "per_individual"),
-        ] {
-            let mut spec = model_spec.clone();
-            spec.cohort_path = path;
-            harness.bench_function(&format!("cohort_stream_10k_{label}_{suffix}"), |b| {
-                b.items(STREAM_N as f64);
-                b.samples(2);
-                b.iter(|| {
-                    black_box(run_cohort_sharded(&generator, &spec, graph_shard, &executor))
-                });
+        harness.bench_function(&format!("cohort_stream_10k_{label}_batched"), |b| {
+            b.items(STREAM_N as f64);
+            b.samples(2);
+            b.iter(|| {
+                black_box(run_cohort_sharded(&generator, &model_spec, graph_shard, &executor))
             });
-        }
+        });
     }
 
     harness.finish();

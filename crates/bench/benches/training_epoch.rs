@@ -9,7 +9,7 @@ use ema_bench::Harness;
 use ema_core::{train_model, TrainConfig};
 use ema_data::{make_windows, split_train_test};
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, ForwardCtx, ModelConfig, ModelKind, WindowBatch};
+use ema_models::{build_model, ForwardCtx, LstmForecaster, ModelConfig, ModelKind, WindowBatch};
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_obs::ObsMode;
 use ema_tensor::{Rng64, Tensor};
@@ -73,9 +73,9 @@ fn bench_obs_overhead(c: &mut Harness) {
     let restore = ema_obs::mode();
     for (label, mode) in [("off", ObsMode::Off), ("full", ObsMode::Full)] {
         ema_obs::set_mode(mode);
-        let mut model = build_model(ModelKind::Lstm, V, SEQ, &ModelConfig::default(), None);
+        let mut model = LstmForecaster::new(V, &ModelConfig::default());
         c.bench_function(&format!("obs_overhead_{label}"), |b| {
-            b.iter(|| black_box(train_model(model.as_mut(), &windows, &config).final_loss()))
+            b.iter(|| black_box(train_model(&mut model, &windows, &config).final_loss()))
         });
     }
     ema_obs::set_mode(restore);

@@ -338,9 +338,17 @@ fn format_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Serialises the tests that run `Bencher::iter`: its allocation
+    /// count is process-wide, so an allocating workload sampled on a
+    /// concurrent test thread would land in another test's zero-alloc
+    /// measurement.
+    static ALLOC_MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn bencher_measures_and_harness_records() {
+        let _guard = ALLOC_MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut bencher = Bencher {
             config: Config {
                 samples: 3,
@@ -363,6 +371,7 @@ mod tests {
 
     #[test]
     fn bencher_counts_allocating_workloads() {
+        let _guard = ALLOC_MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut bencher = Bencher {
             config: Config {
                 samples: 2,

@@ -323,15 +323,6 @@ fn render_workers(out: &mut String, s: &RunSummary) {
             "  shards: {shards} batches, {individuals} individuals (avg {avg:.1}/shard)"
         );
     }
-    // A sharded run that asked for the cohort-batched path but got the
-    // per-individual fallback (model without a cohort forward) should
-    // be visible, not silent.
-    if let Some(&fallbacks) = s.counters.get("exec.cohort_fallbacks") {
-        let _ = writeln!(
-            out,
-            "  cohort fallbacks: {fallbacks} run(s) fell back to the per-individual path"
-        );
-    }
     if let Some(h) = s.histograms.get("exec.job_latency_ns") {
         if let (Some(p50), Some(p99)) = (h.quantile(0.50), h.quantile(0.99)) {
             let _ = writeln!(
@@ -542,7 +533,6 @@ mod tests {
                             ("exec.worker_jobs.0", Json::from(4u64)),
                             ("exec.shard_batches", Json::from(4u64)),
                             ("exec.shard_individuals", Json::from(10u64)),
-                            ("exec.cohort_fallbacks", Json::from(1u64)),
                             ("pool_hits", Json::from(90u64)),
                             ("pool_misses", Json::from(10u64)),
                             ("cluster.cache_hits", Json::from(8u64)),
@@ -599,7 +589,6 @@ mod tests {
         assert!(report.contains("1234 nodes"), "{report}");
         assert!(report.contains("90.0%"), "{report}");
         assert!(report.contains("shards: 4 batches, 10 individuals (avg 2.5/shard)"), "{report}");
-        assert!(report.contains("cohort fallbacks: 1 run(s)"), "{report}");
         assert!(report.contains("p50"), "{report}");
     }
 

@@ -8,8 +8,8 @@
 //! cluster phase ([`plan_clusters`]) samples representative
 //! individuals, clusters their flattened **training-split** series with
 //! seeded K-medoids ([`ema_similarity::k_medoids`] — no test leakage),
-//! trains **one model per cluster** on the medoid individuals via the
-//! existing [`crate::cohort::train_cohort`] machinery, and stores the
+//! trains **one model per cluster** on the medoid individuals as one
+//! shard of the pipeline's runner body, and stores the
 //! resulting parameters in an in-memory [`ClusterCheckpointCache`]
 //! keyed `(model, outcome, cluster)` (persistable as checkpoint JSON).
 //! The fine-tune phase then assigns each streamed individual to its
@@ -20,10 +20,10 @@
 //! **Determinism:** the plan is built once on the calling thread of
 //! [`crate::cohort::run_cohort_sharded`] before any shard job spawns —
 //! representative ids, medoids and checkpoints are identical at every
-//! thread count, shard size and [`crate::cohort::CohortPath`]. Cluster
-//! training seeds derive from `(run seed, medoid id)` exactly as the
-//! medoid's idiographic run would; fine-tune runs keep each
-//! individual's own derived stream (see the warm-start RNG contract on
+//! thread count and shard size. Cluster training seeds derive from
+//! `(run seed, medoid id)` exactly as the medoid's idiographic run
+//! would; fine-tune runs keep each individual's own derived stream (see
+//! the warm-start RNG contract on
 //! [`crate::train::TrainConfig::warm_start`]).
 //!
 //! Obs: `cluster_plan` / `cluster_distances` / `cluster_train` spans,
@@ -32,16 +32,9 @@
 //! histogram.
 
 use crate::checkpoint::Checkpoint;
-use crate::cohort::{cohort_batch_supported, train_cohort};
 use crate::json::Json;
-use crate::pipeline::{graph_for_individual, run_individual, GraphSpec, IndividualOutcome, RunSpec};
-use crate::train::{train_model, TrainConfig};
-use ema_data::{make_windows, split_train_test, EmaGenerator, Individual};
-use ema_graph::AdjacencyMatrix;
-use ema_models::{
-    build_model, A3tgcn, Astgcn, CohortForecaster, LstmForecaster, ModelKind, Mtgnn,
-};
-use ema_obs::metrics::EPOCH_BUCKETS;
+use crate::pipeline::{train_shard, RunSpec};
+use ema_data::{split_train_test, EmaGenerator, Individual};
 use ema_obs::span;
 use ema_similarity::{
     argmin_distance, flatten_series, k_medoids, pairwise_series_distances, series_distance,
@@ -275,34 +268,15 @@ impl ClusterPlan {
             .get(&self.model_key, &self.outcome, cluster)
             .expect("every planned cluster has a cached checkpoint")
     }
-
-    /// [`run_individual`] warm-started from this plan: assign from the
-    /// training split, then fine-tune from the cluster checkpoint —
-    /// the per-individual oracle of the batched warm path.
-    #[must_use]
-    pub fn run_individual_warm(&self, id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
-        let (train, _) = split_train_test(data, spec.train_fraction);
-        let cluster = self.assign(&train);
-        let mut warm_spec = spec.clone();
-        warm_spec.train_config.epochs = self.fine_tune_epochs;
-        warm_spec.train_config.warm_start = Some(self.checkpoint(cluster));
-        let outcome = run_individual(id, data, &warm_spec);
-        ema_obs::recorder().observe(
-            "cluster.fine_tune_epochs",
-            &EPOCH_BUCKETS,
-            outcome.epochs_run as f64,
-        );
-        outcome
-    }
 }
 
 /// Runs the cluster phase for a sharded cohort run whose spec carries
 /// [`TrainStrategy::ClusterWarmStart`]: sample representative
 /// individuals, cluster their training-split series with seeded
 /// K-medoids, train one model per cluster on the medoid individuals
-/// (via [`train_cohort`] where the model supports cohort batching,
-/// per-individual [`train_model`] otherwise), and cache the resulting
-/// checkpoints.
+/// (one shard of the runner body, each medoid trained exactly as its
+/// idiographic run for `cluster_epochs` epochs), and cache the
+/// resulting checkpoints.
 ///
 /// # Panics
 /// Panics when the spec's strategy is [`TrainStrategy::Idiographic`],
@@ -369,12 +343,17 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
             .iter()
             .flat_map(|&id| generator.generate_range(id, id + 1))
             .collect();
-        let checkpoints = train_cluster_checkpoints(&medoids, spec, cluster_epochs);
-        for (cluster, ckpt) in checkpoints.into_iter().enumerate() {
+        let mut cluster_spec = spec.clone();
+        cluster_spec.train_config.epochs = cluster_epochs;
+        cluster_spec.train_config.warm_start = None;
+        let trained =
+            train_shard(medoids.iter().map(|m| (m.id, &m.data)), &cluster_spec, None);
+        for (cluster, model) in trained.models.iter().enumerate() {
             // The miss records this cluster's training in the
             // cache-counter ledger (misses = trainings).
             assert!(cache.get(&model_key, &outcome, cluster).is_none());
-            cache.insert(&model_key, &outcome, cluster, Arc::new(ckpt));
+            let ckpt = Arc::new(Checkpoint::capture(model.params()));
+            cache.insert(&model_key, &outcome, cluster, ckpt);
         }
     }
 
@@ -389,123 +368,15 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
     }
 }
 
-/// Trains one cluster model per medoid individual and captures its
-/// parameters. Cohort-batched where the model supports it, matching
-/// [`crate::cohort::run_cohort_batch`]'s model construction exactly;
-/// the VAR baseline falls back to per-individual [`train_model`].
-fn train_cluster_checkpoints(
-    medoids: &[Individual],
-    spec: &RunSpec,
-    cluster_epochs: usize,
-) -> Vec<Checkpoint> {
-    if !cohort_batch_supported(spec.model) {
-        return medoids
-            .iter()
-            .map(|ind| {
-                let (train, _) = split_train_test(&ind.data, spec.train_fraction);
-                let v = ind.data.dims()[1];
-                let graph = cluster_graph(&train, spec);
-                let mut model = build_model(
-                    spec.model,
-                    v,
-                    spec.seq_len,
-                    &spec.model_config,
-                    graph.as_ref(),
-                );
-                let windows = make_windows(&train, spec.seq_len);
-                let config = cluster_config(spec, cluster_epochs, ind.id);
-                let _ = train_model(&mut *model, &windows, &config);
-                Checkpoint::capture(model.params())
-            })
-            .collect();
-    }
-    match spec.model {
-        ModelKind::Lstm => train_cluster_as(medoids, spec, cluster_epochs, |v, _graph| {
-            LstmForecaster::new(v, &spec.model_config)
-        }),
-        ModelKind::A3tgcn => train_cluster_as(medoids, spec, cluster_epochs, |v, graph| {
-            A3tgcn::with_options(
-                v,
-                graph.expect("A3TGCN requires a graph"),
-                &spec.model_config,
-                spec.use_attention,
-            )
-        }),
-        ModelKind::Astgcn => train_cluster_as(medoids, spec, cluster_epochs, |v, graph| {
-            Astgcn::with_options(
-                v,
-                spec.seq_len,
-                graph.expect("ASTGCN requires a graph"),
-                &spec.model_config,
-                spec.use_spatial_attention,
-            )
-        }),
-        ModelKind::Mtgnn => train_cluster_as(medoids, spec, cluster_epochs, |v, graph| {
-            Mtgnn::with_learner(
-                v,
-                spec.seq_len,
-                graph,
-                &spec.model_config,
-                spec.learn_graph,
-                spec.graph_learner,
-            )
-        }),
-        ModelKind::Var => unreachable!("gated by cohort_batch_supported"),
-    }
-}
-
-/// The typed body of [`train_cluster_checkpoints`].
-fn train_cluster_as<M, F>(
-    medoids: &[Individual],
-    spec: &RunSpec,
-    cluster_epochs: usize,
-    build: F,
-) -> Vec<Checkpoint>
-where
-    M: CohortForecaster,
-    F: Fn(usize, Option<&AdjacencyMatrix>) -> M,
-{
-    let mut models = Vec::with_capacity(medoids.len());
-    let mut windows = Vec::with_capacity(medoids.len());
-    let mut configs = Vec::with_capacity(medoids.len());
-    for ind in medoids {
-        let (train, _) = split_train_test(&ind.data, spec.train_fraction);
-        let graph = cluster_graph(&train, spec);
-        models.push(build(ind.data.dims()[1], graph.as_ref()));
-        windows.push(make_windows(&train, spec.seq_len));
-        configs.push(cluster_config(spec, cluster_epochs, ind.id));
-    }
-    let _ = train_cohort(&mut models, &windows, &configs);
-    models.iter().map(|m| Checkpoint::capture(m.params())).collect()
-}
-
-/// The medoid's graph, built from its training split exactly as
-/// [`run_individual`] would.
-fn cluster_graph(train: &Tensor, spec: &RunSpec) -> Option<AdjacencyMatrix> {
-    match &spec.graph {
-        GraphSpec::None => None,
-        GraphSpec::Static { metric, gdt } => Some(graph_for_individual(train, *metric, *gdt)),
-        GraphSpec::Provided(g) => Some(g.clone()),
-    }
-}
-
-/// The cluster-training config for one medoid: the spec's
-/// hyper-parameters with the cluster epoch schedule and the medoid's
-/// own derived dropout stream (identical to its idiographic run's).
-fn cluster_config(spec: &RunSpec, cluster_epochs: usize, medoid_id: usize) -> TrainConfig {
-    let mut config = spec.train_config.clone();
-    config.epochs = cluster_epochs;
-    config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, medoid_id as u64);
-    config.warm_start = None;
-    config
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cohort::CohortPath;
+    use crate::cohort::run_cohort_sharded;
+    use crate::exec::Executor;
+    use crate::pipeline::{run_individual, GraphSpec, IndividualOutcome};
+    use crate::train::TrainConfig;
     use ema_data::GeneratorConfig;
-    use ema_models::ModelConfig;
+    use ema_models::{ModelConfig, ModelKind};
 
     fn warm_spec(model: ModelKind, graph: GraphSpec) -> RunSpec {
         RunSpec {
@@ -577,38 +448,50 @@ mod tests {
         assert_eq!(parsed.to_json(), json);
     }
 
+    /// The per-individual oracle of the warm path: `run_individual`
+    /// with the plan's fine-tune schedule and the checkpoint of the
+    /// cluster the individual's training split is nearest to.
+    fn manual_warm_start(
+        plan: &ClusterPlan,
+        ind: &Individual,
+        spec: &RunSpec,
+    ) -> IndividualOutcome {
+        let (train, _) = split_train_test(&ind.data, spec.train_fraction);
+        let mut manual = spec.clone();
+        manual.train_config.epochs = plan.fine_tune_epochs;
+        manual.train_config.warm_start = Some(plan.checkpoint(plan.assign(&train)));
+        run_individual(ind.id, &ind.data, &manual)
+    }
+
+    fn key(outcomes: &[IndividualOutcome]) -> Vec<(usize, f64, f64, usize)> {
+        outcomes
+            .iter()
+            .map(|o| (o.id, o.mse, o.final_train_loss, o.epochs_run))
+            .collect()
+    }
+
     #[test]
     fn warm_individual_matches_manual_warm_start() {
         let generator = generator();
         let spec = warm_spec(ModelKind::Lstm, GraphSpec::None);
         let plan = plan_clusters(&generator, &spec);
+        let got = run_cohort_sharded(&generator, &spec, 1, &Executor::sequential());
         let ind = generator.generate_range(3, 4).pop().unwrap();
-        let got = plan.run_individual_warm(ind.id, &ind.data, &spec);
-
-        let (train, _) = split_train_test(&ind.data, spec.train_fraction);
-        let mut manual = spec.clone();
-        manual.train_config.epochs = plan.fine_tune_epochs;
-        manual.train_config.warm_start = Some(plan.checkpoint(plan.assign(&train)));
-        let want = run_individual(ind.id, &ind.data, &manual);
-        assert_eq!(got.mse, want.mse);
-        assert_eq!(got.final_train_loss, want.final_train_loss);
-        assert_eq!(got.epochs_run, want.epochs_run);
+        assert_eq!(key(&got[3..4]), key(&[manual_warm_start(&plan, &ind, &spec)]));
     }
 
     #[test]
     fn sharded_warm_start_matches_per_individual_oracle() {
         let generator = generator();
         let spec = warm_spec(ModelKind::Lstm, GraphSpec::None);
-        let oracle_spec = RunSpec { cohort_path: CohortPath::PerIndividual, ..spec.clone() };
-        let key = |outcomes: &[IndividualOutcome]| -> Vec<(usize, f64, f64, usize)> {
-            outcomes
-                .iter()
-                .map(|o| (o.id, o.mse, o.final_train_loss, o.epochs_run))
-                .collect()
-        };
-        let exec = crate::exec::Executor::sequential();
-        let batched = crate::cohort::run_cohort_sharded(&generator, &spec, 3, &exec);
-        let oracle = crate::cohort::run_cohort_sharded(&generator, &oracle_spec, 2, &exec);
+        let plan = plan_clusters(&generator, &spec);
+        let batched = run_cohort_sharded(&generator, &spec, 3, &Executor::sequential());
+        let oracle: Vec<IndividualOutcome> = generator
+            .generate()
+            .individuals
+            .iter()
+            .map(|ind| manual_warm_start(&plan, ind, &spec))
+            .collect();
         assert_eq!(key(&batched), key(&oracle));
         // Fine-tuned runs are capped at the fine-tune schedule.
         assert!(batched.iter().all(|o| o.epochs_run <= 2));
@@ -623,8 +506,7 @@ mod tests {
             cluster_epochs: 3,
             fine_tune_epochs: 0,
         };
-        let exec = crate::exec::Executor::sequential();
-        let out = crate::cohort::run_cohort_sharded(&generator, &spec, 3, &exec);
+        let out = run_cohort_sharded(&generator, &spec, 3, &Executor::sequential());
         assert_eq!(out.len(), 6);
         for o in &out {
             assert_eq!(o.epochs_run, 0, "individual {} trained", o.id);

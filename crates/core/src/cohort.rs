@@ -1,465 +1,52 @@
-//! Cohort-batched training: one tape graph per shard of B individuals,
-//! scheduled as streaming shard jobs on the [`crate::exec`] engine.
+//! Cohort-batched runs: shards of B individuals trained on one tape
+//! graph per epoch, scheduled as streaming shard jobs on the
+//! [`crate::exec`] engine.
 //!
-//! [`train_cohort`] is the grouped-operand analog of
-//! [`crate::train::train_model`]: every epoch, all B individuals'
-//! windows forward through **one** tape graph
-//! ([`CohortForecaster::predict_cohort`]), per-individual MSE losses are
-//! summed into one scalar, and one backward pass yields every
-//! individual's gradients — bit-identical to B separate `train_model`
-//! runs (each loss node receives exactly the seed gradient `1.0`
-//! through the pairwise add chain, and every grouped op matches the
-//! per-individual op per row block; enforced by
-//! `crates/models/tests/batched_equivalence.rs` and
-//! `tests/determinism.rs`).
-//!
-//! Per-individual state (Adam moments, RNG stream, early-stopping
-//! counters) stays per-individual: an individual that early-stops
-//! leaves the active group, the [`CohortBatch`] is rebuilt without it,
-//! and — per the cohort RNG contract — it stops consuming draws exactly
-//! as its standalone run would.
+//! [`run_cohort_batch`] runs one shard through the pipeline's runner
+//! body: every member is split, graphed and windowed as
+//! [`crate::pipeline::run_individual`] does, the shard trains with one
+//! [`crate::train::train_cohort`] call (one grouped forward per epoch
+//! while more than one member is active), and each member is evaluated
+//! on its own. Outcomes are bit-identical to
+//! [`crate::pipeline::run_individual`] on each member.
 //!
 //! [`run_cohort_sharded`] streams a synthetic study through the
 //! executor in shards of `shard_size` individuals: each shard job
 //! *generates* its slice of the study on the worker
-//! ([`EmaGenerator::generate_range`]), trains it as one cohort batch,
-//! evaluates, and drops the data — so peak memory is bounded by
-//! (workers × shard), not the study size. Results are byte-identical at
-//! every `(thread count, shard size)` pair and to the per-individual
-//! oracle ([`CohortPath::PerIndividual`]).
+//! ([`EmaGenerator::generate_range`]), runs it, and drops the data — so
+//! peak memory is bounded by (workers × shard), not the study size.
+//! Results are byte-identical at every `(thread count, shard size)`
+//! pair.
 
-use crate::cluster::{plan_clusters, ClusterPlan, TrainStrategy};
-use crate::evaluate::{evaluate_mse, evaluate_per_variable_mse};
+use crate::cluster::{plan_clusters, TrainStrategy};
 use crate::exec::{expect_all, Executor, Job};
-use crate::pipeline::{graph_for_individual, run_individual, GraphSpec, IndividualOutcome, RunSpec};
-use crate::train::{TrainConfig, TrainReport};
-use ema_autodiff::{Grads, Tape};
-use ema_data::{make_test_windows, make_windows, split_train_test, EmaGenerator, Individual, WindowedData};
-use ema_graph::AdjacencyMatrix;
-use ema_models::{
-    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, LstmForecaster, ModelKind, Mtgnn,
-    WindowBatch,
-};
-use ema_nn::{global_grad_norm, Adam, Binding, Optimizer, OptimizerConfig};
-use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
-use ema_obs::{point, span};
-use ema_tensor::Rng64;
+use crate::pipeline::{run_shard, IndividualOutcome, RunSpec};
+use ema_data::{EmaGenerator, Individual};
+use ema_obs::span;
 
-/// Which training path a sharded cohort run takes. Both paths are
-/// bit-identical in results (enforced by `tests/determinism.rs`); they
-/// differ only in tape-graph shape and throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CohortPath {
-    /// One tape graph per shard of B individuals via
-    /// [`CohortForecaster::predict_cohort`] — the hot path and the
-    /// default for models that implement it (LSTM, A3TGCN, ASTGCN and
-    /// MTGNN; see [`cohort_batch_supported`]; other models fall back to
-    /// the per-individual path and emit a `cohort_fallback` obs point).
-    #[default]
-    Batched,
-    /// One [`run_individual`] call per individual — the reference
-    /// oracle, kept for equivalence testing and for models without a
-    /// cohort forward.
-    PerIndividual,
-}
-
-/// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`,
-/// building one tape graph per epoch for the whole group. Bit-identical
-/// to calling [`crate::train::train_model`] once per individual (with
-/// the batched forward path), but with O(depth) tape nodes per epoch
-/// for the whole cohort instead of per individual.
-///
-/// All configs must agree on the kernel backend (one thread-local pin
-/// covers the shared graph).
-///
-/// A config with `warm_start` set restores the checkpoint into its
-/// model before the first epoch; a warm-started config with
-/// `epochs == 0` is a pure restore — the individual never joins the
-/// active group and, per the cohort RNG contract, consumes zero
-/// training draws (exactly as its standalone
-/// [`crate::train::train_model`] run would).
-///
-/// # Panics
-/// Panics on empty inputs, length mismatches, an empty window set,
-/// zero epochs without a warm-start checkpoint, or disagreeing kernel
-/// backends.
-pub fn train_cohort<M: CohortForecaster>(
-    models: &mut [M],
-    windows: &[WindowedData],
-    configs: &[TrainConfig],
-) -> Vec<TrainReport> {
-    let n = models.len();
-    assert!(n > 0, "cannot train an empty cohort");
-    assert_eq!(n, windows.len(), "one window set per model");
-    assert_eq!(n, configs.len(), "one config per model");
-    for (b, (w, c)) in windows.iter().zip(configs).enumerate() {
-        assert!(!w.is_empty(), "individual {b}: cannot train on zero windows");
-        assert!(
-            c.epochs > 0 || c.warm_start.is_some(),
-            "individual {b}: need at least one epoch (or a warm-start checkpoint)"
-        );
-        assert_eq!(
-            c.kernel_backend, configs[0].kernel_backend,
-            "individual {b}: cohort configs must share the kernel backend"
-        );
-    }
-    let _kernel = configs[0].kernel_backend.scoped();
-    let _span = span!("train_cohort", individuals = n);
-    let obs = ema_obs::recorder();
-
-    // Warm starts restore before the first epoch, exactly as
-    // `train_model` does.
-    for (model, config) in models.iter_mut().zip(configs) {
-        if let Some(ckpt) = &config.warm_start {
-            ckpt.restore(model.params_mut())
-                .expect("warm-start checkpoint must match the model architecture");
-        }
-    }
-
-    // The active group starts as every individual with a non-empty
-    // schedule; 0-epoch warm-start restores are finalized immediately
-    // with empty reports and never seed an RNG.
-    let init_idx: Vec<usize> = (0..n).filter(|&i| configs[i].epochs > 0).collect();
-    let mut reports: Vec<Option<TrainReport>> = (0..n)
-        .map(|i| {
-            (configs[i].epochs == 0).then(|| TrainReport {
-                losses: Vec::new(),
-                grad_norms: Vec::new(),
-                epochs_run: 0,
-                early_stopped: false,
-            })
-        })
-        .collect();
-    if init_idx.is_empty() {
-        return reports.into_iter().map(|r| r.expect("all restores")).collect();
-    }
-
-    // Per-individual state: `losses`/`grad_norms`/`best`/… are indexed
-    // by cohort position `i`; `rngs`/`adams` by *active* position and
-    // compacted alongside `act_idx`.
-    let batches: Vec<WindowBatch> =
-        windows.iter().map(|w| WindowBatch::from_windows(&w.inputs)).collect();
-    let mut adams: Vec<Adam> = init_idx
-        .iter()
-        .map(|&i| {
-            Adam::new(OptimizerConfig {
-                learning_rate: configs[i].learning_rate,
-                grad_clip: configs[i].grad_clip,
-                ..OptimizerConfig::default()
-            })
-        })
-        .collect();
-    let mut rngs: Vec<Rng64> =
-        init_idx.iter().map(|&i| Rng64::seed_from(configs[i].seed)).collect();
-    let mut losses: Vec<Vec<f64>> = configs.iter().map(|c| Vec::with_capacity(c.epochs)).collect();
-    let mut grad_norms: Vec<Vec<f64>> =
-        configs.iter().map(|c| Vec::with_capacity(c.epochs)).collect();
-    let mut best = vec![f64::INFINITY; n];
-    let mut since_best = vec![0usize; n];
-    let mut early_stopped = vec![false; n];
-
-    // One tape and one gradient workspace for the whole run; every
-    // individual's target matrix is a persistent tape prefix.
-    let mut tape = Tape::new();
-    let mut grads = Grads::empty();
-    let tgts: Vec<_> = windows.iter().map(|w| tape.leaf(w.targets_matrix())).collect();
-    let keep = tape.len();
-
-    // The active group: cohort positions still training, in stack
-    // order. `rngs`/`adams` are compacted alongside so the forward sees
-    // one contiguous RNG stream per *active* individual.
-    let mut act_idx = init_idx;
-    let mut cohort_batch =
-        CohortBatch::from_batches(&act_idx.iter().map(|&i| &batches[i]).collect::<Vec<_>>());
-    let mut epoch = 0usize;
-    while !act_idx.is_empty() {
-        tape.reset_to(keep);
-        let bindings: Vec<Binding> =
-            act_idx.iter().map(|&i| models[i].params().bind(&tape)).collect();
-        let out = {
-            let group: Vec<&M> = act_idx.iter().map(|&i| &models[i]).collect();
-            let binding_refs: Vec<&Binding> = bindings.iter().collect();
-            let mut ctx = CohortCtx::train(&mut rngs);
-            M::predict_cohort(&group, &tape, &binding_refs, &cohort_batch, &mut ctx)
-        };
-        // Per-individual MSE over each row block, summed pairwise: the
-        // add chain hands every loss node the seed gradient 1.0, so
-        // individual b's backward matches its standalone graph.
-        let mut loss_vars = Vec::with_capacity(act_idx.len());
-        let mut total = None;
-        for (pos, &i) in act_idx.iter().enumerate() {
-            let off = cohort_batch.offset(pos);
-            let wins = cohort_batch.group_wins()[pos];
-            let pred = tape.slice_rows(out, off, off + wins);
-            let l = tape.mse(pred, tgts[i]);
-            loss_vars.push(l);
-            total = Some(match total {
-                None => l,
-                Some(acc) => tape.add(acc, l),
-            });
-        }
-        tape.backward_into(total.expect("non-empty active group"), &mut grads);
-
-        let mut keep_mask = vec![true; act_idx.len()];
-        let mut total_loss = 0.0;
-        for (pos, &i) in act_idx.iter().enumerate() {
-            let config = &configs[i];
-            let loss_value = tape.value(loss_vars[pos]).data()[0];
-            losses[i].push(loss_value);
-            total_loss += loss_value;
-            let grad_norm = global_grad_norm(models[i].params(), &bindings[pos], &grads);
-            grad_norms[i].push(grad_norm);
-            adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
-            obs.observe("train_loss", &LOSS_BUCKETS, loss_value);
-
-            // Early stopping and schedule end, exactly as train_model
-            // decides them (the stopping epoch still takes its step).
-            if config.early_stop_rel > 0.0 {
-                if loss_value < best[i] * (1.0 - config.early_stop_rel) {
-                    best[i] = loss_value;
-                    since_best[i] = 0;
-                } else {
-                    since_best[i] += 1;
-                    if since_best[i] >= config.patience {
-                        early_stopped[i] = true;
-                        keep_mask[pos] = false;
-                        obs.inc_counter("early_stops", 1);
-                    }
-                }
-            }
-            if keep_mask[pos] && epoch + 1 >= config.epochs {
-                keep_mask[pos] = false;
-            }
-        }
-        point!(
-            "cohort_epoch",
-            epoch = epoch,
-            active = act_idx.len(),
-            loss_total = total_loss,
-            tape_nodes = tape.len()
-        );
-        obs.set_gauge("tape_nodes", tape.len() as f64);
-        epoch += 1;
-
-        // Finalize reports for individuals leaving the group, then
-        // compact the active-state vectors in lockstep and rebuild the
-        // stacked batch without them.
-        for (pos, &i) in act_idx.iter().enumerate() {
-            if !keep_mask[pos] {
-                let l = std::mem::take(&mut losses[i]);
-                let g = std::mem::take(&mut grad_norms[i]);
-                obs.observe("epochs_run", &EPOCH_BUCKETS, l.len() as f64);
-                obs.observe("grad_norm_final", &GRAD_NORM_BUCKETS, *g.last().expect("ran"));
-                reports[i] = Some(TrainReport {
-                    epochs_run: l.len(),
-                    early_stopped: early_stopped[i],
-                    losses: l,
-                    grad_norms: g,
-                });
-            }
-        }
-        if keep_mask.iter().any(|k| !k) {
-            let old_idx = std::mem::take(&mut act_idx);
-            let old_rngs = std::mem::take(&mut rngs);
-            let old_adams = std::mem::take(&mut adams);
-            for (((i, rng), adam), keep) in
-                old_idx.into_iter().zip(old_rngs).zip(old_adams).zip(&keep_mask)
-            {
-                if *keep {
-                    act_idx.push(i);
-                    rngs.push(rng);
-                    adams.push(adam);
-                }
-            }
-            if !act_idx.is_empty() {
-                let active_batches: Vec<&WindowBatch> =
-                    act_idx.iter().map(|&i| &batches[i]).collect();
-                cohort_batch = CohortBatch::from_batches(&active_batches);
-            }
-        }
-    }
-    ema_obs::drain_kernel_counters();
-    reports.into_iter().map(|r| r.expect("every individual finalized")).collect()
-}
-
-/// True when [`run_cohort_batch`] has a cohort-batched forward for this
-/// model kind. Everything that trains by gradient descent does (LSTM,
-/// A3TGCN, ASTGCN, MTGNN); the closed-form VAR baseline does not.
-#[must_use]
-pub fn cohort_batch_supported(model: ModelKind) -> bool {
-    !matches!(model, ModelKind::Var)
-}
-
-/// Runs one shard of individuals through the cohort-batched path:
-/// per-individual split → graph → windows (as [`run_individual`] does),
-/// then one [`train_cohort`] call for the whole shard, then
+/// Runs one shard of individuals through the runner body: one
+/// [`crate::train::train_cohort`] call for the whole shard, then
 /// per-individual evaluation. Outcomes are bit-identical to
-/// [`run_individual`] on each member.
+/// [`crate::pipeline::run_individual`] on each member.
 ///
 /// # Panics
-/// Panics when the spec's model has no cohort forward (see
-/// [`cohort_batch_supported`]), or on the same data inconsistencies as
-/// [`run_individual`].
+/// Panics on an empty shard, or on the same data inconsistencies as
+/// [`crate::pipeline::run_individual`].
 #[must_use]
 pub fn run_cohort_batch(individuals: &[Individual], spec: &RunSpec) -> Vec<IndividualOutcome> {
-    run_cohort_batch_planned(individuals, spec, None)
-}
-
-/// [`run_cohort_batch`] with an optional cluster-warm-start plan: when
-/// present, every individual is assigned to its nearest cluster from
-/// the *training* split and fine-tuned from that cluster's checkpoint
-/// (`epochs = fine_tune_epochs`, `warm_start` from the cache) instead
-/// of training from scratch. [`run_cohort_sharded`] is the caller.
-pub(crate) fn run_cohort_batch_planned(
-    individuals: &[Individual],
-    spec: &RunSpec,
-    plan: Option<&ClusterPlan>,
-) -> Vec<IndividualOutcome> {
-    assert!(
-        cohort_batch_supported(spec.model),
-        "no cohort-batched forward for {}",
-        spec.model.label()
-    );
-    match spec.model {
-        ModelKind::Lstm => run_cohort_batch_as(individuals, spec, plan, |v, _graph| {
-            LstmForecaster::new(v, &spec.model_config)
-        }),
-        ModelKind::A3tgcn => run_cohort_batch_as(individuals, spec, plan, |v, graph| {
-            A3tgcn::with_options(
-                v,
-                graph.expect("A3TGCN requires a graph"),
-                &spec.model_config,
-                spec.use_attention,
-            )
-        }),
-        ModelKind::Astgcn => run_cohort_batch_as(individuals, spec, plan, |v, graph| {
-            Astgcn::with_options(
-                v,
-                spec.seq_len,
-                graph.expect("ASTGCN requires a graph"),
-                &spec.model_config,
-                spec.use_spatial_attention,
-            )
-        }),
-        ModelKind::Mtgnn => run_cohort_batch_as(individuals, spec, plan, |v, graph| {
-            Mtgnn::with_learner(
-                v,
-                spec.seq_len,
-                graph,
-                &spec.model_config,
-                spec.learn_graph,
-                spec.graph_learner,
-            )
-        }),
-        ModelKind::Var => unreachable!("gated by cohort_batch_supported"),
-    }
-}
-
-/// The typed body of [`run_cohort_batch`]: `build` constructs each
-/// individual's model exactly as [`run_individual`] would.
-fn run_cohort_batch_as<M, F>(
-    individuals: &[Individual],
-    spec: &RunSpec,
-    plan: Option<&ClusterPlan>,
-    build: F,
-) -> Vec<IndividualOutcome>
-where
-    M: CohortForecaster,
-    F: Fn(usize, Option<&AdjacencyMatrix>) -> M,
-{
-    assert!(!individuals.is_empty(), "empty shard");
-    let _kernel = spec.train_config.kernel_backend.scoped();
-    let mut models = Vec::with_capacity(individuals.len());
-    let mut train_windows = Vec::with_capacity(individuals.len());
-    let mut configs = Vec::with_capacity(individuals.len());
-    let mut test_windows = Vec::with_capacity(individuals.len());
-    let mut graphs = Vec::with_capacity(individuals.len());
-    for ind in individuals {
-        let (train, test) = split_train_test(&ind.data, spec.train_fraction);
-        let v = ind.data.dims()[1];
-        // Graph built from training data only — recorded in the outcome
-        // even for models (LSTM) that ignore it.
-        let graph = match &spec.graph {
-            GraphSpec::None => None,
-            GraphSpec::Static { metric, gdt } => {
-                Some(graph_for_individual(&train, *metric, *gdt))
-            }
-            GraphSpec::Provided(g) => Some(g.clone()),
-        };
-        models.push(build(v, graph.as_ref()));
-        train_windows.push(make_windows(&train, spec.seq_len));
-        test_windows.push(make_test_windows(&train, &test, spec.seq_len));
-        let mut config = spec.train_config.clone();
-        config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, ind.id as u64);
-        if let Some(plan) = plan {
-            // Cluster warm start: nearest medoid by training-split
-            // series distance, fine-tune schedule from the plan.
-            let cluster = plan.assign(&train);
-            config.epochs = plan.fine_tune_epochs;
-            config.warm_start = Some(plan.checkpoint(cluster));
-        }
-        configs.push(config);
-        graphs.push(graph);
-    }
-
-    let reports = {
-        let _train_span = span!("train", individuals = individuals.len());
-        train_cohort(&mut models, &train_windows, &configs)
-    };
-
-    individuals
-        .iter()
-        .zip(&models)
-        .zip(&test_windows)
-        .zip(reports)
-        .zip(graphs)
-        .map(|((((ind, model), test), report), graph)| {
-            let _eval_span = span!("evaluate", individual = ind.id, windows = test.len());
-            // Extract the learned graph from MTGNN for Experiment C,
-            // exactly as `run_individual` does.
-            let learned_graph = if spec.model == ModelKind::Mtgnn && spec.learn_graph {
-                let concrete = model
-                    .as_any_mtgnn()
-                    .expect("MTGNN model exposes its learned graph");
-                Some(concrete.learned_graph())
-            } else {
-                None
-            };
-            if plan.is_some() {
-                ema_obs::recorder().observe(
-                    "cluster.fine_tune_epochs",
-                    &EPOCH_BUCKETS,
-                    report.epochs_run as f64,
-                );
-            }
-            let outcome = IndividualOutcome {
-                id: ind.id,
-                mse: evaluate_mse(model, test),
-                per_variable_mse: evaluate_per_variable_mse(model, test),
-                // 0.0 stands in for "no training loss" on a 0-epoch
-                // warm-start restore run (nomothetic serving).
-                final_train_loss: report.final_loss_or(0.0),
-                epochs_run: report.epochs_run,
-                graph_used: graph,
-                learned_graph,
-            };
-            ema_obs::drain_kernel_counters();
-            outcome
-        })
-        .collect()
+    run_shard(individuals.iter().map(|ind| (ind.id, &ind.data)), spec, None)
 }
 
 /// Streams a synthetic study through the executor in shards of
 /// `shard_size` individuals. Each shard becomes one [`Job`] that
-/// generates its slice of the study on the worker, runs it down the
-/// spec's [`CohortPath`] (batched where [`cohort_batch_supported`],
-/// per-individual otherwise — the fallback emits a `cohort_fallback`
-/// obs point and bumps the `exec.cohort_fallbacks` counter),
-/// and returns its outcomes; per-shard memory is dropped when the job
-/// ends, and warm pool buffers are handed across jobs by the executor.
+/// generates its slice of the study on the worker, runs it through the
+/// runner body (warm-started from the cluster plan when the spec's
+/// strategy asks for one), and returns its outcomes; per-shard memory
+/// is dropped when the job ends, and warm pool buffers are handed
+/// across jobs by the executor.
 ///
 /// Results come back in individual order and are byte-identical at
-/// every `(thread count, shard size)` pair and across both paths.
+/// every `(thread count, shard size)` pair.
 ///
 /// # Panics
 /// Panics when `shard_size` is zero, or propagates the first shard
@@ -481,13 +68,6 @@ pub fn run_cohort_sharded(
         shard_size = shard_size,
         threads = executor.threads()
     );
-    let batched = spec.cohort_path == CohortPath::Batched && cohort_batch_supported(spec.model);
-    if spec.cohort_path == CohortPath::Batched && !batched {
-        // The hot path was requested but this model has no cohort
-        // forward: make the silent downgrade visible.
-        point!("cohort_fallback", model = spec.model.label());
-        ema_obs::recorder().inc_counter("exec.cohort_fallbacks", 1);
-    }
     // Cluster phase (when the strategy asks for it) runs once on the
     // calling thread before any shard job is spawned, so the plan — and
     // through it every result — is identical at every thread count.
@@ -506,17 +86,7 @@ pub fn run_cohort_sharded(
                 recorder.inc_counter("exec.shard_batches", 1);
                 recorder.inc_counter("exec.shard_individuals", (end - start) as u64);
                 let individuals = generator.generate_range(start, end);
-                if batched {
-                    run_cohort_batch_planned(&individuals, spec, plan)
-                } else {
-                    individuals
-                        .iter()
-                        .map(|ind| match plan {
-                            None => run_individual(ind.id, &ind.data, spec),
-                            Some(plan) => plan.run_individual_warm(ind.id, &ind.data, spec),
-                        })
-                        .collect()
-                }
+                run_shard(individuals.iter().map(|ind| (ind.id, &ind.data)), spec, plan)
             })
         })
         .collect();
@@ -526,9 +96,10 @@ pub fn run_cohort_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::train_model;
-    use ema_data::GeneratorConfig;
-    use ema_models::{Forecaster, ModelConfig};
+    use crate::pipeline::{run_individual, GraphSpec};
+    use crate::train::{train_cohort, train_model, TrainConfig};
+    use ema_data::{make_windows, split_train_test, GeneratorConfig};
+    use ema_models::{Forecaster, LstmForecaster, ModelConfig, ModelKind};
 
     fn quick_spec() -> RunSpec {
         RunSpec {
@@ -586,14 +157,18 @@ mod tests {
     fn sharded_outcomes_match_oracle_at_any_shard_size_and_thread_count() {
         let generator = generator();
         let spec = quick_spec();
-        let oracle_spec = RunSpec { cohort_path: CohortPath::PerIndividual, ..spec.clone() };
         let key = |outcomes: &[IndividualOutcome]| -> Vec<(usize, f64, f64, usize)> {
             outcomes
                 .iter()
                 .map(|o| (o.id, o.mse, o.final_train_loss, o.epochs_run))
                 .collect()
         };
-        let oracle = run_cohort_sharded(&generator, &oracle_spec, 1, &Executor::sequential());
+        let oracle: Vec<IndividualOutcome> = generator
+            .generate()
+            .individuals
+            .iter()
+            .map(|ind| run_individual(ind.id, &ind.data, &spec))
+            .collect();
         assert_eq!(oracle.len(), 5);
         for (shard_size, threads) in [(1, 1), (2, 2), (3, 4), (5, 1)] {
             let got = run_cohort_sharded(
@@ -631,25 +206,51 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "no cohort-batched forward")]
-    fn run_cohort_batch_rejects_var() {
+    /// A shard through `run_cohort_batch` must reproduce `run_individual`
+    /// on each member bit for bit — MSEs, losses, epoch counts, and
+    /// MTGNN's learned graph.
+    fn assert_cohort_batch_matches_run_individual(spec: &RunSpec) {
         let ds = generator().generate();
-        let spec = RunSpec {
-            model_config: ModelConfig::tiny(0),
-            ..RunSpec::new(ModelKind::Var, GraphSpec::None, 2)
-        };
-        let _ = run_cohort_batch(&ds.individuals[..1], &spec);
+        let model = spec.model;
+        let got = run_cohort_batch(&ds.individuals, spec);
+        for (o, ind) in got.iter().zip(&ds.individuals) {
+            let want = run_individual(ind.id, &ind.data, spec);
+            assert_eq!(o.mse, want.mse, "{model:?} individual {} mse", ind.id);
+            assert_eq!(
+                o.per_variable_mse, want.per_variable_mse,
+                "{model:?} individual {} per-variable mse",
+                ind.id
+            );
+            assert_eq!(
+                o.final_train_loss, want.final_train_loss,
+                "{model:?} individual {} final loss",
+                ind.id
+            );
+            assert_eq!(o.epochs_run, want.epochs_run, "{model:?} individual {}", ind.id);
+            assert_eq!(
+                o.learned_graph.as_ref().map(|g| g.weights().data().to_vec()),
+                want.learned_graph.as_ref().map(|g| g.weights().data().to_vec()),
+                "{model:?} individual {} learned graph",
+                ind.id
+            );
+        }
     }
 
-    /// Every graph model's cohort-batched shard must reproduce
-    /// `run_individual` on each member bit for bit — MSEs, losses,
-    /// epoch counts, and MTGNN's learned graph.
+    /// The VAR baseline trains on the same grouped path as every other
+    /// model: one grouped linear layer over the shard's windows.
+    #[test]
+    fn var_cohort_batch_matches_run_individual() {
+        assert_cohort_batch_matches_run_individual(&RunSpec {
+            model_config: ModelConfig::tiny(0),
+            train_config: TrainConfig::quick(6, 3),
+            ..RunSpec::new(ModelKind::Var, GraphSpec::None, 2)
+        });
+    }
+
     #[test]
     fn graph_model_cohort_batch_matches_run_individual() {
-        let ds = generator().generate();
         for model in [ModelKind::A3tgcn, ModelKind::Astgcn, ModelKind::Mtgnn] {
-            let spec = RunSpec {
+            assert_cohort_batch_matches_run_individual(&RunSpec {
                 model_config: ModelConfig::tiny(0),
                 train_config: TrainConfig::quick(6, 3),
                 ..RunSpec::new(
@@ -660,29 +261,7 @@ mod tests {
                     },
                     2,
                 )
-            };
-            let got = run_cohort_batch(&ds.individuals, &spec);
-            for (o, ind) in got.iter().zip(&ds.individuals) {
-                let want = run_individual(ind.id, &ind.data, &spec);
-                assert_eq!(o.mse, want.mse, "{model:?} individual {} mse", ind.id);
-                assert_eq!(
-                    o.per_variable_mse, want.per_variable_mse,
-                    "{model:?} individual {} per-variable mse",
-                    ind.id
-                );
-                assert_eq!(
-                    o.final_train_loss, want.final_train_loss,
-                    "{model:?} individual {} final loss",
-                    ind.id
-                );
-                assert_eq!(o.epochs_run, want.epochs_run, "{model:?} individual {}", ind.id);
-                assert_eq!(
-                    o.learned_graph.as_ref().map(|g| g.weights().data().to_vec()),
-                    want.learned_graph.as_ref().map(|g| g.weights().data().to_vec()),
-                    "{model:?} individual {} learned graph",
-                    ind.id
-                );
-            }
+            });
         }
     }
 }

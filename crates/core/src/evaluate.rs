@@ -5,31 +5,26 @@ use ema_data::WindowedData;
 use ema_models::Forecaster;
 use ema_tensor::Tensor;
 
-/// MSE of a model over a window set (Eq. (1) for one individual):
-/// the squared error averaged over all test time points and variables.
+/// Scores a model over a window set from one eval forward: the MSE
+/// (Eq. (1) for one individual — the squared error averaged over all
+/// test time points and variables) and the per-variable MSEs, length
+/// `V` (the paper's future-work note on per-variable error analysis).
 #[must_use]
-pub fn evaluate_mse(model: &dyn Forecaster, windows: &WindowedData) -> f64 {
-    let preds = predict_all(model, windows, 0);
-    preds.mse(&windows.targets_matrix())
-}
-
-/// Per-variable MSEs over a window set, length `V` — supports the
-/// paper's future-work note on per-variable error analysis.
-#[must_use]
-pub fn evaluate_per_variable_mse(model: &dyn Forecaster, windows: &WindowedData) -> Vec<f64> {
+pub fn evaluate(model: &dyn Forecaster, windows: &WindowedData) -> (f64, Vec<f64>) {
     let preds = predict_all(model, windows, 0);
     let targets = windows.targets_matrix();
     let (n, v) = (preds.dims()[0], preds.dims()[1]);
-    let mut out = vec![0.0; v];
-    for (j, slot) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for i in 0..n {
-            let d = preds.at2(i, j) - targets.at2(i, j);
-            acc += d * d;
-        }
-        *slot = acc / n as f64;
-    }
-    out
+    let per_variable = (0..v)
+        .map(|j| {
+            let mut acc = 0.0;
+            for i in 0..n {
+                let d = preds.at2(i, j) - targets.at2(i, j);
+                acc += d * d;
+            }
+            acc / n as f64
+        })
+        .collect();
+    (preds.mse(&targets), per_variable)
 }
 
 /// MSE of the naive persistence baseline (predict `x_t = x_{t-1}`) over
@@ -74,7 +69,7 @@ mod tests {
     fn mse_is_nonnegative_and_finite() {
         let w = windows();
         let model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(0), None);
-        let mse = evaluate_mse(&*model, &w);
+        let (mse, _) = evaluate(&*model, &w);
         assert!(mse.is_finite() && mse >= 0.0);
     }
 
@@ -82,8 +77,7 @@ mod tests {
     fn per_variable_mse_averages_to_total() {
         let w = windows();
         let model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(0), None);
-        let total = evaluate_mse(&*model, &w);
-        let per_var = evaluate_per_variable_mse(&*model, &w);
+        let (total, per_var) = evaluate(&*model, &w);
         let mean: f64 = per_var.iter().sum::<f64>() / per_var.len() as f64;
         assert!((mean - total).abs() < 1e-9);
     }

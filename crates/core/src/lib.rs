@@ -51,7 +51,7 @@ pub mod train;
 
 pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterCheckpointCache, ClusterPlan, TrainStrategy};
-pub use cohort::{run_cohort_batch, run_cohort_sharded, train_cohort, CohortPath};
+pub use cohort::{run_cohort_batch, run_cohort_sharded};
 pub use exec::{Backend, Executor, Job, JobError, JobResult};
 pub use forecast::{horizon_mse, iterative_forecast};
 pub use json::{Json, JsonError};
@@ -61,5 +61,5 @@ pub use pipeline::{
     IndividualOutcome, RunSpec,
 };
 pub use results::{BoxplotStats, CellStat, ResultTable};
-pub use train::{train_model, ForwardPath, TrainConfig, TrainReport};
+pub use train::{train_cohort, train_model, TrainConfig, TrainReport};
 pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};

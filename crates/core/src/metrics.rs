@@ -172,6 +172,6 @@ mod tests {
         let model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(0), None);
         let m = evaluate_metrics(&*model, &windows);
         assert!(m.mse.is_finite() && m.mae.is_finite() && m.r2.is_finite());
-        assert_eq!(m.mse, crate::evaluate::evaluate_mse(&*model, &windows));
+        assert_eq!(m.mse, crate::evaluate::evaluate(&*model, &windows).0);
     }
 }

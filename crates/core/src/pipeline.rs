@@ -1,17 +1,20 @@
-//! The personalized per-individual pipeline and its parallel cohort
-//! runner (scheduled by the [`crate::exec`] cohort execution engine).
+//! The personalized per-individual pipeline: one runner body that
+//! trains and evaluates a shard of individuals, and the parallel cohort
+//! runner (scheduled by the [`crate::exec`] cohort execution engine)
+//! that runs it with one individual per job.
 
-use crate::cluster::TrainStrategy;
-use crate::cohort::CohortPath;
-use crate::evaluate::{evaluate_mse, evaluate_per_variable_mse};
+use crate::cluster::{ClusterPlan, TrainStrategy};
+use crate::evaluate::evaluate;
 use crate::exec::{expect_all, Executor, Job};
-use crate::train::{train_model, TrainConfig};
-use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset};
+use crate::train::{train_cohort, TrainConfig, TrainReport};
+use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset, WindowedData};
 use ema_graph::sparsify::{sparsify, DensityThreshold};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
-    build_model, A3tgcn, Astgcn, Forecaster, GraphLearnerKind, ModelConfig, ModelKind, Mtgnn,
+    A3tgcn, Astgcn, CohortForecaster, Forecaster, GraphLearnerKind, LstmForecaster, ModelConfig,
+    ModelKind, Mtgnn, VarForecaster,
 };
+use ema_obs::metrics::EPOCH_BUCKETS;
 use ema_obs::span;
 use ema_similarity::{build_graph, GraphMetric};
 use ema_tensor::Tensor;
@@ -74,10 +77,6 @@ pub struct RunSpec {
     /// For ASTGCN: whether spatial attention masks the Chebyshev stack
     /// (disabled = plain-ChebNet ablation).
     pub use_spatial_attention: bool,
-    /// Which training path sharded cohort runs take
-    /// ([`crate::cohort::run_cohort_sharded`]): the cohort-batched
-    /// graph or the per-individual oracle. Bit-identical results.
-    pub cohort_path: CohortPath,
     /// How sharded cohort runs train each individual: from scratch
     /// (idiographic) or warm-started from K-medoids cluster
     /// checkpoints ([`crate::cluster`]). Only
@@ -102,7 +101,6 @@ impl RunSpec {
             graph_learner: GraphLearnerKind::Embedding,
             use_attention: true,
             use_spatial_attention: true,
-            cohort_path: CohortPath::default(),
             train_strategy: TrainStrategy::default(),
         }
     }
@@ -138,119 +136,189 @@ pub fn graph_for_individual(
     sparsify(&build_graph(train_data, metric), gdt)
 }
 
+/// A shard of individuals after training, in member order.
+pub(crate) struct TrainedShard {
+    ids: Vec<usize>,
+    pub(crate) models: Vec<Box<dyn Forecaster>>,
+    reports: Vec<TrainReport>,
+    tests: Vec<WindowedData>,
+    graphs: Vec<Option<AdjacencyMatrix>>,
+}
+
+/// Trains a shard of `(id, data)` members with one [`train_cohort`]
+/// call. Per member: split → graph (training split only) → windows →
+/// config with the member's own dropout stream; with a cluster `plan`,
+/// the member fine-tunes from its nearest cluster's checkpoint. Spans:
+/// `individual` (with `build_graph` inside) per member, then `train`.
+///
+/// # Panics
+/// Panics on an empty shard, a series too short for the window length,
+/// or an inconsistent spec (graph-free A3TGCN/ASTGCN).
+pub(crate) fn train_shard<'a>(
+    members: impl IntoIterator<Item = (usize, &'a Tensor)>,
+    spec: &RunSpec,
+    plan: Option<&ClusterPlan>,
+) -> TrainedShard {
+    // Pin the spec's kernel backend for the whole shard — graph build
+    // and model construction included, not just the training loop.
+    let _kernel = spec.train_config.kernel_backend.scoped();
+    let (mut ids, mut vars, mut graphs) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut train, mut tests, mut configs) = (Vec::new(), Vec::new(), Vec::new());
+    for (id, data) in members {
+        let _individual_span = span!(
+            "individual",
+            individual = id,
+            model = spec.model.label(),
+            graph = spec.graph.label(),
+            seq_len = spec.seq_len
+        );
+        let (train_split, test_split) = split_train_test(data, spec.train_fraction);
+        // Graph built from training data only — no test leakage.
+        // Recorded in the outcome even for models that ignore it.
+        graphs.push(match &spec.graph {
+            GraphSpec::None => None,
+            GraphSpec::Static { metric, gdt } => {
+                let _graph_span = span!(
+                    "build_graph",
+                    individual = id,
+                    metric = metric.label(),
+                    gdt = gdt.label()
+                );
+                Some(graph_for_individual(&train_split, *metric, *gdt))
+            }
+            GraphSpec::Provided(g) => Some(g.clone()),
+        });
+        train.push(make_windows(&train_split, spec.seq_len));
+        tests.push(make_test_windows(&train_split, &test_split, spec.seq_len));
+        // Per-individual dropout stream: derived from (run seed, id) up
+        // front — never from draw order — so results are identical at
+        // any thread count and shard size (see the seeding scheme in
+        // ema_tensor::random).
+        let mut config = spec.train_config.clone();
+        config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, id as u64);
+        if let Some(plan) = plan {
+            // Cluster warm start: nearest medoid by training-split
+            // series distance, fine-tune schedule from the plan.
+            config.epochs = plan.fine_tune_epochs;
+            config.warm_start = Some(plan.checkpoint(plan.assign(&train_split)));
+        }
+        configs.push(config);
+        ids.push(id);
+        vars.push(data.dims()[1]);
+    }
+    assert!(!ids.is_empty(), "empty shard");
+
+    let _train_span = span!("train", individuals = ids.len());
+    let cfg = &spec.model_config;
+    // The one place a model kind becomes a model.
+    let (models, reports) = match spec.model {
+        ModelKind::Lstm => train_models(&vars, &graphs, &train, &configs, |v, _| {
+            LstmForecaster::new(v, cfg)
+        }),
+        ModelKind::A3tgcn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
+            let graph = graph.expect("A3TGCN requires a graph");
+            A3tgcn::with_options(v, graph, cfg, spec.use_attention)
+        }),
+        ModelKind::Astgcn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
+            Astgcn::with_options(
+                v,
+                spec.seq_len,
+                graph.expect("ASTGCN requires a graph"),
+                cfg,
+                spec.use_spatial_attention,
+            )
+        }),
+        ModelKind::Mtgnn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
+            Mtgnn::with_learner(v, spec.seq_len, graph, cfg, spec.learn_graph, spec.graph_learner)
+        }),
+        ModelKind::Var => train_models(&vars, &graphs, &train, &configs, |v, _| {
+            VarForecaster::new(v, spec.seq_len, cfg)
+        }),
+    };
+    TrainedShard { ids, models, reports, tests, graphs }
+}
+
+/// Builds one `M` per member (from its variable count and graph) and
+/// trains them all with one [`train_cohort`] call.
+fn train_models<M: CohortForecaster + 'static>(
+    vars: &[usize],
+    graphs: &[Option<AdjacencyMatrix>],
+    windows: &[WindowedData],
+    configs: &[TrainConfig],
+    build: impl Fn(usize, Option<&AdjacencyMatrix>) -> M,
+) -> (Vec<Box<dyn Forecaster>>, Vec<TrainReport>) {
+    let mut models: Vec<M> =
+        vars.iter().zip(graphs).map(|(&v, g)| build(v, g.as_ref())).collect();
+    let reports = train_cohort(&mut models, windows, configs);
+    let models = models.into_iter().map(|m| Box::new(m) as Box<dyn Forecaster>).collect();
+    (models, reports)
+}
+
+/// The runner body: trains a shard of `(id, data)` members
+/// ([`train_shard`]), then evaluates each member with one eval forward
+/// (`evaluate` span). Outcomes come back in member order and are
+/// bit-identical whatever the shard's size or composition.
+pub(crate) fn run_shard<'a>(
+    members: impl IntoIterator<Item = (usize, &'a Tensor)>,
+    spec: &RunSpec,
+    plan: Option<&ClusterPlan>,
+) -> Vec<IndividualOutcome> {
+    let _kernel = spec.train_config.kernel_backend.scoped();
+    let shard = train_shard(members, spec, plan);
+    let fine_tuned = plan.is_some();
+    shard
+        .ids
+        .into_iter()
+        .zip(shard.models)
+        .zip(shard.reports)
+        .zip(shard.tests)
+        .zip(shard.graphs)
+        .map(|((((id, model), report), test), graph_used)| {
+            let _eval_span = span!("evaluate", individual = id, windows = test.len());
+            let (mse, per_variable_mse) = evaluate(&*model, &test);
+            // Extract the learned graph from MTGNN for Experiment C.
+            let learned_graph = (spec.model == ModelKind::Mtgnn && spec.learn_graph).then(|| {
+                model
+                    .as_any_mtgnn()
+                    .expect("MTGNN model exposes its learned graph")
+                    .learned_graph()
+            });
+            if fine_tuned {
+                ema_obs::recorder().observe(
+                    "cluster.fine_tune_epochs",
+                    &EPOCH_BUCKETS,
+                    report.epochs_run as f64,
+                );
+            }
+            // Kernel work from graph build and evaluation lands in the
+            // current phase before the job's span closes; take-semantics
+            // keep this and the executor's job-level drain from double
+            // counting.
+            ema_obs::drain_kernel_counters();
+            IndividualOutcome {
+                id,
+                mse,
+                per_variable_mse,
+                // 0.0 stands in for "no training loss" on a 0-epoch
+                // warm-start restore run (nomothetic serving).
+                final_train_loss: report.final_loss_or(0.0),
+                epochs_run: report.epochs_run,
+                graph_used,
+                learned_graph,
+            }
+        })
+        .collect()
+}
+
 /// Runs the full pipeline for one individual: split → graph → windows →
-/// train → evaluate.
+/// train → evaluate (the runner body with a shard of one).
 ///
 /// # Panics
 /// Panics when the series is too short for the requested window length
 /// or the spec is inconsistent (graph-free GNN).
 #[must_use]
 pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
-    // Pin the spec's kernel backend for the whole job — graph build and
-    // evaluation matmuls included, not just the training loop. Each
-    // cohort job runs wholly on one executor worker thread, so this
-    // thread-local scope covers everything the job computes.
-    let _kernel = spec.train_config.kernel_backend.scoped();
-    let _individual_span = span!(
-        "individual",
-        individual = id,
-        model = spec.model.label(),
-        graph = spec.graph.label(),
-        seq_len = spec.seq_len
-    );
-    let (train, test) = split_train_test(data, spec.train_fraction);
-    let v = data.dims()[1];
-
-    // Graph built from training data only — no test leakage.
-    let graph = match &spec.graph {
-        GraphSpec::None => None,
-        GraphSpec::Static { metric, gdt } => {
-            let _graph_span = span!(
-                "build_graph",
-                individual = id,
-                metric = metric.label(),
-                gdt = gdt.label()
-            );
-            Some(graph_for_individual(&train, *metric, *gdt))
-        }
-        GraphSpec::Provided(g) => Some(g.clone()),
-    };
-
-    let mut model: Box<dyn Forecaster> = match spec.model {
-        ModelKind::Mtgnn => Box::new(Mtgnn::with_learner(
-            v,
-            spec.seq_len,
-            graph.as_ref(),
-            &spec.model_config,
-            spec.learn_graph,
-            spec.graph_learner,
-        )),
-        ModelKind::A3tgcn => Box::new(A3tgcn::with_options(
-            v,
-            graph.as_ref().expect("A3TGCN requires a graph"),
-            &spec.model_config,
-            spec.use_attention,
-        )),
-        ModelKind::Astgcn => Box::new(Astgcn::with_options(
-            v,
-            spec.seq_len,
-            graph.as_ref().expect("ASTGCN requires a graph"),
-            &spec.model_config,
-            spec.use_spatial_attention,
-        )),
-        _ => build_model(spec.model, v, spec.seq_len, &spec.model_config, graph.as_ref()),
-    };
-
-    let train_windows = make_windows(&train, spec.seq_len);
-    let test_windows = make_test_windows(&train, &test, spec.seq_len);
-
-    // Per-individual dropout stream: derived from (run seed, id) up
-    // front — never from draw order — so results are identical at any
-    // thread count (see the seeding scheme in ema_tensor::random).
-    let mut train_config = spec.train_config.clone();
-    train_config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, id as u64);
-    let report = {
-        let _train_span = span!("train", individual = id, windows = train_windows.len());
-        train_model(&mut *model, &train_windows, &train_config)
-    };
-
-    let (mse, per_variable_mse) = {
-        let _eval_span = span!("evaluate", individual = id, windows = test_windows.len());
-        (
-            evaluate_mse(&*model, &test_windows),
-            evaluate_per_variable_mse(&*model, &test_windows),
-        )
-    };
-
-    // Extract the learned graph from MTGNN for Experiment C.
-    let learned_graph = if spec.model == ModelKind::Mtgnn && spec.learn_graph {
-        // Rebuild as the concrete type to reach learned_graph(); the
-        // trait object was constructed above from the same path.
-        let concrete = model
-            .as_any_mtgnn()
-            .expect("MTGNN model exposes its learned graph");
-        Some(concrete.learned_graph())
-    } else {
-        None
-    };
-
-    // Kernel work from graph build + evaluation (training drained its
-    // own share already) lands in the current phase before the job's
-    // span closes; take-semantics keep this and the executor's
-    // job-level drain from double counting.
-    ema_obs::drain_kernel_counters();
-
-    IndividualOutcome {
-        id,
-        mse,
-        per_variable_mse,
-        // 0.0 stands in for "no training loss" on a 0-epoch
-        // warm-start restore run (nomothetic serving).
-        final_train_loss: report.final_loss_or(0.0),
-        epochs_run: report.epochs_run,
-        graph_used: graph,
-        learned_graph,
-    }
+    run_shard([(id, data)], spec, None).pop().expect("one outcome per member")
 }
 
 /// Runs a condition across a whole cohort on the environment-configured

@@ -1,30 +1,14 @@
-//! Full-batch personalized training (paper Section V-D).
+//! Full-batch personalized training (paper Section V-D): one loop,
+//! [`train_cohort`], trains one individual or a cohort of them.
 
 use crate::checkpoint::Checkpoint;
-use ema_autodiff::{Grads, Tape};
+use ema_autodiff::{Grads, Tape, Var};
 use ema_data::WindowedData;
-use ema_models::{Forecaster, ForwardCtx, WindowBatch};
-use ema_nn::{global_grad_norm, Adam, Optimizer, OptimizerConfig};
+use ema_models::{CohortBatch, CohortCtx, CohortForecaster, Forecaster, ForwardCtx, WindowBatch};
+use ema_nn::{global_grad_norm, Adam, Binding, Optimizer, OptimizerConfig};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
 use ema_tensor::{KernelBackend, Rng64, Tensor};
-
-/// Which forward graph [`train_model`] builds each epoch. Both paths
-/// are bit-identical in results (enforced by the batched-equivalence
-/// property tests and `tests/determinism.rs`); they differ only in
-/// tape-graph shape and speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForwardPath {
-    /// One batched graph over all windows via
-    /// [`Forecaster::predict_batch`] — O(depth) tape nodes per epoch.
-    /// The hot path and the default.
-    #[default]
-    Batched,
-    /// One subgraph per window via [`Forecaster::predict_window`] —
-    /// O(W·depth) nodes. The reference oracle, kept for equivalence
-    /// testing and debugging.
-    PerWindow,
-}
 
 /// Training hyper-parameters. Defaults follow the paper: Adam with
 /// lr = 0.01, one batch per individual, 300 epochs, dropout handled by
@@ -47,8 +31,6 @@ pub struct TrainConfig {
     /// Early-stopping patience in epochs. Only meaningful when
     /// `early_stop_rel > 0`; ignored otherwise (see `early_stop_rel`).
     pub patience: usize,
-    /// Which forward graph to build each epoch (default: batched).
-    pub forward_path: ForwardPath,
     /// Which matmul kernel backend the run executes on (default: the
     /// process resolution of `EMA_KERNEL` — SIMD where available).
     /// `Scalar` pins the bit-identity oracle regardless of environment.
@@ -76,7 +58,6 @@ impl Default for TrainConfig {
             seed: 7,
             early_stop_rel: 0.0,
             patience: 25,
-            forward_path: ForwardPath::default(),
             kernel_backend: KernelBackend::default(),
             warm_start: None,
         }
@@ -150,7 +131,7 @@ impl TrainReport {
 /// every epoch, all windows are forwarded on one tape, the stacked
 /// predictions are scored against the stacked targets with MSE, and one
 /// optimizer step is taken ("each individual's data is processed in a
-/// single batch", Sec. V-D).
+/// single batch", Sec. V-D). A one-model [`train_cohort`].
 ///
 /// With `warm_start` set, the checkpoint's parameters are restored
 /// (bit-exact) over the seeded init first; `epochs == 0` is then a
@@ -160,130 +141,262 @@ impl TrainReport {
 /// # Panics
 /// Panics on an empty window set, or on zero epochs without a
 /// warm-start checkpoint.
-pub fn train_model(
-    model: &mut dyn Forecaster,
+pub fn train_model<M: CohortForecaster>(
+    model: &mut M,
     windows: &WindowedData,
     config: &TrainConfig,
 ) -> TrainReport {
-    assert!(!windows.is_empty(), "cannot train on zero windows");
-    assert!(
-        config.epochs > 0 || config.warm_start.is_some(),
-        "need at least one epoch (or a warm-start checkpoint to restore)"
+    let mut reports = train_cohort(
+        std::slice::from_mut(model),
+        std::slice::from_ref(windows),
+        std::slice::from_ref(config),
     );
+    reports.pop().expect("one report per model")
+}
+
+/// One individual's constant inputs and its training record.
+struct Member {
+    /// The individual's windows, stacked once for the whole run.
+    batch: WindowBatch,
+    /// The target matrix's leaf in the persistent tape prefix.
+    target: Var,
+    losses: Vec<f64>,
+    grad_norms: Vec<f64>,
+    best: f64,
+    since_best: usize,
+    early_stopped: bool,
+}
+
+/// The grouped forward's input for the active members, or `None` when
+/// one member trains alone (on the window-batched forward).
+fn stack(members: &[Member], active: &[usize]) -> Option<CohortBatch> {
+    (active.len() > 1).then(|| {
+        CohortBatch::from_batches(&active.iter().map(|&i| &members[i].batch).collect::<Vec<_>>())
+    })
+}
+
+/// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`:
+/// the training loop. Every epoch forwards the whole active group
+/// through one tape graph, sums the per-individual MSE losses into one
+/// scalar and runs one backward pass, then each individual takes its
+/// own Adam step. The forward is picked by the group size:
+/// [`Forecaster::predict_batch`] while one individual is active,
+/// [`CohortForecaster::predict_cohort`] otherwise. The two are
+/// bit-identical per individual (values, gradients and RNG draws;
+/// enforced by `crates/models/tests/batched_equivalence.rs`), so every
+/// individual's result is independent of who shares its group.
+///
+/// Each loss node receives exactly the seed gradient `1.0` through the
+/// pairwise add chain, and per-individual state (Adam moments, RNG
+/// stream, early-stopping counters) stays per individual: one that
+/// early-stops or ends its schedule leaves the active group and, per
+/// the cohort RNG contract, stops drawing exactly as its standalone
+/// run would.
+///
+/// All configs must agree on the kernel backend (one thread-local pin
+/// covers the shared graph). A config with `warm_start` set restores
+/// the checkpoint into its model before the first epoch; with
+/// `epochs == 0` that is a pure restore — the individual never joins
+/// the active group and consumes zero training draws.
+///
+/// Obs: one `train_epoch` point per active individual and epoch
+/// (`individual` is the cohort position `b`) and one `early_stop`
+/// point per early-stopped individual.
+///
+/// # Panics
+/// Panics on empty inputs, length mismatches, an empty window set,
+/// zero epochs without a warm-start checkpoint, or disagreeing kernel
+/// backends.
+pub fn train_cohort<M: CohortForecaster>(
+    models: &mut [M],
+    windows: &[WindowedData],
+    configs: &[TrainConfig],
+) -> Vec<TrainReport> {
+    let n = models.len();
+    assert!(n > 0, "cannot train an empty cohort");
+    assert_eq!(n, windows.len(), "one window set per model");
+    assert_eq!(n, configs.len(), "one config per model");
+    for (b, (w, c)) in windows.iter().zip(configs).enumerate() {
+        assert!(!w.is_empty(), "individual {b}: cannot train on zero windows");
+        assert!(
+            c.epochs > 0 || c.warm_start.is_some(),
+            "individual {b}: need at least one epoch (or a warm-start checkpoint to restore)"
+        );
+        assert_eq!(
+            c.kernel_backend, configs[0].kernel_backend,
+            "individual {b}: cohort configs must share the kernel backend"
+        );
+    }
     // Pin the configured kernel backend for the whole run. The scope is
     // thread-local and training runs entirely on the calling thread, so
     // concurrent runs with different backends cannot perturb each other.
-    let _kernel = config.kernel_backend.scoped();
-    if let Some(ckpt) = &config.warm_start {
-        ckpt.restore(model.params_mut())
-            .expect("warm-start checkpoint must match the model architecture");
-    }
-    if config.epochs == 0 {
-        // Pure restore: no training RNG is ever created, no draws
-        // consumed (the warm-start RNG contract's degenerate case).
-        return TrainReport {
-            losses: Vec::new(),
-            grad_norms: Vec::new(),
-            epochs_run: 0,
-            early_stopped: false,
-        };
-    }
-    let mut adam = Adam::new(OptimizerConfig {
-        learning_rate: config.learning_rate,
-        grad_clip: config.grad_clip,
-        ..OptimizerConfig::default()
-    });
-    let mut rng = Rng64::seed_from(config.seed);
-    let targets = windows.targets_matrix();
-
+    let _kernel = configs[0].kernel_backend.scoped();
     let obs = ema_obs::recorder();
-    let mut losses = Vec::with_capacity(config.epochs);
-    let mut grad_norms = Vec::with_capacity(config.epochs);
-    let mut early_stopped = false;
-    let mut best = f64::INFINITY;
-    let mut since_best = 0usize;
+    for (model, config) in models.iter_mut().zip(configs) {
+        if let Some(ckpt) = &config.warm_start {
+            ckpt.restore(model.params_mut())
+                .expect("warm-start checkpoint must match the model architecture");
+        }
+    }
+
     // One tape and one gradient workspace for the whole run: reset
     // keeps the node storage between epochs and recycles every tensor
     // buffer through the pool, so steady-state epochs allocate almost
-    // nothing. Vars do not survive reset, so parameters rebind per epoch.
+    // nothing. The window batches and targets are constant: each target
+    // is a leaf in a persistent tape prefix that `reset_to` keeps
+    // alive. Vars do not survive reset, so parameters rebind per epoch.
     let mut tape = Tape::new();
     let mut grads = Grads::empty();
-    // The stacked input batch and the target matrix are constant across
-    // epochs: build the batch once and push the target leaf as a
-    // persistent tape prefix that `reset_to` keeps alive.
-    let batch = match config.forward_path {
-        ForwardPath::Batched => Some(WindowBatch::from_windows(&windows.inputs)),
-        ForwardPath::PerWindow => None,
-    };
-    let tgt = tape.leaf(targets);
+    let mut members: Vec<Member> = windows
+        .iter()
+        .zip(configs)
+        .map(|(w, c)| Member {
+            batch: WindowBatch::from_windows(&w.inputs),
+            target: tape.leaf(w.targets_matrix()),
+            losses: Vec::with_capacity(c.epochs),
+            grad_norms: Vec::with_capacity(c.epochs),
+            best: f64::INFINITY,
+            since_best: 0,
+            early_stopped: false,
+        })
+        .collect();
     let keep = tape.len();
-    for epoch in 0..config.epochs {
+    // The active group: cohort positions still training, in stack
+    // order. 0-epoch restores never join it and never seed an RNG.
+    // `rngs`/`adams` are indexed by *active* position and compacted
+    // alongside, so the cohort forward sees one contiguous RNG stream
+    // per active individual.
+    let mut active: Vec<usize> = (0..n).filter(|&i| configs[i].epochs > 0).collect();
+    let mut rngs: Vec<Rng64> = active.iter().map(|&i| Rng64::seed_from(configs[i].seed)).collect();
+    let mut adams: Vec<Adam> = active
+        .iter()
+        .map(|&i| {
+            Adam::new(OptimizerConfig {
+                learning_rate: configs[i].learning_rate,
+                grad_clip: configs[i].grad_clip,
+                ..OptimizerConfig::default()
+            })
+        })
+        .collect();
+    let mut cohort_batch = stack(&members, &active);
+    let mut bindings: Vec<Binding> = Vec::with_capacity(active.len());
+    let mut loss_vars: Vec<Var> = Vec::with_capacity(active.len());
+    let mut epoch = 0usize;
+    while !active.is_empty() {
         tape.reset_to(keep);
-        let binding = model.params().bind(&tape);
-        let mut ctx = ForwardCtx::train(&mut rng);
-        let stacked = match &batch {
-            Some(batch) => model.predict_batch(&tape, &binding, batch, &mut ctx),
+        bindings.clear();
+        bindings.extend(active.iter().map(|&i| models[i].params().bind(&tape)));
+        loss_vars.clear();
+        let total = match &cohort_batch {
             None => {
-                let preds: Vec<_> = windows
-                    .inputs
-                    .iter()
-                    .map(|w| model.predict_window(&tape, &binding, w, &mut ctx))
-                    .collect();
-                tape.stack_rows(&preds)
+                let (i, mut ctx) = (active[0], ForwardCtx::train(&mut rngs[0]));
+                let batch = &members[i].batch;
+                let out = models[i].predict_batch(&tape, &bindings[0], batch, &mut ctx);
+                let loss = tape.mse(out, members[i].target);
+                loss_vars.push(loss);
+                loss
+            }
+            Some(batch) => {
+                let group: Vec<&M> = active.iter().map(|&i| &models[i]).collect();
+                let binding_refs: Vec<&Binding> = bindings.iter().collect();
+                let mut ctx = CohortCtx::train(&mut rngs);
+                let out = M::predict_cohort(&group, &tape, &binding_refs, batch, &mut ctx);
+                // Per-individual MSE over each row block, summed
+                // pairwise: the add chain hands every loss node the seed
+                // gradient 1.0, so individual b's backward matches its
+                // standalone graph.
+                let mut total = None;
+                for (pos, &i) in active.iter().enumerate() {
+                    let off = batch.offset(pos);
+                    let pred = tape.slice_rows(out, off, off + batch.group_wins()[pos]);
+                    let loss = tape.mse(pred, members[i].target);
+                    loss_vars.push(loss);
+                    total = Some(total.map_or(loss, |acc| tape.add(acc, loss)));
+                }
+                total.expect("non-empty active group")
             }
         };
-        let loss = tape.mse(stacked, tgt);
-        let loss_value = tape.value(loss).data()[0];
-        losses.push(loss_value);
+        tape.backward_into(total, &mut grads);
 
-        tape.backward_into(loss, &mut grads);
-        let grad_norm = global_grad_norm(model.params(), &binding, &grads);
-        grad_norms.push(grad_norm);
-        adam.step(model.params_mut(), &binding, &grads);
+        // Step every active individual, then compact the active state in
+        // place: a member that stays moves down to `kept`.
+        let mut kept = 0;
+        for pos in 0..active.len() {
+            let i = active[pos];
+            let (config, m) = (&configs[i], &mut members[i]);
+            let loss = tape.value(loss_vars[pos]).data()[0];
+            let grad_norm = global_grad_norm(models[i].params(), &bindings[pos], &grads);
+            adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
+            m.losses.push(loss);
+            m.grad_norms.push(grad_norm);
+            point!(
+                "train_epoch",
+                individual = i,
+                epoch = epoch,
+                loss = loss,
+                grad_norm = grad_norm,
+                tape_nodes = tape.len()
+            );
+            obs.observe("train_loss", &LOSS_BUCKETS, loss);
 
-        point!(
-            "train_epoch",
-            epoch = epoch,
-            loss = loss_value,
-            grad_norm = grad_norm,
-            tape_nodes = tape.len()
-        );
-        obs.observe("train_loss", &LOSS_BUCKETS, loss_value);
-        // Graph size per epoch: constant across epochs by construction
-        // (one tape graph, reset each epoch), so a gauge suffices — a
-        // drift here means a model is leaking nodes into the tape.
-        obs.set_gauge("tape_nodes", tape.len() as f64);
-
-        // Optional early stopping on stalled training loss.
-        if config.early_stop_rel > 0.0 {
-            if loss_value < best * (1.0 - config.early_stop_rel) {
-                best = loss_value;
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if since_best >= config.patience {
-                    early_stopped = true;
-                    point!(
-                        "early_stop",
-                        epoch = epoch,
-                        best_loss = best.min(loss_value),
-                        patience = config.patience,
-                        rel_threshold = config.early_stop_rel
-                    );
-                    obs.inc_counter("early_stops", 1);
-                    break;
+            // Optional early stopping on stalled training loss; the
+            // stopping epoch still takes its step.
+            let mut stays = epoch + 1 < config.epochs;
+            if config.early_stop_rel > 0.0 {
+                if loss < m.best * (1.0 - config.early_stop_rel) {
+                    m.best = loss;
+                    m.since_best = 0;
+                } else {
+                    m.since_best += 1;
+                    if m.since_best >= config.patience {
+                        m.early_stopped = true;
+                        stays = false;
+                        point!(
+                            "early_stop",
+                            individual = i,
+                            epoch = epoch,
+                            best_loss = m.best.min(loss),
+                            patience = config.patience,
+                            rel_threshold = config.early_stop_rel
+                        );
+                        obs.inc_counter("early_stops", 1);
+                    }
                 }
             }
+            if stays {
+                active.swap(kept, pos);
+                rngs.swap(kept, pos);
+                adams.swap(kept, pos);
+                kept += 1;
+            } else {
+                obs.observe("epochs_run", &EPOCH_BUCKETS, m.losses.len() as f64);
+                obs.observe("grad_norm_final", &GRAD_NORM_BUCKETS, grad_norm);
+            }
+        }
+        // Graph size per epoch: constant while the group is, so a gauge
+        // suffices — a drift means a model is leaking nodes into the tape.
+        obs.set_gauge("tape_nodes", tape.len() as f64);
+        epoch += 1;
+        if kept < active.len() {
+            active.truncate(kept);
+            rngs.truncate(kept);
+            adams.truncate(kept);
+            cohort_batch = stack(&members, &active);
         }
     }
-    let epochs_run = losses.len();
-    obs.observe("epochs_run", &EPOCH_BUCKETS, epochs_run as f64);
-    obs.observe("grad_norm_final", &GRAD_NORM_BUCKETS, *grad_norms.last().expect("ran"));
-    // Attribute the kernel work of a direct (non-executor) training run
-    // to the current phase; under the executor the job-level drain in
-    // `exec` usually gets there first — take-semantics make both safe.
+    // Attribute the run's kernel work to the current phase; under the
+    // executor the job-level drain may get there first — take-semantics
+    // make both safe.
     ema_obs::drain_kernel_counters();
-    TrainReport { losses, grad_norms, epochs_run, early_stopped }
+    members
+        .into_iter()
+        .map(|m| TrainReport {
+            epochs_run: m.losses.len(),
+            early_stopped: m.early_stopped,
+            losses: m.losses,
+            grad_norms: m.grad_norms,
+        })
+        .collect()
 }
 
 /// Predicts every window in evaluation mode, returning `[n, V]`.
@@ -306,8 +419,7 @@ pub fn predict_all(model: &dyn Forecaster, windows: &WindowedData, seed: u64) ->
 mod tests {
     use super::*;
     use ema_data::make_windows;
-    use ema_models::{build_model, ModelConfig, ModelKind};
-    use ema_tensor::Tensor;
+    use ema_models::{build_model, LstmForecaster, ModelConfig, ModelKind};
 
     fn toy_windows(seq: usize) -> WindowedData {
         // A predictable AR(1)-ish series: x_t = 0.8 x_{t-1}.
@@ -323,8 +435,8 @@ mod tests {
     #[test]
     fn lstm_training_reduces_loss() {
         let windows = toy_windows(2);
-        let mut model = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(0), None);
-        let report = train_model(&mut *model, &windows, &TrainConfig::quick(80, 1));
+        let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
+        let report = train_model(&mut model, &windows, &TrainConfig::quick(80, 1));
         assert!(
             report.final_loss() < report.initial_loss() * 0.5,
             "loss {} -> {}",
@@ -336,11 +448,11 @@ mod tests {
     #[test]
     fn early_stopping_truncates() {
         let windows = toy_windows(2);
-        let mut model = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(0), None);
+        let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
         let mut cfg = TrainConfig::quick(500, 2);
         cfg.early_stop_rel = 0.05; // aggressive: stop as soon as gains slow
         cfg.patience = 5;
-        let report = train_model(&mut *model, &windows, &cfg);
+        let report = train_model(&mut model, &windows, &cfg);
         assert!(report.epochs_run < 500, "early stopping never fired");
         assert!(report.early_stopped);
         assert_eq!(report.losses.len(), report.epochs_run);
@@ -353,11 +465,11 @@ mod tests {
         // early_stop_rel = 0 (the default) must run the full schedule
         // no matter how small `patience` is.
         let windows = toy_windows(2);
-        let mut model = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(0), None);
+        let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
         let mut cfg = TrainConfig { epochs: 12, seed: 4, ..TrainConfig::default() };
         cfg.patience = 1;
         assert_eq!(cfg.early_stop_rel, 0.0);
-        let report = train_model(&mut *model, &windows, &cfg);
+        let report = train_model(&mut model, &windows, &cfg);
         assert_eq!(report.epochs_run, 12);
         assert!(!report.early_stopped);
     }
@@ -378,16 +490,16 @@ mod tests {
             targets: vec![],
             seq_len: 1,
         };
-        let mut model = build_model(ModelKind::Lstm, 3, 1, &ModelConfig::tiny(0), None);
-        let _ = train_model(&mut *model, &empty, &TrainConfig::default());
+        let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
+        let _ = train_model(&mut model, &empty, &TrainConfig::default());
     }
 
     #[test]
     fn training_is_seed_deterministic() {
         let windows = toy_windows(2);
         let run = |seed| {
-            let mut model = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(9), None);
-            train_model(&mut *model, &windows, &TrainConfig::quick(30, seed)).final_loss()
+            let mut model = LstmForecaster::new(3, &ModelConfig::tiny(9));
+            train_model(&mut model, &windows, &TrainConfig::quick(30, seed)).final_loss()
         };
         assert_eq!(run(5), run(5));
     }

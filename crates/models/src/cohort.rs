@@ -246,7 +246,7 @@ pub fn cohort_dropout(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{A3tgcn, Astgcn, ForwardCtx, LstmForecaster, ModelConfig, Mtgnn};
+    use crate::{A3tgcn, Astgcn, ForwardCtx, LstmForecaster, ModelConfig, Mtgnn, VarForecaster};
     use ema_graph::AdjacencyMatrix;
 
     fn window_batch(wins: usize, seq: usize, v: usize, seed: u64) -> WindowBatch {
@@ -361,6 +361,15 @@ mod tests {
         let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
         let models: Vec<LstmForecaster> = (0..wins.len())
             .map(|b| LstmForecaster::new(v, &ModelConfig::tiny(100 + b as u64)))
+            .collect();
+        assert_cohort_matches_oracle(&models, &wins, seq, v);
+    }
+
+    #[test]
+    fn var_cohort_forward_matches_per_individual() {
+        let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
+        let models: Vec<VarForecaster> = (0..wins.len())
+            .map(|b| VarForecaster::new(v, seq, &ModelConfig::tiny(100 + b as u64)))
             .collect();
         assert_cohort_matches_oracle(&models, &wins, seq, v);
     }

@@ -172,8 +172,10 @@ impl WindowBatch {
 /// Implementations register their parameters in an internal
 /// [`ParamStore`]; the training loop binds the store onto a fresh tape
 /// each epoch and calls [`Forecaster::predict_batch`] once per epoch
-/// (or [`Forecaster::predict_window`] per window on the reference
-/// path).
+/// while one individual trains ([`crate::CohortForecaster`] covers
+/// groups). [`Forecaster::predict_window`] is the per-window reference
+/// the equivalence tests compare against, and the forward of
+/// iterative forecasting.
 pub trait Forecaster {
     /// Human-readable model name (paper notation, e.g. `"MTGNN"`).
     fn name(&self) -> &'static str;

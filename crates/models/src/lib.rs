@@ -12,7 +12,9 @@
 //!
 //! All models implement [`Forecaster`]: given a `[seq_len, V]` window
 //! they predict the `[V]` vector at the next time point (the paper's
-//! 1-lag forecasting task). Model hyper-parameters follow Section V-D:
+//! 1-lag forecasting task). All of them, the VAR baseline included,
+//! also implement [`CohortForecaster`], which forwards a group of
+//! individuals through one tape graph. Model hyper-parameters follow Section V-D:
 //! 32 hidden units, kernel 3, dropout 0.3.
 
 #![warn(missing_docs)]

@@ -6,7 +6,10 @@
 //! `[1, p·V]`. It can be fitted either through the shared gradient
 //! pipeline (Adam minimises the same least-squares objective) or in
 //! closed form with ridge least squares ([`VarForecaster::fit_closed_form`]).
+//! A cohort of VARs is one grouped linear layer over every window
+//! flattened to a row.
 
+use crate::cohort::{CohortBatch, CohortCtx, CohortForecaster};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, ParamStore};
@@ -137,6 +140,34 @@ impl Forecaster for VarForecaster {
         let flat = tape.leaf(window.reshaped(&[1, self.seq_len * self.num_variables]));
         let pred = self.layer.forward(tape, binding, flat); // [1, V]
         tape.flatten(pred)
+    }
+}
+
+impl CohortForecaster for VarForecaster {
+    fn predict_cohort(
+        group: &[&Self],
+        tape: &Tape,
+        bindings: &[&Binding],
+        batch: &CohortBatch,
+        _ctx: &mut CohortCtx,
+    ) -> Var {
+        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        let (seq, v) = (batch.seq_len(), batch.num_vars());
+        for (b, model) in group.iter().enumerate() {
+            assert_eq!(model.num_variables, v, "individual {b}: window width");
+            assert_eq!(
+                model.seq_len, seq,
+                "individual {b}: VAR(p = {}) got windows of {seq} steps",
+                model.seq_len
+            );
+        }
+        // Window w's [s, V] rows, flattened row-major, are row w of the
+        // stacked windows viewed as [Σ W_b, s·V]: the per-window input
+        // of `predict_window`, so each group's rows go through its own
+        // layer exactly as its windows do one at a time.
+        let flat = tape.leaf(batch.stacked().reshaped(&[batch.total_rows(), seq * v]));
+        let layers: Vec<&Linear> = group.iter().map(|m| &m.layer).collect();
+        Linear::forward_grouped(&layers, tape, bindings, flat, batch.group_wins()) // [Σ W_b, V]
     }
 }
 

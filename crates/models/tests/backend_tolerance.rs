@@ -41,7 +41,7 @@ struct Trained {
 /// Builds the model fresh from `seed`, trains `EPOCHS` full-batch Adam
 /// epochs on the same synthetic windows, and returns the final loss
 /// plus eval-mode batched predictions — everything computed under
-/// `backend`. Mirrors the steady-state loop in `ema_core::train_model`.
+/// `backend`. Mirrors the steady-state loop in `ema_core::train_cohort`.
 fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
     with_kernel_backend(backend, || {
         let cfg = ModelConfig::tiny(seed);

@@ -4,16 +4,16 @@
 //! predicted values AND in every parameter gradient, for all four
 //! paper models, in both train mode (dropout active, masks drawn
 //! window-major) and eval mode, across seeds and window counts — plus
-//! the cohort-batched LSTM path ([`CohortForecaster::predict_cohort`],
-//! one grouped graph for B individuals) against B separate
-//! per-individual graphs.
+//! every model's cohort-batched path
+//! ([`CohortForecaster::predict_cohort`], one grouped graph for B
+//! individuals) against B separate per-individual graphs.
 
 use ema_autodiff::{Tape, Var};
 use ema_check::{gen, prop_tests};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
     build_model, A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, Forecaster,
-    ForwardCtx, LstmForecaster, ModelConfig, ModelKind, Mtgnn, WindowBatch,
+    ForwardCtx, LstmForecaster, ModelConfig, ModelKind, Mtgnn, VarForecaster, WindowBatch,
 };
 use ema_nn::Binding;
 use ema_tensor::{derive_stream_seed, Rng64, Tensor};
@@ -292,6 +292,12 @@ prop_tests! {
     fn mtgnn_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
         check_cohort("MTGNN", seed, groups, training, &|b, s| {
             Mtgnn::new(V, SEQ, Some(&cohort_graph(b)), &ModelConfig::tiny(s))
+        });
+    }
+
+    fn var_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
+        check_cohort("VAR", seed, groups, training, &|_b, s| {
+            VarForecaster::new(V, SEQ, &ModelConfig::tiny(s))
         });
     }
 }

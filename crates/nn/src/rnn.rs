@@ -99,24 +99,6 @@ impl GruCell {
         }
         states
     }
-
-    /// One step over `wins` window row-blocks sharing the cell params:
-    /// `x: [W·n, X]`, `h: [W·n, H]` → `[W·n, H]`. Row-block `w` is
-    /// bit-identical to [`GruCell::forward`] on window `w` alone; the
-    /// shared weight gradients replay per window (see
-    /// `Tape::batched_linear`).
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        x: Var,
-        h: Var,
-        wins: usize,
-    ) -> Var {
-        let gi = tape.batched_linear(x, binding.var(self.w_ih), binding.var(self.b_ih), wins);
-        let gh = tape.batched_linear(h, binding.var(self.w_hh), binding.var(self.b_hh), wins);
-        tape.gru_cell(gi, gh, h)
-    }
 }
 
 /// The `(hidden, cell)` pair carried across LSTM steps.

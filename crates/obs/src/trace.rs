@@ -396,7 +396,7 @@ impl Recorder {
     /// bytes}`, where `<phase>` is the active run phase (or `run`
     /// without one). Take-semantics: each call consumes what this
     /// thread accumulated since the previous drain, so the drain sites
-    /// (executor jobs, `train_model`, the bench harness) compose
+    /// (executor jobs, `train_cohort`, the bench harness) compose
     /// without double counting. No-op in `Off` mode — but the counters
     /// only accumulate while the mode keeps [`ema_tensor::
     /// set_kernel_counting`] enabled anyway (see [`set_mode`]).

@@ -1,7 +1,7 @@
 //! Streamed sharded cohort training: the study is generated shard by
 //! shard on the executor workers (`EmaGenerator::generate_range`), each
 //! shard trains as ONE cohort tape graph per epoch
-//! (`CohortPath::Batched`), and per-shard memory is dropped when its
+//! (`CohortForecaster::predict_cohort`), and per-shard memory is dropped when its
 //! job ends — so peak heap is bounded by (workers × shard size), not
 //! the study size.
 //!

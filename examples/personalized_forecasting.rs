@@ -75,5 +75,5 @@ fn main() {
     }
 
     println!("\nper-variable errors expose which symptoms are hardest to forecast;");
-    println!("see ema_core::evaluate::evaluate_per_variable_mse.");
+    println!("see ema_core::evaluate::evaluate.");
 }

@@ -10,7 +10,7 @@ use ema_core::checkpoint::Checkpoint;
 use ema_core::forecast::{horizon_mse, iterative_forecast};
 use ema_core::train::{train_model, TrainConfig};
 use ema_data::{make_windows, split_train_test, EmaGenerator, GeneratorConfig};
-use ema_models::{build_model, ModelConfig, ModelKind, VarForecaster};
+use ema_models::{Forecaster, LstmForecaster, ModelConfig, VarForecaster};
 use ema_tensor::Rng64;
 
 fn main() {
@@ -21,17 +21,14 @@ fn main() {
     let windows = make_windows(&train, seq);
 
     // 1. Train a personalized LSTM and checkpoint it.
-    let mut model = build_model(
-        ModelKind::Lstm,
+    let mut model = LstmForecaster::new(
         dataset.num_variables(),
-        seq,
         &ModelConfig {
             hidden: 16,
             ..ModelConfig::default()
         },
-        None,
     );
-    let report = train_model(&mut *model, &windows, &TrainConfig::quick(80, 3));
+    let report = train_model(&mut model, &windows, &TrainConfig::quick(80, 3));
     println!(
         "trained LSTM: loss {:.3} -> {:.3} over {} epochs",
         report.initial_loss(),
@@ -48,7 +45,7 @@ fn main() {
     // 2. Roll the model 8 beeps (one day) ahead from the last window.
     let mut rng = Rng64::seed_from(9);
     let seed_window = train.last_rows(seq);
-    let trajectory = iterative_forecast(&*model, &seed_window, 8, &mut rng);
+    let trajectory = iterative_forecast(&model, &seed_window, 8, &mut rng);
     println!("projected next day (first 4 variables):");
     for h in 0..8 {
         let row = trajectory.row(h);
@@ -63,7 +60,7 @@ fn main() {
     }
 
     // 3. How fast does the rollout degrade? Horizon-wise MSE on test.
-    let errs = horizon_mse(&*model, &test, seq, 4, &mut rng);
+    let errs = horizon_mse(&model, &test, seq, 4, &mut rng);
     println!("\nhorizon-wise test MSE:");
     for (h, e) in errs.iter().enumerate() {
         println!("  {}-step ahead: {:.3}", h + 1, e);

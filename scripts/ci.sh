@@ -40,32 +40,34 @@ echo "==> cargo test (EMA_THREADS=4)"
 # byte-identical to the sequential run (the exec engine's guarantee).
 EMA_THREADS=4 cargo test --offline --workspace -q
 
-echo "==> batched-forward equivalence (EMA_THREADS=4)"
-# The batched hot path must be bit-identical to the per-window oracle:
-# the per-model property suites (values + parameter gradients) and the
-# full-pipeline results-JSON determinism case, both on a 4-worker
-# executor.
+echo "==> forward-path equivalence and scalar fixtures (EMA_THREADS=4)"
+# The per-model property suites pin the forwards to each other, values
+# and every parameter gradient: per-window against window-batched, and
+# window-batched against the grouped cohort forward for groups of 1-5
+# individuals, all five models. The scalar fixtures freeze every model
+# kind, both cohort runners and every experiment preset byte for byte
+# on a 4-worker executor.
 EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q
-EMA_THREADS=4 cargo test --offline --test determinism -q batched_and_per_window_paths_emit_identical_results_json
+EMA_THREADS=4 cargo test --offline --test scalar_fixtures -q
 
 echo "==> sharded-cohort smoke (EMA_THREADS=4)"
-# Streamed sharded cohort on a 4-worker executor: the cohort-batched
-# tape graph must be bit-identical to the per-individual oracle, and
-# shard boundaries must never change numbers. Covers the 2-shard ×
-# 2-individual shape alongside shard sizes 1 and 4 (the grid inside
-# each test) for both the LSTM and a graph model (A3TGCN exercises the
-# grouped graph-conv/attention ops end to end), plus the 256-case
-# models-layer cohort properties.
+# Streamed sharded cohort on a 4-worker executor: shard boundaries must
+# never change numbers. Shard size 1 trains each individual on the
+# window-batched forward and larger shards on the grouped cohort
+# forward, so the grid inside each test (shard sizes 1, 2 and 4,
+# including the 2-shard × 2-individual shape) also pins the two
+# forwards to each other, for both the LSTM and a graph model (A3TGCN
+# exercises the grouped graph-conv/attention ops end to end), plus the
+# 256-case models-layer cohort properties.
 EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q cohort_matches_per_individual_oracle
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_results_identical_across_threads_shards_and_paths
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_graph_model_identical_across_threads_shards_and_paths
 
 echo "==> cluster-warm-start smoke (EMA_THREADS=4)"
 # Cluster-then-personalize: the warm-started sharded cohort must stay
-# byte-identical across thread counts, shard sizes and cohort paths
-# (the plan is built once on the caller thread), and the tiny
-# cluster_compare table must render and record results JSON for all
-# four models.
+# byte-identical across thread counts and shard sizes (the plan is
+# built once on the caller thread), and the tiny cluster_compare table
+# must render and record results JSON for all four models.
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
 EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
 test -s results/cluster_compare.json

@@ -9,7 +9,9 @@ use ema_core::{Checkpoint, TrainConfig};
 use ema_data::{make_windows, split_train_test, EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, Forecaster, ModelConfig, ModelKind};
+use ema_models::{
+    A3tgcn, Astgcn, CohortForecaster, LstmForecaster, ModelConfig, Mtgnn, VarForecaster,
+};
 use ema_similarity::GraphMetric;
 use ema_tensor::Tensor;
 use std::sync::Arc;
@@ -24,14 +26,43 @@ fn study_individual() -> (Tensor, AdjacencyMatrix) {
     (train, graph)
 }
 
-fn trained_model(kind: ModelKind, train: &Tensor, graph: &AdjacencyMatrix) -> Box<dyn Forecaster> {
-    let v = train.dims()[1];
-    let graph = kind.uses_graph().then_some(graph);
-    let mut model = build_model(kind, v, SEQ_LEN, &ModelConfig::tiny(5), graph);
+/// Runs `check` once per model kind, with a builder that constructs
+/// that kind for the study individual from a `ModelConfig` seed.
+macro_rules! for_each_kind {
+    ($check:ident, $train:expr, $graph:expr) => {{
+        let (train, graph): (&Tensor, &AdjacencyMatrix) = ($train, $graph);
+        let v = train.dims()[1];
+        $check("LSTM", train, |s| LstmForecaster::new(v, &ModelConfig::tiny(s)));
+        $check("A3TGCN", train, |s| A3tgcn::new(v, graph, &ModelConfig::tiny(s)));
+        $check("ASTGCN", train, |s| Astgcn::new(v, SEQ_LEN, graph, &ModelConfig::tiny(s)));
+        $check("MTGNN", train, |s| Mtgnn::new(v, SEQ_LEN, Some(graph), &ModelConfig::tiny(s)));
+        $check("VAR", train, |s| VarForecaster::new(v, SEQ_LEN, &ModelConfig::tiny(s)));
+    }};
+}
+
+fn trained_model<M: CohortForecaster>(train: &Tensor, build: &impl Fn(u64) -> M) -> M {
+    let mut model = build(5);
     let windows = make_windows(train, SEQ_LEN);
     let config = TrainConfig::quick(3, 11);
-    let _ = train_model(&mut *model, &windows, &config);
+    let _ = train_model(&mut model, &windows, &config);
     model
+}
+
+fn save_load_save<M: CohortForecaster>(label: &str, train: &Tensor, build: impl Fn(u64) -> M) {
+    let model = trained_model(train, &build);
+    let ckpt = Checkpoint::capture(model.params());
+    let path = std::env::temp_dir().join(format!(
+        "ema_ckpt_roundtrip_{label}_{}.json",
+        std::process::id()
+    ));
+    ckpt.save(&path).expect("save checkpoint");
+    let first = std::fs::read_to_string(&path).expect("read saved checkpoint");
+    let loaded = Checkpoint::load(&path).expect("load checkpoint");
+    loaded.save(&path).expect("re-save checkpoint");
+    let second = std::fs::read_to_string(&path).expect("read re-saved checkpoint");
+    let _ = std::fs::remove_file(&path);
+    assert!(first == second, "{label}: save→load→save changed bytes");
+    assert_eq!(first, ckpt.to_json(), "{label}: file differs from to_json");
 }
 
 /// `save → load → save` writes the same bytes for every model kind:
@@ -40,27 +71,27 @@ fn trained_model(kind: ModelKind, train: &Tensor, graph: &AdjacencyMatrix) -> Bo
 #[test]
 fn checkpoint_save_load_save_is_byte_identical() {
     let (train, graph) = study_individual();
-    for kind in ModelKind::all() {
-        let model = trained_model(kind, &train, &graph);
-        let ckpt = Checkpoint::capture(model.params());
-        let path = std::env::temp_dir().join(format!(
-            "ema_ckpt_roundtrip_{}_{}.json",
-            kind.label(),
-            std::process::id()
-        ));
-        ckpt.save(&path).expect("save checkpoint");
-        let first = std::fs::read_to_string(&path).expect("read saved checkpoint");
-        let loaded = Checkpoint::load(&path).expect("load checkpoint");
-        loaded.save(&path).expect("re-save checkpoint");
-        let second = std::fs::read_to_string(&path).expect("read re-saved checkpoint");
-        let _ = std::fs::remove_file(&path);
-        assert!(
-            first == second,
-            "{}: save→load→save changed bytes",
-            kind.label()
-        );
-        assert_eq!(first, ckpt.to_json(), "{}: file differs from to_json", kind.label());
-    }
+    for_each_kind!(save_load_save, &train, &graph);
+}
+
+fn zero_epoch_restore<M: CohortForecaster>(label: &str, train: &Tensor, build: impl Fn(u64) -> M) {
+    let windows = make_windows(train, SEQ_LEN);
+    let source = trained_model(train, &build);
+    let ckpt = Arc::new(Checkpoint::capture(source.params()));
+    let want = predict_all(&source, &windows, 0);
+
+    // A different ModelConfig seed: the restore must overwrite every
+    // parameter, so the init draws cannot matter.
+    let mut restored = build(1234);
+    let config = TrainConfig {
+        epochs: 0,
+        warm_start: Some(ckpt),
+        ..TrainConfig::quick(3, 11)
+    };
+    let report = train_model(&mut restored, &windows, &config);
+    assert_eq!(report.epochs_run, 0, "{label}: restore must not train");
+    let got = predict_all(&restored, &windows, 0);
+    assert_eq!(got.data(), want.data(), "{label}: restored predictions are not bit-identical");
 }
 
 /// A warm start with `epochs = 0` is a pure restore: a freshly built
@@ -69,30 +100,5 @@ fn checkpoint_save_load_save_is_byte_identical() {
 #[test]
 fn zero_epoch_warm_start_reproduces_checkpoint_predictions_bitwise() {
     let (train, graph) = study_individual();
-    let windows = make_windows(&train, SEQ_LEN);
-    for kind in ModelKind::all() {
-        let source = trained_model(kind, &train, &graph);
-        let ckpt = Arc::new(Checkpoint::capture(source.params()));
-        let want = predict_all(&*source, &windows, 0);
-
-        // A different ModelConfig seed: the restore must overwrite
-        // every parameter, so the init draws cannot matter.
-        let v = train.dims()[1];
-        let g = kind.uses_graph().then_some(&graph);
-        let mut restored = build_model(kind, v, SEQ_LEN, &ModelConfig::tiny(1234), g);
-        let config = TrainConfig {
-            epochs: 0,
-            warm_start: Some(ckpt),
-            ..TrainConfig::quick(3, 11)
-        };
-        let report = train_model(&mut *restored, &windows, &config);
-        assert_eq!(report.epochs_run, 0, "{}: restore must not train", kind.label());
-        let got = predict_all(&*restored, &windows, 0);
-        assert_eq!(
-            got.data(),
-            want.data(),
-            "{}: restored predictions are not bit-identical",
-            kind.label()
-        );
-    }
+    for_each_kind!(zero_epoch_restore, &train, &graph);
 }

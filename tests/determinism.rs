@@ -8,7 +8,7 @@ use ema_core::checkpoint::Checkpoint;
 use ema_core::experiments::ExperimentScale;
 use ema_core::pipeline::{run_cohort_with, GraphSpec};
 use ema_core::Executor;
-use ema_core::{ForwardPath, KernelBackend};
+use ema_core::KernelBackend;
 use ema_core::results::{CellStat, ResultTable};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
@@ -28,23 +28,13 @@ fn tiny_results_json() -> String {
 /// [`tiny_results_json`] on an explicit executor, so tests can pin the
 /// thread count.
 fn tiny_results_json_with(executor: &Executor) -> String {
-    tiny_results_json_on(executor, ForwardPath::default())
+    tiny_results_json_kernel(executor, KernelBackend::default())
 }
 
-/// [`tiny_results_json_with`] with an explicit training forward path
-/// (batched hot path vs per-window oracle).
-fn tiny_results_json_on(executor: &Executor, forward_path: ForwardPath) -> String {
-    tiny_results_json_kernel(executor, forward_path, KernelBackend::default())
-}
-
-/// The full knob set: executor, forward path, and matmul kernel
-/// backend. Pinning the backend in the spec makes the probe independent
-/// of the `EMA_KERNEL` environment the test process runs under.
-fn tiny_results_json_kernel(
-    executor: &Executor,
-    forward_path: ForwardPath,
-    kernel_backend: KernelBackend,
-) -> String {
+/// The full knob set: executor and matmul kernel backend. Pinning the
+/// backend in the spec makes the probe independent of the `EMA_KERNEL`
+/// environment the test process runs under.
+fn tiny_results_json_kernel(executor: &Executor, kernel_backend: KernelBackend) -> String {
     let mut scale = ExperimentScale::tiny();
     scale.num_individuals = 2;
     scale.epochs = 3;
@@ -63,7 +53,6 @@ fn tiny_results_json_kernel(
         ),
     ] {
         let mut spec = scale.spec(model, graph, 2);
-        spec.train_config.forward_path = forward_path;
         spec.train_config.kernel_backend = kernel_backend;
         let outcomes = run_cohort_with(&dataset, &spec, executor);
         let mses: Vec<f64> = outcomes.iter().map(|o| o.mse).collect();
@@ -83,28 +72,6 @@ fn same_seed_pipeline_runs_emit_byte_identical_json() {
     // The record must also survive a parse round trip bit-exactly.
     let parsed = ResultTable::from_json(&first).unwrap();
     assert_eq!(parsed.to_json(), first);
-}
-
-/// The batched forward path (one tape graph per epoch,
-/// `Forecaster::predict_batch`) must emit results JSON byte-identical
-/// to the per-window oracle (`predict_window` per window), at both
-/// thread counts — dropout masks are drawn window-major so the RNG
-/// stream, and hence every byte, matches.
-#[test]
-fn batched_and_per_window_paths_emit_identical_results_json() {
-    let batched_seq = tiny_results_json_on(&Executor::sequential(), ForwardPath::Batched);
-    let oracle_seq = tiny_results_json_on(&Executor::sequential(), ForwardPath::PerWindow);
-    assert!(
-        batched_seq == oracle_seq,
-        "threads=1: batched vs per-window diverged:\n--- batched ---\n{batched_seq}\n--- oracle ---\n{oracle_seq}"
-    );
-    let batched_pool = tiny_results_json_on(&Executor::with_threads(4), ForwardPath::Batched);
-    let oracle_pool = tiny_results_json_on(&Executor::with_threads(4), ForwardPath::PerWindow);
-    assert!(
-        batched_pool == oracle_pool,
-        "threads=4: batched vs per-window diverged:\n--- batched ---\n{batched_pool}\n--- oracle ---\n{oracle_pool}"
-    );
-    assert!(batched_seq == batched_pool, "batched path: threads=1 vs threads=4 diverged");
 }
 
 /// The cohort executor's headline guarantee: results JSON is
@@ -262,6 +229,85 @@ fn obs_modes_never_perturb_results_and_off_writes_nothing() {
     }
 }
 
+/// `train_cohort` reports every individual's every epoch: one
+/// `train_epoch` point per (individual, epoch) carrying the loss and
+/// gradient norm of its `TrainReport` — while the individual trains in
+/// a group (the grouped cohort forward) and after the others finished
+/// and it trains alone (the window-batched forward).
+#[test]
+fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
+    use ema_core::{train_cohort, Json, TrainConfig};
+    use ema_data::{make_windows, EmaGenerator, GeneratorConfig};
+    use ema_models::{LstmForecaster, ModelConfig};
+    use ema_obs::{recorder, set_mode, ObsMode};
+    use std::path::Path;
+
+    let _guard = OBS_MODE_LOCK.lock().unwrap();
+    let scratch = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .join("target/obs-train-epoch-test");
+    let _ = std::fs::remove_dir_all(&scratch);
+
+    let study = EmaGenerator::new(GeneratorConfig::quick(3, 4, 5)).generate();
+    let windows: Vec<_> = study.individuals.iter().map(|ind| make_windows(&ind.data, 2)).collect();
+    // Staggered schedules: three train together, then two, then one.
+    let configs: Vec<TrainConfig> =
+        (0..3).map(|b| TrainConfig::quick(2 + b, 10 + b as u64)).collect();
+    let mut models: Vec<LstmForecaster> =
+        (0..3).map(|_| LstmForecaster::new(4, &ModelConfig::tiny(0))).collect();
+
+    set_mode(ObsMode::Full);
+    assert!(recorder().begin_run_in("train_epochs", Json::Null, &scratch));
+    let reports = {
+        let _probe = ema_obs::span!("train_epoch_probe");
+        train_cohort(&mut models, &windows, &configs)
+    };
+    recorder().finish_run().expect("summary written");
+    set_mode(ObsMode::from_env());
+
+    let text = std::fs::read_to_string(scratch.join("train_epochs.jsonl"))
+        .expect("full mode streams JSONL");
+    let events: Vec<Json> =
+        text.lines().map(|l| Json::parse(l).expect("every JSONL line parses")).collect();
+    // Other tests in this binary may train concurrently: keep the
+    // events of this thread, named by the probe span's enter event.
+    let thread = events
+        .iter()
+        .find(|e| e.get("span").and_then(Json::as_str) == Some("train_epoch_probe"))
+        .and_then(|e| e.get("thread"))
+        .and_then(Json::as_usize)
+        .expect("probe span recorded");
+    let mut seen: Vec<(usize, usize, u64, u64)> = events
+        .iter()
+        .filter(|e| {
+            e.get("name").and_then(Json::as_str) == Some("train_epoch")
+                && e.get("thread").and_then(Json::as_usize) == Some(thread)
+        })
+        .map(|e| {
+            let f = e.require("fields").unwrap();
+            let num = |k: &str| f.require(k).unwrap().to_f64().unwrap();
+            (
+                f.require("individual").unwrap().to_usize().unwrap(),
+                f.require("epoch").unwrap().to_usize().unwrap(),
+                num("loss").to_bits(),
+                num("grad_norm").to_bits(),
+            )
+        })
+        .collect();
+    seen.sort_unstable();
+    let want: Vec<(usize, usize, u64, u64)> = reports
+        .iter()
+        .enumerate()
+        .flat_map(|(b, r)| {
+            (0..r.epochs_run).map(move |e| (b, e, r.losses[e].to_bits(), r.grad_norms[e].to_bits()))
+        })
+        .collect();
+    assert_eq!(want.len(), 2 + 3 + 4);
+    assert_eq!(seen, want);
+}
+
 /// Warm-pool invariance: running the same cohort twice in one process
 /// (so the second run draws recycled, stale-content buffers from the
 /// tensor pool — handed across runs by the executor's shelf) and at
@@ -288,16 +334,8 @@ fn warm_buffer_pool_never_changes_results_json() {
 /// every random stream is derived from `(run seed, id)`).
 #[test]
 fn simd_backend_results_json_identical_across_thread_counts() {
-    let sequential = tiny_results_json_kernel(
-        &Executor::sequential(),
-        ForwardPath::default(),
-        KernelBackend::Simd,
-    );
-    let pooled = tiny_results_json_kernel(
-        &Executor::with_threads(4),
-        ForwardPath::default(),
-        KernelBackend::Simd,
-    );
+    let sequential = tiny_results_json_kernel(&Executor::sequential(), KernelBackend::Simd);
+    let pooled = tiny_results_json_kernel(&Executor::with_threads(4), KernelBackend::Simd);
     assert!(
         sequential == pooled,
         "EMA_KERNEL=simd: threads=1 vs threads=4 diverged:\n--- threads=1 ---\n{sequential}\n--- threads=4 ---\n{pooled}"
@@ -318,11 +356,7 @@ fn scalar_backend_results_match_committed_baseline() {
         .nth(2)
         .expect("workspace root")
         .join("tests/fixtures/scalar_baseline.json");
-    let current = tiny_results_json_kernel(
-        &Executor::with_threads(4),
-        ForwardPath::default(),
-        KernelBackend::Scalar,
-    );
+    let current = tiny_results_json_kernel(&Executor::with_threads(4), KernelBackend::Scalar);
     if std::env::var_os("EMA_WRITE_BASELINE").is_some() {
         std::fs::write(&fixture, &current).expect("write scalar baseline fixture");
         return;
@@ -340,26 +374,6 @@ fn scalar_backend_results_match_committed_baseline() {
 fn cohort_sharded_results_json(
     threads: usize,
     shard_size: usize,
-    path: ema_core::CohortPath,
-    model: ModelKind,
-    graph: GraphSpec,
-) -> String {
-    cohort_sharded_strategy_results_json(
-        threads,
-        shard_size,
-        path,
-        model,
-        graph,
-        ema_core::TrainStrategy::Idiographic,
-    )
-}
-
-/// Like [`cohort_sharded_results_json`] with an explicit training
-/// strategy, so the cluster-warm-start path runs the same grid.
-fn cohort_sharded_strategy_results_json(
-    threads: usize,
-    shard_size: usize,
-    path: ema_core::CohortPath,
     model: ModelKind,
     graph: GraphSpec,
     strategy: ema_core::TrainStrategy,
@@ -372,7 +386,6 @@ fn cohort_sharded_strategy_results_json(
     let mut spec = RunSpec::new(model, graph, 2);
     spec.model_config = ModelConfig::tiny(0);
     spec.train_config = TrainConfig::quick(3, 7);
-    spec.cohort_path = path;
     spec.train_strategy = strategy;
     let executor = Executor::with_threads(threads);
     let outcomes = run_cohort_sharded(&generator, &spec, shard_size, &executor);
@@ -396,107 +409,82 @@ fn cohort_sharded_strategy_results_json(
     .compact()
 }
 
+/// Asserts `run(threads, shard)` is byte-identical to the
+/// `(threads = 1, shard = 1)` baseline at every grid point. Shard size 1
+/// trains each individual alone on the window-batched forward
+/// (`predict_batch`); larger shards train on the grouped cohort forward
+/// (`predict_cohort`), so the grid also pins the two forward paths to
+/// each other.
+fn assert_sharding_invisible(
+    what: &str,
+    grid: &[(usize, usize)],
+    run: impl Fn(usize, usize) -> String,
+) {
+    let baseline = run(1, 1);
+    for &(threads, shard) in grid {
+        let probe = run(threads, shard);
+        assert!(
+            baseline == probe,
+            "{what}: threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
+        );
+    }
+}
+
 /// The streaming sharded cohort path's headline guarantee: results are
 /// byte-identical at every `(thread count, shard size)` pair — shard
 /// boundaries never change numbers because every per-individual stream
-/// is derived from `(run seed, id)` — and the cohort-batched tape graph
-/// matches the per-individual oracle path byte for byte.
+/// is derived from `(run seed, id)` — and the grouped cohort forward of
+/// larger shards matches the window-batched forward of shard size 1.
 #[test]
 fn cohort_sharded_results_identical_across_threads_shards_and_paths() {
-    use ema_core::CohortPath;
-
-    let run = |threads, shard, path| {
-        cohort_sharded_results_json(threads, shard, path, ModelKind::Lstm, GraphSpec::None)
-    };
-    let baseline = run(1, 1, CohortPath::Batched);
     // (4, 2) is the CI smoke shape: 2 shards × 2 individuals on a
     // 4-worker executor.
-    for (threads, shard) in [(4, 4), (4, 2), (4, 1)] {
-        let probe = run(threads, shard, CohortPath::Batched);
-        assert!(
-            baseline == probe,
-            "threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
-        );
-    }
-    let oracle = run(4, 4, CohortPath::PerIndividual);
-    assert!(
-        baseline == oracle,
-        "cohort-batched path diverged from the per-individual oracle:\n--- batched ---\n{baseline}\n--- oracle ---\n{oracle}"
-    );
-}
-
-/// Same grid for a graph model: the grouped graph-conv/attention tape
-/// ops must keep sharding invisible and match the per-individual
-/// oracle byte for byte, with each individual's training-split graph
-/// built on whichever worker generates its shard.
-#[test]
-fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
-    use ema_core::CohortPath;
-
-    let run = |threads, shard, path| {
+    assert_sharding_invisible("LSTM", &[(4, 4), (4, 2), (4, 1)], |threads, shard| {
         cohort_sharded_results_json(
             threads,
             shard,
-            path,
+            ModelKind::Lstm,
+            GraphSpec::None,
+            ema_core::TrainStrategy::Idiographic,
+        )
+    });
+}
+
+/// Same grid for a graph model: the grouped graph-conv/attention tape
+/// ops must keep sharding invisible byte for byte, with each
+/// individual's training-split graph built on whichever worker
+/// generates its shard.
+#[test]
+fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
+    assert_sharding_invisible("A3TGCN", &[(4, 4), (4, 2), (4, 1)], |threads, shard| {
+        cohort_sharded_results_json(
+            threads,
+            shard,
             ModelKind::A3tgcn,
             GraphSpec::Static {
                 metric: ema_similarity::GraphMetric::Correlation,
                 gdt: ema_graph::sparsify::DensityThreshold::Gdt40,
             },
+            ema_core::TrainStrategy::Idiographic,
         )
-    };
-    let baseline = run(1, 1, CohortPath::Batched);
-    for (threads, shard) in [(4, 4), (4, 2), (4, 1)] {
-        let probe = run(threads, shard, CohortPath::Batched);
-        assert!(
-            baseline == probe,
-            "threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
-        );
-    }
-    let oracle = run(4, 4, CohortPath::PerIndividual);
-    assert!(
-        baseline == oracle,
-        "cohort-batched graph model diverged from the per-individual oracle:\n--- batched ---\n{baseline}\n--- oracle ---\n{oracle}"
-    );
+    });
 }
 
 /// The cluster-warm-start strategy keeps the same guarantee: the plan
 /// (representatives, K-medoids, cluster checkpoints) is built once on
 /// the caller thread, and warm-started fine-tunes derive their streams
 /// from `(run seed, id)` exactly as idiographic runs do — so results
-/// are byte-identical at every `(thread count, shard size)` pair and
-/// the batched warm path matches the per-individual warm oracle.
+/// are byte-identical at every `(thread count, shard size)` pair.
 #[test]
 fn cohort_sharded_warm_start_identical_across_threads_shards_and_paths() {
-    use ema_core::{CohortPath, TrainStrategy};
-
-    let run = |threads, shard, path| {
-        cohort_sharded_strategy_results_json(
-            threads,
-            shard,
-            path,
-            ModelKind::Lstm,
-            GraphSpec::None,
-            TrainStrategy::ClusterWarmStart {
-                k: 2,
-                cluster_epochs: 3,
-                fine_tune_epochs: 2,
-            },
-        )
+    let strategy = ema_core::TrainStrategy::ClusterWarmStart {
+        k: 2,
+        cluster_epochs: 3,
+        fine_tune_epochs: 2,
     };
-    let baseline = run(1, 1, CohortPath::Batched);
-    for (threads, shard) in [(4, 4), (4, 1)] {
-        let probe = run(threads, shard, CohortPath::Batched);
-        assert!(
-            baseline == probe,
-            "warm start: threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
-        );
-    }
-    let oracle = run(4, 4, CohortPath::PerIndividual);
-    assert!(
-        baseline == oracle,
-        "warm-started batched path diverged from the per-individual warm oracle:\n--- batched ---\n{baseline}\n--- oracle ---\n{oracle}"
-    );
+    assert_sharding_invisible("warm start", &[(4, 4), (4, 2), (4, 1)], |threads, shard| {
+        cohort_sharded_results_json(threads, shard, ModelKind::Lstm, GraphSpec::None, strategy)
+    });
 }
 
 #[test]

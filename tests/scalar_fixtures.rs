@@ -11,9 +11,8 @@
 //! *intentional* numeric change.
 
 use ema_core::experiments::{
-    run_ablation, run_cluster_compare_with, run_experiment_a, run_experiment_b,
-    run_experiment_c, run_hyperparameter_sweep, run_per_variable, run_seq_sweep,
-    ExperimentScale,
+    run_ablation, run_cluster_compare_with, run_experiment_a, run_experiment_b, run_experiment_c,
+    run_hyperparameter_sweep, run_per_variable, run_seq_sweep, ExperimentScale,
 };
 use ema_core::{
     run_cohort_sharded, run_cohort_with, Executor, GraphSpec, IndividualOutcome, Json,
@@ -38,7 +37,10 @@ fn check_fixture(name: &str, current: &str) {
         return;
     }
     let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("fixture {} missing ({e}); regenerate with EMA_WRITE_BASELINE=1", path.display())
+        panic!(
+            "fixture {} missing ({e}); regenerate with EMA_WRITE_BASELINE=1",
+            path.display()
+        )
     });
     assert!(
         current == committed,
@@ -99,7 +101,10 @@ fn every_model_kind_through_run_cohort_with_matches_fixture() {
             .map(|&model| {
                 let mut spec = scale.spec(model, graph_for(model), 2);
                 spec.train_config.kernel_backend = KernelBackend::Scalar;
-                (model.label(), outcomes_json(&run_cohort_with(&dataset, &spec, &executor)))
+                (
+                    model.label(),
+                    outcomes_json(&run_cohort_with(&dataset, &spec, &executor)),
+                )
             })
             .collect(),
     );
@@ -120,7 +125,13 @@ fn sharded_runs_match_fixture() {
     };
     let mut arms: Vec<(String, ModelKind, TrainStrategy)> = ModelKind::extended()
         .iter()
-        .map(|&m| (format!("{}/idiographic", m.label()), m, TrainStrategy::Idiographic))
+        .map(|&m| {
+            (
+                format!("{}/idiographic", m.label()),
+                m,
+                TrainStrategy::Idiographic,
+            )
+        })
         .collect();
     for model in [ModelKind::Lstm, ModelKind::Var] {
         arms.push((format!("{}/cluster_warm_start", model.label()), model, warm));
@@ -141,7 +152,12 @@ fn sharded_runs_match_fixture() {
             entries.push((format!("{label}/shard{shard}"), outcomes_json(&outcomes)));
         }
     }
-    let record = Json::obj(entries.iter().map(|(k, v)| (k.as_str(), v.clone())).collect());
+    let record = Json::obj(
+        entries
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect(),
+    );
     check_fixture("scalar_sharded.json", &record.pretty());
 }
 
@@ -155,11 +171,17 @@ fn experiment_presets_match_fixture() {
     let record = Json::obj(vec![
         ("table2", run_experiment_a(&scale).to_json_value()),
         ("table3", run_experiment_b(&scale).to_json_value()),
-        ("fig3", Json::parse(&run_experiment_c(&scale).to_json()).expect("fig3 JSON")),
+        (
+            "fig3",
+            Json::parse(&run_experiment_c(&scale).to_json()).expect("fig3 JSON"),
+        ),
         ("ablation", run_ablation(&scale).to_json_value()),
         ("seq_sweep", run_seq_sweep(&scale).to_json_value()),
         ("per_variable", run_per_variable(&scale).to_json_value()),
-        ("hyperparams", run_hyperparameter_sweep(&scale).to_json_value()),
+        (
+            "hyperparams",
+            run_hyperparameter_sweep(&scale).to_json_value(),
+        ),
         (
             "cluster_compare",
             run_cluster_compare_with(&scale, &Executor::from_env()).to_json_value(),
