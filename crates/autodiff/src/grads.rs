@@ -4,7 +4,7 @@ use crate::Var;
 use ema_tensor::Tensor;
 
 /// How one deferred per-window gradient piece is computed from a
-/// batched node's stacked gradient `g` and operand value `x` (both
+/// window-stacked node's gradient `g` and operand value `x` (both
 /// sliced to window `w`'s contiguous row block at replay time).
 ///
 /// Each kind is the exact kernel call the per-window graph's backward
@@ -23,13 +23,14 @@ pub(crate) enum PendingKind {
     ColSums,
 }
 
-/// One batched node's deferred gradient contribution to a shared
-/// operand, recorded while the backward pass walks the batched graph
-/// and replayed per window when the pass reaches the operand itself.
+/// One window-stacked node's deferred gradient contribution to an
+/// operand shared by its windows, recorded while the backward pass
+/// walks the stacked graph and replayed per window when the pass
+/// reaches the operand itself.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingUse {
     pub kind: PendingKind,
-    /// Tape index of the batched node whose gradient supplies the
+    /// Tape index of the stacked node whose gradient supplies the
     /// per-window `g` blocks (always greater than the operand's index,
     /// so its slot is still alive at finalize time).
     pub g_node: usize,
@@ -44,11 +45,10 @@ pub(crate) struct PendingUse {
     /// each piece directly.
     pub grouped: bool,
     /// Rows per window block of the `g_node` gradient. Window `w`'s
-    /// block is `g[(g_off + w·g_rows) .. (g_off + (w+1)·g_rows), :]`.
-    /// Uniform batched ops use `g.dims()[0] / wins` with offset 0;
-    /// grouped-operand ops (one parameter group inside a cohort stack)
-    /// use their own block geometry with `g_off` pointing at the
-    /// group's first row.
+    /// block is `g[(g_off + w·g_rows) .. (g_off + (w+1)·g_rows), :]`:
+    /// a grouped op's operand (one individual's parameter inside a
+    /// cohort stack) has `g_off` pointing at its group's first row; a
+    /// block-lhs op's shared lhs uses offset 0.
     pub g_rows: usize,
     /// Starting row of window 0's `g` block.
     pub g_off: usize,
@@ -59,13 +59,39 @@ pub(crate) struct PendingUse {
     pub x_off: usize,
 }
 
+impl PendingUse {
+    /// A grouped op's use of one group's operand: `wins` windows of
+    /// `rows` rows each in both `g` and `x`, starting at stacked row
+    /// `off`, replayed ungrouped.
+    pub fn group(
+        kind: PendingKind,
+        g_node: usize,
+        x_node: usize,
+        wins: usize,
+        off: usize,
+        rows: usize,
+    ) -> Self {
+        Self {
+            kind,
+            g_node,
+            x_node,
+            wins,
+            grouped: false,
+            g_rows: rows,
+            g_off: off,
+            x_rows: rows,
+            x_off: off,
+        }
+    }
+}
+
 /// Gradients for every node of a tape, indexed by [`Var`].
 ///
 /// Nodes that did not participate in the loss have no gradient (`None`).
 #[derive(Debug)]
 pub struct Grads {
     grads: Vec<Option<Tensor>>,
-    /// Per-node deferred uses from batched ops, in arrival (= node
+    /// Per-node deferred uses from stacked ops, in arrival (= node
     /// descending) order. Reused across backward passes; every entry
     /// is drained by the pass that filled it.
     pending: Vec<Vec<PendingUse>>,

@@ -3,7 +3,7 @@
 //! Reverse-mode automatic differentiation over [`ema_tensor::Tensor`].
 //!
 //! The design is a classic *tape*: every operation appends a node holding
-//! its forward value and an [`Op`] descriptor; [`Tape::backward`] walks the
+//! its forward value and an op descriptor; [`Tape::backward`] walks the
 //! tape in reverse, propagating gradients to every node. Variables are
 //! plain `Copy` indices ([`Var`]), so model code reads naturally:
 //!
@@ -41,5 +41,5 @@ mod tape_ops_nn;
 mod tape_ops_shape;
 
 pub use grads::Grads;
-pub use op::Op;
+pub(crate) use op::Op;
 pub use tape::{Tape, Var};

@@ -2,6 +2,7 @@
 
 use crate::Var;
 use ema_tensor::Tensor;
+use std::ops::Range;
 
 /// Describes how a tape node was produced from its parents.
 ///
@@ -10,7 +11,7 @@ use ema_tensor::Tensor;
 /// forward-time randomness (dropout) store the sampled mask inline so the
 /// backward pass is deterministic.
 #[derive(Debug, Clone)]
-pub enum Op {
+pub(crate) enum Op {
     /// An input with no parents (constant, input data or parameter).
     Leaf,
     /// Elementwise sum of two same-shaped nodes.
@@ -22,7 +23,7 @@ pub enum Op {
     /// Elementwise quotient.
     Div(Var, Var),
     /// Adds a compile-time constant scalar.
-    AddScalar(Var, f64),
+    AddScalar(Var),
     /// Multiplies by a constant scalar.
     Scale(Var, f64),
     /// Matrix product `[m,k] x [k,n]`.
@@ -78,22 +79,6 @@ pub enum Op {
     Dropout(Var, Tensor),
     /// Stacks rank-1 parents into the rows of a matrix.
     StackRows(Vec<Var>),
-    /// Batched matrix product of a window-stacked lhs against one
-    /// shared rhs: `[W·r, k] x [k, n] -> [W·r, n]`. Forward is a single
-    /// `matmul`; backward keeps the stacked gradient dense but defers
-    /// the shared rhs gradient as per-window pieces replayed in the
-    /// per-window graph's accumulation order. Fields: x, rhs, window
-    /// count, grouped-replay flag (see `Grads`' pending machinery).
-    BatchedMatmul(Var, Var, usize, bool),
-    /// Batched `x · rhsᵀ` against one shared rhs:
-    /// `[W·r, k] x [n, k]ᵀ -> [W·r, n]`. Fields: x, rhs, window count.
-    BatchedMatmulNT(Var, Var, usize),
-    /// Batched fused linear layer `x·wᵀ + bias` with shared weights:
-    /// `[W·r, k] x [out, k]ᵀ + [out]`. Fields: x, w, bias, window count.
-    BatchedAddmm(Var, Var, Var, usize),
-    /// Shared `[c]` row added to every row of a `[W·r, c]` stack.
-    /// Fields: m, row, window count.
-    BatchedAddRow(Var, Var, usize),
     /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
     /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. Fields:
     /// lhs, x, window count.
@@ -117,129 +102,55 @@ pub enum Op {
     /// row block; backward keeps the stacked `dx` dense and defers each
     /// group's (w, bias) gradients as per-window pieces of `rows` rows
     /// replayed in the per-individual graph's accumulation order.
-    /// Fields: x, per-group `(w, bias)` pairs, per-group window counts,
-    /// rows per window block.
-    GroupLinear(Var, Vec<(Var, Var)>, Vec<usize>, usize),
+    /// Fields: x, groups (operands: `w_b, bias_b` interleaved), rows per
+    /// window block.
+    GroupLinear(Var, Groups, usize),
     /// Per-group matrix product of a cohort row stack against each
     /// group's own rhs: group `b` of `x: [Σ wins·rows, k]` times its
     /// `rhs_b: [k, n]`, giving `[Σ wins·rows, n]`. Backward keeps the
     /// stacked `dx` dense and defers each group's rhs gradient as
-    /// per-window pieces. Fields: x, per-group rhs, per-group window
-    /// counts, rows per window block, grouped-replay flag (see `Grads`'
+    /// per-window pieces. Fields: x, groups (operands: one rhs per
+    /// group), rows per window block, grouped-replay flag (see `Grads`'
     /// pending machinery).
-    GroupMatmul(Var, Vec<Var>, Vec<usize>, usize, bool),
+    GroupMatmul(Var, Groups, usize, bool),
     /// Per-group `x · rhsᵀ` against each group's own rhs: group `b` of
     /// `x: [Σ wins·rows, k]` times `rhs_b: [n, k]ᵀ`, giving
-    /// `[Σ wins·rows, n]`. Fields: x, per-group rhs, per-group window
-    /// counts, rows per window block.
-    GroupMatmulNT(Var, Vec<Var>, Vec<usize>, usize),
+    /// `[Σ wins·rows, n]`. Fields: x, groups (one rhs per group), rows
+    /// per window block.
+    GroupMatmulNT(Var, Groups, usize),
     /// Each group's own `[c]` row added to every row of that group's
-    /// block of a `[Σ wins·rows, c]` cohort stack. Fields: m, per-group
-    /// rows, per-group window counts, rows per window block.
-    GroupAddRow(Var, Vec<Var>, Vec<usize>, usize),
+    /// block of a `[Σ wins·rows, c]` cohort stack. Fields: m, groups
+    /// (one row per group), rows per window block.
+    GroupAddRow(Var, Groups, usize),
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// times each `[q, n]` window block of its slice of
-    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]` — the grouped twin of
-    /// `BlockLhsMatmul` for per-individual graph constants. Fields:
-    /// per-group lhs, x, per-group window counts.
-    GroupBlockLhsMatmul(Vec<Var>, Var, Vec<usize>),
+    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]` — `BlockLhsMatmul`
+    /// with a per-individual graph constant. Fields: x, groups (one lhs
+    /// per group).
+    GroupBlockLhsMatmul(Var, Groups),
+}
+
+/// Where a grouped op's per-group operands live: index ranges into the
+/// tape's operand arena (the group operand vars, group-major) and its
+/// window-count arena (one count per group). The tape owns both lists,
+/// so recording a grouped node allocates nothing once the arenas are
+/// warm.
+#[derive(Debug, Clone)]
+pub(crate) struct Groups {
+    pub operands: Range<usize>,
+    pub wins: Range<usize>,
 }
 
 impl Op {
-    /// The parent variables this op reads, in positional order.
-    #[must_use]
-    pub fn parents(&self) -> Vec<Var> {
+    /// The arena ranges of a grouped op, `None` for every other op.
+    pub(crate) fn groups(&self) -> Option<&Groups> {
         match self {
-            Op::Leaf => vec![],
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::Div(a, b)
-            | Op::Matmul(a, b)
-            | Op::MatmulTN(a, b)
-            | Op::MatmulNT(a, b)
-            | Op::LstmCell(a, b)
-            | Op::AddRowBroadcast(a, b)
-            | Op::MulRowBroadcast(a, b)
-            | Op::HCat(a, b)
-            | Op::VCat(a, b)
-            | Op::BatchedMatmul(a, b, _, _)
-            | Op::BatchedMatmulNT(a, b, _)
-            | Op::BatchedAddRow(a, b, _)
-            | Op::BlockLhsMatmul(a, b, _)
-            | Op::BlockMatmul(a, b, _)
-            | Op::BlockMatmulNT(a, b, _) => vec![*a, *b],
-            Op::Addmm(a, b, c) | Op::GruCell(a, b, c) | Op::BatchedAddmm(a, b, c, _) => {
-                vec![*a, *b, *c]
-            }
-            Op::AddScalar(a, _)
-            | Op::Scale(a, _)
-            | Op::Transpose(a)
-            | Op::Tanh(a)
-            | Op::Sigmoid(a)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Square(a)
-            | Op::SoftmaxLast(a)
-            | Op::SumAll(a)
-            | Op::MeanAll(a)
-            | Op::SliceRows(a, _, _)
-            | Op::SliceCols(a, _, _)
-            | Op::Reshape(a)
-            | Op::Dropout(a, _) => vec![*a],
-            Op::StackRows(vars) => vars.clone(),
-            Op::StackWindowBlocks(vars, _) => vars.clone(),
-            Op::GroupLinear(x, params, _, _) => {
-                let mut out = vec![*x];
-                for &(w, b) in params {
-                    out.push(w);
-                    out.push(b);
-                }
-                out
-            }
-            Op::GroupMatmul(x, rhses, _, _, _)
-            | Op::GroupMatmulNT(x, rhses, _, _)
-            | Op::GroupAddRow(x, rhses, _, _) => {
-                let mut out = vec![*x];
-                out.extend_from_slice(rhses);
-                out
-            }
-            Op::GroupBlockLhsMatmul(lhses, x, _) => {
-                let mut out = lhses.clone();
-                out.push(*x);
-                out
-            }
+            Op::GroupLinear(_, g, _)
+            | Op::GroupMatmul(_, g, _, _)
+            | Op::GroupMatmulNT(_, g, _)
+            | Op::GroupAddRow(_, g, _)
+            | Op::GroupBlockLhsMatmul(_, g) => Some(g),
+            _ => None,
         }
-    }
-
-    /// True for nodes with no parents.
-    #[must_use]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Op::Leaf)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parents_of_binary_ops() {
-        let a = Var::from_raw(0);
-        let b = Var::from_raw(1);
-        assert_eq!(Op::Add(a, b).parents(), vec![a, b]);
-        assert_eq!(Op::Matmul(a, b).parents(), vec![a, b]);
-    }
-
-    #[test]
-    fn parents_of_leaf_is_empty() {
-        assert!(Op::Leaf.parents().is_empty());
-        assert!(Op::Leaf.is_leaf());
-    }
-
-    #[test]
-    fn parents_of_stack_preserves_order() {
-        let vars: Vec<Var> = (0..4).map(Var::from_raw).collect();
-        assert_eq!(Op::StackRows(vars.clone()).parents(), vars);
     }
 }

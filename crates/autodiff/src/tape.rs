@@ -1,6 +1,7 @@
 //! The tape: node storage, basic elementwise ops and the backward pass.
 
 use crate::grads::{PendingKind, PendingUse};
+use crate::op::Groups;
 use crate::{tape_ops_batched, Grads, Op};
 use ema_tensor::{kernels, pool, Tensor};
 use std::cell::RefCell;
@@ -13,13 +14,6 @@ use std::cell::RefCell;
 pub struct Var(pub(crate) usize);
 
 impl Var {
-    /// Builds a `Var` from a raw index. Exposed for tests and tooling;
-    /// regular code should only use vars returned by tape operations.
-    #[must_use]
-    pub fn from_raw(index: usize) -> Self {
-        Var(index)
-    }
-
     /// The raw node index.
     #[must_use]
     pub fn index(self) -> usize {
@@ -38,8 +32,34 @@ pub(crate) struct Node {
 /// sites clean. A tape grows monotonically within one step; training
 /// loops call [`Tape::reset`] between steps to reuse the node storage
 /// (and, through the tensor pool, the value buffers) epoch after epoch.
+///
+/// Grouped ops (`tape_ops_group`) record their per-group operand vars
+/// and window counts in two side arenas owned by the tape; their nodes
+/// name index ranges into them. The arenas grow and truncate with the
+/// node list, so a steady-state epoch records grouped nodes without
+/// allocating.
 pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
+    operands: RefCell<Vec<Var>>,
+    group_wins: RefCell<Vec<usize>>,
+}
+
+/// The values of one grouped op's per-group operands, in arena order.
+pub(crate) struct GroupValues<'a> {
+    nodes: &'a [Node],
+    vars: &'a [Var],
+}
+
+impl<'a> GroupValues<'a> {
+    /// The value of the `i`-th operand.
+    pub fn get(&self, i: usize) -> &'a Tensor {
+        &self.nodes[self.vars[i].0].value
+    }
+
+    /// Number of operands.
+    pub fn len(&self) -> usize {
+        self.vars.len()
+    }
 }
 
 impl Default for Tape {
@@ -54,25 +74,29 @@ impl Tape {
     pub fn new() -> Self {
         Self {
             nodes: RefCell::new(Vec::with_capacity(1024)),
+            operands: RefCell::new(Vec::new()),
+            group_wins: RefCell::new(Vec::new()),
         }
     }
 
     /// Clears all recorded nodes while keeping the node storage's
-    /// capacity. Dropped node values return their buffers to the tensor
-    /// pool, so the next step's forward pass re-uses them — the
-    /// epoch-persistent-workspace half of the allocation-free hot path.
+    /// capacity (and the grouped-op arenas'). Dropped node values
+    /// return their buffers to the tensor pool, so the next step's
+    /// forward pass re-uses them — the epoch-persistent-workspace half
+    /// of the allocation-free hot path.
     ///
     /// All `Var` handles from before the reset become invalid; rebind
     /// parameters afterwards.
     pub fn reset(&mut self) {
-        self.nodes.get_mut().clear();
+        self.reset_to(0);
     }
 
     /// [`Tape::reset`] keeping the first `keep` nodes alive — a
     /// persistent prefix for graph parts that are constant across
     /// epochs (e.g. the training target leaf). `Var` handles into the
     /// prefix stay valid; everything after it is dropped (buffers
-    /// return to the tensor pool) and must be rebuilt.
+    /// return to the tensor pool) and must be rebuilt. The grouped-op
+    /// arenas are truncated to what the kept nodes reference.
     ///
     /// # Panics
     /// Panics if fewer than `keep` nodes are recorded.
@@ -84,6 +108,15 @@ impl Tape {
             nodes.len()
         );
         nodes.truncate(keep);
+        // Arena ranges grow with the node index, so the last kept
+        // grouped node marks the end of the kept arena prefix.
+        let (operands, wins) = nodes
+            .iter()
+            .rev()
+            .find_map(|n| n.op.groups())
+            .map_or((0, 0), |g| (g.operands.end, g.wins.end));
+        self.operands.get_mut().truncate(operands);
+        self.group_wins.get_mut().truncate(wins);
     }
 
     /// Number of nodes recorded so far.
@@ -143,6 +176,42 @@ impl Tape {
         }
     }
 
+    /// Records a grouped op's per-group operand vars and window counts
+    /// in the tape's arenas and applies `f` to `x`'s value and the
+    /// operands' values. A window-count list that matches the arena's
+    /// tail — as it does for every grouped op of one forward after the
+    /// first, since they share their cohort's counts — is referenced
+    /// instead of copied.
+    pub(crate) fn compute_group<R>(
+        &self,
+        x: Var,
+        operands: impl IntoIterator<Item = Var>,
+        group_wins: &[usize],
+        f: impl FnOnce(&Tensor, &GroupValues) -> R,
+    ) -> (Groups, R) {
+        let groups = {
+            let mut vars = self.operands.borrow_mut();
+            let start = vars.len();
+            vars.extend(operands);
+            let mut wins = self.group_wins.borrow_mut();
+            if !wins.ends_with(group_wins) {
+                wins.extend_from_slice(group_wins);
+            }
+            Groups {
+                operands: start..vars.len(),
+                wins: wins.len() - group_wins.len()..wins.len(),
+            }
+        };
+        let nodes = self.nodes.borrow();
+        let vars = self.operands.borrow();
+        let values = GroupValues {
+            nodes: &nodes,
+            vars: &vars[groups.operands.clone()],
+        };
+        let out = f(&nodes[x.0].value, &values);
+        (groups, out)
+    }
+
     // ------------------------------------------------------------------
     // Elementwise ops
     // ------------------------------------------------------------------
@@ -174,7 +243,7 @@ impl Tape {
     /// Adds a constant scalar.
     pub fn add_scalar(&self, a: Var, s: f64) -> Var {
         let out = self.compute(|v| v[0].add_scalar(s), &[a]);
-        self.push(out, Op::AddScalar(a, s))
+        self.push(out, Op::AddScalar(a))
     }
 
     /// Multiplies by a constant scalar.
@@ -269,6 +338,7 @@ impl Tape {
     /// Panics if `loss` is not scalar-shaped.
     pub fn backward_into(&self, loss: Var, out: &mut Grads) {
         let nodes = self.nodes.borrow();
+        let (operands, group_wins) = (self.operands.borrow(), self.group_wins.borrow());
         assert_eq!(
             nodes[loss.0].value.len(),
             1,
@@ -293,7 +363,7 @@ impl Tape {
             let (parents, rest) = grads.split_at_mut(i);
             let (slot_i, later) = rest.split_first_mut().expect("slot exists");
             if !pending[i].is_empty() {
-                // Batched consumers above deposited deferred per-window
+                // Stacked consumers above deposited deferred per-window
                 // pieces for this node; replay them into the slot in the
                 // per-window graph's accumulation order before this
                 // node's own backward step reads it.
@@ -302,7 +372,17 @@ impl Tape {
             }
             let Some(g) = slot_i.as_ref() else { continue };
             let node = &nodes[i];
-            backward_one(&nodes, i, &node.op, &node.value, g, &mut contribs, &mut deferred);
+            let arenas = (&operands[..], &group_wins[..]);
+            backward_one(
+                &nodes,
+                arenas,
+                i,
+                &node.op,
+                &node.value,
+                g,
+                &mut contribs,
+                &mut deferred,
+            );
             for (parent, contrib) in contribs.drain(..) {
                 debug_assert!(parent.0 < i, "tape parents must precede children");
                 match &mut parents[parent.0] {
@@ -349,7 +429,7 @@ fn finalize_pending(
         debug_assert!(n > i, "piece gradients must come from later nodes");
         later[n - i - 1]
             .as_ref()
-            .expect("batched node gradient alive at finalize time")
+            .expect("stacked node gradient alive at finalize time")
     };
     let mut scratch = pool::take_uninit(piece_len);
     let mut group_tmp = if grouped {
@@ -437,14 +517,16 @@ fn compute_piece(nodes: &[Node], u: &PendingUse, w: usize, g: &Tensor, out: &mut
 }
 
 /// Computes the gradient contributions of one node to its parents,
-/// appending them to the caller's reusable `contribs` buffer. Batched
-/// ops additionally append deferred per-window uses for their shared
-/// operands to `deferred` (finalized when the backward loop reaches the
-/// operand); `i` is the node's own tape index, recorded as the
-/// gradient source of those pieces.
+/// appending them to the caller's reusable `contribs` buffer. Grouped
+/// ops additionally append deferred per-window uses for their
+/// per-group operands to `deferred` (finalized when the backward loop
+/// reaches the operand); `i` is the node's own tape index, recorded as
+/// the gradient source of those pieces. `arenas` holds the tape's
+/// grouped-op operand vars and window counts.
 #[allow(clippy::too_many_arguments)]
 fn backward_one(
     nodes: &[Node],
+    (operands, group_wins): (&[Var], &[usize]),
     i: usize,
     op: &Op,
     out_value: &Tensor,
@@ -464,7 +546,7 @@ fn backward_one(
             let db = g.mul(val(a)).div(&bv.square()).neg();
             contribs.extend([(a, da), (b, db)]);
         }
-        Op::AddScalar(a, _) => contribs.push((a, g.clone())),
+        Op::AddScalar(a) => contribs.push((a, g.clone())),
         Op::Scale(a, s) => contribs.push((a, g.scale(s))),
         Op::Matmul(a, b) => {
             // da = g·bᵀ, db = aᵀ·g via the transpose-aware kernels —
@@ -576,16 +658,14 @@ fn backward_one(
             ]);
         }
         Op::SliceRows(a, start, end) => {
-            let dims = val(a).dims().to_vec();
-            let mut da = Tensor::zeros(&dims);
-            let n = dims[1];
+            let mut da = Tensor::zeros(val(a).dims());
+            let n = da.dims()[1];
             da.data_mut()[start * n..end * n].copy_from_slice(g.data());
             contribs.push((a, da));
         }
         Op::SliceCols(a, start, end) => {
-            let dims = val(a).dims().to_vec();
-            let mut da = Tensor::zeros(&dims);
-            let (m, n) = (dims[0], dims[1]);
+            let mut da = Tensor::zeros(val(a).dims());
+            let (m, n) = (da.dims()[0], da.dims()[1]);
             let w = end - start;
             for i in 0..m {
                 da.data_mut()[i * n + start..i * n + end]
@@ -593,100 +673,10 @@ fn backward_one(
             }
             contribs.push((a, da));
         }
-        Op::Reshape(a) => {
-            let dims = val(a).dims().to_vec();
-            contribs.push((a, g.reshaped(&dims)));
-        }
+        Op::Reshape(a) => contribs.push((a, g.reshaped(val(a).dims()))),
         Op::Dropout(a, ref mask) => contribs.push((a, g.mul(mask))),
         Op::StackRows(ref vars) => {
             contribs.extend(vars.iter().enumerate().map(|(i, &v)| (v, g.row(i))));
-        }
-        Op::BatchedMatmul(x, rhs, wins, grouped) => {
-            // Stacked lhs gradient batches the per-window `g_w · rhsᵀ`
-            // rows (row-identical to the per-window kernel); the shared
-            // rhs gradient is replayed per window at finalize time.
-            contribs.push((x, g.matmul_nt(val(rhs))));
-            deferred.push((
-                rhs,
-                PendingUse {
-                    kind: PendingKind::XtG,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped,
-                    g_rows: g.dims()[0] / wins,
-                    g_off: 0,
-                    x_rows: val(x).dims()[0] / wins,
-                    x_off: 0,
-                },
-            ));
-        }
-        Op::BatchedMatmulNT(x, rhs, wins) => {
-            contribs.push((x, g.matmul(val(rhs))));
-            deferred.push((
-                rhs,
-                PendingUse {
-                    kind: PendingKind::GtX,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped: false,
-                    g_rows: g.dims()[0] / wins,
-                    g_off: 0,
-                    x_rows: val(x).dims()[0] / wins,
-                    x_off: 0,
-                },
-            ));
-        }
-        Op::BatchedAddmm(x, w, bias, wins) => {
-            contribs.push((x, g.matmul(val(w))));
-            let g_rows = g.dims()[0] / wins;
-            deferred.push((
-                w,
-                PendingUse {
-                    kind: PendingKind::GtX,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped: false,
-                    g_rows,
-                    g_off: 0,
-                    x_rows: val(x).dims()[0] / wins,
-                    x_off: 0,
-                },
-            ));
-            deferred.push((
-                bias,
-                PendingUse {
-                    kind: PendingKind::ColSums,
-                    g_node: i,
-                    x_node: i,
-                    wins,
-                    grouped: false,
-                    g_rows,
-                    g_off: 0,
-                    x_rows: g_rows,
-                    x_off: 0,
-                },
-            ));
-        }
-        Op::BatchedAddRow(m, r, wins) => {
-            contribs.push((m, g.clone()));
-            let g_rows = g.dims()[0] / wins;
-            deferred.push((
-                r,
-                PendingUse {
-                    kind: PendingKind::ColSums,
-                    g_node: i,
-                    x_node: i,
-                    wins,
-                    grouped: false,
-                    g_rows,
-                    g_off: 0,
-                    x_rows: g_rows,
-                    x_off: 0,
-                },
-            ));
         }
         Op::BlockLhsMatmul(lhs, x, wins) => {
             // Per-block dx_w = lhsᵀ · g_w (the per-window Matmul rhs
@@ -780,10 +770,10 @@ fn backward_one(
                 contribs.push((s, Tensor::from_vec(sv.dims(), d).expect("state grad shape")));
             }
         }
-        Op::GroupLinear(x, ref params, ref wins, block_rows) => {
+        Op::GroupLinear(x, ref groups, block_rows) => {
             // Per group b: dx_b = g_b · w_b (dense in the stack, one
             // kernel call per group with the same (m, k, n) as the
-            // per-individual `Op::BatchedAddmm` dx, so the blocked-path
+            // per-individual `Op::Addmm` dx rows, so the blocked-path
             // decision — and every bit — matches the oracle), while
             // w_b and bias_b gradients are deferred as per-window
             // pieces of `block_rows` rows anchored at the group's row
@@ -794,7 +784,9 @@ fn backward_one(
             let out_cols = out_value.dims()[1];
             let mut dx = pool::take_uninit(xv.len());
             let mut off = 0usize;
-            for (&(w, bias), &wb) in params.iter().zip(wins) {
+            let params = operands[groups.operands.clone()].chunks_exact(2);
+            for (pair, &wb) in params.zip(&group_wins[groups.wins.clone()]) {
+                let (w, bias) = (pair[0], pair[1]);
                 let r = wb * block_rows;
                 let g_b = &g.data()[off * out_cols..(off + r) * out_cols];
                 kernels::matmul_into(
@@ -807,47 +799,28 @@ fn backward_one(
                 );
                 deferred.push((
                     w,
-                    PendingUse {
-                        kind: PendingKind::GtX,
-                        g_node: i,
-                        x_node: x.0,
-                        wins: wb,
-                        grouped: false,
-                        g_rows: block_rows,
-                        g_off: off,
-                        x_rows: block_rows,
-                        x_off: off,
-                    },
+                    PendingUse::group(PendingKind::GtX, i, x.0, wb, off, block_rows),
                 ));
                 deferred.push((
                     bias,
-                    PendingUse {
-                        kind: PendingKind::ColSums,
-                        g_node: i,
-                        x_node: i,
-                        wins: wb,
-                        grouped: false,
-                        g_rows: block_rows,
-                        g_off: off,
-                        x_rows: block_rows,
-                        x_off: off,
-                    },
+                    PendingUse::group(PendingKind::ColSums, i, i, wb, off, block_rows),
                 ));
                 off += r;
             }
             contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
         }
-        Op::GroupMatmul(x, ref rhses, ref wins, block_rows, grouped) => {
+        Op::GroupMatmul(x, ref groups, block_rows, grouped) => {
             // Per group b: dx_b = g_b · rhs_bᵀ (dense, same (m, k, n)
-            // as the per-individual `Op::BatchedMatmul` dx); each
-            // group's rhs gradient is deferred as per-window XᵀG pieces
+            // as the per-individual `Op::Matmul` dx rows); each group's
+            // rhs gradient is deferred as per-window XᵀG pieces
             // anchored at the group's row offset.
             let xv = val(x);
             let k = xv.dims()[1];
             let n = out_value.dims()[1];
             let mut dx = pool::take_uninit(xv.len());
             let mut off = 0usize;
-            for (&rhs, &wb) in rhses.iter().zip(wins) {
+            let rhses = &operands[groups.operands.clone()];
+            for (&rhs, &wb) in rhses.iter().zip(&group_wins[groups.wins.clone()]) {
                 let r = wb * block_rows;
                 let g_b = &g.data()[off * n..(off + r) * n];
                 kernels::matmul_nt_into(
@@ -858,25 +831,14 @@ fn backward_one(
                     n,
                     k,
                 );
-                deferred.push((
-                    rhs,
-                    PendingUse {
-                        kind: PendingKind::XtG,
-                        g_node: i,
-                        x_node: x.0,
-                        wins: wb,
-                        grouped,
-                        g_rows: block_rows,
-                        g_off: off,
-                        x_rows: block_rows,
-                        x_off: off,
-                    },
-                ));
+                let mut use_ = PendingUse::group(PendingKind::XtG, i, x.0, wb, off, block_rows);
+                use_.grouped = grouped;
+                deferred.push((rhs, use_));
                 off += r;
             }
             contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
         }
-        Op::GroupMatmulNT(x, ref rhses, ref wins, block_rows) => {
+        Op::GroupMatmulNT(x, ref groups, block_rows) => {
             // Per group b: dx_b = g_b · rhs_b (dense); each group's rhs
             // gradient is deferred as per-window GᵀX pieces.
             let xv = val(x);
@@ -884,7 +846,8 @@ fn backward_one(
             let n = out_value.dims()[1];
             let mut dx = pool::take_uninit(xv.len());
             let mut off = 0usize;
-            for (&rhs, &wb) in rhses.iter().zip(wins) {
+            let rhses = &operands[groups.operands.clone()];
+            for (&rhs, &wb) in rhses.iter().zip(&group_wins[groups.wins.clone()]) {
                 let r = wb * block_rows;
                 let g_b = &g.data()[off * n..(off + r) * n];
                 kernels::matmul_into(
@@ -897,46 +860,27 @@ fn backward_one(
                 );
                 deferred.push((
                     rhs,
-                    PendingUse {
-                        kind: PendingKind::GtX,
-                        g_node: i,
-                        x_node: x.0,
-                        wins: wb,
-                        grouped: false,
-                        g_rows: block_rows,
-                        g_off: off,
-                        x_rows: block_rows,
-                        x_off: off,
-                    },
+                    PendingUse::group(PendingKind::GtX, i, x.0, wb, off, block_rows),
                 ));
                 off += r;
             }
             contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
         }
-        Op::GroupAddRow(m, ref rows, ref wins, block_rows) => {
+        Op::GroupAddRow(m, ref groups, block_rows) => {
             // dm is the gradient unchanged; each group's row gradient
             // is deferred as per-window column sums over its block.
             contribs.push((m, g.clone()));
             let mut off = 0usize;
-            for (&row, &wb) in rows.iter().zip(wins) {
+            let rows = &operands[groups.operands.clone()];
+            for (&row, &wb) in rows.iter().zip(&group_wins[groups.wins.clone()]) {
                 deferred.push((
                     row,
-                    PendingUse {
-                        kind: PendingKind::ColSums,
-                        g_node: i,
-                        x_node: i,
-                        wins: wb,
-                        grouped: false,
-                        g_rows: block_rows,
-                        g_off: off,
-                        x_rows: block_rows,
-                        x_off: off,
-                    },
+                    PendingUse::group(PendingKind::ColSums, i, i, wb, off, block_rows),
                 ));
                 off += wb * block_rows;
             }
         }
-        Op::GroupBlockLhsMatmul(ref lhses, x, ref wins) => {
+        Op::GroupBlockLhsMatmul(x, ref groups) => {
             // Per group b: the shared-lhs backward restricted to the
             // group's window span — gather its g slice to the
             // column-permuted layout, one lhs_bᵀ · ĝ product, scatter
@@ -946,10 +890,11 @@ fn backward_one(
             // group's (output, input) row offsets.
             let xv = val(x);
             let n = xv.dims()[1];
+            let lhses = &operands[groups.operands.clone()];
             let (p, q) = (val(lhses[0]).dims()[0], val(lhses[0]).dims()[1]);
             let mut dx = pool::take_uninit(xv.len());
             let (mut xoff, mut goff) = (0usize, 0usize);
-            for (&lhs, &wb) in lhses.iter().zip(wins) {
+            for (&lhs, &wb) in lhses.iter().zip(&group_wins[groups.wins.clone()]) {
                 let lv = val(lhs);
                 let ghat = tape_ops_batched::gather_window_cols(
                     &g.data()[goff * n..(goff + wb * p) * n],
@@ -1143,6 +1088,88 @@ mod tests {
         let tape = Tape::new();
         let a = tape.leaf(Tensor::from_vec1(vec![1.0, 2.0]));
         let _ = tape.backward(a);
+    }
+
+    /// Arena lengths: (operand vars, window counts).
+    fn arena_lens(tape: &Tape) -> (usize, usize) {
+        (tape.operands.borrow().len(), tape.group_wins.borrow().len())
+    }
+
+    /// Records `x` leaf, two per-group weight leaves and one grouped
+    /// matmul; returns (x, weights, output).
+    fn grouped_step(tape: &Tape, wins: &[usize]) -> (Var, [Var; 2], Var) {
+        let x = tape.leaf(Tensor::ones(&[wins.iter().sum(), 2]));
+        let ws = [0.5, -2.0].map(|v| tape.leaf(Tensor::filled(&[2, 3], v)));
+        (x, ws, tape.group_matmul(x, ws, wins, 1))
+    }
+
+    #[test]
+    fn reset_and_reset_to_truncate_group_arenas_to_the_kept_prefix() {
+        let mut tape = Tape::new();
+        let (_, _, first) = grouped_step(&tape, &[1, 2]);
+        let keep = tape.len();
+        let after_first = arena_lens(&tape);
+        assert_eq!(after_first, (2, 2));
+        // A second grouped node with different window counts extends
+        // both arenas; the leaf-only tail after it extends neither.
+        let _ = grouped_step(&tape, &[2, 1]);
+        let _ = tape.leaf(Tensor::ones(&[1]));
+        assert_eq!(arena_lens(&tape), (4, 4));
+
+        tape.reset_to(keep);
+        assert_eq!(tape.len(), keep);
+        assert_eq!(arena_lens(&tape), after_first);
+        assert_eq!(tape.dims(first), vec![3, 3]);
+        tape.reset_to(keep - 1);
+        assert_eq!(arena_lens(&tape), (0, 0));
+        let _ = grouped_step(&tape, &[1, 2]);
+        tape.reset();
+        assert_eq!((tape.len(), arena_lens(&tape)), (0, (0, 0)));
+    }
+
+    #[test]
+    fn rerecording_a_grouped_epoch_keeps_arena_lengths() {
+        let mut tape = Tape::new();
+        let keep = {
+            let _ = tape.leaf(Tensor::ones(&[1]));
+            tape.len()
+        };
+        let epoch = |tape: &Tape| {
+            let (_, _, y) = grouped_step(tape, &[2, 1]);
+            // Same window counts again: the counts are shared, the
+            // operands are not.
+            let ws = [1.0, 3.0].map(|v| tape.leaf(Tensor::filled(&[3, 1], v)));
+            let z = tape.group_matmul(y, ws, &[2, 1], 1);
+            let loss = tape.sum_all(z);
+            let _ = tape.backward(loss);
+        };
+        epoch(&tape);
+        let lens = arena_lens(&tape);
+        assert_eq!(lens, (4, 2));
+        for _ in 0..3 {
+            tape.reset_to(keep);
+            epoch(&tape);
+            assert_eq!(arena_lens(&tape), lens);
+        }
+    }
+
+    #[test]
+    fn grouped_node_kept_in_the_prefix_still_backpropagates() {
+        let loss_grads = |tape: &Tape, y: Var, x: Var, ws: [Var; 2]| {
+            let loss = tape.sum_all(tape.square(y));
+            let grads = tape.backward(loss);
+            [x, ws[0], ws[1]].map(|v| grads.get(v).unwrap().data().to_vec())
+        };
+        let reference = Tape::new();
+        let (x, ws, y) = grouped_step(&reference, &[1, 2]);
+        let want = loss_grads(&reference, y, x, ws);
+
+        let mut tape = Tape::new();
+        let (x, ws, y) = grouped_step(&tape, &[1, 2]);
+        let keep = tape.len();
+        let _ = grouped_step(&tape, &[3, 3]);
+        tape.reset_to(keep);
+        assert_eq!(loss_grads(&tape, y, x, ws), want);
     }
 
     #[test]

@@ -1,89 +1,30 @@
-//! Batched-window tape operations: one node per op across all windows.
+//! Window-block tape operations: ops over a stack of `W` window
+//! blocks (`[W·r, c]`, window `w` at row block `w`) recording one node
+//! for all windows.
 //!
-//! These power the batched forward path (`predict_batch` in
-//! `ema-models`): a window axis of `W` blocks is stacked into the row
-//! dimension, so an epoch records one node per model op instead of one
-//! per window per op. Every op here is **bit-identical** to its
-//! per-window twin in both directions:
+//! The cohort forward (`predict_cohort` in `ema-models`) uses them where
+//! an op's structure is shared by every window of every individual —
+//! the attention pooling (`stack_window_blocks`, `block_matmul`), the
+//! node-averaging and Chebyshev products (`block_lhs_matmul`,
+//! `block_matmul[_nt]`) — and `dropout_masked` for pre-drawn masks.
+//! Every op here is **bit-identical** to its per-window twin in both
+//! directions:
 //!
 //! * forward — the matmul kernel contract (`ema_tensor::linalg`) makes
 //!   each output row's accumulation independent of the batch height,
 //!   so row block `w` matches the per-window op on window `w` exactly;
 //!   blockwise ops run the per-window kernel per block outright;
 //! * backward — gradients along the stacked axis stay dense (row
-//!   blocks again match per window), while gradients of *shared*
-//!   operands (parameters, memoized constants) are deferred as
-//!   per-window pieces and replayed in the per-window graph's
-//!   accumulation order when the backward pass reaches the operand
-//!   (see the pending machinery in `Grads`/`Tape::backward_into`).
+//!   blocks again match per window), while the gradient of a *shared*
+//!   lhs is deferred as per-window pieces and replayed in the
+//!   per-window graph's accumulation order when the backward pass
+//!   reaches the operand (see the pending machinery in
+//!   `Grads`/`Tape::backward_into`).
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
 
 impl Tape {
-    /// Batched matrix product of a window-stacked lhs against one
-    /// shared rhs: `[W·r, k] x [k, n] -> [W·r, n]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_matmul(&self, x: Var, rhs: Var, wins: usize) -> Var {
-        let out = self.compute(|v| batched_rows_check(v[0], wins, v[0].matmul(v[1])), &[x, rhs]);
-        self.push(out, Op::BatchedMatmul(x, rhs, wins, false))
-    }
-
-    /// [`Tape::batched_matmul`] whose shared-rhs gradient pieces are
-    /// replayed *grouped*: each window's pieces fold into a temporary
-    /// before reaching the slot, replicating a per-window intermediate
-    /// node (e.g. a per-window transpose) in the reference graph.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_matmul_grouped(&self, x: Var, rhs: Var, wins: usize) -> Var {
-        let out = self.compute(|v| batched_rows_check(v[0], wins, v[0].matmul(v[1])), &[x, rhs]);
-        self.push(out, Op::BatchedMatmul(x, rhs, wins, true))
-    }
-
-    /// Batched `x · rhsᵀ` against one shared rhs:
-    /// `[W·r, k] x [n, k]ᵀ -> [W·r, n]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_matmul_nt(&self, x: Var, rhs: Var, wins: usize) -> Var {
-        let out = self.compute(|v| batched_rows_check(v[0], wins, v[0].matmul_nt(v[1])), &[x, rhs]);
-        self.push(out, Op::BatchedMatmulNT(x, rhs, wins))
-    }
-
-    /// Batched linear layer with shared weights: `x · wᵀ + bias` for
-    /// `x: [W·r, k]`, `w: [out, k]`, `bias: [out]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_linear(&self, x: Var, w: Var, bias: Var, wins: usize) -> Var {
-        let out = self.compute(
-            |v| batched_rows_check(v[0], wins, v[0].addmm(v[1], v[2])),
-            &[x, w, bias],
-        );
-        self.push(out, Op::BatchedAddmm(x, w, bias, wins))
-    }
-
-    /// Adds one shared `[c]` row vector to every row of a `[W·r, c]`
-    /// window stack.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_add_row_broadcast(&self, m: Var, row: Var, wins: usize) -> Var {
-        let out = self.compute(
-            |v| batched_rows_check(v[0], wins, v[0].add_row_broadcast(v[1])),
-            &[m, row],
-        );
-        self.push(out, Op::BatchedAddRow(m, row, wins))
-    }
-
     /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
     /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. The forward
     /// pass fuses all `W` products into **one** kernel call on a
@@ -187,8 +128,8 @@ impl Tape {
 
     /// Stacks `T` window-blocked states (each `[W·n, h]`) into
     /// `[W·T, n·h]`: output block `w`, row `t` holds the flattening of
-    /// state `t`'s block `w`. The batched twin of flattening each
-    /// state and stacking the flattenings per window.
+    /// state `t`'s block `w`. The window-stacked twin of flattening
+    /// each state and stacking the flattenings per window.
     ///
     /// # Panics
     /// Panics if `states` is empty, shapes differ, or `wins` does not
@@ -217,8 +158,8 @@ impl Tape {
     }
 
     /// Applies a pre-drawn inverted-dropout mask (entries `0` or
-    /// `1/(1-p)`). The batched forward path draws all windows' masks
-    /// up front in window-major order so the RNG consumes draws in
+    /// `1/(1-p)`). The cohort forward draws each individual's masks
+    /// up front in window-major order so its RNG consumes draws in
     /// exactly the per-window sequence (see `Tape::dropout`), then
     /// applies each via this op. Backward is identical to
     /// [`Tape::dropout`]'s.
@@ -235,19 +176,6 @@ impl Tape {
         );
         self.push(out, Op::Dropout(a, mask))
     }
-}
-
-/// Asserts the stacked row count divides into `wins` blocks and passes
-/// the computed output through.
-fn batched_rows_check(x: &Tensor, wins: usize, out: Tensor) -> Tensor {
-    assert!(wins > 0, "batched op needs at least one window");
-    assert_eq!(
-        x.dims()[0] % wins,
-        0,
-        "stacked rows {} not divisible by window count {wins}",
-        x.dims()[0]
-    );
-    out
 }
 
 /// Gathers a window stack `[W·r, n]` into the column-concatenated
@@ -299,100 +227,6 @@ mod tests {
     fn rand(dims: &[usize], seed: u64) -> Tensor {
         let mut rng = Rng64::seed_from(seed);
         Tensor::rand_normal(dims, 0.0, 1.0, &mut rng)
-    }
-
-    /// Runs the same computation per window on a reference tape and
-    /// asserts stacked values and every shared/stacked gradient match
-    /// bit for bit.
-    #[test]
-    fn batched_matmul_matches_per_window_graph() {
-        let wins = 3;
-        let (r, k, n) = (2, 4, 5);
-        let xv = rand(&[wins * r, k], 1);
-        let rhsv = rand(&[k, n], 2);
-
-        let tape = Tape::new();
-        let x = tape.leaf(xv.clone());
-        let rhs = tape.leaf(rhsv.clone());
-        let out = tape.batched_matmul(x, rhs, wins);
-        let loss = tape.mean_all(tape.square(out));
-        let grads = tape.backward(loss);
-
-        let reference = Tape::new();
-        let rrhs = reference.leaf(rhsv);
-        let mut outs = Vec::new();
-        let mut xs = Vec::new();
-        for w in 0..wins {
-            let xw = reference.leaf(xv.slice_rows(w * r, (w + 1) * r));
-            xs.push(xw);
-            outs.push(reference.matmul(xw, rrhs));
-        }
-        // Stack per-window outputs by vcat to get the same loss.
-        let stacked = outs
-            .iter()
-            .skip(1)
-            .fold(outs[0], |acc, &o| reference.vcat(acc, o));
-        let rloss = reference.mean_all(reference.square(stacked));
-        let rgrads = reference.backward(rloss);
-
-        assert_eq!(tape.value(out).data(), {
-            let mut all = Vec::new();
-            for &o in &outs {
-                all.extend_from_slice(reference.value(o).data());
-            }
-            all
-        });
-        assert_eq!(tape.value(loss).data(), reference.value(rloss).data());
-        // Shared rhs gradient: replayed pieces must equal the
-        // per-window accumulation bit for bit.
-        assert_eq!(
-            grads.get(rhs).unwrap().data(),
-            rgrads.get(rrhs).unwrap().data()
-        );
-        // Stacked x gradient row blocks match the per-window ones.
-        let dx = grads.get(x).unwrap();
-        for (w, &xw) in xs.iter().enumerate() {
-            assert_eq!(
-                &dx.data()[w * r * k..(w + 1) * r * k],
-                rgrads.get(xw).unwrap().data()
-            );
-        }
-    }
-
-    #[test]
-    fn batched_linear_matches_per_window_graph() {
-        let wins = 4;
-        let (r, k, o) = (3, 5, 2);
-        let xv = rand(&[wins * r, k], 3);
-        let wv = rand(&[o, k], 4);
-        let bv = rand(&[o], 5);
-
-        let tape = Tape::new();
-        let x = tape.leaf(xv.clone());
-        let w = tape.leaf(wv.clone());
-        let b = tape.leaf(bv.clone());
-        let out = tape.batched_linear(x, w, b, wins);
-        let loss = tape.mean_all(tape.square(out));
-        let grads = tape.backward(loss);
-
-        let reference = Tape::new();
-        let rw = reference.leaf(wv);
-        let rb = reference.leaf(bv);
-        let mut outs = Vec::new();
-        for win in 0..wins {
-            let xw = reference.leaf(xv.slice_rows(win * r, (win + 1) * r));
-            outs.push(reference.linear(xw, rw, rb));
-        }
-        let stacked = outs
-            .iter()
-            .skip(1)
-            .fold(outs[0], |acc, &o| reference.vcat(acc, o));
-        let rloss = reference.mean_all(reference.square(stacked));
-        let rgrads = reference.backward(rloss);
-
-        assert_eq!(tape.value(loss).data(), reference.value(rloss).data());
-        assert_eq!(grads.get(w).unwrap().data(), rgrads.get(rw).unwrap().data());
-        assert_eq!(grads.get(b).unwrap().data(), rgrads.get(rb).unwrap().data());
     }
 
     #[test]

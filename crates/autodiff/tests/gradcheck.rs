@@ -574,104 +574,6 @@ fn grad_gru_cell_all_three_parents() {
 }
 
 #[test]
-fn grad_batched_matmul_both_parents() {
-    // 3 windows of 2 rows sharing one rhs.
-    let x = rand(&[6, 4], 80);
-    let rhs = rand(&[4, 3], 81);
-    assert_gradients_close(&x, TOL, |t, v| {
-        let r = t.leaf(rhs.clone());
-        let p = t.batched_matmul(v, r, 3);
-        let sq = t.square(p);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&rhs, TOL, |t, v| {
-        let xl = t.leaf(x.clone());
-        let p = t.batched_matmul(xl, v, 3);
-        let sq = t.square(p);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_batched_matmul_grouped_replay() {
-    // The grouped flag only changes accumulation association on the
-    // shared side — the analytic gradient must still match finite
-    // differences exactly.
-    let x = rand(&[6, 4], 82);
-    let rhs = rand(&[4, 1], 83);
-    assert_gradients_close(&rhs, TOL, |t, v| {
-        let xl = t.leaf(x.clone());
-        let p = t.batched_matmul_grouped(xl, v, 3);
-        let sq = t.square(p);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_batched_matmul_nt_both_parents() {
-    let x = rand(&[6, 4], 84);
-    let rhs = rand(&[3, 4], 85);
-    assert_gradients_close(&x, TOL, |t, v| {
-        let r = t.leaf(rhs.clone());
-        let p = t.batched_matmul_nt(v, r, 2);
-        let sq = t.square(p);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&rhs, TOL, |t, v| {
-        let xl = t.leaf(x.clone());
-        let p = t.batched_matmul_nt(xl, v, 2);
-        let sq = t.square(p);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_batched_linear_all_three_parents() {
-    let x = rand(&[6, 3], 86);
-    let w = rand(&[5, 3], 87);
-    let b = rand(&[5], 88);
-    assert_gradients_close(&x, TOL, |t, v| {
-        let wl = t.leaf(w.clone());
-        let bl = t.leaf(b.clone());
-        let y = t.batched_linear(v, wl, bl, 3);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&w, TOL, |t, v| {
-        let xl = t.leaf(x.clone());
-        let bl = t.leaf(b.clone());
-        let y = t.batched_linear(xl, v, bl, 3);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&b, TOL, |t, v| {
-        let xl = t.leaf(x.clone());
-        let wl = t.leaf(w.clone());
-        let y = t.batched_linear(xl, wl, v, 3);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_batched_add_row_broadcast_both_parents() {
-    let m = rand(&[6, 3], 89);
-    let row = rand(&[3], 90);
-    assert_gradients_close(&m, TOL, |t, v| {
-        let r = t.leaf(row.clone());
-        let y = t.batched_add_row_broadcast(v, r, 3);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&row, TOL, |t, v| {
-        let ml = t.leaf(m.clone());
-        let y = t.batched_add_row_broadcast(ml, v, 3);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
 fn grad_block_lhs_matmul_both_parents() {
     // Shared [2, 3] lhs against 3 window blocks of [3, 4].
     let lhs = rand(&[2, 3], 91);
@@ -798,7 +700,7 @@ fn grad_group_linear_all_parents() {
                 _ => (t.leaf(w.clone()), t.leaf(b.clone())),
             })
             .collect();
-        let y = t.group_linear(xv, &params, &rows);
+        let y = t.group_linear(xv, params, &rows);
         let sq = t.square(y);
         t.sum_all(sq)
     };
@@ -839,7 +741,7 @@ fn grad_group_linear_blocks_all_parents() {
                 _ => (t.leaf(w.clone()), t.leaf(b.clone())),
             })
             .collect();
-        let y = t.group_linear_blocks(xv, &params, &wins, 2);
+        let y = t.group_linear_blocks(xv, params, &wins, 2);
         let sq = t.square(y);
         t.sum_all(sq)
     };
@@ -872,7 +774,7 @@ fn grad_group_matmul_all_parents() {
                 _ => t.leaf(r.clone()),
             })
             .collect();
-        let y = t.group_matmul(xv, &rhses, &wins, 2);
+        let y = t.group_matmul(xv, rhses, &wins, 2);
         let sq = t.square(y);
         t.sum_all(sq)
     };
@@ -900,7 +802,7 @@ fn grad_group_matmul_grouped_all_parents() {
                 _ => t.leaf(r.clone()),
             })
             .collect();
-        let y = t.group_matmul_grouped(xv, &rhses, &wins, 1);
+        let y = t.group_matmul_grouped(xv, rhses, &wins, 1);
         let sq = t.square(y);
         t.sum_all(sq)
     };
@@ -928,7 +830,7 @@ fn grad_group_matmul_nt_all_parents() {
                 _ => t.leaf(r.clone()),
             })
             .collect();
-        let y = t.group_matmul_nt(xv, &rhses, &wins, 3);
+        let y = t.group_matmul_nt(xv, rhses, &wins, 3);
         let sq = t.square(y);
         t.sum_all(sq)
     };
@@ -956,7 +858,7 @@ fn grad_group_add_row_broadcast_all_parents() {
                 _ => t.leaf(r.clone()),
             })
             .collect();
-        let y = t.group_add_row_broadcast(mv, &rows, &wins, 2);
+        let y = t.group_add_row_broadcast(mv, rows, &wins, 2);
         let sq = t.square(y);
         t.sum_all(sq)
     };
@@ -985,7 +887,7 @@ fn grad_group_block_lhs_matmul_all_parents() {
                 _ => t.leaf(l.clone()),
             })
             .collect();
-        let y = t.group_block_lhs_matmul(&lhses, xv, &wins);
+        let y = t.group_block_lhs_matmul(lhses, xv, &wins);
         let sq = t.square(y);
         t.sum_all(sq)
     };

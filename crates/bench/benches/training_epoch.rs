@@ -7,9 +7,12 @@
 use ema_autodiff::{Grads, Tape};
 use ema_bench::Harness;
 use ema_core::{train_model, TrainConfig};
-use ema_data::{make_windows, split_train_test};
+use ema_data::{make_windows, split_train_test, WindowedData};
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, ForwardCtx, LstmForecaster, ModelConfig, ModelKind, WindowBatch};
+use ema_models::{
+    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, LstmForecaster, ModelConfig, Mtgnn,
+    WindowBatch,
+};
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_obs::ObsMode;
 use ema_tensor::{Rng64, Tensor};
@@ -23,38 +26,41 @@ fn bench_epoch(c: &mut Harness) {
     let data = Tensor::rand_normal(&[80, V], 0.0, 1.0, &mut rng);
     let (train, _) = split_train_test(&data, 0.7);
     let windows = make_windows(&train, SEQ);
-    let targets = windows.targets_matrix();
     let graph = AdjacencyMatrix::new(Tensor::rand_uniform(&[V, V], 0.0, 1.0, &mut rng));
+    let cfg = ModelConfig::default();
+    bench_model(c, LstmForecaster::new(V, &cfg), &windows);
+    bench_model(c, A3tgcn::new(V, &graph, &cfg), &windows);
+    bench_model(c, Astgcn::new(V, SEQ, &graph, &cfg), &windows);
+    bench_model(c, Mtgnn::new(V, SEQ, Some(&graph), &cfg), &windows);
+}
 
-    for kind in ModelKind::all() {
-        let g = if kind.uses_graph() { Some(&graph) } else { None };
-        let mut model = build_model(kind, V, SEQ, &ModelConfig::default(), g);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
-        let mut drop_rng = Rng64::seed_from(2);
-        // Persistent workspaces, exactly like `ema_core::train_model`:
-        // the measured iteration is a *steady-state* epoch on the
-        // batched forward path (one tape graph over all windows) —
-        // tape node storage, gradient slots, the stacked window batch,
-        // the target-leaf tape prefix and pooled tensor buffers all
-        // carried over from the previous epoch.
-        let mut tape = Tape::new();
-        let mut grads = Grads::empty();
-        let batch = WindowBatch::from_windows(&windows.inputs);
-        let tgt = tape.leaf(targets.clone());
-        let keep = tape.len();
-        c.bench_function(&format!("train_epoch_{}", kind.label()), |b| {
-            b.iter(|| {
-                tape.reset_to(keep);
-                let binding = model.params().bind(&tape);
-                let mut ctx = ForwardCtx::train(&mut drop_rng);
-                let stacked = model.predict_batch(&tape, &binding, &batch, &mut ctx);
-                let loss = tape.mse(stacked, tgt);
-                tape.backward_into(loss, &mut grads);
-                adam.step(model.params_mut(), &binding, &grads);
-                black_box(tape.value(loss))
-            })
-        });
-    }
+/// `train_epoch_<model>`: one full-batch epoch of `model` alone — the
+/// cohort forward at B = 1, as `ema_core::train_model` runs it.
+fn bench_model<M: CohortForecaster>(c: &mut Harness, mut model: M, windows: &WindowedData) {
+    let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
+    let mut drop_rng = [Rng64::seed_from(2)];
+    // Persistent workspaces, exactly like `ema_core::train_cohort`: the
+    // measured iteration is a *steady-state* epoch (one tape graph over
+    // all windows) — tape node storage and grouped-op arenas, gradient
+    // slots, the stacked window batch, the target-leaf tape prefix and
+    // pooled tensor buffers all carried over from the previous epoch.
+    let mut tape = Tape::new();
+    let mut grads = Grads::empty();
+    let batch = CohortBatch::from_batches(&[&WindowBatch::from_windows(&windows.inputs)]);
+    let tgt = tape.leaf(windows.targets_matrix());
+    let keep = tape.len();
+    c.bench_function(&format!("train_epoch_{}", model.name()), |b| {
+        b.iter(|| {
+            tape.reset_to(keep);
+            let binding = model.params().bind(&tape);
+            let mut ctx = CohortCtx::train(&mut drop_rng);
+            let stacked = M::predict_cohort(&[&model], &tape, &[&binding], &batch, &mut ctx);
+            let loss = tape.mse(stacked, tgt);
+            tape.backward_into(loss, &mut grads);
+            adam.step(model.params_mut(), &binding, &grads);
+            black_box(tape.value(loss))
+        })
+    });
 }
 
 /// The observability tax: the same short LSTM training run timed under

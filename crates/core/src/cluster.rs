@@ -348,11 +348,11 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         cluster_spec.train_config.warm_start = None;
         let trained =
             train_shard(medoids.iter().map(|m| (m.id, &m.data)), &cluster_spec, None);
-        for (cluster, model) in trained.models.iter().enumerate() {
+        for cluster in 0..medoids.len() {
             // The miss records this cluster's training in the
             // cache-counter ledger (misses = trainings).
             assert!(cache.get(&model_key, &outcome, cluster).is_none());
-            let ckpt = Arc::new(Checkpoint::capture(model.params()));
+            let ckpt = Arc::new(Checkpoint::capture(trained.models.get(cluster).params()));
             cache.insert(&model_key, &outcome, cluster, ckpt);
         }
     }

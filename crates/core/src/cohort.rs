@@ -2,40 +2,21 @@
 //! graph per epoch, scheduled as streaming shard jobs on the
 //! [`crate::exec`] engine.
 //!
-//! [`run_cohort_batch`] runs one shard through the pipeline's runner
-//! body: every member is split, graphed and windowed as
-//! [`crate::pipeline::run_individual`] does, the shard trains with one
-//! [`crate::train::train_cohort`] call (one grouped forward per epoch
-//! while more than one member is active), and each member is evaluated
-//! on its own. Outcomes are bit-identical to
-//! [`crate::pipeline::run_individual`] on each member.
-//!
 //! [`run_cohort_sharded`] streams a synthetic study through the
 //! executor in shards of `shard_size` individuals: each shard job
 //! *generates* its slice of the study on the worker
-//! ([`EmaGenerator::generate_range`]), runs it, and drops the data — so
-//! peak memory is bounded by (workers × shard), not the study size.
-//! Results are byte-identical at every `(thread count, shard size)`
-//! pair.
+//! ([`EmaGenerator::generate_range`]), runs it through the pipeline's
+//! runner body — one [`crate::train::train_cohort`] call for the
+//! shard, then one eval forward — and drops the data, so peak memory
+//! is bounded by (workers × shard), not the study size. Results are
+//! byte-identical at every `(thread count, shard size)` pair and to
+//! [`crate::pipeline::run_individual`] on each member.
 
 use crate::cluster::{plan_clusters, TrainStrategy};
 use crate::exec::{expect_all, Executor, Job};
 use crate::pipeline::{run_shard, IndividualOutcome, RunSpec};
-use ema_data::{EmaGenerator, Individual};
+use ema_data::EmaGenerator;
 use ema_obs::span;
-
-/// Runs one shard of individuals through the runner body: one
-/// [`crate::train::train_cohort`] call for the whole shard, then
-/// per-individual evaluation. Outcomes are bit-identical to
-/// [`crate::pipeline::run_individual`] on each member.
-///
-/// # Panics
-/// Panics on an empty shard, or on the same data inconsistencies as
-/// [`crate::pipeline::run_individual`].
-#[must_use]
-pub fn run_cohort_batch(individuals: &[Individual], spec: &RunSpec) -> Vec<IndividualOutcome> {
-    run_shard(individuals.iter().map(|ind| (ind.id, &ind.data)), spec, None)
-}
 
 /// Streams a synthetic study through the executor in shards of
 /// `shard_size` individuals. Each shard becomes one [`Job`] that
@@ -98,7 +79,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{run_individual, GraphSpec};
     use crate::train::{train_cohort, train_model, TrainConfig};
-    use ema_data::{make_windows, split_train_test, GeneratorConfig};
+    use ema_data::{make_windows, split_train_test, GeneratorConfig, Individual};
     use ema_models::{Forecaster, LstmForecaster, ModelConfig, ModelKind};
 
     fn quick_spec() -> RunSpec {
@@ -206,13 +187,17 @@ mod tests {
         }
     }
 
-    /// A shard through `run_cohort_batch` must reproduce `run_individual`
-    /// on each member bit for bit — MSEs, losses, epoch counts, and
-    /// MTGNN's learned graph.
+    /// One shard through the runner body must reproduce
+    /// `run_individual` on each member bit for bit — MSEs, losses,
+    /// epoch counts, and MTGNN's learned graph.
     fn assert_cohort_batch_matches_run_individual(spec: &RunSpec) {
         let ds = generator().generate();
         let model = spec.model;
-        let got = run_cohort_batch(&ds.individuals, spec);
+        let got = run_shard(
+            ds.individuals.iter().map(|ind| (ind.id, &ind.data)),
+            spec,
+            None,
+        );
         for (o, ind) in got.iter().zip(&ds.individuals) {
             let want = run_individual(ind.id, &ind.data, spec);
             assert_eq!(o.mse, want.mse, "{model:?} individual {} mse", ind.id);

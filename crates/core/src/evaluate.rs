@@ -2,29 +2,38 @@
 
 use crate::train::predict_all;
 use ema_data::WindowedData;
-use ema_models::Forecaster;
+use ema_models::CohortForecaster;
 use ema_tensor::Tensor;
 
-/// Scores a model over a window set from one eval forward: the MSE
-/// (Eq. (1) for one individual — the squared error averaged over all
-/// test time points and variables) and the per-variable MSEs, length
-/// `V` (the paper's future-work note on per-variable error analysis).
+/// Scores every model over its own window set from one eval forward
+/// ([`predict_all`]): per model, the MSE (Eq. (1) for one individual —
+/// the squared error averaged over all test time points and variables)
+/// and the per-variable MSEs, length `V` (the paper's future-work note
+/// on per-variable error analysis).
 #[must_use]
-pub fn evaluate(model: &dyn Forecaster, windows: &WindowedData) -> (f64, Vec<f64>) {
-    let preds = predict_all(model, windows, 0);
-    let targets = windows.targets_matrix();
-    let (n, v) = (preds.dims()[0], preds.dims()[1]);
-    let per_variable = (0..v)
-        .map(|j| {
-            let mut acc = 0.0;
-            for i in 0..n {
-                let d = preds.at2(i, j) - targets.at2(i, j);
-                acc += d * d;
-            }
-            acc / n as f64
+pub fn evaluate<M: CohortForecaster>(
+    models: &[M],
+    windows: &[WindowedData],
+) -> Vec<(f64, Vec<f64>)> {
+    predict_all(models, windows)
+        .iter()
+        .zip(windows)
+        .map(|(preds, windows)| {
+            let targets = windows.targets_matrix();
+            let (n, v) = (preds.dims()[0], preds.dims()[1]);
+            let per_variable = (0..v)
+                .map(|j| {
+                    let mut acc = 0.0;
+                    for i in 0..n {
+                        let d = preds.at2(i, j) - targets.at2(i, j);
+                        acc += d * d;
+                    }
+                    acc / n as f64
+                })
+                .collect();
+            (preds.mse(&targets), per_variable)
         })
-        .collect();
-    (preds.mse(&targets), per_variable)
+        .collect()
 }
 
 /// MSE of the naive persistence baseline (predict `x_t = x_{t-1}`) over
@@ -57,7 +66,7 @@ pub fn zero_prediction_mse(windows: &WindowedData) -> f64 {
 mod tests {
     use super::*;
     use ema_data::make_windows;
-    use ema_models::{build_model, ModelConfig, ModelKind};
+    use ema_models::{LstmForecaster, ModelConfig};
 
     fn windows() -> WindowedData {
         let mut rng = ema_tensor::Rng64::seed_from(3);
@@ -65,19 +74,22 @@ mod tests {
         make_windows(&data, 2)
     }
 
+    fn evaluate_one(w: &WindowedData) -> (f64, Vec<f64>) {
+        let model = LstmForecaster::new(4, &ModelConfig::tiny(0));
+        evaluate(&[model], std::slice::from_ref(w))
+            .pop()
+            .expect("one score per model")
+    }
+
     #[test]
     fn mse_is_nonnegative_and_finite() {
-        let w = windows();
-        let model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(0), None);
-        let (mse, _) = evaluate(&*model, &w);
+        let (mse, _) = evaluate_one(&windows());
         assert!(mse.is_finite() && mse >= 0.0);
     }
 
     #[test]
     fn per_variable_mse_averages_to_total() {
-        let w = windows();
-        let model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(0), None);
-        let (total, per_var) = evaluate(&*model, &w);
+        let (total, per_var) = evaluate_one(&windows());
         let mean: f64 = per_var.iter().sum::<f64>() / per_var.len() as f64;
         assert!((mean - total).abs() < 1e-9);
     }

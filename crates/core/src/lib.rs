@@ -44,18 +44,16 @@ pub mod exec;
 pub mod experiments;
 pub mod forecast;
 pub mod json;
-pub mod metrics;
 pub mod pipeline;
 pub mod results;
 pub mod train;
 
 pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterCheckpointCache, ClusterPlan, TrainStrategy};
-pub use cohort::{run_cohort_batch, run_cohort_sharded};
+pub use cohort::run_cohort_sharded;
 pub use exec::{Backend, Executor, Job, JobError, JobResult};
 pub use forecast::{horizon_mse, iterative_forecast};
 pub use json::{Json, JsonError};
-pub use metrics::{compute_metrics, evaluate_metrics, ForecastMetrics};
 pub use pipeline::{
     graph_for_individual, run_cohort, run_cohort_with, run_individual, GraphSpec,
     IndividualOutcome, RunSpec,

@@ -81,8 +81,8 @@ pub struct RunSpec {
     /// (idiographic) or warm-started from K-medoids cluster
     /// checkpoints ([`crate::cluster`]). Only
     /// [`crate::cohort::run_cohort_sharded`] applies the strategy;
-    /// direct [`run_individual`] / [`crate::cohort::run_cohort_batch`]
-    /// calls always train idiographically.
+    /// [`run_individual`] and [`run_cohort_with`] always train
+    /// idiographically.
     pub train_strategy: TrainStrategy,
 }
 
@@ -139,10 +139,31 @@ pub fn graph_for_individual(
 /// A shard of individuals after training, in member order.
 pub(crate) struct TrainedShard {
     ids: Vec<usize>,
-    pub(crate) models: Vec<Box<dyn Forecaster>>,
+    pub(crate) models: Box<dyn ShardModels>,
     reports: Vec<TrainReport>,
     tests: Vec<WindowedData>,
     graphs: Vec<Option<AdjacencyMatrix>>,
+}
+
+/// A trained shard's models: one concrete model kind behind a trait
+/// object, so the shard body keeps its one `match` on [`ModelKind`]
+/// while evaluation still runs the concrete cohort forward.
+pub(crate) trait ShardModels {
+    /// Member `b`'s model.
+    fn get(&self, b: usize) -> &dyn Forecaster;
+    /// Every member's test MSE and per-variable MSEs, from one eval
+    /// forward over the shard ([`evaluate`]).
+    fn evaluate(&self, tests: &[WindowedData]) -> Vec<(f64, Vec<f64>)>;
+}
+
+impl<M: CohortForecaster> ShardModels for Vec<M> {
+    fn get(&self, b: usize) -> &dyn Forecaster {
+        &self[b]
+    }
+
+    fn evaluate(&self, tests: &[WindowedData]) -> Vec<(f64, Vec<f64>)> {
+        evaluate(self, tests)
+    }
 }
 
 /// Trains a shard of `(id, data)` members with one [`train_cohort`]
@@ -246,18 +267,17 @@ fn train_models<M: CohortForecaster + 'static>(
     windows: &[WindowedData],
     configs: &[TrainConfig],
     build: impl Fn(usize, Option<&AdjacencyMatrix>) -> M,
-) -> (Vec<Box<dyn Forecaster>>, Vec<TrainReport>) {
+) -> (Box<dyn ShardModels>, Vec<TrainReport>) {
     let mut models: Vec<M> =
         vars.iter().zip(graphs).map(|(&v, g)| build(v, g.as_ref())).collect();
     let reports = train_cohort(&mut models, windows, configs);
-    let models = models.into_iter().map(|m| Box::new(m) as Box<dyn Forecaster>).collect();
-    (models, reports)
+    (Box::new(models), reports)
 }
 
 /// The runner body: trains a shard of `(id, data)` members
-/// ([`train_shard`]), then evaluates each member with one eval forward
-/// (`evaluate` span). Outcomes come back in member order and are
-/// bit-identical whatever the shard's size or composition.
+/// ([`train_shard`]), then evaluates the whole shard with one eval
+/// forward (`evaluate` span). Outcomes come back in member order and
+/// are bit-identical whatever the shard's size or composition.
 pub(crate) fn run_shard<'a>(
     members: impl IntoIterator<Item = (usize, &'a Tensor)>,
     spec: &RunSpec,
@@ -266,47 +286,54 @@ pub(crate) fn run_shard<'a>(
     let _kernel = spec.train_config.kernel_backend.scoped();
     let shard = train_shard(members, spec, plan);
     let fine_tuned = plan.is_some();
+    let scores = {
+        let _eval_span = span!("evaluate", individuals = shard.ids.len());
+        shard.models.evaluate(&shard.tests)
+    };
+    let models = &shard.models;
     shard
         .ids
         .into_iter()
-        .zip(shard.models)
+        .enumerate()
         .zip(shard.reports)
-        .zip(shard.tests)
+        .zip(scores)
         .zip(shard.graphs)
-        .map(|((((id, model), report), test), graph_used)| {
-            let _eval_span = span!("evaluate", individual = id, windows = test.len());
-            let (mse, per_variable_mse) = evaluate(&*model, &test);
-            // Extract the learned graph from MTGNN for Experiment C.
-            let learned_graph = (spec.model == ModelKind::Mtgnn && spec.learn_graph).then(|| {
-                model
-                    .as_any_mtgnn()
-                    .expect("MTGNN model exposes its learned graph")
-                    .learned_graph()
-            });
-            if fine_tuned {
-                ema_obs::recorder().observe(
-                    "cluster.fine_tune_epochs",
-                    &EPOCH_BUCKETS,
-                    report.epochs_run as f64,
-                );
-            }
-            // Kernel work from graph build and evaluation lands in the
-            // current phase before the job's span closes; take-semantics
-            // keep this and the executor's job-level drain from double
-            // counting.
-            ema_obs::drain_kernel_counters();
-            IndividualOutcome {
-                id,
-                mse,
-                per_variable_mse,
-                // 0.0 stands in for "no training loss" on a 0-epoch
-                // warm-start restore run (nomothetic serving).
-                final_train_loss: report.final_loss_or(0.0),
-                epochs_run: report.epochs_run,
-                graph_used,
-                learned_graph,
-            }
-        })
+        .map(
+            |((((b, id), report), (mse, per_variable_mse)), graph_used)| {
+                // Extract the learned graph from MTGNN for Experiment C.
+                let learned_graph =
+                    (spec.model == ModelKind::Mtgnn && spec.learn_graph).then(|| {
+                        models
+                            .get(b)
+                            .as_any_mtgnn()
+                            .expect("MTGNN model exposes its learned graph")
+                            .learned_graph()
+                    });
+                if fine_tuned {
+                    ema_obs::recorder().observe(
+                        "cluster.fine_tune_epochs",
+                        &EPOCH_BUCKETS,
+                        report.epochs_run as f64,
+                    );
+                }
+                // Kernel work from graph build and evaluation lands in the
+                // current phase before the job's span closes; take-semantics
+                // keep this and the executor's job-level drain from double
+                // counting.
+                ema_obs::drain_kernel_counters();
+                IndividualOutcome {
+                    id,
+                    mse,
+                    per_variable_mse,
+                    // 0.0 stands in for "no training loss" on a 0-epoch
+                    // warm-start restore run (nomothetic serving).
+                    final_train_loss: report.final_loss_or(0.0),
+                    epochs_run: report.epochs_run,
+                    graph_used,
+                    learned_graph,
+                }
+            },
+        )
         .collect()
 }
 

@@ -4,7 +4,7 @@
 use crate::checkpoint::Checkpoint;
 use ema_autodiff::{Grads, Tape, Var};
 use ema_data::WindowedData;
-use ema_models::{CohortBatch, CohortCtx, CohortForecaster, Forecaster, ForwardCtx, WindowBatch};
+use ema_models::{CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
 use ema_nn::{global_grad_norm, Adam, Binding, Optimizer, OptimizerConfig};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
@@ -154,10 +154,8 @@ pub fn train_model<M: CohortForecaster>(
     reports.pop().expect("one report per model")
 }
 
-/// One individual's constant inputs and its training record.
+/// One individual's target leaf and its training record.
 struct Member {
-    /// The individual's windows, stacked once for the whole run.
-    batch: WindowBatch,
     /// The target matrix's leaf in the persistent tape prefix.
     target: Var,
     losses: Vec<f64>,
@@ -167,24 +165,25 @@ struct Member {
     early_stopped: bool,
 }
 
-/// The grouped forward's input for the active members, or `None` when
-/// one member trains alone (on the window-batched forward).
-fn stack(members: &[Member], active: &[usize]) -> Option<CohortBatch> {
-    (active.len() > 1).then(|| {
-        CohortBatch::from_batches(&active.iter().map(|&i| &members[i].batch).collect::<Vec<_>>())
-    })
+/// The cohort forward's input: the given members' windows, stacked.
+/// The per-member window batches are transient, so a training group
+/// holds one copy of its windows.
+fn stack<'a>(windows: impl Iterator<Item = &'a WindowedData>) -> CohortBatch {
+    let batches: Vec<WindowBatch> = windows
+        .map(|w| WindowBatch::from_windows(&w.inputs))
+        .collect();
+    CohortBatch::from_batches(&batches.iter().collect::<Vec<_>>())
 }
 
 /// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`:
 /// the training loop. Every epoch forwards the whole active group
-/// through one tape graph, sums the per-individual MSE losses into one
-/// scalar and runs one backward pass, then each individual takes its
-/// own Adam step. The forward is picked by the group size:
-/// [`Forecaster::predict_batch`] while one individual is active,
-/// [`CohortForecaster::predict_cohort`] otherwise. The two are
-/// bit-identical per individual (values, gradients and RNG draws;
-/// enforced by `crates/models/tests/batched_equivalence.rs`), so every
-/// individual's result is independent of who shares its group.
+/// through one [`CohortForecaster::predict_cohort`] graph, sums the
+/// per-individual MSE losses into one scalar and runs one backward
+/// pass, then each individual takes its own Adam step. The cohort
+/// forward is bit-identical per individual to its windows run one at a
+/// time (values, gradients and RNG draws; enforced by
+/// `crates/models/tests/batched_equivalence.rs`), so every individual's
+/// result is independent of who shares its group, one member or many.
 ///
 /// Each loss node receives exactly the seed gradient `1.0` through the
 /// pairwise add chain, and per-individual state (Adam moments, RNG
@@ -240,18 +239,18 @@ pub fn train_cohort<M: CohortForecaster>(
     }
 
     // One tape and one gradient workspace for the whole run: reset
-    // keeps the node storage between epochs and recycles every tensor
-    // buffer through the pool, so steady-state epochs allocate almost
-    // nothing. The window batches and targets are constant: each target
-    // is a leaf in a persistent tape prefix that `reset_to` keeps
-    // alive. Vars do not survive reset, so parameters rebind per epoch.
+    // keeps the node storage (and the grouped-op arenas) between epochs
+    // and recycles every tensor buffer through the pool, so
+    // steady-state epochs allocate almost nothing. The targets are
+    // constant: each is a leaf in a persistent tape prefix that
+    // `reset_to` keeps alive. Vars do not survive reset, so parameters
+    // rebind per epoch.
     let mut tape = Tape::new();
     let mut grads = Grads::empty();
     let mut members: Vec<Member> = windows
         .iter()
         .zip(configs)
         .map(|(w, c)| Member {
-            batch: WindowBatch::from_windows(&w.inputs),
             target: tape.leaf(w.targets_matrix()),
             losses: Vec::with_capacity(c.epochs),
             grad_norms: Vec::with_capacity(c.epochs),
@@ -278,45 +277,36 @@ pub fn train_cohort<M: CohortForecaster>(
             })
         })
         .collect();
-    let mut cohort_batch = stack(&members, &active);
+    // The active members' stacked windows, rebuilt whenever the group
+    // shrinks.
+    let mut cohort: Option<CohortBatch> = None;
     let mut bindings: Vec<Binding> = Vec::with_capacity(active.len());
     let mut loss_vars: Vec<Var> = Vec::with_capacity(active.len());
     let mut epoch = 0usize;
     while !active.is_empty() {
+        let batch = cohort.get_or_insert_with(|| stack(active.iter().map(|&i| &windows[i])));
         tape.reset_to(keep);
         bindings.clear();
         bindings.extend(active.iter().map(|&i| models[i].params().bind(&tape)));
-        loss_vars.clear();
-        let total = match &cohort_batch {
-            None => {
-                let (i, mut ctx) = (active[0], ForwardCtx::train(&mut rngs[0]));
-                let batch = &members[i].batch;
-                let out = models[i].predict_batch(&tape, &bindings[0], batch, &mut ctx);
-                let loss = tape.mse(out, members[i].target);
-                loss_vars.push(loss);
-                loss
-            }
-            Some(batch) => {
-                let group: Vec<&M> = active.iter().map(|&i| &models[i]).collect();
-                let binding_refs: Vec<&Binding> = bindings.iter().collect();
-                let mut ctx = CohortCtx::train(&mut rngs);
-                let out = M::predict_cohort(&group, &tape, &binding_refs, batch, &mut ctx);
-                // Per-individual MSE over each row block, summed
-                // pairwise: the add chain hands every loss node the seed
-                // gradient 1.0, so individual b's backward matches its
-                // standalone graph.
-                let mut total = None;
-                for (pos, &i) in active.iter().enumerate() {
-                    let off = batch.offset(pos);
-                    let pred = tape.slice_rows(out, off, off + batch.group_wins()[pos]);
-                    let loss = tape.mse(pred, members[i].target);
-                    loss_vars.push(loss);
-                    total = Some(total.map_or(loss, |acc| tape.add(acc, loss)));
-                }
-                total.expect("non-empty active group")
-            }
+        let out = {
+            let group: Vec<&M> = active.iter().map(|&i| &models[i]).collect();
+            let binding_refs: Vec<&Binding> = bindings.iter().collect();
+            let mut ctx = CohortCtx::train(&mut rngs);
+            M::predict_cohort(&group, &tape, &binding_refs, batch, &mut ctx)
         };
-        tape.backward_into(total, &mut grads);
+        // Per-individual MSE over each row block, summed pairwise: the
+        // add chain hands every loss node the seed gradient 1.0, so
+        // individual b's backward matches its standalone graph.
+        loss_vars.clear();
+        let mut total = None;
+        for (pos, &i) in active.iter().enumerate() {
+            let off = batch.offset(pos);
+            let pred = tape.slice_rows(out, off, off + batch.group_wins()[pos]);
+            let loss = tape.mse(pred, members[i].target);
+            loss_vars.push(loss);
+            total = Some(total.map_or(loss, |acc| tape.add(acc, loss)));
+        }
+        tape.backward_into(total.expect("non-empty active group"), &mut grads);
 
         // Step every active individual, then compact the active state in
         // place: a member that stays moves down to `kept`.
@@ -381,7 +371,7 @@ pub fn train_cohort<M: CohortForecaster>(
             active.truncate(kept);
             rngs.truncate(kept);
             adams.truncate(kept);
-            cohort_batch = stack(&members, &active);
+            cohort = None;
         }
     }
     // Attribute the run's kernel work to the current phase; under the
@@ -399,27 +389,41 @@ pub fn train_cohort<M: CohortForecaster>(
         .collect()
 }
 
-/// Predicts every window in evaluation mode, returning `[n, V]`.
+/// Eval-mode predictions of every model over its own window set, from
+/// one [`CohortForecaster::predict_cohort`] over the group: element `b`
+/// is `models[b]`'s `[n_b, V]` prediction matrix. Eval mode draws no
+/// randomness, so the rows are bit-identical to per-window
+/// `Forecaster::predict` calls.
 ///
-/// Runs the batched forward (one tape graph for all windows); eval
-/// mode draws no randomness, so the rows are bit-identical to
-/// per-window [`Forecaster::predict`] calls.
+/// # Panics
+/// Panics on an empty group, a length mismatch or an empty window set.
 #[must_use]
-pub fn predict_all(model: &dyn Forecaster, windows: &WindowedData, seed: u64) -> Tensor {
-    let mut rng = Rng64::seed_from(seed);
-    let batch = WindowBatch::from_windows(&windows.inputs);
+pub fn predict_all<M: CohortForecaster>(models: &[M], windows: &[WindowedData]) -> Vec<Tensor> {
+    assert_eq!(models.len(), windows.len(), "one window set per model");
+    let batch = stack(windows.iter());
     let tape = Tape::new();
-    let binding = model.params().bind(&tape);
-    let mut ctx = ForwardCtx::eval(&mut rng);
-    let out = model.predict_batch(&tape, &binding, &batch, &mut ctx);
-    tape.value(out)
+    let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
+    let group: Vec<&M> = models.iter().collect();
+    // Eval mode draws nothing; the streams only fill the context.
+    let mut rngs: Vec<Rng64> = models.iter().map(|_| Rng64::seed_from(0)).collect();
+    let out = M::predict_cohort(
+        &group,
+        &tape,
+        &bindings.iter().collect::<Vec<_>>(),
+        &batch,
+        &mut CohortCtx::eval(&mut rngs),
+    );
+    let preds = tape.value(out);
+    (0..models.len())
+        .map(|b| preds.slice_rows(batch.offset(b), batch.offset(b + 1)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ema_data::make_windows;
-    use ema_models::{build_model, LstmForecaster, ModelConfig, ModelKind};
+    use ema_models::{LstmForecaster, ModelConfig};
 
     fn toy_windows(seq: usize) -> WindowedData {
         // A predictable AR(1)-ish series: x_t = 0.8 x_{t-1}.
@@ -476,10 +480,15 @@ mod tests {
 
     #[test]
     fn predict_all_shape() {
-        let windows = toy_windows(3);
-        let model = build_model(ModelKind::Lstm, 3, 3, &ModelConfig::tiny(0), None);
-        let preds = predict_all(&*model, &windows, 0);
-        assert_eq!(preds.dims(), &[windows.len(), 3]);
+        let windows = [toy_windows(3), toy_windows(3)];
+        let models = [
+            LstmForecaster::new(3, &ModelConfig::tiny(0)),
+            LstmForecaster::new(3, &ModelConfig::tiny(1)),
+        ];
+        let preds = predict_all(&models, &windows);
+        for (p, w) in preds.iter().zip(&windows) {
+            assert_eq!(p.dims(), &[w.len(), 3]);
+        }
     }
 
     #[test]

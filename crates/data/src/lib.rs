@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 mod dataset;
-pub mod impute;
 pub mod io;
 pub mod preprocess;
 pub mod synthetic;

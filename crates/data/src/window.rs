@@ -36,25 +36,6 @@ impl WindowedData {
         assert!(!self.is_empty(), "no windows to stack");
         Tensor::stack_rows(&self.targets)
     }
-
-    /// Stacks all input windows along the row axis into a
-    /// `[len·seq_len, V]` tensor — the `[W, s, V]` batch flattened,
-    /// with window `w` occupying row block `w`. Row block `w` is
-    /// byte-identical to `inputs[w]`; this is the layout the batched
-    /// forward path (`ema_models::WindowBatch`) consumes.
-    ///
-    /// # Panics
-    /// Panics when empty.
-    #[must_use]
-    pub fn stacked_inputs(&self) -> Tensor {
-        assert!(!self.is_empty(), "no windows to stack");
-        let dims = self.inputs[0].dims();
-        let mut data = Vec::with_capacity(self.len() * dims[0] * dims[1]);
-        for win in &self.inputs {
-            data.extend_from_slice(win.data());
-        }
-        Tensor::from_vec(&[self.len() * dims[0], dims[1]], data).expect("stack shape")
-    }
 }
 
 /// Splits a `[T, V]` series sequentially: the first

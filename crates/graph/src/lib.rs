@@ -18,10 +18,8 @@
 
 mod adjacency;
 pub mod chebyshev;
-pub mod export;
 pub mod normalize;
 pub mod random;
-pub mod sparse;
 pub mod sparsify;
 pub mod stats;
 

@@ -6,9 +6,9 @@
 //! attention module pools the hidden states into a context that a
 //! per-node head maps to the 1-lag prediction.
 
-use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
-use crate::gcn::{gcn_layer, gcn_layer_batched, gcn_layer_grouped};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::gcn::{gcn_layer, gcn_layer_grouped};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{normalize, AdjacencyMatrix};
 use ema_nn::{Binding, Initializer, ParamId, ParamStore, TemporalAttention};
@@ -137,56 +137,11 @@ impl A3tgcn {
         tape.add(uh, c_minus_uc)
     }
 
-    /// [`A3tgcn::tgcn_step`] over `wins` window row-blocks:
-    /// `x: [W·V, 1]`, `h: [W·V, H]`, mirroring the per-window op order
-    /// exactly so every row block — and every parameter-gradient
-    /// accumulation — is bit-identical.
-    fn tgcn_step_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        a_hat: Var,
-        x: Var,
-        h: Var,
-        wins: usize,
-    ) -> Var {
-        let xh = tape.hcat(x, h); // [W·V, 1 + H]
-        let xh_prop = tape.block_lhs_matmul(a_hat, xh, wins); // [W·V, 1 + H]
-        let u_pre = tape.batched_linear(
-            xh_prop,
-            binding.var(self.update.w),
-            binding.var(self.update.b),
-            wins,
-        );
-        let u = tape.sigmoid(u_pre);
-        let r_pre = tape.batched_linear(
-            xh_prop,
-            binding.var(self.reset.w),
-            binding.var(self.reset.b),
-            wins,
-        );
-        let r = tape.sigmoid(r_pre);
-        let rh = tape.mul(r, h);
-        let xrh = tape.hcat(x, rh);
-        let c_pre = gcn_layer_batched(
-            tape,
-            a_hat,
-            xrh,
-            binding.var(self.candidate.w),
-            binding.var(self.candidate.b),
-            wins,
-        );
-        let c = tape.tanh(c_pre);
-        let uh = tape.mul(u, h);
-        let uc = tape.mul(u, c);
-        let c_minus_uc = tape.sub(c, uc);
-        tape.add(uh, c_minus_uc)
-    }
-
-    /// [`A3tgcn::tgcn_step_batched`] over a cohort stack: each
-    /// individual's window blocks propagate through its *own* `a_hat`
-    /// and gate parameters via the grouped ops, in the exact batched op
-    /// order so every row block is bit-identical.
+    /// [`A3tgcn::tgcn_step`] over a cohort stack (`x: [Σ W_b·V, 1]`,
+    /// `h: [Σ W_b·V, H]`): each individual's window blocks propagate
+    /// through its *own* `a_hat` and gate parameters via the grouped
+    /// ops, in the per-window op order so every row block — and every
+    /// parameter-gradient accumulation — is bit-identical.
     #[allow(clippy::too_many_arguments)]
     fn tgcn_step_grouped(
         group: &[&Self],
@@ -198,29 +153,25 @@ impl A3tgcn {
         group_wins: &[usize],
         v: usize,
     ) -> Var {
-        let pairs = |f: &dyn Fn(&Self) -> (ParamId, ParamId)| -> Vec<(Var, Var)> {
-            group
-                .iter()
-                .zip(bindings)
-                .map(|(m, bind)| {
-                    let (w, b) = f(m);
-                    (bind.var(w), bind.var(b))
-                })
-                .collect()
+        let gate = |pick: fn(&Self) -> &Gate| {
+            each_member(group, bindings, move |m, bind| {
+                let gate = pick(m);
+                (bind.var(gate.w), bind.var(gate.b))
+            })
         };
         let xh = tape.hcat(x, h); // [Σ W_b·V, 1 + H]
-        let xh_prop = tape.group_block_lhs_matmul(a_hats, xh, group_wins);
-        let update = pairs(&|m| (m.update.w, m.update.b));
-        let u_pre = tape.group_linear_blocks(xh_prop, &update, group_wins, v);
+                                  // Update and reset read the same graph-propagated features.
+        let xh_prop = tape.group_block_lhs_matmul(a_hats.iter().copied(), xh, group_wins);
+        let u_pre = tape.group_linear_blocks(xh_prop, gate(|m| &m.update), group_wins, v);
         let u = tape.sigmoid(u_pre);
-        let reset = pairs(&|m| (m.reset.w, m.reset.b));
-        let r_pre = tape.group_linear_blocks(xh_prop, &reset, group_wins, v);
+        let r_pre = tape.group_linear_blocks(xh_prop, gate(|m| &m.reset), group_wins, v);
         let r = tape.sigmoid(r_pre);
         let rh = tape.mul(r, h);
         let xrh = tape.hcat(x, rh);
-        let candidate = pairs(&|m| (m.candidate.w, m.candidate.b));
-        let c_pre = gcn_layer_grouped(tape, a_hats, xrh, &candidate, group_wins, v);
+        let candidate = gate(|m| &m.candidate);
+        let c_pre = gcn_layer_grouped(tape, a_hats.iter().copied(), xrh, candidate, group_wins, v);
         let c = tape.tanh(c_pre);
+        // h' = u ⊙ h + (1 − u) ⊙ c
         let uh = tape.mul(u, h);
         let uc = tape.mul(u, c);
         let c_minus_uc = tape.sub(c, uc);
@@ -276,46 +227,6 @@ impl Forecaster for A3tgcn {
         let pred = tape.linear(dropped, binding.var(self.head_w), binding.var(self.head_b)); // [V, 1]
         tape.flatten(pred)
     }
-
-    fn predict_batch(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
-    ) -> Var {
-        assert_eq!(batch.num_vars(), self.num_variables, "batch width");
-        let wins = batch.wins();
-        let seq = batch.seq_len();
-        let v = self.num_variables;
-        let a_hat = ctx.memo("a3tgcn_a_hat", || tape.leaf(self.a_hat.clone()));
-        let mut h = ctx.memo("a3tgcn_h0", || {
-            tape.leaf(Tensor::zeros(&[wins * v, self.hidden]))
-        });
-        let mut states = Vec::with_capacity(seq);
-        for t in 0..seq {
-            // Step t's [W, V] rows reshape to the window-blocked
-            // [W·V, 1] node-feature column.
-            let x = tape.leaf(batch.step(t).reshaped(&[wins * v, 1]));
-            h = self.tgcn_step_batched(tape, binding, a_hat, x, h, wins);
-            states.push(h);
-        }
-        let ctx_state = if self.use_attention {
-            self.attention.forward_batched(tape, binding, &states, wins) // [W·V, H]
-        } else {
-            *states.last().expect("non-empty window")
-        };
-        // [W·V, H] mask rows are drawn window-major — the per-window
-        // draw sequence exactly.
-        let dropped = tape.dropout(ctx_state, self.dropout, ctx.training, ctx.rng);
-        let pred = tape.batched_linear(
-            dropped,
-            binding.var(self.head_w),
-            binding.var(self.head_b),
-            wins,
-        ); // [W·V, 1]
-        tape.reshape(pred, &[wins, v])
-    }
 }
 
 impl CohortForecaster for A3tgcn {
@@ -363,22 +274,19 @@ impl CohortForecaster for A3tgcn {
             states.push(h);
         }
         let ctx_state = if first.use_attention {
-            let attns: Vec<&TemporalAttention> = group.iter().map(|m| &m.attention).collect();
-            TemporalAttention::forward_grouped(&attns, tape, bindings, &states, group_wins)
+            let attns = each_member(group, bindings, |m, bind| (&m.attention, bind));
+            TemporalAttention::forward_grouped(attns, tape, &states, group_wins)
         } else {
             *states.last().expect("non-empty window")
         };
         // Each individual's [W_b·V, H] mask rows come from its own
         // stream in the per-window (window-major) draw order.
-        let rates: Vec<f64> = group.iter().map(|m| m.dropout).collect();
-        let node_rows: Vec<usize> = group_wins.iter().map(|&w| w * v).collect();
-        let dropped = cohort_dropout(tape, ctx_state, &rates, &node_rows, ctx);
-        let heads: Vec<(Var, Var)> = group
-            .iter()
-            .zip(bindings)
-            .map(|(m, bind)| (bind.var(m.head_w), bind.var(m.head_b)))
-            .collect();
-        let pred = tape.group_linear_blocks(dropped, &heads, group_wins, v); // [Σ W_b·V, 1]
+        let rates = group.iter().map(|m| m.dropout);
+        let dropped = cohort_dropout(tape, ctx_state, rates, group_wins, v, ctx);
+        let heads = each_member(group, bindings, |m, bind| {
+            (bind.var(m.head_w), bind.var(m.head_b))
+        });
+        let pred = tape.group_linear_blocks(dropped, heads, group_wins, v); // [Σ W_b·V, 1]
         tape.reshape(pred, &[total, v])
     }
 }

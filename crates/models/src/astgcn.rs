@@ -11,8 +11,8 @@
 //! 3. a **temporal convolution** condenses the attended sequence;
 //! 4. a per-node affine head emits the 1-lag prediction.
 
-use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{chebyshev, AdjacencyMatrix};
 use ema_nn::{Binding, DilatedTemporalConv, Initializer, ParamId, ParamStore};
@@ -223,98 +223,6 @@ impl Forecaster for Astgcn {
         let pred = tape.linear(dropped, binding.var(self.head_w), binding.var(self.head_b));
         tape.flatten(pred) // [V]
     }
-
-    fn predict_batch(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
-    ) -> Var {
-        assert_eq!(batch.num_vars(), self.num_variables, "batch width");
-        assert_eq!(
-            batch.seq_len(),
-            self.seq_len,
-            "ASTGCN was built for seq_len {} but got {}",
-            self.seq_len,
-            batch.seq_len()
-        );
-        let wins = batch.wins();
-        let s = self.seq_len;
-        let v = self.num_variables;
-
-        // X blocks [V, s] (variables over time) and Xᵀ blocks [s, V]
-        // as two constant leaves — the per-window path's Transpose node
-        // only fed gradient back into the data leaf, so splitting the
-        // layouts loses nothing.
-        let x_all = tape.leaf(batch.stacked_transposed().clone()); // [W·V, s]
-        let xt_all = tape.leaf(batch.stacked().clone()); // [W·s, V]
-        // Temporal attention E per window: [s, s] blocks.
-        let u1 = tape.batched_matmul(xt_all, binding.var(self.ta_p1), wins); // [W·s, d]
-        let u2 = tape.batched_matmul(xt_all, binding.var(self.ta_p2), wins); // [W·s, d]
-        let e_pre = tape.block_matmul_nt(u1, u2, wins); // [W·s, s]
-        let e_act = tape.sigmoid(e_pre);
-        let e = tape.softmax_last(e_act);
-        let x_hat = tape.block_matmul_nt(x_all, e, wins); // [W·V, s]
-
-        // Spatial attention S per window: [V, V] blocks.
-        let e1 = tape.batched_matmul(x_all, binding.var(self.sa_w1), wins); // [W·V, d]
-        let e2 = tape.batched_matmul(x_all, binding.var(self.sa_w2), wins); // [W·V, d]
-        let s_pre = tape.block_matmul_nt(e1, e2, wins); // [W·V, V]
-        let s_act = tape.sigmoid(s_pre);
-        let s_attn = tape.softmax_last(s_act);
-
-        // Chebyshev constants tiled across windows so the elementwise
-        // mask and blockwise propagation line up per window.
-        let cheb_vars: Vec<Var> = self
-            .cheb
-            .iter()
-            .map(|t_k| {
-                let mut tiled = Vec::with_capacity(wins * v * v);
-                for _ in 0..wins {
-                    tiled.extend_from_slice(t_k.data());
-                }
-                tape.leaf(Tensor::from_vec(&[wins * v, v], tiled).expect("cheb tile"))
-            })
-            .collect();
-        let mut steps = Vec::with_capacity(s);
-        for t in 0..s {
-            let x_t = tape.slice_cols(x_hat, t, t + 1); // [W·V, 1]
-            let mut acc: Option<Var> = None;
-            for (k, &tk) in cheb_vars.iter().enumerate() {
-                let masked = if self.use_spatial_attention {
-                    tape.mul(tk, s_attn) // T_k ⊙ S per window
-                } else {
-                    tk
-                };
-                let prop = tape.block_matmul(masked, x_t, wins); // [W·V, 1]
-                let term = tape.batched_matmul_nt(prop, binding.var(self.cheb_w[k]), wins); // [W·V, F]
-                acc = Some(match acc {
-                    Some(a) => tape.add(a, term),
-                    None => term,
-                });
-            }
-            let summed = acc.expect("K >= 1");
-            let biased = tape.batched_add_row_broadcast(summed, binding.var(self.cheb_b), wins);
-            steps.push(tape.relu(biased));
-        }
-
-        let conv_out = self.temporal.forward_batched(tape, binding, &steps, wins);
-        let conv_last = *conv_out.last().expect("non-empty conv output");
-        let x_last = tape.slice_cols(x_all, s - 1, s); // [W·V, 1]
-        let residual = tape.batched_matmul_nt(x_last, binding.var(self.res_w), wins); // [W·V, F]
-        let combined = tape.add(conv_last, residual);
-        // [W·V, F] mask rows are drawn window-major — the per-window
-        // draw sequence exactly.
-        let dropped = tape.dropout(combined, self.dropout, ctx.training, ctx.rng);
-        let pred = tape.batched_linear(
-            dropped,
-            binding.var(self.head_w),
-            binding.var(self.head_b),
-            wins,
-        ); // [W·V, 1]
-        tape.reshape(pred, &[wins, v])
-    }
 }
 
 impl CohortForecaster for Astgcn {
@@ -357,28 +265,28 @@ impl CohortForecaster for Astgcn {
         let v = batch.num_vars();
         let group_wins = batch.group_wins();
         let total = batch.total_rows();
-        // Per-individual parameter columns, in stack order.
-        let vars = |f: &dyn Fn(&Self) -> ParamId| -> Vec<Var> {
-            group
-                .iter()
-                .zip(bindings)
-                .map(|(m, bind)| bind.var(f(m)))
-                .collect()
+        // Each individual's own copy of a parameter, in stack order.
+        let vars = |pick: fn(&Self) -> ParamId| {
+            each_member(group, bindings, move |m, bind| bind.var(pick(m)))
         };
 
+        // X blocks [V, s] (variables over time) and Xᵀ blocks [s, V] as
+        // two constant leaves — the per-window graph's Transpose node
+        // only feeds gradient back into the data leaf, so splitting the
+        // layouts loses nothing.
         let x_all = tape.leaf(batch.stacked_transposed().clone()); // [ΣW·V, s]
         let xt_all = tape.leaf(batch.stacked().clone()); // [ΣW·s, V]
         // Temporal attention E per window, each individual's own P1/P2.
-        let u1 = tape.group_matmul(xt_all, &vars(&|m| m.ta_p1), group_wins, s); // [ΣW·s, d]
-        let u2 = tape.group_matmul(xt_all, &vars(&|m| m.ta_p2), group_wins, s); // [ΣW·s, d]
+        let u1 = tape.group_matmul(xt_all, vars(|m| m.ta_p1), group_wins, s); // [ΣW·s, d]
+        let u2 = tape.group_matmul(xt_all, vars(|m| m.ta_p2), group_wins, s); // [ΣW·s, d]
         let e_pre = tape.block_matmul_nt(u1, u2, total); // [ΣW·s, s]
         let e_act = tape.sigmoid(e_pre);
         let e = tape.softmax_last(e_act);
         let x_hat = tape.block_matmul_nt(x_all, e, total); // [ΣW·V, s]
 
         // Spatial attention S per window, each individual's own W1/W2.
-        let e1 = tape.group_matmul(x_all, &vars(&|m| m.sa_w1), group_wins, v); // [ΣW·V, d]
-        let e2 = tape.group_matmul(x_all, &vars(&|m| m.sa_w2), group_wins, v); // [ΣW·V, d]
+        let e1 = tape.group_matmul(x_all, vars(|m| m.sa_w1), group_wins, v); // [ΣW·V, d]
+        let e2 = tape.group_matmul(x_all, vars(|m| m.sa_w2), group_wins, v); // [ΣW·V, d]
         let s_pre = tape.block_matmul_nt(e1, e2, total); // [ΣW·V, V]
         let s_act = tape.sigmoid(s_pre);
         let s_attn = tape.softmax_last(s_act);
@@ -408,37 +316,35 @@ impl CohortForecaster for Astgcn {
                     tk
                 };
                 let prop = tape.block_matmul(masked, x_t, total); // [ΣW·V, 1]
-                let term =
-                    tape.group_matmul_nt(prop, &vars(&|m| m.cheb_w[k]), group_wins, v); // [ΣW·V, F]
+                let cheb_w = each_member(group, bindings, move |m, bind| bind.var(m.cheb_w[k]));
+                let term = tape.group_matmul_nt(prop, cheb_w, group_wins, v); // [ΣW·V, F]
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
                     None => term,
                 });
             }
             let summed = acc.expect("K >= 1");
-            let biased =
-                tape.group_add_row_broadcast(summed, &vars(&|m| m.cheb_b), group_wins, v);
+            let biased = tape.group_add_row_broadcast(summed, vars(|m| m.cheb_b), group_wins, v);
             steps.push(tape.relu(biased));
         }
 
-        let temporals: Vec<&DilatedTemporalConv> = group.iter().map(|m| &m.temporal).collect();
-        let conv_out =
-            DilatedTemporalConv::forward_grouped(&temporals, tape, bindings, &steps, group_wins, v);
+        // Temporal convolution condenses the sequence; its last step
+        // plus the residual projection of the last input step feeds
+        // the head.
+        let temporals = each_member(group, bindings, |m, bind| (&m.temporal, bind));
+        let conv_out = DilatedTemporalConv::forward_grouped(temporals, tape, &steps, group_wins, v);
         let conv_last = *conv_out.last().expect("non-empty conv output");
         let x_last = tape.slice_cols(x_all, s - 1, s); // [ΣW·V, 1]
-        let residual = tape.group_matmul_nt(x_last, &vars(&|m| m.res_w), group_wins, v); // [ΣW·V, F]
+        let residual = tape.group_matmul_nt(x_last, vars(|m| m.res_w), group_wins, v); // [ΣW·V, F]
         let combined = tape.add(conv_last, residual);
         // Each individual's [W_b·V, F] mask rows come from its own
         // stream in the per-window (window-major) draw order.
-        let rates: Vec<f64> = group.iter().map(|m| m.dropout).collect();
-        let node_rows: Vec<usize> = group_wins.iter().map(|&w| w * v).collect();
-        let dropped = cohort_dropout(tape, combined, &rates, &node_rows, ctx);
-        let heads: Vec<(Var, Var)> = group
-            .iter()
-            .zip(bindings)
-            .map(|(m, bind)| (bind.var(m.head_w), bind.var(m.head_b)))
-            .collect();
-        let pred = tape.group_linear_blocks(dropped, &heads, group_wins, v); // [ΣW·V, 1]
+        let rates = group.iter().map(|m| m.dropout);
+        let dropped = cohort_dropout(tape, combined, rates, group_wins, v, ctx);
+        let heads = each_member(group, bindings, |m, bind| {
+            (bind.var(m.head_w), bind.var(m.head_b))
+        });
+        let pred = tape.group_linear_blocks(dropped, heads, group_wins, v); // [ΣW·V, 1]
         tape.reshape(pred, &[total, v])
     }
 }

@@ -1,4 +1,5 @@
-//! Cohort batching: one tape graph per B individuals.
+//! Cohort batching: one tape graph per B individuals — the forward
+//! every model trains and evaluates on, from B = 1 up.
 //!
 //! A [`CohortBatch`] row-stacks B individuals' [`WindowBatch`]es into
 //! one operand set, **individual-major then window-major**: step `t` is
@@ -6,18 +7,81 @@
 //! step rows. Models implementing [`CohortForecaster`] run the whole
 //! group through one forward graph using grouped-operand tape ops
 //! (`Tape::group_linear`), with each individual keeping its own
-//! parameters; row block `b` of the output is bit-identical to
-//! [`Forecaster::predict_batch`] on that individual alone.
+//! parameters; the output row for window `w` of individual `b` is
+//! bit-identical to [`Forecaster::predict_window`] on that window
+//! alone, in values and in every parameter gradient.
 //!
 //! **RNG contract:** randomness (dropout masks) is consumed
-//! individual-major — group `b` draws exactly the sequence its
-//! standalone forward would draw, from its own stream in
-//! [`CohortCtx::rngs`], so batching individuals never changes numbers.
+//! individual-major — group `b` draws from its own stream in
+//! [`CohortCtx::rngs`], window-major within the individual: window
+//! outer, then the exact per-window draw sequence. Batching windows or
+//! individuals never changes numbers.
 
-use crate::{Forecaster, WindowBatch};
+use crate::Forecaster;
 use ema_autodiff::{Tape, Var};
 use ema_nn::Binding;
 use ema_tensor::{Rng64, Tensor};
+
+/// All of one individual's `[s, V]` windows row-stacked into
+/// `[W·s, V]` (window `w` at row block `w`) — the unit a
+/// [`CohortBatch`] stacks individuals from.
+#[derive(Debug, Clone)]
+pub struct WindowBatch {
+    wins: usize,
+    seq_len: usize,
+    num_vars: usize,
+    stacked: Tensor,
+}
+
+impl WindowBatch {
+    /// Row-stacks `[s, V]` windows.
+    ///
+    /// # Panics
+    /// Panics if `windows` is empty or shapes disagree.
+    #[must_use]
+    pub fn from_windows(windows: &[Tensor]) -> Self {
+        assert!(!windows.is_empty(), "cannot batch zero windows");
+        let wins = windows.len();
+        let dims = windows[0].dims();
+        assert_eq!(dims.len(), 2, "windows must be [seq, V]");
+        let (seq_len, num_vars) = (dims[0], dims[1]);
+        let mut stacked = Vec::with_capacity(wins * seq_len * num_vars);
+        for (w, win) in windows.iter().enumerate() {
+            assert_eq!(win.dims(), dims, "window {w} shape mismatch");
+            stacked.extend_from_slice(win.data());
+        }
+        Self {
+            wins,
+            seq_len,
+            num_vars,
+            stacked: Tensor::from_vec(&[wins * seq_len, num_vars], stacked).expect("stacked shape"),
+        }
+    }
+
+    /// Number of windows `W`.
+    #[must_use]
+    pub fn wins(&self) -> usize {
+        self.wins
+    }
+
+    /// Window length `s`.
+    #[must_use]
+    pub fn seq_len(&self) -> usize {
+        self.seq_len
+    }
+
+    /// Variable count `V`.
+    #[must_use]
+    pub fn num_vars(&self) -> usize {
+        self.num_vars
+    }
+
+    /// The `[W·s, V]` row stack of all windows.
+    #[must_use]
+    pub fn stacked(&self) -> &Tensor {
+        &self.stacked
+    }
+}
 
 /// B individuals' window batches row-stacked into one operand set.
 ///
@@ -30,14 +94,14 @@ pub struct CohortBatch {
     offsets: Vec<usize>,
     seq_len: usize,
     num_vars: usize,
-    /// `steps[t]` is `[Σ_b W_b, V]`: individual-major concatenation of
-    /// each batch's window-major step rows.
+    /// `steps[t]` is `[Σ_b W_b, V]`: row `w` is cohort window `w`'s
+    /// step `t` (the row-block leaves the recurrent models feed).
     steps: Vec<Tensor>,
     /// `[Σ_b W_b·s, V]`: individual-major concatenation of each batch's
     /// window-stacked rows (`WindowBatch::stacked`).
     stacked: Tensor,
-    /// `[Σ_b W_b·V, s]`: individual-major concatenation of each batch's
-    /// transposed window stacks (`WindowBatch::stacked_transposed`).
+    /// `[Σ_b W_b·V, s]`: every window transposed (variables over
+    /// time), for models that consume `[V, s]` windows.
     stacked_transposed: Tensor,
 }
 
@@ -65,20 +129,28 @@ impl CohortBatch {
             total += batch.wins();
         }
         offsets.push(total);
-        let steps = (0..seq_len)
-            .map(|t| {
-                let mut data = Vec::with_capacity(total * num_vars);
-                for batch in batches {
-                    data.extend_from_slice(batch.step(t).data());
-                }
-                Tensor::from_vec(&[total, num_vars], data).expect("cohort step shape")
-            })
-            .collect();
+        // Individual-major window rows: cohort window `w` is the `[s, V]`
+        // row block `w`.
         let mut stacked = Vec::with_capacity(total * seq_len * num_vars);
-        let mut stacked_t = Vec::with_capacity(total * num_vars * seq_len);
         for batch in batches {
             stacked.extend_from_slice(batch.stacked().data());
-            stacked_t.extend_from_slice(batch.stacked_transposed().data());
+        }
+        let block = seq_len * num_vars;
+        let windows = || stacked.chunks_exact(block);
+        let steps = (0..seq_len)
+            .map(|t| {
+                let mut rows = Vec::with_capacity(total * num_vars);
+                for win in windows() {
+                    rows.extend_from_slice(&win[t * num_vars..(t + 1) * num_vars]);
+                }
+                Tensor::from_vec(&[total, num_vars], rows).expect("cohort step shape")
+            })
+            .collect();
+        let mut stacked_t = Vec::with_capacity(total * num_vars * seq_len);
+        for win in windows() {
+            for j in 0..num_vars {
+                stacked_t.extend((0..seq_len).map(|t| win[t * num_vars + j]));
+            }
         }
         let stacked = Tensor::from_vec(&[total * seq_len, num_vars], stacked)
             .expect("cohort stacked shape");
@@ -144,8 +216,8 @@ impl CohortBatch {
         &self.stacked
     }
 
-    /// Transposed window blocks: `[Σ_b W_b·V, s]`, individual-major
-    /// concatenation of each `WindowBatch::stacked_transposed`.
+    /// Transposed window blocks: `[Σ_b W_b·V, s]`, window `w` as its
+    /// `[V, s]` transpose at row block `w`.
     #[must_use]
     pub fn stacked_transposed(&self) -> &Tensor {
         &self.stacked_transposed
@@ -174,11 +246,16 @@ impl<'a> CohortCtx<'a> {
     }
 }
 
-/// Models that can run a whole cohort through one tape graph.
+/// Models that run a whole cohort through one tape graph — the
+/// training and evaluation forward.
 pub trait CohortForecaster: Forecaster {
-    /// Forwards every individual's window batch at once: row block `b`
-    /// of the returned `[Σ_b W_b, V]` output is bit-identical to
-    /// `group[b].predict_batch` on its own tape with its own RNG.
+    /// Forwards every individual's window batch at once, returning
+    /// `[Σ_b W_b, V]`: row `offset(b) + w` is bit-identical to
+    /// `group[b].predict_window` on window `w` of individual `b`, run
+    /// window after window on its own tape with its own RNG stream —
+    /// values, every parameter gradient and the RNG draws (see the
+    /// module docs). `crates/models/tests/batched_equivalence.rs`
+    /// enforces this for every model.
     fn predict_cohort(
         group: &[&Self],
         tape: &Tape,
@@ -190,44 +267,62 @@ pub trait CohortForecaster: Forecaster {
         Self: Sized;
 }
 
-/// Grouped dropout over a cohort row stack, bit-identical per block to
-/// `Tape::dropout` on that individual alone:
+/// Each member's `f(model, binding)`, in stack order — the per-group
+/// operands of a grouped op or layer, without collecting them.
+pub(crate) fn each_member<'a, M, T>(
+    group: &'a [&'a M],
+    bindings: &'a [&'a Binding],
+    f: impl Fn(&'a M, &'a Binding) -> T + Clone + 'a,
+) -> impl Iterator<Item = T> + Clone + 'a {
+    group.iter().zip(bindings).map(move |(m, bind)| f(m, bind))
+}
+
+/// Grouped dropout over a cohort row stack, bit-identical per window
+/// to `Tape::dropout` on that window alone. `rates` yields one rate per
+/// group; group `b` spans `group_wins[b]` window blocks of `block_rows`
+/// rows.
 ///
 /// - not training, or every rate zero → identity (no tape node, no
 ///   draws), matching `Tape::dropout`'s pass-through;
 /// - otherwise one `[Σ rows, cols]` mask is built individual-major.
 ///   A rate-zero group's rows are filled with `1.0` (exact identity
-///   under `mul`, zero draws); an active group draws its `W_b · cols`
-///   Bernoullis row-major from **its own** stream — the exact
-///   per-individual draw sequence.
+///   under `mul`, zero draws); an active group draws its
+///   `W_b · block_rows · cols` Bernoullis row-major from **its own**
+///   stream — window-major, the exact per-window draw sequence.
 ///
 /// # Panics
-/// Panics when slice lengths disagree or a rate is outside `[0, 1)`.
+/// Panics when the group counts disagree or a rate is outside `[0, 1)`.
 pub fn cohort_dropout(
     tape: &Tape,
     a: Var,
-    rates: &[f64],
+    rates: impl Iterator<Item = f64> + Clone,
     group_wins: &[usize],
+    block_rows: usize,
     ctx: &mut CohortCtx,
 ) -> Var {
-    assert_eq!(rates.len(), group_wins.len(), "one dropout rate per group");
-    assert_eq!(rates.len(), ctx.rngs.len(), "one RNG stream per group");
-    for (b, &rate) in rates.iter().enumerate() {
+    assert_eq!(
+        rates.clone().count(),
+        group_wins.len(),
+        "one dropout rate per group"
+    );
+    assert_eq!(group_wins.len(), ctx.rngs.len(), "one RNG stream per group");
+    for (b, rate) in rates.clone().enumerate() {
         assert!(
             (0.0..1.0).contains(&rate),
             "group {b} dropout rate {rate} outside [0, 1)"
         );
     }
-    if !ctx.training || rates.iter().all(|&r| r == 0.0) {
+    if !ctx.training || rates.clone().all(|r| r == 0.0) {
         return a;
     }
     let cols = tape.dims(a)[1];
-    let total: usize = group_wins.iter().sum();
+    let total: usize = group_wins.iter().sum::<usize>() * block_rows;
     let mut mask = Tensor::zeros(&[total, cols]);
     let data = mask.data_mut();
     let mut off = 0usize;
-    for ((&rate, &wins), rng) in rates.iter().zip(group_wins).zip(ctx.rngs.iter_mut()) {
-        let block = &mut data[off * cols..(off + wins) * cols];
+    for ((rate, &wins), rng) in rates.zip(group_wins).zip(ctx.rngs.iter_mut()) {
+        let rows = wins * block_rows;
+        let block = &mut data[off * cols..(off + rows) * cols];
         if rate == 0.0 {
             block.fill(1.0);
         } else {
@@ -238,7 +333,7 @@ pub fn cohort_dropout(
                 }
             }
         }
-        off += wins;
+        off += rows;
     }
     tape.dropout_masked(a, mask)
 }
@@ -249,12 +344,15 @@ mod tests {
     use crate::{A3tgcn, Astgcn, ForwardCtx, LstmForecaster, ModelConfig, Mtgnn, VarForecaster};
     use ema_graph::AdjacencyMatrix;
 
-    fn window_batch(wins: usize, seq: usize, v: usize, seed: u64) -> WindowBatch {
+    fn windows(wins: usize, seq: usize, v: usize, seed: u64) -> Vec<Tensor> {
         let mut rng = Rng64::seed_from(seed);
-        let windows: Vec<Tensor> = (0..wins)
+        (0..wins)
             .map(|_| Tensor::rand_normal(&[seq, v], 0.0, 1.0, &mut rng))
-            .collect();
-        WindowBatch::from_windows(&windows)
+            .collect()
+    }
+
+    fn window_batch(wins: usize, seq: usize, v: usize, seed: u64) -> WindowBatch {
+        WindowBatch::from_windows(&windows(wins, seq, v, seed))
     }
 
     /// A different graph per individual so grouped constants are
@@ -282,9 +380,9 @@ mod tests {
         }
     }
 
-    /// Asserts the cohort forward matches each individual's standalone
-    /// batched forward bit for bit — training mode (dropout active,
-    /// per-individual streams) and eval mode.
+    /// Asserts the cohort forward matches each individual's windows run
+    /// one at a time through `predict_window` bit for bit — training
+    /// mode (dropout active, per-individual streams) and eval mode.
     fn assert_cohort_matches_oracle<M: CohortForecaster>(
         models: &[M],
         wins: &[usize],
@@ -292,10 +390,14 @@ mod tests {
         v: usize,
     ) {
         for training in [true, false] {
-            let batches: Vec<WindowBatch> = wins
+            let windows: Vec<Vec<Tensor>> = wins
                 .iter()
                 .enumerate()
-                .map(|(b, &w)| window_batch(w, seq, v, 10 + b as u64))
+                .map(|(b, &w)| windows(w, seq, v, 10 + b as u64))
+                .collect();
+            let batches: Vec<WindowBatch> = windows
+                .iter()
+                .map(|w| WindowBatch::from_windows(w))
                 .collect();
             let batch_refs: Vec<&WindowBatch> = batches.iter().collect();
             let cohort = CohortBatch::from_batches(&batch_refs);
@@ -319,32 +421,45 @@ mod tests {
                 } else {
                     ForwardCtx::eval(&mut rng)
                 };
-                let rout = model.predict_batch(&reference, &binding, &batches[b], &mut rctx);
-                let (off, w) = (cohort.offset(b), wins[b]);
-                assert_eq!(
-                    &out_value.data()[off * v..(off + w) * v],
-                    reference.value(rout).data(),
-                    "individual {b} rows (training = {training})"
-                );
+                let off = cohort.offset(b);
+                for (w, window) in windows[b].iter().enumerate() {
+                    let pred = model.predict_window(&reference, &binding, window, &mut rctx);
+                    assert_eq!(
+                        &out_value.data()[(off + w) * v..(off + w + 1) * v],
+                        reference.value(pred).data(),
+                        "individual {b} window {w} (training = {training})"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn cohort_batch_stacks_individual_major() {
-        let b0 = window_batch(3, 2, 4, 1);
-        let b1 = window_batch(5, 2, 4, 2);
+        let (w0, w1) = (windows(3, 2, 4, 1), windows(5, 2, 4, 2));
+        let b0 = WindowBatch::from_windows(&w0);
+        let b1 = WindowBatch::from_windows(&w1);
         let cohort = CohortBatch::from_batches(&[&b0, &b1]);
         assert_eq!(cohort.num_groups(), 2);
         assert_eq!(cohort.group_wins(), &[3, 5]);
         assert_eq!(cohort.total_rows(), 8);
         assert_eq!(cohort.offset(0), 0);
         assert_eq!(cohort.offset(1), 3);
+        let all: Vec<&Tensor> = w0.iter().chain(&w1).collect();
         for t in 0..2 {
             let step = cohort.step(t);
             assert_eq!(step.dims(), &[8, 4]);
-            assert_eq!(&step.data()[..3 * 4], b0.step(t).data(), "step {t} block 0");
-            assert_eq!(&step.data()[3 * 4..], b1.step(t).data(), "step {t} block 1");
+            for (w, win) in all.iter().enumerate() {
+                assert_eq!(
+                    &step.data()[w * 4..(w + 1) * 4],
+                    win.row(t).data(),
+                    "step {t} window {w}"
+                );
+            }
+        }
+        for (w, win) in all.iter().enumerate() {
+            let rows = cohort.stacked_transposed().slice_rows(w * 4, (w + 1) * 4);
+            assert_eq!(rows.data(), win.transpose().data(), "window {w} transposed");
         }
     }
 

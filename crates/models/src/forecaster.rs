@@ -37,12 +37,13 @@ impl<'a> ForwardCtx<'a> {
     }
 
     /// Builds a tape var once per context and reuses it on every later
-    /// window: full-batch training forwards dozens of windows per
-    /// epoch, and subgraphs that depend only on parameters or
-    /// constants (MTGNN's learned adjacency, A3TGCN's propagation
-    /// matrix, initial zero states) are identical for all of them.
-    /// Sharing the subgraph also accumulates its parameter gradients
-    /// once instead of once per window.
+    /// window: a per-window graph over an epoch's windows forwards
+    /// dozens of them on one tape, and subgraphs that depend only on
+    /// parameters or constants (MTGNN's learned adjacency, A3TGCN's
+    /// propagation matrix, initial zero states) are identical for all
+    /// of them. Sharing the subgraph also accumulates its parameter
+    /// gradients once instead of once per window, as the cohort
+    /// forward's one-per-individual subgraph does.
     ///
     /// A context is scoped to a single tape epoch (every construction
     /// site builds `Tape`/binding and `ForwardCtx` together); a memoed
@@ -59,122 +60,14 @@ impl<'a> ForwardCtx<'a> {
     }
 }
 
-/// All of a split's windows stacked along the row axis for the batched
-/// forward path ([`Forecaster::predict_batch`]).
-///
-/// Three layouts of the same data, each precomputed once per training
-/// run:
-///
-/// * `stacked` — `[W·s, V]`: window `w`'s `[s, V]` rows at row block
-///   `w` (the `[W, s, V]` stack flattened);
-/// * `stacked_transposed` — `[W·V, s]`: each window transposed
-///   (variables over time), for models that consume `[V, s]` windows;
-/// * `steps` — per time step `t`, a `[W, V]` matrix whose row `w` is
-///   window `w`'s step `t` (the row-block leaves the recurrent models
-///   feed).
-#[derive(Debug, Clone)]
-pub struct WindowBatch {
-    wins: usize,
-    seq_len: usize,
-    num_vars: usize,
-    stacked: Tensor,
-    stacked_transposed: Tensor,
-    steps: Vec<Tensor>,
-}
-
-impl WindowBatch {
-    /// Stacks `[s, V]` windows into the batched layouts.
-    ///
-    /// # Panics
-    /// Panics if `windows` is empty or shapes disagree.
-    #[must_use]
-    pub fn from_windows(windows: &[Tensor]) -> Self {
-        assert!(!windows.is_empty(), "cannot batch zero windows");
-        let wins = windows.len();
-        let dims = windows[0].dims();
-        assert_eq!(dims.len(), 2, "windows must be [seq, V]");
-        let (seq_len, num_vars) = (dims[0], dims[1]);
-        let mut stacked = Vec::with_capacity(wins * seq_len * num_vars);
-        let mut transposed = Vec::with_capacity(wins * seq_len * num_vars);
-        for (w, win) in windows.iter().enumerate() {
-            assert_eq!(win.dims(), dims, "window {w} shape mismatch");
-            stacked.extend_from_slice(win.data());
-            transposed.extend_from_slice(win.transpose().data());
-        }
-        let steps = (0..seq_len)
-            .map(|t| {
-                let mut rows = Vec::with_capacity(wins * num_vars);
-                for win in windows {
-                    rows.extend_from_slice(win.row(t).data());
-                }
-                Tensor::from_vec(&[wins, num_vars], rows).expect("step shape")
-            })
-            .collect();
-        Self {
-            wins,
-            seq_len,
-            num_vars,
-            stacked: Tensor::from_vec(&[wins * seq_len, num_vars], stacked)
-                .expect("stacked shape"),
-            stacked_transposed: Tensor::from_vec(&[wins * num_vars, seq_len], transposed)
-                .expect("transposed shape"),
-            steps,
-        }
-    }
-
-    /// Number of windows `W`.
-    #[must_use]
-    pub fn wins(&self) -> usize {
-        self.wins
-    }
-
-    /// Window length `s`.
-    #[must_use]
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
-    }
-
-    /// Variable count `V`.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// The `[W·s, V]` row stack of all windows.
-    #[must_use]
-    pub fn stacked(&self) -> &Tensor {
-        &self.stacked
-    }
-
-    /// The `[W·V, s]` stack of transposed windows.
-    #[must_use]
-    pub fn stacked_transposed(&self) -> &Tensor {
-        &self.stacked_transposed
-    }
-
-    /// Step `t` across all windows, `[W, V]`.
-    #[must_use]
-    pub fn step(&self, t: usize) -> &Tensor {
-        &self.steps[t]
-    }
-
-    /// Window `w` as a `[s, V]` tensor (bytes identical to the window
-    /// the batch was built from).
-    #[must_use]
-    pub fn window(&self, w: usize) -> Tensor {
-        self.stacked
-            .slice_rows(w * self.seq_len, (w + 1) * self.seq_len)
-    }
-}
-
 /// A personalized 1-lag forecaster over `V` EMA variables.
 ///
 /// Implementations register their parameters in an internal
-/// [`ParamStore`]; the training loop binds the store onto a fresh tape
-/// each epoch and calls [`Forecaster::predict_batch`] once per epoch
-/// while one individual trains ([`crate::CohortForecaster`] covers
-/// groups). [`Forecaster::predict_window`] is the per-window reference
-/// the equivalence tests compare against, and the forward of
+/// [`ParamStore`]; the training loop binds the store onto its tape each
+/// epoch and forwards every window of the active individuals through
+/// [`crate::CohortForecaster::predict_cohort`], the one training and
+/// evaluation forward. [`Forecaster::predict_window`] is the per-window
+/// reference the equivalence tests compare against, and the forward of
 /// iterative forecasting.
 pub trait Forecaster {
     /// Human-readable model name (paper notation, e.g. `"MTGNN"`).
@@ -197,29 +90,6 @@ pub trait Forecaster {
         window: &Tensor,
         ctx: &mut ForwardCtx,
     ) -> Var;
-
-    /// Predicts all of a batch's windows at once, returning a `[W, V]`
-    /// matrix whose row `w` is the prediction for window `w`.
-    ///
-    /// The default implementation loops [`Forecaster::predict_window`]
-    /// and stacks the rank-1 predictions — the reference (oracle)
-    /// graph. The four paper models override it with a batched graph
-    /// recording one tape node per op instead of one per window per
-    /// op; overrides must stay **bit-identical** to this default in
-    /// values, parameter gradients, and RNG draw order (dropout masks
-    /// are drawn window-major).
-    fn predict_batch(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
-    ) -> Var {
-        let preds: Vec<Var> = (0..batch.wins())
-            .map(|w| self.predict_window(tape, binding, &batch.window(w), ctx))
-            .collect();
-        tape.stack_rows(&preds)
-    }
 
     /// Downcast hook for graph extraction: MTGNN returns itself so
     /// callers can read its learned graph; every other model returns

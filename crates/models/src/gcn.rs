@@ -10,24 +10,16 @@ pub fn gcn_layer(tape: &Tape, a_hat: Var, h: Var, w: Var, b: Var) -> Var {
     tape.linear(propagated, w, b)
 }
 
-/// Batched [`gcn_layer`] over `wins` window row-blocks: the shared
-/// `[V, V]` propagation matrix multiplies each `[V, F_in]` block of
-/// `h: [W·V, F_in]`; weights and bias are shared. Row-block `w` is
-/// bit-identical to the per-window layer on window `w` alone.
-pub fn gcn_layer_batched(tape: &Tape, a_hat: Var, h: Var, w: Var, b: Var, wins: usize) -> Var {
-    let propagated = tape.block_lhs_matmul(a_hat, h, wins);
-    tape.batched_linear(propagated, w, b, wins)
-}
-
-/// Grouped [`gcn_layer_batched`] over a cohort stack: group `b`'s
-/// window blocks of `h: [Σ W_b·V, F_in]` propagate through its *own*
-/// `[V, V]` matrix and `(w_b, bias_b)` pair — bit-identical per row
-/// block to the per-individual batched layer.
+/// Grouped [`gcn_layer`] over a cohort stack: `a_hats` and `params`
+/// yield one `[V, V]` propagation matrix and one `(w_b, bias_b)` pair
+/// per group, and group `b`'s window blocks of `h: [Σ W_b·V, F_in]`
+/// propagate through its *own* — bit-identical per window block to the
+/// per-window layer.
 pub fn gcn_layer_grouped(
     tape: &Tape,
-    a_hats: &[Var],
+    a_hats: impl IntoIterator<Item = Var>,
     h: Var,
-    params: &[(Var, Var)],
+    params: impl IntoIterator<Item = (Var, Var)>,
     group_wins: &[usize],
     nodes: usize,
 ) -> Var {
@@ -79,80 +71,33 @@ pub fn mixhop_propagation(
     out.expect("depth + 1 >= 1")
 }
 
-/// Batched [`mixhop_propagation`] over `wins` window row-blocks: the
-/// shared `[V, V]` adjacency propagates each `[V, F_in]` block of
-/// `h_in: [W·V, F_in]`; the hop weights are shared.
-///
-/// # Panics
-/// Panics if `weights.len() != depth + 1`.
-pub fn mixhop_propagation_batched(
-    tape: &Tape,
-    a_hat: Var,
-    h_in: Var,
-    weights: &[Var],
-    beta: f64,
-    depth: usize,
-    wins: usize,
-) -> Var {
-    assert_eq!(
-        weights.len(),
-        depth + 1,
-        "mix-hop needs depth + 1 weight matrices"
-    );
-    let mut h = h_in;
-    let mut out: Option<Var> = None;
-    for (k, &w) in weights.iter().enumerate() {
-        if k > 0 {
-            let prop = tape.block_lhs_matmul(a_hat, h, wins);
-            let keep = tape.scale(h_in, beta);
-            let walk = tape.scale(prop, 1.0 - beta);
-            h = tape.add(keep, walk);
-        }
-        let term = tape.batched_matmul_nt(h, w, wins);
-        out = Some(match out {
-            Some(acc) => tape.add(acc, term),
-            None => term,
-        });
-    }
-    out.expect("depth + 1 >= 1")
-}
-
-/// Grouped [`mixhop_propagation_batched`] over a cohort stack: group
-/// `b`'s window blocks of `h_in: [Σ W_b·V, F_in]` propagate through
-/// its *own* adjacency and hop weights (`hop_weights[k][b]`); `beta`
-/// and `depth` are structural and shared, so the keep/walk mixing
-/// stays a dense elementwise op.
-///
-/// # Panics
-/// Panics if `hop_weights.len() != depth + 1` or per-hop lengths
-/// mismatch the group count.
+/// Grouped [`mixhop_propagation`] over a cohort stack: group `b`'s
+/// window blocks of `h_in: [Σ W_b·V, F_in]` propagate through its
+/// *own* adjacency (`a_hats`, one per group) and hop weights
+/// (`hop_weights(k)` yields hop `k`'s weight per group); `beta` and
+/// `depth` are structural and shared, so the keep/walk mixing stays a
+/// dense elementwise op.
 #[allow(clippy::too_many_arguments)]
-pub fn mixhop_propagation_grouped(
+pub fn mixhop_propagation_grouped<I: IntoIterator<Item = Var>>(
     tape: &Tape,
-    a_hats: &[Var],
+    a_hats: impl Iterator<Item = Var> + Clone,
     h_in: Var,
-    hop_weights: &[Vec<Var>],
+    hop_weights: impl Fn(usize) -> I,
     beta: f64,
     depth: usize,
     group_wins: &[usize],
     nodes: usize,
 ) -> Var {
-    assert_eq!(
-        hop_weights.len(),
-        depth + 1,
-        "mix-hop needs depth + 1 weight matrices"
-    );
     let mut h = h_in;
     let mut out: Option<Var> = None;
-    for (k, w_k) in hop_weights.iter().enumerate() {
-        assert_eq!(w_k.len(), a_hats.len(), "mix-hop hop {k} weight count");
+    for k in 0..=depth {
         if k > 0 {
-            let prop = tape.group_block_lhs_matmul(a_hats, h, group_wins);
+            let prop = tape.group_block_lhs_matmul(a_hats.clone(), h, group_wins);
             let keep = tape.scale(h_in, beta);
             let walk = tape.scale(prop, 1.0 - beta);
             h = tape.add(keep, walk);
         }
-        let term = tape.group_matmul_nt(h, w_k, group_wins, nodes);
+        let term = tape.group_matmul_nt(h, hop_weights(k), group_wins, nodes);
         out = Some(match out {
             Some(acc) => tape.add(acc, term),
             None => term,

@@ -31,10 +31,10 @@ mod var;
 
 pub use a3tgcn::A3tgcn;
 pub use astgcn::Astgcn;
-pub use cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
+pub use cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
 pub use config::ModelConfig;
-pub use forecaster::{build_model, Forecaster, ForwardCtx, ModelKind, WindowBatch};
-pub use gcn::{gcn_layer, gcn_layer_batched, mixhop_propagation, mixhop_propagation_batched};
+pub use forecaster::{build_model, Forecaster, ForwardCtx, ModelKind};
+pub use gcn::{gcn_layer, mixhop_propagation};
 pub use lstm::LstmForecaster;
 pub use mtgnn::{GraphLearnerKind, Mtgnn};
 pub use var::VarForecaster;

@@ -1,7 +1,7 @@
 //! The baseline LSTM forecaster (paper Experiment A).
 
-use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, LstmCell, ParamStore};
 use ema_tensor::{Rng64, Tensor};
@@ -81,35 +81,6 @@ impl Forecaster for LstmForecaster {
         let pred = self.head.forward(tape, binding, dropped); // [1, V]
         tape.flatten(pred)
     }
-
-    fn predict_batch(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
-    ) -> Var {
-        assert_eq!(
-            batch.num_vars(),
-            self.num_variables,
-            "batch has {} variables, model expects {}",
-            batch.num_vars(),
-            self.num_variables
-        );
-        let wins = batch.wins();
-        // Step t across all windows is one [W, V] row block; the cell
-        // recurrence runs once over the stack instead of once per
-        // window. The [W, H] dropout mask is drawn row-major ==
-        // window-major, matching the per-window draw sequence.
-        let xs: Vec<Var> = (0..batch.seq_len())
-            .map(|t| tape.leaf(batch.step(t).clone()))
-            .collect();
-        let state = self.cell.zero_state(tape, wins);
-        let states = self.cell.run_sequence_batched(tape, binding, &xs, state, wins);
-        let last = *states.last().expect("non-empty window");
-        let dropped = tape.dropout(last, self.dropout, ctx.training, ctx.rng);
-        self.head.forward_batched(tape, binding, dropped, wins) // [W, V]
-    }
 }
 
 impl CohortForecaster for LstmForecaster {
@@ -131,22 +102,22 @@ impl CohortForecaster for LstmForecaster {
                 model.num_variables
             );
         }
-        // Mirror of `predict_batch` with grouped ops: step t across the
-        // whole cohort is one [Σ W_b, V] row block; every grouped op is
-        // bit-identical per block to the per-individual batched op, and
-        // dropout draws each individual's mask from its own stream.
+        // Step t across the whole cohort is one [Σ W_b, V] row block:
+        // the cell recurrence runs once over the stack, each window's
+        // row through its own individual's cell.
         let xs: Vec<Var> = (0..batch.seq_len())
             .map(|t| tape.leaf(batch.step(t).clone()))
             .collect();
-        let cells: Vec<&LstmCell> = group.iter().map(|m| &m.cell).collect();
-        let state = LstmCell::zero_state_grouped(&cells, tape, batch.total_rows());
-        let states =
-            LstmCell::run_sequence_grouped(&cells, tape, bindings, &xs, state, batch.group_wins());
+        let state = group[0].cell.zero_state(tape, batch.total_rows());
+        let cells = each_member(group, bindings, |m, bind| (&m.cell, bind));
+        let states = LstmCell::run_sequence_grouped(cells, tape, &xs, state, batch.group_wins());
         let last = *states.last().expect("non-empty window");
-        let rates: Vec<f64> = group.iter().map(|m| m.dropout).collect();
-        let dropped = cohort_dropout(tape, last, &rates, batch.group_wins(), ctx);
-        let heads: Vec<&Linear> = group.iter().map(|m| &m.head).collect();
-        Linear::forward_grouped(&heads, tape, bindings, dropped, batch.group_wins()) // [Σ W_b, V]
+        // Each individual's [W_b, H] mask is drawn row-major ==
+        // window-major from its own stream.
+        let rates = group.iter().map(|m| m.dropout);
+        let dropped = cohort_dropout(tape, last, rates, batch.group_wins(), 1, ctx);
+        let heads = each_member(group, bindings, |m, bind| (&m.head, bind));
+        Linear::forward_grouped(heads, tape, dropped, batch.group_wins()) // [Σ W_b, V]
     }
 }
 

@@ -14,9 +14,9 @@
 //!   residual and skip connections;
 //! * an output module mapping skip features to the 1-lag prediction.
 
-use crate::cohort::{CohortBatch, CohortCtx, CohortForecaster};
-use crate::gcn::{mixhop_propagation, mixhop_propagation_batched, mixhop_propagation_grouped};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::cohort::{each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::gcn::{mixhop_propagation, mixhop_propagation_grouped};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{sparsify, AdjacencyMatrix};
 use ema_nn::{Binding, DilatedTemporalConv, Initializer, ParamId, ParamStore};
@@ -326,56 +326,16 @@ impl Mtgnn {
         tape.div(a_tilde, denom)
     }
 
-    /// Pre-draws every dropout mask of the batched forward in the
-    /// per-window RNG order: windows outermost, then blocks, then the
-    /// block's gated steps, each a row-major `[V, C]` draw — exactly
-    /// the sequence the per-window path consumes. Returns one
-    /// `[W·V, C]` mask per (block, gated step), or `None` when
-    /// dropout is inactive (matching `Tape::dropout`, which draws
-    /// nothing in eval mode or at rate zero).
-    fn predraw_masks(&self, ctx: &mut ForwardCtx, wins: usize) -> Option<Vec<Vec<Tensor>>> {
-        assert!(
-            (0.0..1.0).contains(&self.dropout),
-            "dropout rate must be in [0, 1), got {}",
-            self.dropout
-        );
-        if !ctx.training || self.dropout == 0.0 {
-            return None;
-        }
-        let keep = 1.0 - self.dropout;
-        let v = self.num_variables;
-        let c = self.blocks[0].filter.out_channels();
-        let mut lens = Vec::with_capacity(self.blocks.len());
-        let mut len = self.seq_len;
-        for block in &self.blocks {
-            len -= block.filter.shrinkage();
-            lens.push(len);
-        }
-        let mut masks: Vec<Vec<Tensor>> = lens
-            .iter()
-            .map(|&l| (0..l).map(|_| Tensor::zeros(&[wins * v, c])).collect())
-            .collect();
-        for w in 0..wins {
-            for (block_masks, &l) in masks.iter_mut().zip(&lens) {
-                for mask in block_masks.iter_mut().take(l) {
-                    for e in &mut mask.data_mut()[w * v * c..(w + 1) * v * c] {
-                        if ctx.rng.bernoulli(keep) {
-                            *e = 1.0 / keep;
-                        }
-                    }
-                }
-            }
-        }
-        Some(masks)
-    }
-
-    /// Cohort [`Mtgnn::predraw_masks`]: one `[Σ W_b·V, C]` mask per
-    /// (block, gated step), filled individual-major. Each individual's
-    /// rows are drawn from its *own* stream in its standalone
-    /// (window-major) order; a rate-0 individual's rows are filled with
-    /// 1.0 and consume zero draws, matching the passthrough its oracle
-    /// path takes. Returns `None` when no individual drops out.
-    fn predraw_masks_cohort(
+    /// Pre-draws every dropout mask of the cohort forward: one
+    /// `[Σ W_b·V, C]` mask per (block, gated step), filled
+    /// individual-major. Each individual's rows are drawn from its
+    /// *own* stream in the per-window order — windows outermost, then
+    /// blocks, then the block's gated steps, each a row-major `[V, C]`
+    /// draw — exactly the sequence its per-window forward consumes. A
+    /// rate-0 individual's rows are filled with 1.0 and consume zero
+    /// draws, matching `Tape::dropout`'s passthrough. Returns `None`
+    /// when no individual drops out (or in eval mode).
+    fn predraw_masks(
         group: &[&Self],
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
@@ -529,92 +489,6 @@ impl Forecaster for Mtgnn {
         let pred = tape.linear(h1, binding.var(self.end_w2), binding.var(self.end_b2)); // [V, 1]
         tape.flatten(pred)
     }
-
-    fn predict_batch(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
-    ) -> Var {
-        assert_eq!(batch.num_vars(), self.num_variables, "window width");
-        assert_eq!(
-            batch.seq_len(),
-            self.seq_len,
-            "MTGNN was built for seq_len {} but got {}",
-            self.seq_len,
-            batch.seq_len()
-        );
-        let v = self.num_variables;
-        let wins = batch.wins();
-        // Dropout is the only RNG consumer; pre-draw every mask in the
-        // per-window order (windows outermost) so the draw sequence —
-        // and therefore every result byte — matches the oracle path.
-        let masks = self.predraw_masks(ctx, wins);
-        let a_hat = ctx.memo("mtgnn_a_hat", || self.adjacency_var(tape, binding));
-
-        // Start convolution: step t across all windows is one
-        // window-blocked [W·V, 1] column lifted to [W·V, C].
-        let mut seq: Vec<Var> = (0..self.seq_len)
-            .map(|t| {
-                let x = tape.leaf(batch.step(t).reshaped(&[wins * v, 1]));
-                tape.batched_linear(
-                    x,
-                    binding.var(self.start_w),
-                    binding.var(self.start_b),
-                    wins,
-                )
-            })
-            .collect();
-
-        let mut skip_acc: Option<Var> = None;
-        for (b, block) in self.blocks.iter().enumerate() {
-            let filt = block.filter.forward_batched(tape, binding, &seq, wins);
-            let gate = block.gate.forward_batched(tape, binding, &seq, wins);
-            let z: Vec<Var> = filt
-                .iter()
-                .zip(gate.iter())
-                .enumerate()
-                .map(|(t, (&f, &g))| {
-                    let gt = tape.gated_tanh(f, g);
-                    match &masks {
-                        Some(m) => tape.dropout_masked(gt, m[b][t].clone()),
-                        None => gt,
-                    }
-                })
-                .collect();
-            let z_last = *z.last().expect("non-empty conv output");
-            let skip = tape.batched_matmul_nt(z_last, binding.var(block.skip_w), wins);
-            skip_acc = Some(match skip_acc {
-                Some(acc) => tape.add(acc, skip),
-                None => skip,
-            });
-            let shrink = seq.len() - z.len();
-            let weights: Vec<Var> = block.mixhop.iter().map(|&w| binding.var(w)).collect();
-            let mut next = Vec::with_capacity(z.len());
-            for (t, &zt) in z.iter().enumerate() {
-                let g = mixhop_propagation_batched(
-                    tape, a_hat, zt, &weights, self.beta, self.depth, wins,
-                );
-                let res = seq[t + shrink];
-                next.push(tape.add(g, res));
-            }
-            seq = next;
-        }
-
-        let last = *seq.last().expect("non-empty final sequence");
-        let skip = {
-            let acc = skip_acc.expect("at least one block");
-            tape.add(acc, last)
-        };
-        let h = tape.relu(skip);
-        let h1 = {
-            let lin = tape.batched_linear(h, binding.var(self.end_w1), binding.var(self.end_b1), wins);
-            tape.relu(lin)
-        };
-        let pred = tape.batched_linear(h1, binding.var(self.end_w2), binding.var(self.end_b2), wins); // [W·V, 1]
-        tape.reshape(pred, &[wins, v])
-    }
 }
 
 impl CohortForecaster for Mtgnn {
@@ -657,39 +531,33 @@ impl CohortForecaster for Mtgnn {
         let total = batch.total_rows();
         // Dropout is the only RNG consumer; pre-draw every mask before
         // anything else touches the tape so each individual's stream is
-        // consumed exactly as its standalone batched forward would.
-        let masks = Self::predraw_masks_cohort(group, batch, ctx);
+        // consumed exactly as its per-window forward would.
+        let masks = Self::predraw_masks(group, batch, ctx);
         // Per-individual propagation matrices (parameter-only subgraphs),
         // in stack order — each learner/prior mode builds its own.
-        let a_hats: Vec<Var> = group
-            .iter()
-            .zip(bindings)
-            .map(|(m, bind)| m.adjacency_var(tape, bind))
-            .collect();
+        let a_hats: Vec<Var> =
+            each_member(group, bindings, |m, bind| m.adjacency_var(tape, bind)).collect();
 
-        // Start convolution with each individual's own lift parameters.
-        let start_params: Vec<(Var, Var)> = group
-            .iter()
-            .zip(bindings)
-            .map(|(m, bind)| (bind.var(m.start_w), bind.var(m.start_b)))
-            .collect();
+        // Start convolution: step t across the cohort is one
+        // window-blocked [ΣW·V, 1] column lifted to [ΣW·V, C] with each
+        // individual's own lift parameters.
         let mut seq: Vec<Var> = (0..first.seq_len)
             .map(|t| {
                 let x = tape.leaf(batch.step(t).reshaped(&[total * v, 1]));
-                tape.group_linear_blocks(x, &start_params, group_wins, v)
+                let start = each_member(group, bindings, |m, bind| {
+                    (bind.var(m.start_w), bind.var(m.start_b))
+                });
+                tape.group_linear_blocks(x, start, group_wins, v)
             })
             .collect();
 
         let mut skip_acc: Option<Var> = None;
         for bi in 0..first.blocks.len() {
-            let filters: Vec<&DilatedTemporalConv> =
-                group.iter().map(|m| &m.blocks[bi].filter).collect();
-            let gates: Vec<&DilatedTemporalConv> =
-                group.iter().map(|m| &m.blocks[bi].gate).collect();
-            let filt =
-                DilatedTemporalConv::forward_grouped(&filters, tape, bindings, &seq, group_wins, v);
-            let gate =
-                DilatedTemporalConv::forward_grouped(&gates, tape, bindings, &seq, group_wins, v);
+            // Gated temporal convolution.
+            let filters = each_member(group, bindings, move |m, bind| (&m.blocks[bi].filter, bind));
+            let gates = each_member(group, bindings, move |m, bind| (&m.blocks[bi].gate, bind));
+            let filt = DilatedTemporalConv::forward_grouped(filters, tape, &seq, group_wins, v);
+            let gate = DilatedTemporalConv::forward_grouped(gates, tape, &seq, group_wins, v);
             let z: Vec<Var> = filt
                 .iter()
                 .zip(gate.iter())
@@ -702,34 +570,31 @@ impl CohortForecaster for Mtgnn {
                     }
                 })
                 .collect();
+            // Skip connection from the block's last gated step.
             let z_last = *z.last().expect("non-empty conv output");
-            let skip_ws: Vec<Var> = group
-                .iter()
-                .zip(bindings)
-                .map(|(m, bind)| bind.var(m.blocks[bi].skip_w))
-                .collect();
-            let skip = tape.group_matmul_nt(z_last, &skip_ws, group_wins, v);
+            let skip_ws = each_member(group, bindings, move |m, bind| {
+                bind.var(m.blocks[bi].skip_w)
+            });
+            let skip = tape.group_matmul_nt(z_last, skip_ws, group_wins, v);
             skip_acc = Some(match skip_acc {
                 Some(acc) => tape.add(acc, skip),
                 None => skip,
             });
+            // Graph propagation per step + residual from the aligned
+            // input step.
             let shrink = seq.len() - z.len();
-            let hop_weights: Vec<Vec<Var>> = (0..=first.depth)
-                .map(|k| {
-                    group
-                        .iter()
-                        .zip(bindings)
-                        .map(|(m, bind)| bind.var(m.blocks[bi].mixhop[k]))
-                        .collect()
+            let hop_weights = |k| {
+                each_member(group, bindings, move |m, bind| {
+                    bind.var(m.blocks[bi].mixhop[k])
                 })
-                .collect();
+            };
             let mut next = Vec::with_capacity(z.len());
             for (t, &zt) in z.iter().enumerate() {
                 let g = mixhop_propagation_grouped(
                     tape,
-                    &a_hats,
+                    a_hats.iter().copied(),
                     zt,
-                    &hop_weights,
+                    hop_weights,
                     first.beta,
                     first.depth,
                     group_wins,
@@ -741,27 +606,24 @@ impl CohortForecaster for Mtgnn {
             seq = next;
         }
 
+        // Output module on the accumulated skip features.
         let last = *seq.last().expect("non-empty final sequence");
         let skip = {
             let acc = skip_acc.expect("at least one block");
             tape.add(acc, last)
         };
         let h = tape.relu(skip);
-        let end1: Vec<(Var, Var)> = group
-            .iter()
-            .zip(bindings)
-            .map(|(m, bind)| (bind.var(m.end_w1), bind.var(m.end_b1)))
-            .collect();
         let h1 = {
-            let lin = tape.group_linear_blocks(h, &end1, group_wins, v);
+            let end1 = each_member(group, bindings, |m, bind| {
+                (bind.var(m.end_w1), bind.var(m.end_b1))
+            });
+            let lin = tape.group_linear_blocks(h, end1, group_wins, v);
             tape.relu(lin)
         };
-        let end2: Vec<(Var, Var)> = group
-            .iter()
-            .zip(bindings)
-            .map(|(m, bind)| (bind.var(m.end_w2), bind.var(m.end_b2)))
-            .collect();
-        let pred = tape.group_linear_blocks(h1, &end2, group_wins, v); // [ΣW·V, 1]
+        let end2 = each_member(group, bindings, |m, bind| {
+            (bind.var(m.end_w2), bind.var(m.end_b2))
+        });
+        let pred = tape.group_linear_blocks(h1, end2, group_wins, v); // [ΣW·V, 1]
         tape.reshape(pred, &[total, v])
     }
 }

@@ -9,7 +9,7 @@
 //! A cohort of VARs is one grouped linear layer over every window
 //! flattened to a row.
 
-use crate::cohort::{CohortBatch, CohortCtx, CohortForecaster};
+use crate::cohort::{each_member, CohortBatch, CohortCtx, CohortForecaster};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, ParamStore};
@@ -166,8 +166,8 @@ impl CohortForecaster for VarForecaster {
         // of `predict_window`, so each group's rows go through its own
         // layer exactly as its windows do one at a time.
         let flat = tape.leaf(batch.stacked().reshaped(&[batch.total_rows(), seq * v]));
-        let layers: Vec<&Linear> = group.iter().map(|m| &m.layer).collect();
-        Linear::forward_grouped(&layers, tape, bindings, flat, batch.group_wins()) // [Σ W_b, V]
+        let layers = each_member(group, bindings, |m, bind| (&m.layer, bind));
+        Linear::forward_grouped(layers, tape, flat, batch.group_wins()) // [Σ W_b, V]
     }
 }
 

@@ -19,7 +19,10 @@
 
 use ema_autodiff::{Grads, Tape};
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, ForwardCtx, ModelConfig, ModelKind, WindowBatch};
+use ema_models::{
+    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, LstmForecaster, ModelConfig,
+    ModelKind, Mtgnn, WindowBatch,
+};
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
 
@@ -38,53 +41,62 @@ struct Trained {
     predictions: Tensor,
 }
 
-/// Builds the model fresh from `seed`, trains `EPOCHS` full-batch Adam
-/// epochs on the same synthetic windows, and returns the final loss
-/// plus eval-mode batched predictions — everything computed under
-/// `backend`. Mirrors the steady-state loop in `ema_core::train_cohort`.
+/// Builds `kind` fresh from `seed` and trains it (see [`train`]) —
+/// everything, construction included, computed under `backend`.
 fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
     with_kernel_backend(backend, || {
         let cfg = ModelConfig::tiny(seed);
         let graph = AdjacencyMatrix::complete(V);
-        let g = if kind.uses_graph() { Some(&graph) } else { None };
-        let mut model = build_model(kind, V, SEQ, &cfg, g);
-
-        let mut data_rng = Rng64::seed_from(seed ^ 0xA5A5_5A5A);
-        let windows: Vec<Tensor> = (0..WINS)
-            .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
-            .collect();
-        let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
-        let batch = WindowBatch::from_windows(&windows);
-
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
-        let mut drop_rng = Rng64::seed_from(seed.wrapping_add(13));
-        let mut tape = Tape::new();
-        let mut grads = Grads::empty();
-        let tgt = tape.leaf(targets.clone());
-        let keep = tape.len();
-
-        let mut final_loss = f64::NAN;
-        for _ in 0..EPOCHS {
-            tape.reset_to(keep);
-            let binding = model.params().bind(&tape);
-            let mut ctx = ForwardCtx::train(&mut drop_rng);
-            let stacked = model.predict_batch(&tape, &binding, &batch, &mut ctx);
-            let loss = tape.mse(stacked, tgt);
-            tape.backward_into(loss, &mut grads);
-            adam.step(model.params_mut(), &binding, &grads);
-            final_loss = tape.value(loss).data()[0];
-        }
-
-        tape.reset_to(keep);
-        let binding = model.params().bind(&tape);
-        let mut eval_rng = Rng64::seed_from(0);
-        let mut ctx = ForwardCtx::eval(&mut eval_rng);
-        let out = model.predict_batch(&tape, &binding, &batch, &mut ctx);
-        Trained {
-            final_loss,
-            predictions: tape.value(out),
+        match kind {
+            ModelKind::Lstm => train(LstmForecaster::new(V, &cfg), seed),
+            ModelKind::A3tgcn => train(A3tgcn::new(V, &graph, &cfg), seed),
+            ModelKind::Astgcn => train(Astgcn::new(V, SEQ, &graph, &cfg), seed),
+            ModelKind::Mtgnn => train(Mtgnn::new(V, SEQ, Some(&graph), &cfg), seed),
+            ModelKind::Var => unreachable!("the paper models only"),
         }
     })
+}
+
+/// Trains `model` for `EPOCHS` full-batch Adam epochs on synthetic
+/// windows drawn from `seed`, and returns the final loss plus eval-mode
+/// predictions. Mirrors the steady-state loop in
+/// `ema_core::train_cohort` for one individual.
+fn train<M: CohortForecaster>(mut model: M, seed: u64) -> Trained {
+    let mut data_rng = Rng64::seed_from(seed ^ 0xA5A5_5A5A);
+    let windows: Vec<Tensor> = (0..WINS)
+        .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
+        .collect();
+    let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
+    let cohort = CohortBatch::from_batches(&[&WindowBatch::from_windows(&windows)]);
+
+    let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
+    let mut drop_rng = [Rng64::seed_from(seed.wrapping_add(13))];
+    let mut tape = Tape::new();
+    let mut grads = Grads::empty();
+    let tgt = tape.leaf(targets.clone());
+    let keep = tape.len();
+
+    let mut final_loss = f64::NAN;
+    for _ in 0..EPOCHS {
+        tape.reset_to(keep);
+        let binding = model.params().bind(&tape);
+        let mut ctx = CohortCtx::train(&mut drop_rng);
+        let stacked = M::predict_cohort(&[&model], &tape, &[&binding], &cohort, &mut ctx);
+        let loss = tape.mse(stacked, tgt);
+        tape.backward_into(loss, &mut grads);
+        adam.step(model.params_mut(), &binding, &grads);
+        final_loss = tape.value(loss).data()[0];
+    }
+
+    tape.reset_to(keep);
+    let binding = model.params().bind(&tape);
+    let mut eval_rng = [Rng64::seed_from(0)];
+    let mut ctx = CohortCtx::eval(&mut eval_rng);
+    let out = M::predict_cohort(&[&model], &tape, &[&binding], &cohort, &mut ctx);
+    Trained {
+        final_loss,
+        predictions: tape.value(out),
+    }
 }
 
 #[test]

@@ -1,19 +1,18 @@
-//! Property tests pinning the batched forward path
-//! ([`Forecaster::predict_batch`]) bit-identical to the per-window
-//! oracle graph (`predict_window` per window + `stack_rows`) — in
-//! predicted values AND in every parameter gradient, for all four
-//! paper models, in both train mode (dropout active, masks drawn
-//! window-major) and eval mode, across seeds and window counts — plus
-//! every model's cohort-batched path
-//! ([`CohortForecaster::predict_cohort`], one grouped graph for B
-//! individuals) against B separate per-individual graphs.
+//! Property tests pinning the cohort forward
+//! ([`CohortForecaster::predict_cohort`], one grouped graph for B = 1–4
+//! individuals) bit-identical to the per-window oracle graph — each
+//! individual's windows run one at a time through `predict_window` and
+//! stacked with `stack_rows` on its own tape — in predicted values AND
+//! in every parameter gradient, for all five models, in both train mode
+//! (dropout active, each individual's masks drawn window-major from its
+//! own stream) and eval mode, across seeds and window counts.
 
 use ema_autodiff::{Tape, Var};
 use ema_check::{gen, prop_tests};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
-    build_model, A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, Forecaster,
-    ForwardCtx, LstmForecaster, ModelConfig, ModelKind, Mtgnn, VarForecaster, WindowBatch,
+    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, Forecaster, ForwardCtx,
+    LstmForecaster, ModelConfig, Mtgnn, VarForecaster, WindowBatch,
 };
 use ema_nn::Binding;
 use ema_tensor::{derive_stream_seed, Rng64, Tensor};
@@ -65,66 +64,14 @@ fn run_per_window(
     finish(&tape, &binding, model, stacked, targets)
 }
 
-fn run_batched(
-    model: &dyn Forecaster,
-    batch: &WindowBatch,
-    targets: &Tensor,
-    training: bool,
-    rng_seed: u64,
-) -> (Tensor, Vec<Option<Tensor>>) {
-    let tape = Tape::new();
-    let binding = model.params().bind(&tape);
-    let mut rng = Rng64::seed_from(rng_seed);
-    let mut ctx = if training {
-        ForwardCtx::train(&mut rng)
-    } else {
-        ForwardCtx::eval(&mut rng)
-    };
-    let out = model.predict_batch(&tape, &binding, batch, &mut ctx);
-    finish(&tape, &binding, model, out, targets)
-}
-
 fn assert_bit_identical(label: &str, a: &Tensor, b: &Tensor) {
     assert_eq!(a.dims(), b.dims(), "{label}: shape mismatch");
     assert!(
         a.data() == b.data(),
-        "{label}: values differ bit-wise\n  oracle:  {:?}\n  batched: {:?}",
+        "{label}: values differ bit-wise\n  oracle: {:?}\n  cohort: {:?}",
         a.data(),
         b.data()
     );
-}
-
-/// One full comparison: same model, same windows, same RNG seed — the
-/// batched graph must match the per-window graph byte for byte.
-fn check_model(kind: ModelKind, seed: u64, wins: usize, training: bool) {
-    let cfg = ModelConfig::tiny(seed);
-    let graph = AdjacencyMatrix::complete(V);
-    let g = if kind.uses_graph() { Some(&graph) } else { None };
-    let model = build_model(kind, V, SEQ, &cfg, g);
-    let mut data_rng = Rng64::seed_from(seed ^ 0x9e37_79b9);
-    let windows: Vec<Tensor> = (0..wins)
-        .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
-        .collect();
-    let targets = Tensor::rand_normal(&[wins, V], 0.0, 1.0, &mut data_rng);
-    let batch = WindowBatch::from_windows(&windows);
-
-    let rng_seed = seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(7);
-    let (val_a, grads_a) = run_per_window(model.as_ref(), &windows, &targets, training, rng_seed);
-    let (val_b, grads_b) = run_batched(model.as_ref(), &batch, &targets, training, rng_seed);
-
-    let mode = if training { "train" } else { "eval" };
-    assert_bit_identical(&format!("{} {mode} values", kind.label()), &val_a, &val_b);
-    assert_eq!(grads_a.len(), grads_b.len());
-    let ids = model.params().ids();
-    for (i, (ga, gb)) in grads_a.iter().zip(grads_b.iter()).enumerate() {
-        let name = model.params().name(ids[i]);
-        let label = format!("{} {mode} grad `{name}`", kind.label());
-        match (ga, gb) {
-            (Some(ga), Some(gb)) => assert_bit_identical(&label, ga, gb),
-            (None, None) => {}
-            _ => panic!("{label}: one path has a gradient, the other none"),
-        }
-    }
 }
 
 /// A different graph per cohort position so grouped constants are
@@ -155,7 +102,7 @@ fn cohort_graph(b: usize) -> AdjacencyMatrix {
 /// One cohort comparison: B independent models forward through ONE
 /// grouped tape graph ([`CohortForecaster::predict_cohort`]) with
 /// per-individual MSE losses summed into one scalar, vs B separate
-/// [`Forecaster::predict_batch`] graphs — values per row block AND
+/// per-window graphs ([`run_per_window`]) — values per row block AND
 /// every individual's parameter gradients must match byte for byte.
 /// Per the cohort RNG contract each individual draws from its own
 /// stream, so the oracle runs reuse the same derived seeds. `build`
@@ -169,16 +116,18 @@ fn check_cohort<M: CohortForecaster>(
 ) {
     let mut data_rng = Rng64::seed_from(seed ^ 0x9e37_79b9);
     let mut models = Vec::with_capacity(groups);
+    let mut windows = Vec::with_capacity(groups);
     let mut batches = Vec::with_capacity(groups);
     let mut targets = Vec::with_capacity(groups);
     let mut rng_seeds = Vec::with_capacity(groups);
     for b in 0..groups {
         let wins = gen::usize_in(&mut data_rng, 1, 5);
-        let windows: Vec<Tensor> = (0..wins)
+        let member: Vec<Tensor> = (0..wins)
             .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
             .collect();
         models.push(build(b, seed.wrapping_add(b as u64)));
-        batches.push(WindowBatch::from_windows(&windows));
+        batches.push(WindowBatch::from_windows(&member));
+        windows.push(member);
         targets.push(Tensor::rand_normal(&[wins, V], 0.0, 1.0, &mut data_rng));
         rng_seeds.push(derive_stream_seed(seed, b as u64));
     }
@@ -210,11 +159,12 @@ fn check_cohort<M: CohortForecaster>(
     let grads = tape.backward(total.expect("non-empty cohort"));
     let cohort_val = tape.value(out);
 
-    // Oracle: each individual on its own tape with its own stream.
+    // Oracle: each individual's windows one at a time, on its own tape
+    // with its own stream.
     let mode = if training { "train" } else { "eval" };
     for (b, model) in models.iter().enumerate() {
         let (val, oracle_grads) =
-            run_batched(model, &batches[b], &targets[b], training, rng_seeds[b]);
+            run_per_window(model, &windows[b], &targets[b], training, rng_seeds[b]);
         let off = cohort.offset(b);
         let wins = cohort.group_wins()[b];
         assert_eq!(
@@ -236,16 +186,7 @@ fn check_cohort<M: CohortForecaster>(
     }
 }
 
-/// Generator: (seed, window count, training flag).
-fn case(rng: &mut Rng64) -> (u64, usize, bool) {
-    (
-        gen::usize_in(rng, 0, 1 << 16) as u64,
-        gen::usize_in(rng, 1, 5),
-        gen::usize_in(rng, 0, 2) == 0,
-    )
-}
-
-/// Generator: (seed, group count, training flag) for the cohort case.
+/// Generator: (seed, group count 1–4, training flag).
 fn cohort_case(rng: &mut Rng64) -> (u64, usize, bool) {
     (
         gen::usize_in(rng, 0, 1 << 16) as u64,
@@ -255,22 +196,6 @@ fn cohort_case(rng: &mut Rng64) -> (u64, usize, bool) {
 }
 
 prop_tests! {
-    fn lstm_batched_matches_oracle((seed, wins, training) in case) {
-        check_model(ModelKind::Lstm, seed, wins, training);
-    }
-
-    fn a3tgcn_batched_matches_oracle((seed, wins, training) in case) {
-        check_model(ModelKind::A3tgcn, seed, wins, training);
-    }
-
-    fn astgcn_batched_matches_oracle((seed, wins, training) in case) {
-        check_model(ModelKind::Astgcn, seed, wins, training);
-    }
-
-    fn mtgnn_batched_matches_oracle((seed, wins, training) in case) {
-        check_model(ModelKind::Mtgnn, seed, wins, training);
-    }
-
     fn lstm_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
         check_cohort("LSTM", seed, groups, training, &|_b, s| {
             LstmForecaster::new(V, &ModelConfig::tiny(s))

@@ -97,118 +97,51 @@ impl TemporalAttention {
         tape.reshape(ctx, &[n, h])
     }
 
-    /// Batched [`TemporalAttention::weights`]: each state is a
-    /// `[W·n, hidden]` stack of window row-blocks; returns the softmax
-    /// weights as a `[W, T]` matrix whose row `w` is bit-identical to
-    /// the per-window weights of window `w` alone.
-    ///
-    /// # Panics
-    /// Panics if `states` is empty or widths mismatch.
-    pub fn weights_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        states: &[Var],
-        wins: usize,
-    ) -> Var {
-        assert!(!states.is_empty(), "attention over an empty sequence");
-        let n = tape.dims(states[0])[0] / wins;
-        // Row-averaging matrix [1, n]; shared across windows (its own
-        // gradient is never read).
-        let avg = tape.leaf(Tensor::filled(&[1, n], 1.0 / n as f64));
-        let vt = tape.transpose(binding.var(self.v)); // [A, 1], shared by every step
-        let mut scores = Vec::with_capacity(states.len());
-        for &h in states {
-            assert_eq!(
-                tape.dims(h)[1],
-                self.hidden_dim,
-                "hidden width mismatch in attention"
-            );
-            let mean_h = tape.block_lhs_matmul(avg, h, wins); // [W, H]
-            let proj =
-                tape.batched_linear(mean_h, binding.var(self.w), binding.var(self.b), wins); // [W, A]
-            let act = tape.tanh(proj);
-            // Grouped replay: the per-window reference folds each
-            // window's score gradient into its own vt node before
-            // accumulating, so v's gradient association matches.
-            scores.push(tape.batched_matmul_grouped(act, vt, wins)); // [W, 1]
-        }
-        let mut logits = scores[0];
-        for &s in &scores[1..] {
-            logits = tape.hcat(logits, s); // [W, T]
-        }
-        tape.softmax_last(logits) // [W, T], row-wise softmax
-    }
-
-    /// Batched [`TemporalAttention::forward`]: the attention-weighted
-    /// context for every window at once, shape `[W·n, hidden]`.
-    ///
-    /// # Panics
-    /// Panics if `states` is empty or widths mismatch.
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        states: &[Var],
-        wins: usize,
-    ) -> Var {
-        let alpha = self.weights_batched(tape, binding, states, wins); // [W, T]
-        let n = tape.dims(states[0])[0] / wins;
-        let h = self.hidden_dim;
-        // Window block w of the stack holds the T flattened states of
-        // window w; a blockwise [1, T] x [T, n*H] product then forms
-        // every window's context in one node.
-        let stacked = tape.stack_window_blocks(states, wins); // [W·T, n*H]
-        let ctx = tape.block_matmul(alpha, stacked, wins); // [W, n*H]
-        tape.reshape(ctx, &[wins * n, h])
-    }
-
-    /// Grouped [`TemporalAttention::weights_batched`] over a cohort
-    /// stack: each state is a `[Σ W_b·n, hidden]` individual-major
-    /// stack, and group `b`'s window rows are scored by its *own*
-    /// `(w, b, v)` parameters — bit-identical per row block to the
-    /// per-individual batched weights. All modules must share the
-    /// hidden and attention widths.
+    /// Grouped [`TemporalAttention::weights`] over a cohort stack:
+    /// `members` yields one `(attention, binding)` per group, each
+    /// state is a `[Σ W_b·n, hidden]` individual-major stack of `n`-row
+    /// window blocks, and group `b`'s windows are scored by its *own*
+    /// `(w, b, v)` parameters. Returns the softmax weights as a
+    /// `[Σ W_b, T]` matrix whose row for window `w` of group `b` is
+    /// bit-identical to that window's per-window weights. All modules
+    /// must share the hidden and attention widths.
     ///
     /// # Panics
     /// Panics if `states` is empty or lengths/widths mismatch.
-    pub fn weights_grouped(
-        attns: &[&Self],
+    pub fn weights_grouped<'a>(
+        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
         tape: &Tape,
-        bindings: &[&Binding],
         states: &[Var],
         group_wins: &[usize],
     ) -> Var {
         assert!(!states.is_empty(), "attention over an empty sequence");
-        assert_eq!(attns.len(), bindings.len(), "one binding per module");
-        assert_eq!(attns.len(), group_wins.len(), "one window count per module");
-        let (hidden, _) = shared_dims(attns);
+        let hidden = shared_hidden_dim(members.clone());
         let total_wins: usize = group_wins.iter().sum();
         let n = tape.dims(states[0])[0] / total_wins;
         // Row-averaging matrix [1, n]; shared across windows and
         // individuals (its own gradient is never read), so the shared
         // block-lhs op applies with wins = Σ W_b.
         let avg = tape.leaf(Tensor::filled(&[1, n], 1.0 / n as f64));
-        let params: Vec<(Var, Var)> = attns
-            .iter()
-            .zip(bindings)
-            .map(|(a, bind)| (bind.var(a.w), bind.var(a.b)))
-            .collect();
-        let vts: Vec<Var> = attns
-            .iter()
-            .zip(bindings)
-            .map(|(a, bind)| tape.transpose(bind.var(a.v))) // [A, 1]
+        // Each individual's vᵀ [A, 1], shared by every step as in the
+        // per-window graph.
+        let vts: Vec<Var> = members
+            .clone()
+            .map(|(a, bind)| tape.transpose(bind.var(a.v)))
             .collect();
         let mut scores = Vec::with_capacity(states.len());
         for &h in states {
             assert_eq!(tape.dims(h)[1], hidden, "hidden width mismatch in attention");
             let mean_h = tape.block_lhs_matmul(avg, h, total_wins); // [Σ W_b, H]
-            let proj = tape.group_linear(mean_h, &params, group_wins); // [Σ W_b, A]
+            let params = members
+                .clone()
+                .map(|(a, bind)| (bind.var(a.w), bind.var(a.b)));
+            let proj = tape.group_linear(mean_h, params, group_wins); // [Σ W_b, A]
             let act = tape.tanh(proj);
-            // Grouped replay per individual: each group's score pieces
-            // fold into its own vt node per window, as in the batched
-            // reference.
-            scores.push(tape.group_matmul_grouped(act, &vts, group_wins, 1)); // [Σ W_b, 1]
+            // Grouped replay: the per-window graph folds each window's
+            // score gradients into that window's own vᵀ node before
+            // accumulating, so v's gradient association matches.
+            let score = tape.group_matmul_grouped(act, vts.iter().copied(), group_wins, 1);
+            scores.push(score); // [Σ W_b, 1]
         }
         let mut logits = scores[0];
         for &s in &scores[1..] {
@@ -217,26 +150,27 @@ impl TemporalAttention {
         tape.softmax_last(logits) // [Σ W_b, T], row-wise softmax
     }
 
-    /// Grouped [`TemporalAttention::forward_batched`]: the
-    /// attention-weighted context for every window of every individual
-    /// at once, shape `[Σ W_b·n, hidden]`.
+    /// Grouped [`TemporalAttention::forward`]: the attention-weighted
+    /// context for every window of every individual at once, shape
+    /// `[Σ W_b·n, hidden]`.
     ///
     /// # Panics
     /// Panics if `states` is empty or lengths/widths mismatch.
-    pub fn forward_grouped(
-        attns: &[&Self],
+    pub fn forward_grouped<'a>(
+        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
         tape: &Tape,
-        bindings: &[&Binding],
         states: &[Var],
         group_wins: &[usize],
     ) -> Var {
-        let alpha = Self::weights_grouped(attns, tape, bindings, states, group_wins); // [Σ W_b, T]
+        let alpha = Self::weights_grouped(members, tape, states, group_wins); // [Σ W_b, T]
         let total_wins: usize = group_wins.iter().sum();
-        let n = tape.dims(states[0])[0] / total_wins;
-        let h = attns[0].hidden_dim;
-        // The pooling stays a shared-structure op: window blocks divide
-        // the cohort stack uniformly, so the batched stack/block-matmul
-        // with wins = Σ W_b is bit-identical per window block.
+        let dims = tape.dims(states[0]);
+        let (n, h) = (dims[0] / total_wins, dims[1]);
+        // Window block w of the stack holds the T flattened states of
+        // window w; a blockwise [1, T] x [T, n*H] product then forms
+        // every window's context in one node — the pooling has no
+        // parameters, so one shared-structure op covers every
+        // individual.
         let stacked = tape.stack_window_blocks(states, total_wins); // [Σ W_b·T, n*H]
         let ctx = tape.block_matmul(alpha, stacked, total_wins); // [Σ W_b, n*H]
         tape.reshape(ctx, &[total_wins * n, h])
@@ -244,10 +178,12 @@ impl TemporalAttention {
 }
 
 /// Asserts every module shares the hidden/attention widths and returns
-/// them.
-fn shared_dims(attns: &[&TemporalAttention]) -> (usize, usize) {
-    let first = attns.first().expect("at least one attention module");
-    for a in attns {
+/// the hidden width.
+fn shared_hidden_dim<'a>(
+    mut members: impl Iterator<Item = (&'a TemporalAttention, &'a Binding)>,
+) -> usize {
+    let (first, _) = members.next().expect("at least one attention module");
+    for (a, _) in members {
         assert_eq!(
             a.hidden_dim, first.hidden_dim,
             "grouped attention modules must share the hidden width"
@@ -257,7 +193,7 @@ fn shared_dims(attns: &[&TemporalAttention]) -> (usize, usize) {
             "grouped attention modules must share the attention width"
         );
     }
-    (first.hidden_dim, first.attn_dim)
+    first.hidden_dim
 }
 
 #[cfg(test)]

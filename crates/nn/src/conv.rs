@@ -113,74 +113,30 @@ impl DilatedTemporalConv {
         out
     }
 
-    /// Batched [`DilatedTemporalConv::forward`]: every step is a
-    /// `[W·n, in_c]` stack of window row-blocks sharing the tap
-    /// parameters. Row-block `w` of each output step is bit-identical
-    /// to the per-window forward on window `w` alone.
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        seq: &[Var],
-        wins: usize,
-    ) -> Vec<Var> {
-        let span = self.shrinkage();
-        assert!(
-            seq.len() > span,
-            "sequence of {} steps is shorter than receptive field {}",
-            seq.len(),
-            span + 1
-        );
-        let bias = binding.var(self.bias);
-        let mut out = Vec::with_capacity(seq.len() - span);
-        for t in span..seq.len() {
-            let mut acc: Option<Var> = None;
-            for (j, &tap) in self.taps.iter().enumerate() {
-                let x = seq[t - j * self.dilation];
-                let term = tape.batched_matmul_nt(x, binding.var(tap), wins);
-                acc = Some(match acc {
-                    Some(a) => tape.add(a, term),
-                    None => term,
-                });
-            }
-            let summed = acc.expect("kernel > 0");
-            out.push(tape.batched_add_row_broadcast(summed, bias, wins));
-        }
-        out
-    }
-
-    /// Grouped [`DilatedTemporalConv::forward_batched`] over a cohort
-    /// stack: each step is a `[Σ W_b·rows, in_c]` individual-major
-    /// stack, and group `b`'s rows convolve with its *own* taps/bias —
-    /// bit-identical per row block to the per-individual batched
-    /// forward. All modules must share kernel, dilation, and widths.
+    /// Grouped [`DilatedTemporalConv::forward`] over a cohort stack:
+    /// `members` yields one `(conv, binding)` per group, each step is a
+    /// `[Σ W_b·rows, in_c]` individual-major stack of `rows`-row window
+    /// blocks, and group `b`'s rows convolve with its *own* taps/bias —
+    /// bit-identical per window block to the per-window forward. All
+    /// modules must share kernel, dilation, and widths.
     ///
     /// # Panics
     /// Panics if lengths/shapes mismatch or the sequence is shorter
     /// than the receptive field.
-    pub fn forward_grouped(
-        convs: &[&Self],
+    pub fn forward_grouped<'a>(
+        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
         tape: &Tape,
-        bindings: &[&Binding],
         seq: &[Var],
         group_wins: &[usize],
         block_rows: usize,
     ) -> Vec<Var> {
-        assert_eq!(convs.len(), bindings.len(), "one binding per module");
-        assert_eq!(convs.len(), group_wins.len(), "one window count per module");
-        let first = convs.first().expect("at least one conv module");
-        for c in convs {
-            assert_eq!(
-                (c.kernel, c.dilation, c.in_channels, c.out_channels),
-                (
-                    first.kernel,
-                    first.dilation,
-                    first.in_channels,
-                    first.out_channels
-                ),
-                "grouped conv modules must share kernel/dilation/widths"
-            );
-        }
+        let mut convs = members.clone().map(|(c, _)| c);
+        let first = convs.next().expect("at least one conv module");
+        let geometry = |c: &Self| (c.kernel, c.dilation, c.in_channels, c.out_channels);
+        assert!(
+            convs.all(|c| geometry(c) == geometry(first)),
+            "grouped conv modules must share kernel/dilation/widths"
+        );
         let span = first.shrinkage();
         assert!(
             seq.len() > span,
@@ -188,29 +144,21 @@ impl DilatedTemporalConv {
             seq.len(),
             span + 1
         );
-        let biases: Vec<Var> = convs
-            .iter()
-            .zip(bindings)
-            .map(|(c, bind)| bind.var(c.bias))
-            .collect();
         let mut out = Vec::with_capacity(seq.len() - span);
         for t in span..seq.len() {
             let mut acc: Option<Var> = None;
             for j in 0..first.kernel {
                 let x = seq[t - j * first.dilation];
-                let taps_j: Vec<Var> = convs
-                    .iter()
-                    .zip(bindings)
-                    .map(|(c, bind)| bind.var(c.taps[j]))
-                    .collect();
-                let term = tape.group_matmul_nt(x, &taps_j, group_wins, block_rows);
+                let taps = members.clone().map(|(c, bind)| bind.var(c.taps[j]));
+                let term = tape.group_matmul_nt(x, taps, group_wins, block_rows);
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
                     None => term,
                 });
             }
             let summed = acc.expect("kernel > 0");
-            out.push(tape.group_add_row_broadcast(summed, &biases, group_wins, block_rows));
+            let biases = members.clone().map(|(c, bind)| bind.var(c.bias));
+            out.push(tape.group_add_row_broadcast(summed, biases, group_wins, block_rows));
         }
         out
     }

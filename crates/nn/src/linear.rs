@@ -70,35 +70,26 @@ impl Linear {
         tape.linear(x, binding.var(self.w), binding.var(self.b))
     }
 
-    /// Batched [`Linear::forward`] over `wins` window row-blocks
-    /// sharing the layer parameters: `x: [W·n, in]` → `[W·n, out]`.
-    pub fn forward_batched(&self, tape: &Tape, binding: &Binding, x: Var, wins: usize) -> Var {
-        tape.batched_linear(x, binding.var(self.w), binding.var(self.b), wins)
-    }
-
-    /// Grouped forward over a cohort row stack: group `b`'s
-    /// `group_rows[b]` contiguous rows of `x` go through `layers[b]`
-    /// bound via `bindings[b]` (each individual keeps its own
-    /// parameters on the shared tape). Row-block `b` is bit-identical
-    /// to [`Linear::forward_batched`] on that individual alone (see
-    /// `Tape::group_linear`).
+    /// Grouped forward over a cohort row stack: `members` yields one
+    /// `(layer, binding)` per group, and group `b`'s `group_rows[b]`
+    /// contiguous rows of `x` go through its own layer's parameters
+    /// (each individual keeps its own parameters on the shared tape).
+    /// Row `r` of group `b` is bit-identical to [`Linear::forward`] on
+    /// that row alone (see `Tape::group_linear`).
     ///
     /// # Panics
-    /// Panics when the slice lengths disagree or layer widths differ.
-    pub fn forward_grouped(
-        layers: &[&Self],
+    /// Panics when `members` and `group_rows` disagree in length or
+    /// layer widths differ.
+    pub fn forward_grouped<'a>(
+        members: impl IntoIterator<Item = (&'a Self, &'a Binding)>,
         tape: &Tape,
-        bindings: &[&Binding],
         x: Var,
         group_rows: &[usize],
     ) -> Var {
-        assert_eq!(layers.len(), bindings.len(), "one binding per layer");
-        let params: Vec<(Var, Var)> = layers
-            .iter()
-            .zip(bindings)
-            .map(|(l, bind)| (bind.var(l.w), bind.var(l.b)))
-            .collect();
-        tape.group_linear(x, &params, group_rows)
+        let params = members
+            .into_iter()
+            .map(|(l, bind)| (bind.var(l.w), bind.var(l.b)));
+        tape.group_linear(x, params, group_rows)
     }
 }
 

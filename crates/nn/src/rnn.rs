@@ -208,122 +208,58 @@ impl LstmCell {
         states
     }
 
-    /// One step over `wins` window row-blocks sharing the cell params:
-    /// `x: [W·n, X]` with carried `[W·n, H]` state. Row-block `w` is
-    /// bit-identical to [`LstmCell::forward`] on window `w` alone.
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        x: Var,
-        state: LstmState,
-        wins: usize,
-    ) -> LstmState {
-        let hd = self.hidden_dim;
-        let gi = tape.batched_linear(x, binding.var(self.w_ih), binding.var(self.b_ih), wins);
-        let gh = tape.batched_linear(state.h, binding.var(self.w_hh), binding.var(self.b_hh), wins);
-        let gates_pre = tape.add(gi, gh);
-        let hc = tape.lstm_cell(gates_pre, state.c);
-        let h = tape.slice_cols(hc, 0, hd);
-        let c = tape.slice_cols(hc, hd, 2 * hd);
-        LstmState { h, c }
-    }
-
-    /// Batched [`LstmCell::run_sequence`]: every `x` is `[W·n, X]`.
-    pub fn run_sequence_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        xs: &[Var],
-        mut state: LstmState,
-        wins: usize,
-    ) -> Vec<Var> {
-        let mut states = Vec::with_capacity(xs.len());
-        for &x in xs {
-            state = self.forward_batched(tape, binding, x, state, wins);
-            states.push(state.h);
-        }
-        states
-    }
-
-    /// Zero-initialised state for a cohort stack of `total_rows` rows
-    /// shared by `cells` (all cells must agree on the hidden width).
+    /// One step over a cohort row stack: `members` yields one
+    /// `(cell, binding)` per group, and group `b`'s `group_rows[b]`
+    /// contiguous rows of `x: [Σ rows, X]` go through its own cell's
+    /// parameters. Row `r` of group `b` is bit-identical to
+    /// [`LstmCell::forward`] on that row alone: the grouped linears
+    /// match per row (see `Tape::group_linear`) and the
+    /// add/cell/slice chain is rowwise.
     ///
     /// # Panics
-    /// Panics if `cells` is empty or hidden widths differ.
-    pub fn zero_state_grouped(cells: &[&Self], tape: &Tape, total_rows: usize) -> LstmState {
-        let hd = Self::shared_hidden_dim(cells);
-        let h = tape.leaf(ema_tensor::Tensor::zeros(&[total_rows, hd]));
-        let c = tape.leaf(ema_tensor::Tensor::zeros(&[total_rows, hd]));
-        LstmState { h, c }
-    }
-
-    /// One step over a cohort row stack: group `b`'s `group_rows[b]`
-    /// contiguous rows of `x: [Σ rows, X]` go through `cells[b]`'s own
-    /// parameters bound via `bindings[b]`. Row-block `b` is
-    /// bit-identical to [`LstmCell::forward_batched`] on that
-    /// individual alone: the grouped linears match per block (see
-    /// `Tape::group_linear`) and the add/cell/slice chain is rowwise.
-    ///
-    /// # Panics
-    /// Panics when slice lengths disagree or cell widths differ.
-    pub fn forward_grouped(
-        cells: &[&Self],
+    /// Panics when `members` and `group_rows` disagree in length or
+    /// the cells' widths differ.
+    pub fn forward_grouped<'a>(
+        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
         tape: &Tape,
-        bindings: &[&Binding],
         x: Var,
         state: LstmState,
         group_rows: &[usize],
     ) -> LstmState {
-        assert_eq!(cells.len(), bindings.len(), "one binding per cell");
-        let hd = Self::shared_hidden_dim(cells);
-        let pairs = |pick: fn(&Self) -> (ParamId, ParamId)| -> Vec<(Var, Var)> {
-            cells
-                .iter()
-                .zip(bindings)
-                .map(|(c, bind)| {
-                    let (w, b) = pick(c);
-                    (bind.var(w), bind.var(b))
-                })
-                .collect()
-        };
-        let gi = tape.group_linear(x, &pairs(|c| (c.w_ih, c.b_ih)), group_rows);
-        let gh = tape.group_linear(state.h, &pairs(|c| (c.w_hh, c.b_hh)), group_rows);
-        let gates_pre = tape.add(gi, gh);
-        let hc = tape.lstm_cell(gates_pre, state.c);
-        let h = tape.slice_cols(hc, 0, hd);
-        let c = tape.slice_cols(hc, hd, 2 * hd);
-        LstmState { h, c }
-    }
-
-    /// Grouped [`LstmCell::run_sequence_batched`] over a cohort stack,
-    /// returning every hidden state.
-    pub fn run_sequence_grouped(
-        cells: &[&Self],
-        tape: &Tape,
-        bindings: &[&Binding],
-        xs: &[Var],
-        mut state: LstmState,
-        group_rows: &[usize],
-    ) -> Vec<Var> {
-        let mut states = Vec::with_capacity(xs.len());
-        for &x in xs {
-            state = Self::forward_grouped(cells, tape, bindings, x, state, group_rows);
-            states.push(state.h);
-        }
-        states
-    }
-
-    fn shared_hidden_dim(cells: &[&Self]) -> usize {
-        let hd = cells
-            .first()
-            .expect("grouped LSTM needs at least one cell")
-            .hidden_dim;
+        let mut cells = members.clone().map(|(c, _)| c.hidden_dim);
+        let hd = cells.next().expect("grouped LSTM needs at least one cell");
         assert!(
-            cells.iter().all(|c| c.hidden_dim == hd),
+            cells.all(|h| h == hd),
             "grouped LSTM cells must share the hidden width"
         );
-        hd
+        let input = members
+            .clone()
+            .map(|(c, bind)| (bind.var(c.w_ih), bind.var(c.b_ih)));
+        let gi = tape.group_linear(x, input, group_rows);
+        let hidden = members.map(|(c, bind)| (bind.var(c.w_hh), bind.var(c.b_hh)));
+        let gh = tape.group_linear(state.h, hidden, group_rows);
+        let gates_pre = tape.add(gi, gh);
+        let hc = tape.lstm_cell(gates_pre, state.c);
+        let h = tape.slice_cols(hc, 0, hd);
+        let c = tape.slice_cols(hc, hd, 2 * hd);
+        LstmState { h, c }
+    }
+
+    /// Grouped [`LstmCell::run_sequence`] over a cohort stack,
+    /// returning every hidden state.
+    pub fn run_sequence_grouped<'a>(
+        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
+        tape: &Tape,
+        xs: &[Var],
+        mut state: LstmState,
+        group_rows: &[usize],
+    ) -> Vec<Var> {
+        let mut states = Vec::with_capacity(xs.len());
+        for &x in xs {
+            state = Self::forward_grouped(members.clone(), tape, x, state, group_rows);
+            states.push(state.h);
+        }
+        states
     }
 }
 

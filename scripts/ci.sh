@@ -40,25 +40,24 @@ echo "==> cargo test (EMA_THREADS=4)"
 # byte-identical to the sequential run (the exec engine's guarantee).
 EMA_THREADS=4 cargo test --offline --workspace -q
 
-echo "==> forward-path equivalence and scalar fixtures (EMA_THREADS=4)"
-# The per-model property suites pin the forwards to each other, values
-# and every parameter gradient: per-window against window-batched, and
-# window-batched against the grouped cohort forward for groups of 1-5
-# individuals, all five models. The scalar fixtures freeze every model
-# kind, both cohort runners and every experiment preset byte for byte
-# on a 4-worker executor.
+echo "==> cohort-forward equivalence and scalar fixtures (EMA_THREADS=4)"
+# The per-model property suites pin the one training forward, the
+# grouped cohort forward over groups of 1-4 individuals, to the
+# per-window oracle (each window through predict_window on its own),
+# values and every parameter gradient, all five models. The scalar
+# fixtures freeze every model kind, both cohort runners and every
+# experiment preset byte for byte on a 4-worker executor.
 EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q
 EMA_THREADS=4 cargo test --offline --test scalar_fixtures -q
 
 echo "==> sharded-cohort smoke (EMA_THREADS=4)"
 # Streamed sharded cohort on a 4-worker executor: shard boundaries must
-# never change numbers. Shard size 1 trains each individual on the
-# window-batched forward and larger shards on the grouped cohort
-# forward, so the grid inside each test (shard sizes 1, 2 and 4,
-# including the 2-shard × 2-individual shape) also pins the two
-# forwards to each other, for both the LSTM and a graph model (A3TGCN
-# exercises the grouped graph-conv/attention ops end to end), plus the
-# 256-case models-layer cohort properties.
+# never change numbers. Every shard trains on the cohort forward, so
+# the grid inside each test (shard sizes 1, 2 and 4, including the
+# 2-shard × 2-individual shape) pins group composition out of every
+# result, for both the LSTM and a graph model (A3TGCN exercises the
+# grouped graph-conv/attention ops end to end), plus the 256-case
+# models-layer cohort properties.
 EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q cohort_matches_per_individual_oracle
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_results_identical_across_threads_shards_and_paths
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_graph_model_identical_across_threads_shards_and_paths
@@ -71,6 +70,12 @@ echo "==> cluster-warm-start smoke (EMA_THREADS=4)"
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
 EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
 test -s results/cluster_compare.json
+
+echo "==> perfbench tests"
+# perfbench is its own Cargo workspace, so the workspace build above
+# never compiles it; it calls the model and training API directly
+# (its replay must reproduce the pipeline bit for bit).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
 echo "==> cargo clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings

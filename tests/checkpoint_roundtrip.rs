@@ -78,7 +78,8 @@ fn zero_epoch_restore<M: CohortForecaster>(label: &str, train: &Tensor, build: i
     let windows = make_windows(train, SEQ_LEN);
     let source = trained_model(train, &build);
     let ckpt = Arc::new(Checkpoint::capture(source.params()));
-    let want = predict_all(&source, &windows, 0);
+    let windows = std::slice::from_ref(&windows);
+    let want = predict_all(std::slice::from_ref(&source), windows);
 
     // A different ModelConfig seed: the restore must overwrite every
     // parameter, so the init draws cannot matter.
@@ -88,10 +89,14 @@ fn zero_epoch_restore<M: CohortForecaster>(label: &str, train: &Tensor, build: i
         warm_start: Some(ckpt),
         ..TrainConfig::quick(3, 11)
     };
-    let report = train_model(&mut restored, &windows, &config);
+    let report = train_model(&mut restored, &windows[0], &config);
     assert_eq!(report.epochs_run, 0, "{label}: restore must not train");
-    let got = predict_all(&restored, &windows, 0);
-    assert_eq!(got.data(), want.data(), "{label}: restored predictions are not bit-identical");
+    let got = predict_all(std::slice::from_ref(&restored), windows);
+    assert_eq!(
+        got[0].data(),
+        want[0].data(),
+        "{label}: restored predictions are not bit-identical"
+    );
 }
 
 /// A warm start with `epochs = 0` is a pure restore: a freshly built

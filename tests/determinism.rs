@@ -232,8 +232,7 @@ fn obs_modes_never_perturb_results_and_off_writes_nothing() {
 /// `train_cohort` reports every individual's every epoch: one
 /// `train_epoch` point per (individual, epoch) carrying the loss and
 /// gradient norm of its `TrainReport` — while the individual trains in
-/// a group (the grouped cohort forward) and after the others finished
-/// and it trains alone (the window-batched forward).
+/// a group and after the others finished and it trains alone.
 #[test]
 fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
     use ema_core::{train_cohort, Json, TrainConfig};
@@ -410,11 +409,10 @@ fn cohort_sharded_results_json(
 }
 
 /// Asserts `run(threads, shard)` is byte-identical to the
-/// `(threads = 1, shard = 1)` baseline at every grid point. Shard size 1
-/// trains each individual alone on the window-batched forward
-/// (`predict_batch`); larger shards train on the grouped cohort forward
-/// (`predict_cohort`), so the grid also pins the two forward paths to
-/// each other.
+/// `(threads = 1, shard = 1)` baseline at every grid point. Every shard
+/// trains on the cohort forward (`predict_cohort`); shard size 1 runs
+/// it one individual at a time and larger shards group individuals, so
+/// the grid pins group composition out of every number.
 fn assert_sharding_invisible(
     what: &str,
     grid: &[(usize, usize)],
@@ -433,8 +431,8 @@ fn assert_sharding_invisible(
 /// The streaming sharded cohort path's headline guarantee: results are
 /// byte-identical at every `(thread count, shard size)` pair — shard
 /// boundaries never change numbers because every per-individual stream
-/// is derived from `(run seed, id)` — and the grouped cohort forward of
-/// larger shards matches the window-batched forward of shard size 1.
+/// is derived from `(run seed, id)` — and the cohort forward over a
+/// group matches the same forward over one individual at a time.
 #[test]
 fn cohort_sharded_results_identical_across_threads_shards_and_paths() {
     // (4, 2) is the CI smoke shape: 2 shards × 2 individuals on a
