@@ -1,11 +1,13 @@
 //! Property tests pinning the cohort forward
-//! ([`CohortForecaster::predict_cohort`], one grouped graph for B = 1–4
-//! individuals) bit-identical to the per-window oracle graph — each
-//! individual's windows run one at a time through `predict_window` and
-//! stacked with `stack_rows` on its own tape — in predicted values AND
-//! in every parameter gradient, for all five models, in both train mode
-//! (dropout active, each individual's masks drawn window-major from its
-//! own stream) and eval mode, across seeds and window counts.
+//! ([`CohortForecaster::predict_cohort`]) bit-identical to the
+//! per-window oracle graph — each individual's windows run one at a
+//! time through `predict_window` and stacked with `stack_rows` on its
+//! own tape — in predicted values AND in every parameter gradient, in
+//! both train mode (dropout active, each individual's masks drawn
+//! window-major from its own stream) and eval mode, across seeds and
+//! window counts: one individual's window batch for each of the four
+//! paper models, and cohorts of B = 1–4 individuals with distinct
+//! graphs for all five models.
 
 use ema_autodiff::{Tape, Var};
 use ema_check::{gen, prop_tests};
@@ -64,6 +66,29 @@ fn run_per_window(
     finish(&tape, &binding, model, stacked, targets)
 }
 
+/// One individual's windows through a one-member cohort forward: the
+/// window-batched graph training and evaluation run.
+fn run_batched<M: CohortForecaster>(
+    model: &M,
+    windows: &[Tensor],
+    targets: &Tensor,
+    training: bool,
+    rng_seed: u64,
+) -> (Tensor, Vec<Option<Tensor>>) {
+    let tape = Tape::new();
+    let binding = model.params().bind(&tape);
+    let batch = WindowBatch::from_windows(windows);
+    let cohort = CohortBatch::from_batches(&[&batch]);
+    let mut rngs = [Rng64::seed_from(rng_seed)];
+    let mut ctx = if training {
+        CohortCtx::train(&mut rngs)
+    } else {
+        CohortCtx::eval(&mut rngs)
+    };
+    let out = M::predict_cohort(&[model], &tape, &[&binding], &cohort, &mut ctx);
+    finish(&tape, &binding, model, out, targets)
+}
+
 fn assert_bit_identical(label: &str, a: &Tensor, b: &Tensor) {
     assert_eq!(a.dims(), b.dims(), "{label}: shape mismatch");
     assert!(
@@ -72,6 +97,35 @@ fn assert_bit_identical(label: &str, a: &Tensor, b: &Tensor) {
         a.data(),
         b.data()
     );
+}
+
+/// One full comparison: same model, same windows, same RNG seed — the
+/// window-batched graph must match the per-window graph byte for byte.
+fn check_model<M: CohortForecaster>(model: &M, seed: u64, wins: usize, training: bool) {
+    let mut data_rng = Rng64::seed_from(seed ^ 0x9e37_79b9);
+    let windows: Vec<Tensor> = (0..wins)
+        .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
+        .collect();
+    let targets = Tensor::rand_normal(&[wins, V], 0.0, 1.0, &mut data_rng);
+
+    let rng_seed = seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(7);
+    let (val_a, grads_a) = run_per_window(model, &windows, &targets, training, rng_seed);
+    let (val_b, grads_b) = run_batched(model, &windows, &targets, training, rng_seed);
+
+    let mode = if training { "train" } else { "eval" };
+    let label = model.name();
+    assert_bit_identical(&format!("{label} {mode} values"), &val_a, &val_b);
+    assert_eq!(grads_a.len(), grads_b.len());
+    let ids = model.params().ids();
+    for (i, (ga, gb)) in grads_a.iter().zip(grads_b.iter()).enumerate() {
+        let name = model.params().name(ids[i]);
+        let grad_label = format!("{label} {mode} grad `{name}`");
+        match (ga, gb) {
+            (Some(ga), Some(gb)) => assert_bit_identical(&grad_label, ga, gb),
+            (None, None) => {}
+            _ => panic!("{grad_label}: one path has a gradient, the other none"),
+        }
+    }
 }
 
 /// A different graph per cohort position so grouped constants are
@@ -186,6 +240,15 @@ fn check_cohort<M: CohortForecaster>(
     }
 }
 
+/// Generator: (seed, window count 1–4, training flag).
+fn case(rng: &mut Rng64) -> (u64, usize, bool) {
+    (
+        gen::usize_in(rng, 0, 1 << 16) as u64,
+        gen::usize_in(rng, 1, 5),
+        gen::usize_in(rng, 0, 2) == 0,
+    )
+}
+
 /// Generator: (seed, group count 1–4, training flag).
 fn cohort_case(rng: &mut Rng64) -> (u64, usize, bool) {
     (
@@ -196,6 +259,27 @@ fn cohort_case(rng: &mut Rng64) -> (u64, usize, bool) {
 }
 
 prop_tests! {
+    fn lstm_batched_matches_oracle((seed, wins, training) in case) {
+        check_model(&LstmForecaster::new(V, &ModelConfig::tiny(seed)), seed, wins, training);
+    }
+
+    fn a3tgcn_batched_matches_oracle((seed, wins, training) in case) {
+        let graph = AdjacencyMatrix::complete(V);
+        check_model(&A3tgcn::new(V, &graph, &ModelConfig::tiny(seed)), seed, wins, training);
+    }
+
+    fn astgcn_batched_matches_oracle((seed, wins, training) in case) {
+        let graph = AdjacencyMatrix::complete(V);
+        let model = Astgcn::new(V, SEQ, &graph, &ModelConfig::tiny(seed));
+        check_model(&model, seed, wins, training);
+    }
+
+    fn mtgnn_batched_matches_oracle((seed, wins, training) in case) {
+        let graph = AdjacencyMatrix::complete(V);
+        let model = Mtgnn::new(V, SEQ, Some(&graph), &ModelConfig::tiny(seed));
+        check_model(&model, seed, wins, training);
+    }
+
     fn lstm_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
         check_cohort("LSTM", seed, groups, training, &|_b, s| {
             LstmForecaster::new(V, &ModelConfig::tiny(s))
