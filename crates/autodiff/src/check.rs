@@ -26,11 +26,7 @@ pub struct CheckReport {
 /// `f` receives a fresh tape and the leaf var for the (possibly
 /// perturbed) input and must return a scalar loss var. Relative error is
 /// measured as `|a - n| / max(1, |a|, |n|)`.
-pub fn check_gradient(
-    input: &Tensor,
-    eps: f64,
-    f: impl Fn(&Tape, Var) -> Var,
-) -> CheckReport {
+pub fn check_gradient(input: &Tensor, eps: f64, f: impl Fn(&Tape, Var) -> Var) -> CheckReport {
     // Analytic gradient.
     let tape = Tape::new();
     let x = tape.leaf(input.clone());

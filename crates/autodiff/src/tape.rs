@@ -579,7 +579,15 @@ fn backward_one(
             contribs.extend([(x, dx), (w, dw), (bias, dbias)]);
         }
         Op::LstmCell(gates, c_prev) => {
-            lstm_cell_backward(val(gates), val(c_prev), out_value, g, gates, c_prev, contribs);
+            lstm_cell_backward(
+                val(gates),
+                val(c_prev),
+                out_value,
+                g,
+                gates,
+                c_prev,
+                contribs,
+            );
         }
         Op::GruCell(gi, gh, h_prev) => {
             gru_cell_backward(val(gi), val(gh), val(h_prev), g, gi, gh, h_prev, contribs);
@@ -644,18 +652,12 @@ fn backward_one(
         Op::HCat(a, b) => {
             let ca = val(a).dims()[1];
             let total = out_value.dims()[1];
-            contribs.extend([
-                (a, g.slice_cols(0, ca)),
-                (b, g.slice_cols(ca, total)),
-            ]);
+            contribs.extend([(a, g.slice_cols(0, ca)), (b, g.slice_cols(ca, total))]);
         }
         Op::VCat(a, b) => {
             let ra = val(a).dims()[0];
             let total = out_value.dims()[0];
-            contribs.extend([
-                (a, g.slice_rows(0, ra)),
-                (b, g.slice_rows(ra, total)),
-            ]);
+            contribs.extend([(a, g.slice_rows(0, ra)), (b, g.slice_rows(ra, total))]);
         }
         Op::SliceRows(a, start, end) => {
             let mut da = Tensor::zeros(val(a).dims());
@@ -764,8 +766,9 @@ fn backward_one(
                 let block = n * h;
                 let mut d = pool::take_uninit(rows * h);
                 for w in 0..wins {
-                    d[w * block..(w + 1) * block]
-                        .copy_from_slice(&g.data()[(w * t_count + t) * block..(w * t_count + t + 1) * block]);
+                    d[w * block..(w + 1) * block].copy_from_slice(
+                        &g.data()[(w * t_count + t) * block..(w * t_count + t + 1) * block],
+                    );
                 }
                 contribs.push((s, Tensor::from_vec(sv.dims(), d).expect("state grad shape")));
             }

@@ -104,7 +104,11 @@ fn lstm_cell_forward(gates: &Tensor, c_prev: &Tensor) -> Tensor {
     assert_eq!(gates.rank(), 2, "lstm_cell gates must be rank 2");
     assert_eq!(c_prev.rank(), 2, "lstm_cell state must be rank 2");
     let (n, g4) = (gates.dims()[0], gates.dims()[1]);
-    assert_eq!(g4 % 4, 0, "lstm_cell gate width {g4} must be divisible by 4");
+    assert_eq!(
+        g4 % 4,
+        0,
+        "lstm_cell gate width {g4} must be divisible by 4"
+    );
     let h = g4 / 4;
     assert_eq!(
         c_prev.dims(),
@@ -201,7 +205,10 @@ mod tests {
         let grads = tape.backward(loss);
         let g = grads.get(a).unwrap();
         // grad equals the mask itself (0 or 2).
-        assert!(g.data().iter().all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
+        assert!(g
+            .data()
+            .iter()
+            .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
     }
 
     #[test]

@@ -70,11 +70,8 @@ mod tests {
         let c = tape.hcat(a, b);
         assert_eq!(tape.dims(c), vec![2, 3]);
         // Weight the loss so the two sides see different gradients.
-        let w = tape.leaf(Tensor::from_vec2(vec![
-            vec![1.0, 1.0, 5.0],
-            vec![1.0, 1.0, 5.0],
-        ])
-        .unwrap());
+        let w =
+            tape.leaf(Tensor::from_vec2(vec![vec![1.0, 1.0, 5.0], vec![1.0, 1.0, 5.0]]).unwrap());
         let weighted = tape.mul(c, w);
         let loss = tape.sum_all(weighted);
         let grads = tape.backward(loss);

@@ -684,7 +684,11 @@ fn grad_group_linear_all_parents() {
     let x = rand(&[6, 3], 101);
     let ws: Vec<Tensor> = (0..3).map(|b| rand(&[4, 3], 102 + b)).collect();
     let bs: Vec<Tensor> = (0..3).map(|b| rand(&[4], 105 + b)).collect();
-    let build = |t: &Tape, xv, ws: &[Tensor], bs: &[Tensor], swap: Option<(usize, bool, ema_autodiff::Var)>| {
+    let build = |t: &Tape,
+                 xv,
+                 ws: &[Tensor],
+                 bs: &[Tensor],
+                 swap: Option<(usize, bool, ema_autodiff::Var)>| {
         let params: Vec<(ema_autodiff::Var, ema_autodiff::Var)> = ws
             .iter()
             .zip(bs)
@@ -725,7 +729,11 @@ fn grad_group_linear_blocks_all_parents() {
     let x = rand(&[12, 3], 110);
     let ws: Vec<Tensor> = (0..3).map(|b| rand(&[4, 3], 111 + b)).collect();
     let bs: Vec<Tensor> = (0..3).map(|b| rand(&[4], 114 + b)).collect();
-    let build = |t: &Tape, xv, ws: &[Tensor], bs: &[Tensor], swap: Option<(usize, bool, ema_autodiff::Var)>| {
+    let build = |t: &Tape,
+                 xv,
+                 ws: &[Tensor],
+                 bs: &[Tensor],
+                 swap: Option<(usize, bool, ema_autodiff::Var)>| {
         let params: Vec<(ema_autodiff::Var, ema_autodiff::Var)> = ws
             .iter()
             .zip(bs)

@@ -1,8 +1,8 @@
 //! Property-based tests of the autodiff engine: calculus identities
 //! that must hold for arbitrary inputs and compositions.
 
-use ema_check::{gen, prop_assert, prop_tests};
 use ema_autodiff::{Tape, Var};
+use ema_check::{gen, prop_assert, prop_tests};
 use ema_tensor::{Rng64, Tensor};
 
 fn vec_tensor(n: usize) -> impl Fn(&mut Rng64) -> Tensor {

@@ -15,7 +15,11 @@ fn setup(kind: ModelKind) -> (Box<dyn Forecaster>, Tensor) {
     let mut rng = Rng64::seed_from(1);
     let graph = AdjacencyMatrix::new(Tensor::rand_uniform(&[V, V], 0.0, 1.0, &mut rng));
     let config = ModelConfig::default();
-    let g = if kind.uses_graph() { Some(&graph) } else { None };
+    let g = if kind.uses_graph() {
+        Some(&graph)
+    } else {
+        None
+    };
     let model = build_model(kind, V, SEQ, &config, g);
     let window = Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut rng);
     (model, window)

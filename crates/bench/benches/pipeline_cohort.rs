@@ -9,8 +9,7 @@
 use ema_bench::Harness;
 use ema_core::experiments::ExperimentScale;
 use ema_core::{
-    run_cohort_sharded, run_cohort_with, Executor, GraphSpec, RunSpec, TrainConfig,
-    TrainStrategy,
+    run_cohort_sharded, run_cohort_with, Executor, GraphSpec, RunSpec, TrainConfig, TrainStrategy,
 };
 use ema_data::{EmaGenerator, GeneratorConfig};
 use ema_models::{ModelConfig, ModelKind};
@@ -69,7 +68,14 @@ fn main() {
         // suite under the bench budget (baseline recorded with the same
         // override).
         b.samples(3);
-        b.iter(|| black_box(run_cohort_sharded(&generator, &stream_spec, SHARD, &executor)));
+        b.iter(|| {
+            black_box(run_cohort_sharded(
+                &generator,
+                &stream_spec,
+                SHARD,
+                &executor,
+            ))
+        });
     });
 
     // Cluster-then-personalize at the same study scale: K-medoids over
@@ -127,7 +133,12 @@ fn main() {
             b.items(STREAM_N as f64);
             b.samples(2);
             b.iter(|| {
-                black_box(run_cohort_sharded(&generator, &model_spec, graph_shard, &executor))
+                black_box(run_cohort_sharded(
+                    &generator,
+                    &model_spec,
+                    graph_shard,
+                    &executor,
+                ))
             });
         });
     }

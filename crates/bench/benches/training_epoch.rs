@@ -75,7 +75,10 @@ fn bench_obs_overhead(c: &mut Harness) {
     let data = Tensor::rand_normal(&[80, V], 0.0, 1.0, &mut rng);
     let (train, _) = split_train_test(&data, 0.7);
     let windows = make_windows(&train, SEQ);
-    let config = TrainConfig { epochs: 5, ..TrainConfig::default() };
+    let config = TrainConfig {
+        epochs: 5,
+        ..TrainConfig::default()
+    };
     let restore = ema_obs::mode();
     for (label, mode) in [("off", ObsMode::Off), ("full", ObsMode::Full)] {
         ema_obs::set_mode(mode);

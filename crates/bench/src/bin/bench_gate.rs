@@ -79,14 +79,18 @@ fn entries(suite: &Json, path: &str) -> Vec<Entry> {
                 .unwrap_or_else(|| panic!("{path}: '{name}' has no median_ns"));
             let allocs_per_iter = b.get("allocs_per_iter").and_then(Json::as_f64);
             let peak_bytes = b.get("peak_bytes").and_then(Json::as_f64);
-            Entry { name, median_ns, allocs_per_iter, peak_bytes }
+            Entry {
+                name,
+                median_ns,
+                allocs_per_iter,
+                peak_bytes,
+            }
         })
         .collect()
 }
 
 fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
     Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e:?}"))
 }
 
@@ -112,7 +116,10 @@ fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 
     let mut failures = 0u32;
     for (base, own_ratio) in baseline.iter().zip(&ratios) {
         let Some(cand) = candidate.iter().find(|c| c.name == base.name) else {
-            eprintln!("GATE FAIL {}: present in baseline, missing from candidate", base.name);
+            eprintln!(
+                "GATE FAIL {}: present in baseline, missing from candidate",
+                base.name
+            );
             failures += 1;
             continue;
         };
@@ -206,7 +213,10 @@ fn main() -> ExitCode {
             _ => paths.push(arg),
         }
     }
-    assert!(!paths.is_empty() && paths.len().is_multiple_of(2), "{USAGE}");
+    assert!(
+        !paths.is_empty() && paths.len().is_multiple_of(2),
+        "{USAGE}"
+    );
 
     let mut failures = 0u32;
     for pair in paths.chunks(2) {

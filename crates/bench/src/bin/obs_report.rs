@@ -32,14 +32,18 @@ fn resolve(arg: &str) -> Result<PathBuf, String> {
     }
     Err(format!(
         "no summary manifest for '{arg}' (tried {})",
-        candidates.iter().map(|p| p.display().to_string()).collect::<Vec<_>>().join(", ")
+        candidates
+            .iter()
+            .map(|p| p.display().to_string())
+            .collect::<Vec<_>>()
+            .join(", ")
     ))
 }
 
 fn load(arg: &str) -> Result<RunSummary, String> {
     let path = resolve(arg)?;
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("read {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let json = Json::parse(&text).map_err(|e| format!("parse {}: {e:?}", path.display()))?;
     RunSummary::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
 }

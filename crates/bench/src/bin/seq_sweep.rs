@@ -8,7 +8,10 @@ fn main() {
     let scale = scale_from_args();
     let threads = ema_bench::threads_from_args();
     let _obs = ema_bench::ObsRun::for_scale("seq_sweep", &scale);
-    println!("Input-length sweep ({}, threads={threads})\n", describe_scale(&scale));
+    println!(
+        "Input-length sweep ({}, threads={threads})\n",
+        describe_scale(&scale)
+    );
     let started = std::time::Instant::now();
     ema_obs::recorder().phase("experiment");
     let table = run_seq_sweep(&scale);

@@ -28,7 +28,10 @@ fn main() {
             s.gdt.label()
         );
     }
-    println!("\n{} scenarios total (3 models × 6 graphs × 3 GDT levels)", grid.len());
+    println!(
+        "\n{} scenarios total (3 models × 6 graphs × 3 GDT levels)",
+        grid.len()
+    );
     println!("paper Table I lists the same axes: {{A3TGCN, ASTGCN, MTGNN}} ×");
     println!("{{Euclidean, kNN, DTW, Correlation, GNN-learned, Random}} × {{20%, 40%, 100%}}");
 }

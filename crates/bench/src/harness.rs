@@ -83,7 +83,8 @@ impl BenchResult {
     /// benchmark declared an item count.
     #[must_use]
     pub fn throughput_per_sec(&self) -> Option<f64> {
-        self.items_per_iter.map(|items| items * 1e9 / self.median_ns)
+        self.items_per_iter
+            .map(|items| items * 1e9 / self.median_ns)
     }
 
     fn to_json_value(&self) -> Json {
@@ -180,8 +181,7 @@ impl Bencher {
         crate::alloc::reset_peak_bytes();
         std::hint::black_box(f());
         self.allocs_per_iter = Some((crate::alloc::alloc_count() - allocs_before) as f64);
-        self.peak_bytes =
-            Some(crate::alloc::peak_bytes().saturating_sub(live_before) as f64);
+        self.peak_bytes = Some(crate::alloc::peak_bytes().saturating_sub(live_before) as f64);
     }
 }
 
@@ -199,9 +199,7 @@ impl Harness {
     /// such as `--bench` that cargo forwards are ignored).
     #[must_use]
     pub fn new(suite: &str) -> Self {
-        let filter = std::env::args()
-            .skip(1)
-            .find(|a| !a.starts_with('-'));
+        let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Self {
             suite: suite.to_string(),
             config: Config::from_env(),
@@ -236,12 +234,13 @@ impl Harness {
             .expect("benchmark closure must call Bencher::iter");
         ema_obs::recorder().set_gauge(&format!("bench_median_ns.{}.{name}", self.suite), median_ns);
         if let Some(allocs) = bencher.allocs_per_iter {
-            ema_obs::recorder()
-                .set_gauge(&format!("bench_allocs_per_iter.{}.{name}", self.suite), allocs);
+            ema_obs::recorder().set_gauge(
+                &format!("bench_allocs_per_iter.{}.{name}", self.suite),
+                allocs,
+            );
         }
         if let Some(peak) = bencher.peak_bytes {
-            ema_obs::recorder()
-                .set_gauge(&format!("bench_peak_bytes.{}.{name}", self.suite), peak);
+            ema_obs::recorder().set_gauge(&format!("bench_peak_bytes.{}.{name}", self.suite), peak);
         }
         let result = BenchResult {
             name: name.to_string(),
@@ -289,13 +288,22 @@ impl Harness {
     /// for gating but keeps baselines self-describing).
     pub fn finish(self) {
         let backend = ema_tensor::KernelBackend::active().label();
-        ema_obs::point!("bench_suite_done", suite = self.suite.as_str(), benchmarks = self.results.len());
+        ema_obs::point!(
+            "bench_suite_done",
+            suite = self.suite.as_str(),
+            benchmarks = self.results.len()
+        );
         let json = Json::obj(vec![
             ("suite", Json::Str(self.suite.clone())),
             ("kernel_backend", Json::Str(backend.to_string())),
             (
                 "benchmarks",
-                Json::Arr(self.results.iter().map(BenchResult::to_json_value).collect()),
+                Json::Arr(
+                    self.results
+                        .iter()
+                        .map(BenchResult::to_json_value)
+                        .collect(),
+                ),
             ),
         ])
         .pretty();
@@ -348,7 +356,9 @@ mod tests {
 
     #[test]
     fn bencher_measures_and_harness_records() {
-        let _guard = ALLOC_MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _guard = ALLOC_MEASURE_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut bencher = Bencher {
             config: Config {
                 samples: 3,
@@ -371,7 +381,9 @@ mod tests {
 
     #[test]
     fn bencher_counts_allocating_workloads() {
-        let _guard = ALLOC_MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _guard = ALLOC_MEASURE_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let mut bencher = Bencher {
             config: Config {
                 samples: 2,
@@ -426,8 +438,14 @@ mod tests {
         assert_eq!(r.throughput_per_sec(), Some(5.0));
         let v = r.to_json_value();
         assert_eq!(v.require("items_per_iter").unwrap().to_f64().unwrap(), 10.0);
-        assert_eq!(v.require("throughput_per_sec").unwrap().to_f64().unwrap(), 5.0);
-        assert_eq!(v.require("allocs_per_iter").unwrap().to_f64().unwrap(), 12.0);
+        assert_eq!(
+            v.require("throughput_per_sec").unwrap().to_f64().unwrap(),
+            5.0
+        );
+        assert_eq!(
+            v.require("allocs_per_iter").unwrap().to_f64().unwrap(),
+            12.0
+        );
     }
 
     #[test]

@@ -139,9 +139,15 @@ impl ObsRun {
     pub fn for_scale(name: &str, scale: &ExperimentScale) -> Self {
         let config = ema_obs::Json::obj(vec![
             ("bin", ema_obs::Json::from(name)),
-            ("num_individuals", ema_obs::Json::from(scale.num_individuals)),
+            (
+                "num_individuals",
+                ema_obs::Json::from(scale.num_individuals),
+            ),
             ("num_variables", ema_obs::Json::from(scale.num_variables)),
-            ("mean_time_points", ema_obs::Json::from(scale.mean_time_points)),
+            (
+                "mean_time_points",
+                ema_obs::Json::from(scale.mean_time_points),
+            ),
             ("epochs", ema_obs::Json::from(scale.epochs)),
             ("hidden", ema_obs::Json::from(scale.hidden)),
         ]);

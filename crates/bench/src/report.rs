@@ -58,9 +58,15 @@ impl RunSummary {
             .and_then(Json::as_str)
             .ok_or("summary has no 'run' field — is this a run summary manifest?")?
             .to_string();
-        let mode = j.get("mode").and_then(Json::as_str).unwrap_or("summary").to_string();
-        let wall_ns =
-            j.get("wall_ns").and_then(Json::as_usize).ok_or("summary has no 'wall_ns'")? as u64;
+        let mode = j
+            .get("mode")
+            .and_then(Json::as_str)
+            .unwrap_or("summary")
+            .to_string();
+        let wall_ns = j
+            .get("wall_ns")
+            .and_then(Json::as_usize)
+            .ok_or("summary has no 'wall_ns'")? as u64;
         let phases = j
             .get("phases")
             .and_then(Json::as_arr)
@@ -89,9 +95,10 @@ impl RunSummary {
         let gauges = metrics
             .and_then(|m| m.get("gauges"))
             .map(|g| match g {
-                Json::Obj(pairs) => {
-                    pairs.iter().filter_map(|(k, v)| Some((k.clone(), v.as_f64()?))).collect()
-                }
+                Json::Obj(pairs) => pairs
+                    .iter()
+                    .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                    .collect(),
                 _ => BTreeMap::new(),
             })
             .unwrap_or_default();
@@ -105,8 +112,20 @@ impl RunSummary {
                 _ => BTreeMap::new(),
             })
             .unwrap_or_default();
-        let profile = j.get("profile").and_then(Profile::from_json).unwrap_or_default();
-        Ok(RunSummary { name, mode, wall_ns, phases, counters, gauges, histograms, profile })
+        let profile = j
+            .get("profile")
+            .and_then(Profile::from_json)
+            .unwrap_or_default();
+        Ok(RunSummary {
+            name,
+            mode,
+            wall_ns,
+            phases,
+            counters,
+            gauges,
+            histograms,
+            profile,
+        })
     }
 }
 
@@ -183,21 +202,27 @@ struct KernelRow {
 fn kernel_rows(counters: &BTreeMap<String, u64>) -> Vec<KernelRow> {
     let mut rows: BTreeMap<(String, String), KernelRow> = BTreeMap::new();
     for (key, &value) in counters {
-        let Some(rest) = key.strip_prefix("kernel.") else { continue };
-        let Some((rest, kind)) = rest.rsplit_once('.') else { continue };
-        let Some((phase, backend)) = rest.rsplit_once('.') else { continue };
+        let Some(rest) = key.strip_prefix("kernel.") else {
+            continue;
+        };
+        let Some((rest, kind)) = rest.rsplit_once('.') else {
+            continue;
+        };
+        let Some((phase, backend)) = rest.rsplit_once('.') else {
+            continue;
+        };
         if !matches!(backend, "scalar" | "simd") {
             continue;
         }
-        let row = rows.entry((phase.to_string(), backend.to_string())).or_insert_with(|| {
-            KernelRow {
+        let row = rows
+            .entry((phase.to_string(), backend.to_string()))
+            .or_insert_with(|| KernelRow {
                 phase: phase.to_string(),
                 backend: backend.to_string(),
                 calls: 0,
                 flops: 0,
                 bytes: 0,
-            }
-        });
+            });
         match kind {
             "calls" => row.calls = value,
             "flops" => row.flops = value,
@@ -250,8 +275,15 @@ fn render_kernel_table(out: &mut String, s: &RunSummary) {
     let (hits, misses) = (s.counters.get("pool_hits"), s.counters.get("pool_misses"));
     if let (Some(&hits), Some(&misses)) = (hits, misses) {
         let total = hits + misses;
-        let rate = if total > 0 { 100.0 * hits as f64 / total as f64 } else { 0.0 };
-        let _ = writeln!(out, "  pool: {hits} hits / {misses} misses ({rate:.1}% hit rate)");
+        let rate = if total > 0 {
+            100.0 * hits as f64 / total as f64
+        } else {
+            0.0
+        };
+        let _ = writeln!(
+            out,
+            "  pool: {hits} hits / {misses} misses ({rate:.1}% hit rate)"
+        );
     }
     let cluster = (
         s.counters.get("cluster.cache_hits"),
@@ -259,7 +291,11 @@ fn render_kernel_table(out: &mut String, s: &RunSummary) {
     );
     if let (Some(&hits), Some(&misses)) = cluster {
         let total = hits + misses;
-        let rate = if total > 0 { 100.0 * hits as f64 / total as f64 } else { 0.0 };
+        let rate = if total > 0 {
+            100.0 * hits as f64 / total as f64
+        } else {
+            0.0
+        };
         let _ = writeln!(
             out,
             "  cluster cache: {hits} hits / {misses} misses ({rate:.1}% hit rate; \
@@ -277,9 +313,15 @@ fn render_kernel_table(out: &mut String, s: &RunSummary) {
 fn render_workers(out: &mut String, s: &RunSummary) {
     let mut workers: BTreeMap<usize, (u64, u64, u64)> = BTreeMap::new();
     for (key, &value) in &s.counters {
-        let Some(rest) = key.strip_prefix("exec.worker_") else { continue };
-        let Some((kind, worker)) = rest.split_once('.') else { continue };
-        let Ok(worker) = worker.parse::<usize>() else { continue };
+        let Some(rest) = key.strip_prefix("exec.worker_") else {
+            continue;
+        };
+        let Some((kind, worker)) = rest.split_once('.') else {
+            continue;
+        };
+        let Ok(worker) = worker.parse::<usize>() else {
+            continue;
+        };
         let entry = workers.entry(worker).or_insert((0, 0, 0));
         match kind {
             "busy_ns" => entry.0 = value,
@@ -299,7 +341,11 @@ fn render_workers(out: &mut String, s: &RunSummary) {
     );
     for (worker, (busy, wait, jobs)) in &workers {
         let loop_ns = busy + wait;
-        let pct = if loop_ns > 0 { 100.0 * *busy as f64 / loop_ns as f64 } else { 0.0 };
+        let pct = if loop_ns > 0 {
+            100.0 * *busy as f64 / loop_ns as f64
+        } else {
+            0.0
+        };
         let _ = writeln!(
             out,
             "  {:>6} {:>8} {:>12} {:>12} {:>7.1}%",
@@ -314,10 +360,15 @@ fn render_workers(out: &mut String, s: &RunSummary) {
     // the per-worker `jobs` column above is the balance; this line adds
     // the stream totals (how many shards, how many individuals, how
     // full the average shard was).
-    if let (Some(&shards), Some(&individuals)) =
-        (s.counters.get("exec.shard_batches"), s.counters.get("exec.shard_individuals"))
-    {
-        let avg = if shards > 0 { individuals as f64 / shards as f64 } else { 0.0 };
+    if let (Some(&shards), Some(&individuals)) = (
+        s.counters.get("exec.shard_batches"),
+        s.counters.get("exec.shard_individuals"),
+    ) {
+        let avg = if shards > 0 {
+            individuals as f64 / shards as f64
+        } else {
+            0.0
+        };
         let _ = writeln!(
             out,
             "  shards: {shards} batches, {individuals} individuals (avg {avg:.1}/shard)"
@@ -340,10 +391,19 @@ fn render_workers(out: &mut String, s: &RunSummary) {
 #[must_use]
 pub fn render_report(s: &RunSummary) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "run '{}' (mode {}), wall {}", s.name, s.mode, fmt_ns(s.wall_ns));
+    let _ = writeln!(
+        out,
+        "run '{}' (mode {}), wall {}",
+        s.name,
+        s.mode,
+        fmt_ns(s.wall_ns)
+    );
     if !s.phases.is_empty() {
-        let phases: Vec<String> =
-            s.phases.iter().map(|(title, wall)| format!("{title} {}", fmt_ns(*wall))).collect();
+        let phases: Vec<String> = s
+            .phases
+            .iter()
+            .map(|(title, wall)| format!("{title} {}", fmt_ns(*wall)))
+            .collect();
         let _ = writeln!(out, "phases: {}", phases.join(", "));
     }
     let _ = writeln!(out);
@@ -386,16 +446,25 @@ pub fn diff_profiles(
     min_self_ns: u64,
     tolerance: f64,
 ) -> Vec<DiffLine> {
-    let base_flat: BTreeMap<String, u64> =
-        base.flatten().into_iter().map(|(path, node)| (path, node.self_ns())).collect();
-    let cand_flat: BTreeMap<String, u64> =
-        cand.flatten().into_iter().map(|(path, node)| (path, node.self_ns())).collect();
+    let base_flat: BTreeMap<String, u64> = base
+        .flatten()
+        .into_iter()
+        .map(|(path, node)| (path, node.self_ns()))
+        .collect();
+    let cand_flat: BTreeMap<String, u64> = cand
+        .flatten()
+        .into_iter()
+        .map(|(path, node)| (path, node.self_ns()))
+        .collect();
     let matched: Vec<(String, u64, u64)> = base_flat
         .iter()
         .filter(|(_, &self_ns)| self_ns >= min_self_ns)
         .filter_map(|(path, &b)| Some((path.clone(), b, *cand_flat.get(path)?)))
         .collect();
-    let ratios: Vec<f64> = matched.iter().map(|(_, b, c)| *c as f64 / *b as f64).collect();
+    let ratios: Vec<f64> = matched
+        .iter()
+        .map(|(_, b, c)| *c as f64 / *b as f64)
+        .collect();
     let mut lines: Vec<DiffLine> = matched
         .into_iter()
         .zip(&ratios)
@@ -424,7 +493,12 @@ pub fn diff_profiles(
 /// Renders a two-run diff; returns the text and the flagged-path count.
 #[must_use]
 pub fn render_diff(base: &RunSummary, cand: &RunSummary, tolerance: f64) -> (String, usize) {
-    let lines = diff_profiles(&base.profile, &cand.profile, DEFAULT_MIN_DIFF_SELF_NS, tolerance);
+    let lines = diff_profiles(
+        &base.profile,
+        &cand.profile,
+        DEFAULT_MIN_DIFF_SELF_NS,
+        tolerance,
+    );
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -588,7 +662,10 @@ mod tests {
         );
         assert!(report.contains("1234 nodes"), "{report}");
         assert!(report.contains("90.0%"), "{report}");
-        assert!(report.contains("shards: 4 batches, 10 individuals (avg 2.5/shard)"), "{report}");
+        assert!(
+            report.contains("shards: 4 batches, 10 individuals (avg 2.5/shard)"),
+            "{report}"
+        );
         assert!(report.contains("p50"), "{report}");
     }
 
@@ -614,8 +691,11 @@ mod tests {
             ("run;build_graph", 2_000_000),
         ]);
         let lines = diff_profiles(&base, &cand, 1_000_000, 0.15);
-        let flagged: Vec<&str> =
-            lines.iter().filter(|l| l.flagged).map(|l| l.path.as_str()).collect();
+        let flagged: Vec<&str> = lines
+            .iter()
+            .filter(|l| l.flagged)
+            .map(|l| l.path.as_str())
+            .collect();
         assert_eq!(flagged, vec!["run;train"]);
         // Sorted by ratio descending: the slowed path leads.
         assert_eq!(lines[0].path, "run;train");
@@ -636,7 +716,10 @@ mod tests {
             ("run;build_graph", 2_600_000),
         ]);
         let lines = diff_profiles(&base, &cand, 1_000_000, 0.15);
-        assert!(lines.iter().all(|l| !l.flagged), "uniform load must not flag");
+        assert!(
+            lines.iter().all(|l| !l.flagged),
+            "uniform load must not flag"
+        );
         // But a uniform slowdown past the scale cap still fails.
         let cand = profile_from(&[
             ("run;train", 20_000_000),
@@ -644,16 +727,27 @@ mod tests {
             ("run;build_graph", 4_000_000),
         ]);
         let lines = diff_profiles(&base, &cand, 1_000_000, 0.15);
-        assert!(lines.iter().all(|l| l.flagged), "2x everywhere exceeds the 1.5x cap");
+        assert!(
+            lines.iter().all(|l| l.flagged),
+            "2x everywhere exceeds the 1.5x cap"
+        );
     }
 
     #[test]
     fn diff_skips_paths_below_the_self_floor_and_unmatched_paths() {
-        let base = profile_from(&[("run;tiny", 10), ("run;gone", 5_000_000), ("run;kept", 5_000_000)]);
+        let base = profile_from(&[
+            ("run;tiny", 10),
+            ("run;gone", 5_000_000),
+            ("run;kept", 5_000_000),
+        ]);
         let cand = profile_from(&[("run;tiny", 10_000), ("run;kept", 5_000_000)]);
         let lines = diff_profiles(&base, &cand, 1_000_000, 0.15);
         let paths: Vec<&str> = lines.iter().map(|l| l.path.as_str()).collect();
-        assert_eq!(paths, vec!["run;kept"], "tiny (below floor) and gone (unmatched) drop");
+        assert_eq!(
+            paths,
+            vec!["run;kept"],
+            "tiny (below floor) and gone (unmatched) drop"
+        );
     }
 
     #[test]

@@ -70,7 +70,10 @@ pub fn vec_of<T>(
     len_lo: usize,
     len_hi: usize,
 ) -> impl Fn(&mut Rng64) -> Vec<T> {
-    assert!(len_lo < len_hi, "vec_of bounds inverted: {len_lo} >= {len_hi}");
+    assert!(
+        len_lo < len_hi,
+        "vec_of bounds inverted: {len_lo} >= {len_hi}"
+    );
     move |rng| {
         let n = len_lo + rng.index(len_hi - len_lo);
         (0..n).map(|_| elem(rng)).collect()

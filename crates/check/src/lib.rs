@@ -287,10 +287,12 @@ mod tests {
         let collect = || {
             let mut seen = Vec::new();
             let cell = std::cell::RefCell::new(&mut seen);
-            Check::named("determinism-probe").cases(32).run(unit_f64, |x| {
-                cell.borrow_mut().push(*x);
-                Ok(())
-            });
+            Check::named("determinism-probe")
+                .cases(32)
+                .run(unit_f64, |x| {
+                    cell.borrow_mut().push(*x);
+                    Ok(())
+                });
             seen
         };
         assert_eq!(collect(), collect());
@@ -313,9 +315,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "replay with EMA_CHECK_REPLAY=")]
     fn failure_reports_replay_seed() {
-        Check::named("always-fails").cases(4).run(unit_f64, |_| {
-            Err(PropError::Fail("nope".into()))
-        });
+        Check::named("always-fails")
+            .cases(4)
+            .run(unit_f64, |_| Err(PropError::Fail("nope".into())));
     }
 
     #[test]

@@ -127,12 +127,16 @@ impl Checkpoint {
     /// Returns `io::Error` with `InvalidData` on malformed JSON or a
     /// wrong shape.
     pub fn from_json(json: &str) -> io::Result<Self> {
-        let invalid = |e: crate::json::JsonError| {
-            io::Error::new(io::ErrorKind::InvalidData, e.to_string())
-        };
+        let invalid =
+            |e: crate::json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let v = Json::parse(json).map_err(invalid)?;
         let mut params = Vec::new();
-        for entry in v.require("params").map_err(invalid)?.to_arr().map_err(invalid)? {
+        for entry in v
+            .require("params")
+            .map_err(invalid)?
+            .to_arr()
+            .map_err(invalid)?
+        {
             let name = entry
                 .require("name")
                 .and_then(Json::to_str)
@@ -229,7 +233,11 @@ mod tests {
         assert_eq!(parsed.params[0].name, "edge.w");
         assert_eq!(parsed.params[0].dims, vec![2, 3]);
         for (a, b) in ckpt.params[0].data.iter().zip(parsed.params[0].data.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a:e} lost bits in JSON round trip");
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{a:e} lost bits in JSON round trip"
+            );
         }
         assert!(parsed.params[0].data[0].is_sign_negative());
     }

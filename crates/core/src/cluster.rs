@@ -113,7 +113,8 @@ impl ClusterCheckpointCache {
 
     /// Stores a cluster checkpoint.
     pub fn insert(&mut self, model: &str, outcome: &str, cluster: usize, ckpt: Arc<Checkpoint>) {
-        self.entries.insert((model.to_string(), outcome.to_string(), cluster), ckpt);
+        self.entries
+            .insert((model.to_string(), outcome.to_string(), cluster), ckpt);
     }
 
     /// Looks up a cluster checkpoint, bumping the
@@ -173,7 +174,12 @@ impl ClusterCheckpointCache {
             |e: crate::json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let v = Json::parse(json).map_err(invalid)?;
         let mut entries = BTreeMap::new();
-        for entry in v.require("entries").map_err(invalid)?.to_arr().map_err(invalid)? {
+        for entry in v
+            .require("entries")
+            .map_err(invalid)?
+            .to_arr()
+            .map_err(invalid)?
+        {
             let model = entry
                 .require("model")
                 .and_then(Json::to_str)
@@ -188,7 +194,8 @@ impl ClusterCheckpointCache {
                 .require("cluster")
                 .and_then(Json::to_usize)
                 .map_err(invalid)?;
-            let ckpt = Checkpoint::from_json(&entry.require("checkpoint").map_err(invalid)?.pretty())?;
+            let ckpt =
+                Checkpoint::from_json(&entry.require("checkpoint").map_err(invalid)?.pretty())?;
             entries.insert((model, outcome, cluster), Arc::new(ckpt));
         }
         Ok(Self { entries })
@@ -283,8 +290,11 @@ impl ClusterPlan {
 /// when `cluster_epochs` is zero, or on an empty study.
 #[must_use]
 pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
-    let TrainStrategy::ClusterWarmStart { k, cluster_epochs, fine_tune_epochs } =
-        spec.train_strategy
+    let TrainStrategy::ClusterWarmStart {
+        k,
+        cluster_epochs,
+        fine_tune_epochs,
+    } = spec.train_strategy
     else {
         panic!("plan_clusters requires TrainStrategy::ClusterWarmStart");
     };
@@ -292,7 +302,9 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
     let n = generator.config().num_individuals;
     assert!(n > 0, "cannot cluster an empty study");
     let k = k.clamp(1, n);
-    let metric = SeriesMetric::DtwBanded { band: SERIES_DTW_BAND };
+    let metric = SeriesMetric::DtwBanded {
+        band: SERIES_DTW_BAND,
+    };
 
     let _span = span!(
         "cluster_plan",
@@ -330,8 +342,11 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
     );
 
     let medoid_ids: Vec<usize> = clustering.medoids.iter().map(|&m| rep_ids[m]).collect();
-    let medoid_series: Vec<Vec<f64>> =
-        clustering.medoids.iter().map(|&m| rep_series[m].clone()).collect();
+    let medoid_series: Vec<Vec<f64>> = clustering
+        .medoids
+        .iter()
+        .map(|&m| rep_series[m].clone())
+        .collect();
 
     // Train one model per cluster on its medoid individual.
     let model_key = spec.model.label().to_string();
@@ -346,8 +361,7 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         let mut cluster_spec = spec.clone();
         cluster_spec.train_config.epochs = cluster_epochs;
         cluster_spec.train_config.warm_start = None;
-        let trained =
-            train_shard(medoids.iter().map(|m| (m.id, &m.data)), &cluster_spec, None);
+        let trained = train_shard(medoids.iter().map(|m| (m.id, &m.data)), &cluster_spec, None);
         for cluster in 0..medoids.len() {
             // The miss records this cluster's training in the
             // cache-counter ledger (misses = trainings).
@@ -477,7 +491,10 @@ mod tests {
         let plan = plan_clusters(&generator, &spec);
         let got = run_cohort_sharded(&generator, &spec, 1, &Executor::sequential());
         let ind = generator.generate_range(3, 4).pop().unwrap();
-        assert_eq!(key(&got[3..4]), key(&[manual_warm_start(&plan, &ind, &spec)]));
+        assert_eq!(
+            key(&got[3..4]),
+            key(&[manual_warm_start(&plan, &ind, &spec)])
+        );
     }
 
     #[test]

@@ -67,11 +67,18 @@ pub fn run_cohort_sharded(
                 recorder.inc_counter("exec.shard_batches", 1);
                 recorder.inc_counter("exec.shard_individuals", (end - start) as u64);
                 let individuals = generator.generate_range(start, end);
-                run_shard(individuals.iter().map(|ind| (ind.id, &ind.data)), spec, plan)
+                run_shard(
+                    individuals.iter().map(|ind| (ind.id, &ind.data)),
+                    spec,
+                    plan,
+                )
             })
         })
         .collect();
-    expect_all(executor.run(jobs), "sharded cohort").into_iter().flatten().collect()
+    expect_all(executor.run(jobs), "sharded cohort")
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 #[cfg(test)]
@@ -112,15 +119,17 @@ mod tests {
             .iter()
             .map(|ind| LstmForecaster::new(ind.data.dims()[1], &spec.model_config))
             .collect();
-        let (windows, configs): (Vec<_>, Vec<_>) =
-            ds.individuals.iter().map(prep).unzip();
+        let (windows, configs): (Vec<_>, Vec<_>) = ds.individuals.iter().map(prep).unzip();
         let reports = train_cohort(&mut models, &windows, &configs);
 
         for (b, ind) in ds.individuals.iter().enumerate() {
             let mut reference = LstmForecaster::new(ind.data.dims()[1], &spec.model_config);
             let r = train_model(&mut reference, &windows[b], &configs[b]);
             assert_eq!(reports[b].losses, r.losses, "individual {b} losses");
-            assert_eq!(reports[b].grad_norms, r.grad_norms, "individual {b} grad norms");
+            assert_eq!(
+                reports[b].grad_norms, r.grad_norms,
+                "individual {b} grad norms"
+            );
             assert_eq!(reports[b].epochs_run, r.epochs_run, "individual {b} epochs");
             assert_eq!(reports[b].early_stopped, r.early_stopped);
             for id in reference.params().ids() {
@@ -158,7 +167,11 @@ mod tests {
                 shard_size,
                 &Executor::with_threads(threads),
             );
-            assert_eq!(key(&got), key(&oracle), "shard_size={shard_size} threads={threads}");
+            assert_eq!(
+                key(&got),
+                key(&oracle),
+                "shard_size={shard_size} threads={threads}"
+            );
         }
     }
 
@@ -211,10 +224,18 @@ mod tests {
                 "{model:?} individual {} final loss",
                 ind.id
             );
-            assert_eq!(o.epochs_run, want.epochs_run, "{model:?} individual {}", ind.id);
             assert_eq!(
-                o.learned_graph.as_ref().map(|g| g.weights().data().to_vec()),
-                want.learned_graph.as_ref().map(|g| g.weights().data().to_vec()),
+                o.epochs_run, want.epochs_run,
+                "{model:?} individual {}",
+                ind.id
+            );
+            assert_eq!(
+                o.learned_graph
+                    .as_ref()
+                    .map(|g| g.weights().data().to_vec()),
+                want.learned_graph
+                    .as_ref()
+                    .map(|g| g.weights().data().to_vec()),
                 "{model:?} individual {} learned graph",
                 ind.id
             );

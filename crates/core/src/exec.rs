@@ -68,7 +68,10 @@ impl<'a, T> Job<'a, T> {
     /// Wraps a closure as a job. The label names the job in obs spans
     /// and in [`JobError`]s (e.g. `individual_17`).
     pub fn new(label: impl Into<String>, task: impl FnOnce() -> T + Send + 'a) -> Self {
-        Self { label: label.into(), task: Box::new(task) }
+        Self {
+            label: label.into(),
+            task: Box::new(task),
+        }
     }
 
     /// The job's label.
@@ -145,14 +148,18 @@ pub fn default_threads() -> usize {
             _ => eprintln!("warning: invalid EMA_THREADS={raw:?}; using available parallelism"),
         }
     }
-    std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 impl Executor {
     /// An executor that runs jobs in order on the calling thread.
     #[must_use]
     pub fn sequential() -> Self {
-        Self { backend: Backend::Sequential }
+        Self {
+            backend: Backend::Sequential,
+        }
     }
 
     /// An executor with exactly `threads` workers (1 collapses to the
@@ -166,7 +173,9 @@ impl Executor {
         if threads == 1 {
             Self::sequential()
         } else {
-            Self { backend: Backend::ThreadPool { threads } }
+            Self {
+                backend: Backend::ThreadPool { threads },
+            }
         }
     }
 
@@ -286,7 +295,10 @@ fn execute_job<T>(job: Job<'_, T>, worker: usize) -> (JobResult<T>, u64) {
     recorder.observe("exec.job_latency_ns", &TIME_NS_BUCKETS, job_ns as f64);
     let result = match outcome {
         Ok(value) => Ok(value),
-        Err(payload) => Err(JobError { label, message: panic_message(payload.as_ref()) }),
+        Err(payload) => Err(JobError {
+            label,
+            message: panic_message(payload.as_ref()),
+        }),
     };
     (result, job_ns)
 }
@@ -307,7 +319,10 @@ fn publish_worker_utilization(
         return;
     }
     recorder.inc_counter(&format!("exec.worker_busy_ns.{worker}"), busy_ns);
-    recorder.inc_counter(&format!("exec.worker_wait_ns.{worker}"), total_ns.saturating_sub(busy_ns));
+    recorder.inc_counter(
+        &format!("exec.worker_wait_ns.{worker}"),
+        total_ns.saturating_sub(busy_ns),
+    );
     recorder.inc_counter(&format!("exec.worker_jobs.{worker}"), jobs_run);
 }
 
@@ -364,7 +379,9 @@ fn run_pool<T: Send>(jobs: Vec<Job<'_, T>>, threads: usize) -> Vec<JobResult<T>>
                     // workers are benign (telemetry only, last write
                     // wins, and the gauge drains to 0 either way).
                     recorder.set_gauge("exec.queue_depth", (n - 1 - i) as f64);
-                    let job = lock(&queue[i]).take().expect("each job is taken exactly once");
+                    let job = lock(&queue[i])
+                        .take()
+                        .expect("each job is taken exactly once");
                     let (result, job_ns) = execute_job(job, worker);
                     busy_ns += job_ns;
                     jobs_run += 1;
@@ -380,7 +397,9 @@ fn run_pool<T: Send>(jobs: Vec<Job<'_, T>>, threads: usize) -> Vec<JobResult<T>>
     slots
         .into_iter()
         .map(|slot| {
-            lock(&slot).take().expect("every job slot is filled before the scope ends")
+            lock(&slot)
+                .take()
+                .expect("every job slot is filled before the scope ends")
         })
         .collect()
 }
@@ -390,7 +409,9 @@ mod tests {
     use super::*;
 
     fn jobs_squaring(n: usize) -> Vec<Job<'static, usize>> {
-        (0..n).map(|i| Job::new(format!("sq_{i}"), move || i * i)).collect()
+        (0..n)
+            .map(|i| Job::new(format!("sq_{i}"), move || i * i))
+            .collect()
     }
 
     #[test]
@@ -411,8 +432,12 @@ mod tests {
 
     #[test]
     fn empty_job_list_is_fine() {
-        assert!(Executor::sequential().run(Vec::<Job<'_, ()>>::new()).is_empty());
-        assert!(Executor::with_threads(4).run(Vec::<Job<'_, ()>>::new()).is_empty());
+        assert!(Executor::sequential()
+            .run(Vec::<Job<'_, ()>>::new())
+            .is_empty());
+        assert!(Executor::with_threads(4)
+            .run(Vec::<Job<'_, ()>>::new())
+            .is_empty());
     }
 
     #[test]

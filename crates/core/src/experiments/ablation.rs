@@ -55,8 +55,14 @@ pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
         expect_all(Executor::from_env().run(jobs), "ablation baselines")
             .into_iter()
             .unzip();
-    table.push_row("Persistence (x_t = x_{t-1})", vec![CellStat::from_samples(&persist)]);
-    table.push_row("ZeroPrediction (mean)", vec![CellStat::from_samples(&zeros)]);
+    table.push_row(
+        "Persistence (x_t = x_{t-1})",
+        vec![CellStat::from_samples(&persist)],
+    );
+    table.push_row(
+        "ZeroPrediction (mean)",
+        vec![CellStat::from_samples(&zeros)],
+    );
 
     let mut add_row = |label: &str, spec: RunSpec| {
         let _row_span = span!("condition", row = label);
@@ -65,11 +71,21 @@ pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
         table.push_row(label, vec![CellStat::from_samples(&mses)]);
     };
 
-    add_row("VAR(5)", scale.spec(ModelKind::Var, GraphSpec::None, SEQ_LEN));
-    add_row("LSTM", scale.spec(ModelKind::Lstm, GraphSpec::None, SEQ_LEN));
+    add_row(
+        "VAR(5)",
+        scale.spec(ModelKind::Var, GraphSpec::None, SEQ_LEN),
+    );
+    add_row(
+        "LSTM",
+        scale.spec(ModelKind::Lstm, GraphSpec::None, SEQ_LEN),
+    );
     add_row(
         "MTGNN (learned, CORR prior)",
-        scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN),
+        scale.spec(
+            ModelKind::Mtgnn,
+            GraphSpec::Static { metric: corr, gdt },
+            SEQ_LEN,
+        ),
     );
     add_row(
         "MTGNN (learned, no prior)",
@@ -79,7 +95,11 @@ pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
         "MTGNN (static only)",
         RunSpec {
             learn_graph: false,
-            ..scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN)
+            ..scale.spec(
+                ModelKind::Mtgnn,
+                GraphSpec::Static { metric: corr, gdt },
+                SEQ_LEN,
+            )
         },
     );
     // Direct (GTS-style) graph learner — paper future work compares
@@ -88,30 +108,50 @@ pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
         "MTGNN (direct learner, CORR prior)",
         RunSpec {
             graph_learner: ema_models::GraphLearnerKind::Direct,
-            ..scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN)
+            ..scale.spec(
+                ModelKind::Mtgnn,
+                GraphSpec::Static { metric: corr, gdt },
+                SEQ_LEN,
+            )
         },
     );
 
     add_row(
         "A3TGCN (CORR)",
-        scale.spec(ModelKind::A3tgcn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN),
+        scale.spec(
+            ModelKind::A3tgcn,
+            GraphSpec::Static { metric: corr, gdt },
+            SEQ_LEN,
+        ),
     );
     add_row(
         "A3TGCN (no temporal attention)",
         RunSpec {
             use_attention: false,
-            ..scale.spec(ModelKind::A3tgcn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN)
+            ..scale.spec(
+                ModelKind::A3tgcn,
+                GraphSpec::Static { metric: corr, gdt },
+                SEQ_LEN,
+            )
         },
     );
     add_row(
         "ASTGCN (CORR)",
-        scale.spec(ModelKind::Astgcn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN),
+        scale.spec(
+            ModelKind::Astgcn,
+            GraphSpec::Static { metric: corr, gdt },
+            SEQ_LEN,
+        ),
     );
     add_row(
         "ASTGCN (no spatial attention)",
         RunSpec {
             use_spatial_attention: false,
-            ..scale.spec(ModelKind::Astgcn, GraphSpec::Static { metric: corr, gdt }, SEQ_LEN)
+            ..scale.spec(
+                ModelKind::Astgcn,
+                GraphSpec::Static { metric: corr, gdt },
+                SEQ_LEN,
+            )
         },
     );
     table

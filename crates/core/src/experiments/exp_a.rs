@@ -55,9 +55,7 @@ pub fn run_experiment_a(scale: &ExperimentScale) -> ResultTable {
                         seq,
                     );
                     let outcomes = run_cohort(&dataset, &spec);
-                    CellStat::from_samples(
-                        &outcomes.iter().map(|o| o.mse).collect::<Vec<_>>(),
-                    )
+                    CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
                 })
                 .collect();
             table.push_row(row, cells);

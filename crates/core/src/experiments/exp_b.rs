@@ -40,9 +40,7 @@ pub fn run_experiment_b(scale: &ExperimentScale) -> ResultTable {
                 .map(|&gdt| {
                     let spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
                     let outcomes = run_cohort(&dataset, &spec);
-                    CellStat::from_samples(
-                        &outcomes.iter().map(|o| o.mse).collect::<Vec<_>>(),
-                    )
+                    CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
                 })
                 .collect();
             table.push_row(row, cells);

@@ -145,9 +145,7 @@ pub fn run_experiment_c(scale: &ExperimentScale) -> Fig3Results {
         let mtgnn_mses: Vec<f64> = mtgnn_outcomes.iter().map(|o| o.mse).collect();
 
         for outcome in &mtgnn_outcomes {
-            if let (Some(learned), Some(static_g)) =
-                (&outcome.learned_graph, &outcome.graph_used)
-            {
+            if let (Some(learned), Some(static_g)) = (&outcome.learned_graph, &outcome.graph_used) {
                 graph_correlations.push(edge_weight_correlation(learned, static_g));
             }
         }

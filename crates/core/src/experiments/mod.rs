@@ -147,7 +147,9 @@ impl ExperimentScale {
     /// scale: roughly one cluster per four individuals, at least 2.
     #[must_use]
     pub fn cluster_k(&self) -> usize {
-        (self.num_individuals / 4).clamp(2, 8).min(self.num_individuals)
+        (self.num_individuals / 4)
+            .clamp(2, 8)
+            .min(self.num_individuals)
     }
 
     /// The kNN `k` used for the kNN metric at this scale (the paper's
@@ -184,7 +186,14 @@ pub struct Scenario {
 /// levels.
 #[must_use]
 pub fn scenario_grid() -> Vec<Scenario> {
-    let graphs = ["Euclidean", "kNN", "DTW", "Correlation", "GNN-learned", "Random"];
+    let graphs = [
+        "Euclidean",
+        "kNN",
+        "DTW",
+        "Correlation",
+        "GNN-learned",
+        "Random",
+    ];
     let mut out = Vec::new();
     for model in ModelKind::gnns() {
         for graph in graphs {

@@ -51,6 +51,7 @@ pub mod train;
 pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterCheckpointCache, ClusterPlan, TrainStrategy};
 pub use cohort::run_cohort_sharded;
+pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};
 pub use exec::{Backend, Executor, Job, JobError, JobResult};
 pub use forecast::{horizon_mse, iterative_forecast};
 pub use json::{Json, JsonError};
@@ -60,4 +61,3 @@ pub use pipeline::{
 };
 pub use results::{BoxplotStats, CellStat, ResultTable};
 pub use train::{train_cohort, train_model, TrainConfig, TrainReport};
-pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};

@@ -250,13 +250,26 @@ pub(crate) fn train_shard<'a>(
             )
         }),
         ModelKind::Mtgnn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
-            Mtgnn::with_learner(v, spec.seq_len, graph, cfg, spec.learn_graph, spec.graph_learner)
+            Mtgnn::with_learner(
+                v,
+                spec.seq_len,
+                graph,
+                cfg,
+                spec.learn_graph,
+                spec.graph_learner,
+            )
         }),
         ModelKind::Var => train_models(&vars, &graphs, &train, &configs, |v, _| {
             VarForecaster::new(v, spec.seq_len, cfg)
         }),
     };
-    TrainedShard { ids, models, reports, tests, graphs }
+    TrainedShard {
+        ids,
+        models,
+        reports,
+        tests,
+        graphs,
+    }
 }
 
 /// Builds one `M` per member (from its variable count and graph) and
@@ -268,8 +281,11 @@ fn train_models<M: CohortForecaster + 'static>(
     configs: &[TrainConfig],
     build: impl Fn(usize, Option<&AdjacencyMatrix>) -> M,
 ) -> (Box<dyn ShardModels>, Vec<TrainReport>) {
-    let mut models: Vec<M> =
-        vars.iter().zip(graphs).map(|(&v, g)| build(v, g.as_ref())).collect();
+    let mut models: Vec<M> = vars
+        .iter()
+        .zip(graphs)
+        .map(|(&v, g)| build(v, g.as_ref()))
+        .collect();
     let reports = train_cohort(&mut models, windows, configs);
     (Box::new(models), reports)
 }
@@ -345,7 +361,9 @@ pub(crate) fn run_shard<'a>(
 /// or the spec is inconsistent (graph-free GNN).
 #[must_use]
 pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
-    run_shard([(id, data)], spec, None).pop().expect("one outcome per member")
+    run_shard([(id, data)], spec, None)
+        .pop()
+        .expect("one outcome per member")
 }
 
 /// Runs a condition across a whole cohort on the environment-configured
@@ -480,7 +498,10 @@ mod tests {
         let ds = dataset();
         let spec = quick_spec(ModelKind::Lstm, GraphSpec::None);
         let mse = |executor: &Executor| -> Vec<f64> {
-            run_cohort_with(&ds, &spec, executor).iter().map(|o| o.mse).collect()
+            run_cohort_with(&ds, &spec, executor)
+                .iter()
+                .map(|o| o.mse)
+                .collect()
         };
         let sequential = mse(&Executor::sequential());
         assert_eq!(sequential, mse(&Executor::with_threads(2)));
@@ -493,9 +514,6 @@ mod tests {
         let g = AdjacencyMatrix::complete(6);
         let spec = quick_spec(ModelKind::A3tgcn, GraphSpec::Provided(g.clone()));
         let out = run_individual(0, &ds.individuals[0].data, &spec);
-        assert_eq!(
-            out.graph_used.unwrap().weights().data(),
-            g.weights().data()
-        );
+        assert_eq!(out.graph_used.unwrap().weights().data(), g.weights().data());
     }
 }

@@ -340,8 +340,14 @@ mod tests {
         t.push_row(
             "LSTM",
             vec![
-                CellStat { mean: 1.0, std: 0.5 },
-                CellStat { mean: 0.9, std: 0.4 },
+                CellStat {
+                    mean: 1.0,
+                    std: 0.5,
+                },
+                CellStat {
+                    mean: 0.9,
+                    std: 0.4,
+                },
             ],
         );
         let json = t.to_json();

@@ -216,7 +216,10 @@ pub fn train_cohort<M: CohortForecaster>(
     assert_eq!(n, windows.len(), "one window set per model");
     assert_eq!(n, configs.len(), "one config per model");
     for (b, (w, c)) in windows.iter().zip(configs).enumerate() {
-        assert!(!w.is_empty(), "individual {b}: cannot train on zero windows");
+        assert!(
+            !w.is_empty(),
+            "individual {b}: cannot train on zero windows"
+        );
         assert!(
             c.epochs > 0 || c.warm_start.is_some(),
             "individual {b}: need at least one epoch (or a warm-start checkpoint to restore)"
@@ -266,7 +269,10 @@ pub fn train_cohort<M: CohortForecaster>(
     // alongside, so the cohort forward sees one contiguous RNG stream
     // per active individual.
     let mut active: Vec<usize> = (0..n).filter(|&i| configs[i].epochs > 0).collect();
-    let mut rngs: Vec<Rng64> = active.iter().map(|&i| Rng64::seed_from(configs[i].seed)).collect();
+    let mut rngs: Vec<Rng64> = active
+        .iter()
+        .map(|&i| Rng64::seed_from(configs[i].seed))
+        .collect();
     let mut adams: Vec<Adam> = active
         .iter()
         .map(|&i| {
@@ -470,7 +476,11 @@ mod tests {
         // no matter how small `patience` is.
         let windows = toy_windows(2);
         let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
-        let mut cfg = TrainConfig { epochs: 12, seed: 4, ..TrainConfig::default() };
+        let mut cfg = TrainConfig {
+            epochs: 12,
+            seed: 4,
+            ..TrainConfig::default()
+        };
         cfg.patience = 1;
         assert_eq!(cfg.early_stop_rel, 0.0);
         let report = train_model(&mut model, &windows, &cfg);

@@ -62,7 +62,11 @@ impl EmaDataset {
         if self.individuals.is_empty() {
             return 0.0;
         }
-        let total: usize = self.individuals.iter().map(Individual::num_time_points).sum();
+        let total: usize = self
+            .individuals
+            .iter()
+            .map(Individual::num_time_points)
+            .sum();
         total as f64 / self.individuals.len() as f64
     }
 

@@ -52,11 +52,7 @@ pub fn from_csv(text: &str) -> io::Result<(Vec<String>, Tensor)> {
         if cells.len() != v {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "row {} has {} cells, expected {v}",
-                    lineno + 2,
-                    cells.len()
-                ),
+                format!("row {} has {} cells, expected {v}", lineno + 2, cells.len()),
             ));
         }
         let mut row = Vec::with_capacity(v);

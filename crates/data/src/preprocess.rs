@@ -144,12 +144,8 @@ mod tests {
 
     #[test]
     fn z_normalize_standardises() {
-        let data = Tensor::from_vec2(vec![
-            vec![1.0, 10.0],
-            vec![2.0, 20.0],
-            vec![3.0, 30.0],
-        ])
-        .unwrap();
+        let data =
+            Tensor::from_vec2(vec![vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]]).unwrap();
         let z = z_normalize(&data);
         for j in 0..2 {
             assert!(z.col(j).mean().abs() < 1e-12);
@@ -211,7 +207,11 @@ mod tests {
         assert_eq!(sub.num_variables(), 3);
         assert_eq!(sub.variable_names.len(), 3);
         assert_eq!(
-            sub.individuals[0].ground_truth.as_ref().unwrap().num_nodes(),
+            sub.individuals[0]
+                .ground_truth
+                .as_ref()
+                .unwrap()
+                .num_nodes(),
             3
         );
         // Projected values match originals.

@@ -341,10 +341,7 @@ mod tests {
             assert_eq!(x.data.data(), y.data.data());
         }
         let c = quick_gen(6).generate();
-        assert_ne!(
-            a.individuals[0].data.data(),
-            c.individuals[0].data.data()
-        );
+        assert_ne!(a.individuals[0].data.data(), c.individuals[0].data.data());
     }
 
     #[test]
@@ -353,10 +350,19 @@ mod tests {
         let full = gen.generate();
         for shard_size in [1, 3, 4, 7] {
             let streamed: Vec<_> = gen.shards(shard_size).flatten().collect();
-            assert_eq!(streamed.len(), full.individuals.len(), "shard size {shard_size}");
+            assert_eq!(
+                streamed.len(),
+                full.individuals.len(),
+                "shard size {shard_size}"
+            );
             for (a, b) in streamed.iter().zip(&full.individuals) {
                 assert_eq!(a.id, b.id);
-                assert_eq!(a.data.data(), b.data.data(), "shard size {shard_size} id {}", b.id);
+                assert_eq!(
+                    a.data.data(),
+                    b.data.data(),
+                    "shard size {shard_size} id {}",
+                    b.id
+                );
                 assert_eq!(a.raw.data(), b.raw.data());
             }
         }
@@ -373,7 +379,11 @@ mod tests {
         for ind in &ds.individuals {
             let gt = ind.ground_truth.as_ref().unwrap();
             // Density 0.12 nominal; allow generous slack for small V.
-            assert!(gt.density() < 0.45, "ground truth too dense: {}", gt.density());
+            assert!(
+                gt.density() < 0.45,
+                "ground truth too dense: {}",
+                gt.density()
+            );
         }
     }
 

@@ -22,10 +22,7 @@ pub fn chebyshev_polynomials(l_tilde: &Tensor, k: usize) -> Vec<Tensor> {
         out.push(l_tilde.clone());
     }
     for i in 2..k {
-        let next = l_tilde
-            .matmul(&out[i - 1])
-            .scale(2.0)
-            .sub(&out[i - 2]);
+        let next = l_tilde.matmul(&out[i - 1]).scale(2.0).sub(&out[i - 2]);
         out.push(next);
     }
     out

@@ -14,11 +14,7 @@ use crate::AdjacencyMatrix;
 /// Panics if node counts differ.
 #[must_use]
 pub fn edge_weight_correlation(a: &AdjacencyMatrix, b: &AdjacencyMatrix) -> f64 {
-    assert_eq!(
-        a.num_nodes(),
-        b.num_nodes(),
-        "graphs must share a node set"
-    );
+    assert_eq!(a.num_nodes(), b.num_nodes(), "graphs must share a node set");
     let n = a.num_nodes();
     let mut xs = Vec::with_capacity(n * (n - 1));
     let mut ys = Vec::with_capacity(n * (n - 1));

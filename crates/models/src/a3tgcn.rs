@@ -27,10 +27,7 @@ impl Gate {
             format!("{name}.w"),
             Initializer::XavierUniform.init(&[hidden, 1 + hidden], rng),
         );
-        let b = store.register(
-            format!("{name}.b"),
-            Initializer::Zeros.init(&[hidden], rng),
-        );
+        let b = store.register(format!("{name}.b"), Initializer::Zeros.init(&[hidden], rng));
         Self { w, b }
     }
 }
@@ -113,12 +110,20 @@ impl A3tgcn {
     fn tgcn_step(&self, tape: &Tape, binding: &Binding, a_hat: Var, x: Var, h: Var) -> Var {
         // x: [V, 1], h: [V, H]
         let xh = tape.hcat(x, h); // [V, 1 + H]
-        // Update and reset read the same graph-propagated features:
-        // compute Â·[x ‖ h] once and share it between both gates.
+                                  // Update and reset read the same graph-propagated features:
+                                  // compute Â·[x ‖ h] once and share it between both gates.
         let xh_prop = tape.matmul(a_hat, xh); // [V, 1 + H]
-        let u_pre = tape.linear(xh_prop, binding.var(self.update.w), binding.var(self.update.b));
+        let u_pre = tape.linear(
+            xh_prop,
+            binding.var(self.update.w),
+            binding.var(self.update.b),
+        );
         let u = tape.sigmoid(u_pre);
-        let r_pre = tape.linear(xh_prop, binding.var(self.reset.w), binding.var(self.reset.b));
+        let r_pre = tape.linear(
+            xh_prop,
+            binding.var(self.reset.w),
+            binding.var(self.reset.b),
+        );
         let r = tape.sigmoid(r_pre);
         let rh = tape.mul(r, h);
         let xrh = tape.hcat(x, rh);
@@ -237,7 +242,11 @@ impl CohortForecaster for A3tgcn {
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        assert_eq!(
+            group.len(),
+            batch.num_groups(),
+            "one window batch per model"
+        );
         assert_eq!(group.len(), bindings.len(), "one binding per model");
         let first = group[0];
         for (b, model) in group.iter().enumerate() {

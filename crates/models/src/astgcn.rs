@@ -34,9 +34,9 @@ pub struct Astgcn {
     // Residual shortcut: projects each input step [V, 1] to [V, F] and
     // adds it to the temporal-conv output (the 1×1 residual conv of the
     // original ASTGCN block).
-    res_w: ParamId, // [F, 1]
-    head_w: ParamId, // [1, F]
-    head_b: ParamId, // [1]
+    res_w: ParamId,    // [F, 1]
+    head_w: ParamId,   // [1, F]
+    head_b: ParamId,   // [1]
     cheb: Vec<Tensor>, // T_k(L̃) constants
     seq_len: usize,
     dropout: f64,
@@ -99,8 +99,7 @@ impl Astgcn {
         let cheb_b = store.register("cheb.b", Initializer::Zeros.init(&[f], &mut rng));
 
         let t_kernel = config.kernel.min(seq_len).max(1);
-        let temporal =
-            DilatedTemporalConv::new(&mut store, "tconv", f, f, t_kernel, 1, &mut rng);
+        let temporal = DilatedTemporalConv::new(&mut store, "tconv", f, f, t_kernel, 1, &mut rng);
 
         let res_w = store.register("res.w", init.init(&[f, 1], &mut rng));
         let head_w = store.register("head.w", init.init(&[1, f], &mut rng));
@@ -233,7 +232,11 @@ impl CohortForecaster for Astgcn {
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        assert_eq!(
+            group.len(),
+            batch.num_groups(),
+            "one window batch per model"
+        );
         assert_eq!(group.len(), bindings.len(), "one binding per model");
         let first = group[0];
         for (b, model) in group.iter().enumerate() {
@@ -276,7 +279,7 @@ impl CohortForecaster for Astgcn {
         // layouts loses nothing.
         let x_all = tape.leaf(batch.stacked_transposed().clone()); // [ΣW·V, s]
         let xt_all = tape.leaf(batch.stacked().clone()); // [ΣW·s, V]
-        // Temporal attention E per window, each individual's own P1/P2.
+                                                         // Temporal attention E per window, each individual's own P1/P2.
         let u1 = tape.group_matmul(xt_all, vars(|m| m.ta_p1), group_wins, s); // [ΣW·s, d]
         let u2 = tape.group_matmul(xt_all, vars(|m| m.ta_p2), group_wins, s); // [ΣW·s, d]
         let e_pre = tape.block_matmul_nt(u1, u2, total); // [ΣW·s, s]

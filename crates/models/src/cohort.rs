@@ -114,7 +114,10 @@ impl CohortBatch {
     /// mismatched window geometry.
     #[must_use]
     pub fn from_batches(batches: &[&WindowBatch]) -> Self {
-        assert!(!batches.is_empty(), "cohort batch needs at least one individual");
+        assert!(
+            !batches.is_empty(),
+            "cohort batch needs at least one individual"
+        );
         let seq_len = batches[0].seq_len();
         let num_vars = batches[0].num_vars();
         let mut group_wins = Vec::with_capacity(batches.len());
@@ -122,7 +125,11 @@ impl CohortBatch {
         let mut total = 0usize;
         for (b, batch) in batches.iter().enumerate() {
             assert_eq!(batch.seq_len(), seq_len, "individual {b} seq_len mismatch");
-            assert_eq!(batch.num_vars(), num_vars, "individual {b} num_vars mismatch");
+            assert_eq!(
+                batch.num_vars(),
+                num_vars,
+                "individual {b} num_vars mismatch"
+            );
             assert!(batch.wins() > 0, "individual {b} has zero windows");
             offsets.push(total);
             group_wins.push(batch.wins());
@@ -152,8 +159,8 @@ impl CohortBatch {
                 stacked_t.extend((0..seq_len).map(|t| win[t * num_vars + j]));
             }
         }
-        let stacked = Tensor::from_vec(&[total * seq_len, num_vars], stacked)
-            .expect("cohort stacked shape");
+        let stacked =
+            Tensor::from_vec(&[total * seq_len, num_vars], stacked).expect("cohort stacked shape");
         let stacked_transposed = Tensor::from_vec(&[total * num_vars, seq_len], stacked_t)
             .expect("cohort stacked_transposed shape");
         Self {
@@ -237,12 +244,18 @@ pub struct CohortCtx<'a> {
 impl<'a> CohortCtx<'a> {
     /// Training-mode context.
     pub fn train(rngs: &'a mut [Rng64]) -> Self {
-        Self { training: true, rngs }
+        Self {
+            training: true,
+            rngs,
+        }
     }
 
     /// Evaluation-mode context (no randomness drawn).
     pub fn eval(rngs: &'a mut [Rng64]) -> Self {
-        Self { training: false, rngs }
+        Self {
+            training: false,
+            rngs,
+        }
     }
 }
 
@@ -406,9 +419,13 @@ mod tests {
             let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
             let binding_refs: Vec<&Binding> = bindings.iter().collect();
             let group: Vec<&M> = models.iter().collect();
-            let mut rngs: Vec<Rng64> =
-                (0..wins.len()).map(|b| Rng64::seed_from(70 + b as u64)).collect();
-            let mut ctx = CohortCtx { training, rngs: &mut rngs };
+            let mut rngs: Vec<Rng64> = (0..wins.len())
+                .map(|b| Rng64::seed_from(70 + b as u64))
+                .collect();
+            let mut ctx = CohortCtx {
+                training,
+                rngs: &mut rngs,
+            };
             let out = M::predict_cohort(&group, &tape, &binding_refs, &cohort, &mut ctx);
             let out_value = tape.value(out);
 
@@ -494,7 +511,12 @@ mod tests {
         let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
         let models: Vec<A3tgcn> = (0..wins.len())
             .map(|b| {
-                A3tgcn::with_options(v, &graph_for(b, v), &ModelConfig::tiny(100 + b as u64), true)
+                A3tgcn::with_options(
+                    v,
+                    &graph_for(b, v),
+                    &ModelConfig::tiny(100 + b as u64),
+                    true,
+                )
             })
             .collect();
         assert_cohort_matches_oracle(&models, &wins, seq, v);
@@ -505,7 +527,12 @@ mod tests {
         let (v, seq, wins) = (3, 2, [2usize, 3]);
         let models: Vec<A3tgcn> = (0..wins.len())
             .map(|b| {
-                A3tgcn::with_options(v, &graph_for(b, v), &ModelConfig::tiny(200 + b as u64), false)
+                A3tgcn::with_options(
+                    v,
+                    &graph_for(b, v),
+                    &ModelConfig::tiny(200 + b as u64),
+                    false,
+                )
             })
             .collect();
         assert_cohort_matches_oracle(&models, &wins, seq, v);

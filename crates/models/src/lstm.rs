@@ -91,7 +91,11 @@ impl CohortForecaster for LstmForecaster {
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        assert_eq!(
+            group.len(),
+            batch.num_groups(),
+            "one window batch per model"
+        );
         assert_eq!(group.len(), bindings.len(), "one binding per model");
         for (b, model) in group.iter().enumerate() {
             assert_eq!(
@@ -177,9 +181,6 @@ mod tests {
             adam.step(model.params_mut(), &binding, &grads);
         }
         let first = first.unwrap();
-        assert!(
-            last < first * 0.05,
-            "loss did not drop: {first} -> {last}"
-        );
+        assert!(last < first * 0.05, "loss did not drop: {first} -> {last}");
     }
 }

@@ -47,10 +47,10 @@ struct Block {
 pub struct Mtgnn {
     store: ParamStore,
     // Graph learner.
-    e1: ParamId, // [V, d]
-    e2: ParamId, // [V, d]
-    m1: ParamId, // [d, d]
-    m2: ParamId, // [d, d]
+    e1: ParamId,            // [V, d]
+    e2: ParamId,            // [V, d]
+    m1: ParamId,            // [d, d]
+    m2: ParamId,            // [d, d]
     direct_logits: ParamId, // [V, V], used by the Direct learner
     learner: GraphLearnerKind,
     static_prior: Option<Tensor>, // max-normalised initial graph
@@ -153,8 +153,14 @@ impl Mtgnn {
         let c = config.hidden;
         let init = Initializer::XavierUniform;
 
-        let e1 = store.register("gl.e1", Initializer::Normal(1.0).init(&[num_variables, d], &mut rng));
-        let e2 = store.register("gl.e2", Initializer::Normal(1.0).init(&[num_variables, d], &mut rng));
+        let e1 = store.register(
+            "gl.e1",
+            Initializer::Normal(1.0).init(&[num_variables, d], &mut rng),
+        );
+        let e2 = store.register(
+            "gl.e2",
+            Initializer::Normal(1.0).init(&[num_variables, d], &mut rng),
+        );
         let m1 = store.register("gl.m1", init.init(&[d, d], &mut rng));
         let m2 = store.register("gl.m2", init.init(&[d, d], &mut rng));
         let direct_logits = store.register(
@@ -191,10 +197,7 @@ impl Mtgnn {
             );
             let mixhop = (0..=config.mixhop_depth)
                 .map(|h| {
-                    store.register(
-                        format!("block{b}.mixhop{h}"),
-                        init.init(&[c, c], &mut rng),
-                    )
+                    store.register(format!("block{b}.mixhop{h}"), init.init(&[c, c], &mut rng))
                 })
                 .collect();
             let skip_w = store.register(format!("block{b}.skip"), init.init(&[c, c], &mut rng));
@@ -229,7 +232,10 @@ impl Mtgnn {
             end_w2,
             end_b2,
             alpha: config.graph_alpha,
-            top_k: config.graph_top_k.min(num_variables.saturating_sub(1)).max(1),
+            top_k: config
+                .graph_top_k
+                .min(num_variables.saturating_sub(1))
+                .max(1),
             beta: config.mixhop_beta,
             depth: config.mixhop_depth,
             dropout: config.dropout,
@@ -499,7 +505,11 @@ impl CohortForecaster for Mtgnn {
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        assert_eq!(
+            group.len(),
+            batch.num_groups(),
+            "one window batch per model"
+        );
         assert_eq!(group.len(), bindings.len(), "one binding per model");
         let first = group[0];
         for (b, model) in group.iter().enumerate() {

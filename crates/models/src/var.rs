@@ -79,7 +79,7 @@ impl VarForecaster {
         let w = x
             .ridge_least_squares(&y, lambda)
             .expect("regularised system is nonsingular"); // [p+1, V]
-        // Split into weights (transposed to [V, p]) and intercept.
+                                                          // Split into weights (transposed to [V, p]) and intercept.
         let coef = w.slice_rows(0, p).transpose();
         let intercept = w.row(p);
         self.store.load(self.layer.w, coef);
@@ -151,7 +151,11 @@ impl CohortForecaster for VarForecaster {
         batch: &CohortBatch,
         _ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        assert_eq!(
+            group.len(),
+            batch.num_groups(),
+            "one window batch per model"
+        );
         let (seq, v) = (batch.seq_len(), batch.num_vars());
         for (b, model) in group.iter().enumerate() {
             assert_eq!(model.num_variables, v, "individual {b}: window width");
@@ -237,13 +241,20 @@ mod tests {
         let mut model = VarForecaster::new(2, 2, &ModelConfig::tiny(1));
         let mse = |m: &VarForecaster| {
             let mut rng = Rng64::seed_from(0);
-            let preds: Vec<Tensor> = windows.inputs.iter().map(|w| m.predict(w, &mut rng)).collect();
+            let preds: Vec<Tensor> = windows
+                .inputs
+                .iter()
+                .map(|w| m.predict(w, &mut rng))
+                .collect();
             Tensor::stack_rows(&preds).mse(&windows.targets_matrix())
         };
         let before = mse(&model);
         model.fit_closed_form(&windows.inputs, &windows.targets, 1e-4);
         let after = mse(&model);
-        assert!(after < before * 0.5, "fit did not help: {before} -> {after}");
+        assert!(
+            after < before * 0.5,
+            "fit did not help: {before} -> {after}"
+        );
         assert!(after < 0.02, "fit residual too large: {after}");
     }
 

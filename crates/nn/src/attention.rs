@@ -130,7 +130,11 @@ impl TemporalAttention {
             .collect();
         let mut scores = Vec::with_capacity(states.len());
         for &h in states {
-            assert_eq!(tape.dims(h)[1], hidden, "hidden width mismatch in attention");
+            assert_eq!(
+                tape.dims(h)[1],
+                hidden,
+                "hidden width mismatch in attention"
+            );
             let mean_h = tape.block_lhs_matmul(avg, h, total_wins); // [Σ W_b, H]
             let params = members
                 .clone()

@@ -44,7 +44,10 @@ impl Linear {
         rng: &mut Rng64,
     ) -> Self {
         let w = store.register(format!("{name}.w"), init.init(&[out_dim, in_dim], rng));
-        let b = store.register(format!("{name}.b"), Initializer::Zeros.init(&[out_dim], rng));
+        let b = store.register(
+            format!("{name}.b"),
+            Initializer::Zeros.init(&[out_dim], rng),
+        );
         Self {
             w,
             b,

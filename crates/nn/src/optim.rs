@@ -133,7 +133,10 @@ impl Adam {
     fn ensure_state(&mut self, store: &ParamStore) {
         while self.m.len() < store.len() {
             let i = self.m.len();
-            let dims = store.value(crate::params::param_id_from_index(i)).dims().to_vec();
+            let dims = store
+                .value(crate::params::param_id_from_index(i))
+                .dims()
+                .to_vec();
             self.m.push(Tensor::zeros(&dims));
             self.v.push(Tensor::zeros(&dims));
         }
@@ -217,7 +220,10 @@ impl Optimizer for Sgd {
     fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &Grads) {
         while self.velocity.len() < store.len() {
             let i = self.velocity.len();
-            let dims = store.value(crate::params::param_id_from_index(i)).dims().to_vec();
+            let dims = store
+                .value(crate::params::param_id_from_index(i))
+                .dims()
+                .to_vec();
             self.velocity.push(Tensor::zeros(&dims));
         }
         self.step += 1;

@@ -84,13 +84,7 @@ impl GruCell {
 
     /// Runs the cell over a sequence of inputs starting from `h0`,
     /// returning every hidden state (length == `xs.len()`).
-    pub fn run_sequence(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        xs: &[Var],
-        h0: Var,
-    ) -> Vec<Var> {
+    pub fn run_sequence(&self, tape: &Tape, binding: &Binding, xs: &[Var], h0: Var) -> Vec<Var> {
         let mut h = h0;
         let mut states = Vec::with_capacity(xs.len());
         for &x in xs {

@@ -64,7 +64,10 @@ impl std::error::Error for JsonError {}
 /// Panics on NaN or infinity.
 #[must_use]
 pub fn write_f64(v: f64) -> String {
-    assert!(v.is_finite(), "cannot serialise non-finite number {v} as JSON");
+    assert!(
+        v.is_finite(),
+        "cannot serialise non-finite number {v} as JSON"
+    );
     // Rust's `Display` for f64 is the shortest string that round-trips.
     let s = v.to_string();
     debug_assert_eq!(s.parse::<f64>().map(f64::to_bits), Ok(v.to_bits()));
@@ -515,8 +518,7 @@ impl<'a> Parser<'a> {
                                 if !(0xdc00..0xe000).contains(&low) {
                                     return Err(self.error("invalid low surrogate"));
                                 }
-                                let combined =
-                                    0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+                                let combined = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
                                 char::from_u32(combined)
                             } else {
                                 char::from_u32(cp)
@@ -524,9 +526,7 @@ impl<'a> Parser<'a> {
                             out.push(c.ok_or_else(|| self.error("invalid unicode escape"))?);
                         }
                         other => {
-                            return Err(
-                                self.error(format!("invalid escape '\\{}'", other as char))
-                            )
+                            return Err(self.error(format!("invalid escape '\\{}'", other as char)))
                         }
                     }
                 }
@@ -622,9 +622,9 @@ mod tests {
             -1.0,
             0.1,
             std::f64::consts::PI,
-            f64::MIN_POSITIVE,          // smallest normal
-            f64::MIN_POSITIVE / 1e10,   // subnormal
-            5e-324,                     // smallest subnormal
+            f64::MIN_POSITIVE,        // smallest normal
+            f64::MIN_POSITIVE / 1e10, // subnormal
+            5e-324,                   // smallest subnormal
             f64::MAX,
             f64::MIN,
             1e308,
@@ -663,11 +663,7 @@ mod tests {
             (
                 "rows",
                 Json::Arr(vec![
-                    Json::Arr(vec![
-                        Json::Str("LSTM".into()),
-                        Json::Num(1.022),
-                        Json::Null,
-                    ]),
+                    Json::Arr(vec![Json::Str("LSTM".into()), Json::Num(1.022), Json::Null]),
                     Json::Obj(vec![]),
                     Json::Arr(vec![]),
                 ]),
@@ -679,10 +675,7 @@ mod tests {
 
     #[test]
     fn pretty_layout_matches_serde_json_style() {
-        let v = Json::obj(vec![
-            ("mean", Json::Num(0.85)),
-            ("std", Json::Num(0.43)),
-        ]);
+        let v = Json::obj(vec![("mean", Json::Num(0.85)), ("std", Json::Num(0.43))]);
         assert_eq!(v.pretty(), "{\n  \"mean\": 0.85,\n  \"std\": 0.43\n}");
         assert_eq!(Json::Arr(vec![]).pretty(), "[]");
         assert_eq!(Json::Obj(vec![]).pretty(), "{}");

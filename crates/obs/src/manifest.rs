@@ -101,9 +101,16 @@ impl Recorder {
         // plain name, so existing single-run paths are unchanged).
         let uses = inner.used_run_names.entry(name.to_string()).or_insert(0);
         *uses += 1;
-        let stem = if *uses == 1 { name.to_string() } else { format!("{name}.{uses}") };
+        let stem = if *uses == 1 {
+            name.to_string()
+        } else {
+            format!("{name}.{uses}")
+        };
         if let Err(e) = fs::create_dir_all(dir) {
-            eprintln!("warning: cannot create {}: {e}; obs run disabled", dir.display());
+            eprintln!(
+                "warning: cannot create {}: {e}; obs run disabled",
+                dir.display()
+            );
             return false;
         }
         if mode == ObsMode::Full && !matches!(inner.sink, Sink::Memory(_)) {
@@ -111,7 +118,10 @@ impl Recorder {
             match fs::File::create(&path) {
                 Ok(f) => inner.sink = Sink::File(BufWriter::new(f)),
                 Err(e) => {
-                    eprintln!("warning: cannot create {}: {e}; events not logged", path.display());
+                    eprintln!(
+                        "warning: cannot create {}: {e}; events not logged",
+                        path.display()
+                    );
                 }
             }
         }
@@ -137,11 +147,17 @@ impl Recorder {
         let now = self.elapsed_ns();
         {
             let mut inner = self.lock();
-            let Some(run) = inner.run.as_mut() else { return };
+            let Some(run) = inner.run.as_mut() else {
+                return;
+            };
             if let Some(open) = run.phases.last_mut() {
                 open.end_ns.get_or_insert(now);
             }
-            run.phases.push(Phase { title: title.to_string(), start_ns: now, end_ns: None });
+            run.phases.push(Phase {
+                title: title.to_string(),
+                start_ns: now,
+                end_ns: None,
+            });
         }
         self.point("phase", vec![("title", Json::from(title))]);
     }
@@ -194,7 +210,10 @@ fn finish_locked(inner: &mut crate::trace::Inner, now: u64) -> Option<PathBuf> {
             Json::obj(vec![
                 ("title", Json::from(p.title.as_str())),
                 ("start_ns", Json::from(p.start_ns)),
-                ("wall_ns", Json::from(p.end_ns.unwrap_or(now).saturating_sub(p.start_ns))),
+                (
+                    "wall_ns",
+                    Json::from(p.end_ns.unwrap_or(now).saturating_sub(p.start_ns)),
+                ),
             ])
         })
         .collect();
@@ -299,8 +318,15 @@ mod tests {
         assert_eq!(summary.require("mode").unwrap().to_str().unwrap(), "full");
         let phases = summary.require("phases").unwrap().to_arr().unwrap();
         assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].require("title").unwrap().to_str().unwrap(), "work");
-        assert!(summary.require("events").unwrap().require("train_epoch").is_ok());
+        assert_eq!(
+            phases[0].require("title").unwrap().to_str().unwrap(),
+            "work"
+        );
+        assert!(summary
+            .require("events")
+            .unwrap()
+            .require("train_epoch")
+            .is_ok());
         let hist = summary
             .require("metrics")
             .unwrap()
@@ -319,10 +345,19 @@ mod tests {
         rec.point("train_epoch", vec![("loss", Json::Num(0.5))]);
         let path = rec.finish_run().expect("summary written");
         assert!(path.exists());
-        assert!(!dir.join("probe.jsonl").exists(), "summary mode streams no JSONL");
+        assert!(
+            !dir.join("probe.jsonl").exists(),
+            "summary mode streams no JSONL"
+        );
         let summary = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(
-            summary.require("events").unwrap().require("train_epoch").unwrap().to_usize().unwrap(),
+            summary
+                .require("events")
+                .unwrap()
+                .require("train_epoch")
+                .unwrap()
+                .to_usize()
+                .unwrap(),
             1
         );
     }
@@ -350,8 +385,14 @@ mod tests {
         assert!(rec.begin_run_in("again", Json::Null, &dir));
         let again = rec.finish_run().unwrap();
         let summary = Json::parse(&fs::read_to_string(&again).unwrap()).unwrap();
-        assert_eq!(summary.require("profile").unwrap().to_arr().unwrap().len(), 0);
-        assert!(!dir.join("again.folded").exists(), "empty profiles write no folded file");
+        assert_eq!(
+            summary.require("profile").unwrap().to_arr().unwrap().len(),
+            0
+        );
+        assert!(
+            !dir.join("again.folded").exists(),
+            "empty profiles write no folded file"
+        );
     }
 
     #[test]
@@ -373,7 +414,12 @@ mod tests {
         let i_of = |stem: &str| {
             let path = dir.join(format!("{stem}.summary.json"));
             let s = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
-            s.require("config").unwrap().require("i").unwrap().to_usize().unwrap()
+            s.require("config")
+                .unwrap()
+                .require("i")
+                .unwrap()
+                .to_usize()
+                .unwrap()
         };
         assert_eq!((i_of("probe"), i_of("probe.2"), i_of("probe.3")), (0, 1, 2));
     }
@@ -401,7 +447,8 @@ mod tests {
         rec.annotate("note", Json::from("hello"));
         assert!(rec.begin_run_in("second", Json::Null, &dir));
         assert!(dir.join("first.summary.json").exists());
-        let first = Json::parse(&fs::read_to_string(dir.join("first.summary.json")).unwrap()).unwrap();
+        let first =
+            Json::parse(&fs::read_to_string(dir.join("first.summary.json")).unwrap()).unwrap();
         assert_eq!(first.require("note").unwrap().to_str().unwrap(), "hello");
         rec.finish_run();
         assert!(dir.join("second.summary.json").exists());

@@ -79,7 +79,10 @@ impl Histogram {
     /// obs must never take down a training run).
     pub fn observe(&mut self, v: f64) {
         let idx = if v.is_finite() {
-            self.bounds.iter().position(|&b| v <= b).unwrap_or(self.bounds.len())
+            self.bounds
+                .iter()
+                .position(|&b| v <= b)
+                .unwrap_or(self.bounds.len())
         } else {
             self.bounds.len()
         };
@@ -143,7 +146,11 @@ impl Histogram {
             }
             if (cum + count) as f64 >= target {
                 let lo = if i == 0 {
-                    if self.min.is_finite() { self.min } else { self.bounds[0] }
+                    if self.min.is_finite() {
+                        self.min
+                    } else {
+                        self.bounds[0]
+                    }
                 } else {
                     self.bounds[i - 1]
                 };
@@ -163,13 +170,20 @@ impl Histogram {
         }
         // Unreachable for a consistent histogram (cum reaches total),
         // but obs never panics: fall back to the largest known value.
-        Some(if self.max.is_finite() { self.max.max(last_bound) } else { last_bound })
+        Some(if self.max.is_finite() {
+            self.max.max(last_bound)
+        } else {
+            last_bound
+        })
     }
 
     fn to_json(&self) -> Json {
         let finite = self.total - self.nonfinite;
         let mut pairs = vec![
-            ("bounds", Json::Arr(self.bounds.iter().map(|&b| Json::Num(b)).collect())),
+            (
+                "bounds",
+                Json::Arr(self.bounds.iter().map(|&b| Json::Num(b)).collect()),
+            ),
             (
                 "counts",
                 Json::Arr(self.counts.iter().map(|&c| Json::from(c)).collect()),
@@ -193,8 +207,12 @@ impl Histogram {
     /// a run summary.
     #[must_use]
     pub fn from_json(j: &Json) -> Option<Histogram> {
-        let bounds: Vec<f64> =
-            j.get("bounds")?.as_arr()?.iter().map(Json::as_f64).collect::<Option<_>>()?;
+        let bounds: Vec<f64> = j
+            .get("bounds")?
+            .as_arr()?
+            .iter()
+            .map(Json::as_f64)
+            .collect::<Option<_>>()?;
         let counts: Vec<u64> = j
             .get("counts")?
             .as_arr()?
@@ -218,7 +236,10 @@ impl Histogram {
             nonfinite,
             sum: j.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
             min: j.get("min").and_then(Json::as_f64).unwrap_or(f64::INFINITY),
-            max: j.get("max").and_then(Json::as_f64).unwrap_or(f64::NEG_INFINITY),
+            max: j
+                .get("max")
+                .and_then(Json::as_f64)
+                .unwrap_or(f64::NEG_INFINITY),
         })
     }
 }
@@ -431,7 +452,11 @@ mod tests {
             }
             other => panic!("expected object, got {other:?}"),
         }
-        let h = parsed.require("histograms").unwrap().require("loss").unwrap();
+        let h = parsed
+            .require("histograms")
+            .unwrap()
+            .require("loss")
+            .unwrap();
         assert_eq!(h.require("total").unwrap().to_usize().unwrap(), 1);
     }
 }

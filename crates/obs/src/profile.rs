@@ -137,7 +137,16 @@ impl ProfileNode {
             let (child_name, child) = ProfileNode::from_json(c)?;
             children.insert(child_name, child);
         }
-        Some((name, ProfileNode { count, total_ns, min_ns, max_ns, children }))
+        Some((
+            name,
+            ProfileNode {
+                count,
+                total_ns,
+                min_ns,
+                max_ns,
+                children,
+            },
+        ))
     }
 }
 
@@ -167,7 +176,9 @@ impl Profile {
     /// # Panics
     /// Panics on an empty path.
     pub fn record(&mut self, path: &[String], dur_ns: u64) {
-        let (first, rest) = path.split_first().expect("a call path names at least one span");
+        let (first, rest) = path
+            .split_first()
+            .expect("a call path names at least one span");
         let mut node = self.roots.entry(first.clone()).or_default();
         for name in rest {
             node = node.children.entry(name.clone()).or_default();
@@ -206,8 +217,12 @@ impl Profile {
         let mut profile = Profile::new();
         let mut stacks: BTreeMap<usize, Vec<String>> = BTreeMap::new();
         for ev in events {
-            let Some(kind) = ev.get("ev").and_then(Json::as_str) else { continue };
-            let Some(span) = ev.get("span").and_then(Json::as_str) else { continue };
+            let Some(kind) = ev.get("ev").and_then(Json::as_str) else {
+                continue;
+            };
+            let Some(span) = ev.get("span").and_then(Json::as_str) else {
+                continue;
+            };
             let thread = ev.get("thread").and_then(Json::as_usize).unwrap_or(0);
             let stack = stacks.entry(thread).or_default();
             match kind {
@@ -262,8 +277,17 @@ impl Profile {
     /// order.
     #[must_use]
     pub fn flatten(&self) -> Vec<(String, &ProfileNode)> {
-        fn walk<'a>(prefix: &str, name: &str, node: &'a ProfileNode, out: &mut Vec<(String, &'a ProfileNode)>) {
-            let path = if prefix.is_empty() { name.to_string() } else { format!("{prefix};{name}") };
+        fn walk<'a>(
+            prefix: &str,
+            name: &str,
+            node: &'a ProfileNode,
+            out: &mut Vec<(String, &'a ProfileNode)>,
+        ) {
+            let path = if prefix.is_empty() {
+                name.to_string()
+            } else {
+                format!("{prefix};{name}")
+            };
             for (child_name, child) in &node.children {
                 walk(&path, child_name, child, out);
             }

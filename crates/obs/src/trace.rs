@@ -234,7 +234,9 @@ impl Recorder {
     pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
         // A panic while holding this lock poisons it; obs keeps working
         // for the surviving threads rather than cascading the panic.
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn emit(&self, name: &str, event: Json) {
@@ -315,7 +317,14 @@ impl Recorder {
         }
         entry.push(("fields", Json::obj(fields)));
         self.emit(name, Json::obj(entry));
-        SpanGuard { rec: Some(self), name: name.to_string(), start_ns, depth, thread, profiled }
+        SpanGuard {
+            rec: Some(self),
+            name: name.to_string(),
+            start_ns,
+            depth,
+            thread,
+            profiled,
+        }
     }
 
     /// Emits one instantaneous event (no duration), e.g. a
@@ -422,9 +431,15 @@ impl Recorder {
             if c.calls == 0 {
                 continue;
             }
-            inner.metrics.inc_counter(&format!("kernel.{phase}.{backend}.calls"), c.calls);
-            inner.metrics.inc_counter(&format!("kernel.{phase}.{backend}.flops"), c.flops);
-            inner.metrics.inc_counter(&format!("kernel.{phase}.{backend}.bytes"), c.bytes);
+            inner
+                .metrics
+                .inc_counter(&format!("kernel.{phase}.{backend}.calls"), c.calls);
+            inner
+                .metrics
+                .inc_counter(&format!("kernel.{phase}.{backend}.flops"), c.flops);
+            inner
+                .metrics
+                .inc_counter(&format!("kernel.{phase}.{backend}.bytes"), c.bytes);
         }
     }
 }
@@ -514,13 +529,24 @@ impl Recorder {
     #[must_use]
     pub fn worker_scope(&self, worker: usize) -> WorkerScope<'_> {
         if self.mode() == ObsMode::Off {
-            return WorkerScope { rec: self, prev_worker: None, active: false };
+            return WorkerScope {
+                rec: self,
+                prev_worker: None,
+                active: false,
+            };
         }
         let prev_worker = WORKER.with(|w| w.replace(Some(worker)));
         WORKER_BUF.with(|b| {
-            *b.borrow_mut() = Some(WorkerBuffer { rec: self, events: Vec::new() });
+            *b.borrow_mut() = Some(WorkerBuffer {
+                rec: self,
+                events: Vec::new(),
+            });
         });
-        WorkerScope { rec: self, prev_worker, active: true }
+        WorkerScope {
+            rec: self,
+            prev_worker,
+            active: true,
+        }
     }
 }
 
@@ -615,7 +641,10 @@ mod tests {
         }
         assert!(rec.drain_events().is_empty());
         assert_eq!(rec.event_count("quiet"), 0);
-        assert_eq!(rec.metrics_snapshot().require("counters").unwrap(), &Json::Obj(vec![]));
+        assert_eq!(
+            rec.metrics_snapshot().require("counters").unwrap(),
+            &Json::Obj(vec![])
+        );
     }
 
     #[test]
@@ -633,7 +662,10 @@ mod tests {
             .collect();
         assert_eq!(evs, ["enter", "enter", "exit", "exit"]);
         // Inner exits first (LIFO) and carries a duration.
-        assert_eq!(events[2].require("span").unwrap().to_str().unwrap(), "inner");
+        assert_eq!(
+            events[2].require("span").unwrap().to_str().unwrap(),
+            "inner"
+        );
         assert!(events[2].require("dur_ns").unwrap().to_f64().unwrap() >= 0.0);
         // Depths: outer = 0, inner = 1, matched on exit.
         assert_eq!(events[0].require("depth").unwrap().to_usize().unwrap(), 0);
@@ -666,7 +698,10 @@ mod tests {
         assert_eq!(rec.event_count("worker"), 4 * 25 * 2); // enter + exit
         let snap = rec.metrics_snapshot();
         let counters = snap.require("counters").unwrap();
-        assert_eq!(counters.require("iterations").unwrap().to_usize().unwrap(), 100);
+        assert_eq!(
+            counters.require("iterations").unwrap().to_usize().unwrap(),
+            100
+        );
     }
 
     #[test]
@@ -824,11 +859,19 @@ mod tests {
         let snap = rec.metrics_snapshot();
         let counters = snap.require("counters").unwrap();
         assert_eq!(
-            counters.require("kernel.run.scalar.calls").unwrap().to_usize().unwrap(),
+            counters
+                .require("kernel.run.scalar.calls")
+                .unwrap()
+                .to_usize()
+                .unwrap(),
             1
         );
         assert_eq!(
-            counters.require("kernel.run.scalar.flops").unwrap().to_usize().unwrap(),
+            counters
+                .require("kernel.run.scalar.flops")
+                .unwrap()
+                .to_usize()
+                .unwrap(),
             2 * 2 * 3 * 4
         );
         // Take-semantics: a second drain adds nothing.

@@ -27,7 +27,9 @@ fn observations_gen(rng: &mut Rng64) -> Vec<f64> {
 /// the deepest one; anything still open at the end closes implicitly
 /// (guards drop LIFO).
 fn program_gen(rng: &mut Rng64) -> Vec<bool> {
-    (0..gen::usize_in(rng, 0, 40)).map(|_| rng.uniform() < 0.55).collect()
+    (0..gen::usize_in(rng, 0, 40))
+        .map(|_| rng.uniform() < 0.55)
+        .collect()
 }
 
 /// Runs a nesting program against a fresh in-memory recorder and
@@ -56,7 +58,9 @@ fn drive_program(rec: &Recorder, program: &[bool]) {
 
 /// 2–4 independent nesting programs, one per simulated worker.
 fn jobs_gen(rng: &mut Rng64) -> Vec<Vec<bool>> {
-    (0..gen::usize_in(rng, 2, 4)).map(|_| program_gen(rng)).collect()
+    (0..gen::usize_in(rng, 2, 4))
+        .map(|_| program_gen(rng))
+        .collect()
 }
 
 prop_tests! {

@@ -95,24 +95,14 @@ mod tests {
 
     #[test]
     fn perfectly_correlated_columns() {
-        let data = Tensor::from_vec2(vec![
-            vec![1.0, 2.0],
-            vec![2.0, 4.0],
-            vec![3.0, 6.0],
-        ])
-        .unwrap();
+        let data = Tensor::from_vec2(vec![vec![1.0, 2.0], vec![2.0, 4.0], vec![3.0, 6.0]]).unwrap();
         let g = correlation_graph(&data);
         assert!((g.weight(0, 1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn anticorrelation_counts_as_similarity() {
-        let data = Tensor::from_vec2(vec![
-            vec![1.0, 3.0],
-            vec![2.0, 2.0],
-            vec![3.0, 1.0],
-        ])
-        .unwrap();
+        let data = Tensor::from_vec2(vec![vec![1.0, 3.0], vec![2.0, 2.0], vec![3.0, 1.0]]).unwrap();
         let g = correlation_graph(&data);
         assert!((g.weight(0, 1) - 1.0).abs() < 1e-12);
     }
@@ -162,12 +152,7 @@ mod tests {
 
     #[test]
     fn constant_column_correlates_zero() {
-        let data = Tensor::from_vec2(vec![
-            vec![1.0, 5.0],
-            vec![2.0, 5.0],
-            vec![3.0, 5.0],
-        ])
-        .unwrap();
+        let data = Tensor::from_vec2(vec![vec![1.0, 5.0], vec![2.0, 5.0], vec![3.0, 5.0]]).unwrap();
         let g = correlation_graph(&data);
         assert_eq!(g.weight(0, 1), 0.0);
     }

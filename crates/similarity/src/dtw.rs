@@ -43,7 +43,10 @@ pub fn dtw_distance_banded(x: &[f64], y: &[f64], band: usize) -> f64 {
 fn dtw_banded_with(x: &[f64], y: &[f64], band: usize, prev: &mut [f64], curr: &mut [f64]) -> f64 {
     assert!(!x.is_empty() && !y.is_empty(), "empty series");
     let (n, m) = (x.len(), y.len());
-    assert!(prev.len() == m + 1 && curr.len() == m + 1, "DP rows must be len(y) + 1");
+    assert!(
+        prev.len() == m + 1 && curr.len() == m + 1,
+        "DP rows must be len(y) + 1"
+    );
     let band = band.max(n.abs_diff(m));
     const INF: f64 = f64::INFINITY;
 
@@ -181,10 +184,7 @@ mod tests {
     fn wide_band_equals_full() {
         let x = [1.0, 5.0, 2.0, 8.0, 3.0];
         let y = [2.0, 4.0, 1.0, 9.0, 2.0];
-        assert_eq!(
-            dtw_distance(&x, &y),
-            dtw_distance_banded(&x, &y, 100)
-        );
+        assert_eq!(dtw_distance(&x, &y), dtw_distance_banded(&x, &y, 100));
     }
 
     #[test]

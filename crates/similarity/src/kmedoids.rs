@@ -197,9 +197,7 @@ pub fn k_medoids(distances: &Tensor, k: usize, seed: u64) -> KMedoidsResult {
     medoids.sort_unstable();
 
     let assignments = (0..n)
-        .map(|p| {
-            argmin_distance(medoids.iter().map(|&m| distances.at2(p, m)))
-        })
+        .map(|p| argmin_distance(medoids.iter().map(|&m| distances.at2(p, m))))
         .collect();
     KMedoidsResult {
         medoids,

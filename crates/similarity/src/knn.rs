@@ -28,11 +28,7 @@ pub fn knn_graph(data: &Tensor, k: usize) -> AdjacencyMatrix {
     let mut neighbours: Vec<(usize, f64)> = Vec::with_capacity(v.saturating_sub(1));
     for i in 0..v {
         neighbours.clear();
-        neighbours.extend(
-            (0..v)
-                .filter(|&j| j != i)
-                .map(|j| (j, distances.at2(i, j))),
-        );
+        neighbours.extend((0..v).filter(|&j| j != i).map(|j| (j, distances.at2(i, j))));
         neighbours.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
                 .unwrap_or(std::cmp::Ordering::Equal)

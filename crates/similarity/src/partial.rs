@@ -100,7 +100,10 @@ mod tests {
         let partial = partial_correlation_matrix(&data, 1e-4);
         let marg_xz = marginal.at2(0, 2).abs();
         let part_xz = partial.at2(0, 2).abs();
-        assert!(marg_xz > 0.5, "chain should correlate marginally: {marg_xz}");
+        assert!(
+            marg_xz > 0.5,
+            "chain should correlate marginally: {marg_xz}"
+        );
         assert!(
             part_xz < marg_xz * 0.4,
             "conditioning failed: partial {part_xz} vs marginal {marg_xz}"

@@ -73,7 +73,14 @@ fn accum_tile<const W: usize>(a_row: &[f64], b_span: &[f64], out_tile: &mut [f64
 
 /// Accumulates one output row span `out_row[jb..j_end]` by decomposing
 /// it into fixed-width register tiles (32/16/8/4) plus a scalar tail.
-fn accum_row_span(a_row: &[f64], b: &[f64], out_row: &mut [f64], n: usize, jb: usize, j_end: usize) {
+fn accum_row_span(
+    a_row: &[f64],
+    b: &[f64],
+    out_row: &mut [f64],
+    n: usize,
+    jb: usize,
+    j_end: usize,
+) {
     let mut j = jb;
     while j + 32 <= j_end {
         let tile: &mut [f64; 32] = (&mut out_row[j..j + 32]).try_into().expect("tile width");
@@ -114,7 +121,14 @@ fn accum_row_span(a_row: &[f64], b: &[f64], out_row: &mut [f64], n: usize, jb: u
 /// the caller. Dispatches on the thread's active [`KernelBackend`] —
 /// the scalar ikj oracle below or the AVX2+FMA twin in `simd.rs` (see
 /// the two-contract story in this file's header).
-pub(crate) fn matmul_accumulate(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+pub(crate) fn matmul_accumulate(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     let backend = KernelBackend::active();
     // Work accounting for the obs layer: a relaxed-flag check plus a
     // thread-local add, keyed by the backend that will actually run.

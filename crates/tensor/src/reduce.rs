@@ -43,7 +43,10 @@ impl Tensor {
     /// Maximum element (NaNs are ignored unless all elements are NaN).
     #[must_use]
     pub fn max(&self) -> f64 {
-        self.data().iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        self.data()
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
     }
 
     /// Minimum element (NaNs are ignored unless all elements are NaN).
@@ -200,11 +203,7 @@ mod tests {
     #[test]
     fn mean_axis_consistency() {
         let m = Tensor::from_vec2(vec![vec![2.0, 4.0], vec![6.0, 8.0]]).unwrap();
-        assert_tensors_close(
-            &m.mean_axis(0),
-            &Tensor::from_vec1(vec![4.0, 6.0]),
-            1e-12,
-        );
+        assert_tensors_close(&m.mean_axis(0), &Tensor::from_vec1(vec![4.0, 6.0]), 1e-12);
     }
 
     #[test]

@@ -183,12 +183,8 @@ mod tests {
         // Y = X·W with noiseless data and tiny ridge -> W recovered.
         let mut rng = Rng64::seed_from(7);
         let x = Tensor::rand_normal(&[50, 3], 0.0, 1.0, &mut rng);
-        let w_true = Tensor::from_vec2(vec![
-            vec![1.0, -2.0],
-            vec![0.5, 0.0],
-            vec![-1.5, 3.0],
-        ])
-        .unwrap();
+        let w_true =
+            Tensor::from_vec2(vec![vec![1.0, -2.0], vec![0.5, 0.0], vec![-1.5, 3.0]]).unwrap();
         let y = x.matmul(&w_true);
         let w = x.ridge_least_squares(&y, 1e-9).unwrap();
         assert_tensors_close(&w, &w_true, 1e-6);

@@ -35,7 +35,10 @@ fn main() {
         ("model", Json::from("MTGNN")),
         ("epochs", Json::from(EPOCHS)),
     ]);
-    assert!(recorder().begin_run(RUN, config), "full mode must start a run");
+    assert!(
+        recorder().begin_run(RUN, config),
+        "full mode must start a run"
+    );
 
     // One small synthetic individual, trained with early stopping on.
     // The whole workload lives under one root `main` span so the run's
@@ -77,7 +80,11 @@ fn main() {
     let mut early_stop_epoch = None;
     for (i, line) in text.lines().enumerate() {
         let event = Json::parse(line).unwrap_or_else(|e| {
-            panic!("line {} of {} is not valid JSON: {e:?}", i + 1, log.display())
+            panic!(
+                "line {} of {} is not valid JSON: {e:?}",
+                i + 1,
+                log.display()
+            )
         });
         let name = event.get("name").and_then(Json::as_str).unwrap_or_default();
         let fields = event.get("fields");
@@ -89,19 +96,27 @@ fn main() {
                 fields.require("grad_norm").unwrap().to_f64().unwrap(),
             ));
         } else if name == "early_stop" {
-            early_stop_epoch =
-                fields.and_then(|f| f.get("epoch")).and_then(Json::as_usize);
+            early_stop_epoch = fields.and_then(|f| f.get("epoch")).and_then(Json::as_usize);
         }
     }
-    assert!(!epochs.is_empty(), "full-mode log must contain train_epoch events");
+    assert!(
+        !epochs.is_empty(),
+        "full-mode log must contain train_epoch events"
+    );
     assert_eq!(epochs.len(), outcome.epochs_run, "one event per epoch run");
 
     // ASCII loss curve straight from the telemetry.
-    println!("individual {individual_id} loss curve ({} epochs):\n", epochs.len());
+    println!(
+        "individual {individual_id} loss curve ({} epochs):\n",
+        epochs.len()
+    );
     let max_loss = epochs.iter().map(|e| e.1).fold(f64::MIN, f64::max);
     for &(epoch, loss, grad_norm) in &epochs {
         let width = ((loss / max_loss) * 50.0).round().max(1.0) as usize;
-        println!("  {epoch:>3} {:<50} {loss:>8.4}  |grad| {grad_norm:>8.3}", "#".repeat(width));
+        println!(
+            "  {epoch:>3} {:<50} {loss:>8.4}  |grad| {grad_norm:>8.3}",
+            "#".repeat(width)
+        );
     }
     match early_stop_epoch {
         Some(e) => println!("\nearly stop fired at epoch {e}"),

@@ -32,11 +32,21 @@ macro_rules! for_each_kind {
     ($check:ident, $train:expr, $graph:expr) => {{
         let (train, graph): (&Tensor, &AdjacencyMatrix) = ($train, $graph);
         let v = train.dims()[1];
-        $check("LSTM", train, |s| LstmForecaster::new(v, &ModelConfig::tiny(s)));
-        $check("A3TGCN", train, |s| A3tgcn::new(v, graph, &ModelConfig::tiny(s)));
-        $check("ASTGCN", train, |s| Astgcn::new(v, SEQ_LEN, graph, &ModelConfig::tiny(s)));
-        $check("MTGNN", train, |s| Mtgnn::new(v, SEQ_LEN, Some(graph), &ModelConfig::tiny(s)));
-        $check("VAR", train, |s| VarForecaster::new(v, SEQ_LEN, &ModelConfig::tiny(s)));
+        $check("LSTM", train, |s| {
+            LstmForecaster::new(v, &ModelConfig::tiny(s))
+        });
+        $check("A3TGCN", train, |s| {
+            A3tgcn::new(v, graph, &ModelConfig::tiny(s))
+        });
+        $check("ASTGCN", train, |s| {
+            Astgcn::new(v, SEQ_LEN, graph, &ModelConfig::tiny(s))
+        });
+        $check("MTGNN", train, |s| {
+            Mtgnn::new(v, SEQ_LEN, Some(graph), &ModelConfig::tiny(s))
+        });
+        $check("VAR", train, |s| {
+            VarForecaster::new(v, SEQ_LEN, &ModelConfig::tiny(s))
+        });
     }};
 }
 

@@ -7,9 +7,9 @@
 use ema_core::checkpoint::Checkpoint;
 use ema_core::experiments::ExperimentScale;
 use ema_core::pipeline::{run_cohort_with, GraphSpec};
+use ema_core::results::{CellStat, ResultTable};
 use ema_core::Executor;
 use ema_core::KernelBackend;
-use ema_core::results::{CellStat, ResultTable};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
 use ema_similarity::GraphMetric;
@@ -185,14 +185,19 @@ fn obs_modes_never_perturb_results_and_off_writes_nothing() {
             train_epochs += 1;
         }
     }
-    assert!(train_epochs > 0, "full-mode log must record train_epoch events");
+    assert!(
+        train_epochs > 0,
+        "full-mode log must record train_epoch events"
+    );
     assert!(summary.exists(), "run summary JSON must exist");
 
     // The new profiling layer fills every section of the manifest: an
     // aggregated span profile, kernel FLOP/byte counters from the
     // matmul funnel, and executor utilization counters.
     let summary_json = Json::parse(&std::fs::read_to_string(&summary).unwrap()).unwrap();
-    let profile = summary_json.require("profile").expect("summary carries a profile section");
+    let profile = summary_json
+        .require("profile")
+        .expect("summary carries a profile section");
     assert!(
         matches!(profile, Json::Arr(roots) if !roots.is_empty()),
         "full-mode profile must aggregate at least one span tree"
@@ -206,15 +211,21 @@ fn obs_modes_never_perturb_results_and_off_writes_nothing() {
         other => panic!("counters must be an object, got {}", other.compact()),
     };
     assert!(
-        counter_keys.iter().any(|k| k.starts_with("kernel.") && k.ends_with(".calls")),
+        counter_keys
+            .iter()
+            .any(|k| k.starts_with("kernel.") && k.ends_with(".calls")),
         "training under full obs must record kernel call counters, got {counter_keys:?}"
     );
     assert!(
-        counter_keys.iter().any(|k| k.starts_with("kernel.") && k.ends_with(".flops")),
+        counter_keys
+            .iter()
+            .any(|k| k.starts_with("kernel.") && k.ends_with(".flops")),
         "training under full obs must record kernel FLOP counters, got {counter_keys:?}"
     );
     assert!(
-        counter_keys.iter().any(|k| k.starts_with("exec.worker_jobs.")),
+        counter_keys
+            .iter()
+            .any(|k| k.starts_with("exec.worker_jobs.")),
         "cohort runs must publish per-worker job counters, got {counter_keys:?}"
     );
     // The folded-stacks twin of the profile is flamegraph food: every
@@ -225,7 +236,9 @@ fn obs_modes_never_perturb_results_and_off_writes_nothing() {
     for line in folded.lines() {
         let (path, self_ns) = line.rsplit_once(' ').expect("folded line has `path ns`");
         assert!(!path.is_empty());
-        self_ns.parse::<u64>().expect("folded self time is integral ns");
+        self_ns
+            .parse::<u64>()
+            .expect("folded self time is integral ns");
     }
 }
 
@@ -250,12 +263,18 @@ fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
     let _ = std::fs::remove_dir_all(&scratch);
 
     let study = EmaGenerator::new(GeneratorConfig::quick(3, 4, 5)).generate();
-    let windows: Vec<_> = study.individuals.iter().map(|ind| make_windows(&ind.data, 2)).collect();
+    let windows: Vec<_> = study
+        .individuals
+        .iter()
+        .map(|ind| make_windows(&ind.data, 2))
+        .collect();
     // Staggered schedules: three train together, then two, then one.
-    let configs: Vec<TrainConfig> =
-        (0..3).map(|b| TrainConfig::quick(2 + b, 10 + b as u64)).collect();
-    let mut models: Vec<LstmForecaster> =
-        (0..3).map(|_| LstmForecaster::new(4, &ModelConfig::tiny(0))).collect();
+    let configs: Vec<TrainConfig> = (0..3)
+        .map(|b| TrainConfig::quick(2 + b, 10 + b as u64))
+        .collect();
+    let mut models: Vec<LstmForecaster> = (0..3)
+        .map(|_| LstmForecaster::new(4, &ModelConfig::tiny(0)))
+        .collect();
 
     set_mode(ObsMode::Full);
     assert!(recorder().begin_run_in("train_epochs", Json::Null, &scratch));
@@ -268,8 +287,10 @@ fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
 
     let text = std::fs::read_to_string(scratch.join("train_epochs.jsonl"))
         .expect("full mode streams JSONL");
-    let events: Vec<Json> =
-        text.lines().map(|l| Json::parse(l).expect("every JSONL line parses")).collect();
+    let events: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).expect("every JSONL line parses"))
+        .collect();
     // Other tests in this binary may train concurrently: keep the
     // events of this thread, named by the probe span's enter event.
     let thread = events

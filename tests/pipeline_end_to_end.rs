@@ -53,10 +53,7 @@ fn training_reduces_loss_on_every_model() {
         metric: GraphMetric::Correlation,
         gdt: DensityThreshold::Gdt100,
     };
-    for (kind, graph) in [
-        (ModelKind::Lstm, GraphSpec::None),
-        (ModelKind::Mtgnn, corr),
-    ] {
+    for (kind, graph) in [(ModelKind::Lstm, GraphSpec::None), (ModelKind::Mtgnn, corr)] {
         let mut spec = quick_spec(kind, graph, 2);
         spec.train_config = TrainConfig::quick(40, 9);
         spec.train_config.early_stop_rel = 0.0;
@@ -89,11 +86,7 @@ fn every_seq_len_works_for_every_model() {
             let mut spec = quick_spec(kind, g, seq);
             spec.train_config = TrainConfig::quick(4, 2);
             let out = run_individual(0, &ds.individuals[0].data, &spec);
-            assert!(
-                out.mse.is_finite(),
-                "{} seq {seq} not finite",
-                kind.label()
-            );
+            assert!(out.mse.is_finite(), "{} seq {seq} not finite", kind.label());
         }
     }
 }
