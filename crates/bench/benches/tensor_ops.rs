@@ -2,7 +2,7 @@
 //! (V = 26 variables, hidden = 32).
 
 use ema_bench::Harness;
-use ema_tensor::{Rng64, Tensor};
+use ema_tensor::{kernels, Rng64, Tensor};
 use std::hint::black_box;
 
 fn bench_matmul(c: &mut Harness) {
@@ -17,6 +17,36 @@ fn bench_matmul(c: &mut Harness) {
     let big_b = Tensor::rand_normal(&[128, 128], 0.0, 1.0, &mut rng);
     c.bench_function("matmul_128x128", |bencher| {
         bencher.iter(|| black_box(&big_a).matmul(black_box(&big_b)))
+    });
+
+    // Hot training-epoch shapes over 94 row-stacked windows of V = 26
+    // rows: the stacked grouped-linear product over ReLU output (about
+    // half its lhs entries are exact zeros), the n = 1 output layer,
+    // and one per-window weight-gradient piece `xᵀ·g`.
+    let hidden = Tensor::rand_normal(&[2444, 32], 0.0, 1.0, &mut rng).relu();
+    let w = Tensor::rand_normal(&[32, 32], 0.0, 1.0, &mut rng);
+    c.bench_function("matmul_2444x32_32x32_relu", |bencher| {
+        bencher.iter(|| black_box(&hidden).matmul(black_box(&w)))
+    });
+    let w_out = Tensor::rand_normal(&[32, 1], 0.0, 1.0, &mut rng);
+    c.bench_function("matmul_2444x32_32x1", |bencher| {
+        bencher.iter(|| black_box(&hidden).matmul(black_box(&w_out)))
+    });
+    let x = Tensor::rand_normal(&[26, 32], 0.0, 1.0, &mut rng);
+    let g = Tensor::rand_normal(&[26, 32], 0.0, 1.0, &mut rng);
+    let mut grad = vec![0.0; 32 * 32];
+    c.bench_function("matmul_tn_into_26x32_26x32", |bencher| {
+        bencher.iter(|| {
+            kernels::matmul_tn_into(
+                black_box(x.data()),
+                black_box(g.data()),
+                &mut grad,
+                26,
+                32,
+                32,
+            );
+            black_box(&grad);
+        })
     });
 }
 

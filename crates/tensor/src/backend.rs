@@ -2,13 +2,13 @@
 //! scalar bit-identity oracle.
 //!
 //! Every matmul-family kernel funnels through
-//! `linalg::matmul_accumulate`, which dispatches on the **active**
-//! [`KernelBackend`]:
+//! `linalg::matmul_accumulate` (or its transposed-lhs twin), which
+//! dispatches on the **active** [`KernelBackend`]:
 //!
 //! * [`KernelBackend::Scalar`] — the reference kernel. Ascending-`k`
 //!   accumulation with separately rounded multiply and add; the
 //!   bit-identity oracle every experiment record was built on.
-//! * [`KernelBackend::Simd`] — the AVX2+FMA kernel (x86_64 only,
+//! * [`KernelBackend::Simd`] — the AVX2+FMA kernels (x86_64 only,
 //!   runtime-detected). Same per-element accumulation order, but every
 //!   multiply-add is *fused* (one rounding), so results agree with the
 //!   scalar oracle only to tolerance. See the two-contract story in the
@@ -41,7 +41,7 @@ pub enum KernelBackend {
     /// Separately rounded multiply-then-add, ascending-`k` — the
     /// bit-identity oracle (see `linalg.rs`).
     Scalar,
-    /// AVX2+FMA vectorized spans, ascending-`k` with fused
+    /// AVX2+FMA register tiles and row spans, ascending-`k` with fused
     /// multiply-add — the hot path where the hardware supports it.
     Simd,
 }

@@ -6,14 +6,14 @@
 //! through `Tensor` would force a copy per block. These free functions
 //! run the exact same kernels on `&[f64]` operands with explicit
 //! dimensions. Each one is **bit-identical** to its `Tensor` twin — it
-//! shares the private accumulation kernel and the pooled-repack idiom,
-//! so the bit-identity contract documented in `linalg.rs` carries over
-//! unchanged (property-tested in `crates/tensor/tests/properties.rs`).
+//! calls the same accumulation funnel with the same operand layout, so
+//! the kernel choice and the contracts documented in `linalg.rs` carry
+//! over unchanged (property-tested in `crates/tensor/tests/properties.rs`).
 //!
 //! All kernels fully overwrite `out` (callers may pass stale pooled
 //! buffers from [`pool::take_uninit`]).
 
-use crate::linalg::matmul_accumulate;
+use crate::linalg::{matmul_accumulate, matmul_tn_accumulate};
 use crate::pool;
 
 /// `out = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`.
@@ -38,18 +38,8 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
     assert_eq!(a.len(), k * m, "matmul_tn_into lhs length");
     assert_eq!(b.len(), k * n, "matmul_tn_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_tn_into out length");
-    // Same pooled repack as `Tensor::matmul_tn`: the repacked element is
-    // the value the reference kernel reads after an explicit transpose,
-    // so accumulation order and the zero skip stay bit-identical.
-    let mut at = pool::take_uninit(m * k);
-    for (p, arow) in a.chunks_exact(m).enumerate() {
-        for (i, &av) in arow.iter().enumerate() {
-            at[i * k + p] = av;
-        }
-    }
     out.fill(0.0);
-    matmul_accumulate(&at, b, out, m, k, n);
-    pool::recycle(at);
+    matmul_tn_accumulate(a, b, out, m, k, n);
 }
 
 /// `out = a · bᵀ` for `a: [m,k]`, `b: [n,k]`, `out: [m,n]`.

@@ -5,13 +5,16 @@
 //! Every matmul-family kernel ([`Tensor::matmul`], [`Tensor::matmul_tn`],
 //! [`Tensor::matmul_nt`], [`Tensor::addmm`], the cache-blocked path,
 //! the `_into` twins in [`crate::kernels`], and through them every
-//! batched autodiff op) funnels into one accumulation kernel,
-//! [`matmul_accumulate`], which dispatches on the active
-//! [`crate::KernelBackend`]. Both backends share the *structural*
-//! invariants — each output element accumulates its `k` products in
-//! ascending-`p` order starting from `+0.0`, the `lhs == 0.0` skip
-//! always tests the same logical element, and cache blocking tiles
-//! i/j only — and differ in exactly one rounding rule:
+//! batched autodiff op) funnels into one accumulation entry,
+//! [`matmul_accumulate`] (or [`matmul_tn_accumulate`] for a transposed
+//! lhs), which dispatches on the active [`crate::KernelBackend`]. Both
+//! backends share one *structural* invariant — each output element is
+//! its own recurrence over its `k` products in ascending-`p` order
+//! starting from `+0.0`, and tiling only ever groups whole recurrences
+//! (i/j blocks, rows, columns, never `p`) — and differ in exactly one
+//! rounding rule. The reference recurrences skip `lhs == 0.0`; that
+//! skip is observable only with a non-finite rhs (see the SIMD kernel
+//! choice below).
 //!
 //! 1. **Scalar — the bit-identity oracle.** Multiply and add round
 //!    separately, matching the reference `transpose()` +
@@ -22,18 +25,33 @@
 //!    Every multiply-add is fused (one rounding). Vector lanes carry
 //!    independent output columns, so no sum is split across lanes; the
 //!    backend is *self-deterministic* (byte-identical across runs,
-//!    span widths, blocking and thread counts, pinned to a scalar
-//!    `mul_add` reference in `crates/tensor/tests/backend_equivalence.rs`)
-//!    and agrees with the scalar oracle element-wise to
-//!    `(k + 1)·ε·Σₚ|a[i,p]·b[p,j]|` — see `simd.rs`.
+//!    tile widths, kernels, blocking and thread counts, pinned to a
+//!    scalar `mul_add` reference in
+//!    `crates/tensor/tests/backend_equivalence.rs`) and agrees with the
+//!    scalar oracle element-wise to `(k + 1)·ε·Σₚ|a[i,p]·b[p,j]|` — see
+//!    `simd.rs`.
 //!
-//! Because the repack-and-share idiom (`matmul_tn`/`matmul_nt`/`addmm`
-//! run the same kernel on transposed copies) preserves each element's
-//! accumulation sequence, the fused kernels stay bit-identical to
-//! their composed forms **within whichever backend is active**; only
-//! cross-backend comparisons are tolerance-based. Backend selection:
-//! `EMA_KERNEL` env knob / [`crate::backend::set_kernel_backend`] /
-//! [`KernelBackend::scoped`] — see `backend.rs`.
+//! ## The SIMD kernel choice
+//!
+//! The funnel picks the SIMD kernel from the input alone. A finite rhs
+//! with `n ≤ MM_BLOCK` columns takes the register-tile kernel, which
+//! reads a transposed lhs in place and tests no lhs element: with every
+//! rhs element finite, `fma(±0, b, acc) == acc` for every accumulator
+//! the recurrence can reach (it starts at `+0.0` and never becomes
+//! `−0`), so the skip is unobservable. The skip is observable only when
+//! an lhs zero meets a rhs `±∞` or NaN (`0 · ∞` is NaN), so a non-finite
+//! rhs takes the row kernel, which keeps it. Wide products also take the
+//! row kernel: over a mostly-zero lhs such as a masked adjacency, its
+//! per-row skip pays off across every column span.
+//!
+//! Because the repack-and-share idiom (`matmul_nt`/`addmm` run the same
+//! kernel on a transposed rhs copy; `matmul_tn` reads its lhs in place
+//! or from a transposed copy) preserves each element's recurrence, the
+//! fused kernels stay bit-identical to their composed forms **within
+//! whichever backend is active**; only cross-backend comparisons are
+//! tolerance-based. Backend selection: `EMA_KERNEL` env knob /
+//! [`crate::backend::set_kernel_backend`] / [`KernelBackend::scoped`] —
+//! see `backend.rs`.
 
 use crate::backend::KernelBackend;
 use crate::{pool, Shape, Tensor};
@@ -118,11 +136,40 @@ fn accum_row_span(
 
 /// The accumulation kernel every matmul-family op runs: `out += a · b`
 /// for row-major `a` `[m, k]` and `b` `[k, n]`; `out` must be zeroed by
-/// the caller. Dispatches on the thread's active [`KernelBackend`] —
-/// the scalar ikj oracle below or the AVX2+FMA twin in `simd.rs` (see
-/// the two-contract story in this file's header).
+/// the caller. Dispatches on the thread's active [`KernelBackend`] and,
+/// under SIMD, on the input (see the kernel choice in this file's
+/// header).
 pub(crate) fn matmul_accumulate(
     a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    accumulate(a, false, b, out, m, k, n);
+}
+
+/// [`matmul_accumulate`] with the lhs given transposed: `out += aᵀ · b`
+/// for row-major `a` `[k, m]` and `b` `[k, n]`, bit-identical to
+/// running [`matmul_accumulate`] on an explicit transpose of `a` (the
+/// same kernel choice and the same per-element recurrence).
+pub(crate) fn matmul_tn_accumulate(
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    accumulate(a, true, b, out, m, k, n);
+}
+
+/// The funnel body: records the call, then picks the kernel from the
+/// backend and the input (see "The SIMD kernel choice" above).
+fn accumulate(
+    a: &[f64],
+    lhs_transposed: bool,
     b: &[f64],
     out: &mut [f64],
     m: usize,
@@ -135,6 +182,46 @@ pub(crate) fn matmul_accumulate(
     // Never touches the operands, so it cannot perturb numerics.
     crate::backend::record_matmul(backend, m, k, n);
     #[cfg(target_arch = "x86_64")]
+    if backend == KernelBackend::Simd && n <= MM_BLOCK && all_finite(b) {
+        let strides = if lhs_transposed { (1, m) } else { (k, 1) };
+        // SAFETY: `active()` returns `Simd` only when AVX2+FMA were
+        // detected on the running CPU (`KernelBackend::simd_available`);
+        // the kernel asserts the strided lhs extent itself.
+        unsafe { crate::simd::matmul_tiles_simd(a, strides, b, out, m, k, n) };
+        return;
+    }
+    if !lhs_transposed {
+        accumulate_rows(backend, a, b, out, m, k, n);
+        return;
+    }
+    // Repack aᵀ into a pooled scratch buffer: the row kernels walk the
+    // lhs row by row, and reading `a[p * m + i]` in place would load one
+    // cache line per element; the O(k·m) repack is noise next to the
+    // O(m·k·n) product. Each repacked element is the value the kernel
+    // reads after an explicit transpose, so accumulation order and the
+    // zero skip stay bit-identical to the composed form.
+    let mut at = pool::take_uninit(m * k);
+    for (p, arow) in a.chunks_exact(m).enumerate() {
+        for (i, &av) in arow.iter().enumerate() {
+            at[i * k + p] = av;
+        }
+    }
+    accumulate_rows(backend, &at, b, out, m, k, n);
+    pool::recycle(at);
+}
+
+/// The row kernels: the scalar ikj oracle below or its AVX2+FMA twin
+/// in `simd.rs`, both skipping `lhs == 0.0`.
+fn accumulate_rows(
+    backend: KernelBackend,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
     if backend == KernelBackend::Simd {
         // SAFETY: `active()` returns `Simd` only when AVX2+FMA were
         // detected on the running CPU (`KernelBackend::simd_available`).
@@ -142,6 +229,19 @@ pub(crate) fn matmul_accumulate(
         return;
     }
     matmul_accumulate_scalar(a, b, out, m, k, n);
+}
+
+/// True when no element of `b` is ±∞ or NaN. An all-ones exponent
+/// field is the only one that carries into bit 63 when one is added to
+/// it; the branch-free OR fold vectorizes.
+#[cfg(target_arch = "x86_64")]
+fn all_finite(b: &[f64]) -> bool {
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    const EXPONENT_ONE: u64 = 1 << 52;
+    let carries = b
+        .iter()
+        .fold(0, |acc, v| acc | ((v.to_bits() & EXPONENT) + EXPONENT_ONE));
+    carries >> 63 == 0
 }
 
 /// Scalar ikj kernel accumulating `out += a · b` — the bit-identity
@@ -245,24 +345,8 @@ impl Tensor {
             k, k2,
             "matmul_tn leading dimension mismatch: [{k}, {m}]ᵀ x [{k2}, {n}]"
         );
-        let a = self.data();
-        let b = other.data();
-        // Repack selfᵀ into a pooled scratch buffer and run the shared
-        // ikj kernel: reading `a[p * m + i]` in place would walk the
-        // lhs column-wise (stride-m loads, one cache line per element),
-        // and the O(k·m) repack is noise next to the O(m·k·n) product.
-        // The repacked element is the same logical value the reference
-        // kernel tests after an explicit transpose, so accumulation
-        // order and the zero skip stay bit-identical.
-        let mut at = pool::take_uninit(m * k);
-        for (p, arow) in a.chunks_exact(m).enumerate() {
-            for (i, &av) in arow.iter().enumerate() {
-                at[i * k + p] = av;
-            }
-        }
         let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(&at, b, &mut out, m, k, n);
-        pool::recycle(at);
+        matmul_tn_accumulate(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 

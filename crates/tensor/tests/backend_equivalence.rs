@@ -1,13 +1,19 @@
-//! Kernel-backend equivalence suite: the SIMD (AVX2+FMA) kernel vs the
+//! Kernel-backend equivalence suite: the SIMD (AVX2+FMA) kernels vs the
 //! scalar bit-identity oracle.
 //!
 //! Three layers of guarantee, matching the two-contract story in the
 //! `linalg.rs` header:
 //!
 //! 1. **SIMD is bit-exactly the lane-ordered FMA recurrence** — every
-//!    element is `acc = fma(a[i,p], b[p,j], acc)` ascending in `p`,
-//!    skipping `a[i,p] == 0.0` — across every register-tile width
-//!    (32/16/8/4 + scalar tail) and the cache-blocked i/j path.
+//!    element is `acc = fma(a[i,p], b[p,j], acc)` ascending in `p` from
+//!    `+0.0`, skipping `a[i,p] == 0.0` — on both kernels the funnel picks
+//!    from: the register-tile kernel (finite rhs, `n ≤ MM_BLOCK`: every
+//!    1–6-row tile and the 8-wide, 4-wide and masked 1–3-wide column
+//!    tiles, with a transposed lhs read in place) and the row kernel
+//!    (wider products and the cache-blocked i/j path). The tile kernel
+//!    has no zero skip, which is exact for a finite rhs; a rhs holding
+//!    ±∞ or NaN where an lhs zero meets it is the one input that makes
+//!    the skip observable, and it must take the row kernel.
 //! 2. **SIMD agrees with the scalar oracle to strict tolerance**: each
 //!    FMA replaces a separately rounded multiply+add, so element-wise
 //!    `|simd − scalar| ≤ (k + 1)·ε·Σₚ|a[i,p]·b[p,j]|`.
@@ -20,11 +26,13 @@
 //! SIMD kernel can actually run.
 
 use ema_check::{gen, prop_assert, prop_tests};
-use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
+use ema_tensor::{kernels, with_kernel_backend, KernelBackend, Rng64, Tensor};
 
-/// Column counts that force every span decomposition of the vector
-/// kernel: 32-tiles, 16, 8, 4, scalar tails, and mixes thereof.
-const FORCED_WIDTHS: [usize; 13] = [1, 3, 4, 5, 8, 12, 16, 20, 32, 36, 52, 61, 69];
+/// Column counts that force every column decomposition of both SIMD
+/// kernels: the tile kernel's 8-wide, 4-wide and masked 1–3-wide tiles
+/// and mixes thereof up to `MM_BLOCK` = 64, and past it the row kernel's
+/// 32/16/8/4-wide spans and scalar tails.
+const FORCED_WIDTHS: [usize; 17] = [1, 2, 3, 4, 5, 7, 8, 12, 16, 20, 32, 36, 52, 61, 64, 69, 92];
 
 /// Random matrix with ~25% exact zeros so the `lhs == 0.0` skip is
 /// exercised on both backends.
@@ -114,15 +122,57 @@ fn assert_simd_matches_fma_reference(a: &Tensor, b: &Tensor, context: &str) {
     }
 }
 
-/// Generator: shapes that sweep every register-tile width, with enough
+/// Generator: shapes that sweep every register-tile width and, with
+/// 1–17 rows, two full 6-row tiles and every row remainder, with enough
 /// `k` to accumulate rounding differences worth bounding.
 fn tile_sweep_pair(rng: &mut Rng64) -> (Tensor, Tensor) {
-    let m = gen::usize_in(rng, 1, 9);
+    let m = gen::usize_in(rng, 1, 18);
     let k = gen::usize_in(rng, 1, 24);
-    let n = FORCED_WIDTHS[gen::usize_in(rng, 0, FORCED_WIDTHS.len() - 1)];
+    let n = FORCED_WIDTHS[gen::usize_in(rng, 0, FORCED_WIDTHS.len())];
     let a = sparse(rng, m, k);
     let b = sparse(rng, k, n);
     (a, b)
+}
+
+/// Generator: a tile-sweep pair whose rhs holds ±∞ and NaN entries in
+/// rows that meet exact-zero lhs entries — at least one such meeting
+/// per case, where skipping `0 · ±∞` or `0 · NaN` decides the result.
+fn non_finite_pair(rng: &mut Rng64) -> (Tensor, Tensor) {
+    const NON_FINITE: [f64; 3] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let (a, b) = tile_sweep_pair(rng);
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    let mut ad = a.data().to_vec();
+    let mut bd = b.data().to_vec();
+    let forced = gen::usize_in(rng, 0, k);
+    ad[gen::usize_in(rng, 0, m) * k + forced] = 0.0;
+    for p in 0..k {
+        let meets_zero = (0..m).any(|i| ad[i * k + p] == 0.0);
+        if p == forced || (meets_zero && rng.uniform() < 0.5) {
+            let j = gen::usize_in(rng, 0, n);
+            bd[p * n + j] = NON_FINITE[gen::usize_in(rng, 0, NON_FINITE.len())];
+        }
+    }
+    (
+        Tensor::from_vec(&[m, k], ad).unwrap(),
+        Tensor::from_vec(&[k, n], bd).unwrap(),
+    )
+}
+
+/// NaN exactly where `reference` has NaN (payloads and signs of NaN are
+/// not part of the contract), every other element bit for bit.
+fn assert_matches_with_nans(got: &[f64], reference: &[f64], context: &str) {
+    assert_eq!(got.len(), reference.len(), "{context}: length");
+    for (i, (&g, &r)) in got.iter().zip(reference).enumerate() {
+        let same = if r.is_nan() {
+            g.is_nan()
+        } else {
+            g.to_bits() == r.to_bits()
+        };
+        assert!(
+            same,
+            "{context}: flat index {i} is {g}, the FMA reference has {r}"
+        );
+    }
 }
 
 prop_tests! {
@@ -141,6 +191,23 @@ prop_tests! {
             let a = sparse(&mut rng, m, k);
             let b = sparse(&mut rng, k, n);
             assert_simd_matches_fma_reference(&a, &b, "blocked path");
+        }
+    }
+
+    // A non-finite rhs is the only input where the zero skip shows:
+    // `matmul`, `matmul_tn` (transposed lhs) and `kernels::matmul_tn_into`
+    // must keep it, whatever the width.
+    fn simd_keeps_zero_skip_on_non_finite_rhs((a, b) in non_finite_pair) {
+        if KernelBackend::simd_available() {
+            let _simd = KernelBackend::Simd.scoped();
+            let reference = naive_fma_matmul(&a, &b);
+            let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+            let at = a.transpose();
+            assert_matches_with_nans(a.matmul(&b).data(), &reference, "matmul");
+            assert_matches_with_nans(at.matmul_tn(&b).data(), &reference, "matmul_tn");
+            let mut out = vec![f64::NAN; m * n];
+            kernels::matmul_tn_into(at.data(), b.data(), &mut out, k, m, n);
+            assert_matches_with_nans(&out, &reference, "matmul_tn_into");
         }
     }
 

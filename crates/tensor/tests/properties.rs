@@ -276,8 +276,9 @@ prop_tests! {
 
     fn matmul_tn_matches_transpose_then_matmul((a, b) in tn_pair) {
         // The fused-equals-composed half of the contract holds within
-        // *either* backend (the repack preserves each element's
-        // accumulation sequence); the naive half is scalar-only.
+        // *either* backend (reading the lhs transposed, in place or from
+        // a repack, preserves each element's accumulation sequence); the
+        // naive half is scalar-only.
         for backend in BACKENDS {
             let _scope = backend.scoped();
             assert_bit_identical(&a.matmul_tn(&b), &a.transpose().matmul(&b));

@@ -20,6 +20,9 @@ for arg in "$@"; do
   esac
 done
 
+echo "==> cargo fmt --check"
+cargo fmt --check
+
 echo "==> cargo build (all targets)"
 cargo build --offline --workspace --all-targets
 
@@ -70,6 +73,11 @@ echo "==> cluster-warm-start smoke (EMA_THREADS=4)"
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
 EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
 test -s results/cluster_compare.json
+
+echo "==> ema-tensor tests (release)"
+# The SIMD kernels are unsafe code whose loops the optimizer reshapes;
+# run their equivalence properties as optimized code too.
+cargo test --release --offline -p ema-tensor -q
 
 echo "==> perfbench tests"
 # perfbench is its own Cargo workspace, so the workspace build above
