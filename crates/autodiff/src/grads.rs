@@ -147,19 +147,6 @@ impl Grads {
     pub fn is_empty(&self) -> bool {
         self.grads.is_empty()
     }
-
-    /// Global L2 norm across a set of variables' gradients — used for
-    /// gradient clipping diagnostics.
-    #[must_use]
-    pub fn global_norm(&self, vars: &[Var]) -> f64 {
-        let mut acc = 0.0;
-        for &v in vars {
-            if let Some(g) = self.get(v) {
-                acc += g.data().iter().map(|&x| x * x).sum::<f64>();
-            }
-        }
-        acc.sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -176,19 +163,5 @@ mod tests {
         let grads = tape.backward(loss);
         assert_eq!(grads.get_or_zeros(b, &[3]).data(), &[0.0, 0.0, 0.0]);
         assert_eq!(grads.get_or_zeros(a, &[2]).data(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn global_norm_matches_manual() {
-        let tape = Tape::new();
-        let a = tape.leaf(Tensor::from_vec1(vec![3.0]));
-        let b = tape.leaf(Tensor::from_vec1(vec![4.0]));
-        let s = tape.add(a, b);
-        let p = tape.mul(s, s); // d/da = 2s = 14 for both
-        let loss = tape.sum_all(p);
-        let grads = tape.backward(loss);
-        let norm = grads.global_norm(&[a, b]);
-        let expected = (14.0f64 * 14.0 * 2.0).sqrt();
-        assert!((norm - expected).abs() < 1e-9);
     }
 }

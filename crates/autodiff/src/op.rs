@@ -22,14 +22,10 @@ pub(crate) enum Op {
     Mul(Var, Var),
     /// Elementwise quotient.
     Div(Var, Var),
-    /// Adds a compile-time constant scalar.
-    AddScalar(Var),
     /// Multiplies by a constant scalar.
     Scale(Var, f64),
     /// Matrix product `[m,k] x [k,n]`.
     Matmul(Var, Var),
-    /// Transpose-aware product `aᵀ·b`: `[k,m]ᵀ x [k,n]`.
-    MatmulTN(Var, Var),
     /// Transpose-aware product `a·bᵀ`: `[m,k] x [n,k]ᵀ`.
     MatmulNT(Var, Var),
     /// Fused linear layer `x·wᵀ + bias` for `x: [n,k]`, `w: [out,k]`,
@@ -39,10 +35,6 @@ pub(crate) enum Op {
     /// (i|f|g|o order) and previous cell state `[n, H]`; the node value
     /// is `[n, 2H]` holding `[h' | c']`.
     LstmCell(Var, Var),
-    /// Fused GRU cell step. Fields: input-side and hidden-side gate
-    /// pre-activations (both `[n, 3H]`, r|z|n order) and previous
-    /// hidden state `[n, H]`; the node value is the new hidden state.
-    GruCell(Var, Var, Var),
     /// Matrix transpose.
     Transpose(Var),
     /// Elementwise `tanh`.
@@ -51,8 +43,6 @@ pub(crate) enum Op {
     Sigmoid(Var),
     /// Elementwise `max(0, x)`.
     Relu(Var),
-    /// Elementwise leaky ReLU with the given negative slope.
-    LeakyRelu(Var, f64),
     /// Elementwise square.
     Square(Var),
     /// Softmax over the last axis (rank 1 or 2).
@@ -63,12 +53,8 @@ pub(crate) enum Op {
     MeanAll(Var),
     /// `[r,c]` matrix plus a `[c]` row vector broadcast over rows.
     AddRowBroadcast(Var, Var),
-    /// `[r,c]` matrix times a `[c]` row vector broadcast over rows.
-    MulRowBroadcast(Var, Var),
     /// Horizontal concatenation of two matrices.
     HCat(Var, Var),
-    /// Vertical concatenation of two matrices.
-    VCat(Var, Var),
     /// Row range `[start, end)` of a matrix. Fields: input, start, end.
     SliceRows(Var, usize, usize),
     /// Column range `[start, end)` of a matrix.

@@ -240,21 +240,10 @@ impl Tape {
         self.push(out, Op::Div(a, b))
     }
 
-    /// Adds a constant scalar.
-    pub fn add_scalar(&self, a: Var, s: f64) -> Var {
-        let out = self.compute(|v| v[0].add_scalar(s), &[a]);
-        self.push(out, Op::AddScalar(a))
-    }
-
     /// Multiplies by a constant scalar.
     pub fn scale(&self, a: Var, s: f64) -> Var {
         let out = self.compute(|v| v[0].scale(s), &[a]);
         self.push(out, Op::Scale(a, s))
-    }
-
-    /// Elementwise negation (recorded as `scale(-1)`).
-    pub fn neg(&self, a: Var) -> Var {
-        self.scale(a, -1.0)
     }
 
     /// Elementwise `tanh`.
@@ -273,12 +262,6 @@ impl Tape {
     pub fn relu(&self, a: Var) -> Var {
         let out = self.compute(|v| v[0].relu(), &[a]);
         self.push(out, Op::Relu(a))
-    }
-
-    /// Elementwise leaky ReLU with negative slope `alpha`.
-    pub fn leaky_relu(&self, a: Var, alpha: f64) -> Var {
-        let out = self.compute(|v| v[0].map(|x| if x >= 0.0 { x } else { alpha * x }), &[a]);
-        self.push(out, Op::LeakyRelu(a, alpha))
     }
 
     /// Elementwise square.
@@ -546,7 +529,6 @@ fn backward_one(
             let db = g.mul(val(a)).div(&bv.square()).neg();
             contribs.extend([(a, da), (b, db)]);
         }
-        Op::AddScalar(a) => contribs.push((a, g.clone())),
         Op::Scale(a, s) => contribs.push((a, g.scale(s))),
         Op::Matmul(a, b) => {
             // da = g·bᵀ, db = aᵀ·g via the transpose-aware kernels —
@@ -555,13 +537,6 @@ fn backward_one(
             // without allocating either transpose.
             let da = g.matmul_nt(val(b));
             let db = val(a).matmul_tn(g);
-            contribs.extend([(a, da), (b, db)]);
-        }
-        Op::MatmulTN(a, b) => {
-            // out = aᵀ·b with a:[k,m], b:[k,n], g:[m,n].
-            // da = b·gᵀ : [k,m]; db = a·g : [k,n].
-            let da = val(b).matmul_nt(g);
-            let db = val(a).matmul(g);
             contribs.extend([(a, da), (b, db)]);
         }
         Op::MatmulNT(a, b) => {
@@ -589,9 +564,6 @@ fn backward_one(
                 contribs,
             );
         }
-        Op::GruCell(gi, gh, h_prev) => {
-            gru_cell_backward(val(gi), val(gh), val(h_prev), g, gi, gh, h_prev, contribs);
-        }
         Op::Transpose(a) => contribs.push((a, g.transpose())),
         Op::Tanh(a) => {
             // d tanh = 1 - tanh²; out_value already holds tanh(x).
@@ -604,10 +576,6 @@ fn backward_one(
         }
         Op::Relu(a) => {
             let d = val(a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-            contribs.push((a, g.mul(&d)));
-        }
-        Op::LeakyRelu(a, alpha) => {
-            let d = val(a).map(|x| if x >= 0.0 { 1.0 } else { alpha });
             contribs.push((a, g.mul(&d)));
         }
         Op::Square(a) => contribs.push((a, g.mul(&val(a).scale(2.0)))),
@@ -644,20 +612,10 @@ fn backward_one(
         Op::AddRowBroadcast(m, r) => {
             contribs.extend([(m, g.clone()), (r, g.col_sums())]);
         }
-        Op::MulRowBroadcast(m, r) => {
-            let dm = g.mul_row_broadcast(val(r));
-            let dr = g.mul(val(m)).col_sums();
-            contribs.extend([(m, dm), (r, dr)]);
-        }
         Op::HCat(a, b) => {
             let ca = val(a).dims()[1];
             let total = out_value.dims()[1];
             contribs.extend([(a, g.slice_cols(0, ca)), (b, g.slice_cols(ca, total))]);
-        }
-        Op::VCat(a, b) => {
-            let ra = val(a).dims()[0];
-            let total = out_value.dims()[0];
-            contribs.extend([(a, g.slice_rows(0, ra)), (b, g.slice_rows(ra, total))]);
         }
         Op::SliceRows(a, start, end) => {
             let mut da = Tensor::zeros(val(a).dims());
@@ -982,57 +940,6 @@ fn lstm_cell_backward(
     let d_gates = Tensor::from_vec(&[n, g4], d_gates).expect("lstm backward gate grads");
     let d_cprev = Tensor::from_vec(&[n, h], d_cprev).expect("lstm backward cell grads");
     contribs.extend([(gates_var, d_gates), (c_prev_var, d_cprev)]);
-}
-
-/// Backward pass of the fused GRU cell step (see [`Op::GruCell`]).
-/// The gate activations are cheap to recompute from the stored
-/// pre-activations, so the node value is not needed here.
-#[allow(clippy::too_many_arguments)]
-fn gru_cell_backward(
-    gi: &Tensor,
-    gh: &Tensor,
-    h_prev: &Tensor,
-    g: &Tensor,
-    gi_var: Var,
-    gh_var: Var,
-    h_prev_var: Var,
-    contribs: &mut Vec<(Var, Tensor)>,
-) {
-    let (n, g3) = (gi.dims()[0], gi.dims()[1]);
-    let h = g3 / 3;
-    let gid = gi.data();
-    let ghd = gh.data();
-    let hd = h_prev.data();
-    let gg = g.data();
-    let mut d_gi = ema_tensor::pool::take_uninit(n * g3);
-    let mut d_gh = ema_tensor::pool::take_uninit(n * g3);
-    let mut d_hprev = ema_tensor::pool::take_uninit(n * h);
-    for row in 0..n {
-        for j in 0..h {
-            let r = sigmoid(gid[row * g3 + j] + ghd[row * g3 + j]);
-            let z = sigmoid(gid[row * g3 + h + j] + ghd[row * g3 + h + j]);
-            let gh_n = ghd[row * g3 + 2 * h + j];
-            let nn = (gid[row * g3 + 2 * h + j] + r * gh_n).tanh();
-            let gv = gg[row * h + j];
-            let dn = gv * (1.0 - z);
-            let dz = gv * (hd[row * h + j] - nn);
-            let dn_pre = dn * (1.0 - nn * nn);
-            let dr = dn_pre * gh_n;
-            let dr_pre = dr * r * (1.0 - r);
-            let dz_pre = dz * z * (1.0 - z);
-            d_gi[row * g3 + j] = dr_pre;
-            d_gi[row * g3 + h + j] = dz_pre;
-            d_gi[row * g3 + 2 * h + j] = dn_pre;
-            d_gh[row * g3 + j] = dr_pre;
-            d_gh[row * g3 + h + j] = dz_pre;
-            d_gh[row * g3 + 2 * h + j] = dn_pre * r;
-            d_hprev[row * h + j] = gv * z;
-        }
-    }
-    let d_gi = Tensor::from_vec(&[n, g3], d_gi).expect("gru backward input-gate grads");
-    let d_gh = Tensor::from_vec(&[n, g3], d_gh).expect("gru backward hidden-gate grads");
-    let d_hprev = Tensor::from_vec(&[n, h], d_hprev).expect("gru backward state grads");
-    contribs.extend([(gi_var, d_gi), (gh_var, d_gh), (h_prev_var, d_hprev)]);
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ impl Tape {
     /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
     /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. The forward
     /// pass fuses all `W` products into **one** kernel call on a
-    /// column-permuted layout (see [`gather_window_cols`]): since the
+    /// column-permuted layout (see `gather_window_cols`): since the
     /// lhs is shared, `lhs · [x_0 | x_1 | … | x_{W-1}]` computes every
     /// block in a single `[p, q] x [q, W·n]` matmul. Each output
     /// element keeps the exact per-window accumulation sequence
@@ -250,10 +250,10 @@ mod tests {
             let xw = reference.leaf(xv.slice_rows(w * q, (w + 1) * q));
             outs.push(reference.matmul(rlhs, xw));
         }
-        let stacked = outs
-            .iter()
-            .skip(1)
-            .fold(outs[0], |acc, &o| reference.vcat(acc, o));
+        // One flattened row per window: the same elements in the same
+        // order as the row-stacked `[W·p, n]` output.
+        let flat: Vec<Var> = outs.iter().map(|&o| reference.flatten(o)).collect();
+        let stacked = reference.stack_rows(&flat);
         let rloss = reference.mean_all(reference.square(stacked));
         let rgrads = reference.backward(rloss);
 

@@ -376,7 +376,8 @@ mod tests {
     /// loss node then receives exactly the seed gradient 1.0). Each
     /// group's reference is the per-window graph: one leaf per
     /// `block_rows`-row window block, `per_window` applied to each with
-    /// the group's own operands, the outputs re-stacked with `vcat`.
+    /// the group's own operands, the outputs flattened and re-stacked
+    /// one window per row (the stacked rows' element order).
     /// Forward rows, every operand gradient and every window's input
     /// gradient must match bit for bit.
     fn assert_grouped_matches_per_window(
@@ -426,9 +427,8 @@ mod tests {
                 .iter()
                 .map(|&xw| per_window(&reference, xw, &rvars))
                 .collect();
-            let stacked = outs[1..]
-                .iter()
-                .fold(outs[0], |acc, &o| reference.vcat(acc, o));
+            let flat: Vec<Var> = outs.iter().map(|&o| reference.flatten(o)).collect();
+            let stacked = reference.stack_rows(&flat);
             let rloss = reference.mean_all(reference.square(stacked));
             let rgrads = reference.backward(rloss);
 

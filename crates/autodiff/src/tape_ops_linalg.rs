@@ -9,14 +9,6 @@ impl Tape {
         self.push(out, Op::Matmul(a, b))
     }
 
-    /// Transpose-aware product `aᵀ · b`: `[k,m] x [k,n] -> [m,n]`
-    /// without materializing the transpose. Bit-identical to
-    /// `matmul(transpose(a), b)` but records a single node.
-    pub fn matmul_tn(&self, a: Var, b: Var) -> Var {
-        let out = self.compute(|v| v[0].matmul_tn(v[1]), &[a, b]);
-        self.push(out, Op::MatmulTN(a, b))
-    }
-
     /// Transpose-aware product `a · bᵀ`: `[m,k] x [n,k] -> [m,n]`
     /// without materializing the transpose. Bit-identical to
     /// `matmul(a, transpose(b))` but records a single node.
@@ -35,12 +27,6 @@ impl Tape {
     pub fn add_row_broadcast(&self, m: Var, row: Var) -> Var {
         let out = self.compute(|v| v[0].add_row_broadcast(v[1]), &[m, row]);
         self.push(out, Op::AddRowBroadcast(m, row))
-    }
-
-    /// Multiplies every row of an `[r,c]` matrix by a `[c]` row vector.
-    pub fn mul_row_broadcast(&self, m: Var, row: Var) -> Var {
-        let out = self.compute(|v| v[0].mul_row_broadcast(v[1]), &[m, row]);
-        self.push(out, Op::MulRowBroadcast(m, row))
     }
 
     /// A linear layer step: `x · wᵀ + bias` for `x: [n, in]`,
@@ -81,31 +67,6 @@ mod tests {
         let loss = tape.sum_all(t);
         let grads = tape.backward(loss);
         assert_eq!(grads.get(a).unwrap().dims(), &[2, 3]);
-    }
-
-    #[test]
-    fn matmul_tn_matches_composed_graph() {
-        let mut rng = ema_tensor::Rng64::seed_from(11);
-        let av = Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut rng);
-        let bv = Tensor::rand_normal(&[4, 5], 0.0, 1.0, &mut rng);
-
-        let tape = Tape::new();
-        let a = tape.leaf(av.clone());
-        let b = tape.leaf(bv.clone());
-        let fused = tape.matmul_tn(a, b);
-        let loss = tape.sum_all(fused);
-        let grads = tape.backward(loss);
-
-        let reference = Tape::new();
-        let ra = reference.leaf(av);
-        let rb = reference.leaf(bv);
-        let composed = reference.matmul(reference.transpose(ra), rb);
-        let rloss = reference.sum_all(composed);
-        let rgrads = reference.backward(rloss);
-
-        assert_eq!(tape.value(fused).data(), reference.value(composed).data());
-        assert_eq!(grads.get(a).unwrap().data(), rgrads.get(ra).unwrap().data());
-        assert_eq!(grads.get(b).unwrap().data(), rgrads.get(rb).unwrap().data());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Neural-network-specific tape operations (dropout, attention helpers).
+//! Neural-network-specific tape operations (dropout, gated tanh, the
+//! fused LSTM cell).
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{Rng64, Tensor};
@@ -30,23 +31,6 @@ impl Tape {
         self.push(out, Op::Dropout(a, mask))
     }
 
-    /// Scaled dot-product attention score matrix:
-    /// `softmax((q · kᵀ) / sqrt(d))` for `q: [n, d]`, `k: [m, d]`,
-    /// producing `[n, m]` attention weights. The logits use the
-    /// transpose-aware kernel, so `kᵀ` is never materialized.
-    pub fn attention_scores(&self, q: Var, k: Var) -> Var {
-        let d = self.dims(q)[1] as f64;
-        let logits = self.matmul_nt(q, k);
-        let scaled = self.scale(logits, 1.0 / d.sqrt());
-        self.softmax_last(scaled)
-    }
-
-    /// Full scaled dot-product attention: `scores(q, k) · v`.
-    pub fn attention(&self, q: Var, k: Var, v: Var) -> Var {
-        let scores = self.attention_scores(q, k);
-        self.matmul(scores, v)
-    }
-
     /// Gated tanh unit used by MTGNN's temporal convolutions:
     /// `tanh(a) ⊙ sigmoid(b)`.
     pub fn gated_tanh(&self, a: Var, b: Var) -> Var {
@@ -72,27 +56,6 @@ impl Tape {
     pub fn lstm_cell(&self, gates_pre: Var, c_prev: Var) -> Var {
         let out = self.compute(|v| lstm_cell_forward(v[0], v[1]), &[gates_pre, c_prev]);
         self.push(out, Op::LstmCell(gates_pre, c_prev))
-    }
-
-    /// Fused GRU cell step: from input-side and hidden-side gate
-    /// pre-activations (both `[n, 3H]`, r|z|n order) and previous
-    /// hidden state `[n, H]`, computes
-    ///
-    /// ```text
-    /// r = σ(gᵢʳ + gₕʳ)   z = σ(gᵢᶻ + gₕᶻ)
-    /// ñ = tanh(gᵢⁿ + r ⊙ gₕⁿ)
-    /// h' = (ñ - z ⊙ ñ) + z ⊙ h
-    /// ```
-    ///
-    /// in one pass, recording a single node. The hidden-side candidate
-    /// pre-activation `gₕⁿ` is gated by `r` *inside* the cell, matching
-    /// the standard (PyTorch-style) GRU formulation.
-    ///
-    /// # Panics
-    /// Panics on rank or dimension mismatches.
-    pub fn gru_cell(&self, gi: Var, gh: Var, h_prev: Var) -> Var {
-        let out = self.compute(|v| gru_cell_forward(v[0], v[1], v[2]), &[gi, gh, h_prev]);
-        self.push(out, Op::GruCell(gi, gh, h_prev))
     }
 }
 
@@ -130,35 +93,6 @@ fn lstm_cell_forward(gates: &Tensor, c_prev: &Tensor) -> Tensor {
         }
     }
     Tensor::from_vec(&[n, 2 * h], out).expect("lstm_cell output")
-}
-
-fn gru_cell_forward(gi: &Tensor, gh: &Tensor, h_prev: &Tensor) -> Tensor {
-    assert_eq!(gi.rank(), 2, "gru_cell input gates must be rank 2");
-    assert_eq!(gh.rank(), 2, "gru_cell hidden gates must be rank 2");
-    assert_eq!(h_prev.rank(), 2, "gru_cell state must be rank 2");
-    let (n, g3) = (gi.dims()[0], gi.dims()[1]);
-    assert_eq!(g3 % 3, 0, "gru_cell gate width {g3} must be divisible by 3");
-    let h = g3 / 3;
-    assert_eq!(gh.dims(), &[n, g3], "gru_cell gate shape mismatch");
-    assert_eq!(
-        h_prev.dims(),
-        &[n, h],
-        "gru_cell state shape mismatch: expected [{n}, {h}]"
-    );
-    let gid = gi.data();
-    let ghd = gh.data();
-    let hd = h_prev.data();
-    let mut out = ema_tensor::pool::take_uninit(n * h);
-    for row in 0..n {
-        for j in 0..h {
-            let r = sigmoid(gid[row * g3 + j] + ghd[row * g3 + j]);
-            let z = sigmoid(gid[row * g3 + h + j] + ghd[row * g3 + h + j]);
-            let nn = (gid[row * g3 + 2 * h + j] + r * ghd[row * g3 + 2 * h + j]).tanh();
-            let hv = hd[row * h + j];
-            out[row * h + j] = (nn - z * nn) + z * hv;
-        }
-    }
-    Tensor::from_vec(&[n, h], out).expect("gru_cell output")
 }
 
 #[cfg(test)]
@@ -209,31 +143,6 @@ mod tests {
             .data()
             .iter()
             .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn attention_rows_are_convex_weights() {
-        let tape = Tape::new();
-        let mut rng = Rng64::seed_from(4);
-        let q = tape.leaf(Tensor::rand_normal(&[3, 8], 0.0, 1.0, &mut rng));
-        let k = tape.leaf(Tensor::rand_normal(&[5, 8], 0.0, 1.0, &mut rng));
-        let s = tape.attention_scores(q, k);
-        let sv = tape.value(s);
-        assert_eq!(sv.dims(), &[3, 5]);
-        for r in 0..3 {
-            assert!((sv.row(r).sum() - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn attention_output_shape() {
-        let tape = Tape::new();
-        let mut rng = Rng64::seed_from(5);
-        let q = tape.leaf(Tensor::rand_normal(&[3, 8], 0.0, 1.0, &mut rng));
-        let k = tape.leaf(Tensor::rand_normal(&[5, 8], 0.0, 1.0, &mut rng));
-        let v = tape.leaf(Tensor::rand_normal(&[5, 6], 0.0, 1.0, &mut rng));
-        let out = tape.attention(q, k, v);
-        assert_eq!(tape.dims(out), vec![3, 6]);
     }
 
     #[test]

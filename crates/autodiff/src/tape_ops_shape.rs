@@ -10,12 +10,6 @@ impl Tape {
         self.push(out, Op::HCat(a, b))
     }
 
-    /// Vertical concatenation `[a,n] ++ [b,n] -> [a+b,n]`.
-    pub fn vcat(&self, a: Var, b: Var) -> Var {
-        let out = self.compute(|v| v[0].vcat(v[1]), &[a, b]);
-        self.push(out, Op::VCat(a, b))
-    }
-
     /// Rows `[start, end)` of a matrix node.
     pub fn slice_rows(&self, a: Var, start: usize, end: usize) -> Var {
         let out = self.compute(|v| v[0].slice_rows(start, end), &[a]);
@@ -77,19 +71,6 @@ mod tests {
         let grads = tape.backward(loss);
         assert_eq!(grads.get(a).unwrap().data(), &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(grads.get(b).unwrap().data(), &[5.0, 5.0]);
-    }
-
-    #[test]
-    fn vcat_backward_splits_grad() {
-        let tape = Tape::new();
-        let a = tape.leaf(Tensor::ones(&[1, 2]));
-        let b = tape.leaf(Tensor::ones(&[2, 2]));
-        let c = tape.vcat(a, b);
-        assert_eq!(tape.dims(c), vec![3, 2]);
-        let loss = tape.sum_all(c);
-        let grads = tape.backward(loss);
-        assert_eq!(grads.get(a).unwrap().dims(), &[1, 2]);
-        assert_eq!(grads.get(b).unwrap().dims(), &[2, 2]);
     }
 
     #[test]

@@ -75,12 +75,11 @@ fn grad_div_numerator_and_denominator() {
 }
 
 #[test]
-fn grad_scale_and_add_scalar() {
+fn grad_scale() {
     let x = rand(&[5], 9);
     assert_gradients_close(&x, TOL, |t, v| {
         let a = t.scale(v, -2.5);
-        let b = t.add_scalar(a, 7.0);
-        let sq = t.square(b);
+        let sq = t.square(a);
         t.sum_all(sq)
     });
 }
@@ -150,16 +149,6 @@ fn grad_relu_away_from_kink() {
 }
 
 #[test]
-fn grad_leaky_relu() {
-    let x = rand(&[8], 19).map(|v| if v.abs() < 0.1 { v + 0.5 } else { v });
-    assert_gradients_close(&x, TOL, |t, v| {
-        let y = t.leaky_relu(v, 0.2);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
 fn grad_square() {
     let x = rand(&[7], 20);
     assert_gradients_close(&x, TOL, |t, v| {
@@ -220,38 +209,12 @@ fn grad_add_row_broadcast_matrix_and_row() {
 }
 
 #[test]
-fn grad_mul_row_broadcast_matrix_and_row() {
-    let m = rand(&[4, 3], 27);
-    let row = rand(&[3], 28);
-    assert_gradients_close(&m, TOL, |t, v| {
-        let r = t.leaf(row.clone());
-        let y = t.mul_row_broadcast(v, r);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&row, TOL, |t, v| {
-        let ml = t.leaf(m.clone());
-        let y = t.mul_row_broadcast(ml, v);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_hcat_vcat() {
+fn grad_hcat() {
     let x = rand(&[3, 2], 29);
     let other = rand(&[3, 4], 30);
     assert_gradients_close(&x, TOL, |t, v| {
         let o = t.leaf(other.clone());
         let c = t.hcat(v, o);
-        let sq = t.square(c);
-        t.sum_all(sq)
-    });
-    let x2 = rand(&[2, 3], 31);
-    let other2 = rand(&[4, 3], 32);
-    assert_gradients_close(&x2, TOL, |t, v| {
-        let o = t.leaf(other2.clone());
-        let c = t.vcat(o, v);
         let sq = t.square(c);
         t.sum_all(sq)
     });
@@ -304,28 +267,6 @@ fn grad_mse() {
     assert_gradients_close(&x, TOL, |t, v| {
         let tgt = t.leaf(target.clone());
         t.mse(v, tgt)
-    });
-}
-
-#[test]
-fn grad_attention_composite() {
-    // Differentiates through softmax-attention end to end.
-    let q = rand(&[3, 4], 40);
-    let k = rand(&[5, 4], 41);
-    let v_ = rand(&[5, 2], 42);
-    assert_gradients_close(&q, 1e-4, |t, var| {
-        let kl = t.leaf(k.clone());
-        let vl = t.leaf(v_.clone());
-        let out = t.attention(var, kl, vl);
-        let sq = t.square(out);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&k, 1e-4, |t, var| {
-        let ql = t.leaf(q.clone());
-        let vl = t.leaf(v_.clone());
-        let out = t.attention(ql, var, vl);
-        let sq = t.square(out);
-        t.sum_all(sq)
     });
 }
 
@@ -383,17 +324,6 @@ fn grad_linear_weight() {
 }
 
 #[test]
-fn grad_neg() {
-    let x = rand(&[3, 4], 55);
-    assert_gradients_close(&x, TOL, |t, v| {
-        let n = t.neg(v);
-        let sq = t.square(n);
-        let n2 = t.neg(sq);
-        t.sum_all(n2)
-    });
-}
-
-#[test]
 fn grad_flatten() {
     let x = rand(&[3, 4], 56);
     let w = rand(&[12], 57);
@@ -403,27 +333,6 @@ fn grad_flatten() {
         let p = t.mul(f, wl);
         let sq = t.square(p);
         t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_attention_scores() {
-    let q = rand(&[3, 4], 58);
-    let k = rand(&[5, 4], 59);
-    let w = rand(&[3, 5], 60);
-    assert_gradients_close(&q, 1e-4, |t, var| {
-        let kl = t.leaf(k.clone());
-        let s = t.attention_scores(var, kl);
-        let wl = t.leaf(w.clone());
-        let p = t.mul(s, wl);
-        t.sum_all(p)
-    });
-    assert_gradients_close(&k, 1e-4, |t, var| {
-        let ql = t.leaf(q.clone());
-        let s = t.attention_scores(ql, var);
-        let wl = t.leaf(w.clone());
-        let p = t.mul(s, wl);
-        t.sum_all(p)
     });
 }
 
@@ -448,24 +357,6 @@ fn grad_dropout_eval_mode_is_identity() {
         let mut mask_rng = Rng64::seed_from(64);
         let d = t.dropout(v, 0.4, false, &mut mask_rng);
         let sq = t.square(d);
-        t.sum_all(sq)
-    });
-}
-
-#[test]
-fn grad_matmul_tn_lhs_and_rhs() {
-    let x = rand(&[4, 3], 65);
-    let other = rand(&[4, 2], 66);
-    assert_gradients_close(&x, TOL, |t, v| {
-        let o = t.leaf(other.clone());
-        let p = t.matmul_tn(v, o);
-        let sq = t.square(p);
-        t.sum_all(sq)
-    });
-    assert_gradients_close(&other, TOL, |t, v| {
-        let l = t.leaf(x.clone());
-        let p = t.matmul_tn(l, v);
-        let sq = t.square(p);
         t.sum_all(sq)
     });
 }
@@ -536,39 +427,6 @@ fn grad_lstm_cell_gates_and_state() {
         let hc = t.lstm_cell(g, v);
         let wl = t.leaf(w.clone());
         let p = t.mul(hc, wl);
-        t.sum_all(p)
-    });
-}
-
-#[test]
-fn grad_gru_cell_all_three_parents() {
-    // [n=3, H=2] cell: perturb both gate pre-activations and the state.
-    let gi = rand(&[3, 6], 75);
-    let gh = rand(&[3, 6], 76);
-    let h_prev = rand(&[3, 2], 77);
-    let w = rand(&[3, 2], 78);
-    assert_gradients_close(&gi, 1e-4, |t, v| {
-        let ghl = t.leaf(gh.clone());
-        let hl = t.leaf(h_prev.clone());
-        let h = t.gru_cell(v, ghl, hl);
-        let wl = t.leaf(w.clone());
-        let p = t.mul(h, wl);
-        t.sum_all(p)
-    });
-    assert_gradients_close(&gh, 1e-4, |t, v| {
-        let gil = t.leaf(gi.clone());
-        let hl = t.leaf(h_prev.clone());
-        let h = t.gru_cell(gil, v, hl);
-        let wl = t.leaf(w.clone());
-        let p = t.mul(h, wl);
-        t.sum_all(p)
-    });
-    assert_gradients_close(&h_prev, 1e-4, |t, v| {
-        let gil = t.leaf(gi.clone());
-        let ghl = t.leaf(gh.clone());
-        let h = t.gru_cell(gil, ghl, v);
-        let wl = t.leaf(w.clone());
-        let p = t.mul(h, wl);
         t.sum_all(p)
     });
 }

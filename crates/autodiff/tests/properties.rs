@@ -16,8 +16,6 @@ enum UnaryOp {
     Sigmoid,
     Square,
     ScaleHalf,
-    AddOne,
-    LeakyRelu,
 }
 
 impl UnaryOp {
@@ -27,19 +25,15 @@ impl UnaryOp {
             UnaryOp::Sigmoid => tape.sigmoid(v),
             UnaryOp::Square => tape.square(v),
             UnaryOp::ScaleHalf => tape.scale(v, 0.5),
-            UnaryOp::AddOne => tape.add_scalar(v, 1.0),
-            UnaryOp::LeakyRelu => tape.leaky_relu(v, 0.1),
         }
     }
 }
 
-const ALL_OPS: [UnaryOp; 6] = [
+const ALL_OPS: [UnaryOp; 4] = [
     UnaryOp::Tanh,
     UnaryOp::Sigmoid,
     UnaryOp::Square,
     UnaryOp::ScaleHalf,
-    UnaryOp::AddOne,
-    UnaryOp::LeakyRelu,
 ];
 
 fn op_chain(rng: &mut Rng64) -> Vec<UnaryOp> {
@@ -52,8 +46,6 @@ prop_tests! {
     fn random_compositions_pass_gradient_check(
         (x, ops) in |rng: &mut Rng64| (vec_tensor(5)(rng), op_chain(rng)),
     ) {
-        // Keep clear of the leaky-ReLU kink where finite differences lie.
-        let x = x.map(|v| if v.abs() < 0.05 { v + 0.1 } else { v });
         let report = ema_autodiff::check::check_gradient(&x, 1e-5, |tape, v| {
             let mut cur = v;
             for op in &ops {

@@ -4,48 +4,48 @@
 use ema_autodiff::Tape;
 use ema_bench::Harness;
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, Forecaster, ForwardCtx, ModelConfig, ModelKind};
+use ema_models::{A3tgcn, Astgcn, Forecaster, ForwardCtx, LstmForecaster, ModelConfig, Mtgnn};
 use ema_tensor::{Rng64, Tensor};
 use std::hint::black_box;
 
 const V: usize = 26;
 const SEQ: usize = 5;
 
-fn setup(kind: ModelKind) -> (Box<dyn Forecaster>, Tensor) {
+/// The four paper models, built as the pipeline builds them, and one
+/// input window.
+fn setup() -> (Vec<Box<dyn Forecaster>>, Tensor) {
     let mut rng = Rng64::seed_from(1);
     let graph = AdjacencyMatrix::new(Tensor::rand_uniform(&[V, V], 0.0, 1.0, &mut rng));
-    let config = ModelConfig::default();
-    let g = if kind.uses_graph() {
-        Some(&graph)
-    } else {
-        None
-    };
-    let model = build_model(kind, V, SEQ, &config, g);
     let window = Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut rng);
-    (model, window)
+    let cfg = ModelConfig::default();
+    let models: Vec<Box<dyn Forecaster>> = vec![
+        Box::new(LstmForecaster::new(V, &cfg)),
+        Box::new(A3tgcn::new(V, &graph, &cfg)),
+        Box::new(Astgcn::new(V, SEQ, &graph, &cfg)),
+        Box::new(Mtgnn::new(V, SEQ, Some(&graph), &cfg)),
+    ];
+    (models, window)
 }
 
-fn bench_forward(c: &mut Harness) {
-    for kind in ModelKind::all() {
-        let (model, window) = setup(kind);
+fn bench_forward(c: &mut Harness, models: &[Box<dyn Forecaster>], window: &Tensor) {
+    for model in models {
         let mut rng = Rng64::seed_from(2);
-        c.bench_function(&format!("forward_{}", kind.label()), |b| {
-            b.iter(|| model.predict(black_box(&window), &mut rng))
+        c.bench_function(&format!("forward_{}", model.name()), |b| {
+            b.iter(|| model.predict(black_box(window), &mut rng))
         });
     }
 }
 
-fn bench_forward_backward(c: &mut Harness) {
-    for kind in ModelKind::all() {
-        let (model, window) = setup(kind);
+fn bench_forward_backward(c: &mut Harness, models: &[Box<dyn Forecaster>], window: &Tensor) {
+    for model in models {
         let target = Tensor::zeros(&[V]);
         let mut rng = Rng64::seed_from(3);
-        c.bench_function(&format!("forward_backward_{}", kind.label()), |b| {
+        c.bench_function(&format!("forward_backward_{}", model.name()), |b| {
             b.iter(|| {
                 let tape = Tape::new();
                 let binding = model.params().bind(&tape);
                 let mut ctx = ForwardCtx::train(&mut rng);
-                let pred = model.predict_window(&tape, &binding, &window, &mut ctx);
+                let pred = model.predict_window(&tape, &binding, window, &mut ctx);
                 let tgt = tape.leaf(target.clone());
                 let loss = tape.mse(pred, tgt);
                 black_box(tape.backward(loss))
@@ -55,8 +55,9 @@ fn bench_forward_backward(c: &mut Harness) {
 }
 
 fn main() {
+    let (models, window) = setup();
     let mut harness = Harness::new("model_step");
-    bench_forward(&mut harness);
-    bench_forward_backward(&mut harness);
+    bench_forward(&mut harness, &models, &window);
+    bench_forward_backward(&mut harness, &models, &window);
     harness.finish();
 }

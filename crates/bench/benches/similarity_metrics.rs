@@ -17,7 +17,6 @@ fn bench_metrics(c: &mut Harness) {
         GraphMetric::Euclidean,
         GraphMetric::Knn(5),
         GraphMetric::Correlation,
-        GraphMetric::Cosine,
     ] {
         c.bench_function(&format!("build_graph_{}", metric.label()), |b| {
             b.iter(|| build_graph(black_box(&data), metric))

@@ -1,10 +1,10 @@
 //! `obs_report` — analyze obs run manifests.
 //!
 //! Usage:
-//!   obs_report <run> — render one run's profile/kernel/utilization
+//!   `obs_report <run>` — render one run's profile/kernel/utilization
 //!     report; exits nonzero when the manifest has no span profile
 //!     (the CI smoke uses this to catch a silently-dead profiler).
-//!   obs_report <base> <candidate> [--tolerance PCT] — diff the two
+//!   `obs_report <base> <candidate> [--tolerance PCT]` — diff the two
 //!     runs' span profiles and flag call paths whose self time moved
 //!     more than PCT (default 15%) beyond the load-normalized scale.
 //!

@@ -183,12 +183,12 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ema_models::{build_model, ModelConfig, ModelKind};
+    use ema_models::{Forecaster, LstmForecaster, ModelConfig, VarForecaster};
     use ema_tensor::Rng64;
 
     #[test]
     fn capture_restore_round_trip_preserves_predictions() {
-        let mut model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(1), None);
+        let mut model = LstmForecaster::new(4, &ModelConfig::tiny(1));
         let mut rng = Rng64::seed_from(2);
         let window = Tensor::rand_normal(&[2, 4], 0.0, 1.0, &mut rng);
         let before = model.predict(&window, &mut rng);
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn json_round_trip() {
-        let model = build_model(ModelKind::Var, 3, 2, &ModelConfig::tiny(3), None);
+        let model = VarForecaster::new(3, 2, &ModelConfig::tiny(3));
         let ckpt = Checkpoint::capture(model.params());
         let parsed = Checkpoint::from_json(&ckpt.to_json()).unwrap();
         assert_eq!(parsed.params.len(), ckpt.params.len());
@@ -257,8 +257,8 @@ mod tests {
 
     #[test]
     fn restore_rejects_architecture_mismatch() {
-        let small = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(4), None);
-        let mut big = build_model(ModelKind::Lstm, 5, 2, &ModelConfig::tiny(4), None);
+        let small = LstmForecaster::new(3, &ModelConfig::tiny(4));
+        let mut big = LstmForecaster::new(5, &ModelConfig::tiny(4));
         let ckpt = Checkpoint::capture(small.params());
         let err = ckpt.restore(big.params_mut()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -266,15 +266,15 @@ mod tests {
 
     #[test]
     fn restore_rejects_wrong_model_kind() {
-        let lstm = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(5), None);
-        let mut var = build_model(ModelKind::Var, 4, 2, &ModelConfig::tiny(5), None);
+        let lstm = LstmForecaster::new(4, &ModelConfig::tiny(5));
+        let mut var = VarForecaster::new(4, 2, &ModelConfig::tiny(5));
         let ckpt = Checkpoint::capture(lstm.params());
         assert!(ckpt.restore(var.params_mut()).is_err());
     }
 
     #[test]
     fn file_round_trip() {
-        let model = build_model(ModelKind::Var, 2, 1, &ModelConfig::tiny(6), None);
+        let model = VarForecaster::new(2, 1, &ModelConfig::tiny(6));
         let ckpt = Checkpoint::capture(model.params());
         let dir = std::env::temp_dir().join("ema_checkpoint_test");
         std::fs::create_dir_all(&dir).unwrap();

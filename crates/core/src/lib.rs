@@ -42,7 +42,6 @@ pub mod cohort;
 pub mod evaluate;
 pub mod exec;
 pub mod experiments;
-pub mod forecast;
 pub mod json;
 pub mod pipeline;
 pub mod results;
@@ -53,7 +52,6 @@ pub use cluster::{plan_clusters, ClusterCheckpointCache, ClusterPlan, TrainStrat
 pub use cohort::run_cohort_sharded;
 pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};
 pub use exec::{Backend, Executor, Job, JobError, JobResult};
-pub use forecast::{horizon_mse, iterative_forecast};
 pub use json::{Json, JsonError};
 pub use pipeline::{
     graph_for_individual, run_cohort, run_cohort_with, run_individual, GraphSpec,

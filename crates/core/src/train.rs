@@ -279,7 +279,6 @@ pub fn train_cohort<M: CohortForecaster>(
             Adam::new(OptimizerConfig {
                 learning_rate: configs[i].learning_rate,
                 grad_clip: configs[i].grad_clip,
-                ..OptimizerConfig::default()
             })
         })
         .collect();
@@ -321,7 +320,7 @@ pub fn train_cohort<M: CohortForecaster>(
             let i = active[pos];
             let (config, m) = (&configs[i], &mut members[i]);
             let loss = tape.value(loss_vars[pos]).data()[0];
-            let grad_norm = global_grad_norm(models[i].params(), &bindings[pos], &grads);
+            let grad_norm = global_grad_norm(&bindings[pos], &grads);
             adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
             m.losses.push(loss);
             m.grad_norms.push(grad_norm);

@@ -97,7 +97,7 @@ impl EmaGenerator {
     /// Creates a generator.
     ///
     /// # Panics
-    /// Panics on nonsensical configs (zero sizes, rates outside [0,1]).
+    /// Panics on nonsensical configs (zero sizes, rates outside `[0, 1]`).
     #[must_use]
     pub fn new(config: GeneratorConfig) -> Self {
         assert!(config.num_individuals > 0, "need at least one individual");

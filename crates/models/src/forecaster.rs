@@ -1,8 +1,7 @@
-//! The common forecasting interface and the model factory.
+//! The common forecasting interface and the model kinds.
 
-use crate::{A3tgcn, Astgcn, LstmForecaster, ModelConfig, Mtgnn, VarForecaster};
+use crate::Mtgnn;
 use ema_autodiff::{Tape, Var};
-use ema_graph::AdjacencyMatrix;
 use ema_nn::{Binding, ParamStore};
 use ema_tensor::{Rng64, Tensor};
 
@@ -67,8 +66,7 @@ impl<'a> ForwardCtx<'a> {
 /// epoch and forwards every window of the active individuals through
 /// [`crate::CohortForecaster::predict_cohort`], the one training and
 /// evaluation forward. [`Forecaster::predict_window`] is the per-window
-/// reference the equivalence tests compare against, and the forward of
-/// iterative forecasting.
+/// reference the equivalence tests compare against.
 pub trait Forecaster {
     /// Human-readable model name (paper notation, e.g. `"MTGNN"`).
     fn name(&self) -> &'static str;
@@ -173,38 +171,6 @@ impl ModelKind {
     }
 }
 
-/// Builds a model of the given kind for `V` variables and a fixed
-/// window length.
-///
-/// `graph` supplies the static adjacency for the GNNs (ignored by the
-/// LSTM; optional for MTGNN, which learns its own and treats a provided
-/// graph as the starting structure).
-///
-/// # Panics
-/// Panics if a graph-dependent model is requested without a graph.
-#[must_use]
-pub fn build_model(
-    kind: ModelKind,
-    num_variables: usize,
-    seq_len: usize,
-    config: &ModelConfig,
-    graph: Option<&AdjacencyMatrix>,
-) -> Box<dyn Forecaster> {
-    match kind {
-        ModelKind::Lstm => Box::new(LstmForecaster::new(num_variables, config)),
-        ModelKind::A3tgcn => {
-            let g = graph.expect("A3TGCN requires a static graph");
-            Box::new(A3tgcn::new(num_variables, g, config))
-        }
-        ModelKind::Astgcn => {
-            let g = graph.expect("ASTGCN requires a static graph");
-            Box::new(Astgcn::new(num_variables, seq_len, g, config))
-        }
-        ModelKind::Mtgnn => Box::new(Mtgnn::new(num_variables, seq_len, graph, config)),
-        ModelKind::Var => Box::new(VarForecaster::new(num_variables, seq_len, config)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,21 +185,21 @@ mod tests {
     }
 
     #[test]
-    fn factory_builds_every_kind() {
-        let g = AdjacencyMatrix::complete(5);
+    fn every_model_is_named_by_its_kind_label() {
+        use crate::{A3tgcn, Astgcn, LstmForecaster, ModelConfig, VarForecaster};
+        let g = ema_graph::AdjacencyMatrix::complete(5);
         let cfg = ModelConfig::tiny(0);
-        for kind in ModelKind::all() {
-            let graph = if kind.uses_graph() { Some(&g) } else { None };
-            let m = build_model(kind, 5, 3, &cfg, graph);
-            assert_eq!(m.num_variables(), 5);
+        let models: [(ModelKind, Box<dyn Forecaster>); 5] = [
+            (ModelKind::Lstm, Box::new(LstmForecaster::new(5, &cfg))),
+            (ModelKind::A3tgcn, Box::new(A3tgcn::new(5, &g, &cfg))),
+            (ModelKind::Astgcn, Box::new(Astgcn::new(5, 3, &g, &cfg))),
+            (ModelKind::Mtgnn, Box::new(Mtgnn::new(5, 3, Some(&g), &cfg))),
+            (ModelKind::Var, Box::new(VarForecaster::new(5, 3, &cfg))),
+        ];
+        for (kind, m) in &models {
             assert_eq!(m.name(), kind.label());
+            assert_eq!(m.num_variables(), 5);
             assert!(!m.params().is_empty());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a static graph")]
-    fn factory_rejects_graphless_gnn() {
-        let _ = build_model(ModelKind::Astgcn, 5, 3, &ModelConfig::tiny(0), None);
     }
 }

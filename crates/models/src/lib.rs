@@ -33,7 +33,7 @@ pub use a3tgcn::A3tgcn;
 pub use astgcn::Astgcn;
 pub use cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
 pub use config::ModelConfig;
-pub use forecaster::{build_model, Forecaster, ForwardCtx, ModelKind};
+pub use forecaster::{Forecaster, ForwardCtx, ModelKind};
 pub use gcn::{gcn_layer, mixhop_propagation};
 pub use lstm::LstmForecaster;
 pub use mtgnn::{GraphLearnerKind, Mtgnn};

@@ -3,11 +3,9 @@
 //!
 //! The prediction is an affine map of the flattened window:
 //! `x̂_t = c + Σ_{j=1..p} W_j · x_{t−j}` — exactly a linear layer over
-//! `[1, p·V]`. It can be fitted either through the shared gradient
-//! pipeline (Adam minimises the same least-squares objective) or in
-//! closed form with ridge least squares ([`VarForecaster::fit_closed_form`]).
-//! A cohort of VARs is one grouped linear layer over every window
-//! flattened to a row.
+//! `[1, p·V]`, fitted through the shared gradient pipeline (Adam
+//! minimises the least-squares objective). A cohort of VARs is one
+//! grouped linear layer over every window flattened to a row.
 
 use crate::cohort::{each_member, CohortBatch, CohortCtx, CohortForecaster};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
@@ -46,62 +44,6 @@ impl VarForecaster {
             seq_len,
             num_variables,
         }
-    }
-
-    /// The lag order `p`.
-    #[must_use]
-    pub fn lag_order(&self) -> usize {
-        self.seq_len
-    }
-
-    /// Fits the coefficients in closed form by ridge least squares over
-    /// `(window, target)` pairs, overwriting the current parameters.
-    ///
-    /// # Panics
-    /// Panics on empty input or shape mismatches.
-    pub fn fit_closed_form(&mut self, windows: &[Tensor], targets: &[Tensor], lambda: f64) {
-        assert!(!windows.is_empty(), "no windows to fit");
-        assert_eq!(windows.len(), targets.len(), "window/target count mismatch");
-        let p = self.seq_len * self.num_variables;
-        // Design matrix with an intercept column of ones.
-        let n = windows.len();
-        let mut x = Vec::with_capacity(n * (p + 1));
-        let mut y = Vec::with_capacity(n * self.num_variables);
-        for (w, t) in windows.iter().zip(targets.iter()) {
-            assert_eq!(w.len(), p, "window shape mismatch");
-            assert_eq!(t.len(), self.num_variables, "target shape mismatch");
-            x.extend_from_slice(w.data());
-            x.push(1.0);
-            y.extend_from_slice(t.data());
-        }
-        let x = Tensor::from_vec(&[n, p + 1], x).expect("design shape");
-        let y = Tensor::from_vec(&[n, self.num_variables], y).expect("target shape");
-        let w = x
-            .ridge_least_squares(&y, lambda)
-            .expect("regularised system is nonsingular"); // [p+1, V]
-                                                          // Split into weights (transposed to [V, p]) and intercept.
-        let coef = w.slice_rows(0, p).transpose();
-        let intercept = w.row(p);
-        self.store.load(self.layer.w, coef);
-        self.store.load(self.layer.b, intercept);
-    }
-
-    /// The fitted lag-`j` coefficient matrix (`0`-based), shape `[V, V]`:
-    /// entry `(i, k)` is the effect of variable `k` at lag `j+1` on
-    /// variable `i` — the "network" edge weights of VAR-based
-    /// psychopathology models.
-    ///
-    /// # Panics
-    /// Panics if `j >= lag order`.
-    #[must_use]
-    pub fn coefficient_matrix(&self, j: usize) -> Tensor {
-        assert!(j < self.seq_len, "lag {j} out of range");
-        let v = self.num_variables;
-        // Weights are [V, p·V]; window is flattened row-major as
-        // [oldest .. newest], so lag 1 (most recent) is the last block.
-        let w = self.store.value(self.layer.w);
-        let block = self.seq_len - 1 - j;
-        w.slice_cols(block * v, (block + 1) * v)
     }
 }
 
@@ -178,48 +120,6 @@ impl CohortForecaster for VarForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ema_data::make_windows;
-
-    /// Generates a clean VAR(1) trajectory with known coefficients.
-    fn var1_series(w: &Tensor, t: usize, rng: &mut Rng64) -> Tensor {
-        let v = w.dims()[0];
-        let mut z = Tensor::rand_normal(&[v], 0.0, 1.0, rng);
-        let mut rows = Vec::with_capacity(t);
-        for _ in 0..t {
-            z = w.matvec(&z);
-            for val in z.data_mut() {
-                *val += 0.05 * rng.normal();
-            }
-            rows.push(z.data().to_vec());
-        }
-        Tensor::from_vec2(rows).unwrap()
-    }
-
-    #[test]
-    fn closed_form_recovers_var1_coefficients() {
-        let w_true = Tensor::from_vec2(vec![
-            vec![0.5, 0.3, 0.0],
-            vec![0.0, 0.4, -0.2],
-            vec![0.2, 0.0, 0.6],
-        ])
-        .unwrap();
-        let mut rng = Rng64::seed_from(1);
-        let data = var1_series(&w_true, 3000, &mut rng);
-        let windows = make_windows(&data, 1);
-        let mut model = VarForecaster::new(3, 1, &ModelConfig::tiny(0));
-        model.fit_closed_form(&windows.inputs, &windows.targets, 1e-6);
-        let w_hat = model.coefficient_matrix(0);
-        for i in 0..3 {
-            for j in 0..3 {
-                assert!(
-                    (w_hat.at2(i, j) - w_true.at2(i, j)).abs() < 0.05,
-                    "coef ({i},{j}): {} vs {}",
-                    w_hat.at2(i, j),
-                    w_true.at2(i, j)
-                );
-            }
-        }
-    }
 
     #[test]
     fn prediction_shape_and_determinism() {
@@ -230,47 +130,6 @@ mod tests {
         let b = model.predict(&window, &mut rng);
         assert_eq!(a.dims(), &[4]);
         assert_eq!(a.data(), b.data());
-    }
-
-    #[test]
-    fn closed_form_beats_init_on_forecasting() {
-        let w_true = Tensor::from_vec2(vec![vec![0.7, 0.2], vec![-0.3, 0.5]]).unwrap();
-        let mut rng = Rng64::seed_from(3);
-        let data = var1_series(&w_true, 200, &mut rng);
-        let windows = make_windows(&data, 2);
-        let mut model = VarForecaster::new(2, 2, &ModelConfig::tiny(1));
-        let mse = |m: &VarForecaster| {
-            let mut rng = Rng64::seed_from(0);
-            let preds: Vec<Tensor> = windows
-                .inputs
-                .iter()
-                .map(|w| m.predict(w, &mut rng))
-                .collect();
-            Tensor::stack_rows(&preds).mse(&windows.targets_matrix())
-        };
-        let before = mse(&model);
-        model.fit_closed_form(&windows.inputs, &windows.targets, 1e-4);
-        let after = mse(&model);
-        assert!(
-            after < before * 0.5,
-            "fit did not help: {before} -> {after}"
-        );
-        assert!(after < 0.02, "fit residual too large: {after}");
-    }
-
-    #[test]
-    fn coefficient_matrix_lag_blocks_are_ordered() {
-        // VAR(2) fitted on data where only lag 1 matters: the lag-1
-        // block should carry more mass than the lag-2 block.
-        let w_true = Tensor::from_vec2(vec![vec![0.8, 0.0], vec![0.0, 0.8]]).unwrap();
-        let mut rng = Rng64::seed_from(4);
-        let data = var1_series(&w_true, 300, &mut rng);
-        let windows = make_windows(&data, 2);
-        let mut model = VarForecaster::new(2, 2, &ModelConfig::tiny(2));
-        model.fit_closed_form(&windows.inputs, &windows.targets, 1e-4);
-        let lag1 = model.coefficient_matrix(0).norm();
-        let lag2 = model.coefficient_matrix(1).norm();
-        assert!(lag1 > lag2, "lag-1 norm {lag1} <= lag-2 norm {lag2}");
     }
 
     #[test]

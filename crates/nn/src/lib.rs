@@ -1,9 +1,9 @@
 //! # ema-nn
 //!
 //! Neural-network building blocks on top of [`ema_autodiff`]: a parameter
-//! store, layers (linear, GRU/LSTM cells, temporal attention, dilated
-//! temporal convolution) and optimizers (Adam, SGD) with learning-rate
-//! schedules and gradient clipping.
+//! store, layers (linear, LSTM cell, temporal attention, dilated
+//! temporal convolution) and the Adam optimizer with global-norm
+//! gradient clipping.
 //!
 //! ## Training protocol
 //!
@@ -14,7 +14,7 @@
 //!    [`ParamStore::bind`] to insert every parameter as a leaf;
 //! 2. run the model forward using the returned [`Binding`];
 //! 3. call [`ema_autodiff::Tape::backward`] on the scalar loss;
-//! 4. call an optimizer's `step` with the store, binding and gradients.
+//! 4. call the optimizer's `step` with the store, binding and gradients.
 //!
 //! ```
 //! use ema_autodiff::Tape;
@@ -52,6 +52,6 @@ pub use attention::TemporalAttention;
 pub use conv::DilatedTemporalConv;
 pub use init::Initializer;
 pub use linear::Linear;
-pub use optim::{global_grad_norm, Adam, LrSchedule, Optimizer, OptimizerConfig, Sgd};
+pub use optim::{global_grad_norm, Adam, Optimizer, OptimizerConfig};
 pub use params::{Binding, ParamId, ParamStore};
-pub use rnn::{GruCell, LstmCell, LstmState};
+pub use rnn::{LstmCell, LstmState};

@@ -63,12 +63,6 @@ impl ParamStore {
         self.slots.is_empty()
     }
 
-    /// Total number of scalar parameters across all tensors.
-    #[must_use]
-    pub fn num_scalars(&self) -> usize {
-        self.slots.iter().map(|s| s.value.len()).sum()
-    }
-
     /// The current value of a parameter.
     ///
     /// # Panics
@@ -174,7 +168,6 @@ mod tests {
         assert_eq!(store.value(id).dims(), &[2, 3]);
         assert_eq!(store.name(id), "w");
         assert_eq!(store.len(), 1);
-        assert_eq!(store.num_scalars(), 6);
     }
 
     #[test]

@@ -1,99 +1,13 @@
-//! Recurrent cells: GRU and LSTM.
+//! The LSTM cell.
 //!
-//! Cells operate on `[n, features]` matrices so the same code serves both
-//! plain sequence models (`n = 1`) and per-node recurrent graph models
-//! (`n = V` variables), mirroring how PyTorch cells treat the leading
-//! batch dimension.
+//! The cell operates on `[n, features]` matrices so the same code serves
+//! both plain sequence models (`n = 1`) and per-node recurrent graph
+//! models (`n = V` variables), mirroring how PyTorch cells treat the
+//! leading batch dimension.
 
 use crate::{Binding, Initializer, ParamId, ParamStore};
 use ema_autodiff::{Tape, Var};
 use ema_tensor::Rng64;
-
-/// A gated recurrent unit cell (PyTorch gate conventions).
-///
-/// Gates: `r = σ(W_r x + U_r h + b_r)`, `z = σ(W_z x + U_z h + b_z)`,
-/// `n = tanh(W_n x + r ⊙ (U_n h) + b_n)`, `h' = (1 - z) ⊙ n + z ⊙ h`.
-#[derive(Debug, Clone)]
-pub struct GruCell {
-    w_ih: ParamId, // [3H, X]
-    w_hh: ParamId, // [3H, H]
-    b_ih: ParamId, // [3H]
-    b_hh: ParamId, // [3H]
-    input_dim: usize,
-    hidden_dim: usize,
-}
-
-impl GruCell {
-    /// Registers a new GRU cell.
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        input_dim: usize,
-        hidden_dim: usize,
-        rng: &mut Rng64,
-    ) -> Self {
-        let init = Initializer::XavierUniform;
-        let w_ih = store.register(
-            format!("{name}.w_ih"),
-            init.init(&[3 * hidden_dim, input_dim], rng),
-        );
-        let w_hh = store.register(
-            format!("{name}.w_hh"),
-            init.init(&[3 * hidden_dim, hidden_dim], rng),
-        );
-        let b_ih = store.register(
-            format!("{name}.b_ih"),
-            Initializer::Zeros.init(&[3 * hidden_dim], rng),
-        );
-        let b_hh = store.register(
-            format!("{name}.b_hh"),
-            Initializer::Zeros.init(&[3 * hidden_dim], rng),
-        );
-        Self {
-            w_ih,
-            w_hh,
-            b_ih,
-            b_hh,
-            input_dim,
-            hidden_dim,
-        }
-    }
-
-    /// Hidden state width.
-    #[must_use]
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Input feature width.
-    #[must_use]
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// One step: `x: [n, X]`, `h: [n, H]` → new hidden `[n, H]`.
-    ///
-    /// The gate math runs through the tape's fused
-    /// [`Tape::gru_cell`] op: one node instead of the ~14-node
-    /// slice/activate/combine graph per timestep.
-    pub fn forward(&self, tape: &Tape, binding: &Binding, x: Var, h: Var) -> Var {
-        let gi = tape.linear(x, binding.var(self.w_ih), binding.var(self.b_ih)); // [n, 3H]
-        let gh = tape.linear(h, binding.var(self.w_hh), binding.var(self.b_hh)); // [n, 3H]
-        tape.gru_cell(gi, gh, h)
-    }
-
-    /// Runs the cell over a sequence of inputs starting from `h0`,
-    /// returning every hidden state (length == `xs.len()`).
-    pub fn run_sequence(&self, tape: &Tape, binding: &Binding, xs: &[Var], h0: Var) -> Vec<Var> {
-        let mut h = h0;
-        let mut states = Vec::with_capacity(xs.len());
-        for &x in xs {
-            h = self.forward(tape, binding, x, h);
-            states.push(h);
-        }
-        states
-    }
-}
 
 /// The `(hidden, cell)` pair carried across LSTM steps.
 #[derive(Debug, Clone, Copy)]
@@ -264,50 +178,6 @@ mod tests {
 
     fn setup() -> (ParamStore, Rng64) {
         (ParamStore::new(), Rng64::seed_from(42))
-    }
-
-    #[test]
-    fn gru_step_shape_and_bounds() {
-        let (mut store, mut rng) = setup();
-        let cell = GruCell::new(&mut store, "gru", 5, 8, &mut rng);
-        let tape = Tape::new();
-        let binding = store.bind(&tape);
-        let x = tape.leaf(Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng));
-        let h0 = tape.leaf(Tensor::zeros(&[3, 8]));
-        let h1 = cell.forward(&tape, &binding, x, h0);
-        assert_eq!(tape.dims(h1), vec![3, 8]);
-        // GRU hidden from zero state is a convex mix of tanh values: |h| <= 1.
-        assert!(tape.value(h1).data().iter().all(|&v| v.abs() <= 1.0));
-    }
-
-    #[test]
-    fn gru_sequence_length() {
-        let (mut store, mut rng) = setup();
-        let cell = GruCell::new(&mut store, "gru", 4, 6, &mut rng);
-        let tape = Tape::new();
-        let binding = store.bind(&tape);
-        let xs: Vec<Var> = (0..5)
-            .map(|_| tape.leaf(Tensor::rand_normal(&[2, 4], 0.0, 1.0, &mut rng)))
-            .collect();
-        let h0 = tape.leaf(Tensor::zeros(&[2, 6]));
-        let states = cell.run_sequence(&tape, &binding, &xs, h0);
-        assert_eq!(states.len(), 5);
-        assert_eq!(tape.dims(states[4]), vec![2, 6]);
-    }
-
-    #[test]
-    fn gru_zero_input_zero_state_stays_bounded() {
-        let (mut store, mut rng) = setup();
-        let cell = GruCell::new(&mut store, "gru", 3, 4, &mut rng);
-        let tape = Tape::new();
-        let binding = store.bind(&tape);
-        let x = tape.leaf(Tensor::zeros(&[1, 3]));
-        let mut h = tape.leaf(Tensor::zeros(&[1, 4]));
-        for _ in 0..50 {
-            h = cell.forward(&tape, &binding, x, h);
-        }
-        assert!(tape.value(h).all_finite());
-        assert!(tape.value(h).data().iter().all(|&v| v.abs() <= 1.0));
     }
 
     #[test]

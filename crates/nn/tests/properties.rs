@@ -2,7 +2,7 @@
 
 use ema_autodiff::Tape;
 use ema_check::{gen, prop_assert, prop_assert_eq, prop_tests};
-use ema_nn::{Adam, GruCell, Linear, LstmCell, Optimizer, OptimizerConfig, ParamStore, Sgd};
+use ema_nn::{Adam, Linear, LstmCell, Optimizer, OptimizerConfig, ParamStore};
 use ema_tensor::{Rng64, Tensor};
 
 prop_tests! {
@@ -31,33 +31,50 @@ prop_tests! {
         }
     }
 
-    /// SGD update magnitude is bounded by lr · clip regardless of the
-    /// gradient scale.
-    fn sgd_clipping_bounds_updates(
-        (scale, seed) in |rng: &mut Rng64| {
-            (gen::f64_in(rng, 1.0, 1e6), gen::u64_below(100)(rng))
+    /// Adam with global-norm clipping steps as plain Adam does on the
+    /// gradient rescaled to norm `clip`, whatever the gradient's scale,
+    /// and leaves a gradient already within the clip untouched. The
+    /// second, small gradient reads the moments the first one left.
+    fn adam_clips_the_global_gradient_norm(
+        (log_scale, seed) in |rng: &mut Rng64| {
+            (gen::f64_in(rng, -3.0, 6.0), gen::u64_below(100)(rng))
         },
     ) {
-        let mut store = ParamStore::new();
+        let clip = 1.0;
         let mut rng = Rng64::seed_from(seed);
-        let w = store.register("w", Tensor::rand_normal(&[3], 0.0, 1.0, &mut rng));
-        let before = store.value(w).clone();
-        let mut cfg = OptimizerConfig::with_learning_rate(0.1);
-        cfg.grad_clip = 1.0;
-        let mut sgd = Sgd::new(cfg);
-        let tape = Tape::new();
-        let binding = store.bind(&tape);
-        let huge = tape.scale(binding.var(w), scale);
-        let sq = tape.square(huge);
-        let loss = tape.sum_all(sq);
-        let grads = tape.backward(loss);
-        sgd.step(&mut store, &binding, &grads);
-        let delta = store.value(w).sub(&before).norm();
-        prop_assert!(delta <= 0.1 + 1e-9, "update norm {delta} exceeds lr·clip");
+        let g1 = Tensor::rand_normal(&[3], 0.0, 1.0, &mut rng).scale(10f64.powf(log_scale));
+        let g2 = Tensor::rand_normal(&[3], 0.0, 1.0, &mut rng);
+        let g2 = g2.scale(0.5 * clip / g2.norm());
+        let run = |gs: &[&Tensor], grad_clip: f64| {
+            let mut store = ParamStore::new();
+            let w = store.register("w", Tensor::zeros(&[3]));
+            let mut adam = Adam::new(OptimizerConfig { learning_rate: 0.1, grad_clip });
+            for &g in gs {
+                let tape = Tape::new();
+                let binding = store.bind(&tape);
+                let gl = tape.leaf(g.clone());
+                let p = tape.mul(binding.var(w), gl);
+                let loss = tape.sum_all(p); // grad = g
+                let grads = tape.backward(loss);
+                adam.step(&mut store, &binding, &grads);
+            }
+            store.value(w).clone()
+        };
+        let clipped = run(&[&g1, &g2], clip);
+        let norm = g1.norm();
+        if norm <= clip {
+            let unclipped = run(&[&g1, &g2], 0.0);
+            prop_assert_eq!(clipped.data(), unclipped.data());
+        } else {
+            let rescaled = run(&[&g1.scale(clip / norm), &g2], 0.0);
+            for (a, b) in clipped.data().iter().zip(rescaled.data()) {
+                prop_assert!((a - b).abs() <= 1e-12, "{a} vs {b} at norm {norm}");
+            }
+        }
     }
 
-    /// GRU and LSTM hidden states stay in [−1, 1] for any input and any
-    /// number of steps when starting from zero state.
+    /// LSTM hidden states stay in [−1, 1] for any input and any number
+    /// of steps when starting from zero state.
     fn recurrent_states_stay_bounded(
         (seed, steps, input_scale) in |rng: &mut Rng64| {
             (
@@ -69,18 +86,15 @@ prop_tests! {
     ) {
         let mut store = ParamStore::new();
         let mut rng = Rng64::seed_from(seed);
-        let gru = GruCell::new(&mut store, "g", 4, 6, &mut rng);
         let lstm = LstmCell::new(&mut store, "l", 4, 6, &mut rng);
         let tape = Tape::new();
         let binding = store.bind(&tape);
         let xs: Vec<_> = (0..steps)
             .map(|_| tape.leaf(Tensor::rand_normal(&[2, 4], 0.0, input_scale, &mut rng)))
             .collect();
-        let h0 = tape.leaf(Tensor::zeros(&[2, 6]));
-        let g_states = gru.run_sequence(&tape, &binding, &xs, h0);
         let s0 = lstm.zero_state(&tape, 2);
-        let l_states = lstm.run_sequence(&tape, &binding, &xs, s0);
-        for &s in g_states.iter().chain(l_states.iter()) {
+        let states = lstm.run_sequence(&tape, &binding, &xs, s0);
+        for &s in &states {
             let v = tape.value(s);
             prop_assert!(v.all_finite());
             prop_assert!(v.data().iter().all(|&x| x.abs() <= 1.0 + 1e-9));

@@ -1,7 +1,7 @@
 //! Structured span/event tracing with monotonic nanosecond timing.
 //!
 //! A [`Recorder`] owns the event sink behind one mutex, a
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry), and the active
+//! [`MetricsRegistry`], and the active
 //! run manifest (see [`crate::manifest`]). Instrumented code normally
 //! talks to the process-wide recorder through [`recorder`] and the
 //! [`span!`](crate::span!) / [`point!`](crate::point!) macros; tests

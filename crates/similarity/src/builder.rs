@@ -1,11 +1,10 @@
 //! Unified graph construction from an individual's MTS data.
 
-use crate::{correlation, cosine, dtw, euclidean, knn, partial};
+use crate::{correlation, dtw, euclidean, knn};
 use ema_graph::{random, AdjacencyMatrix};
 use ema_tensor::{Rng64, Tensor};
 
-/// The graph construction strategies evaluated by the paper (Table I)
-/// plus the cosine extension.
+/// The graph construction strategies evaluated by the paper (Table I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphMetric {
     /// Euclidean distance with Gaussian affinity (EUC).
@@ -16,14 +15,6 @@ pub enum GraphMetric {
     Dtw,
     /// Absolute Pearson correlation (CORR).
     Correlation,
-    /// Maximum-magnitude lagged cross-correlation (extension); the
-    /// field is the maximum lag.
-    CrossCorrelation(usize),
-    /// Partial correlation conditioned on all other variables, the GGM
-    /// structure of network psychometrics (extension).
-    PartialCorrelation,
-    /// Cosine similarity (extension).
-    Cosine,
     /// Random graph matched to ~50% density (the RAND control); the
     /// field is the RNG seed so scenarios stay reproducible.
     Random(u64),
@@ -38,9 +29,6 @@ impl GraphMetric {
             GraphMetric::Knn(_) => "kNN",
             GraphMetric::Dtw => "DTW",
             GraphMetric::Correlation => "CORR",
-            GraphMetric::CrossCorrelation(_) => "XCORR",
-            GraphMetric::PartialCorrelation => "PCORR",
-            GraphMetric::Cosine => "COS",
             GraphMetric::Random(_) => "RAND",
         }
     }
@@ -72,11 +60,6 @@ pub fn build_graph(data: &Tensor, metric: GraphMetric) -> AdjacencyMatrix {
         GraphMetric::Knn(k) => knn::knn_graph(data, k),
         GraphMetric::Dtw => dtw::dtw_graph(data),
         GraphMetric::Correlation => correlation::correlation_graph(data),
-        GraphMetric::CrossCorrelation(max_lag) => {
-            correlation::cross_correlation_graph(data, max_lag)
-        }
-        GraphMetric::PartialCorrelation => partial::partial_correlation_graph(data),
-        GraphMetric::Cosine => cosine::cosine_graph(data),
         GraphMetric::Random(seed) => {
             let v = data.dims()[1];
             let mut rng = Rng64::seed_from(seed);
@@ -103,9 +86,6 @@ mod tests {
             GraphMetric::Knn(3),
             GraphMetric::Dtw,
             GraphMetric::Correlation,
-            GraphMetric::CrossCorrelation(4),
-            GraphMetric::PartialCorrelation,
-            GraphMetric::Cosine,
             GraphMetric::Random(7),
         ] {
             let g = build_graph(&data, metric);

@@ -14,8 +14,7 @@
 //!   `k` nearest neighbours ([`knn`]);
 //! * **DTW** — Dynamic Time Warping alignment cost ([`dtw`]), for
 //!   variables that respond to events with different lags;
-//! * **CORR** — absolute Pearson (optionally lagged cross-)
-//!   correlation ([`correlation`]).
+//! * **CORR** — absolute Pearson correlation ([`correlation`]).
 //!
 //! [`GraphMetric`] enumerates the paper's metrics and
 //! [`build_graph`] produces the corresponding [`ema_graph::AdjacencyMatrix`].
@@ -24,12 +23,10 @@
 
 mod builder;
 pub mod correlation;
-pub mod cosine;
 pub mod dtw;
 pub mod euclidean;
 pub mod kmedoids;
 pub mod knn;
-pub mod partial;
 
 pub use builder::{build_graph, GraphMetric};
 pub use kmedoids::{

@@ -1,8 +1,7 @@
 //! Property-based tests of the similarity metrics and graph builders.
 
 use ema_check::{gen, prop_assert, prop_assert_eq, prop_tests};
-use ema_similarity::correlation::{cross_correlation, pearson_correlation};
-use ema_similarity::cosine::cosine_similarity;
+use ema_similarity::correlation::pearson_correlation;
 use ema_similarity::dtw::{dtw_distance, dtw_distance_banded};
 use ema_similarity::euclidean::{euclidean_distance, gaussian_affinity, pairwise_distances};
 use ema_similarity::kmedoids::{k_medoids, pairwise_series_distances, SeriesMetric};
@@ -83,20 +82,6 @@ prop_tests! {
         let y2: Vec<f64> = y.iter().map(|v| 3.0 * v + 7.0).collect();
         let r2 = pearson_correlation(&x, &y2);
         prop_assert!((r - r2).abs() < 1e-7, "{r} vs {r2}");
-    }
-
-    fn cross_correlation_dominates_plain(
-        (x, y) in |rng: &mut Rng64| (series(30)(rng), series(30)(rng)),
-    ) {
-        let plain = pearson_correlation(&x, &y).abs();
-        let lagged = cross_correlation(&x, &y, 3).abs();
-        prop_assert!(lagged >= plain - 1e-12);
-    }
-
-    fn cosine_bounded(
-        (x, y) in |rng: &mut Rng64| (series(8)(rng), series(8)(rng)),
-    ) {
-        prop_assert!(cosine_similarity(&x, &y).abs() <= 1.0 + 1e-12);
     }
 
     fn affinities_live_in_unit_interval(data in mts) {
@@ -191,8 +176,6 @@ prop_tests! {
             GraphMetric::Euclidean,
             GraphMetric::Dtw,
             GraphMetric::Correlation,
-            GraphMetric::PartialCorrelation,
-            GraphMetric::Cosine,
         ] {
             let g = build_graph(&data, metric);
             prop_assert_eq!(g.num_nodes(), data.dims()[1]);

@@ -44,7 +44,6 @@ mod shape;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 mod slicing;
-mod solve;
 mod tensor;
 
 pub use backend::{

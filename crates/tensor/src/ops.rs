@@ -239,26 +239,6 @@ impl Tensor {
         out
     }
 
-    /// Multiplies every row of a `[R, C]` matrix elementwise by `row`.
-    ///
-    /// # Panics
-    /// Panics unless `self` is rank 2 and `row` is rank 1 with matching
-    /// column count.
-    #[must_use]
-    pub fn mul_row_broadcast(&self, row: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "mul_row_broadcast requires a matrix");
-        assert_eq!(row.rank(), 1, "broadcast operand must be rank 1");
-        let (r, c) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(row.len(), c, "row length mismatch");
-        let mut out = self.clone();
-        for i in 0..r {
-            for j in 0..c {
-                out.data_mut()[i * c + j] *= row.data()[j];
-            }
-        }
-        out
-    }
-
     /// Elementwise maximum with a scalar.
     #[must_use]
     pub fn max_scalar(&self, s: f64) -> Tensor {
@@ -326,7 +306,6 @@ mod tests {
         let m = Tensor::from_vec2(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let r = t(vec![10.0, 20.0]);
         assert_eq!(m.add_row_broadcast(&r).data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(m.mul_row_broadcast(&r).data(), &[10.0, 40.0, 30.0, 80.0]);
     }
 
     #[test]

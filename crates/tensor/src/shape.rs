@@ -7,7 +7,7 @@ pub const MAX_RANK: usize = 4;
 
 /// The dimensions of a tensor, stored outermost-first (row-major).
 ///
-/// Dimensions live in a fixed inline array (rank ≤ [`MAX_RANK`]), so a
+/// Dimensions live in a fixed inline array (rank ≤ `MAX_RANK`), so a
 /// `Shape` never touches the heap — constructing, cloning and comparing
 /// shapes is allocation-free, which matters because every tensor op on
 /// the training hot path builds one. Unused slots are kept at zero so
@@ -23,7 +23,7 @@ impl Shape {
     ///
     /// # Errors
     /// Returns [`TensorError::EmptyShape`] if `dims` is empty, any
-    /// dimension is zero, or the rank exceeds [`MAX_RANK`].
+    /// dimension is zero, or the rank exceeds `MAX_RANK`.
     pub fn new(dims: &[usize]) -> Result<Self, TensorError> {
         if dims.is_empty() || dims.len() > MAX_RANK || dims.contains(&0) {
             return Err(TensorError::EmptyShape);
@@ -40,7 +40,7 @@ impl Shape {
     ///
     /// # Panics
     /// Panics if `dims` is empty, contains a zero dimension, or exceeds
-    /// rank [`MAX_RANK`].
+    /// rank `MAX_RANK`.
     #[must_use]
     pub fn of(dims: &[usize]) -> Self {
         Self::new(dims).expect("invalid shape: empty, zero-sized or over-rank dimension list")

@@ -47,7 +47,6 @@ fn main() {
             GraphMetric::Knn(3),
             GraphMetric::Dtw,
             GraphMetric::Correlation,
-            GraphMetric::Cosine,
             GraphMetric::Random(99),
         ] {
             let g = build_graph(&train, metric);

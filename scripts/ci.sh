@@ -71,8 +71,17 @@ echo "==> cluster-warm-start smoke (EMA_THREADS=4)"
 # built once on the caller thread), and the tiny cluster_compare table
 # must render and record results JSON for all four models.
 EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
+# The run writes results/cluster_compare.json, which is tracked at quick
+# scale: move the committed file aside so the check sees only what this
+# run wrote, and put it back afterwards (or on any earlier exit).
+mkdir -p target/ci_stash
+mv results/cluster_compare.json target/ci_stash/
+restore_cluster_compare() { mv -f target/ci_stash/cluster_compare.json results/ 2>/dev/null || true; }
+trap restore_cluster_compare EXIT
 EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
 test -s results/cluster_compare.json
+restore_cluster_compare
+trap - EXIT
 
 echo "==> ema-tensor tests (release)"
 # The SIMD kernels are unsafe code whose loops the optimizer reshapes;
@@ -87,6 +96,11 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
 echo "==> cargo clippy"
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc"
+# Broken or private intra-doc links fail here, e.g. a link left
+# pointing at a deleted item.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> obs smoke (EMA_OBS=full)"
 # Trains one tiny individual with full tracing; the example itself

@@ -508,12 +508,12 @@ fn cohort_sharded_warm_start_identical_across_threads_shards_and_paths() {
 
 #[test]
 fn same_seed_training_yields_byte_identical_checkpoints() {
-    use ema_models::{build_model, ModelConfig};
+    use ema_models::{Forecaster, LstmForecaster, ModelConfig};
     use ema_tensor::{Rng64, Tensor};
 
     let capture = || {
         let mut rng = Rng64::seed_from(77);
-        let model = build_model(ModelKind::Lstm, 4, 2, &ModelConfig::tiny(9), None);
+        let model = LstmForecaster::new(4, &ModelConfig::tiny(9));
         // Touch the RNG the way a training loop would, then snapshot.
         let _ = model.predict(&Tensor::rand_normal(&[2, 4], 0.0, 1.0, &mut rng), &mut rng);
         Checkpoint::capture(model.params()).to_json()
