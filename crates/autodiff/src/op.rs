@@ -65,10 +65,6 @@ pub(crate) enum Op {
     Dropout(Var, Tensor),
     /// Stacks rank-1 parents into the rows of a matrix.
     StackRows(Vec<Var>),
-    /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
-    /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. Fields:
-    /// lhs, x, window count.
-    BlockLhsMatmul(Var, Var, usize),
     /// Blockwise product of two window stacks: block `w` of
     /// `x: [W·m, k]` times block `w` of `y: [W·k, n]` -> `[W·m, n]`.
     /// Fields: x, y, window count.
@@ -110,9 +106,8 @@ pub(crate) enum Op {
     GroupAddRow(Var, Groups, usize),
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// times each `[q, n]` window block of its slice of
-    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]` — `BlockLhsMatmul`
-    /// with a per-individual graph constant. Fields: x, groups (one lhs
-    /// per group).
+    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]`. Fields: x, groups
+    /// (one lhs per group).
     GroupBlockLhsMatmul(Var, Groups),
 }
 

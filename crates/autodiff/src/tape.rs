@@ -638,40 +638,6 @@ fn backward_one(
         Op::StackRows(ref vars) => {
             contribs.extend(vars.iter().enumerate().map(|(i, &v)| (v, g.row(i))));
         }
-        Op::BlockLhsMatmul(lhs, x, wins) => {
-            // Per-block dx_w = lhsᵀ · g_w (the per-window Matmul rhs
-            // gradient, dense in the stack); shared lhs deferred. Like
-            // the forward, all W products share the lhs, so one
-            // `lhsᵀ · [g_0 | … | g_{W-1}]` on the column-permuted
-            // layout computes them in a single kernel call —
-            // bit-identical per element (and the lhsᵀ repack happens
-            // once instead of per window).
-            let lv = val(lhs);
-            let xv = val(x);
-            let (p, q) = (lv.dims()[0], lv.dims()[1]);
-            let n = xv.dims()[1];
-            let ghat = tape_ops_batched::gather_window_cols(g.data(), wins, p, n);
-            let mut dxhat = pool::take_uninit(q * wins * n);
-            kernels::matmul_tn_into(lv.data(), &ghat, &mut dxhat, p, q, wins * n);
-            pool::recycle(ghat);
-            let dx = tape_ops_batched::scatter_window_cols(&dxhat, wins, q, n);
-            pool::recycle(dxhat);
-            contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("block dx shape")));
-            deferred.push((
-                lhs,
-                PendingUse {
-                    kind: PendingKind::GntX,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped: false,
-                    g_rows: p,
-                    g_off: 0,
-                    x_rows: q,
-                    x_off: 0,
-                },
-            ));
-        }
         Op::BlockMatmul(x, y, wins) => {
             // Per block: dx_w = g_w · y_wᵀ, dy_w = x_wᵀ · g_w — both
             // operands are window stacks, so both gradients stay dense.
@@ -842,13 +808,12 @@ fn backward_one(
             }
         }
         Op::GroupBlockLhsMatmul(x, ref groups) => {
-            // Per group b: the shared-lhs backward restricted to the
-            // group's window span — gather its g slice to the
-            // column-permuted layout, one lhs_bᵀ · ĝ product, scatter
-            // back — so every window block matches the per-individual
-            // `Op::BlockLhsMatmul` backward bit for bit. Each group's
-            // lhs gradient is deferred as per-window G·Xᵀ pieces at the
-            // group's (output, input) row offsets.
+            // Per group b: gather its g slice to the column-permuted
+            // layout, one lhs_bᵀ · ĝ product, scatter back — each
+            // window block's dx is the per-window Matmul rhs gradient
+            // bit for bit, with lhs_bᵀ repacked once per group. Each
+            // group's lhs gradient is deferred as per-window G·Xᵀ
+            // pieces at the group's (output, input) row offsets.
             let xv = val(x);
             let n = xv.dims()[1];
             let lhses = &operands[groups.operands.clone()];

@@ -4,66 +4,19 @@
 //!
 //! The cohort forward (`predict_cohort` in `ema-models`) uses them where
 //! an op's structure is shared by every window of every individual —
-//! the attention pooling (`stack_window_blocks`, `block_matmul`), the
-//! node-averaging and Chebyshev products (`block_lhs_matmul`,
-//! `block_matmul[_nt]`) — and `dropout_masked` for pre-drawn masks.
-//! Every op here is **bit-identical** to its per-window twin in both
-//! directions:
-//!
-//! * forward — the matmul kernel contract (`ema_tensor::linalg`) makes
-//!   each output row's accumulation independent of the batch height,
-//!   so row block `w` matches the per-window op on window `w` exactly;
-//!   blockwise ops run the per-window kernel per block outright;
-//! * backward — gradients along the stacked axis stay dense (row
-//!   blocks again match per window), while the gradient of a *shared*
-//!   lhs is deferred as per-window pieces and replayed in the
-//!   per-window graph's accumulation order when the backward pass
-//!   reaches the operand (see the pending machinery in
-//!   `Grads`/`Tape::backward_into`).
+//! the attention pooling (`stack_window_blocks`, `block_matmul`) and
+//! the Chebyshev products (`block_matmul[_nt]`) — and `dropout_masked`
+//! for pre-drawn masks. A shared lhs times every window block is the
+//! one-group case of `Tape::group_block_lhs_matmul`. Every op here is
+//! **bit-identical** to its per-window twin in both directions: the
+//! blockwise ops run the per-window kernel per block outright, and
+//! gradients along the stacked axis stay dense, so row blocks match
+//! per window.
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
 
 impl Tape {
-    /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
-    /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. The forward
-    /// pass fuses all `W` products into **one** kernel call on a
-    /// column-permuted layout (see `gather_window_cols`): since the
-    /// lhs is shared, `lhs · [x_0 | x_1 | … | x_{W-1}]` computes every
-    /// block in a single `[p, q] x [q, W·n]` matmul. Each output
-    /// element keeps the exact per-window accumulation sequence
-    /// (ascending-`k` from `0.0`, same `lhs == 0.0` skips — the kernel
-    /// contract makes element results independent of the output
-    /// width), so this is bit-identical to `W` separate `matmul`
-    /// nodes while amortizing the lhs across all windows.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn block_lhs_matmul(&self, lhs: Var, x: Var, wins: usize) -> Var {
-        let out = self.compute(
-            |v| {
-                let (lhs, x) = (v[0], v[1]);
-                let (p, q) = (lhs.dims()[0], lhs.dims()[1]);
-                let n = x.dims()[1];
-                assert_eq!(
-                    x.dims()[0],
-                    wins * q,
-                    "block_lhs_matmul: x rows must be wins ({wins}) x lhs cols ({q})"
-                );
-                let xhat = gather_window_cols(x.data(), wins, q, n);
-                let mut yhat = pool::take_uninit(p * wins * n);
-                kernels::matmul_into(lhs.data(), &xhat, &mut yhat, p, q, wins * n);
-                pool::recycle(xhat);
-                let out = scatter_window_cols(&yhat, wins, p, n);
-                pool::recycle(yhat);
-                Tensor::from_vec(&[wins * p, n], out).expect("block_lhs_matmul shape")
-            },
-            &[lhs, x],
-        );
-        self.push(out, Op::BlockLhsMatmul(lhs, x, wins))
-    }
-
     /// Blockwise product of two window stacks: block `w` of
     /// `x: [W·m, k]` times block `w` of `y: [W·k, n]` -> `[W·m, n]`.
     ///
@@ -227,42 +180,6 @@ mod tests {
     fn rand(dims: &[usize], seed: u64) -> Tensor {
         let mut rng = Rng64::seed_from(seed);
         Tensor::rand_normal(dims, 0.0, 1.0, &mut rng)
-    }
-
-    #[test]
-    fn block_lhs_matmul_matches_per_window_graph() {
-        let wins = 3;
-        let (p, q, n) = (4, 4, 2);
-        let lhsv = rand(&[p, q], 6);
-        let xv = rand(&[wins * q, n], 7);
-
-        let tape = Tape::new();
-        let lhs = tape.leaf(lhsv.clone());
-        let x = tape.leaf(xv.clone());
-        let out = tape.block_lhs_matmul(lhs, x, wins);
-        let loss = tape.mean_all(tape.square(out));
-        let grads = tape.backward(loss);
-
-        let reference = Tape::new();
-        let rlhs = reference.leaf(lhsv);
-        let mut outs = Vec::new();
-        for w in 0..wins {
-            let xw = reference.leaf(xv.slice_rows(w * q, (w + 1) * q));
-            outs.push(reference.matmul(rlhs, xw));
-        }
-        // One flattened row per window: the same elements in the same
-        // order as the row-stacked `[W·p, n]` output.
-        let flat: Vec<Var> = outs.iter().map(|&o| reference.flatten(o)).collect();
-        let stacked = reference.stack_rows(&flat);
-        let rloss = reference.mean_all(reference.square(stacked));
-        let rgrads = reference.backward(rloss);
-
-        assert_eq!(tape.value(out).dims(), &[wins * p, n]);
-        assert_eq!(tape.value(loss).data(), reference.value(rloss).data());
-        assert_eq!(
-            grads.get(lhs).unwrap().data(),
-            rgrads.get(rlhs).unwrap().data()
-        );
     }
 
     #[test]

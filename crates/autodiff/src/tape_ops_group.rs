@@ -295,8 +295,15 @@ impl Tape {
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// (a per-individual graph constant or derived adjacency) times
     /// each `[q, n]` window block of its slice of `x: [Σ wins·q, n]`,
-    /// producing `[Σ wins·p, n]` — [`Tape::block_lhs_matmul`] with one
-    /// lhs per group; all groups must share the lhs shape.
+    /// producing `[Σ wins·p, n]`; all groups must share the lhs shape.
+    /// The forward gathers each group's window blocks side by side
+    /// (`[q, wins·n]`), so one matmul per group computes every window's
+    /// product with each output element's per-window accumulation
+    /// sequence (ascending-`k` from `0.0`, same `lhs == 0.0` skips —
+    /// the kernel contract makes element results independent of the
+    /// output width): bit-identical to one `matmul` node per window,
+    /// with the lhs repacked once per group. A single group is one lhs
+    /// shared by every window.
     ///
     /// # Panics
     /// Panics on length/shape mismatches (see [`Tape::group_linear_blocks`]).
@@ -324,10 +331,8 @@ impl Tape {
                     &[p, q],
                     "group_block_lhs_matmul: group {b} lhs shape mismatch"
                 );
-                // Same gather → one matmul → scatter as the shared
-                // op, restricted to this group's window span, so
-                // each window block is bit-identical to the
-                // per-individual `block_lhs_matmul`.
+                // Gather this group's window blocks side by side, one
+                // matmul, scatter back.
                 let xhat =
                     gather_window_cols(&xv.data()[xoff * n..(xoff + wins * q) * n], wins, q, n);
                 let mut yhat = pool::take_uninit(p * wins * n);
@@ -551,21 +556,24 @@ mod tests {
     }
 
     /// Each individual propagates through its *own* graph constant —
-    /// the op individual graphs actually break sharing on.
+    /// the op individual graphs actually break sharing on. One group
+    /// (`wins = [3]`) is one lhs shared by every window, as the
+    /// attention's node averaging records it.
     #[test]
     fn group_block_lhs_matmul_matches_per_individual_graphs() {
-        let wins = [3usize, 1, 2];
         let (q, n) = (4usize, 2usize);
-        // Square lhs (p == q) so output blocks keep the input geometry.
-        let operands = group_operands(wins.len(), &[&[q, q]], 90);
-        assert_grouped_matches_per_window(
-            &wins,
-            q,
-            n,
-            &operands,
-            |tape, x, ops| tape.group_block_lhs_matmul(ops.iter().map(|p| p[0]), x, &wins),
-            |tape, xw, p| tape.matmul(p[0], xw),
-        );
+        for wins in [&[3usize, 1, 2][..], &[3]] {
+            // Square lhs (p == q) so output blocks keep the input geometry.
+            let operands = group_operands(wins.len(), &[&[q, q]], 90);
+            assert_grouped_matches_per_window(
+                wins,
+                q,
+                n,
+                &operands,
+                |tape, x, ops| tape.group_block_lhs_matmul(ops.iter().map(|p| p[0]), x, wins),
+                |tape, xw, p| tape.matmul(p[0], xw),
+            );
+        }
     }
 
     /// `group_linear_blocks` at `block_rows > 1`: node-level row blocks.

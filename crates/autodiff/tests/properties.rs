@@ -157,7 +157,7 @@ prop_tests! {
         let v = tape.leaf(x);
         let s = tape.softmax_last(v);
         // Weight the output so the gradient is non-trivial.
-        let w = tape.leaf(Tensor::linspace(-1.0, 1.0, 6));
+        let w = tape.leaf(Tensor::from_vec1((0..6).map(|i| -1.0 + 0.4 * f64::from(i)).collect()));
         let p = tape.mul(s, w);
         let loss = tape.sum_all(p);
         let grads = tape.backward(loss);

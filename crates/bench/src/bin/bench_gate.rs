@@ -34,22 +34,15 @@
 //! other benchmark** (leave-one-out minimum ratio, floored at 1 so a
 //! fast box never raises the bar): if the calmest sibling ran 1.3×
 //! its baseline, the whole run is presumed ≥1.3× loaded and each
-//! bench may be up to `1.3 × (1 + tolerance)` over baseline. The
-//! scale is capped at [`MAX_LOAD_SCALE`] so a uniform whole-suite
-//! regression past the cap still fails, and the allocation gate is
-//! never normalized — counts don't care about load.
+//! bench may be up to `1.3 × (1 + tolerance)` over baseline
+//! ([`load_scale`]). The scale is capped at
+//! [`ema_bench::MAX_LOAD_SCALE`] so a uniform whole-suite regression
+//! past the cap still fails, and the allocation gate is never
+//! normalized — counts don't care about load.
 
+use ema_bench::{load_scale, DEFAULT_TOLERANCE};
 use ema_obs::Json;
 use std::process::ExitCode;
-
-/// Regression tolerance as a fraction (0.15 = +15% is still OK).
-const DEFAULT_TOLERANCE: f64 = 0.15;
-
-/// Upper bound on the load-normalization scale: even if every sibling
-/// benchmark inflated beyond this, the allowance stops growing, so a
-/// genuine uniform slowdown past `MAX_LOAD_SCALE × (1 + tolerance)`
-/// always fails.
-const MAX_LOAD_SCALE: f64 = 1.5;
 
 /// Per-benchmark gated quantities: the timing median and the
 /// allocation count (absent in pre-telemetry suite files).
@@ -114,7 +107,7 @@ fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 
         .collect();
 
     let mut failures = 0u32;
-    for (base, own_ratio) in baseline.iter().zip(&ratios) {
+    for (i, (base, own_ratio)) in baseline.iter().zip(&ratios).enumerate() {
         let Some(cand) = candidate.iter().find(|c| c.name == base.name) else {
             eprintln!(
                 "GATE FAIL {}: present in baseline, missing from candidate",
@@ -124,17 +117,9 @@ fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 
             continue;
         };
         let ratio = own_ratio.expect("matched benchmark has a ratio");
-        // Leave-one-out load scale: the least-inflated *other*
-        // benchmark bounds how much of this one's slowdown can be
-        // blamed on shared-host load. A lone benchmark gets no
-        // normalization (scale 1).
-        let scale = ratios
-            .iter()
-            .zip(&baseline)
-            .filter(|(r, b)| r.is_some() && b.name != base.name)
-            .map(|(r, _)| r.expect("filtered on Some"))
-            .min_by(f64::total_cmp)
-            .map_or(1.0, |m| m.clamp(1.0, MAX_LOAD_SCALE));
+        // The least-inflated *other* benchmark bounds how much of this
+        // one's slowdown can be blamed on shared-host load.
+        let scale = load_scale(&ratios, i);
         let delta_pct = (ratio - 1.0) * 100.0;
         let verdict = if ratio > scale * (1.0 + tolerance) {
             failures += 1;

@@ -12,7 +12,8 @@
 //! without the suffix, or a bare run stem resolved under the default
 //! obs directory (`results/obs/`).
 
-use ema_bench::report::{render_diff, render_report, RunSummary, DEFAULT_DIFF_TOLERANCE};
+use ema_bench::report::{render_diff, render_report, RunSummary};
+use ema_bench::DEFAULT_TOLERANCE;
 use ema_obs::{default_obs_dir, Json};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -50,7 +51,7 @@ fn load(arg: &str) -> Result<RunSummary, String> {
 
 fn run() -> Result<ExitCode, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = DEFAULT_DIFF_TOLERANCE;
+    let mut tolerance = DEFAULT_TOLERANCE;
     let mut runs: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {

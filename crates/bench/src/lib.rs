@@ -36,6 +36,35 @@ pub use harness::{BenchResult, Bencher, Harness};
 use ema_core::experiments::ExperimentScale;
 use std::path::{Path, PathBuf};
 
+/// Regression tolerance as a fraction: `bench_gate` fails a median, and
+/// `obs_report`'s diff flags a span path, more than 15% over its
+/// load-normalized baseline.
+pub const DEFAULT_TOLERANCE: f64 = 0.15;
+
+/// Upper bound on the load-normalization scale: even if every sibling
+/// inflated beyond this, the allowance stops growing, so a genuine
+/// uniform slowdown past `MAX_LOAD_SCALE × (1 + tolerance)` always
+/// fails.
+pub const MAX_LOAD_SCALE: f64 = 1.5;
+
+/// Shared-host load scale for entry `own` of `ratios` (candidate over
+/// baseline, `None` for an unmatched entry): the least-inflated *other*
+/// ratio, floored at 1 so a fast box never raises the bar and capped at
+/// [`MAX_LOAD_SCALE`]. A lone entry gets no normalization (scale 1).
+/// External load inflates every entry together, while a real regression
+/// moves one entry relative to the others, so an entry is judged
+/// against `scale × (1 + tolerance)`.
+#[must_use]
+pub fn load_scale(ratios: &[Option<f64>], own: usize) -> f64 {
+    ratios
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != own)
+        .filter_map(|(_, r)| *r)
+        .min_by(f64::total_cmp)
+        .map_or(1.0, |m| m.clamp(1.0, MAX_LOAD_SCALE))
+}
+
 /// Parses `--scale {tiny|quick|full}` from CLI args (default: quick).
 ///
 /// # Panics

@@ -12,6 +12,7 @@
 //! Everything here is pure (JSON in, text out) so the report formats
 //! and the diff flagging are unit-testable without running experiments.
 
+use crate::load_scale;
 use ema_obs::{Histogram, Json, Profile, ProfileNode};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -19,14 +20,6 @@ use std::fmt::Write as _;
 /// Self-time floor for diffing: paths whose baseline self time is below
 /// this are too noisy to flag (a few scheduler ticks flip their ratio).
 pub const DEFAULT_MIN_DIFF_SELF_NS: u64 = 100_000;
-
-/// Diff tolerance as a fraction: flag paths >15% over their
-/// load-normalized baseline (`bench_gate`'s default).
-pub const DEFAULT_DIFF_TOLERANCE: f64 = 0.15;
-
-/// Upper bound on the diff's load-normalization scale, mirroring
-/// `bench_gate`: a uniform slowdown beyond this still gets flagged.
-const MAX_LOAD_SCALE: f64 = 1.5;
 
 /// One run's parsed summary manifest.
 pub struct RunSummary {
@@ -436,9 +429,9 @@ pub struct DiffLine {
 /// time double-counts a regression in every ancestor). Paths below
 /// `min_self_ns` in the baseline are skipped as noise; the remaining
 /// ratios are load-normalized by the **least-inflated sibling path**
-/// (leave-one-out minimum ratio, clamped to `[1, 1.5]` like
-/// `bench_gate`), and a path is flagged when it still sits more than
-/// `tolerance` above that scale. Returned sorted by ratio descending.
+/// ([`crate::load_scale`], as in `bench_gate`), and a path is flagged
+/// when it still sits more than `tolerance` above that scale. Returned
+/// sorted by ratio descending.
 #[must_use]
 pub fn diff_profiles(
     base: &Profile,
@@ -461,22 +454,17 @@ pub fn diff_profiles(
         .filter(|(_, &self_ns)| self_ns >= min_self_ns)
         .filter_map(|(path, &b)| Some((path.clone(), b, *cand_flat.get(path)?)))
         .collect();
-    let ratios: Vec<f64> = matched
+    let ratios: Vec<Option<f64>> = matched
         .iter()
-        .map(|(_, b, c)| *c as f64 / *b as f64)
+        .map(|(_, b, c)| Some(*c as f64 / *b as f64))
         .collect();
     let mut lines: Vec<DiffLine> = matched
         .into_iter()
         .zip(&ratios)
         .enumerate()
-        .map(|(i, ((path, base_self_ns, cand_self_ns), &ratio))| {
-            let scale = ratios
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &r)| r)
-                .min_by(f64::total_cmp)
-                .map_or(1.0, |m| m.clamp(1.0, MAX_LOAD_SCALE));
+        .map(|(i, ((path, base_self_ns, cand_self_ns), ratio))| {
+            let ratio = ratio.expect("every matched path has a ratio");
+            let scale = load_scale(&ratios, i);
             DiffLine {
                 path,
                 base_self_ns,
@@ -760,7 +748,7 @@ mod tests {
             "cand",
             profile_from(&[("run;a", 30_000_000), ("run;b", 10_000_000)]),
         );
-        let (text, flagged) = render_diff(&base, &cand, DEFAULT_DIFF_TOLERANCE);
+        let (text, flagged) = render_diff(&base, &cand, crate::DEFAULT_TOLERANCE);
         assert_eq!(flagged, 1);
         assert!(text.contains("SLOWER"), "{text}");
         assert!(text.contains("run;a"), "{text}");

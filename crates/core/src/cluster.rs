@@ -1,5 +1,5 @@
-//! Cluster-then-personalize training: K-medoids cluster models, a
-//! cluster-checkpoint cache, and warm-start fine-tuning.
+//! Cluster-then-personalize training: K-medoids cluster models, one
+//! checkpoint per cluster, and warm-start fine-tuning.
 //!
 //! At cohort scale, training every individual from scratch repeats most
 //! of the work: EMA studies cluster into a few behavioural regimes
@@ -9,13 +9,14 @@
 //! individuals, clusters their flattened **training-split** series with
 //! seeded K-medoids ([`ema_similarity::k_medoids`] — no test leakage),
 //! trains **one model per cluster** on the medoid individuals as one
-//! shard of the pipeline's runner body, and stores the
-//! resulting parameters in an in-memory [`ClusterCheckpointCache`]
-//! keyed `(model, outcome, cluster)` (persistable as checkpoint JSON).
-//! The fine-tune phase then assigns each streamed individual to its
-//! nearest medoid and trains `fine_tune_epochs` epochs from the
-//! cluster checkpoint instead of `epochs` from scratch — K trainings
-//! plus N cheap fine-tunes instead of N full trainings.
+//! shard of the pipeline's runner body, and keeps the resulting
+//! parameters as one in-memory [`Checkpoint`] per cluster in the
+//! [`ClusterPlan`]. A plan is built for one spec, so it holds one model
+//! and one run condition. The fine-tune phase then assigns each
+//! streamed individual to its nearest medoid and trains
+//! `fine_tune_epochs` epochs from the cluster checkpoint instead of
+//! `epochs` from scratch — K trainings plus N cheap fine-tunes instead
+//! of N full trainings.
 //!
 //! **Determinism:** the plan is built once on the calling thread of
 //! [`crate::cohort::run_cohort_sharded`] before any shard job spawns —
@@ -28,33 +29,23 @@
 //!
 //! Obs: `cluster_plan` / `cluster_distances` / `cluster_train` spans,
 //! `cluster.cache_{hits,misses}` counters (misses = cluster trainings,
-//! hits = fine-tune lookups) and a `cluster.fine_tune_epochs`
-//! histogram.
+//! hits = [`ClusterPlan::checkpoint`] lookups) and a
+//! `cluster.fine_tune_epochs` histogram.
 
 use crate::checkpoint::Checkpoint;
-use crate::json::Json;
 use crate::pipeline::{train_shard, RunSpec};
 use ema_data::{split_train_test, EmaGenerator, Individual};
 use ema_obs::span;
 use ema_similarity::{
     argmin_distance, flatten_series, k_medoids, pairwise_series_distances, series_distance,
-    SeriesMetric,
 };
 use ema_tensor::Tensor;
-use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 /// The RNG stream id the K-medoids init draws from, derived as
 /// `derive_stream_seed(run seed, CLUSTER_SEED_STREAM)`. Individual
 /// streams use ids `0..N`, so the clustering stream never collides.
 const CLUSTER_SEED_STREAM: u64 = u64::MAX;
-
-/// The Sakoe–Chiba band for the per-individual DTW distance (roughly
-/// one EMA day at 8 beeps/day, matching [`ema_similarity::dtw`]'s
-/// default; auto-widened for unequal study lengths).
-const SERIES_DTW_BAND: usize = 10;
 
 /// How sharded cohort runs train each individual
 /// ([`RunSpec::train_strategy`]).
@@ -81,153 +72,8 @@ pub enum TrainStrategy {
     },
 }
 
-/// In-memory cluster-checkpoint cache, keyed
-/// `(model label, outcome key, cluster index)`. The outcome key names
-/// the run condition the checkpoints were trained under (graph spec +
-/// window length); a cache never serves a checkpoint across
-/// conditions. Persistable to/from JSON (each entry reuses the
-/// [`Checkpoint`] JSON schema, bit-exact f64).
-#[derive(Debug, Clone, Default)]
-pub struct ClusterCheckpointCache {
-    entries: BTreeMap<(String, String, usize), Arc<Checkpoint>>,
-}
-
-impl ClusterCheckpointCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached checkpoints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Stores a cluster checkpoint.
-    pub fn insert(&mut self, model: &str, outcome: &str, cluster: usize, ckpt: Arc<Checkpoint>) {
-        self.entries
-            .insert((model.to_string(), outcome.to_string(), cluster), ckpt);
-    }
-
-    /// Looks up a cluster checkpoint, bumping the
-    /// `cluster.cache_hits` / `cluster.cache_misses` obs counters. A
-    /// miss during [`plan_clusters`] is what triggers a cluster
-    /// training, so misses count cluster trainings and hits count
-    /// fine-tune lookups.
-    #[must_use]
-    pub fn get(&self, model: &str, outcome: &str, cluster: usize) -> Option<Arc<Checkpoint>> {
-        let found = self
-            .entries
-            .get(&(model.to_string(), outcome.to_string(), cluster))
-            .cloned();
-        let obs = ema_obs::recorder();
-        if found.is_some() {
-            obs.inc_counter("cluster.cache_hits", 1);
-        } else {
-            obs.inc_counter("cluster.cache_misses", 1);
-        }
-        found
-    }
-
-    /// Serialises the cache to JSON:
-    /// `{"entries": [{"model", "outcome", "cluster", "checkpoint"}, …]}`
-    /// with each checkpoint in the bit-exact [`Checkpoint`] schema.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        Json::obj(vec![(
-            "entries",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|((model, outcome, cluster), ckpt)| {
-                        Json::obj(vec![
-                            ("model", Json::Str(model.clone())),
-                            ("outcome", Json::Str(outcome.clone())),
-                            ("cluster", Json::Num(*cluster as f64)),
-                            (
-                                "checkpoint",
-                                Json::parse(&ckpt.to_json())
-                                    .expect("checkpoint JSON is well-formed"),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-        .pretty()
-    }
-
-    /// Parses a cache from [`Self::to_json`] output.
-    ///
-    /// # Errors
-    /// Returns `io::Error` with `InvalidData` on malformed JSON.
-    pub fn from_json(json: &str) -> io::Result<Self> {
-        let invalid =
-            |e: crate::json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-        let v = Json::parse(json).map_err(invalid)?;
-        let mut entries = BTreeMap::new();
-        for entry in v
-            .require("entries")
-            .map_err(invalid)?
-            .to_arr()
-            .map_err(invalid)?
-        {
-            let model = entry
-                .require("model")
-                .and_then(Json::to_str)
-                .map_err(invalid)?
-                .to_string();
-            let outcome = entry
-                .require("outcome")
-                .and_then(Json::to_str)
-                .map_err(invalid)?
-                .to_string();
-            let cluster = entry
-                .require("cluster")
-                .and_then(Json::to_usize)
-                .map_err(invalid)?;
-            let ckpt =
-                Checkpoint::from_json(&entry.require("checkpoint").map_err(invalid)?.pretty())?;
-            entries.insert((model, outcome, cluster), Arc::new(ckpt));
-        }
-        Ok(Self { entries })
-    }
-
-    /// Writes the cache to a file.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads a cache from a file.
-    ///
-    /// # Errors
-    /// Propagates filesystem and parse errors.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        Self::from_json(&std::fs::read_to_string(path)?)
-    }
-}
-
-/// The outcome key a spec's checkpoints are cached under: the run
-/// condition (graph spec + window length) that must match for a
-/// checkpoint to be reusable.
-#[must_use]
-pub fn outcome_key(spec: &RunSpec) -> String {
-    format!("{}@seq{}", spec.graph.label(), spec.seq_len)
-}
-
-/// The trained cluster phase: medoid series for assignment plus the
-/// checkpoint cache for warm starts. Built once per
+/// The trained cluster phase: medoid series for assignment plus one
+/// checkpoint per cluster for warm starts. Built once per
 /// [`crate::cohort::run_cohort_sharded`] run by [`plan_clusters`];
 /// read-only afterwards, shared across shard jobs.
 #[derive(Debug, Clone)]
@@ -236,12 +82,9 @@ pub struct ClusterPlan {
     pub medoid_ids: Vec<usize>,
     /// Epochs each individual fine-tunes from its cluster checkpoint.
     pub fine_tune_epochs: usize,
-    /// The cluster-checkpoint cache.
-    pub cache: ClusterCheckpointCache,
+    /// Cluster `c`'s trained parameters at index `c`.
+    checkpoints: Vec<Arc<Checkpoint>>,
     medoid_series: Vec<Vec<f64>>,
-    metric: SeriesMetric,
-    model_key: String,
-    outcome: String,
 }
 
 impl ClusterPlan {
@@ -257,23 +100,22 @@ impl ClusterPlan {
     #[must_use]
     pub fn assign(&self, train: &Tensor) -> usize {
         let flat = flatten_series(train);
-        argmin_distance(
-            self.medoid_series
-                .iter()
-                .map(|m| series_distance(&flat, m, self.metric)),
-        )
+        argmin_distance(self.medoid_series.iter().map(|m| series_distance(&flat, m)))
     }
 
-    /// The cluster's checkpoint (a cache hit by construction).
+    /// The cluster's checkpoint, counted as a `cluster.cache_hits`
+    /// lookup.
     ///
     /// # Panics
-    /// Panics if the cluster was never trained — [`plan_clusters`]
-    /// fills every cluster, so this indicates a corrupted plan.
+    /// Panics if `cluster` is not one of the plan's clusters.
     #[must_use]
     pub fn checkpoint(&self, cluster: usize) -> Arc<Checkpoint> {
-        self.cache
-            .get(&self.model_key, &self.outcome, cluster)
-            .expect("every planned cluster has a cached checkpoint")
+        let ckpt = self
+            .checkpoints
+            .get(cluster)
+            .expect("every planned cluster has a checkpoint");
+        ema_obs::recorder().inc_counter("cluster.cache_hits", 1);
+        Arc::clone(ckpt)
     }
 }
 
@@ -282,7 +124,7 @@ impl ClusterPlan {
 /// individuals, cluster their training-split series with seeded
 /// K-medoids, train one model per cluster on the medoid individuals
 /// (one shard of the runner body, each medoid trained exactly as its
-/// idiographic run for `cluster_epochs` epochs), and cache the
+/// idiographic run for `cluster_epochs` epochs), and keep the
 /// resulting checkpoints.
 ///
 /// # Panics
@@ -302,9 +144,6 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
     let n = generator.config().num_individuals;
     assert!(n > 0, "cannot cluster an empty study");
     let k = k.clamp(1, n);
-    let metric = SeriesMetric::DtwBanded {
-        band: SERIES_DTW_BAND,
-    };
 
     let _span = span!(
         "cluster_plan",
@@ -334,7 +173,7 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
             })
             .collect()
     };
-    let distances = pairwise_series_distances(&rep_series, metric);
+    let distances = pairwise_series_distances(&rep_series);
     let clustering = k_medoids(
         &distances,
         k,
@@ -349,10 +188,7 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         .collect();
 
     // Train one model per cluster on its medoid individual.
-    let model_key = spec.model.label().to_string();
-    let outcome = outcome_key(spec);
-    let mut cache = ClusterCheckpointCache::new();
-    {
+    let checkpoints = {
         let _t = span!("cluster_train", clusters = k);
         let medoids: Vec<Individual> = medoid_ids
             .iter()
@@ -362,23 +198,18 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         cluster_spec.train_config.epochs = cluster_epochs;
         cluster_spec.train_config.warm_start = None;
         let trained = train_shard(medoids.iter().map(|m| (m.id, &m.data)), &cluster_spec, None);
-        for cluster in 0..medoids.len() {
-            // The miss records this cluster's training in the
-            // cache-counter ledger (misses = trainings).
-            assert!(cache.get(&model_key, &outcome, cluster).is_none());
-            let ckpt = Arc::new(Checkpoint::capture(trained.models.get(cluster).params()));
-            cache.insert(&model_key, &outcome, cluster, ckpt);
-        }
-    }
+        // One miss per cluster trained (misses = trainings).
+        ema_obs::recorder().inc_counter("cluster.cache_misses", medoids.len() as u64);
+        (0..medoids.len())
+            .map(|cluster| Arc::new(Checkpoint::capture(trained.models.get(cluster).params())))
+            .collect()
+    };
 
     ClusterPlan {
         medoid_ids,
         fine_tune_epochs,
-        cache,
+        checkpoints,
         medoid_series,
-        metric,
-        model_key,
-        outcome,
     }
 }
 
@@ -417,7 +248,7 @@ mod tests {
         let b = plan_clusters(&generator, &spec);
         assert_eq!(a.medoid_ids, b.medoid_ids);
         assert_eq!(a.clusters(), 2);
-        assert_eq!(a.cache.len(), 2);
+        assert_eq!(a.checkpoints.len(), 2);
         for c in 0..a.clusters() {
             let x = a.checkpoint(c);
             let y = b.checkpoint(c);
@@ -448,18 +279,6 @@ mod tests {
         };
         let plan = plan_clusters(&generator, &spec);
         assert_eq!(plan.clusters(), 2);
-    }
-
-    #[test]
-    fn cache_round_trips_through_json() {
-        let generator = generator();
-        let spec = warm_spec(ModelKind::Lstm, GraphSpec::None);
-        let plan = plan_clusters(&generator, &spec);
-        let json = plan.cache.to_json();
-        let parsed = ClusterCheckpointCache::from_json(&json).unwrap();
-        assert_eq!(parsed.len(), plan.cache.len());
-        // Byte-identical re-serialisation: bit-exact f64 all the way.
-        assert_eq!(parsed.to_json(), json);
     }
 
     /// The per-individual oracle of the warm path: `run_individual`

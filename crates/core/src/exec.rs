@@ -3,13 +3,10 @@
 //! The paper's workload is embarrassingly parallel — one personalized
 //! model per individual, trained independently (Eq. 1 averages
 //! per-individual MSE) — so a cohort run is a list of independent
-//! [`Job`]s, not a hand-rolled `for` loop. An [`Executor`] schedules
-//! those jobs on one of two zero-dependency backends:
-//!
-//! * [`Backend::Sequential`] — jobs run in order on the caller's
-//!   thread;
-//! * [`Backend::ThreadPool`] — a `std::thread::scope` work queue with a
-//!   fixed worker count.
+//! [`Job`]s, not a hand-rolled `for` loop. An [`Executor`] pulls those
+//! jobs from one shared queue with a fixed worker count: one worker
+//! runs them in order on the calling thread, more run on
+//! `std::thread::scope` workers. Both run the same worker loop.
 //!
 //! Results always come back **in job order**, and every random stream a
 //! job consumes is derived up front from `(run seed, job id)` via
@@ -99,22 +96,11 @@ impl std::fmt::Display for JobError {
 /// What one job produced: its output, or the panic that killed it.
 pub type JobResult<T> = Result<T, JobError>;
 
-/// The two scheduling strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Jobs run in order on the calling thread.
-    Sequential,
-    /// Jobs are pulled from a shared queue by `threads` workers.
-    ThreadPool {
-        /// Worker count (≥ 2; 1 collapses to `Sequential`).
-        threads: usize,
-    },
-}
-
-/// Schedules [`Job`]s on a [`Backend`]; see the module docs.
+/// Schedules [`Job`]s on a fixed number of workers; see the module
+/// docs.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
-    backend: Backend,
+    threads: usize,
 }
 
 /// Process-wide `--threads` override; 0 means "not set".
@@ -157,26 +143,18 @@ impl Executor {
     /// An executor that runs jobs in order on the calling thread.
     #[must_use]
     pub fn sequential() -> Self {
-        Self {
-            backend: Backend::Sequential,
-        }
+        Self { threads: 1 }
     }
 
-    /// An executor with exactly `threads` workers (1 collapses to the
-    /// sequential backend — same results either way).
+    /// An executor with exactly `threads` workers (1 runs every job on
+    /// the calling thread — same results either way).
     ///
     /// # Panics
     /// Panics if `threads` is 0.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads > 0, "an executor needs at least one thread");
-        if threads == 1 {
-            Self::sequential()
-        } else {
-            Self {
-                backend: Backend::ThreadPool { threads },
-            }
-        }
+        Self { threads }
     }
 
     /// The environment-configured executor ([`default_threads`]).
@@ -185,64 +163,51 @@ impl Executor {
         Self::with_threads(default_threads())
     }
 
-    /// The configured worker count (1 for the sequential backend).
+    /// The configured worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
-        match self.backend {
-            Backend::Sequential => 1,
-            Backend::ThreadPool { threads } => threads,
-        }
-    }
-
-    /// The scheduling strategy in use.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        self.threads
     }
 
     /// Runs every job and returns the results **in job order**. A
     /// panicking job becomes a [`JobError`] in its slot; the remaining
-    /// jobs still run.
+    /// jobs still run. One worker runs the queue on the calling thread
+    /// (no spawn, no pool hand-off); more workers run on scoped
+    /// threads, at most one per job.
     pub fn run<T: Send>(&self, jobs: Vec<Job<'_, T>>) -> Vec<JobResult<T>> {
-        match self.backend {
-            Backend::Sequential => {
-                let recorder = ema_obs::recorder();
-                let loop_start = recorder.elapsed_ns();
-                let mut busy_ns = 0u64;
-                let mut jobs_run = 0u64;
-                let n = jobs.len();
-                let results = jobs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, job)| {
-                        recorder.set_gauge("exec.queue_depth", (n - 1 - i) as f64);
-                        let (result, job_ns) = execute_job(job, 0);
-                        busy_ns += job_ns;
-                        jobs_run += 1;
-                        result
-                    })
-                    .collect();
-                let total_ns = recorder.elapsed_ns().saturating_sub(loop_start);
-                publish_worker_utilization(recorder, 0, jobs_run, busy_ns, total_ns);
-                results
-            }
-            Backend::ThreadPool { threads } => run_pool(jobs, threads),
+        let n = jobs.len();
+        // Each job sits in its own slot so a worker takes ownership
+        // without contending on one queue lock for the whole run.
+        let queue: Vec<Mutex<Option<Job<'_, T>>>> =
+            jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+        let slots: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        if self.threads == 1 {
+            worker_loop(0, &queue, &slots, &next);
+        } else {
+            std::thread::scope(|scope| {
+                for worker in 0..self.threads.min(n) {
+                    let (queue, slots, next) = (&queue, &slots, &next);
+                    scope.spawn(move || {
+                        // Scoped workers die with every run, so warm
+                        // tensor-pool buffers are handed across runs via
+                        // the shelf: adopt a parked pool on the way in,
+                        // park ours on the way out.
+                        ema_tensor::pool::adopt_stashed();
+                        worker_loop(worker, queue, slots, next);
+                        ema_tensor::pool::stash_local();
+                    });
+                }
+            });
         }
-    }
-
-    /// Fans `f` out over `0..count` as jobs labelled
-    /// `<label>_<index>`, returning results in index order.
-    pub fn map<T, F>(&self, count: usize, label: &str, f: F) -> Vec<JobResult<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Send + Sync,
-    {
-        let f = &f;
-        self.run(
-            (0..count)
-                .map(|i| Job::new(format!("{label}_{i}"), move || f(i)))
-                .collect(),
-        )
+        slots
+            .into_iter()
+            .map(|slot| {
+                lock(&slot)
+                    .take()
+                    .expect("every job slot is filled before the run ends")
+            })
+            .collect()
     }
 }
 
@@ -342,66 +307,39 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The thread-pool backend: a shared index queue over scoped threads.
-fn run_pool<T: Send>(jobs: Vec<Job<'_, T>>, threads: usize) -> Vec<JobResult<T>> {
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = threads.min(n);
-    // Each job sits in its own slot so a worker takes ownership without
-    // contending on one queue lock for the whole run.
-    let queue: Vec<Mutex<Option<Job<'_, T>>>> =
-        jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let slots: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let queue = &queue;
-            let slots = &slots;
-            let next = &next;
-            scope.spawn(move || {
-                // Scoped workers die with every run, so warm tensor-pool
-                // buffers are handed across runs via the shelf: adopt a
-                // parked pool on the way in, park ours on the way out.
-                ema_tensor::pool::adopt_stashed();
-                let recorder = ema_obs::recorder();
-                let loop_start = recorder.elapsed_ns();
-                let mut busy_ns = 0u64;
-                let mut jobs_run = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    // Jobs not yet claimed by any worker; races between
-                    // workers are benign (telemetry only, last write
-                    // wins, and the gauge drains to 0 either way).
-                    recorder.set_gauge("exec.queue_depth", (n - 1 - i) as f64);
-                    let job = lock(&queue[i])
-                        .take()
-                        .expect("each job is taken exactly once");
-                    let (result, job_ns) = execute_job(job, worker);
-                    busy_ns += job_ns;
-                    jobs_run += 1;
-                    *lock(&slots[i]) = Some(result);
-                }
-                let total_ns = recorder.elapsed_ns().saturating_sub(loop_start);
-                publish_worker_utilization(recorder, worker, jobs_run, busy_ns, total_ns);
-                ema_tensor::pool::stash_local();
-            });
+/// One worker's run loop: claims the next unclaimed job from the shared
+/// index queue until none is left, fills its result slot, and publishes
+/// the worker's utilization counters when the queue is drained.
+fn worker_loop<T>(
+    worker: usize,
+    queue: &[Mutex<Option<Job<'_, T>>>],
+    slots: &[Mutex<Option<JobResult<T>>>],
+    next: &AtomicUsize,
+) {
+    let n = queue.len();
+    let recorder = ema_obs::recorder();
+    let loop_start = recorder.elapsed_ns();
+    let mut busy_ns = 0u64;
+    let mut jobs_run = 0u64;
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            lock(&slot)
-                .take()
-                .expect("every job slot is filled before the scope ends")
-        })
-        .collect()
+        // Jobs not yet claimed by any worker; races between workers
+        // are benign (telemetry only, last write wins, and the gauge
+        // drains to 0 either way).
+        recorder.set_gauge("exec.queue_depth", (n - 1 - i) as f64);
+        let job = lock(&queue[i])
+            .take()
+            .expect("each job is taken exactly once");
+        let (result, job_ns) = execute_job(job, worker);
+        busy_ns += job_ns;
+        jobs_run += 1;
+        *lock(&slots[i]) = Some(result);
+    }
+    let total_ns = recorder.elapsed_ns().saturating_sub(loop_start);
+    publish_worker_utilization(recorder, worker, jobs_run, busy_ns, total_ns);
 }
 
 #[cfg(test)]
@@ -488,15 +426,28 @@ mod tests {
 
     #[test]
     fn map_labels_by_index() {
-        let out = Executor::with_threads(2).map(4, "ind", |i| i + 10);
+        let jobs = (0..4)
+            .map(|i| Job::new(format!("ind_{i}"), move || i + 10))
+            .collect();
+        let out = Executor::with_threads(2).run(jobs);
         let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, vec![10, 11, 12, 13]);
     }
 
     #[test]
     fn single_thread_collapses_to_sequential() {
-        assert_eq!(Executor::with_threads(1).backend(), Backend::Sequential);
-        assert_eq!(Executor::with_threads(1).threads(), 1);
+        // One worker runs every job on the calling thread; more run on
+        // spawned workers.
+        let caller = std::thread::current().id();
+        let on_thread = |threads: usize| -> Vec<std::thread::ThreadId> {
+            let jobs = (0..5)
+                .map(|i| Job::new(format!("t_{i}"), || std::thread::current().id()))
+                .collect();
+            expect_all(Executor::with_threads(threads).run(jobs), "thread ids")
+        };
+        assert!(on_thread(1).iter().all(|&id| id == caller));
+        assert_eq!(Executor::sequential().threads(), 1);
+        assert!(on_thread(2).iter().all(|&id| id != caller));
         assert_eq!(Executor::with_threads(6).threads(), 6);
     }
 
@@ -548,7 +499,10 @@ mod tests {
         // dataset); the scoped pool makes the lifetime work.
         let data = vec![1.0_f64, 2.0, 4.0];
         let data = &data;
-        let out = Executor::with_threads(2).map(3, "borrow", |i| data[i] * 2.0);
+        let jobs = (0..3)
+            .map(|i| Job::new(format!("borrow_{i}"), move || data[i] * 2.0))
+            .collect();
+        let out = Executor::with_threads(2).run(jobs);
         let values: Vec<f64> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, vec![2.0, 4.0, 8.0]);
     }

@@ -48,10 +48,10 @@ pub mod results;
 pub mod train;
 
 pub use checkpoint::Checkpoint;
-pub use cluster::{plan_clusters, ClusterCheckpointCache, ClusterPlan, TrainStrategy};
+pub use cluster::{plan_clusters, ClusterPlan, TrainStrategy};
 pub use cohort::run_cohort_sharded;
 pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};
-pub use exec::{Backend, Executor, Job, JobError, JobResult};
+pub use exec::{Executor, Job, JobError, JobResult};
 pub use json::{Json, JsonError};
 pub use pipeline::{
     graph_for_individual, run_cohort, run_cohort_with, run_individual, GraphSpec,

@@ -5,7 +5,7 @@ use crate::checkpoint::Checkpoint;
 use ema_autodiff::{Grads, Tape, Var};
 use ema_data::WindowedData;
 use ema_models::{CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
-use ema_nn::{global_grad_norm, Adam, Binding, Optimizer, OptimizerConfig};
+use ema_nn::{Adam, Binding, Optimizer, OptimizerConfig};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
 use ema_tensor::{KernelBackend, Rng64, Tensor};
@@ -106,24 +106,6 @@ impl TrainReport {
     #[must_use]
     pub fn final_loss_or(&self, default: f64) -> f64 {
         self.losses.last().copied().unwrap_or(default)
-    }
-
-    /// The first epoch's loss.
-    ///
-    /// # Panics
-    /// Panics if no epochs ran.
-    #[must_use]
-    pub fn initial_loss(&self) -> f64 {
-        self.losses[0]
-    }
-
-    /// The last epoch's pre-clip global gradient norm.
-    ///
-    /// # Panics
-    /// Panics if no epochs ran.
-    #[must_use]
-    pub fn final_grad_norm(&self) -> f64 {
-        *self.grad_norms.last().expect("at least one epoch")
     }
 }
 
@@ -320,8 +302,7 @@ pub fn train_cohort<M: CohortForecaster>(
             let i = active[pos];
             let (config, m) = (&configs[i], &mut members[i]);
             let loss = tape.value(loss_vars[pos]).data()[0];
-            let grad_norm = global_grad_norm(&bindings[pos], &grads);
-            adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
+            let grad_norm = adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
             m.losses.push(loss);
             m.grad_norms.push(grad_norm);
             point!(
@@ -447,9 +428,9 @@ mod tests {
         let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
         let report = train_model(&mut model, &windows, &TrainConfig::quick(80, 1));
         assert!(
-            report.final_loss() < report.initial_loss() * 0.5,
+            report.final_loss() < report.losses[0] * 0.5,
             "loss {} -> {}",
-            report.initial_loss(),
+            report.losses[0],
             report.final_loss()
         );
     }
@@ -466,7 +447,7 @@ mod tests {
         assert!(report.early_stopped);
         assert_eq!(report.losses.len(), report.epochs_run);
         assert_eq!(report.grad_norms.len(), report.epochs_run);
-        assert!(report.final_grad_norm().is_finite());
+        assert!(report.grad_norms.iter().all(|g| g.is_finite()));
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl AdjacencyMatrix {
         self.weights.row_sums()
     }
 
-    /// In-degree (weighted) of each node.
-    #[must_use]
-    pub fn in_degrees(&self) -> Tensor {
-        self.weights.col_sums()
-    }
-
     /// Rescales weights so the maximum edge weight is 1 (no-op for an
     /// empty graph).
     #[must_use]
@@ -206,7 +200,6 @@ mod tests {
         a.set_weight(0, 2, 2.0);
         a.set_weight(1, 2, 4.0);
         assert_eq!(a.out_degrees().data(), &[3.0, 4.0, 0.0]);
-        assert_eq!(a.in_degrees().data(), &[0.0, 1.0, 6.0]);
     }
 
     #[test]

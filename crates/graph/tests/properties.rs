@@ -2,9 +2,7 @@
 
 use ema_check::{gen, prop_assert, prop_assert_eq, prop_tests};
 use ema_graph::chebyshev::chebyshev_from_adjacency;
-use ema_graph::normalize::{
-    gcn_norm, laplacian, normalized_laplacian, row_norm_self_loops, spectral_radius,
-};
+use ema_graph::normalize::{gcn_norm, normalized_laplacian, row_norm_self_loops, spectral_radius};
 use ema_graph::random::random_with_edge_count;
 use ema_graph::sparsify::{sparsify_to_density, top_k_per_row};
 use ema_graph::stats::edge_weight_correlation;
@@ -83,13 +81,6 @@ prop_tests! {
             prop_assert!((r.row(i).sum() - 1.0).abs() < 1e-9);
         }
         prop_assert!(r.data().iter().all(|&v| v >= 0.0));
-    }
-
-    fn laplacian_rows_sum_to_zero(g in graph) {
-        let l = laplacian(&g);
-        for i in 0..g.num_nodes() {
-            prop_assert!(l.row(i).sum().abs() < 1e-9);
-        }
     }
 
     fn normalized_laplacian_spectrum_in_zero_two(g in symmetric_graph) {

@@ -7,6 +7,7 @@
 //! per-node head maps to the 1-lag prediction.
 
 use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::config::DROPOUT;
 use crate::gcn::{gcn_layer, gcn_layer_grouped};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
@@ -43,7 +44,6 @@ pub struct A3tgcn {
     head_b: ParamId, // [1]
     a_hat: Tensor,   // symmetric GCN normalisation of the input graph
     hidden: usize,
-    dropout: f64,
     use_attention: bool,
     num_variables: usize,
 }
@@ -100,7 +100,6 @@ impl A3tgcn {
             head_b,
             a_hat: normalize::gcn_norm(graph),
             hidden,
-            dropout: config.dropout,
             use_attention,
             num_variables,
         }
@@ -228,7 +227,7 @@ impl Forecaster for A3tgcn {
         } else {
             *states.last().expect("non-empty window")
         };
-        let dropped = tape.dropout(ctx_state, self.dropout, ctx.training, ctx.rng);
+        let dropped = tape.dropout(ctx_state, DROPOUT, ctx.training, ctx.rng);
         let pred = tape.linear(dropped, binding.var(self.head_w), binding.var(self.head_b)); // [V, 1]
         tape.flatten(pred)
     }
@@ -290,8 +289,7 @@ impl CohortForecaster for A3tgcn {
         };
         // Each individual's [W_b·V, H] mask rows come from its own
         // stream in the per-window (window-major) draw order.
-        let rates = group.iter().map(|m| m.dropout);
-        let dropped = cohort_dropout(tape, ctx_state, rates, group_wins, v, ctx);
+        let dropped = cohort_dropout(tape, ctx_state, group_wins, v, ctx);
         let heads = each_member(group, bindings, |m, bind| {
             (bind.var(m.head_w), bind.var(m.head_b))
         });

@@ -12,6 +12,7 @@
 //! 4. a per-node affine head emits the 1-lag prediction.
 
 use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::config::{CHEB_ORDER, DROPOUT, KERNEL};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{chebyshev, AdjacencyMatrix};
@@ -39,7 +40,6 @@ pub struct Astgcn {
     head_b: ParamId,   // [1]
     cheb: Vec<Tensor>, // T_k(L̃) constants
     seq_len: usize,
-    dropout: f64,
     use_spatial_attention: bool,
     num_variables: usize,
 }
@@ -92,14 +92,13 @@ impl Astgcn {
         let ta_p1 = store.register("ta.p1", init.init(&[num_variables, d], &mut rng));
         let ta_p2 = store.register("ta.p2", init.init(&[num_variables, d], &mut rng));
 
-        let k = config.kernel.clamp(1, 3);
-        let cheb_w = (0..k)
+        let cheb_w = (0..CHEB_ORDER)
             .map(|i| store.register(format!("cheb.w{i}"), init.init(&[f, 1], &mut rng)))
             .collect();
         let cheb_b = store.register("cheb.b", Initializer::Zeros.init(&[f], &mut rng));
 
-        let t_kernel = config.kernel.min(seq_len).max(1);
-        let temporal = DilatedTemporalConv::new(&mut store, "tconv", f, f, t_kernel, 1, &mut rng);
+        let t_kernel = KERNEL.min(seq_len);
+        let temporal = DilatedTemporalConv::new(&mut store, "tconv", f, f, t_kernel, &mut rng);
 
         let res_w = store.register("res.w", init.init(&[f, 1], &mut rng));
         let head_w = store.register("head.w", init.init(&[1, f], &mut rng));
@@ -117,9 +116,8 @@ impl Astgcn {
             res_w,
             head_w,
             head_b,
-            cheb: chebyshev::chebyshev_from_adjacency(graph, k),
+            cheb: chebyshev::chebyshev_from_adjacency(graph, CHEB_ORDER),
             seq_len,
-            dropout: config.dropout,
             use_spatial_attention,
             num_variables,
         }
@@ -218,7 +216,7 @@ impl Forecaster for Astgcn {
         let x_last = tape.slice_cols(x, s - 1, s); // [V, 1] raw input
         let residual = tape.matmul_nt(x_last, binding.var(self.res_w)); // [V, F]
         let combined = tape.add(conv_last, residual);
-        let dropped = tape.dropout(combined, self.dropout, ctx.training, ctx.rng);
+        let dropped = tape.dropout(combined, DROPOUT, ctx.training, ctx.rng);
         let pred = tape.linear(dropped, binding.var(self.head_w), binding.var(self.head_b));
         tape.flatten(pred) // [V]
     }
@@ -342,8 +340,7 @@ impl CohortForecaster for Astgcn {
         let combined = tape.add(conv_last, residual);
         // Each individual's [W_b·V, F] mask rows come from its own
         // stream in the per-window (window-major) draw order.
-        let rates = group.iter().map(|m| m.dropout);
-        let dropped = cohort_dropout(tape, combined, rates, group_wins, v, ctx);
+        let dropped = cohort_dropout(tape, combined, group_wins, v, ctx);
         let heads = each_member(group, bindings, |m, bind| {
             (bind.var(m.head_w), bind.var(m.head_b))
         });

@@ -17,6 +17,7 @@
 //! outer, then the exact per-window draw sequence. Batching windows or
 //! individuals never changes numbers.
 
+use crate::config::DROPOUT;
 use crate::Forecaster;
 use ema_autodiff::{Tape, Var};
 use ema_nn::Binding;
@@ -290,60 +291,41 @@ pub(crate) fn each_member<'a, M, T>(
     group.iter().zip(bindings).map(move |(m, bind)| f(m, bind))
 }
 
-/// Grouped dropout over a cohort row stack, bit-identical per window
-/// to `Tape::dropout` on that window alone. `rates` yields one rate per
-/// group; group `b` spans `group_wins[b]` window blocks of `block_rows`
-/// rows.
+/// Grouped dropout at the paper's rate over a cohort row stack,
+/// bit-identical per window to `Tape::dropout` on that window alone.
+/// Group `b` spans `group_wins[b]` window blocks of `block_rows` rows.
 ///
-/// - not training, or every rate zero → identity (no tape node, no
-///   draws), matching `Tape::dropout`'s pass-through;
-/// - otherwise one `[Σ rows, cols]` mask is built individual-major.
-///   A rate-zero group's rows are filled with `1.0` (exact identity
-///   under `mul`, zero draws); an active group draws its
-///   `W_b · block_rows · cols` Bernoullis row-major from **its own**
-///   stream — window-major, the exact per-window draw sequence.
+/// - not training → identity (no tape node, no draws), matching
+///   `Tape::dropout`'s pass-through;
+/// - otherwise one `[Σ rows, cols]` mask is built individual-major:
+///   group `b` draws its `W_b · block_rows · cols` Bernoullis row-major
+///   from **its own** stream — window-major, the exact per-window draw
+///   sequence.
 ///
 /// # Panics
-/// Panics when the group counts disagree or a rate is outside `[0, 1)`.
-pub fn cohort_dropout(
+/// Panics when the group counts disagree.
+pub(crate) fn cohort_dropout(
     tape: &Tape,
     a: Var,
-    rates: impl Iterator<Item = f64> + Clone,
     group_wins: &[usize],
     block_rows: usize,
     ctx: &mut CohortCtx,
 ) -> Var {
-    assert_eq!(
-        rates.clone().count(),
-        group_wins.len(),
-        "one dropout rate per group"
-    );
     assert_eq!(group_wins.len(), ctx.rngs.len(), "one RNG stream per group");
-    for (b, rate) in rates.clone().enumerate() {
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "group {b} dropout rate {rate} outside [0, 1)"
-        );
-    }
-    if !ctx.training || rates.clone().all(|r| r == 0.0) {
+    if !ctx.training {
         return a;
     }
     let cols = tape.dims(a)[1];
     let total: usize = group_wins.iter().sum::<usize>() * block_rows;
+    let keep = 1.0 - DROPOUT;
     let mut mask = Tensor::zeros(&[total, cols]);
     let data = mask.data_mut();
     let mut off = 0usize;
-    for ((rate, &wins), rng) in rates.zip(group_wins).zip(ctx.rngs.iter_mut()) {
+    for (&wins, rng) in group_wins.iter().zip(ctx.rngs.iter_mut()) {
         let rows = wins * block_rows;
-        let block = &mut data[off * cols..(off + rows) * cols];
-        if rate == 0.0 {
-            block.fill(1.0);
-        } else {
-            let keep = 1.0 - rate;
-            for v in block.iter_mut() {
-                if rng.bernoulli(keep) {
-                    *v = 1.0 / keep;
-                }
+        for v in &mut data[off * cols..(off + rows) * cols] {
+            if rng.bernoulli(keep) {
+                *v = 1.0 / keep;
             }
         }
         off += rows;

@@ -31,7 +31,7 @@ mod var;
 
 pub use a3tgcn::A3tgcn;
 pub use astgcn::Astgcn;
-pub use cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
+pub use cohort::{CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
 pub use config::ModelConfig;
 pub use forecaster::{Forecaster, ForwardCtx, ModelKind};
 pub use gcn::{gcn_layer, mixhop_propagation};

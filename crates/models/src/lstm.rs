@@ -1,6 +1,7 @@
 //! The baseline LSTM forecaster (paper Experiment A).
 
 use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::config::DROPOUT;
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, LstmCell, ParamStore};
@@ -15,7 +16,6 @@ pub struct LstmForecaster {
     store: ParamStore,
     cell: LstmCell,
     head: Linear,
-    dropout: f64,
     num_variables: usize,
 }
 
@@ -31,7 +31,6 @@ impl LstmForecaster {
             store,
             cell,
             head,
-            dropout: config.dropout,
             num_variables,
         }
     }
@@ -77,7 +76,7 @@ impl Forecaster for LstmForecaster {
         let state = self.cell.zero_state(tape, 1);
         let states = self.cell.run_sequence(tape, binding, &xs, state);
         let last = *states.last().expect("non-empty window");
-        let dropped = tape.dropout(last, self.dropout, ctx.training, ctx.rng);
+        let dropped = tape.dropout(last, DROPOUT, ctx.training, ctx.rng);
         let pred = self.head.forward(tape, binding, dropped); // [1, V]
         tape.flatten(pred)
     }
@@ -118,8 +117,7 @@ impl CohortForecaster for LstmForecaster {
         let last = *states.last().expect("non-empty window");
         // Each individual's [W_b, H] mask is drawn row-major ==
         // window-major from its own stream.
-        let rates = group.iter().map(|m| m.dropout);
-        let dropped = cohort_dropout(tape, last, rates, batch.group_wins(), 1, ctx);
+        let dropped = cohort_dropout(tape, last, batch.group_wins(), 1, ctx);
         let heads = each_member(group, bindings, |m, bind| (&m.head, bind));
         Linear::forward_grouped(heads, tape, dropped, batch.group_wins()) // [Σ W_b, V]
     }

@@ -15,6 +15,7 @@
 //! * an output module mapping skip features to the 1-lag prediction.
 
 use crate::cohort::{each_member, CohortBatch, CohortCtx, CohortForecaster};
+use crate::config::{DROPOUT, GRAPH_ALPHA, KERNEL, MIXHOP_BETA, MIXHOP_DEPTH};
 use crate::gcn::{mixhop_propagation, mixhop_propagation_grouped};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
@@ -64,11 +65,7 @@ pub struct Mtgnn {
     end_w2: ParamId, // [1, C]
     end_b2: ParamId, // [1]
     // Hyper-parameters.
-    alpha: f64,
     top_k: usize,
-    beta: f64,
-    depth: usize,
-    dropout: f64,
     seq_len: usize,
     num_variables: usize,
 }
@@ -95,32 +92,9 @@ impl Mtgnn {
         )
     }
 
-    /// [`Mtgnn::new`] with graph learning optionally disabled (ablation:
-    /// the model then propagates over the static prior alone, which must
-    /// be provided).
-    ///
-    /// # Panics
-    /// Panics if graph learning is disabled without a static graph, or
-    /// on a node-count mismatch.
-    #[must_use]
-    pub fn with_options(
-        num_variables: usize,
-        seq_len: usize,
-        initial_graph: Option<&AdjacencyMatrix>,
-        config: &ModelConfig,
-        learn_graph: bool,
-    ) -> Self {
-        Self::with_learner(
-            num_variables,
-            seq_len,
-            initial_graph,
-            config,
-            learn_graph,
-            GraphLearnerKind::Embedding,
-        )
-    }
-
-    /// [`Mtgnn::with_options`] with an explicit graph-learner kind.
+    /// [`Mtgnn::new`] with an explicit graph-learner kind and graph
+    /// learning optionally disabled (ablation: the model then
+    /// propagates over the static prior alone, which must be provided).
     ///
     /// # Panics
     /// Panics if graph learning is disabled without a static graph, or
@@ -172,9 +146,9 @@ impl Mtgnn {
         let start_b = store.register("start.b", Initializer::Zeros.init(&[c], &mut rng));
 
         // Two blocks with kernels clamped to the shrinking sequence.
-        let k1 = config.kernel.min(seq_len).max(1);
+        let k1 = KERNEL.min(seq_len);
         let len1 = seq_len - (k1 - 1);
-        let k2 = config.kernel.min(len1).max(1);
+        let k2 = KERNEL.min(len1);
         let mut blocks = Vec::new();
         for (b, k) in [(0usize, k1), (1usize, k2)] {
             let filter = DilatedTemporalConv::new(
@@ -183,19 +157,11 @@ impl Mtgnn {
                 c,
                 c,
                 k,
-                1,
                 &mut rng,
             );
-            let gate = DilatedTemporalConv::new(
-                &mut store,
-                &format!("block{b}.gate"),
-                c,
-                c,
-                k,
-                1,
-                &mut rng,
-            );
-            let mixhop = (0..=config.mixhop_depth)
+            let gate =
+                DilatedTemporalConv::new(&mut store, &format!("block{b}.gate"), c, c, k, &mut rng);
+            let mixhop = (0..=MIXHOP_DEPTH)
                 .map(|h| {
                     store.register(format!("block{b}.mixhop{h}"), init.init(&[c, c], &mut rng))
                 })
@@ -231,14 +197,10 @@ impl Mtgnn {
             end_b1,
             end_w2,
             end_b2,
-            alpha: config.graph_alpha,
             top_k: config
                 .graph_top_k
                 .min(num_variables.saturating_sub(1))
                 .max(1),
-            beta: config.mixhop_beta,
-            depth: config.mixhop_depth,
-            dropout: config.dropout,
             seq_len,
             num_variables,
         }
@@ -253,11 +215,11 @@ impl Mtgnn {
                 let e2 = self.store.value(self.e2);
                 let m1 = self.store.value(self.m1);
                 let m2 = self.store.value(self.m2);
-                let t1 = e1.matmul(m1).scale(self.alpha).tanh();
-                let t2 = e2.matmul(m2).scale(self.alpha).tanh();
+                let t1 = e1.matmul(m1).scale(GRAPH_ALPHA).tanh();
+                let t2 = e2.matmul(m2).scale(GRAPH_ALPHA).tanh();
                 let a0 = t1.matmul_nt(&t2);
                 let asym = a0.sub(&a0.transpose());
-                asym.scale(self.alpha).tanh().relu()
+                asym.scale(GRAPH_ALPHA).tanh().relu()
             }
             GraphLearnerKind::Direct => self.store.value(self.direct_logits).sigmoid(),
         };
@@ -294,18 +256,18 @@ impl Mtgnn {
                 // tanh(α E₁M₁)·tanh(α E₂M₂)ᵀ, antisymmetrised.
                 let e1m1 = tape.matmul(binding.var(self.e1), binding.var(self.m1));
                 let t1 = {
-                    let scaled = tape.scale(e1m1, self.alpha);
+                    let scaled = tape.scale(e1m1, GRAPH_ALPHA);
                     tape.tanh(scaled)
                 };
                 let e2m2 = tape.matmul(binding.var(self.e2), binding.var(self.m2));
                 let t2 = {
-                    let scaled = tape.scale(e2m2, self.alpha);
+                    let scaled = tape.scale(e2m2, GRAPH_ALPHA);
                     tape.tanh(scaled)
                 };
                 let a0 = tape.matmul_nt(t1, t2);
                 let a0t = tape.transpose(a0);
                 let asym = tape.sub(a0, a0t);
-                let scaled = tape.scale(asym, self.alpha);
+                let scaled = tape.scale(asym, GRAPH_ALPHA);
                 let th = tape.tanh(scaled);
                 tape.relu(th)
             }
@@ -337,23 +299,14 @@ impl Mtgnn {
     /// individual-major. Each individual's rows are drawn from its
     /// *own* stream in the per-window order — windows outermost, then
     /// blocks, then the block's gated steps, each a row-major `[V, C]`
-    /// draw — exactly the sequence its per-window forward consumes. A
-    /// rate-0 individual's rows are filled with 1.0 and consume zero
-    /// draws, matching `Tape::dropout`'s passthrough. Returns `None`
-    /// when no individual drops out (or in eval mode).
+    /// draw — exactly the sequence its per-window forward consumes.
+    /// Returns `None` in eval mode.
     fn predraw_masks(
         group: &[&Self],
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
     ) -> Option<Vec<Vec<Tensor>>> {
-        for (b, m) in group.iter().enumerate() {
-            assert!(
-                (0.0..1.0).contains(&m.dropout),
-                "individual {b}: dropout rate must be in [0, 1), got {}",
-                m.dropout
-            );
-        }
-        if !ctx.training || group.iter().all(|m| m.dropout == 0.0) {
+        if !ctx.training {
             return None;
         }
         let first = group[0];
@@ -370,17 +323,9 @@ impl Mtgnn {
             .iter()
             .map(|&l| (0..l).map(|_| Tensor::zeros(&[total * v, c])).collect())
             .collect();
-        for (b, (m, &wins)) in group.iter().zip(batch.group_wins()).enumerate() {
+        let keep = 1.0 - DROPOUT;
+        for (b, &wins) in batch.group_wins().iter().enumerate() {
             let off = batch.offset(b);
-            if m.dropout == 0.0 {
-                for (block_masks, &l) in masks.iter_mut().zip(&lens) {
-                    for mask in block_masks.iter_mut().take(l) {
-                        mask.data_mut()[off * v * c..(off + wins) * v * c].fill(1.0);
-                    }
-                }
-                continue;
-            }
-            let keep = 1.0 - m.dropout;
             let rng = &mut ctx.rngs[b];
             for w in 0..wins {
                 for (block_masks, &l) in masks.iter_mut().zip(&lens) {
@@ -458,7 +403,7 @@ impl Forecaster for Mtgnn {
                 .zip(gate.iter())
                 .map(|(&f, &g)| {
                     let gt = tape.gated_tanh(f, g);
-                    tape.dropout(gt, self.dropout, ctx.training, ctx.rng)
+                    tape.dropout(gt, DROPOUT, ctx.training, ctx.rng)
                 })
                 .collect();
             // Skip connection from the block's last gated step.
@@ -474,7 +419,7 @@ impl Forecaster for Mtgnn {
             let weights: Vec<Var> = block.mixhop.iter().map(|&w| binding.var(w)).collect();
             let mut next = Vec::with_capacity(z.len());
             for (t, &zt) in z.iter().enumerate() {
-                let g = mixhop_propagation(tape, a_hat, zt, &weights, self.beta, self.depth);
+                let g = mixhop_propagation(tape, a_hat, zt, &weights, MIXHOP_BETA, MIXHOP_DEPTH);
                 let res = seq[t + shrink];
                 next.push(tape.add(g, res));
             }
@@ -526,14 +471,6 @@ impl CohortForecaster for Mtgnn {
                 "individual {b}: MTGNN was built for seq_len {} but got {}",
                 model.seq_len,
                 batch.seq_len()
-            );
-            assert_eq!(
-                model.depth, first.depth,
-                "individual {b}: cohort models must share the mix-hop depth"
-            );
-            assert!(
-                model.beta == first.beta,
-                "individual {b}: cohort models must share the mix-hop beta"
             );
         }
         let v = batch.num_vars();
@@ -605,8 +542,8 @@ impl CohortForecaster for Mtgnn {
                     a_hats.iter().copied(),
                     zt,
                     hop_weights,
-                    first.beta,
-                    first.depth,
+                    MIXHOP_BETA,
+                    MIXHOP_DEPTH,
                     group_wins,
                     v,
                 );
@@ -723,7 +660,14 @@ mod tests {
     #[test]
     fn static_only_ablation_ignores_embeddings() {
         let g = ring_graph(5);
-        let model = Mtgnn::with_options(5, 3, Some(&g), &ModelConfig::tiny(7), false);
+        let model = Mtgnn::with_learner(
+            5,
+            3,
+            Some(&g),
+            &ModelConfig::tiny(7),
+            false,
+            GraphLearnerKind::Embedding,
+        );
         let mut rng = Rng64::seed_from(8);
         let window = Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng);
         assert!(model.predict(&window, &mut rng).all_finite());
@@ -732,7 +676,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a static graph")]
     fn ablation_without_graph_panics() {
-        let _ = Mtgnn::with_options(5, 3, None, &ModelConfig::tiny(0), false);
+        let _ = Mtgnn::with_learner(
+            5,
+            3,
+            None,
+            &ModelConfig::tiny(0),
+            false,
+            GraphLearnerKind::Embedding,
+        );
     }
 
     #[test]

@@ -119,8 +119,8 @@ impl TemporalAttention {
         let total_wins: usize = group_wins.iter().sum();
         let n = tape.dims(states[0])[0] / total_wins;
         // Row-averaging matrix [1, n]; shared across windows and
-        // individuals (its own gradient is never read), so the shared
-        // block-lhs op applies with wins = Σ W_b.
+        // individuals (its own gradient is never read), so it is one
+        // block-lhs group spanning all Σ W_b windows.
         let avg = tape.leaf(Tensor::filled(&[1, n], 1.0 / n as f64));
         // Each individual's vᵀ [A, 1], shared by every step as in the
         // per-window graph.
@@ -135,7 +135,7 @@ impl TemporalAttention {
                 hidden,
                 "hidden width mismatch in attention"
             );
-            let mean_h = tape.block_lhs_matmul(avg, h, total_wins); // [Σ W_b, H]
+            let mean_h = tape.group_block_lhs_matmul([avg], h, &[total_wins]); // [Σ W_b, H]
             let params = members
                 .clone()
                 .map(|(a, bind)| (bind.var(a.w), bind.var(a.b)));

@@ -1,42 +1,39 @@
-//! Dilated temporal convolution over step-indexed feature matrices.
+//! Temporal convolution over step-indexed feature matrices.
 //!
 //! The models represent a sequence as a `Vec<Var>` of `[n, channels]`
-//! matrices (one per time step). A dilated convolution with kernel `k`
-//! and dilation `d` maps step `t` to
-//! `b + Σ_{j=0..k-1} X_{t − j·d} · W_jᵀ`, shrinking the sequence by
-//! `(k − 1) · d` steps (a "valid" causal convolution, as in MTGNN/TCN).
+//! matrices (one per time step). A convolution with kernel `k` maps
+//! step `t` to `b + Σ_{j=0..k-1} X_{t − j} · W_jᵀ`, shrinking the
+//! sequence by `k − 1` steps (a "valid" causal convolution over
+//! consecutive steps, as in MTGNN/TCN).
 
 use crate::{Binding, Initializer, ParamId, ParamStore};
 use ema_autodiff::{Tape, Var};
 use ema_tensor::Rng64;
 
-/// A causal dilated 1-D convolution along the time axis.
+/// A causal 1-D convolution along the time axis.
 #[derive(Debug, Clone)]
 pub struct DilatedTemporalConv {
     taps: Vec<ParamId>, // k matrices of shape [out_c, in_c]
     bias: ParamId,      // [out_c]
     kernel: usize,
-    dilation: usize,
     in_channels: usize,
     out_channels: usize,
 }
 
 impl DilatedTemporalConv {
-    /// Registers a convolution with `kernel` taps and the given dilation.
+    /// Registers a convolution with `kernel` taps.
     ///
     /// # Panics
-    /// Panics if `kernel == 0` or `dilation == 0`.
+    /// Panics if `kernel == 0`.
     pub fn new(
         store: &mut ParamStore,
         name: &str,
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
-        dilation: usize,
         rng: &mut Rng64,
     ) -> Self {
         assert!(kernel > 0, "kernel must be positive");
-        assert!(dilation > 0, "dilation must be positive");
         let init = Initializer::XavierUniform;
         let taps = (0..kernel)
             .map(|j| {
@@ -54,7 +51,6 @@ impl DilatedTemporalConv {
             taps,
             bias,
             kernel,
-            dilation,
             in_channels,
             out_channels,
         }
@@ -64,7 +60,7 @@ impl DilatedTemporalConv {
     /// the output is shorter than the input by this amount.
     #[must_use]
     pub fn shrinkage(&self) -> usize {
-        (self.kernel - 1) * self.dilation
+        self.kernel - 1
     }
 
     /// Output channel count.
@@ -100,7 +96,7 @@ impl DilatedTemporalConv {
             // matrix is never materialized transposed.
             let mut acc: Option<Var> = None;
             for (j, &tap) in self.taps.iter().enumerate() {
-                let x = seq[t - j * self.dilation];
+                let x = seq[t - j];
                 let term = tape.matmul_nt(x, binding.var(tap));
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
@@ -118,7 +114,7 @@ impl DilatedTemporalConv {
     /// `[Σ W_b·rows, in_c]` individual-major stack of `rows`-row window
     /// blocks, and group `b`'s rows convolve with its *own* taps/bias —
     /// bit-identical per window block to the per-window forward. All
-    /// modules must share kernel, dilation, and widths.
+    /// modules must share kernel and widths.
     ///
     /// # Panics
     /// Panics if lengths/shapes mismatch or the sequence is shorter
@@ -132,10 +128,10 @@ impl DilatedTemporalConv {
     ) -> Vec<Var> {
         let mut convs = members.clone().map(|(c, _)| c);
         let first = convs.next().expect("at least one conv module");
-        let geometry = |c: &Self| (c.kernel, c.dilation, c.in_channels, c.out_channels);
+        let geometry = |c: &Self| (c.kernel, c.in_channels, c.out_channels);
         assert!(
             convs.all(|c| geometry(c) == geometry(first)),
-            "grouped conv modules must share kernel/dilation/widths"
+            "grouped conv modules must share kernel/widths"
         );
         let span = first.shrinkage();
         assert!(
@@ -148,7 +144,7 @@ impl DilatedTemporalConv {
         for t in span..seq.len() {
             let mut acc: Option<Var> = None;
             for j in 0..first.kernel {
-                let x = seq[t - j * first.dilation];
+                let x = seq[t - j];
                 let taps = members.clone().map(|(c, bind)| bind.var(c.taps[j]));
                 let term = tape.group_matmul_nt(x, taps, group_wins, block_rows);
                 acc = Some(match acc {
@@ -180,7 +176,7 @@ mod tests {
     fn output_length_shrinks_by_receptive_field() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::seed_from(0);
-        let conv = DilatedTemporalConv::new(&mut store, "c", 3, 5, 3, 2, &mut rng);
+        let conv = DilatedTemporalConv::new(&mut store, "c", 3, 5, 5, &mut rng);
         assert_eq!(conv.shrinkage(), 4);
         let tape = Tape::new();
         let binding = store.bind(&tape);
@@ -196,7 +192,7 @@ mod tests {
     fn identity_kernel_computes_moving_sum() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::seed_from(1);
-        let conv = DilatedTemporalConv::new(&mut store, "c", 1, 1, 2, 1, &mut rng);
+        let conv = DilatedTemporalConv::new(&mut store, "c", 1, 1, 2, &mut rng);
         // Force taps to 1 and bias to 0 so out_t = x_t + x_{t-1}.
         for id in store.ids() {
             let dims = store.value(id).dims().to_vec();
@@ -212,30 +208,11 @@ mod tests {
     }
 
     #[test]
-    fn dilation_skips_steps() {
-        let mut store = ParamStore::new();
-        let mut rng = Rng64::seed_from(2);
-        let conv = DilatedTemporalConv::new(&mut store, "c", 1, 1, 2, 2, &mut rng);
-        for id in store.ids() {
-            let dims = store.value(id).dims().to_vec();
-            store.load(id, Tensor::ones(&dims));
-        }
-        store.load(conv.bias, Tensor::zeros(&[1]));
-        let tape = Tape::new();
-        let binding = store.bind(&tape);
-        let seq = seq_of(&tape, &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        let out = conv.forward(&tape, &binding, &seq);
-        // out_t = x_t + x_{t-2}: [3+1, 4+2, 5+3]
-        let vals: Vec<f64> = out.iter().map(|&v| tape.value(v).data()[0]).collect();
-        assert_eq!(vals, vec![4.0, 6.0, 8.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "shorter than receptive field")]
     fn rejects_too_short_sequences() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::seed_from(3);
-        let conv = DilatedTemporalConv::new(&mut store, "c", 1, 1, 3, 3, &mut rng);
+        let conv = DilatedTemporalConv::new(&mut store, "c", 1, 1, 3, &mut rng);
         let tape = Tape::new();
         let binding = store.bind(&tape);
         let seq = seq_of(&tape, &[1.0, 2.0]);
@@ -246,7 +223,7 @@ mod tests {
     fn gradients_reach_every_tap() {
         let mut store = ParamStore::new();
         let mut rng = Rng64::seed_from(4);
-        let conv = DilatedTemporalConv::new(&mut store, "c", 2, 3, 3, 1, &mut rng);
+        let conv = DilatedTemporalConv::new(&mut store, "c", 2, 3, 3, &mut rng);
         let tape = Tape::new();
         let binding = store.bind(&tape);
         let seq: Vec<Var> = (0..5)

@@ -10,8 +10,6 @@ pub enum Initializer {
     /// Xavier/Glorot uniform: `U(±sqrt(6 / (fan_in + fan_out)))`.
     /// The default for weight matrices.
     XavierUniform,
-    /// Uniform in a fixed symmetric range.
-    Uniform(f64),
     /// Normal with the given standard deviation.
     Normal(f64),
 }
@@ -26,7 +24,6 @@ impl Initializer {
         match self {
             Initializer::Zeros => Tensor::zeros(dims),
             Initializer::XavierUniform => Tensor::xavier_uniform(dims, rng),
-            Initializer::Uniform(bound) => Tensor::rand_uniform(dims, -bound, bound, rng),
             Initializer::Normal(std) => Tensor::rand_normal(dims, 0.0, std, rng),
         }
     }
@@ -41,14 +38,6 @@ mod tests {
         let mut rng = Rng64::seed_from(0);
         let t = Initializer::Zeros.init(&[3, 3], &mut rng);
         assert!(t.data().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn uniform_respects_bound() {
-        let mut rng = Rng64::seed_from(1);
-        let t = Initializer::Uniform(0.5).init(&[100], &mut rng);
-        assert!(t.data().iter().all(|&v| v.abs() <= 0.5));
-        assert!(t.std() > 0.1);
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub use attention::TemporalAttention;
 pub use conv::DilatedTemporalConv;
 pub use init::Initializer;
 pub use linear::Linear;
-pub use optim::{global_grad_norm, Adam, Optimizer, OptimizerConfig};
+pub use optim::{Adam, Optimizer, OptimizerConfig};
 pub use params::{Binding, ParamId, ParamStore};
 pub use rnn::{LstmCell, LstmState};

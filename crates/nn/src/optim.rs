@@ -36,19 +36,19 @@ impl OptimizerConfig {
 /// Common interface for gradient-descent optimizers.
 pub trait Optimizer {
     /// Applies one update to every parameter in `store` using the
-    /// gradients from the latest backward pass.
-    fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &Grads);
+    /// gradients from the latest backward pass, and returns the
+    /// pre-clip global L2 norm of those gradients (the training loop
+    /// records it per epoch).
+    fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &Grads) -> f64;
 
     /// Number of steps taken so far.
     fn steps(&self) -> usize;
 }
 
 /// Global L2 norm over every bound parameter's gradient — the quantity
-/// global-norm clipping compares against, exposed so the training loop
-/// can report it per epoch (obs telemetry, divergence diagnosis).
-/// Absent gradients contribute zero without materializing zero tensors.
-#[must_use]
-pub fn global_grad_norm(binding: &Binding, grads: &Grads) -> f64 {
+/// global-norm clipping compares against. Absent gradients contribute
+/// zero without materializing zero tensors.
+fn global_grad_norm(binding: &Binding, grads: &Grads) -> f64 {
     let mut sq = 0.0;
     for (_, var) in binding.iter() {
         sq += grads.get(var).map_or(0.0, Tensor::sq_sum);
@@ -56,13 +56,10 @@ pub fn global_grad_norm(binding: &Binding, grads: &Grads) -> f64 {
     sq.sqrt()
 }
 
-/// Computes the global clip factor (`<= 1`) for a gradient set.
-fn clip_factor(binding: &Binding, grads: &Grads, clip: f64) -> f64 {
-    if clip <= 0.0 {
-        return 1.0;
-    }
-    let norm = global_grad_norm(binding, grads);
-    if norm > clip {
+/// The global clip factor (`<= 1`) for a gradient set of global norm
+/// `norm`; `clip <= 0` disables clipping.
+fn clip_factor(norm: f64, clip: f64) -> f64 {
+    if clip > 0.0 && norm > clip {
         clip / norm
     } else {
         1.0
@@ -109,11 +106,12 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &Grads) {
+    fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &Grads) -> f64 {
         self.ensure_state(store);
         self.step += 1;
         let lr = self.config.learning_rate;
-        let factor = clip_factor(binding, grads, self.config.grad_clip);
+        let norm = global_grad_norm(binding, grads);
+        let factor = clip_factor(norm, self.config.grad_clip);
         let bc1 = 1.0 - self.beta1.powi(self.step as i32);
         let bc2 = 1.0 - self.beta2.powi(self.step as i32);
 
@@ -139,6 +137,7 @@ impl Optimizer for Adam {
                 param.data_mut()[j] -= lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
+        norm
     }
 
     fn steps(&self) -> usize {
@@ -179,6 +178,35 @@ mod tests {
     }
 
     #[test]
+    fn step_returns_the_pre_clip_global_norm() {
+        // Two parameters with random gradients; Adam must return the
+        // norm global-norm clipping compares against, bit for bit,
+        // whether clipping is off, binds (clip below the norm) or
+        // leaves the gradient alone (clip above it).
+        let mut rng = ema_tensor::Rng64::seed_from(17);
+        let ga = Tensor::rand_normal(&[3, 2], 0.0, 2.0, &mut rng);
+        let gb = Tensor::rand_normal(&[4], 0.0, 2.0, &mut rng);
+        let mut store = ParamStore::new();
+        let a = store.register("a", Tensor::zeros(&[3, 2]));
+        let b = store.register("b", Tensor::zeros(&[4]));
+        let tape = Tape::new();
+        let binding = store.bind(&tape);
+        let pa = tape.mul(binding.var(a), tape.leaf(ga));
+        let pb = tape.mul(binding.var(b), tape.leaf(gb));
+        let loss = tape.add(tape.sum_all(pa), tape.sum_all(pb));
+        let grads = tape.backward(loss);
+        let norm = global_grad_norm(&binding, &grads);
+        for clip in [0.0, 0.5 * norm, 2.0 * norm] {
+            let mut adam = Adam::new(OptimizerConfig {
+                learning_rate: 0.1,
+                grad_clip: clip,
+            });
+            let returned = adam.step(&mut store, &binding, &grads);
+            assert_eq!(returned.to_bits(), norm.to_bits(), "clip {clip}");
+        }
+    }
+
+    #[test]
     fn grad_clip_bounds_update() {
         // The factor Adam scales every gradient by: the clipped global
         // norm never exceeds the clip, whatever the gradient's scale,
@@ -195,7 +223,7 @@ mod tests {
             let grads = tape.backward(loss);
             let norm = global_grad_norm(&binding, &grads);
             for clip in [0.0, 1.0, 5.0] {
-                let factor = clip_factor(&binding, &grads, clip);
+                let factor = clip_factor(norm, clip);
                 if clip == 0.0 || norm <= clip {
                     assert_eq!(factor, 1.0, "scale {scale}, clip {clip}");
                 } else {

@@ -4,16 +4,6 @@ use ema_graph::stats::pearson;
 use ema_graph::AdjacencyMatrix;
 use ema_tensor::Tensor;
 
-/// Pearson correlation between two equal-length series (0 on zero
-/// variance).
-///
-/// # Panics
-/// Panics if lengths differ.
-#[must_use]
-pub fn pearson_correlation(x: &[f64], y: &[f64]) -> f64 {
-    pearson(x, y)
-}
-
 /// Pairwise correlation matrix (signed) between the columns of a
 /// `[T, V]` data matrix; diagonal is 1.
 #[must_use]

@@ -82,13 +82,6 @@ fn dtw_banded_with(x: &[f64], y: &[f64], band: usize, prev: &mut [f64], curr: &m
     d
 }
 
-/// Normalised DTW: the alignment cost divided by `len(x) + len(y)`,
-/// making distances comparable across series lengths.
-#[must_use]
-pub fn dtw_distance_normalized(x: &[f64], y: &[f64]) -> f64 {
-    dtw_distance(x, y) / (x.len() + y.len()) as f64
-}
-
 /// Pairwise DTW distance matrix between the columns of a `[T, V]` data
 /// matrix, using a Sakoe–Chiba band of `band` steps (`usize::MAX` for
 /// unrestricted).
@@ -185,14 +178,6 @@ mod tests {
         let x = [1.0, 5.0, 2.0, 8.0, 3.0];
         let y = [2.0, 4.0, 1.0, 9.0, 2.0];
         assert_eq!(dtw_distance(&x, &y), dtw_distance_banded(&x, &y, 100));
-    }
-
-    #[test]
-    fn normalized_dtw_is_length_comparable() {
-        let x: Vec<f64> = (0..20).map(|t| t as f64).collect();
-        let y: Vec<f64> = (0..20).map(|t| t as f64 + 1.0).collect();
-        let d = dtw_distance_normalized(&x, &y);
-        assert!(d < 1.0);
     }
 
     #[test]

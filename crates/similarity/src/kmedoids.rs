@@ -7,9 +7,9 @@
 //! training instead needs a distance between *individuals*: each
 //! individual's training split is flattened into one long series
 //! ([`flatten_series`], column-major so each variable's trajectory
-//! stays contiguous) and compared with banded DTW or truncated
-//! Euclidean distance ([`SeriesMetric`]). Only the training split is
-//! ever flattened — cluster assignment must not leak test data.
+//! stays contiguous) and compared with length-normalised banded DTW
+//! ([`series_distance`]). Only the training split is ever flattened —
+//! cluster assignment must not leak test data.
 //!
 //! [`k_medoids`] is classic PAM with a seeded init and a greedy
 //! best-improving swap loop. Determinism contract: the same
@@ -23,31 +23,10 @@
 use crate::dtw::dtw_distance_banded;
 use ema_tensor::{Rng64, Tensor};
 
-/// Distance between two flattened individual series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesMetric {
-    /// Sakoe–Chiba-banded DTW, normalised by the summed lengths so
-    /// individuals with different study lengths stay comparable. The
-    /// band auto-widens to at least the length difference.
-    DtwBanded {
-        /// Band half-width in steps (`usize::MAX` for unrestricted).
-        band: usize,
-    },
-    /// Euclidean distance over the common prefix (series truncated to
-    /// the shorter length), normalised by that common length.
-    Euclidean,
-}
-
-impl SeriesMetric {
-    /// Human-readable label for reports and obs.
-    #[must_use]
-    pub fn label(&self) -> String {
-        match self {
-            SeriesMetric::DtwBanded { band } => format!("dtw_b{band}"),
-            SeriesMetric::Euclidean => "euc".to_string(),
-        }
-    }
-}
+/// The Sakoe–Chiba band of [`series_distance`]: roughly one EMA day at
+/// 8 beeps/day, as in [`crate::dtw::dtw_graph`]; auto-widened to at
+/// least the length difference of the two series.
+const SERIES_DTW_BAND: usize = 10;
 
 /// Flattens a `[T, V]` individual dataset into one series, column-major
 /// (variable 0's full trajectory, then variable 1's, …) so each
@@ -68,23 +47,16 @@ pub fn flatten_series(data: &Tensor) -> Vec<f64> {
     out
 }
 
-/// Distance between two flattened series under `metric`.
+/// Distance between two flattened series: DTW within a Sakoe–Chiba
+/// band of 10 steps (`SERIES_DTW_BAND`), normalised by the summed
+/// lengths so individuals with different study lengths stay comparable.
 ///
 /// # Panics
 /// Panics if either series is empty.
 #[must_use]
-pub fn series_distance(x: &[f64], y: &[f64], metric: SeriesMetric) -> f64 {
+pub fn series_distance(x: &[f64], y: &[f64]) -> f64 {
     assert!(!x.is_empty() && !y.is_empty(), "empty series");
-    match metric {
-        SeriesMetric::DtwBanded { band } => {
-            dtw_distance_banded(x, y, band) / (x.len() + y.len()) as f64
-        }
-        SeriesMetric::Euclidean => {
-            let n = x.len().min(y.len());
-            let ss: f64 = (0..n).map(|i| (x[i] - y[i]) * (x[i] - y[i])).sum();
-            ss.sqrt() / n as f64
-        }
-    }
+    dtw_distance_banded(x, y, SERIES_DTW_BAND) / (x.len() + y.len()) as f64
 }
 
 /// Pairwise `[N, N]` distance matrix between flattened individual
@@ -93,12 +65,12 @@ pub fn series_distance(x: &[f64], y: &[f64], metric: SeriesMetric) -> f64 {
 /// # Panics
 /// Panics if any series is empty.
 #[must_use]
-pub fn pairwise_series_distances(series: &[Vec<f64>], metric: SeriesMetric) -> Tensor {
+pub fn pairwise_series_distances(series: &[Vec<f64>]) -> Tensor {
     let n = series.len();
     let mut out = Tensor::zeros(&[n, n]);
     for i in 0..n {
         for j in (i + 1)..n {
-            let d = series_distance(&series[i], &series[j], metric);
+            let d = series_distance(&series[i], &series[j]);
             out.set2(i, j, d);
             out.set2(j, i, d);
         }
@@ -290,9 +262,7 @@ mod tests {
     #[test]
     fn series_distance_zero_on_identical() {
         let x = [1.0, 2.0, 3.0, 4.0];
-        for metric in [SeriesMetric::DtwBanded { band: 2 }, SeriesMetric::Euclidean] {
-            assert_eq!(series_distance(&x, &x, metric), 0.0);
-        }
+        assert_eq!(series_distance(&x, &x), 0.0);
     }
 
     #[test]
@@ -302,7 +272,7 @@ mod tests {
             vec![1.5, 2.5, 3.5, 4.0],
             vec![-3.0, 0.0, 3.0],
         ];
-        let d = pairwise_series_distances(&series, SeriesMetric::DtwBanded { band: 3 });
+        let d = pairwise_series_distances(&series);
         for i in 0..3 {
             assert_eq!(d.at2(i, i), 0.0);
             for j in 0..3 {

@@ -31,5 +31,5 @@ pub mod knn;
 pub use builder::{build_graph, GraphMetric};
 pub use kmedoids::{
     argmin_distance, flatten_series, k_medoids, pairwise_series_distances, series_distance,
-    KMedoidsResult, SeriesMetric,
+    KMedoidsResult,
 };

@@ -1,10 +1,10 @@
 //! Property-based tests of the similarity metrics and graph builders.
 
 use ema_check::{gen, prop_assert, prop_assert_eq, prop_tests};
-use ema_similarity::correlation::pearson_correlation;
+use ema_graph::stats::pearson;
 use ema_similarity::dtw::{dtw_distance, dtw_distance_banded};
 use ema_similarity::euclidean::{euclidean_distance, gaussian_affinity, pairwise_distances};
-use ema_similarity::kmedoids::{k_medoids, pairwise_series_distances, SeriesMetric};
+use ema_similarity::kmedoids::{k_medoids, pairwise_series_distances};
 use ema_similarity::knn::knn_graph;
 use ema_similarity::{build_graph, GraphMetric};
 use ema_tensor::{Rng64, Tensor};
@@ -76,11 +76,11 @@ prop_tests! {
     fn correlation_is_bounded_and_scale_invariant(
         (x, y) in |rng: &mut Rng64| (series(12)(rng), series(12)(rng)),
     ) {
-        let r = pearson_correlation(&x, &y);
+        let r = pearson(&x, &y);
         prop_assert!(r.abs() <= 1.0 + 1e-12);
         // Positive affine transforms leave correlation unchanged.
         let y2: Vec<f64> = y.iter().map(|v| 3.0 * v + 7.0).collect();
-        let r2 = pearson_correlation(&x, &y2);
+        let r2 = pearson(&x, &y2);
         prop_assert!((r - r2).abs() < 1e-7, "{r} vs {r2}");
     }
 
@@ -162,13 +162,11 @@ prop_tests! {
             (series, k, rng.next_u64())
         },
     ) {
-        for metric in [SeriesMetric::DtwBanded { band: 4 }, SeriesMetric::Euclidean] {
-            let d = pairwise_series_distances(&series, metric);
-            prop_assert!(d.data().iter().all(|v| v.is_finite() && *v >= 0.0));
-            let r = k_medoids(&d, k, seed);
-            prop_assert_eq!(r.medoids.len(), k);
-            prop_assert!(r.assignments.iter().all(|&c| c < k));
-        }
+        let d = pairwise_series_distances(&series);
+        prop_assert!(d.data().iter().all(|v| v.is_finite() && *v >= 0.0));
+        let r = k_medoids(&d, k, seed);
+        prop_assert_eq!(r.medoids.len(), k);
+        prop_assert!(r.assignments.iter().all(|&c| c < k));
     }
 
     fn every_builder_metric_is_well_formed(data in mts) {

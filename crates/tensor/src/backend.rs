@@ -283,12 +283,6 @@ pub fn take_kernel_counters() -> KernelCountersSnapshot {
     KERNEL_COUNTERS.with(|c| c.replace(KernelCountersSnapshot::default()))
 }
 
-/// Reads the current thread's kernel counters without resetting them.
-#[must_use]
-pub fn kernel_counters() -> KernelCountersSnapshot {
-    KERNEL_COUNTERS.with(Cell::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +357,7 @@ mod tests {
         assert_eq!(snap.scalar.flops, 2 * 2 * 3 * 4);
         assert_eq!(snap.scalar.bytes, 8 * (6 + 12 + 2 * 8));
         // The take reset the thread-local counters.
-        assert!(kernel_counters().is_empty());
+        assert!(take_kernel_counters().is_empty());
     }
 
     #[test]

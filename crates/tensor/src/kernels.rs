@@ -1,14 +1,15 @@
-//! Raw slice-level matmul kernels: the `_into` batched twins of the
-//! `Tensor` methods in `linalg.rs`.
+//! Raw slice-level matmul kernels: the one implementation of each
+//! matrix product.
 //!
 //! The batched autodiff backward pass replays per-window gradient
 //! pieces on contiguous row-block *slices* of larger tensors; going
 //! through `Tensor` would force a copy per block. These free functions
-//! run the exact same kernels on `&[f64]` operands with explicit
-//! dimensions. Each one is **bit-identical** to its `Tensor` twin — it
-//! calls the same accumulation funnel with the same operand layout, so
-//! the kernel choice and the contracts documented in `linalg.rs` carry
-//! over unchanged (property-tested in `crates/tensor/tests/properties.rs`).
+//! run on `&[f64]` operands with explicit dimensions, and the `Tensor`
+//! methods in `linalg.rs` (`matmul`, `matmul_tn`, `matmul_nt`, `addmm`)
+//! check shapes and call them on a pooled output, so each pair is
+//! **bit-identical** by construction; the kernel choice and the
+//! contracts documented in `linalg.rs` apply to both (the pairs are
+//! also property-tested in `crates/tensor/tests/properties.rs`).
 //!
 //! All kernels fully overwrite `out` (callers may pass stale pooled
 //! buffers from [`pool::take_uninit`]).
@@ -16,8 +17,8 @@
 use crate::linalg::{matmul_accumulate, matmul_tn_accumulate};
 use crate::pool;
 
-/// `out = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`.
-/// Bit-identical to [`crate::Tensor::matmul`].
+/// `out = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`
+/// ([`crate::Tensor::matmul`]).
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -29,8 +30,8 @@ pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n:
     matmul_accumulate(a, b, out, m, k, n);
 }
 
-/// `out = aᵀ · b` for `a: [k,m]`, `b: [k,n]`, `out: [m,n]`.
-/// Bit-identical to [`crate::Tensor::matmul_tn`].
+/// `out = aᵀ · b` for `a: [k,m]`, `b: [k,n]`, `out: [m,n]`
+/// ([`crate::Tensor::matmul_tn`]).
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -42,8 +43,14 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
     matmul_tn_accumulate(a, b, out, m, k, n);
 }
 
-/// `out = a · bᵀ` for `a: [m,k]`, `b: [n,k]`, `out: [m,n]`.
-/// Bit-identical to [`crate::Tensor::matmul_nt`].
+/// `out = a · bᵀ` for `a: [m,k]`, `b: [n,k]`, `out: [m,n]`
+/// ([`crate::Tensor::matmul_nt`]). bᵀ is repacked into a pooled
+/// scratch buffer (no heap traffic after warm-up) so the product runs
+/// on the shared ikj kernel: a row-dot-row loop would be a serial
+/// dependency chain per output element, which cannot vectorize — the
+/// O(k·n) repack is noise next to the O(m·k·n) vectorized product.
+/// Accumulation order and the lhs zero skip are exactly those of
+/// [`matmul_into`], so results stay bit-identical to the composed form.
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -63,10 +70,9 @@ pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
 }
 
 /// `out = a · wᵀ + bias` for `a: [m,k]`, `w: [n,k]`, `bias: [n]`,
-/// `out: [m,n]`. Bit-identical to [`crate::Tensor::addmm`]: same
-/// pooled wᵀ repack, same zeroed accumulation, and the bias is added
-/// *after* each output's accumulation completes (the composed
-/// ordering).
+/// `out: [m,n]` ([`crate::Tensor::addmm`]): [`matmul_nt_into`], then
+/// the bias added *after* each output's accumulation completes (the
+/// composed ordering).
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -79,19 +85,8 @@ pub fn addmm_into(
     k: usize,
     n: usize,
 ) {
-    assert_eq!(a.len(), m * k, "addmm_into lhs length");
-    assert_eq!(w.len(), n * k, "addmm_into weight length");
     assert_eq!(bias.len(), n, "addmm_into bias length");
-    assert_eq!(out.len(), m * n, "addmm_into out length");
-    let mut wt = pool::take_uninit(k * n);
-    for (j, wrow) in w.chunks_exact(k).enumerate() {
-        for (p, &wv) in wrow.iter().enumerate() {
-            wt[p * n + j] = wv;
-        }
-    }
-    out.fill(0.0);
-    matmul_accumulate(a, &wt, out, m, k, n);
-    pool::recycle(wt);
+    matmul_nt_into(a, w, out, m, k, n);
     for orow in out.chunks_exact_mut(n) {
         for (o, &bv) in orow.iter_mut().zip(bias) {
             *o += bv;

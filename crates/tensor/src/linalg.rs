@@ -2,10 +2,12 @@
 //!
 //! ## The two kernel contracts
 //!
-//! Every matmul-family kernel ([`Tensor::matmul`], [`Tensor::matmul_tn`],
-//! [`Tensor::matmul_nt`], [`Tensor::addmm`], the cache-blocked path,
-//! the `_into` twins in [`crate::kernels`], and through them every
-//! batched autodiff op) funnels into one accumulation entry,
+//! Every matmul-family product — the slice kernels in
+//! [`crate::kernels`] (the one implementation of each product), the
+//! `Tensor` methods that check shapes and call them on a pooled output
+//! ([`Tensor::matmul`], [`Tensor::matmul_tn`], [`Tensor::matmul_nt`],
+//! [`Tensor::addmm`]), the cache-blocked path and every batched
+//! autodiff op — funnels into one accumulation entry,
 //! [`matmul_accumulate`] (or [`matmul_tn_accumulate`] for a transposed
 //! lhs), which dispatches on the active [`crate::KernelBackend`]. Both
 //! backends share one *structural* invariant — each output element is
@@ -54,7 +56,7 @@
 //! see `backend.rs`.
 
 use crate::backend::KernelBackend;
-use crate::{pool, Shape, Tensor};
+use crate::{kernels, pool, Shape, Tensor};
 
 /// Tile edge for the cache-blocked matmul path: output/operand row
 /// chunks of 64 f64 (512 B) stay resident in L1 across the `p` loop.
@@ -281,11 +283,8 @@ pub(crate) fn matmul_accumulate_scalar(
 }
 
 impl Tensor {
-    /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
-    ///
-    /// Uses an ikj loop order so the inner loop walks both operands
-    /// contiguously (cache-friendly without BLAS); large products
-    /// switch to a tiled path with identical accumulation order.
+    /// Matrix product of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`
+    /// ([`kernels::matmul_into`] on a pooled output).
     ///
     /// # Panics
     /// Panics unless both operands are rank 2 with compatible inner dims.
@@ -299,37 +298,14 @@ impl Tensor {
             k, k2,
             "matmul inner dimension mismatch: [{m}, {k}] x [{k2}, {n}]"
         );
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(self.data(), other.data(), &mut out, m, k, n);
+        let mut out = pool::take_uninit(m * n);
+        kernels::matmul_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
-    /// [`Tensor::matmul`] writing into a caller-provided `[m, n]`
-    /// tensor, with no allocation.
-    ///
-    /// # Panics
-    /// Panics on rank/shape mismatches between the operands and `out`.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(self.rank(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.rank(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
-        assert_eq!(
-            k, k2,
-            "matmul inner dimension mismatch: [{m}, {k}] x [{k2}, {n}]"
-        );
-        assert_eq!(
-            out.dims(),
-            &[m, n],
-            "matmul_into output shape mismatch: expected [{m}, {n}]"
-        );
-        let buf = out.data_mut();
-        buf.fill(0.0);
-        matmul_accumulate(self.data(), other.data(), buf, m, k, n);
-    }
-
     /// Transpose-aware product `selfᵀ · other`: `[k, m] x [k, n] ->
-    /// [m, n]` without materializing the transpose. Bit-identical to
+    /// [m, n]` without materializing the transpose
+    /// ([`kernels::matmul_tn_into`]). Bit-identical to
     /// `self.transpose().matmul(other)` — this is the `aᵀ·g` shape of
     /// the autodiff backward pass.
     ///
@@ -345,13 +321,14 @@ impl Tensor {
             k, k2,
             "matmul_tn leading dimension mismatch: [{k}, {m}]ᵀ x [{k2}, {n}]"
         );
-        let mut out = pool::take_zeroed(m * n);
-        matmul_tn_accumulate(self.data(), other.data(), &mut out, m, k, n);
+        let mut out = pool::take_uninit(m * n);
+        kernels::matmul_tn_into(self.data(), other.data(), &mut out, k, m, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
     /// Transpose-aware product `self · otherᵀ`: `[m, k] x [n, k] ->
-    /// [m, n]` without materializing the transpose. Bit-identical to
+    /// [m, n]` without materializing the transpose
+    /// ([`kernels::matmul_nt_into`]). Bit-identical to
     /// `self.matmul(&other.transpose())` — the `g·bᵀ` shape of the
     /// autodiff backward pass.
     ///
@@ -367,30 +344,15 @@ impl Tensor {
             k, k2,
             "matmul_nt trailing dimension mismatch: [{m}, {k}] x [{n}, {k2}]ᵀ"
         );
-        let a = self.data();
-        let b = other.data();
-        // Repack otherᵀ into a pooled scratch buffer (no heap traffic
-        // after warm-up) so the product runs on the shared ikj kernel:
-        // a row-dot-row loop here would be a serial dependency chain
-        // per output element, which cannot vectorize — the O(k·n)
-        // repack is noise next to the O(m·k·n) vectorized product.
-        // Accumulation order and the lhs zero skip are exactly those of
-        // `matmul`, so results stay bit-identical to the composed form.
-        let mut bt = pool::take_uninit(k * n);
-        for (j, brow) in b.chunks_exact(k).enumerate() {
-            for (p, &bv) in brow.iter().enumerate() {
-                bt[p * n + j] = bv;
-            }
-        }
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(a, &bt, &mut out, m, k, n);
-        pool::recycle(bt);
+        let mut out = pool::take_uninit(m * n);
+        kernels::matmul_nt_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
     /// Fused linear-layer kernel `self · wᵀ + bias`:
     /// `[n, k] x [out, k]ᵀ + [out] -> [n, out]` in one pass, with no
-    /// transpose and no intermediate product tensor. Bit-identical to
+    /// transpose and no intermediate product tensor
+    /// ([`kernels::addmm_into`]). Bit-identical to
     /// `self.matmul(&w.transpose()).add_row_broadcast(bias)` — the dot
     /// product accumulates exactly like [`Tensor::matmul_nt`] and the
     /// bias is added after the full accumulation, matching the
@@ -415,26 +377,8 @@ impl Tensor {
             "addmm bias length {} does not match output width {n}",
             bias.len()
         );
-        let a = self.data();
-        let b = w.data();
-        let bd = bias.data();
-        // Same pooled-repack strategy as `matmul_nt` (see there): run
-        // the vectorizable ikj kernel over wᵀ, then add the bias after
-        // each output's accumulation completes — the composed ordering.
-        let mut wt = pool::take_uninit(k * n);
-        for (j, wrow) in b.chunks_exact(k).enumerate() {
-            for (p, &wv) in wrow.iter().enumerate() {
-                wt[p * n + j] = wv;
-            }
-        }
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(a, &wt, &mut out, m, k, n);
-        pool::recycle(wt);
-        for orow in out.chunks_exact_mut(n) {
-            for (o, &bv) in orow.iter_mut().zip(bd) {
-                *o += bv;
-            }
-        }
+        let mut out = pool::take_uninit(m * n);
+        kernels::addmm_into(self.data(), w.data(), bias.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
@@ -681,15 +625,6 @@ mod tests {
     #[should_panic(expected = "trailing dimension mismatch")]
     fn matmul_nt_checks_dims() {
         let _ = Tensor::zeros(&[2, 3]).matmul_nt(&Tensor::zeros(&[3, 2]));
-    }
-
-    #[test]
-    fn matmul_into_matches_allocating_twin() {
-        let a = Tensor::from_vec(&[2, 3], (0..6).map(f64::from).collect()).unwrap();
-        let b = Tensor::from_vec(&[3, 4], (0..12).map(|v| f64::from(v) - 3.0).collect()).unwrap();
-        let mut out = Tensor::filled(&[2, 4], 99.0); // stale contents must vanish
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out.data(), a.matmul(&b).data());
     }
 
     #[test]

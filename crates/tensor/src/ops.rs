@@ -20,24 +20,6 @@ impl Tensor {
         }
     }
 
-    /// [`Tensor::map`] writing into a caller-provided tensor of the
-    /// same shape as `self`, with no allocation.
-    ///
-    /// # Panics
-    /// Panics if `out`'s shape differs from `self`'s.
-    pub fn map_into(&self, f: impl Fn(f64) -> f64, out: &mut Tensor) {
-        assert_eq!(
-            self.shape(),
-            out.shape(),
-            "elementwise op requires matching shapes: {:?} vs {:?}",
-            self.dims(),
-            out.dims()
-        );
-        for (o, &v) in out.data_mut().iter_mut().zip(self.data()) {
-            *o = f(v);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise with `f`.
     ///
     /// # Panics
@@ -85,31 +67,6 @@ impl Tensor {
         }
     }
 
-    /// Elementwise sum written into a caller-provided tensor
-    /// (`out = self + other`), with no allocation.
-    ///
-    /// # Panics
-    /// Panics if any of the three shapes differ.
-    pub fn add_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "elementwise op requires matching shapes: {:?} vs {:?}",
-            self.dims(),
-            other.dims()
-        );
-        assert_eq!(
-            self.shape(),
-            out.shape(),
-            "elementwise op requires matching shapes: {:?} vs {:?}",
-            self.dims(),
-            out.dims()
-        );
-        for ((o, &a), &b) in out.data_mut().iter_mut().zip(self.data()).zip(other.data()) {
-            *o = a + b;
-        }
-    }
-
     /// Elementwise difference.
     ///
     /// # Panics
@@ -135,12 +92,6 @@ impl Tensor {
     #[must_use]
     pub fn div(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a / b)
-    }
-
-    /// Adds a scalar to every element.
-    #[must_use]
-    pub fn add_scalar(&self, s: f64) -> Tensor {
-        self.map(|v| v + s)
     }
 
     /// Multiplies every element by a scalar.
@@ -238,21 +189,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Elementwise maximum with a scalar.
-    #[must_use]
-    pub fn max_scalar(&self, s: f64) -> Tensor {
-        self.map(|v| v.max(s))
-    }
-
-    /// Linear interpolation `self * (1 - t) + other * t`.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn lerp(&self, other: &Tensor, t: f64) -> Tensor {
-        self.zip(other, |a, b| a * (1.0 - t) + b * t)
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +210,6 @@ mod tests {
         assert_eq!(b.div(&a).data(), &[4.0, 2.5, 2.0]);
         assert_eq!(a.neg().data(), &[-1.0, -2.0, -3.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.add_scalar(1.0).data(), &[2.0, 3.0, 4.0]);
     }
 
     #[test]
@@ -306,13 +241,6 @@ mod tests {
         let m = Tensor::from_vec2(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let r = t(vec![10.0, 20.0]);
         assert_eq!(m.add_row_broadcast(&r).data(), &[11.0, 22.0, 13.0, 24.0]);
-    }
-
-    #[test]
-    fn lerp_midpoint() {
-        let a = t(vec![0.0, 0.0]);
-        let b = t(vec![2.0, 4.0]);
-        assert_tensors_close(&a.lerp(&b, 0.5), &t(vec![1.0, 2.0]), 1e-12);
     }
 
     #[test]

@@ -196,13 +196,6 @@ impl Rng64 {
     pub fn split(&self, stream: u64) -> Rng64 {
         Rng64::seed_from(derive_stream_seed(self.root, stream))
     }
-
-    /// The seed this generator was constructed from (the anchor of
-    /// [`Rng64::split`]).
-    #[must_use]
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
 }
 
 impl Tensor {

@@ -21,12 +21,6 @@ impl Tensor {
         self.data().iter().map(|&v| v * v).sum()
     }
 
-    /// Frobenius/L2 norm of all elements.
-    #[must_use]
-    pub fn l2_norm(&self) -> f64 {
-        self.sq_sum().sqrt()
-    }
-
     /// Population variance of all elements.
     #[must_use]
     pub fn variance(&self) -> f64 {
@@ -53,18 +47,6 @@ impl Tensor {
     #[must_use]
     pub fn min(&self) -> f64 {
         self.data().iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Index of the maximum element in the flat buffer (first on ties).
-    #[must_use]
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &v) in self.data().iter().enumerate() {
-            if v > self.data()[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Sums along `axis`, removing it from the shape.
@@ -177,7 +159,6 @@ mod tests {
         assert_eq!(t.mean(), 2.5);
         assert_eq!(t.max(), 4.0);
         assert_eq!(t.min(), 1.0);
-        assert_eq!(t.argmax(), 3);
         assert!((t.variance() - 1.25).abs() < 1e-12);
     }
 
@@ -208,9 +189,9 @@ mod tests {
 
     #[test]
     fn mse_of_identical_is_zero() {
-        let a = Tensor::linspace(0.0, 1.0, 10);
+        let a = Tensor::from_vec1((0..10).map(|i| f64::from(i) / 9.0).collect());
         assert_eq!(a.mse(&a), 0.0);
-        let b = a.add_scalar(2.0);
+        let b = a.map(|v| v + 2.0);
         assert!((a.mse(&b) - 4.0).abs() < 1e-12);
     }
 
@@ -229,7 +210,7 @@ mod tests {
     #[test]
     fn softmax_is_shift_invariant() {
         let a = Tensor::from_vec1(vec![1.0, 2.0, 3.0]);
-        let b = a.add_scalar(100.0);
+        let b = a.map(|v| v + 100.0);
         assert_tensors_close(&a.softmax_last(), &b.softmax_last(), 1e-12);
     }
 

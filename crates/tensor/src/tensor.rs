@@ -148,22 +148,6 @@ impl Tensor {
         t
     }
 
-    /// A rank-1 tensor containing `n` evenly spaced values from `start`
-    /// to `end` inclusive.
-    ///
-    /// # Panics
-    /// Panics if `n < 2`.
-    #[must_use]
-    pub fn linspace(start: f64, end: f64, n: usize) -> Self {
-        assert!(n >= 2, "linspace needs at least two points");
-        let step = (end - start) / (n - 1) as f64;
-        let data = (0..n).map(|i| start + step * i as f64).collect();
-        Self {
-            shape: Shape::of(&[n]),
-            data,
-        }
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -207,13 +191,6 @@ impl Tensor {
     /// Mutable view of the flat buffer (row-major).
     pub fn data_mut(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the tensor, returning the flat buffer (which leaves the
-    /// pool's custody — `Drop` only recycles tensor-owned storage).
-    #[must_use]
-    pub fn into_vec(mut self) -> Vec<f64> {
-        std::mem::take(&mut self.data)
     }
 
     /// Element at a multi-dimensional index.
@@ -327,12 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn linspace_endpoints() {
-        let t = Tensor::linspace(0.0, 1.0, 5);
-        assert_eq!(t.data(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
-    }
-
-    #[test]
     fn indexing_round_trip() {
         let mut t = Tensor::zeros(&[2, 3, 4]);
         t.set(&[1, 2, 3], 7.5);
@@ -342,7 +313,7 @@ mod tests {
 
     #[test]
     fn reshape_preserves_data() {
-        let t = Tensor::linspace(0.0, 5.0, 6);
+        let t = Tensor::from_vec1(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
         let m = t.reshape(&[2, 3]).unwrap();
         assert_eq!(m.at2(1, 0), 3.0);
         assert!(t.reshape(&[4, 2]).is_err());

@@ -41,39 +41,32 @@ EMA_KERNEL=simd cargo test --offline --workspace -q
 echo "==> cargo test (EMA_THREADS=4)"
 # Re-run the suite on a 4-worker cohort executor: results must be
 # byte-identical to the sequential run (the exec engine's guarantee).
+# This run covers, among the rest:
+# - the cohort-forward equivalence properties
+#   (crates/models/tests/batched_equivalence.rs): the one training
+#   forward, the grouped cohort forward over groups of 1-4 individuals,
+#   pinned to the per-window oracle (each window through
+#   predict_window on its own), values and every parameter gradient,
+#   all five models;
+# - the scalar fixtures (tests/scalar_fixtures.rs), which freeze every
+#   model kind, both cohort runners and every experiment preset byte
+#   for byte on this 4-worker executor;
+# - the sharded-cohort grids in tests/determinism.rs: shard boundaries
+#   must never change numbers, so shard sizes 1, 2 and 4 (including the
+#   2-shard x 2-individual shape) pin group composition out of every
+#   result, for the LSTM and a graph model (A3TGCN exercises the grouped
+#   graph-conv/attention ops end to end);
+# - the cluster-warm-start grid in tests/determinism.rs: the warm-started
+#   sharded cohort stays byte-identical across thread counts and shard
+#   sizes (the plan is built once on the caller thread).
 EMA_THREADS=4 cargo test --offline --workspace -q
 
-echo "==> cohort-forward equivalence and scalar fixtures (EMA_THREADS=4)"
-# The per-model property suites pin the one training forward, the
-# grouped cohort forward over groups of 1-4 individuals, to the
-# per-window oracle (each window through predict_window on its own),
-# values and every parameter gradient, all five models. The scalar
-# fixtures freeze every model kind, both cohort runners and every
-# experiment preset byte for byte on a 4-worker executor.
-EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q
-EMA_THREADS=4 cargo test --offline --test scalar_fixtures -q
-
-echo "==> sharded-cohort smoke (EMA_THREADS=4)"
-# Streamed sharded cohort on a 4-worker executor: shard boundaries must
-# never change numbers. Every shard trains on the cohort forward, so
-# the grid inside each test (shard sizes 1, 2 and 4, including the
-# 2-shard × 2-individual shape) pins group composition out of every
-# result, for both the LSTM and a graph model (A3TGCN exercises the
-# grouped graph-conv/attention ops end to end), plus the 256-case
-# models-layer cohort properties.
-EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q cohort_matches_per_individual_oracle
-EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_results_identical_across_threads_shards_and_paths
-EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_graph_model_identical_across_threads_shards_and_paths
-
-echo "==> cluster-warm-start smoke (EMA_THREADS=4)"
-# Cluster-then-personalize: the warm-started sharded cohort must stay
-# byte-identical across thread counts and shard sizes (the plan is
-# built once on the caller thread), and the tiny cluster_compare table
-# must render and record results JSON for all four models.
-EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
-# The run writes results/cluster_compare.json, which is tracked at quick
-# scale: move the committed file aside so the check sees only what this
-# run wrote, and put it back afterwards (or on any earlier exit).
+echo "==> cluster_compare smoke (EMA_THREADS=4)"
+# The tiny cluster_compare table must render and record results JSON
+# for all four models. The run writes results/cluster_compare.json,
+# which is tracked at quick scale: move the committed file aside so the
+# check sees only what this run wrote, and put it back afterwards (or on
+# any earlier exit).
 mkdir -p target/ci_stash
 mv results/cluster_compare.json target/ci_stash/
 restore_cluster_compare() { mv -f target/ci_stash/cluster_compare.json results/ 2>/dev/null || true; }
