@@ -78,17 +78,6 @@ impl Shape {
         self.dims[axis]
     }
 
-    /// Row-major strides: the flat-index step for a unit move along each
-    /// axis. The last axis always has stride 1.
-    #[must_use]
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.rank()];
-        for i in (0..self.rank().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.dims[i + 1];
-        }
-        strides
-    }
-
     /// Converts a multi-dimensional index into a flat offset.
     ///
     /// # Panics
@@ -180,12 +169,6 @@ mod tests {
         assert_eq!(Shape::new(&[3, 0]), Err(TensorError::EmptyShape));
         assert_eq!(Shape::new(&[1; MAX_RANK + 1]), Err(TensorError::EmptyShape));
         assert!(Shape::new(&[1; MAX_RANK]).is_ok());
-    }
-
-    #[test]
-    fn strides_are_row_major() {
-        assert_eq!(Shape::of(&[2, 3, 4]).strides(), vec![12, 4, 1]);
-        assert_eq!(Shape::of(&[5]).strides(), vec![1]);
     }
 
     #[test]
