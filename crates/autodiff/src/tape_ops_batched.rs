@@ -182,6 +182,45 @@ mod tests {
         Tensor::rand_normal(dims, 0.0, 1.0, &mut rng)
     }
 
+    /// A shared lhs times every window block is the one-group case of
+    /// `group_block_lhs_matmul`; it matches one `matmul` per window bit
+    /// for bit in the loss and the lhs gradient.
+    #[test]
+    fn block_lhs_matmul_matches_per_window_graph() {
+        let wins = 3;
+        let (p, q, n) = (4, 4, 2);
+        let lhsv = rand(&[p, q], 6);
+        let xv = rand(&[wins * q, n], 7);
+
+        let tape = Tape::new();
+        let lhs = tape.leaf(lhsv.clone());
+        let x = tape.leaf(xv.clone());
+        let out = tape.group_block_lhs_matmul([lhs], x, &[wins]);
+        let loss = tape.mean_all(tape.square(out));
+        let grads = tape.backward(loss);
+
+        let reference = Tape::new();
+        let rlhs = reference.leaf(lhsv);
+        let mut outs = Vec::new();
+        for w in 0..wins {
+            let xw = reference.leaf(xv.slice_rows(w * q, (w + 1) * q));
+            outs.push(reference.matmul(rlhs, xw));
+        }
+        // One flattened row per window: the same elements in the same
+        // order as the row-stacked `[W·p, n]` output.
+        let flat: Vec<Var> = outs.iter().map(|&o| reference.flatten(o)).collect();
+        let stacked = reference.stack_rows(&flat);
+        let rloss = reference.mean_all(reference.square(stacked));
+        let rgrads = reference.backward(rloss);
+
+        assert_eq!(tape.value(out).dims(), &[wins * p, n]);
+        assert_eq!(tape.value(loss).data(), reference.value(rloss).data());
+        assert_eq!(
+            grads.get(lhs).unwrap().data(),
+            rgrads.get(rlhs).unwrap().data()
+        );
+    }
+
     #[test]
     fn stack_window_blocks_roundtrip() {
         let wins = 2;

@@ -556,24 +556,21 @@ mod tests {
     }
 
     /// Each individual propagates through its *own* graph constant —
-    /// the op individual graphs actually break sharing on. One group
-    /// (`wins = [3]`) is one lhs shared by every window, as the
-    /// attention's node averaging records it.
+    /// the op individual graphs actually break sharing on.
     #[test]
     fn group_block_lhs_matmul_matches_per_individual_graphs() {
+        let wins = [3usize, 1, 2];
         let (q, n) = (4usize, 2usize);
-        for wins in [&[3usize, 1, 2][..], &[3]] {
-            // Square lhs (p == q) so output blocks keep the input geometry.
-            let operands = group_operands(wins.len(), &[&[q, q]], 90);
-            assert_grouped_matches_per_window(
-                wins,
-                q,
-                n,
-                &operands,
-                |tape, x, ops| tape.group_block_lhs_matmul(ops.iter().map(|p| p[0]), x, wins),
-                |tape, xw, p| tape.matmul(p[0], xw),
-            );
-        }
+        // Square lhs (p == q) so output blocks keep the input geometry.
+        let operands = group_operands(wins.len(), &[&[q, q]], 90);
+        assert_grouped_matches_per_window(
+            &wins,
+            q,
+            n,
+            &operands,
+            |tape, x, ops| tape.group_block_lhs_matmul(ops.iter().map(|p| p[0]), x, &wins),
+            |tape, xw, p| tape.matmul(p[0], xw),
+        );
     }
 
     /// `group_linear_blocks` at `block_rows > 1`: node-level row blocks.

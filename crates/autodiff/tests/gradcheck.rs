@@ -432,6 +432,26 @@ fn grad_lstm_cell_gates_and_state() {
 }
 
 #[test]
+fn grad_block_lhs_matmul_both_parents() {
+    // Shared [2, 3] lhs against 3 window blocks of [3, 4]: the one-group
+    // case of `group_block_lhs_matmul`.
+    let lhs = rand(&[2, 3], 91);
+    let x = rand(&[9, 4], 92);
+    assert_gradients_close(&lhs, TOL, |t, v| {
+        let xl = t.leaf(x.clone());
+        let p = t.group_block_lhs_matmul([v], xl, &[3]);
+        let sq = t.square(p);
+        t.sum_all(sq)
+    });
+    assert_gradients_close(&x, TOL, |t, v| {
+        let ll = t.leaf(lhs.clone());
+        let p = t.group_block_lhs_matmul([ll], v, &[3]);
+        let sq = t.square(p);
+        t.sum_all(sq)
+    });
+}
+
+#[test]
 fn grad_block_matmul_both_parents() {
     // Per-window [2, 3] x [3, 4] products.
     let x = rand(&[6, 3], 93);
@@ -720,35 +740,29 @@ fn grad_group_add_row_broadcast_all_parents() {
 
 #[test]
 fn grad_group_block_lhs_matmul_all_parents() {
-    // Rectangular [2, 3] per-group lhs matrices: x is [Σ wins·3, 2] and
-    // the output [Σ wins·2, 2]. `wins = [3]` is the one-group case (one
-    // lhs shared by every window).
-    for (case, wins) in [&[3usize, 1, 2][..], &[3]].into_iter().enumerate() {
-        let seed = 160 + 10 * case as u64;
-        let total: usize = wins.iter().sum();
-        let x = rand(&[total * 3, 2], seed);
-        let ls: Vec<Tensor> = (0..wins.len() as u64)
-            .map(|b| rand(&[2, 3], seed + 1 + b))
+    // wins 3 + 1 + 2 with rectangular [2, 3] per-group lhs matrices:
+    // x is [Σ wins·3, 2] and the output [Σ wins·2, 2].
+    let wins = [3usize, 1, 2];
+    let x = rand(&[18, 2], 160);
+    let ls: Vec<Tensor> = (0..3).map(|b| rand(&[2, 3], 161 + b)).collect();
+    let build = |t: &Tape, xv, ls: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
+        let lhses: Vec<ema_autodiff::Var> = ls
+            .iter()
+            .enumerate()
+            .map(|(g, l)| match swap {
+                Some((sg, v)) if sg == g => v,
+                _ => t.leaf(l.clone()),
+            })
             .collect();
-        let build = |t: &Tape, xv, ls: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
-            let lhses: Vec<ema_autodiff::Var> = ls
-                .iter()
-                .enumerate()
-                .map(|(g, l)| match swap {
-                    Some((sg, v)) if sg == g => v,
-                    _ => t.leaf(l.clone()),
-                })
-                .collect();
-            let y = t.group_block_lhs_matmul(lhses, xv, wins);
-            let sq = t.square(y);
-            t.sum_all(sq)
-        };
-        assert_gradients_close(&x, TOL, |t, v| build(t, v, &ls, None));
-        for g in 0..wins.len() {
-            assert_gradients_close(&ls[g], TOL, |t, v| {
-                let xl = t.leaf(x.clone());
-                build(t, xl, &ls, Some((g, v)))
-            });
-        }
+        let y = t.group_block_lhs_matmul(lhses, xv, &wins);
+        let sq = t.square(y);
+        t.sum_all(sq)
+    };
+    assert_gradients_close(&x, TOL, |t, v| build(t, v, &ls, None));
+    for g in 0..3 {
+        assert_gradients_close(&ls[g], TOL, |t, v| {
+            let xl = t.leaf(x.clone());
+            build(t, xl, &ls, Some((g, v)))
+        });
     }
 }
