@@ -46,7 +46,7 @@ fn main() {
     // materialized at once — each shard job generates, trains and drops
     // its 64 individuals, so `peak_bytes` stays bounded by
     // (workers × shard) while `throughput_per_sec` records
-    // individuals/sec, with one tape graph per shard per epoch.
+    // individuals/sec; each member trains on its own tape.
     // Individuals are kept tiny (V=3, ~12 time points, 4 epochs) so one
     // full stream fits a bench sample.
     const STREAM_N: usize = 10_000;
@@ -102,26 +102,17 @@ fn main() {
         b.iter(|| black_box(run_cohort_sharded(&generator, &warm_spec, SHARD, &executor)));
     });
 
-    // Graph-model streams at the same study scale: the grouped
-    // graph-conv/attention ops put a whole shard's A3TGCN/MTGNN
-    // forward on one tape graph per epoch.
-    // Each individual builds its own training-split correlation graph
-    // on the worker that generates its shard, so `peak_bytes` stays
-    // bounded by (workers × shard) exactly as in the LSTM stream.
+    // Graph-model streams at the same study scale. Each individual
+    // builds its own training-split correlation graph on the worker
+    // that generates its shard, so `peak_bytes` stays bounded by
+    // (workers × shard) exactly as in the LSTM stream.
     let graph = GraphSpec::Static {
         metric: ema_similarity::GraphMetric::Correlation,
         gdt: ema_graph::sparsify::DensityThreshold::Gdt40,
     };
-    // Graph-model tape graphs hold far more live intermediates per
-    // window than the LSTM's, so a 64-individual shard's backward
-    // working set falls out of cache and the grouped-op win inverts;
-    // shard 8 is the measured sweet spot (64/16/8/4 swept). Shard size
-    // never changes a byte of the results (the determinism grid), so
-    // this is a pure throughput knob.
-    let graph_shard: usize = std::env::var("EMA_BENCH_GRAPH_SHARD")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    // Shard 8, as when the committed baselines were recorded, so the
+    // entries still compare like for like.
+    const GRAPH_SHARD: usize = 8;
     for (model, label) in [(ModelKind::A3tgcn, "a3tgcn"), (ModelKind::Mtgnn, "mtgnn")] {
         let mut model_spec = ExperimentScale::tiny().spec(model, graph.clone(), 2);
         model_spec.model_config = ModelConfig::tiny(0);
@@ -136,7 +127,7 @@ fn main() {
                 black_box(run_cohort_sharded(
                     &generator,
                     &model_spec,
-                    graph_shard,
+                    GRAPH_SHARD,
                     &executor,
                 ))
             });

@@ -1,5 +1,4 @@
-//! Cohort-batched runs: shards of B individuals trained on one tape
-//! graph per epoch, scheduled as streaming shard jobs on the
+//! Sharded cohort runs: streaming shard jobs of B individuals on the
 //! [`crate::exec`] engine.
 //!
 //! [`run_cohort_sharded`] streams a synthetic study through the
@@ -7,8 +6,10 @@
 //! *generates* its slice of the study on the worker
 //! ([`EmaGenerator::generate_range`]), runs it through the pipeline's
 //! runner body — one [`crate::train::train_cohort`] call for the
-//! shard, then one eval forward — and drops the data, so peak memory
-//! is bounded by (workers × shard), not the study size. Results are
+//! shard, which trains its members one at a time on one tape, then one
+//! eval forward per member — and drops the data, so peak memory is
+//! bounded by (workers × shard), not the study size. Shard size sets
+//! job and generation granularity, not a training group. Results are
 //! byte-identical at every `(thread count, shard size)` pair and to
 //! [`crate::pipeline::run_individual`] on each member.
 
@@ -101,9 +102,9 @@ mod tests {
         EmaGenerator::new(GeneratorConfig::quick(5, 4, 17))
     }
 
-    /// The whole point: one cohort tape graph must reproduce B separate
-    /// `train_model` runs bit for bit — losses, gradient norms, epoch
-    /// counts, and the trained parameters.
+    /// One `train_cohort` call over B individuals must reproduce B
+    /// separate `train_model` runs bit for bit — losses, gradient norms,
+    /// epoch counts, and the trained parameters.
     #[test]
     fn train_cohort_matches_per_individual_train_model() {
         let ds = generator().generate();
@@ -186,7 +187,7 @@ mod tests {
             let (train, _) = split_train_test(&ind.data, spec.train_fraction);
             let mut config = spec.train_config.clone();
             config.seed = ema_tensor::derive_stream_seed(config.seed, ind.id as u64);
-            // Stagger schedules so the group shrinks mid-run.
+            // Staggered schedules: each member runs exactly its own.
             config.epochs = 4 + 3 * b;
             config.early_stop_rel = 0.0;
             models.push(LstmForecaster::new(ind.data.dims()[1], &spec.model_config));

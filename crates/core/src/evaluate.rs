@@ -6,7 +6,7 @@ use ema_models::CohortForecaster;
 use ema_tensor::Tensor;
 
 /// Scores every model over its own window set from one eval forward
-/// ([`predict_all`]): per model, the MSE (Eq. (1) for one individual —
+/// per model ([`predict_all`]): per model, the MSE (Eq. (1) for one individual —
 /// the squared error averaged over all test time points and variables)
 /// and the per-variable MSEs, length `V` (the paper's future-work note
 /// on per-variable error analysis).

@@ -152,7 +152,7 @@ pub(crate) trait ShardModels {
     /// Member `b`'s model.
     fn get(&self, b: usize) -> &dyn Forecaster;
     /// Every member's test MSE and per-variable MSEs, from one eval
-    /// forward over the shard ([`evaluate`]).
+    /// forward per member on one reused tape ([`evaluate`]).
     fn evaluate(&self, tests: &[WindowedData]) -> Vec<(f64, Vec<f64>)>;
 }
 
@@ -167,9 +167,10 @@ impl<M: CohortForecaster> ShardModels for Vec<M> {
 }
 
 /// Trains a shard of `(id, data)` members with one [`train_cohort`]
-/// call. Per member: split → graph (training split only) → windows →
-/// config with the member's own dropout stream; with a cluster `plan`,
-/// the member fine-tunes from its nearest cluster's checkpoint. Spans:
+/// call, which trains them one at a time on one tape. Per member:
+/// split → graph (training split only) → windows → config with the
+/// member's own dropout stream; with a cluster `plan`, the member
+/// fine-tunes from its nearest cluster's checkpoint. Spans:
 /// `individual` (with `build_graph` inside) per member, then `train`.
 ///
 /// # Panics
@@ -291,9 +292,10 @@ fn train_models<M: CohortForecaster + 'static>(
 }
 
 /// The runner body: trains a shard of `(id, data)` members
-/// ([`train_shard`]), then evaluates the whole shard with one eval
-/// forward (`evaluate` span). Outcomes come back in member order and
-/// are bit-identical whatever the shard's size or composition.
+/// ([`train_shard`]), then evaluates them with one eval forward per
+/// member on one reused tape (`evaluate` span). Outcomes come back in
+/// member order and are bit-identical whatever the shard's size or
+/// composition.
 pub(crate) fn run_shard<'a>(
     members: impl IntoIterator<Item = (usize, &'a Tensor)>,
     spec: &RunSpec,

@@ -1,11 +1,13 @@
 //! Full-batch personalized training (paper Section V-D): one loop,
-//! [`train_cohort`], trains one individual or a cohort of them.
+//! [`train_cohort`], trains one individual or a cohort of them, one
+//! member at a time on one reused tape; [`predict_all`] runs the
+//! eval forward the same way.
 
 use crate::checkpoint::Checkpoint;
-use ema_autodiff::{Grads, Tape, Var};
+use ema_autodiff::{Grads, Tape};
 use ema_data::WindowedData;
 use ema_models::{CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
-use ema_nn::{Adam, Binding, Optimizer, OptimizerConfig};
+use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
 use ema_tensor::{KernelBackend, Rng64, Tensor};
@@ -136,53 +138,31 @@ pub fn train_model<M: CohortForecaster>(
     reports.pop().expect("one report per model")
 }
 
-/// One individual's target leaf and its training record.
-struct Member {
-    /// The target matrix's leaf in the persistent tape prefix.
-    target: Var,
-    losses: Vec<f64>,
-    grad_norms: Vec<f64>,
-    best: f64,
-    since_best: usize,
-    early_stopped: bool,
-}
-
-/// The cohort forward's input: the given members' windows, stacked.
-/// The per-member window batches are transient, so a training group
-/// holds one copy of its windows.
-fn stack<'a>(windows: impl Iterator<Item = &'a WindowedData>) -> CohortBatch {
-    let batches: Vec<WindowBatch> = windows
-        .map(|w| WindowBatch::from_windows(&w.inputs))
-        .collect();
-    CohortBatch::from_batches(&batches.iter().collect::<Vec<_>>())
+/// One member's windows as a one-member cohort forward input.
+fn member_batch(windows: &WindowedData) -> CohortBatch {
+    CohortBatch::from_batches(&[&WindowBatch::from_windows(&windows.inputs)])
 }
 
 /// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`:
-/// the training loop. Every epoch forwards the whole active group
-/// through one [`CohortForecaster::predict_cohort`] graph, sums the
-/// per-individual MSE losses into one scalar and runs one backward
-/// pass, then each individual takes its own Adam step. The cohort
-/// forward is bit-identical per individual to its windows run one at a
-/// time (values, gradients and RNG draws; enforced by
-/// `crates/models/tests/batched_equivalence.rs`), so every individual's
-/// result is independent of who shares its group, one member or many.
+/// the training loop. Members train one after another on one `Tape`
+/// and one `Grads` workspace, each as a one-member
+/// [`CohortForecaster::predict_cohort`] group: every epoch forwards the
+/// member's windows, scores them against its targets with MSE, runs one
+/// backward pass and takes one Adam step. The tape holds one member's
+/// graph at a time, so its working set stays in cache at any cohort
+/// size, and a member's result never depends on the rest of the
+/// cohort.
 ///
-/// Each loss node receives exactly the seed gradient `1.0` through the
-/// pairwise add chain, and per-individual state (Adam moments, RNG
-/// stream, early-stopping counters) stays per individual: one that
-/// early-stops or ends its schedule leaves the active group and, per
-/// the cohort RNG contract, stops drawing exactly as its standalone
-/// run would.
+/// Per-member state (Adam moments, RNG stream, early-stopping
+/// counters) lives only while the member trains. All configs must agree
+/// on the kernel backend (one thread-local pin covers the run). A
+/// config with `warm_start` set restores the checkpoint into its model
+/// before its first epoch; with `epochs == 0` that is a pure restore
+/// that consumes zero training draws.
 ///
-/// All configs must agree on the kernel backend (one thread-local pin
-/// covers the shared graph). A config with `warm_start` set restores
-/// the checkpoint into its model before the first epoch; with
-/// `epochs == 0` that is a pure restore — the individual never joins
-/// the active group and consumes zero training draws.
-///
-/// Obs: one `train_epoch` point per active individual and epoch
-/// (`individual` is the cohort position `b`) and one `early_stop`
-/// point per early-stopped individual.
+/// Obs: one `train_epoch` point per individual and epoch (`individual`
+/// is the cohort position `b`) and one `early_stop` point per
+/// early-stopped individual.
 ///
 /// # Panics
 /// Panics on empty inputs, length mismatches, an empty window set,
@@ -215,193 +195,155 @@ pub fn train_cohort<M: CohortForecaster>(
     // thread-local and training runs entirely on the calling thread, so
     // concurrent runs with different backends cannot perturb each other.
     let _kernel = configs[0].kernel_backend.scoped();
-    let obs = ema_obs::recorder();
-    for (model, config) in models.iter_mut().zip(configs) {
-        if let Some(ckpt) = &config.warm_start {
-            ckpt.restore(model.params_mut())
-                .expect("warm-start checkpoint must match the model architecture");
-        }
-    }
-
     // One tape and one gradient workspace for the whole run: reset
-    // keeps the node storage (and the grouped-op arenas) between epochs
-    // and recycles every tensor buffer through the pool, so
-    // steady-state epochs allocate almost nothing. The targets are
-    // constant: each is a leaf in a persistent tape prefix that
-    // `reset_to` keeps alive. Vars do not survive reset, so parameters
-    // rebind per epoch.
+    // keeps the node storage (and the grouped-op arenas) between
+    // members and epochs and recycles every tensor buffer through the
+    // pool, so steady-state epochs allocate almost nothing.
     let mut tape = Tape::new();
     let mut grads = Grads::empty();
-    let mut members: Vec<Member> = windows
-        .iter()
+    let reports = models
+        .iter_mut()
+        .zip(windows)
         .zip(configs)
-        .map(|(w, c)| Member {
-            target: tape.leaf(w.targets_matrix()),
-            losses: Vec::with_capacity(c.epochs),
-            grad_norms: Vec::with_capacity(c.epochs),
-            best: f64::INFINITY,
-            since_best: 0,
-            early_stopped: false,
-        })
+        .enumerate()
+        .map(|(b, ((model, w), config))| train_member(b, model, w, config, &mut tape, &mut grads))
         .collect();
-    let keep = tape.len();
-    // The active group: cohort positions still training, in stack
-    // order. 0-epoch restores never join it and never seed an RNG.
-    // `rngs`/`adams` are indexed by *active* position and compacted
-    // alongside, so the cohort forward sees one contiguous RNG stream
-    // per active individual.
-    let mut active: Vec<usize> = (0..n).filter(|&i| configs[i].epochs > 0).collect();
-    let mut rngs: Vec<Rng64> = active
-        .iter()
-        .map(|&i| Rng64::seed_from(configs[i].seed))
-        .collect();
-    let mut adams: Vec<Adam> = active
-        .iter()
-        .map(|&i| {
-            Adam::new(OptimizerConfig {
-                learning_rate: configs[i].learning_rate,
-                grad_clip: configs[i].grad_clip,
-            })
-        })
-        .collect();
-    // The active members' stacked windows, rebuilt whenever the group
-    // shrinks.
-    let mut cohort: Option<CohortBatch> = None;
-    let mut bindings: Vec<Binding> = Vec::with_capacity(active.len());
-    let mut loss_vars: Vec<Var> = Vec::with_capacity(active.len());
-    let mut epoch = 0usize;
-    while !active.is_empty() {
-        let batch = cohort.get_or_insert_with(|| stack(active.iter().map(|&i| &windows[i])));
-        tape.reset_to(keep);
-        bindings.clear();
-        bindings.extend(active.iter().map(|&i| models[i].params().bind(&tape)));
-        let out = {
-            let group: Vec<&M> = active.iter().map(|&i| &models[i]).collect();
-            let binding_refs: Vec<&Binding> = bindings.iter().collect();
-            let mut ctx = CohortCtx::train(&mut rngs);
-            M::predict_cohort(&group, &tape, &binding_refs, batch, &mut ctx)
-        };
-        // Per-individual MSE over each row block, summed pairwise: the
-        // add chain hands every loss node the seed gradient 1.0, so
-        // individual b's backward matches its standalone graph.
-        loss_vars.clear();
-        let mut total = None;
-        for (pos, &i) in active.iter().enumerate() {
-            let off = batch.offset(pos);
-            let pred = tape.slice_rows(out, off, off + batch.group_wins()[pos]);
-            let loss = tape.mse(pred, members[i].target);
-            loss_vars.push(loss);
-            total = Some(total.map_or(loss, |acc| tape.add(acc, loss)));
-        }
-        tape.backward_into(total.expect("non-empty active group"), &mut grads);
-
-        // Step every active individual, then compact the active state in
-        // place: a member that stays moves down to `kept`.
-        let mut kept = 0;
-        for pos in 0..active.len() {
-            let i = active[pos];
-            let (config, m) = (&configs[i], &mut members[i]);
-            let loss = tape.value(loss_vars[pos]).data()[0];
-            let grad_norm = adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
-            m.losses.push(loss);
-            m.grad_norms.push(grad_norm);
-            point!(
-                "train_epoch",
-                individual = i,
-                epoch = epoch,
-                loss = loss,
-                grad_norm = grad_norm,
-                tape_nodes = tape.len()
-            );
-            obs.observe("train_loss", &LOSS_BUCKETS, loss);
-
-            // Optional early stopping on stalled training loss; the
-            // stopping epoch still takes its step.
-            let mut stays = epoch + 1 < config.epochs;
-            if config.early_stop_rel > 0.0 {
-                if loss < m.best * (1.0 - config.early_stop_rel) {
-                    m.best = loss;
-                    m.since_best = 0;
-                } else {
-                    m.since_best += 1;
-                    if m.since_best >= config.patience {
-                        m.early_stopped = true;
-                        stays = false;
-                        point!(
-                            "early_stop",
-                            individual = i,
-                            epoch = epoch,
-                            best_loss = m.best.min(loss),
-                            patience = config.patience,
-                            rel_threshold = config.early_stop_rel
-                        );
-                        obs.inc_counter("early_stops", 1);
-                    }
-                }
-            }
-            if stays {
-                active.swap(kept, pos);
-                rngs.swap(kept, pos);
-                adams.swap(kept, pos);
-                kept += 1;
-            } else {
-                obs.observe("epochs_run", &EPOCH_BUCKETS, m.losses.len() as f64);
-                obs.observe("grad_norm_final", &GRAD_NORM_BUCKETS, grad_norm);
-            }
-        }
-        // Graph size per epoch: constant while the group is, so a gauge
-        // suffices — a drift means a model is leaking nodes into the tape.
-        obs.set_gauge("tape_nodes", tape.len() as f64);
-        epoch += 1;
-        if kept < active.len() {
-            active.truncate(kept);
-            rngs.truncate(kept);
-            adams.truncate(kept);
-            cohort = None;
-        }
-    }
     // Attribute the run's kernel work to the current phase; under the
     // executor the job-level drain may get there first — take-semantics
     // make both safe.
     ema_obs::drain_kernel_counters();
-    members
-        .into_iter()
-        .map(|m| TrainReport {
-            epochs_run: m.losses.len(),
-            early_stopped: m.early_stopped,
-            losses: m.losses,
-            grad_norms: m.grad_norms,
-        })
-        .collect()
+    reports
+}
+
+/// Trains cohort member `b` for its whole schedule on the shared
+/// workspace.
+fn train_member<M: CohortForecaster>(
+    b: usize,
+    model: &mut M,
+    windows: &WindowedData,
+    config: &TrainConfig,
+    tape: &mut Tape,
+    grads: &mut Grads,
+) -> TrainReport {
+    if let Some(ckpt) = &config.warm_start {
+        ckpt.restore(model.params_mut())
+            .expect("warm-start checkpoint must match the model architecture");
+    }
+    let mut report = TrainReport {
+        losses: Vec::with_capacity(config.epochs),
+        grad_norms: Vec::with_capacity(config.epochs),
+        epochs_run: 0,
+        early_stopped: false,
+    };
+    if config.epochs == 0 {
+        return report;
+    }
+    let obs = ema_obs::recorder();
+    // The target is constant: a leaf in a persistent tape prefix that
+    // `reset_to` keeps alive. Vars do not survive reset, so parameters
+    // rebind per epoch.
+    tape.reset();
+    let target = tape.leaf(windows.targets_matrix());
+    let keep = tape.len();
+    let batch = member_batch(windows);
+    let mut rng = [Rng64::seed_from(config.seed)];
+    let mut adam = Adam::new(OptimizerConfig {
+        learning_rate: config.learning_rate,
+        grad_clip: config.grad_clip,
+    });
+    let (mut best, mut since_best) = (f64::INFINITY, 0);
+    for epoch in 0..config.epochs {
+        tape.reset_to(keep);
+        let binding = model.params().bind(tape);
+        let out = M::predict_cohort(
+            &[&*model],
+            tape,
+            &[&binding],
+            &batch,
+            &mut CohortCtx::train(&mut rng),
+        );
+        let loss_var = tape.mse(out, target);
+        tape.backward_into(loss_var, grads);
+        let loss = tape.value(loss_var).data()[0];
+        let grad_norm = adam.step(model.params_mut(), &binding, grads);
+        report.losses.push(loss);
+        report.grad_norms.push(grad_norm);
+        point!(
+            "train_epoch",
+            individual = b,
+            epoch = epoch,
+            loss = loss,
+            grad_norm = grad_norm,
+            tape_nodes = tape.len()
+        );
+        obs.observe("train_loss", &LOSS_BUCKETS, loss);
+
+        // Optional early stopping on stalled training loss; the stopping
+        // epoch still takes its step.
+        if config.early_stop_rel > 0.0 {
+            if loss < best * (1.0 - config.early_stop_rel) {
+                best = loss;
+                since_best = 0;
+            } else {
+                since_best += 1;
+                if since_best >= config.patience {
+                    report.early_stopped = true;
+                    point!(
+                        "early_stop",
+                        individual = b,
+                        epoch = epoch,
+                        best_loss = best.min(loss),
+                        patience = config.patience,
+                        rel_threshold = config.early_stop_rel
+                    );
+                    obs.inc_counter("early_stops", 1);
+                    break;
+                }
+            }
+        }
+    }
+    report.epochs_run = report.losses.len();
+    obs.observe("epochs_run", &EPOCH_BUCKETS, report.epochs_run as f64);
+    obs.observe(
+        "grad_norm_final",
+        &GRAD_NORM_BUCKETS,
+        report.grad_norms[report.epochs_run - 1],
+    );
+    // Graph size of the member's last epoch: every epoch records the same
+    // graph, so a gauge suffices.
+    obs.set_gauge("tape_nodes", tape.len() as f64);
+    report
 }
 
 /// Eval-mode predictions of every model over its own window set, from
-/// one [`CohortForecaster::predict_cohort`] over the group: element `b`
-/// is `models[b]`'s `[n_b, V]` prediction matrix. Eval mode draws no
-/// randomness, so the rows are bit-identical to per-window
-/// `Forecaster::predict` calls.
+/// one one-member [`CohortForecaster::predict_cohort`] per model on one
+/// reused tape: element `b` is `models[b]`'s `[n_b, V]` prediction
+/// matrix. Eval mode draws no randomness, so the rows are bit-identical
+/// to per-window `Forecaster::predict` calls.
 ///
 /// # Panics
-/// Panics on an empty group, a length mismatch or an empty window set.
+/// Panics on a length mismatch or an empty window set.
 #[must_use]
 pub fn predict_all<M: CohortForecaster>(models: &[M], windows: &[WindowedData]) -> Vec<Tensor> {
     assert_eq!(models.len(), windows.len(), "one window set per model");
-    let batch = stack(windows.iter());
-    let tape = Tape::new();
-    let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
-    let group: Vec<&M> = models.iter().collect();
-    // Eval mode draws nothing; the streams only fill the context.
-    let mut rngs: Vec<Rng64> = models.iter().map(|_| Rng64::seed_from(0)).collect();
-    let out = M::predict_cohort(
-        &group,
-        &tape,
-        &bindings.iter().collect::<Vec<_>>(),
-        &batch,
-        &mut CohortCtx::eval(&mut rngs),
-    );
-    let preds = tape.value(out);
-    (0..models.len())
-        .map(|b| preds.slice_rows(batch.offset(b), batch.offset(b + 1)))
+    let mut tape = Tape::new();
+    // Eval mode draws nothing; the stream only fills the context.
+    let mut rng = [Rng64::seed_from(0)];
+    models
+        .iter()
+        .zip(windows)
+        .map(|(model, w)| {
+            tape.reset();
+            let binding = model.params().bind(&tape);
+            let out = M::predict_cohort(
+                &[model],
+                &tape,
+                &[&binding],
+                &member_batch(w),
+                &mut CohortCtx::eval(&mut rng),
+            );
+            tape.value(out)
+        })
         .collect()
 }
 

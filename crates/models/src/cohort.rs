@@ -1,5 +1,7 @@
 //! Cohort batching: one tape graph per B individuals — the forward
-//! every model trains and evaluates on, from B = 1 up.
+//! every model trains and evaluates on. Training and evaluation run it
+//! one individual at a time (B = 1); every B gives the same bits per
+//! individual.
 //!
 //! A [`CohortBatch`] row-stacks B individuals' [`WindowBatch`]es into
 //! one operand set, **individual-major then window-major**: step `t` is
@@ -86,9 +88,8 @@ impl WindowBatch {
 
 /// B individuals' window batches row-stacked into one operand set.
 ///
-/// Rebuilt whenever the active group changes (e.g. an individual
-/// early-stops out of a training cohort): the stacking is an input
-/// layout only and carries no state.
+/// The stacking is an input layout only and carries no state; training
+/// and evaluation build one per member (B = 1).
 #[derive(Debug, Clone)]
 pub struct CohortBatch {
     group_wins: Vec<usize>,

@@ -14,8 +14,9 @@
 //! they predict the `[V]` vector at the next time point (the paper's
 //! 1-lag forecasting task). All of them, the VAR baseline included,
 //! also implement [`CohortForecaster`], which forwards a group of
-//! individuals through one tape graph. Model hyper-parameters follow Section V-D:
-//! 32 hidden units, kernel 3, dropout 0.3.
+//! individuals through one tape graph (training runs groups of one).
+//! Model hyper-parameters follow Section V-D: 32 hidden units, kernel
+//! 3, dropout 0.3.
 
 #![warn(missing_docs)]
 
@@ -34,7 +35,6 @@ pub use astgcn::Astgcn;
 pub use cohort::{CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
 pub use config::ModelConfig;
 pub use forecaster::{Forecaster, ForwardCtx, ModelKind};
-pub use gcn::{gcn_layer, mixhop_propagation};
 pub use lstm::LstmForecaster;
 pub use mtgnn::{GraphLearnerKind, Mtgnn};
 pub use var::VarForecaster;

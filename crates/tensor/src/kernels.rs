@@ -95,7 +95,10 @@ pub fn addmm_into(
 }
 
 /// `out[j] = Σ_i a[i,j]` for `a: [m,n]`, `out: [n]` — ascending-row
-/// accumulation from `0.0` per column, bit-identical to
+/// accumulation from `0.0` per column. Rows are walked in order into
+/// the `out` accumulators, so each column keeps the strided column
+/// walk's recurrence bit for bit while the adds run across columns.
+/// The one implementation of [`crate::Tensor::sum_axis`] and
 /// [`crate::Tensor::col_sums`].
 ///
 /// # Panics
@@ -103,12 +106,12 @@ pub fn addmm_into(
 pub fn col_sums_into(a: &[f64], out: &mut [f64], m: usize, n: usize) {
     assert_eq!(a.len(), m * n, "col_sums_into input length");
     assert_eq!(out.len(), n, "col_sums_into out length");
-    for (j, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for i in 0..m {
-            acc += a[i * n + j];
+    out.fill(0.0);
+    // `max(1)`: with `n == 0` the input is empty and yields no rows.
+    for row in a.chunks_exact(n.max(1)) {
+        for (o, &x) in out.iter_mut().zip(row) {
+            *o += x;
         }
-        *o = acc;
     }
 }
 

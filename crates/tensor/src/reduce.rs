@@ -1,6 +1,6 @@
 //! Reductions: global and per-axis sums, means, extrema and statistics.
 
-use crate::{pool, Tensor};
+use crate::{kernels, pool, Tensor};
 
 impl Tensor {
     /// Sum of all elements.
@@ -59,20 +59,18 @@ impl Tensor {
         let mut out = pool::take_uninit(out_shape.volume());
         let dims = self.dims();
         let axis_len = dims[axis];
-        // Iterate over all elements of the output; for each, sum the
-        // input values along the reduced axis. The row-major stride of
-        // `axis` equals the product of the dimensions after it.
+        // Each outer block is an `[axis_len, inner]` matrix whose column
+        // sums are that block's outputs.
         let outer: usize = dims[..axis].iter().product();
         let inner: usize = dims[axis + 1..].iter().product();
+        let block = axis_len * inner;
         for o in 0..outer {
-            for i in 0..inner {
-                let base = o * axis_len * inner + i;
-                let mut acc = 0.0;
-                for a in 0..axis_len {
-                    acc += self.data()[base + a * inner];
-                }
-                out[o * inner + i] = acc;
-            }
+            kernels::col_sums_into(
+                &self.data()[o * block..(o + 1) * block],
+                &mut out[o * inner..(o + 1) * inner],
+                axis_len,
+                inner,
+            );
         }
         Tensor::from_shape_pooled(out_shape, out)
     }

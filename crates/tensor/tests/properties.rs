@@ -80,6 +80,50 @@ fn addmm_triple(rng: &mut Rng64) -> (Tensor, Tensor, Tensor) {
     )
 }
 
+/// Entries the column-sum property mixes in: both zeros, both
+/// infinities and NaN.
+const SPECIALS: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+/// Generator: an `[m, n]` matrix (`m` in `1..12`, `n` in `1..20`) with
+/// about one entry in eight drawn from [`SPECIALS`].
+fn matrix_with_specials(rng: &mut Rng64) -> Tensor {
+    let m = gen::usize_in(rng, 1, 12);
+    let n = gen::usize_in(rng, 1, 20);
+    let mut v = gen::vec_f64_len(rng, -1e2, 1e2, m * n);
+    for x in &mut v {
+        if gen::usize_in(rng, 0, 8) == 0 {
+            *x = SPECIALS[gen::usize_in(rng, 0, SPECIALS.len())];
+        }
+    }
+    Tensor::from_vec(&[m, n], v).unwrap()
+}
+
+/// Strided reference sums: `out[o, i] = Σ_a data[o, a, i]`, one
+/// ascending recurrence from `0.0` per output, walked down its axis.
+fn strided_sums(data: &[f64], outer: usize, axis_len: usize, inner: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(outer * inner);
+    for o in 0..outer {
+        for i in 0..inner {
+            let mut acc = 0.0;
+            for a in 0..axis_len {
+                acc += data[(o * axis_len + a) * inner + i];
+            }
+            out.push(acc);
+        }
+    }
+    out
+}
+
+/// Bit for bit, except that NaN matches any NaN (payloads and signs of
+/// NaN are not part of the contract).
+fn same_bits_or_nan(got: &[f64], want: &[f64]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
 /// Reference matmul: the naive i-j-p triple loop implementing the
 /// kernel contract from `linalg.rs` verbatim — each output accumulates
 /// its k products in ascending-p order from `0.0`, skipping
@@ -171,6 +215,25 @@ prop_tests! {
         let total = m.sum();
         prop_assert!((m.sum_axis(0).sum() - total).abs() < 1e-6);
         prop_assert!((m.sum_axis(1).sum() - total).abs() < 1e-6);
+    }
+
+    // Row-walked column sums keep each column's strided recurrence bit
+    // for bit, through signed zeros, infinities and NaN: the slice
+    // kernel from a NaN-filled output, and `sum_axis` over the first,
+    // last and a middle axis.
+    fn col_sums_match_strided_reference(a in matrix_with_specials) {
+        let (m, n) = (a.dims()[0], a.dims()[1]);
+        let cols = strided_sums(a.data(), 1, m, n);
+        let mut out = vec![f64::NAN; n];
+        ema_tensor::kernels::col_sums_into(a.data(), &mut out, m, n);
+        prop_assert!(same_bits_or_nan(&out, &cols), "col_sums_into {out:?} vs {cols:?}");
+        prop_assert!(same_bits_or_nan(a.sum_axis(0).data(), &cols), "sum_axis(0)");
+        let rows = strided_sums(a.data(), m, n, 1);
+        prop_assert!(same_bits_or_nan(a.sum_axis(1).data(), &rows), "sum_axis(1)");
+        let twice = [a.data(), a.data()].concat();
+        let stacked = Tensor::from_vec(&[2, m, n], twice.clone()).unwrap();
+        let middle = strided_sums(&twice, 2, m, n);
+        prop_assert!(same_bits_or_nan(stacked.sum_axis(1).data(), &middle), "sum_axis(1) of rank 3");
     }
 
     fn softmax_rows_normalised(m in matrix(10)) {

@@ -1,9 +1,9 @@
 //! Streamed sharded cohort training: the study is generated shard by
 //! shard on the executor workers (`EmaGenerator::generate_range`), each
-//! shard trains as ONE cohort tape graph per epoch
-//! (`CohortForecaster::predict_cohort`), and per-shard memory is dropped when its
-//! job ends — so peak heap is bounded by (workers × shard size), not
-//! the study size.
+//! shard trains its members one at a time on one reused tape (a
+//! one-member `CohortForecaster::predict_cohort` per epoch), and
+//! per-shard memory is dropped when its job ends — so peak heap is
+//! bounded by (workers × shard size), not the study size.
 //!
 //! ```bash
 //! EMA_OBS=full cargo run --release -p ema-core --example cohort_stream

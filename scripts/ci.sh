@@ -44,18 +44,20 @@ echo "==> cargo test (EMA_THREADS=4)"
 # This run covers, among the rest:
 # - the cohort-forward equivalence properties
 #   (crates/models/tests/batched_equivalence.rs): the one training
-#   forward, the grouped cohort forward over groups of 1-4 individuals,
-#   pinned to the per-window oracle (each window through
-#   predict_window on its own), values and every parameter gradient,
-#   all five models;
+#   forward, which training runs one individual at a time, and grouped
+#   forwards over 2-4 individuals, pinned to the per-window oracle
+#   (each window through predict_window on its own), values and every
+#   parameter gradient, all five models;
 # - the scalar fixtures (tests/scalar_fixtures.rs), which freeze every
 #   model kind, both cohort runners and every experiment preset byte
 #   for byte on this 4-worker executor;
 # - the sharded-cohort grids in tests/determinism.rs: shard boundaries
-#   must never change numbers, so shard sizes 1, 2 and 4 (including the
-#   2-shard x 2-individual shape) pin group composition out of every
-#   result, for the LSTM and a graph model (A3TGCN exercises the grouped
-#   graph-conv/attention ops end to end);
+#   must never change numbers. Shard size sets job and generation
+#   granularity (each shard job generates its slice and trains its
+#   members one at a time), not a training group, so shard sizes 1, 2
+#   and 4 (including the 2-shard x 2-individual shape) pin job layout
+#   and scheduling out of every result, for the LSTM, A3TGCN and MTGNN
+#   (the model of the stream_graph benchmark workload);
 # - the cluster-warm-start grid in tests/determinism.rs: the warm-started
 #   sharded cohort stays byte-identical across thread counts and shard
 #   sizes (the plan is built once on the caller thread).
@@ -109,6 +111,11 @@ echo "==> obs_report smoke"
 # exits nonzero when the manifest carries no span profile, so a
 # silently-dead profiler fails CI here.
 cargo run --offline -q -p ema-bench --bin obs_report -- obs_loss_curve > /dev/null
+
+echo "==> cohort_stream smoke (release, EMA_OBS=off)"
+# Streams 256 individuals in shards of 16 on the release build; the
+# example asserts that every outcome comes back.
+EMA_OBS=off cargo run --offline -q --release -p ema-core --example cohort_stream > /dev/null
 
 if [ "$WITH_BENCH" = 1 ]; then
   echo "==> cargo bench"

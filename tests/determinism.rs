@@ -244,11 +244,12 @@ fn obs_modes_never_perturb_results_and_off_writes_nothing() {
 
 /// `train_cohort` reports every individual's every epoch: one
 /// `train_epoch` point per (individual, epoch) carrying the loss and
-/// gradient norm of its `TrainReport` — while the individual trains in
-/// a group and after the others finished and it trains alone.
+/// gradient norm of its `TrainReport`. Each member trains on a tape of
+/// its own graph alone, so every point's `tape_nodes` equals the count
+/// of the same individual trained as a one-member run.
 #[test]
 fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
-    use ema_core::{train_cohort, Json, TrainConfig};
+    use ema_core::{train_cohort, train_model, Json, TrainConfig};
     use ema_data::{make_windows, EmaGenerator, GeneratorConfig};
     use ema_models::{LstmForecaster, ModelConfig};
     use ema_obs::{recorder, set_mode, ObsMode};
@@ -268,55 +269,67 @@ fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
         .iter()
         .map(|ind| make_windows(&ind.data, 2))
         .collect();
-    // Staggered schedules: three train together, then two, then one.
+    // Staggered schedules: two, three and four epochs.
     let configs: Vec<TrainConfig> = (0..3)
         .map(|b| TrainConfig::quick(2 + b, 10 + b as u64))
         .collect();
-    let mut models: Vec<LstmForecaster> = (0..3)
-        .map(|_| LstmForecaster::new(4, &ModelConfig::tiny(0)))
-        .collect();
+    let model = || LstmForecaster::new(4, &ModelConfig::tiny(0));
 
-    set_mode(ObsMode::Full);
-    assert!(recorder().begin_run_in("train_epochs", Json::Null, &scratch));
-    let reports = {
-        let _probe = ema_obs::span!("train_epoch_probe");
-        train_cohort(&mut models, &windows, &configs)
+    // One full-mode obs run around `train`: this thread's `train_epoch`
+    // points as (individual, epoch, loss bits, grad-norm bits, tape
+    // nodes), sorted.
+    let capture = |run: &str, train: &mut dyn FnMut()| {
+        set_mode(ObsMode::Full);
+        assert!(recorder().begin_run_in(run, Json::Null, &scratch));
+        {
+            let _probe = ema_obs::span!("train_epoch_probe");
+            train();
+        }
+        recorder().finish_run().expect("summary written");
+        set_mode(ObsMode::from_env());
+
+        let text = std::fs::read_to_string(scratch.join(format!("{run}.jsonl")))
+            .expect("full mode streams JSONL");
+        let events: Vec<Json> = text
+            .lines()
+            .map(|l| Json::parse(l).expect("every JSONL line parses"))
+            .collect();
+        // Other tests in this binary may train concurrently: keep the
+        // events of this thread, named by the probe span's enter event.
+        let thread = events
+            .iter()
+            .find(|e| e.get("span").and_then(Json::as_str) == Some("train_epoch_probe"))
+            .and_then(|e| e.get("thread"))
+            .and_then(Json::as_usize)
+            .expect("probe span recorded");
+        let mut seen: Vec<(usize, usize, u64, u64, usize)> = events
+            .iter()
+            .filter(|e| {
+                e.get("name").and_then(Json::as_str) == Some("train_epoch")
+                    && e.get("thread").and_then(Json::as_usize) == Some(thread)
+            })
+            .map(|e| {
+                let f = e.require("fields").unwrap();
+                let num = |k: &str| f.require(k).unwrap().to_f64().unwrap();
+                let count = |k: &str| f.require(k).unwrap().to_usize().unwrap();
+                (
+                    count("individual"),
+                    count("epoch"),
+                    num("loss").to_bits(),
+                    num("grad_norm").to_bits(),
+                    count("tape_nodes"),
+                )
+            })
+            .collect();
+        seen.sort_unstable();
+        seen
     };
-    recorder().finish_run().expect("summary written");
-    set_mode(ObsMode::from_env());
 
-    let text = std::fs::read_to_string(scratch.join("train_epochs.jsonl"))
-        .expect("full mode streams JSONL");
-    let events: Vec<Json> = text
-        .lines()
-        .map(|l| Json::parse(l).expect("every JSONL line parses"))
-        .collect();
-    // Other tests in this binary may train concurrently: keep the
-    // events of this thread, named by the probe span's enter event.
-    let thread = events
-        .iter()
-        .find(|e| e.get("span").and_then(Json::as_str) == Some("train_epoch_probe"))
-        .and_then(|e| e.get("thread"))
-        .and_then(Json::as_usize)
-        .expect("probe span recorded");
-    let mut seen: Vec<(usize, usize, u64, u64)> = events
-        .iter()
-        .filter(|e| {
-            e.get("name").and_then(Json::as_str) == Some("train_epoch")
-                && e.get("thread").and_then(Json::as_usize) == Some(thread)
-        })
-        .map(|e| {
-            let f = e.require("fields").unwrap();
-            let num = |k: &str| f.require(k).unwrap().to_f64().unwrap();
-            (
-                f.require("individual").unwrap().to_usize().unwrap(),
-                f.require("epoch").unwrap().to_usize().unwrap(),
-                num("loss").to_bits(),
-                num("grad_norm").to_bits(),
-            )
-        })
-        .collect();
-    seen.sort_unstable();
+    let mut models: Vec<LstmForecaster> = (0..3).map(|_| model()).collect();
+    let mut reports = Vec::new();
+    let seen = capture("train_epochs", &mut || {
+        reports = train_cohort(&mut models, &windows, &configs);
+    });
     let want: Vec<(usize, usize, u64, u64)> = reports
         .iter()
         .enumerate()
@@ -325,7 +338,27 @@ fn train_cohort_emits_one_train_epoch_per_individual_epoch() {
         })
         .collect();
     assert_eq!(want.len(), 2 + 3 + 4);
-    assert_eq!(seen, want);
+    let points: Vec<(usize, usize, u64, u64)> = seen
+        .iter()
+        .map(|&(b, e, loss, norm, _)| (b, e, loss, norm))
+        .collect();
+    assert_eq!(points, want);
+
+    // Each individual alone: the same points at position 0, with the
+    // same tape size. A grouped training tape would hold every member's
+    // graph and fail here.
+    for b in 0..3 {
+        let mut solo = model();
+        let alone = capture(&format!("train_epochs_solo_{b}"), &mut || {
+            train_model(&mut solo, &windows[b], &configs[b]);
+        });
+        let member: Vec<_> = seen
+            .iter()
+            .filter(|p| p.0 == b)
+            .map(|&(_, e, loss, norm, nodes)| (0, e, loss, norm, nodes))
+            .collect();
+        assert_eq!(alone, member, "individual {b}: cohort vs one-member run");
+    }
 }
 
 /// Warm-pool invariance: running the same cohort twice in one process
@@ -430,10 +463,13 @@ fn cohort_sharded_results_json(
 }
 
 /// Asserts `run(threads, shard)` is byte-identical to the
-/// `(threads = 1, shard = 1)` baseline at every grid point. Every shard
-/// trains on the cohort forward (`predict_cohort`); shard size 1 runs
-/// it one individual at a time and larger shards group individuals, so
-/// the grid pins group composition out of every number.
+/// `(threads = 1, shard = 1)` baseline at every grid point. Shard size
+/// sets job and generation granularity — each shard job generates its
+/// slice, builds its members' graphs and trains them one at a time —
+/// not a training group, so the grid pins job layout and scheduling
+/// out of every number. Forwards over groups of more than one
+/// individual stay pinned to the per-window oracle by
+/// `crates/models/tests/batched_equivalence.rs`.
 fn assert_sharding_invisible(
     what: &str,
     grid: &[(usize, usize)],
@@ -452,8 +488,7 @@ fn assert_sharding_invisible(
 /// The streaming sharded cohort path's headline guarantee: results are
 /// byte-identical at every `(thread count, shard size)` pair — shard
 /// boundaries never change numbers because every per-individual stream
-/// is derived from `(run seed, id)` — and the cohort forward over a
-/// group matches the same forward over one individual at a time.
+/// is derived from `(run seed, id)`.
 #[test]
 fn cohort_sharded_results_identical_across_threads_shards_and_paths() {
     // (4, 2) is the CI smoke shape: 2 shards × 2 individuals on a
@@ -469,10 +504,9 @@ fn cohort_sharded_results_identical_across_threads_shards_and_paths() {
     });
 }
 
-/// Same grid for a graph model: the grouped graph-conv/attention tape
-/// ops must keep sharding invisible byte for byte, with each
-/// individual's training-split graph built on whichever worker
-/// generates its shard.
+/// Same grid for a graph model: sharding stays invisible byte for
+/// byte, with each individual's training-split graph built on
+/// whichever worker generates its shard.
 #[test]
 fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
     assert_sharding_invisible("A3TGCN", &[(4, 4), (4, 2), (4, 1)], |threads, shard| {
@@ -480,6 +514,25 @@ fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
             threads,
             shard,
             ModelKind::A3tgcn,
+            GraphSpec::Static {
+                metric: ema_similarity::GraphMetric::Correlation,
+                gdt: ema_graph::sparsify::DensityThreshold::Gdt40,
+            },
+            ema_core::TrainStrategy::Idiographic,
+        )
+    });
+}
+
+/// Same grid for MTGNN, the model of the `stream_graph` benchmark
+/// workload: its learned adjacency, mix-hop propagation and pre-drawn
+/// dropout masks keep sharding invisible byte for byte.
+#[test]
+fn cohort_sharded_mtgnn_identical_across_threads_shards_and_paths() {
+    assert_sharding_invisible("MTGNN", &[(4, 4), (4, 2), (4, 1)], |threads, shard| {
+        cohort_sharded_results_json(
+            threads,
+            shard,
+            ModelKind::Mtgnn,
             GraphSpec::Static {
                 metric: ema_similarity::GraphMetric::Correlation,
                 gdt: ema_graph::sparsify::DensityThreshold::Gdt40,
