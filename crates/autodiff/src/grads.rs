@@ -85,9 +85,13 @@ impl PendingUse {
     }
 }
 
-/// Gradients for every node of a tape, indexed by [`Var`].
+/// Gradients of a tape's leaves, indexed by [`Var`].
 ///
-/// Nodes that did not participate in the loss have no gradient (`None`).
+/// A backward pass keeps leaf gradients only: it frees each non-leaf
+/// node's gradient as soon as that node's own backward step has run
+/// (and a grouped node's when the walk ends), so [`Grads::get`] returns
+/// `None` for every non-leaf node. Leaves that did not influence the
+/// loss have no gradient either.
 #[derive(Debug)]
 pub struct Grads {
     grads: Vec<Option<Tensor>>,
@@ -101,8 +105,9 @@ impl Grads {
     /// An empty gradient workspace for [`crate::Tape::backward_into`].
     ///
     /// Create one per training run, reuse it across epochs: the slot
-    /// vector (and, via the tensor pool, the gradient buffers) are
-    /// recycled instead of reallocated every backward pass.
+    /// and pending-use vectors keep their capacity, and the gradient
+    /// buffers a pass frees go back to the tensor pool for the next
+    /// pass instead of being reallocated.
     #[must_use]
     pub fn empty() -> Self {
         Self {
@@ -119,8 +124,8 @@ impl Grads {
         (&mut self.grads, &mut self.pending)
     }
 
-    /// The gradient of the loss with respect to `v`, if `v` influenced
-    /// the loss.
+    /// The gradient of the loss with respect to the leaf `v`, if `v`
+    /// influenced the loss; `None` for every non-leaf node.
     #[must_use]
     pub fn get(&self, v: Var) -> Option<&Tensor> {
         self.grads.get(v.index()).and_then(|g| g.as_ref())

@@ -4,8 +4,11 @@
 //!
 //! The design is a classic *tape*: every operation appends a node holding
 //! its forward value and an op descriptor; [`Tape::backward`] walks the
-//! tape in reverse, propagating gradients to every node. Variables are
-//! plain `Copy` indices ([`Var`]), so model code reads naturally:
+//! tape in reverse, propagating gradients node by node. The walk frees
+//! each non-leaf gradient once its node's step has run (elementwise
+//! steps reuse that buffer in place), so the returned [`Grads`] holds
+//! the leaves' gradients only. Variables are plain `Copy` indices
+//! ([`Var`]), so model code reads naturally:
 //!
 //! ```
 //! use ema_autodiff::Tape;
@@ -20,10 +23,10 @@
 //! assert_eq!(grads.get(w).unwrap().data(), &[3.0]); // ∂(wx)/∂w = x
 //! ```
 //!
-//! Training loops in `ema-nn`/`ema-models` build a fresh tape per epoch:
-//! parameters live outside the tape as plain tensors, are inserted as
-//! leaves each forward pass, and their gradients are read back from the
-//! returned [`Grads`].
+//! Training loops reuse one tape and one [`Grads`] workspace across
+//! epochs ([`Tape::reset_to`], [`Tape::backward_into`]): parameters live
+//! outside the tape as plain tensors, are inserted as leaves each
+//! forward pass, and their gradients are read back from the workspace.
 //!
 //! Every differentiable op is covered by a central-finite-difference
 //! gradient check in this crate's tests (see [`check`]).

@@ -106,8 +106,11 @@ pub(crate) enum Op {
     GroupAddRow(Var, Groups, usize),
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// times each `[q, n]` window block of its slice of
-    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]`. Fields: x, groups
-    /// (one lhs per group).
+    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]`. Forward and the
+    /// stacked `dx` run one kernel call per contiguous window block (the
+    /// per-window `Matmul`'s own calls); each group's lhs gradient is
+    /// deferred as per-window pieces. Fields: x, groups (one lhs per
+    /// group).
     GroupBlockLhsMatmul(Var, Groups),
 }
 

@@ -2,7 +2,7 @@
 
 use crate::grads::{PendingKind, PendingUse};
 use crate::op::Groups;
-use crate::{tape_ops_batched, Grads, Op};
+use crate::{Grads, Op};
 use ema_tensor::{kernels, pool, Tensor};
 use std::cell::RefCell;
 
@@ -301,7 +301,8 @@ impl Tape {
     // ------------------------------------------------------------------
 
     /// Runs reverse-mode differentiation from `loss` (which must hold a
-    /// single element) and returns gradients for every node.
+    /// single element) and returns the gradient of every leaf that
+    /// influenced it (see [`Grads`]).
     ///
     /// # Panics
     /// Panics if `loss` is not scalar-shaped.
@@ -316,6 +317,14 @@ impl Tape {
     /// workspace. Reusing one workspace across epochs keeps the slot
     /// vector's capacity and recycles last epoch's gradient buffers
     /// through the tensor pool instead of allocating fresh ones.
+    ///
+    /// The pass frees as it goes: a non-leaf node's gradient is released
+    /// as soon as its own backward step has run, and the elementwise
+    /// steps write one parent's contribution into that released buffer
+    /// in place. A grouped node's gradient (`Op::Group*`) stays until
+    /// the walk ends, because the deferred per-window pieces of its
+    /// operands read it when the walk reaches them. Afterwards the
+    /// workspace holds leaf gradients only.
     ///
     /// # Panics
     /// Panics if `loss` is not scalar-shaped.
@@ -336,48 +345,93 @@ impl Tape {
         }
         grads[loss.0] = Some(Tensor::from_vec1(vec![1.0]));
 
-        let mut contribs: Vec<(Var, Tensor)> = Vec::new();
-        let mut deferred: Vec<(Var, PendingUse)> = Vec::new();
+        let arenas = (&operands[..], &group_wins[..]);
         for i in (0..=loss.0).rev() {
             // The tape is append-only, so every parent index is < i:
-            // node i's gradient can be borrowed while the parents'
-            // accumulators are written, with no clone of `g` and no
-            // reallocation on accumulation.
-            let (parents, rest) = grads.split_at_mut(i);
+            // node i's gradient is taken (or borrowed) while the
+            // parents' accumulators and pending lists below it are
+            // written.
+            let (parent_grads, rest) = grads.split_at_mut(i);
             let (slot_i, later) = rest.split_first_mut().expect("slot exists");
-            if !pending[i].is_empty() {
+            let (parent_pending, rest) = pending.split_at_mut(i);
+            let own_pending = &mut rest[0];
+            if !own_pending.is_empty() {
                 // Stacked consumers above deposited deferred per-window
                 // pieces for this node; replay them into the slot in the
                 // per-window graph's accumulation order before this
                 // node's own backward step reads it.
-                finalize_pending(&nodes, i, &pending[i], slot_i, later);
-                pending[i].clear();
+                finalize_pending(&nodes, i, own_pending, slot_i, later);
+                own_pending.clear();
             }
-            let Some(g) = slot_i.as_ref() else { continue };
             let node = &nodes[i];
-            let arenas = (&operands[..], &group_wins[..]);
-            backward_one(
-                &nodes,
-                arenas,
-                i,
-                &node.op,
-                &node.value,
-                g,
-                &mut contribs,
-                &mut deferred,
-            );
-            for (parent, contrib) in contribs.drain(..) {
-                debug_assert!(parent.0 < i, "tape parents must precede children");
-                match &mut parents[parent.0] {
-                    Some(acc) => acc.add_assign(&contrib),
-                    slot @ None => *slot = Some(contrib),
+            let mut parents = Parents {
+                grads: parent_grads,
+                pending: parent_pending,
+            };
+            match &node.op {
+                Op::Leaf => {}
+                op if op.groups().is_some() => {
+                    if let Some(g) = slot_i.as_ref() {
+                        backward_group(&nodes, arenas, i, op, &node.value, g, &mut parents);
+                    }
+                }
+                op => {
+                    if let Some(g) = slot_i.take() {
+                        backward_one(&nodes, op, &node.value, g, &mut parents);
+                    }
                 }
             }
-            for (parent, use_) in deferred.drain(..) {
-                debug_assert!(parent.0 < i, "tape parents must precede children");
-                pending[parent.0].push(use_);
+        }
+        // The grouped nodes' gradients served their operands' pieces;
+        // only leaf gradients outlive the pass.
+        for (slot, node) in grads.iter_mut().zip(nodes.iter()) {
+            if !matches!(node.op, Op::Leaf) {
+                *slot = None;
             }
         }
+    }
+}
+
+/// The gradient slots and pending-use lists of the nodes below the one
+/// whose backward step runs — the only ones that step writes.
+struct Parents<'a> {
+    grads: &'a mut [Option<Tensor>],
+    pending: &'a mut [Vec<PendingUse>],
+}
+
+impl Parents<'_> {
+    /// Accumulates an owned contribution into `v`'s slot: it becomes the
+    /// slot when the slot is empty, else it is added in and its buffer
+    /// recycled.
+    fn add(&mut self, v: Var, contrib: Tensor) {
+        match &mut self.grads[v.0] {
+            Some(acc) => acc.add_assign(&contrib),
+            slot @ None => *slot = Some(contrib),
+        }
+    }
+
+    /// Accumulates a borrowed contribution, copying it only into an
+    /// empty slot.
+    fn add_ref(&mut self, v: Var, contrib: &Tensor) {
+        match &mut self.grads[v.0] {
+            Some(acc) => acc.add_assign(contrib),
+            slot @ None => *slot = Some(contrib.clone()),
+        }
+    }
+
+    /// Records a deferred per-window use of the operand `v`, finalized
+    /// when the walk reaches it.
+    fn defer(&mut self, v: Var, use_: PendingUse) {
+        self.pending[v.0].push(use_);
+    }
+}
+
+/// `g[i] = f(g[i], x[i])` in place: the in-place twin of `g.zip(x, f)`,
+/// with the same per-element arithmetic.
+fn zip_in_place(g: &mut Tensor, x: &Tensor, f: impl Fn(f64, f64) -> f64) {
+    assert_eq!(g.dims(), x.dims(), "gradient and operand shapes differ");
+    for (gv, &xv) in g.data_mut().iter_mut().zip(x.data()) {
+        *gv = f(*gv, xv);
     }
 }
 
@@ -458,7 +512,9 @@ fn add_piece(slot: &mut Option<Tensor>, piece: &[f64], dims: &[usize]) {
             }
         }
         None => {
-            *slot = Some(Tensor::from_vec(dims, piece.to_vec()).expect("piece shape"));
+            let mut data = pool::take_uninit(piece.len());
+            data.copy_from_slice(piece);
+            *slot = Some(Tensor::from_vec(dims, data).expect("piece shape"));
         }
     }
 }
@@ -499,129 +555,147 @@ fn compute_piece(nodes: &[Node], u: &PendingUse, w: usize, g: &Tensor, out: &mut
     }
 }
 
-/// Computes the gradient contributions of one node to its parents,
-/// appending them to the caller's reusable `contribs` buffer. Grouped
-/// ops additionally append deferred per-window uses for their
-/// per-group operands to `deferred` (finalized when the backward loop
-/// reaches the operand); `i` is the node's own tape index, recorded as
-/// the gradient source of those pieces. `arenas` holds the tape's
-/// grouped-op operand vars and window counts.
-#[allow(clippy::too_many_arguments)]
-fn backward_one(
-    nodes: &[Node],
-    (operands, group_wins): (&[Var], &[usize]),
-    i: usize,
-    op: &Op,
-    out_value: &Tensor,
-    g: &Tensor,
-    contribs: &mut Vec<(Var, Tensor)>,
-    deferred: &mut Vec<(Var, PendingUse)>,
-) {
+/// Runs the backward step of one non-grouped node, whose gradient `g`
+/// the pass has released: accumulates the node's contribution to each
+/// parent into `parents`, in parent order. The elementwise steps write
+/// one parent's contribution into `g` in place, with the arithmetic of
+/// the allocating formula (`g · (1 − y·y)`, `g · mask`, …); the others
+/// read `g` and recycle it when they return.
+fn backward_one(nodes: &[Node], op: &Op, out_value: &Tensor, mut g: Tensor, parents: &mut Parents) {
     let val = |v: Var| &nodes[v.0].value;
     match *op {
         Op::Leaf => {}
-        Op::Add(a, b) => contribs.extend([(a, g.clone()), (b, g.clone())]),
-        Op::Sub(a, b) => contribs.extend([(a, g.clone()), (b, g.neg())]),
-        Op::Mul(a, b) => contribs.extend([(a, g.mul(val(b))), (b, g.mul(val(a)))]),
-        Op::Div(a, b) => {
-            let bv = val(b);
-            let da = g.div(bv);
-            let db = g.mul(val(a)).div(&bv.square()).neg();
-            contribs.extend([(a, da), (b, db)]);
+        Op::Add(a, b) => {
+            parents.add_ref(a, &g);
+            parents.add(b, g);
         }
-        Op::Scale(a, s) => contribs.push((a, g.scale(s))),
+        Op::Sub(a, b) => {
+            parents.add_ref(a, &g);
+            g.map_inplace(|v| -v);
+            parents.add(b, g);
+        }
+        Op::Mul(a, b) => {
+            let da = g.mul(val(b));
+            zip_in_place(&mut g, val(a), |g, a| g * a);
+            parents.add(a, da);
+            parents.add(b, g);
+        }
+        Op::Div(a, b) => {
+            // da = g / b, db = −((g·a) / (b·b)).
+            let (av, bv) = (val(a), val(b));
+            let da = g.div(bv);
+            assert_eq!(g.dims(), av.dims(), "gradient and operand shapes differ");
+            for ((gv, &x), &y) in g.data_mut().iter_mut().zip(av.data()).zip(bv.data()) {
+                *gv = -((*gv * x) / (y * y));
+            }
+            parents.add(a, da);
+            parents.add(b, g);
+        }
+        Op::Scale(a, s) => {
+            g.map_inplace(|v| v * s);
+            parents.add(a, g);
+        }
         Op::Matmul(a, b) => {
             // da = g·bᵀ, db = aᵀ·g via the transpose-aware kernels —
             // bit-identical to the materialized-transpose formulation
             // (see the kernel contract in ema_tensor's linalg module)
             // without allocating either transpose.
             let da = g.matmul_nt(val(b));
-            let db = val(a).matmul_tn(g);
-            contribs.extend([(a, da), (b, db)]);
+            let db = val(a).matmul_tn(&g);
+            parents.add(a, da);
+            parents.add(b, db);
         }
         Op::MatmulNT(a, b) => {
             // out = a·bᵀ with a:[m,k], b:[n,k], g:[m,n].
             // da = g·b : [m,k]; db = gᵀ·a : [n,k].
             let da = g.matmul(val(b));
             let db = g.matmul_tn(val(a));
-            contribs.extend([(a, da), (b, db)]);
+            parents.add(a, da);
+            parents.add(b, db);
         }
         Op::Addmm(x, w, bias) => {
             // out = x·wᵀ + bias with x:[n,k], w:[out,k], g:[n,out].
             let dx = g.matmul(val(w));
             let dw = g.matmul_tn(val(x));
             let dbias = g.col_sums();
-            contribs.extend([(x, dx), (w, dw), (bias, dbias)]);
+            parents.add(x, dx);
+            parents.add(w, dw);
+            parents.add(bias, dbias);
         }
         Op::LstmCell(gates, c_prev) => {
             lstm_cell_backward(
                 val(gates),
                 val(c_prev),
                 out_value,
-                g,
+                &g,
                 gates,
                 c_prev,
-                contribs,
+                parents,
             );
         }
-        Op::Transpose(a) => contribs.push((a, g.transpose())),
+        Op::Transpose(a) => parents.add(a, g.transpose()),
         Op::Tanh(a) => {
             // d tanh = 1 - tanh²; out_value already holds tanh(x).
-            let d = out_value.map(|y| 1.0 - y * y);
-            contribs.push((a, g.mul(&d)));
+            zip_in_place(&mut g, out_value, |g, y| g * (1.0 - y * y));
+            parents.add(a, g);
         }
         Op::Sigmoid(a) => {
-            let d = out_value.map(|y| y * (1.0 - y));
-            contribs.push((a, g.mul(&d)));
+            zip_in_place(&mut g, out_value, |g, y| g * (y * (1.0 - y)));
+            parents.add(a, g);
         }
         Op::Relu(a) => {
-            let d = val(a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
-            contribs.push((a, g.mul(&d)));
+            zip_in_place(&mut g, val(a), |g, x| g * if x > 0.0 { 1.0 } else { 0.0 });
+            parents.add(a, g);
         }
-        Op::Square(a) => contribs.push((a, g.mul(&val(a).scale(2.0)))),
+        Op::Square(a) => {
+            zip_in_place(&mut g, val(a), |g, x| g * (x * 2.0));
+            parents.add(a, g);
+        }
         Op::SoftmaxLast(a) => {
-            // grad_in = s ⊙ (g - <g, s>_row) per row.
+            // grad_in = s ⊙ (g - <g, s>_row) per row, in place: each
+            // row's dot is taken before the row is overwritten.
             let s = out_value;
-            let (rows, cols) = if s.rank() == 1 {
-                (1, s.len())
-            } else {
-                (s.dims()[0], s.dims()[1])
-            };
-            let mut out = g.clone();
-            for r in 0..rows {
+            let cols = if s.rank() == 1 { s.len() } else { s.dims()[1] };
+            for (g_row, s_row) in g
+                .data_mut()
+                .chunks_exact_mut(cols)
+                .zip(s.data().chunks_exact(cols))
+            {
                 let mut dot = 0.0;
-                for c in 0..cols {
-                    dot += g.data()[r * cols + c] * s.data()[r * cols + c];
+                for (&gv, &sv) in g_row.iter().zip(s_row) {
+                    dot += gv * sv;
                 }
-                for c in 0..cols {
-                    let i = r * cols + c;
-                    out.data_mut()[i] = s.data()[i] * (g.data()[i] - dot);
+                for (gv, &sv) in g_row.iter_mut().zip(s_row) {
+                    *gv = sv * (*gv - dot);
                 }
             }
-            contribs.push((a, out));
+            parents.add(a, g);
         }
         Op::SumAll(a) => {
             let gv = g.data()[0];
-            contribs.push((a, Tensor::filled(val(a).dims(), gv)));
+            parents.add(a, Tensor::filled(val(a).dims(), gv));
         }
         Op::MeanAll(a) => {
             let n = val(a).len() as f64;
             let gv = g.data()[0] / n;
-            contribs.push((a, Tensor::filled(val(a).dims(), gv)));
+            parents.add(a, Tensor::filled(val(a).dims(), gv));
         }
         Op::AddRowBroadcast(m, r) => {
-            contribs.extend([(m, g.clone()), (r, g.col_sums())]);
+            let dr = g.col_sums();
+            parents.add(m, g);
+            parents.add(r, dr);
         }
         Op::HCat(a, b) => {
             let ca = val(a).dims()[1];
             let total = out_value.dims()[1];
-            contribs.extend([(a, g.slice_cols(0, ca)), (b, g.slice_cols(ca, total))]);
+            parents.add(a, g.slice_cols(0, ca));
+            parents.add(b, g.slice_cols(ca, total));
         }
         Op::SliceRows(a, start, end) => {
             let mut da = Tensor::zeros(val(a).dims());
             let n = da.dims()[1];
             da.data_mut()[start * n..end * n].copy_from_slice(g.data());
-            contribs.push((a, da));
+            parents.add(a, da);
         }
         Op::SliceCols(a, start, end) => {
             let mut da = Tensor::zeros(val(a).dims());
@@ -631,12 +705,20 @@ fn backward_one(
                 da.data_mut()[i * n + start..i * n + end]
                     .copy_from_slice(&g.data()[i * w..(i + 1) * w]);
             }
-            contribs.push((a, da));
+            parents.add(a, da);
         }
-        Op::Reshape(a) => contribs.push((a, g.reshaped(val(a).dims()))),
-        Op::Dropout(a, ref mask) => contribs.push((a, g.mul(mask))),
+        Op::Reshape(a) => {
+            g.reshape_in_place(val(a).dims());
+            parents.add(a, g);
+        }
+        Op::Dropout(a, ref mask) => {
+            zip_in_place(&mut g, mask, |g, m| g * m);
+            parents.add(a, g);
+        }
         Op::StackRows(ref vars) => {
-            contribs.extend(vars.iter().enumerate().map(|(i, &v)| (v, g.row(i))));
+            for (i, &v) in vars.iter().enumerate() {
+                parents.add(v, g.row(i));
+            }
         }
         Op::BlockMatmul(x, y, wins) => {
             // Per block: dx_w = g_w · y_wᵀ, dy_w = x_wᵀ · g_w — both
@@ -654,10 +736,8 @@ fn backward_one(
                 kernels::matmul_nt_into(g_w, y_w, &mut dx[w * m * k..(w + 1) * m * k], m, n, k);
                 kernels::matmul_tn_into(x_w, g_w, &mut dy[w * k * n..(w + 1) * k * n], m, k, n);
             }
-            contribs.extend([
-                (x, Tensor::from_vec(xv.dims(), dx).expect("block dx shape")),
-                (y, Tensor::from_vec(yv.dims(), dy).expect("block dy shape")),
-            ]);
+            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("block dx shape"));
+            parents.add(y, Tensor::from_vec(yv.dims(), dy).expect("block dy shape"));
         }
         Op::BlockMatmulNT(x, y, wins) => {
             // Per block: dx_w = g_w · y_w, dy_w = g_wᵀ · x_w.
@@ -674,10 +754,8 @@ fn backward_one(
                 kernels::matmul_into(g_w, y_w, &mut dx[w * m * k..(w + 1) * m * k], m, n, k);
                 kernels::matmul_tn_into(g_w, x_w, &mut dy[w * n * k..(w + 1) * n * k], m, n, k);
             }
-            contribs.extend([
-                (x, Tensor::from_vec(xv.dims(), dx).expect("block dx shape")),
-                (y, Tensor::from_vec(yv.dims(), dy).expect("block dy shape")),
-            ]);
+            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("block dx shape"));
+            parents.add(y, Tensor::from_vec(yv.dims(), dy).expect("block dy shape"));
         }
         Op::StackWindowBlocks(ref states, wins) => {
             // Scatter the stacked gradient back: state t's block w is
@@ -694,9 +772,35 @@ fn backward_one(
                         &g.data()[(w * t_count + t) * block..(w * t_count + t + 1) * block],
                     );
                 }
-                contribs.push((s, Tensor::from_vec(sv.dims(), d).expect("state grad shape")));
+                parents.add(s, Tensor::from_vec(sv.dims(), d).expect("state grad shape"));
             }
         }
+        Op::GroupLinear(..)
+        | Op::GroupMatmul(..)
+        | Op::GroupMatmulNT(..)
+        | Op::GroupAddRow(..)
+        | Op::GroupBlockLhsMatmul(..) => unreachable!("grouped ops run in backward_group"),
+    }
+}
+
+/// Runs the backward step of one grouped node (`Op::Group*`), whose
+/// gradient `g` stays in its slot until the walk ends: the stacked
+/// input's gradient is accumulated dense, and each group's operand
+/// gradient is deferred as per-window pieces (finalized when the walk
+/// reaches the operand); `i` is the node's own tape index, recorded as
+/// the gradient source of those pieces. `arenas` holds the tape's
+/// grouped-op operand vars and window counts.
+fn backward_group(
+    nodes: &[Node],
+    (operands, group_wins): (&[Var], &[usize]),
+    i: usize,
+    op: &Op,
+    out_value: &Tensor,
+    g: &Tensor,
+    parents: &mut Parents,
+) {
+    let val = |v: Var| &nodes[v.0].value;
+    match *op {
         Op::GroupLinear(x, ref groups, block_rows) => {
             // Per group b: dx_b = g_b · w_b (dense in the stack, one
             // kernel call per group with the same (m, k, n) as the
@@ -724,17 +828,17 @@ fn backward_one(
                     out_cols,
                     k,
                 );
-                deferred.push((
+                parents.defer(
                     w,
                     PendingUse::group(PendingKind::GtX, i, x.0, wb, off, block_rows),
-                ));
-                deferred.push((
+                );
+                parents.defer(
                     bias,
                     PendingUse::group(PendingKind::ColSums, i, i, wb, off, block_rows),
-                ));
+                );
                 off += r;
             }
-            contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
+            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
         }
         Op::GroupMatmul(x, ref groups, block_rows, grouped) => {
             // Per group b: dx_b = g_b · rhs_bᵀ (dense, same (m, k, n)
@@ -760,10 +864,10 @@ fn backward_one(
                 );
                 let mut use_ = PendingUse::group(PendingKind::XtG, i, x.0, wb, off, block_rows);
                 use_.grouped = grouped;
-                deferred.push((rhs, use_));
+                parents.defer(rhs, use_);
                 off += r;
             }
-            contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
+            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
         }
         Op::GroupMatmulNT(x, ref groups, block_rows) => {
             // Per group b: dx_b = g_b · rhs_b (dense); each group's rhs
@@ -785,57 +889,47 @@ fn backward_one(
                     n,
                     k,
                 );
-                deferred.push((
+                parents.defer(
                     rhs,
                     PendingUse::group(PendingKind::GtX, i, x.0, wb, off, block_rows),
-                ));
+                );
                 off += r;
             }
-            contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
+            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
         }
         Op::GroupAddRow(m, ref groups, block_rows) => {
             // dm is the gradient unchanged; each group's row gradient
             // is deferred as per-window column sums over its block.
-            contribs.push((m, g.clone()));
+            parents.add_ref(m, g);
             let mut off = 0usize;
             let rows = &operands[groups.operands.clone()];
             for (&row, &wb) in rows.iter().zip(&group_wins[groups.wins.clone()]) {
-                deferred.push((
+                parents.defer(
                     row,
                     PendingUse::group(PendingKind::ColSums, i, i, wb, off, block_rows),
-                ));
+                );
                 off += wb * block_rows;
             }
         }
         Op::GroupBlockLhsMatmul(x, ref groups) => {
-            // Per group b: gather its g slice to the column-permuted
-            // layout, one lhs_bᵀ · ĝ product, scatter back — each
-            // window block's dx is the per-window Matmul rhs gradient
-            // bit for bit, with lhs_bᵀ repacked once per group. Each
-            // group's lhs gradient is deferred as per-window G·Xᵀ
-            // pieces at the group's (output, input) row offsets.
+            // Per window block: dx_w = lhs_bᵀ · g_w, the per-window
+            // Matmul rhs gradient's own kernel call on contiguous
+            // blocks of g and dx. Each group's lhs gradient is deferred
+            // as per-window G·Xᵀ pieces at the group's (output, input)
+            // row offsets.
             let xv = val(x);
             let n = xv.dims()[1];
             let lhses = &operands[groups.operands.clone()];
             let (p, q) = (val(lhses[0]).dims()[0], val(lhses[0]).dims()[1]);
             let mut dx = pool::take_uninit(xv.len());
+            let mut blocks = g.data().chunks_exact(p * n).zip(dx.chunks_exact_mut(q * n));
             let (mut xoff, mut goff) = (0usize, 0usize);
             for (&lhs, &wb) in lhses.iter().zip(&group_wins[groups.wins.clone()]) {
                 let lv = val(lhs);
-                let ghat = tape_ops_batched::gather_window_cols(
-                    &g.data()[goff * n..(goff + wb * p) * n],
-                    wb,
-                    p,
-                    n,
-                );
-                let mut dxhat = pool::take_uninit(q * wb * n);
-                kernels::matmul_tn_into(lv.data(), &ghat, &mut dxhat, p, q, wb * n);
-                pool::recycle(ghat);
-                let dx_b = tape_ops_batched::scatter_window_cols(&dxhat, wb, q, n);
-                pool::recycle(dxhat);
-                dx[xoff * n..(xoff + wb * q) * n].copy_from_slice(&dx_b);
-                pool::recycle(dx_b);
-                deferred.push((
+                for (g_w, dx_w) in blocks.by_ref().take(wb) {
+                    kernels::matmul_tn_into(lv.data(), g_w, dx_w, p, q, n);
+                }
+                parents.defer(
                     lhs,
                     PendingUse {
                         kind: PendingKind::GntX,
@@ -848,12 +942,13 @@ fn backward_one(
                         x_rows: q,
                         x_off: xoff,
                     },
-                ));
+                );
                 xoff += wb * q;
                 goff += wb * p;
             }
-            contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape")));
+            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
         }
+        _ => unreachable!("non-grouped ops run in backward_one"),
     }
 }
 
@@ -874,7 +969,7 @@ fn lstm_cell_backward(
     g: &Tensor,
     gates_var: Var,
     c_prev_var: Var,
-    contribs: &mut Vec<(Var, Tensor)>,
+    parents: &mut Parents,
 ) {
     let (n, g4) = (gates.dims()[0], gates.dims()[1]);
     let h = g4 / 4;
@@ -904,7 +999,8 @@ fn lstm_cell_backward(
     }
     let d_gates = Tensor::from_vec(&[n, g4], d_gates).expect("lstm backward gate grads");
     let d_cprev = Tensor::from_vec(&[n, h], d_cprev).expect("lstm backward cell grads");
-    contribs.extend([(gates_var, d_gates), (c_prev_var, d_cprev)]);
+    parents.add(gates_var, d_gates);
+    parents.add(c_prev_var, d_cprev);
 }
 
 #[cfg(test)]
@@ -1045,6 +1141,209 @@ mod tests {
         let _ = grouped_step(&tape, &[3, 3]);
         tape.reset_to(keep);
         assert_eq!(loss_grads(&tape, y, x, ws), want);
+    }
+
+    /// A `[3, 4]` probe with both signs and an exact zero (so the ReLU
+    /// mask and the zero products are exercised), shifted `away` from
+    /// zero when it divides.
+    fn probe(seed: u64, away: f64) -> Tensor {
+        let mut rng = ema_tensor::Rng64::seed_from(seed);
+        let mut t = Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng);
+        t.data_mut()[5] = 0.0;
+        t.map(|v| if v < 0.0 { v - away } else { v + away })
+    }
+
+    /// Backpropagates `sum(op(a, b) ⊙ c)`, which hands `op`'s node the
+    /// upstream gradient `g = c` exactly, and checks the leaf gradients
+    /// bit for bit against `reference(g, a, b, y) = (da, db)` — the
+    /// allocating formula the in-place step replaces. It runs with
+    /// distinct and aliased (`b = a`) parents, and with `a`'s slot empty
+    /// or already holding `d` from a later `sum(a ⊙ d)` term, so both
+    /// the move and the accumulate paths run.
+    fn assert_in_place_step_matches(
+        name: &str,
+        op: impl Fn(&Tape, Var, Var) -> Var,
+        reference: impl Fn(&Tensor, &Tensor, &Tensor, &Tensor) -> (Tensor, Option<Tensor>),
+    ) {
+        let (av, bv, dv) = (probe(1, 0.0), probe(2, 0.5), probe(4, 0.0));
+        let mut binary = false;
+        for alias in [false, true] {
+            for prefilled in [false, true] {
+                let tape = Tape::new();
+                let a = tape.leaf(av.clone());
+                let b = if alias { a } else { tape.leaf(bv.clone()) };
+                let y = op(&tape, a, b);
+                let (yv, c) = (tape.value(y), {
+                    let mut rng = ema_tensor::Rng64::seed_from(3);
+                    Tensor::rand_normal(tape.value(y).dims(), 0.0, 1.0, &mut rng)
+                });
+                let c_var = tape.leaf(c.clone());
+                let mut loss = tape.sum_all(tape.mul(y, c_var));
+                if prefilled {
+                    let d = tape.leaf(dv.clone());
+                    loss = tape.add(loss, tape.sum_all(tape.mul(a, d)));
+                }
+                let grads = tape.backward(loss);
+
+                let b_ref = if alias { &av } else { &bv };
+                let (da, db) = reference(&c, &av, b_ref, &yv);
+                binary |= db.is_some();
+                let mut want_a = if prefilled { dv.add(&da) } else { da };
+                let mut want_b = db;
+                if alias {
+                    if let Some(db) = want_b.take() {
+                        want_a.add_assign(&db);
+                    }
+                }
+                // Bits, not values: `div(x, x)` meets `x = 0`. Rust
+                // leaves a NaN result's sign and payload unspecified, so
+                // every NaN reads as one class.
+                let bits = |t: &Tensor| {
+                    let bits = |v: &f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+                    t.data().iter().map(bits).collect::<Vec<_>>()
+                };
+                let tag = format!("{name} alias={alias} prefilled={prefilled}");
+                assert_eq!(bits(grads.get(a).unwrap()), bits(&want_a), "{tag}: da");
+                if let Some(db) = want_b {
+                    assert_eq!(bits(grads.get(b).unwrap()), bits(&db), "{tag}: db");
+                }
+            }
+            if !binary {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_pointwise_steps_match_the_allocating_formulas() {
+        assert_in_place_step_matches(
+            "add",
+            |t, a, b| t.add(a, b),
+            |g, _, _, _| (g.clone(), Some(g.clone())),
+        );
+        assert_in_place_step_matches(
+            "sub",
+            |t, a, b| t.sub(a, b),
+            |g, _, _, _| (g.clone(), Some(g.neg())),
+        );
+        assert_in_place_step_matches(
+            "mul",
+            |t, a, b| t.mul(a, b),
+            |g, a, b, _| (g.mul(b), Some(g.mul(a))),
+        );
+        assert_in_place_step_matches(
+            "div",
+            |t, a, b| t.div(a, b),
+            |g, a, b, _| (g.div(b), Some(g.mul(a).div(&b.square()).neg())),
+        );
+        assert_in_place_step_matches(
+            "scale",
+            |t, a, _| t.scale(a, -1.7),
+            |g, _, _, _| (g.scale(-1.7), None),
+        );
+        assert_in_place_step_matches(
+            "square",
+            |t, a, _| t.square(a),
+            |g, a, _, _| (g.mul(&a.scale(2.0)), None),
+        );
+        assert_in_place_step_matches(
+            "tanh",
+            |t, a, _| t.tanh(a),
+            |g, _, _, y| (g.mul(&y.map(|y| 1.0 - y * y)), None),
+        );
+        assert_in_place_step_matches(
+            "sigmoid",
+            |t, a, _| t.sigmoid(a),
+            |g, _, _, y| (g.mul(&y.map(|y| y * (1.0 - y))), None),
+        );
+        assert_in_place_step_matches(
+            "relu",
+            |t, a, _| t.relu(a),
+            |g, a, _, _| (g.mul(&a.map(|x| if x > 0.0 { 1.0 } else { 0.0 })), None),
+        );
+        let mask = probe(5, 0.0).map(|v| if v > 0.0 { 1.0 / 0.7 } else { 0.0 });
+        assert_in_place_step_matches(
+            "dropout",
+            |t, a, _| t.dropout_masked(a, mask.clone()),
+            |g, _, _, _| (g.mul(&mask), None),
+        );
+        assert_in_place_step_matches(
+            "reshape",
+            |t, a, _| t.reshape(a, &[4, 3]),
+            |g, a, _, _| (g.reshaped(a.dims()), None),
+        );
+        assert_in_place_step_matches(
+            "softmax_last",
+            |t, a, _| t.softmax_last(a),
+            |g, _, _, s| {
+                let mut out = g.clone();
+                for r in 0..3 {
+                    let mut dot = 0.0;
+                    for c in 0..4 {
+                        dot += g.data()[r * 4 + c] * s.data()[r * 4 + c];
+                    }
+                    for c in 0..4 {
+                        let i = r * 4 + c;
+                        out.data_mut()[i] = s.data()[i] * (g.data()[i] - dot);
+                    }
+                }
+                (out, None)
+            },
+        );
+        assert_in_place_step_matches(
+            "add_row_broadcast",
+            |t, a, b| {
+                let row = t.slice_rows(b, 0, 1);
+                t.add_row_broadcast(a, t.flatten(row))
+            },
+            |g, _, _, _| {
+                let mut db = Tensor::zeros(&[3, 4]);
+                db.data_mut()[..4].copy_from_slice(g.col_sums().data());
+                (g.clone(), Some(db))
+            },
+        );
+    }
+
+    /// A small graph over every kind of node: a pointwise chain, a
+    /// matmul, a grouped op and a reshape, over leaves `[x, w, lhs]`.
+    fn mixed_graph(tape: &Tape) -> (Var, [Var; 3]) {
+        let x = tape.leaf(probe(11, 0.0));
+        let w = tape.leaf(probe(12, 0.0).transpose());
+        let lhs = tape.leaf(probe(13, 0.0).slice_cols(0, 3));
+        let h = tape.tanh(tape.matmul(x, w)); // [3, 3]
+        let p = tape.group_block_lhs_matmul([lhs], h, &[1]); // [3, 3]
+        let s = tape.sigmoid(tape.add(p, tape.scale(h, 0.5)));
+        let r = tape.reshape(tape.mul(s, s), &[9]);
+        (tape.mean_all(tape.square(r)), [x, w, lhs])
+    }
+
+    #[test]
+    fn backward_keeps_leaf_gradients_only() {
+        let tape = Tape::new();
+        let (loss, leaves) = mixed_graph(&tape);
+        let mut grads = Grads::empty();
+        tape.backward_into(loss, &mut grads);
+        assert_eq!(grads.len(), tape.len());
+        for v in (0..tape.len()).map(Var) {
+            let leaf = matches!(tape.nodes.borrow()[v.0].op, Op::Leaf);
+            assert_eq!(grads.get(v).is_some(), leaf, "node {} gradient", v.0);
+        }
+        for v in leaves {
+            assert!(grads.get(v).is_some());
+        }
+    }
+
+    #[test]
+    fn a_second_pass_on_one_workspace_repeats_the_leaf_gradients() {
+        let tape = Tape::new();
+        let (loss, leaves) = mixed_graph(&tape);
+        let mut grads = Grads::empty();
+        let bits = |grads: &Grads| leaves.map(|v| grads.get(v).unwrap().data().to_vec());
+        tape.backward_into(loss, &mut grads);
+        let first = bits(&grads);
+        tape.backward_into(loss, &mut grads);
+        assert_eq!(bits(&grads), first);
+        assert_eq!(bits(&tape.backward(loss)), first);
     }
 
     #[test]

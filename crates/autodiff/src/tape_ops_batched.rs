@@ -7,11 +7,12 @@
 //! the attention pooling (`stack_window_blocks`, `block_matmul`) and
 //! the Chebyshev products (`block_matmul[_nt]`) — and `dropout_masked`
 //! for pre-drawn masks. A shared lhs times every window block is the
-//! one-group case of `Tape::group_block_lhs_matmul`. Every op here is
-//! **bit-identical** to its per-window twin in both directions: the
-//! blockwise ops run the per-window kernel per block outright, and
-//! gradients along the stacked axis stay dense, so row blocks match
-//! per window.
+//! one-group case of `Tape::group_block_lhs_matmul`, which like the
+//! blockwise ops here runs one per-window kernel call on each
+//! contiguous window block. Every op here is **bit-identical** to its
+//! per-window twin in both directions: the blockwise ops run the
+//! per-window kernel per block outright, and gradients along the
+//! stacked axis stay dense, so row blocks match per window.
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
@@ -129,35 +130,6 @@ impl Tape {
         );
         self.push(out, Op::Dropout(a, mask))
     }
-}
-
-/// Gathers a window stack `[W·r, n]` into the column-concatenated
-/// layout `[r, W·n]`: element `(w·r + i, c)` lands at `(i, w·n + c)`.
-/// The result is a pooled buffer — recycle it when done. A matmul
-/// against this layout computes all `W` per-window products in one
-/// call without changing any output element's accumulation sequence.
-pub(crate) fn gather_window_cols(x: &[f64], wins: usize, r: usize, n: usize) -> Vec<f64> {
-    let mut xhat = pool::take_uninit(r * wins * n);
-    for w in 0..wins {
-        for i in 0..r {
-            xhat[i * wins * n + w * n..i * wins * n + (w + 1) * n]
-                .copy_from_slice(&x[(w * r + i) * n..(w * r + i + 1) * n]);
-        }
-    }
-    xhat
-}
-
-/// Inverse of [`gather_window_cols`]: scatters `[r, W·n]` back into the
-/// window-stacked `[W·r, n]` layout, into a fresh pooled buffer.
-pub(crate) fn scatter_window_cols(yhat: &[f64], wins: usize, r: usize, n: usize) -> Vec<f64> {
-    let mut out = pool::take_uninit(wins * r * n);
-    for w in 0..wins {
-        for i in 0..r {
-            out[(w * r + i) * n..(w * r + i + 1) * n]
-                .copy_from_slice(&yhat[i * wins * n + w * n..i * wins * n + (w + 1) * n]);
-        }
-    }
-    out
 }
 
 /// Rows per window block of a stacked operand.

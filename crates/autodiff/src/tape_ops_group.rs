@@ -17,13 +17,14 @@
 //! per-window kernel on each group's row block (the kernel contract
 //! makes every output row independent of the batch height, and the
 //! per-group call repeats the blocked-path decision of a group run
-//! alone, since the block's `(m, k, n)` matches); backward keeps the
+//! alone, since the block's `(m, k, n)` matches) — or, for the
+//! block-lhs product, on each window block, the very call the
+//! per-window graph makes; backward keeps the
 //! stacked `dx` dense and defers each group's weight/bias/constant
 //! gradients as per-window pieces anchored at the group's row offset,
 //! replayed in the per-window graph's accumulation order by the pending
 //! machinery in `Grads`/`Tape::backward_into`.
 
-use crate::tape_ops_batched::{gather_window_cols, scatter_window_cols};
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
 
@@ -296,14 +297,10 @@ impl Tape {
     /// (a per-individual graph constant or derived adjacency) times
     /// each `[q, n]` window block of its slice of `x: [Σ wins·q, n]`,
     /// producing `[Σ wins·p, n]`; all groups must share the lhs shape.
-    /// The forward gathers each group's window blocks side by side
-    /// (`[q, wins·n]`), so one matmul per group computes every window's
-    /// product with each output element's per-window accumulation
-    /// sequence (ascending-`k` from `0.0`, same `lhs == 0.0` skips —
-    /// the kernel contract makes element results independent of the
-    /// output width): bit-identical to one `matmul` node per window,
-    /// with the lhs repacked once per group. A single group is one lhs
-    /// shared by every window.
+    /// Each window block is contiguous in both `x` and the output, so
+    /// the forward runs one `matmul_into` per window in place — the
+    /// per-window graph's own kernel call, bit for bit. A single group
+    /// is one lhs shared by every window.
     ///
     /// # Panics
     /// Panics on length/shape mismatches (see [`Tape::group_linear_blocks`]).
@@ -323,7 +320,12 @@ impl Tape {
                 "group_block_lhs_matmul: x rows must be Σ wins ({total_wins}) x lhs cols ({q})"
             );
             let mut out = pool::take_uninit(total_wins * p * n);
-            let (mut xoff, mut goff) = (0usize, 0usize);
+            // Window blocks run on contiguously across groups: window
+            // `w` of the stack is x block `w` and output block `w`.
+            let mut blocks = xv
+                .data()
+                .chunks_exact(q * n)
+                .zip(out.chunks_exact_mut(p * n));
             for (b, &wins) in group_wins.iter().enumerate() {
                 let lv = lhses.get(b);
                 assert_eq!(
@@ -331,19 +333,9 @@ impl Tape {
                     &[p, q],
                     "group_block_lhs_matmul: group {b} lhs shape mismatch"
                 );
-                // Gather this group's window blocks side by side, one
-                // matmul, scatter back.
-                let xhat =
-                    gather_window_cols(&xv.data()[xoff * n..(xoff + wins * q) * n], wins, q, n);
-                let mut yhat = pool::take_uninit(p * wins * n);
-                kernels::matmul_into(lv.data(), &xhat, &mut yhat, p, q, wins * n);
-                pool::recycle(xhat);
-                let y = scatter_window_cols(&yhat, wins, p, n);
-                pool::recycle(yhat);
-                out[goff * n..(goff + wins * p) * n].copy_from_slice(&y);
-                pool::recycle(y);
-                xoff += wins * q;
-                goff += wins * p;
+                for (x_w, y_w) in blocks.by_ref().take(wins) {
+                    kernels::matmul_into(lv.data(), x_w, y_w, p, q, n);
+                }
             }
             Tensor::from_vec(&[total_wins * p, n], out).expect("group_block_lhs_matmul shape")
         });

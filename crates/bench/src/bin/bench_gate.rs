@@ -39,16 +39,24 @@
 //! [`ema_bench::MAX_LOAD_SCALE`] so a uniform whole-suite regression
 //! past the cap still fails, and the allocation gate is never
 //! normalized — counts don't care about load.
+//!
+//! Each verdict line prints the fastest sample and the median absolute
+//! deviation (MAD) beside the medians, baseline -> candidate, so a
+//! reader can tell a shift from noise. They are shown, never gated;
+//! suites recorded before the harness kept the MAD show `-` for it.
 
 use ema_bench::{load_scale, DEFAULT_TOLERANCE};
 use ema_obs::Json;
 use std::process::ExitCode;
 
 /// Per-benchmark gated quantities: the timing median and the
-/// allocation count (absent in pre-telemetry suite files).
+/// allocation count (absent in pre-telemetry suite files), plus the
+/// fastest sample and the MAD, which are printed but not gated.
 struct Entry {
     name: String,
     median_ns: f64,
+    min_ns: Option<f64>,
+    mad_ns: Option<f64>,
     allocs_per_iter: Option<f64>,
     peak_bytes: Option<f64>,
 }
@@ -70,16 +78,22 @@ fn entries(suite: &Json, path: &str) -> Vec<Entry> {
                 .get("median_ns")
                 .and_then(Json::as_f64)
                 .unwrap_or_else(|| panic!("{path}: '{name}' has no median_ns"));
-            let allocs_per_iter = b.get("allocs_per_iter").and_then(Json::as_f64);
-            let peak_bytes = b.get("peak_bytes").and_then(Json::as_f64);
+            let num = |key: &str| b.get(key).and_then(Json::as_f64);
             Entry {
                 name,
                 median_ns,
-                allocs_per_iter,
-                peak_bytes,
+                min_ns: num("min_ns"),
+                mad_ns: num("mad_ns"),
+                allocs_per_iter: num("allocs_per_iter"),
+                peak_bytes: num("peak_bytes"),
             }
         })
         .collect()
+}
+
+/// A nanosecond figure in milliseconds, `-` when the suite lacks it.
+fn ms(ns: Option<f64>) -> String {
+    ns.map_or_else(|| "-".to_string(), |ns| format!("{:.3} ms", ns / 1e6))
 }
 
 fn load(path: &str) -> Json {
@@ -133,10 +147,15 @@ fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 
             String::new()
         };
         println!(
-            "{verdict} {}: {:.3} ms -> {:.3} ms ({delta_pct:+.1}%){load_note}",
+            "{verdict} {}: {:.3} ms -> {:.3} ms ({delta_pct:+.1}%){load_note}  \
+             [min {} -> {}, MAD {} -> {}]",
             base.name,
             base.median_ns / 1e6,
             cand.median_ns / 1e6,
+            ms(base.min_ns),
+            ms(cand.min_ns),
+            ms(base.mad_ns),
+            ms(cand.mad_ns),
         );
         // Allocation gate: counts are near-deterministic, so growth
         // beyond the tolerance means an allocation crept into a hot

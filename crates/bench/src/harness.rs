@@ -9,7 +9,9 @@
 //! per-iteration cost, iterations are calibrated so one sample takes
 //! roughly [`Config::sample_ms`], and the reported figure is the
 //! median over [`Config::samples`] samples (median is robust to the
-//! odd scheduler hiccup, unlike the mean).
+//! odd scheduler hiccup, unlike the mean). The fastest sample and the
+//! median absolute deviation are recorded beside it, so a reader can
+//! tell noise from a shift.
 //!
 //! Knobs (for CI or quick local runs):
 //! - `EMA_BENCH_SAMPLES`: sample count (default 15)
@@ -57,6 +59,9 @@ pub struct BenchResult {
     pub median_ns: f64,
     /// Fastest sample, ns per iteration.
     pub min_ns: f64,
+    /// Median absolute deviation of the samples from `median_ns`, ns
+    /// per iteration: the spread the median comes with.
+    pub mad_ns: f64,
     /// Mean over all samples, ns per iteration.
     pub mean_ns: f64,
     /// Number of timed samples.
@@ -92,6 +97,7 @@ impl BenchResult {
             ("name", Json::Str(self.name.clone())),
             ("median_ns", Json::Num(self.median_ns)),
             ("min_ns", Json::Num(self.min_ns)),
+            ("mad_ns", Json::Num(self.mad_ns)),
             ("mean_ns", Json::Num(self.mean_ns)),
             ("samples", Json::Num(self.samples as f64)),
             ("iters_per_sample", Json::Num(self.iters_per_sample as f64)),
@@ -112,12 +118,41 @@ impl BenchResult {
     }
 }
 
+/// Per-iteration statistics over one benchmark's timed samples.
+#[derive(Debug, Clone, Copy)]
+struct Sampled {
+    median_ns: f64,
+    min_ns: f64,
+    mad_ns: f64,
+    mean_ns: f64,
+    iters: u64,
+}
+
+impl Sampled {
+    /// Median, minimum, median absolute deviation and mean of the
+    /// per-iteration sample times (`iters` iterations per sample).
+    fn from_samples(mut per_iter_ns: Vec<f64>, iters: u64) -> Self {
+        per_iter_ns.sort_by(f64::total_cmp);
+        let median_ns = per_iter_ns[per_iter_ns.len() / 2];
+        let mean_ns = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64;
+        let mut deviations: Vec<f64> = per_iter_ns.iter().map(|t| (t - median_ns).abs()).collect();
+        deviations.sort_by(f64::total_cmp);
+        Self {
+            median_ns,
+            min_ns: per_iter_ns[0],
+            mad_ns: deviations[deviations.len() / 2],
+            mean_ns,
+            iters,
+        }
+    }
+}
+
 /// Per-benchmark driver handed to the registered closure; call
 /// [`Bencher::iter`] exactly once with the workload.
 pub struct Bencher {
     config: Config,
     items_per_iter: Option<f64>,
-    result: Option<(f64, f64, f64, u64)>,
+    result: Option<Sampled>,
     allocs_per_iter: Option<f64>,
     peak_bytes: Option<f64>,
 }
@@ -164,11 +199,7 @@ impl Bencher {
             }
             per_iter_ns.push(t0.elapsed().as_nanos() as f64 / iters as f64);
         }
-        per_iter_ns.sort_by(|a, b| a.total_cmp(b));
-        let median = per_iter_ns[per_iter_ns.len() / 2];
-        let min = per_iter_ns[0];
-        let mean = per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64;
-        self.result = Some((median, min, mean, iters));
+        self.result = Some(Sampled::from_samples(per_iter_ns, iters));
 
         // One extra untimed iteration under the counting allocator: by
         // now the workload is in steady state (pools warm, workspaces
@@ -229,7 +260,13 @@ impl Harness {
             // phase rather than letting it leak into a later drain site.
             ema_obs::drain_kernel_counters();
         }
-        let (median_ns, min_ns, mean_ns, iters) = bencher
+        let Sampled {
+            median_ns,
+            min_ns,
+            mad_ns,
+            mean_ns,
+            iters,
+        } = bencher
             .result
             .expect("benchmark closure must call Bencher::iter");
         ema_obs::recorder().set_gauge(&format!("bench_median_ns.{}.{name}", self.suite), median_ns);
@@ -246,6 +283,7 @@ impl Harness {
             name: name.to_string(),
             median_ns,
             min_ns,
+            mad_ns,
             mean_ns,
             // The bencher's own config: Bencher::samples may have
             // overridden the suite-wide count.
@@ -270,12 +308,13 @@ impl Harness {
             })
             .unwrap_or_default();
         println!(
-            "{:<40} median {:>12} /iter{}{}  (min {}, {} samples × {} iters)",
+            "{:<40} median {:>12} /iter{}{}  (min {}, MAD {}, {} samples × {} iters)",
             name,
             format_ns(median_ns),
             throughput,
             allocs,
             format_ns(min_ns),
+            format_ns(mad_ns),
             result.samples,
             iters,
         );
@@ -371,10 +410,11 @@ mod tests {
             peak_bytes: None,
         };
         bencher.iter(|| std::hint::black_box(42u64.wrapping_mul(7)));
-        let (median, min, mean, iters) = bencher.result.unwrap();
+        let stats = bencher.result.unwrap();
+        let (median, min, mean) = (stats.median_ns, stats.min_ns, stats.mean_ns);
         assert!(median > 0.0 && min > 0.0 && mean > 0.0);
         assert!(min <= median && median <= mean * 3.0);
-        assert!(iters >= 1);
+        assert!(stats.iters >= 1);
         // An allocation-free workload measures zero allocs per iter.
         assert_eq!(bencher.allocs_per_iter, Some(0.0));
     }
@@ -405,6 +445,7 @@ mod tests {
             name: "matmul".into(),
             median_ns: 1234.5,
             min_ns: 1200.0,
+            mad_ns: 20.0,
             mean_ns: 1250.0,
             samples: 15,
             iters_per_sample: 1000,
@@ -415,6 +456,7 @@ mod tests {
         let v = r.to_json_value();
         assert_eq!(v.require("name").unwrap().to_str().unwrap(), "matmul");
         assert_eq!(v.require("median_ns").unwrap().to_f64().unwrap(), 1234.5);
+        assert_eq!(v.require("mad_ns").unwrap().to_f64().unwrap(), 20.0);
         // Timing-only benchmarks carry no throughput members.
         assert!(v.require("throughput_per_sec").is_err());
         // Round trip through the writer/parser.
@@ -428,6 +470,7 @@ mod tests {
             name: "cohort".into(),
             median_ns: 2e9, // 2 s per iteration
             min_ns: 1.9e9,
+            mad_ns: 0.1e9,
             mean_ns: 2.1e9,
             samples: 5,
             iters_per_sample: 1,
@@ -446,6 +489,17 @@ mod tests {
             v.require("allocs_per_iter").unwrap().to_f64().unwrap(),
             12.0
         );
+    }
+
+    #[test]
+    fn sampled_reports_median_min_and_mad() {
+        // Sorted 1, 3, 4, 5, 9: median 4; deviations 0, 1, 1, 3, 5.
+        let stats = Sampled::from_samples(vec![5.0, 1.0, 3.0, 9.0, 4.0], 7);
+        assert_eq!(stats.median_ns, 4.0);
+        assert_eq!(stats.min_ns, 1.0);
+        assert_eq!(stats.mad_ns, 1.0);
+        assert_eq!(stats.mean_ns, 4.4);
+        assert_eq!(stats.iters, 7);
     }
 
     #[test]

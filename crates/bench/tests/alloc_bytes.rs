@@ -7,7 +7,9 @@
 //! check after the other on the main thread, so nothing else allocates
 //! while a check measures. It prints libtest-style result lines.
 
+use ema_autodiff::{Grads, Tape};
 use ema_bench::alloc::{live_bytes, peak_bytes, reset_peak_bytes};
+use ema_tensor::{Rng64, Tensor};
 
 fn peak_bytes_tracks_a_regions_high_water_mark() {
     reset_peak_bytes();
@@ -36,13 +38,59 @@ fn live_bytes_falls_after_free() {
     assert!(live_bytes() < before + (1 << 16));
 }
 
+/// One backward pass over a chain of 64 pointwise nodes on a
+/// `[512, 32]` leaf (128 KiB per gradient) frees each gradient once its
+/// node's step has run, so the pass's peak rises by a few gradient
+/// buffers, not by one per node. The pool is warm and the workspace
+/// empty when the pass starts, as in a training epoch after the first.
+fn backward_frees_each_gradient_once_used() {
+    const NODES: usize = 64;
+    let buf = 512 * 32 * std::mem::size_of::<f64>();
+    let tape = Tape::new();
+    let mut rng = Rng64::seed_from(1);
+    let x = tape.leaf(Tensor::rand_normal(&[512, 32], 0.0, 1.0, &mut rng));
+    let c = tape.leaf(Tensor::rand_normal(&[512, 32], 0.0, 1.0, &mut rng));
+    let mut y = x;
+    for i in 0..NODES {
+        y = match i % 8 {
+            0 => tape.tanh(y),
+            1 => tape.add(y, c),
+            2 => tape.sigmoid(y),
+            3 => tape.mul(y, c),
+            4 => tape.scale(y, 0.5),
+            5 => tape.sub(y, c),
+            6 => tape.relu(y),
+            _ => tape.square(y),
+        };
+    }
+    let loss = tape.sum_all(y);
+    // Warm-up pass: fills the pool with this length class.
+    let _ = tape.backward(loss);
+
+    let mut grads = Grads::empty();
+    let base = live_bytes();
+    reset_peak_bytes();
+    tape.backward_into(loss, &mut grads);
+    let rise = peak_bytes().saturating_sub(base);
+    assert!(grads.get(x).is_some() && grads.get(c).is_some());
+    assert!(
+        rise <= 4 * buf as u64,
+        "backward over {NODES} nodes raised the peak by {rise} bytes: {:.1} gradient buffers of {buf}",
+        rise as f64 / buf as f64
+    );
+}
+
 fn main() {
-    let checks: [(&str, fn()); 2] = [
+    let checks: [(&str, fn()); 3] = [
         (
             "peak_bytes_tracks_a_regions_high_water_mark",
             peak_bytes_tracks_a_regions_high_water_mark,
         ),
         ("live_bytes_falls_after_free", live_bytes_falls_after_free),
+        (
+            "backward_frees_each_gradient_once_used",
+            backward_frees_each_gradient_once_used,
+        ),
     ];
     // Name filters as libtest takes them: any non-flag argument.
     let filters: Vec<String> = std::env::args()

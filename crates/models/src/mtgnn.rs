@@ -479,7 +479,7 @@ impl CohortForecaster for Mtgnn {
         // Dropout is the only RNG consumer; pre-draw every mask before
         // anything else touches the tape so each individual's stream is
         // consumed exactly as its per-window forward would.
-        let masks = Self::predraw_masks(group, batch, ctx);
+        let mut masks = Self::predraw_masks(group, batch, ctx);
         // Per-individual propagation matrices (parameter-only subgraphs),
         // in stack order — each learner/prior mode builds its own.
         let a_hats: Vec<Var> =
@@ -505,14 +505,17 @@ impl CohortForecaster for Mtgnn {
             let gates = each_member(group, bindings, move |m, bind| (&m.blocks[bi].gate, bind));
             let filt = DilatedTemporalConv::forward_grouped(filters, tape, &seq, group_wins, v);
             let gate = DilatedTemporalConv::forward_grouped(gates, tape, &seq, group_wins, v);
+            // Each pre-drawn mask moves into its dropout node.
+            let mut block_masks = masks
+                .as_mut()
+                .map(|m| std::mem::take(&mut m[bi]).into_iter());
             let z: Vec<Var> = filt
                 .iter()
                 .zip(gate.iter())
-                .enumerate()
-                .map(|(t, (&f, &g))| {
+                .map(|(&f, &g)| {
                     let gt = tape.gated_tanh(f, g);
-                    match &masks {
-                        Some(m) => tape.dropout_masked(gt, m[bi][t].clone()),
+                    match &mut block_masks {
+                        Some(ms) => tape.dropout_masked(gt, ms.next().expect("one mask per step")),
                         None => gt,
                     }
                 })

@@ -2,7 +2,7 @@
 //! scalar bit-identity oracle.
 //!
 //! Every matmul-family kernel funnels through
-//! `linalg::matmul_accumulate` (or its transposed-lhs twin), which
+//! `linalg::matmul_funnel` (or its transposed-lhs twin), which
 //! dispatches on the **active** [`KernelBackend`]:
 //!
 //! * [`KernelBackend::Scalar`] — the reference kernel. Ascending-`k`
@@ -188,7 +188,7 @@ impl Drop for KernelScope {
 // ---------------------------------------------------------------------------
 
 /// Cumulative work counters for one kernel backend on one thread:
-/// matmul-family calls through the `matmul_accumulate` funnel, their
+/// matmul-family calls through the `matmul_funnel` funnel, their
 /// nominal FLOPs (`2·m·k·n` per call: one multiply + one add per
 /// accumulation) and nominal memory traffic (`8·(m·k + k·n + 2·m·n)`
 /// bytes per call: read both operands, read+write the output). The
@@ -197,7 +197,7 @@ impl Drop for KernelScope {
 /// needs as numerator.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Calls into the `matmul_accumulate` funnel.
+    /// Calls into the `matmul_funnel` funnel.
     pub calls: u64,
     /// Nominal floating-point operations (`2·m·k·n` per call).
     pub flops: u64,
@@ -343,13 +343,13 @@ mod tests {
 
         // Disabled (the default): the funnel records nothing.
         set_kernel_counting(false);
-        crate::linalg::matmul_accumulate(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
+        crate::linalg::matmul_funnel(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
         assert!(take_kernel_counters().is_empty());
 
         // Enabled: one call, 2·m·k·n flops, 8·(mk + kn + 2mn) bytes,
         // attributed to the active (scalar) backend.
         set_kernel_counting(true);
-        crate::linalg::matmul_accumulate(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
+        crate::linalg::matmul_funnel(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
         let snap = take_kernel_counters();
         set_kernel_counting(false);
         assert_eq!(snap.simd, KernelCounters::default());

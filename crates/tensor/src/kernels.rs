@@ -11,10 +11,14 @@
 //! contracts documented in `linalg.rs` apply to both (the pairs are
 //! also property-tested in `crates/tensor/tests/properties.rs`).
 //!
-//! All kernels fully overwrite `out` (callers may pass stale pooled
-//! buffers from [`pool::take_uninit`]).
+//! Every matmul kernel here calls the funnel in `linalg.rs`, which
+//! writes `out = a·b` over whatever `out` held: callers may pass stale
+//! pooled buffers from [`pool::take_uninit`], and no kernel zero-fills
+//! its output first (only the row kernels, which accumulate in memory,
+//! get a zeroed `out` from the funnel). `col_sums_into` overwrites its
+//! output too.
 
-use crate::linalg::{matmul_accumulate, matmul_tn_accumulate};
+use crate::linalg::{matmul_funnel, matmul_tn_funnel};
 use crate::pool;
 
 /// `out = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`
@@ -26,8 +30,7 @@ pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n:
     assert_eq!(a.len(), m * k, "matmul_into lhs length");
     assert_eq!(b.len(), k * n, "matmul_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_into out length");
-    out.fill(0.0);
-    matmul_accumulate(a, b, out, m, k, n);
+    matmul_funnel(a, b, out, m, k, n);
 }
 
 /// `out = aᵀ · b` for `a: [k,m]`, `b: [k,n]`, `out: [m,n]`
@@ -39,8 +42,7 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
     assert_eq!(a.len(), k * m, "matmul_tn_into lhs length");
     assert_eq!(b.len(), k * n, "matmul_tn_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_tn_into out length");
-    out.fill(0.0);
-    matmul_tn_accumulate(a, b, out, m, k, n);
+    matmul_tn_funnel(a, b, out, m, k, n);
 }
 
 /// `out = a · bᵀ` for `a: [m,k]`, `b: [n,k]`, `out: [m,n]`
@@ -59,13 +61,13 @@ pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
     assert_eq!(b.len(), n * k, "matmul_nt_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_nt_into out length");
     let mut bt = pool::take_uninit(k * n);
-    for (j, brow) in b.chunks_exact(k).enumerate() {
+    // `max(1)`: with `k == 0` the rhs is empty and yields no rows.
+    for (j, brow) in b.chunks_exact(k.max(1)).enumerate() {
         for (p, &bv) in brow.iter().enumerate() {
             bt[p * n + j] = bv;
         }
     }
-    out.fill(0.0);
-    matmul_accumulate(a, &bt, out, m, k, n);
+    matmul_funnel(a, &bt, out, m, k, n);
     pool::recycle(bt);
 }
 

@@ -7,9 +7,10 @@
 //! `Tensor` methods that check shapes and call them on a pooled output
 //! ([`Tensor::matmul`], [`Tensor::matmul_tn`], [`Tensor::matmul_nt`],
 //! [`Tensor::addmm`]), the cache-blocked path and every batched
-//! autodiff op — funnels into one accumulation entry,
-//! [`matmul_accumulate`] (or [`matmul_tn_accumulate`] for a transposed
-//! lhs), which dispatches on the active [`crate::KernelBackend`]. Both
+//! autodiff op — funnels into one entry, [`matmul_funnel`] (or
+//! [`matmul_tn_funnel`] for a transposed lhs), which writes
+//! `out = a·b` over whatever `out` held and dispatches on the active
+//! [`crate::KernelBackend`]. Both
 //! backends share one *structural* invariant — each output element is
 //! its own recurrence over its `k` products in ascending-`p` order
 //! starting from `+0.0`, and tiling only ever groups whole recurrences
@@ -37,14 +38,18 @@
 //!
 //! The funnel picks the SIMD kernel from the input alone. A finite rhs
 //! with `n ≤ MM_BLOCK` columns takes the register-tile kernel, which
-//! reads a transposed lhs in place and tests no lhs element: with every
+//! starts its accumulators at `+0.0` in registers, stores each output
+//! element once, reads a transposed lhs in place and tests no lhs
+//! element: with every
 //! rhs element finite, `fma(±0, b, acc) == acc` for every accumulator
 //! the recurrence can reach (it starts at `+0.0` and never becomes
 //! `−0`), so the skip is unobservable. The skip is observable only when
 //! an lhs zero meets a rhs `±∞` or NaN (`0 · ∞` is NaN), so a non-finite
 //! rhs takes the row kernel, which keeps it. Wide products also take the
 //! row kernel: over a mostly-zero lhs such as a masked adjacency, its
-//! per-row skip pays off across every column span.
+//! per-row skip pays off across every column span. The row kernels
+//! accumulate in memory, so only they get a zero-filled `out` from the
+//! funnel; the tile kernel never reads `out`.
 //!
 //! Because the repack-and-share idiom (`matmul_nt`/`addmm` run the same
 //! kernel on a transposed rhs copy; `matmul_tn` reads its lhs in place
@@ -136,27 +141,20 @@ fn accum_row_span(
     }
 }
 
-/// The accumulation kernel every matmul-family op runs: `out += a · b`
-/// for row-major `a` `[m, k]` and `b` `[k, n]`; `out` must be zeroed by
-/// the caller. Dispatches on the thread's active [`KernelBackend`] and,
-/// under SIMD, on the input (see the kernel choice in this file's
-/// header).
-pub(crate) fn matmul_accumulate(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    accumulate(a, false, b, out, m, k, n);
+/// The product every matmul-family op runs: `out = a · b` for
+/// row-major `a` `[m, k]` and `b` `[k, n]`, overwriting whatever `out`
+/// held (a stale pooled buffer is fine). Dispatches on the thread's
+/// active [`KernelBackend`] and, under SIMD, on the input (see the
+/// kernel choice in this file's header).
+pub(crate) fn matmul_funnel(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+    funnel(a, false, b, out, m, k, n);
 }
 
-/// [`matmul_accumulate`] with the lhs given transposed: `out += aᵀ · b`
-/// for row-major `a` `[k, m]` and `b` `[k, n]`, bit-identical to
-/// running [`matmul_accumulate`] on an explicit transpose of `a` (the
-/// same kernel choice and the same per-element recurrence).
-pub(crate) fn matmul_tn_accumulate(
+/// [`matmul_funnel`] with the lhs given transposed: `out = aᵀ · b` for
+/// row-major `a` `[k, m]` and `b` `[k, n]`, bit-identical to running
+/// [`matmul_funnel`] on an explicit transpose of `a` (the same kernel
+/// choice and the same per-element recurrence).
+pub(crate) fn matmul_tn_funnel(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -164,12 +162,12 @@ pub(crate) fn matmul_tn_accumulate(
     k: usize,
     n: usize,
 ) {
-    accumulate(a, true, b, out, m, k, n);
+    funnel(a, true, b, out, m, k, n);
 }
 
 /// The funnel body: records the call, then picks the kernel from the
 /// backend and the input (see "The SIMD kernel choice" above).
-fn accumulate(
+fn funnel(
     a: &[f64],
     lhs_transposed: bool,
     b: &[f64],
@@ -192,6 +190,9 @@ fn accumulate(
         unsafe { crate::simd::matmul_tiles_simd(a, strides, b, out, m, k, n) };
         return;
     }
+    // The row kernels accumulate into `out`: each recurrence starts
+    // from the `+0.0` written here.
+    out.fill(0.0);
     if !lhs_transposed {
         accumulate_rows(backend, a, b, out, m, k, n);
         return;

@@ -16,11 +16,13 @@
 //!
 //! The row kernel ([`matmul_accumulate_simd`]) keeps the scalar
 //! oracle's structure — i/j-only cache blocking, 32/16/8/4-wide spans
-//! of one output row — and skips `a[i, p] == 0.0`. The tile kernel
-//! ([`matmul_tiles_simd`]) holds a 6-row × 8-column output tile in
-//! twelve ymm accumulators (1–5-row, 4-wide and masked 1–3-wide
-//! remainders), reads the lhs through a (row stride, column stride)
-//! pair so a transposed lhs needs no repack, and has no zero skip.
+//! of one output row — accumulates into a zeroed `out` and skips
+//! `a[i, p] == 0.0`. The tile kernel ([`matmul_tiles_simd`]) holds a
+//! 6-row × 8-column output tile in twelve ymm accumulators (1–5-row,
+//! 4-wide and masked 1–3-wide remainders) that start at `+0.0`, stores
+//! each output element once without reading `out`, reads the lhs
+//! through a (row stride, column stride) pair so a transposed lhs needs
+//! no repack, and has no zero skip.
 //! Dropping the skip is exact when every rhs element is finite: the
 //! accumulator starts at +0.0 and, under round-to-nearest, a sum can
 //! only be −0 when both addends are, so it never becomes −0 and
@@ -243,9 +245,10 @@ unsafe fn store<const MASKED: bool>(ptr: *mut f64, mask: __m256i, v: __m256d) {
     }
 }
 
-/// Accumulates the `R × 4·V` output tile at row `i`, column `j` over
-/// the whole ascending `p` loop, with `R·V` accumulators in registers;
-/// `MASKED` tiles (V = 1) cover only the lanes `mask` selects.
+/// Writes the `R × 4·V` output tile at row `i`, column `j`: `R·V`
+/// register accumulators start at `+0.0`, run the whole ascending `p`
+/// loop and are stored once; `MASKED` tiles (V = 1) cover only the
+/// lanes `mask` selects.
 ///
 /// # Safety
 /// AVX2+FMA must be available; rows `i..i + R` lie within the lhs
@@ -261,11 +264,6 @@ unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(
 ) {
     let out = ops.out.add(i * ops.n + j);
     let mut acc = [[_mm256_setzero_pd(); V]; R];
-    for (r, row) in acc.iter_mut().enumerate() {
-        for (v, lane) in row.iter_mut().enumerate() {
-            *lane = load::<MASKED>(out.add(r * ops.n + 4 * v), mask);
-        }
-    }
     for p in 0..ops.k {
         // Offsets from p, not pointers bumped past the last p: every
         // pointer formed stays inside its operand.
@@ -337,12 +335,13 @@ unsafe fn tiles_avx2(ops: &Operands, m: usize) {
     }
 }
 
-/// Register-blocked tile kernel: accumulates `out += a · b` for an lhs
+/// Register-blocked tile kernel: writes `out = a · b` for an lhs
 /// `[m, k]` read through strides — element `(i, p)` at
 /// `a[i·rs + p·cs]`, so `(k, 1)` is row-major and `(1, m)` reads a
 /// row-major `[k, m]` as its transpose in place — and row-major
-/// `b [k, n]`, `out [m, n]`. No zero skip: the funnel in `linalg.rs`
-/// calls this only for a finite `b` (see the module header).
+/// `b [k, n]`, `out [m, n]`. `out` is never read, so it may hold stale
+/// values. No zero skip: the funnel in `linalg.rs` calls this only for
+/// a finite `b` (see the module header).
 ///
 /// # Safety
 /// Caller must ensure AVX2 and FMA are available on the running CPU
@@ -360,7 +359,8 @@ pub(crate) unsafe fn matmul_tiles_simd(
     assert_eq!(Some(b.len()), k.checked_mul(n), "matmul rhs length");
     assert_eq!(Some(out.len()), m.checked_mul(n), "matmul out length");
     if m == 0 || k == 0 {
-        // No lhs element is read (k = 0 leaves `out` as it is).
+        // No lhs element is read; every empty sum is `+0.0`.
+        out.fill(0.0);
         return;
     }
     let last = (m - 1)

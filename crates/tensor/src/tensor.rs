@@ -258,6 +258,22 @@ impl Tensor {
         self.reshape(dims).expect("incompatible reshape")
     }
 
+    /// Gives `self` a new shape of the same volume, keeping its buffer
+    /// (no copy, unlike [`Tensor::reshaped`]).
+    ///
+    /// # Panics
+    /// Panics if the volumes differ or `dims` is not a valid shape.
+    pub fn reshape_in_place(&mut self, dims: &[usize]) {
+        let shape = Shape::new(dims).expect("invalid reshape dims");
+        assert_eq!(
+            shape.volume(),
+            self.len(),
+            "incompatible reshape: {:?} -> {dims:?}",
+            self.dims()
+        );
+        self.shape = shape;
+    }
+
     /// Flattens to rank 1 without copying semantics changes.
     #[must_use]
     pub fn flatten(&self) -> Self {

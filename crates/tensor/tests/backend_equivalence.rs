@@ -119,6 +119,71 @@ fn assert_simd_matches_fma_reference(a: &Tensor, b: &Tensor, context: &str) {
             simd.data() == reference.as_slice(),
             "{context}: SIMD kernel diverged bitwise from the lane-ordered FMA reference"
         );
+        let dims = (a.dims()[0], a.dims()[1], b.dims()[1]);
+        let _simd = KernelBackend::Simd.scoped();
+        assert_slice_kernels_match(a.data(), b.data(), dims, &reference, context);
+    }
+}
+
+/// Row-major transpose of an `[rows, cols]` slice.
+fn transpose(data: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    (0..rows * cols)
+        .map(|i| data[(i % rows) * cols + i / rows])
+        .collect()
+}
+
+/// The four slice kernels on `a [m, k]`, `b [k, n]` under the active
+/// backend, each from a NaN-filled output: `matmul_into`,
+/// `matmul_tn_into` on `aᵀ`, `matmul_nt_into` on `bᵀ` and `addmm_into`
+/// on `bᵀ` plus a bias. Each must write every element: the product
+/// must equal `reference` (plus the bias, added after the product, for
+/// `addmm_into`), NaN where the reference has NaN. The `Tensor` twins
+/// share the same write-only funnel, so only a reference can catch an
+/// output element left stale.
+fn assert_slice_kernels_match(
+    a: &[f64],
+    b: &[f64],
+    (m, k, n): (usize, usize, usize),
+    reference: &[f64],
+    context: &str,
+) {
+    let (at, bt) = (transpose(a, m, k), transpose(b, k, n));
+    let bias: Vec<f64> = (0..n).map(|j| 0.5 - j as f64 * 0.125).collect();
+    let with_bias: Vec<f64> = reference
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| r + bias[i % n])
+        .collect();
+    let run = |kernel: &dyn Fn(&mut [f64])| {
+        let mut out = vec![f64::NAN; m * n];
+        kernel(&mut out);
+        out
+    };
+    let outputs = [
+        (
+            "matmul_into",
+            run(&|o| kernels::matmul_into(a, b, o, m, k, n)),
+        ),
+        (
+            "matmul_tn_into",
+            run(&|o| kernels::matmul_tn_into(&at, b, o, k, m, n)),
+        ),
+        (
+            "matmul_nt_into",
+            run(&|o| kernels::matmul_nt_into(a, &bt, o, m, k, n)),
+        ),
+        (
+            "addmm_into",
+            run(&|o| kernels::addmm_into(a, &bt, &bias, o, m, k, n)),
+        ),
+    ];
+    for (name, got) in &outputs {
+        let want = if *name == "addmm_into" {
+            &with_bias
+        } else {
+            reference
+        };
+        assert_matches_with_nans(got, want, &format!("{context}: {name}"));
     }
 }
 
@@ -178,8 +243,13 @@ fn assert_matches_with_nans(got: &[f64], reference: &[f64], context: &str) {
 prop_tests! {
     // ---- contract layer 1: SIMD == lane-ordered FMA recurrence -----
 
+    // Widths up to `MM_BLOCK` take the tile kernel, wider ones the row
+    // kernel. An empty sum (k = 0) must write `+0.0` on either.
     fn simd_matches_fma_reference_across_tile_widths((a, b) in tile_sweep_pair) {
         assert_simd_matches_fma_reference(&a, &b, "tile sweep");
+        let (m, n) = (a.dims()[0], b.dims()[1]);
+        let _simd = KernelBackend::Simd.scoped();
+        assert_slice_kernels_match(&[], &[], (m, 0, n), &vec![0.0; m * n], "k = 0");
     }
 
     // Blocked path: volume ≥ MM_BLOCK_THRESHOLD with n > MM_BLOCK.
@@ -195,19 +265,17 @@ prop_tests! {
     }
 
     // A non-finite rhs is the only input where the zero skip shows:
-    // `matmul`, `matmul_tn` (transposed lhs) and `kernels::matmul_tn_into`
+    // `matmul`, `matmul_tn` (transposed lhs) and the four slice kernels
     // must keep it, whatever the width.
     fn simd_keeps_zero_skip_on_non_finite_rhs((a, b) in non_finite_pair) {
         if KernelBackend::simd_available() {
             let _simd = KernelBackend::Simd.scoped();
             let reference = naive_fma_matmul(&a, &b);
-            let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+            let dims = (a.dims()[0], a.dims()[1], b.dims()[1]);
             let at = a.transpose();
             assert_matches_with_nans(a.matmul(&b).data(), &reference, "matmul");
             assert_matches_with_nans(at.matmul_tn(&b).data(), &reference, "matmul_tn");
-            let mut out = vec![f64::NAN; m * n];
-            kernels::matmul_tn_into(at.data(), b.data(), &mut out, k, m, n);
-            assert_matches_with_nans(&out, &reference, "matmul_tn_into");
+            assert_slice_kernels_match(a.data(), b.data(), dims, &reference, "non-finite rhs");
         }
     }
 

@@ -150,6 +150,70 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     Tensor::from_vec(&[m, n], out).unwrap()
 }
 
+/// Row-major transpose of an `[rows, cols]` slice.
+fn transpose(data: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    (0..rows * cols)
+        .map(|i| data[(i % rows) * cols + i / rows])
+        .collect()
+}
+
+/// The four slice kernels on `a [m, k]`, `b [k, n]` under the active
+/// backend, each from a NaN-filled output: `matmul_into`,
+/// `matmul_tn_into` on `aᵀ`, `matmul_nt_into` on `bᵀ` and `addmm_into`
+/// on `bᵀ` plus a bias. Each must write every element: the product
+/// must equal `reference` (plus the bias, added after the product, for
+/// `addmm_into`) bit for bit, NaN where the reference has NaN.
+fn assert_slice_kernels_match(
+    a: &[f64],
+    b: &[f64],
+    (m, k, n): (usize, usize, usize),
+    reference: &[f64],
+    context: &str,
+) {
+    use ema_tensor::kernels;
+    let (at, bt) = (transpose(a, m, k), transpose(b, k, n));
+    let bias: Vec<f64> = (0..n).map(|j| 0.5 - j as f64 * 0.125).collect();
+    let with_bias: Vec<f64> = reference
+        .iter()
+        .enumerate()
+        .map(|(i, &r)| r + bias[i % n])
+        .collect();
+    let run = |kernel: &dyn Fn(&mut [f64])| {
+        let mut out = vec![f64::NAN; m * n];
+        kernel(&mut out);
+        out
+    };
+    let outputs = [
+        (
+            "matmul_into",
+            run(&|o| kernels::matmul_into(a, b, o, m, k, n)),
+        ),
+        (
+            "matmul_tn_into",
+            run(&|o| kernels::matmul_tn_into(&at, b, o, k, m, n)),
+        ),
+        (
+            "matmul_nt_into",
+            run(&|o| kernels::matmul_nt_into(a, &bt, o, m, k, n)),
+        ),
+        (
+            "addmm_into",
+            run(&|o| kernels::addmm_into(a, &bt, &bias, o, m, k, n)),
+        ),
+    ];
+    for (name, got) in &outputs {
+        let want = if *name == "addmm_into" {
+            &with_bias
+        } else {
+            reference
+        };
+        assert!(
+            same_bits_or_nan(got, want),
+            "{context}: {name} wrote {got:?}, the reference has {want:?}"
+        );
+    }
+}
+
 /// Exact equality: same dims, same f64 bit patterns (data is finite, so
 /// `==` on the slices is the bit comparison we want).
 fn assert_bit_identical(x: &Tensor, y: &Tensor) {
@@ -403,10 +467,33 @@ prop_tests! {
     // the `Tensor` methods call them on stale pooled buffers and the
     // batched autodiff backward pass replays gradient pieces through
     // them, so from a NaN-filled output they must overwrite every
-    // element and match the `Tensor` results.
+    // element and match the `Tensor` results. The twins share the
+    // write-only funnel, so the scalar oracle also checks all four
+    // kernels against the naive reference: as drawn, widened past
+    // `MM_BLOCK` with a non-finite rhs, and with k = 0.
     fn kernel_slice_twins_match_tensor_ops((a, b) in tn_pair) {
         let (k, m) = (a.dims()[0], a.dims()[1]);
         let n = b.dims()[1];
+        {
+            let _scalar = KernelBackend::Scalar.scoped();
+            let at = a.transpose();
+            let reference = naive_matmul(&at, &b);
+            assert_slice_kernels_match(at.data(), b.data(), (m, k, n), reference.data(), "drawn");
+            // 64 = MM_BLOCK. An lhs zero meets the ∞: the skip keeps
+            // that element finite.
+            let wide = n + 64;
+            let mut lhs = at.clone();
+            lhs.data_mut()[0] = 0.0;
+            let mut rhs: Vec<f64> = (0..k * wide)
+                .map(|i| b.data()[(i / wide) * n + (i % wide) % n])
+                .collect();
+            rhs[wide - 1] = f64::INFINITY;
+            rhs[(k - 1) * wide] = f64::NAN;
+            let rhs = Tensor::from_vec(&[k, wide], rhs).unwrap();
+            let reference = naive_matmul(&lhs, &rhs);
+            assert_slice_kernels_match(lhs.data(), rhs.data(), (m, k, wide), reference.data(), "row path");
+            assert_slice_kernels_match(&[], &[], (m, 0, n), &vec![0.0; m * n], "k = 0");
+        }
         for backend in BACKENDS {
             let _scope = backend.scoped();
             let mut out = vec![f64::NAN; m * n];
