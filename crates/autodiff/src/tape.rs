@@ -564,7 +564,6 @@ fn compute_piece(nodes: &[Node], u: &PendingUse, w: usize, g: &Tensor, out: &mut
 fn backward_one(nodes: &[Node], op: &Op, out_value: &Tensor, mut g: Tensor, parents: &mut Parents) {
     let val = |v: Var| &nodes[v.0].value;
     match *op {
-        Op::Leaf => {}
         Op::Add(a, b) => {
             parents.add_ref(a, &g);
             parents.add(b, g);
@@ -775,11 +774,14 @@ fn backward_one(nodes: &[Node], op: &Op, out_value: &Tensor, mut g: Tensor, pare
                 parents.add(s, Tensor::from_vec(sv.dims(), d).expect("state grad shape"));
             }
         }
-        Op::GroupLinear(..)
+        Op::Leaf
+        | Op::GroupLinear(..)
         | Op::GroupMatmul(..)
         | Op::GroupMatmulNT(..)
         | Op::GroupAddRow(..)
-        | Op::GroupBlockLhsMatmul(..) => unreachable!("grouped ops run in backward_group"),
+        | Op::GroupBlockLhsMatmul(..) => {
+            unreachable!("leaves have no step; grouped ops run in backward_group")
+        }
     }
 }
 

@@ -25,8 +25,11 @@
 //! suite is portable; the interesting assertions fire wherever the
 //! SIMD kernel can actually run.
 
+mod common;
+
+use common::assert_slice_kernels_match;
 use ema_check::{gen, prop_assert, prop_tests};
-use ema_tensor::{kernels, with_kernel_backend, KernelBackend, Rng64, Tensor};
+use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
 
 /// Column counts that force every column decomposition of both SIMD
 /// kernels: the tile kernel's 8-wide, 4-wide and masked 1–3-wide tiles
@@ -122,68 +125,6 @@ fn assert_simd_matches_fma_reference(a: &Tensor, b: &Tensor, context: &str) {
         let dims = (a.dims()[0], a.dims()[1], b.dims()[1]);
         let _simd = KernelBackend::Simd.scoped();
         assert_slice_kernels_match(a.data(), b.data(), dims, &reference, context);
-    }
-}
-
-/// Row-major transpose of an `[rows, cols]` slice.
-fn transpose(data: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-    (0..rows * cols)
-        .map(|i| data[(i % rows) * cols + i / rows])
-        .collect()
-}
-
-/// The four slice kernels on `a [m, k]`, `b [k, n]` under the active
-/// backend, each from a NaN-filled output: `matmul_into`,
-/// `matmul_tn_into` on `aᵀ`, `matmul_nt_into` on `bᵀ` and `addmm_into`
-/// on `bᵀ` plus a bias. Each must write every element: the product
-/// must equal `reference` (plus the bias, added after the product, for
-/// `addmm_into`), NaN where the reference has NaN. The `Tensor` twins
-/// share the same write-only funnel, so only a reference can catch an
-/// output element left stale.
-fn assert_slice_kernels_match(
-    a: &[f64],
-    b: &[f64],
-    (m, k, n): (usize, usize, usize),
-    reference: &[f64],
-    context: &str,
-) {
-    let (at, bt) = (transpose(a, m, k), transpose(b, k, n));
-    let bias: Vec<f64> = (0..n).map(|j| 0.5 - j as f64 * 0.125).collect();
-    let with_bias: Vec<f64> = reference
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| r + bias[i % n])
-        .collect();
-    let run = |kernel: &dyn Fn(&mut [f64])| {
-        let mut out = vec![f64::NAN; m * n];
-        kernel(&mut out);
-        out
-    };
-    let outputs = [
-        (
-            "matmul_into",
-            run(&|o| kernels::matmul_into(a, b, o, m, k, n)),
-        ),
-        (
-            "matmul_tn_into",
-            run(&|o| kernels::matmul_tn_into(&at, b, o, k, m, n)),
-        ),
-        (
-            "matmul_nt_into",
-            run(&|o| kernels::matmul_nt_into(a, &bt, o, m, k, n)),
-        ),
-        (
-            "addmm_into",
-            run(&|o| kernels::addmm_into(a, &bt, &bias, o, m, k, n)),
-        ),
-    ];
-    for (name, got) in &outputs {
-        let want = if *name == "addmm_into" {
-            &with_bias
-        } else {
-            reference
-        };
-        assert_matches_with_nans(got, want, &format!("{context}: {name}"));
     }
 }
 
