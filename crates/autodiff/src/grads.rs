@@ -44,31 +44,22 @@ pub(crate) struct PendingUse {
     /// intermediate node in the reference graph) instead of adding
     /// each piece directly.
     pub grouped: bool,
-    /// Rows per window block of the `g_node` gradient. Window `w`'s
-    /// block is `g[(g_off + w·g_rows) .. (g_off + (w+1)·g_rows), :]`:
-    /// a grouped op's operand (one individual's parameter inside a
-    /// cohort stack) has `g_off` pointing at its group's first row; a
-    /// block-lhs op's shared lhs uses offset 0.
+    /// Rows per window block of the `g_node` gradient: window `w`'s
+    /// block is `g[w·g_rows .. (w+1)·g_rows, :]`.
     pub g_rows: usize,
-    /// Starting row of window 0's `g` block.
-    pub g_off: usize,
     /// Rows per window block of the `x_node` value (ignored by
     /// [`PendingKind::ColSums`]).
     pub x_rows: usize,
-    /// Starting row of window 0's `x` block.
-    pub x_off: usize,
 }
 
 impl PendingUse {
-    /// A grouped op's use of one group's operand: `wins` windows of
-    /// `rows` rows each in both `g` and `x`, starting at stacked row
-    /// `off`, replayed ungrouped.
+    /// A window-group op's use of its operand: `wins` windows of `rows`
+    /// rows each in both `g` and `x`, replayed ungrouped.
     pub fn group(
         kind: PendingKind,
         g_node: usize,
         x_node: usize,
         wins: usize,
-        off: usize,
         rows: usize,
     ) -> Self {
         Self {
@@ -78,9 +69,7 @@ impl PendingUse {
             wins,
             grouped: false,
             g_rows: rows,
-            g_off: off,
             x_rows: rows,
-            x_off: off,
         }
     }
 }
@@ -89,7 +78,7 @@ impl PendingUse {
 ///
 /// A backward pass keeps leaf gradients only: it frees each non-leaf
 /// node's gradient as soon as that node's own backward step has run
-/// (and a grouped node's when the walk ends), so [`Grads::get`] returns
+/// (and a window-group node's when the walk ends), so [`Grads::get`] returns
 /// `None` for every non-leaf node. Leaves that did not influence the
 /// loss have no gradient either.
 #[derive(Debug)]

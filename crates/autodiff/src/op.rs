@@ -2,7 +2,6 @@
 
 use crate::Var;
 use ema_tensor::Tensor;
-use std::ops::Range;
 
 /// Describes how a tape node was produced from its parents.
 ///
@@ -63,7 +62,8 @@ pub(crate) enum Op {
     Reshape(Var),
     /// Inverted dropout; the stored mask holds `0` or `1/(1-p)` factors.
     Dropout(Var, Tensor),
-    /// Stacks rank-1 parents into the rows of a matrix.
+    /// Stacks parents' rows into one matrix: a rank-1 `[c]` parent is
+    /// one row, a `[r, c]` parent its `r` rows, in parent order.
     StackRows(Vec<Var>),
     /// Blockwise product of two window stacks: block `w` of
     /// `x: [W·m, k]` times block `w` of `y: [W·k, n]` -> `[W·m, n]`.
@@ -77,64 +77,46 @@ pub(crate) enum Op {
     /// `[W·T, n·h]`: output block `w`, row `t` is the flattening of
     /// state `t`'s block `w`. Fields: states, window count.
     StackWindowBlocks(Vec<Var>, usize),
-    /// Per-group fused linear layer over a cohort row stack: group `b`
-    /// of `x: [Σ wins·rows, k]` (its `wins[b]·rows` contiguous rows)
-    /// times its own `w_b: [out, k]ᵀ` plus `bias_b: [out]`, giving
-    /// `[Σ wins·rows, out]`. Forward is one `addmm` per group on the
-    /// row block; backward keeps the stacked `dx` dense and defers each
-    /// group's (w, bias) gradients as per-window pieces of `rows` rows
-    /// replayed in the per-individual graph's accumulation order.
-    /// Fields: x, groups (operands: `w_b, bias_b` interleaved), rows per
-    /// window block.
-    GroupLinear(Var, Groups, usize),
-    /// Per-group matrix product of a cohort row stack against each
-    /// group's own rhs: group `b` of `x: [Σ wins·rows, k]` times its
-    /// `rhs_b: [k, n]`, giving `[Σ wins·rows, n]`. Backward keeps the
-    /// stacked `dx` dense and defers each group's rhs gradient as
-    /// per-window pieces. Fields: x, groups (operands: one rhs per
-    /// group), rows per window block, grouped-replay flag (see `Grads`'
-    /// pending machinery).
-    GroupMatmul(Var, Groups, usize, bool),
-    /// Per-group `x · rhsᵀ` against each group's own rhs: group `b` of
-    /// `x: [Σ wins·rows, k]` times `rhs_b: [n, k]ᵀ`, giving
-    /// `[Σ wins·rows, n]`. Fields: x, groups (one rhs per group), rows
-    /// per window block.
-    GroupMatmulNT(Var, Groups, usize),
-    /// Each group's own `[c]` row added to every row of that group's
-    /// block of a `[Σ wins·rows, c]` cohort stack. Fields: m, groups
-    /// (one row per group), rows per window block.
-    GroupAddRow(Var, Groups, usize),
-    /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
-    /// times each `[q, n]` window block of its slice of
-    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]`. Forward and the
-    /// stacked `dx` run one kernel call per contiguous window block (the
-    /// per-window `Matmul`'s own calls); each group's lhs gradient is
-    /// deferred as per-window pieces. Fields: x, groups (one lhs per
-    /// group).
-    GroupBlockLhsMatmul(Var, Groups),
-}
-
-/// Where a grouped op's per-group operands live: index ranges into the
-/// tape's operand arena (the group operand vars, group-major) and its
-/// window-count arena (one count per group). The tape owns both lists,
-/// so recording a grouped node allocates nothing once the arenas are
-/// warm.
-#[derive(Debug, Clone)]
-pub(crate) struct Groups {
-    pub operands: Range<usize>,
-    pub wins: Range<usize>,
+    /// Window-group fused linear layer: every window block of
+    /// `x: [W·r, k]` times one `w: [out, k]ᵀ` plus `bias: [out]`, giving
+    /// `[W·r, out]`. Forward is one `addmm` over the stack; backward
+    /// keeps `dx` dense and defers the (w, bias) gradients as
+    /// per-window pieces of `r` rows, replayed in the per-window
+    /// graph's accumulation order. Fields: x, w, bias, window count.
+    GroupLinear(Var, Var, Var, usize),
+    /// Window-group matrix product: every window block of
+    /// `x: [W·r, k]` times one `rhs: [k, n]`, giving `[W·r, n]`.
+    /// Backward keeps `dx` dense and defers the rhs gradient as
+    /// per-window pieces. Fields: x, rhs, window count, grouped-replay
+    /// flag (see `Grads`' pending machinery).
+    GroupMatmul(Var, Var, usize, bool),
+    /// Window-group `x · rhsᵀ`: every window block of `x: [W·r, k]`
+    /// times one `rhs: [n, k]ᵀ`, giving `[W·r, n]`. Fields: x, rhs,
+    /// window count.
+    GroupMatmulNT(Var, Var, usize),
+    /// One `[c]` row added to every row of `m: [W·r, c]`, its gradient
+    /// replayed per window. Fields: m, row, window count.
+    GroupAddRow(Var, Var, usize),
+    /// Window-group block-lhs product: one `lhs: [p, q]` times each
+    /// `[q, n]` window block of `x: [W·q, n]`, giving `[W·p, n]`.
+    /// Forward and `dx` run one kernel call per window block (the
+    /// per-window `Matmul`'s own calls); the lhs gradient is deferred as
+    /// per-window pieces. Fields: lhs, x, window count.
+    GroupBlockLhsMatmul(Var, Var, usize),
 }
 
 impl Op {
-    /// The arena ranges of a grouped op, `None` for every other op.
-    pub(crate) fn groups(&self) -> Option<&Groups> {
-        match self {
-            Op::GroupLinear(_, g, _)
-            | Op::GroupMatmul(_, g, _, _)
-            | Op::GroupMatmulNT(_, g, _)
-            | Op::GroupAddRow(_, g, _)
-            | Op::GroupBlockLhsMatmul(_, g) => Some(g),
-            _ => None,
-        }
+    /// True for the window-group ops, whose operand gradients are
+    /// deferred as per-window pieces (and whose own gradient therefore
+    /// stays alive until the backward walk ends).
+    pub(crate) fn is_group(&self) -> bool {
+        matches!(
+            self,
+            Op::GroupLinear(..)
+                | Op::GroupMatmul(..)
+                | Op::GroupMatmulNT(..)
+                | Op::GroupAddRow(..)
+                | Op::GroupBlockLhsMatmul(..)
+        )
     }
 }

@@ -1,7 +1,6 @@
 //! The tape: node storage, basic elementwise ops and the backward pass.
 
 use crate::grads::{PendingKind, PendingUse};
-use crate::op::Groups;
 use crate::{Grads, Op};
 use ema_tensor::{kernels, pool, Tensor};
 use std::cell::RefCell;
@@ -33,33 +32,10 @@ pub(crate) struct Node {
 /// loops call [`Tape::reset`] between steps to reuse the node storage
 /// (and, through the tensor pool, the value buffers) epoch after epoch.
 ///
-/// Grouped ops (`tape_ops_group`) record their per-group operand vars
-/// and window counts in two side arenas owned by the tape; their nodes
-/// name index ranges into them. The arenas grow and truncate with the
-/// node list, so a steady-state epoch records grouped nodes without
-/// allocating.
+/// Every node names its operands and sizes in its op descriptor, so
+/// the node list is the tape's whole state.
 pub struct Tape {
     pub(crate) nodes: RefCell<Vec<Node>>,
-    operands: RefCell<Vec<Var>>,
-    group_wins: RefCell<Vec<usize>>,
-}
-
-/// The values of one grouped op's per-group operands, in arena order.
-pub(crate) struct GroupValues<'a> {
-    nodes: &'a [Node],
-    vars: &'a [Var],
-}
-
-impl<'a> GroupValues<'a> {
-    /// The value of the `i`-th operand.
-    pub fn get(&self, i: usize) -> &'a Tensor {
-        &self.nodes[self.vars[i].0].value
-    }
-
-    /// Number of operands.
-    pub fn len(&self) -> usize {
-        self.vars.len()
-    }
 }
 
 impl Default for Tape {
@@ -74,13 +50,11 @@ impl Tape {
     pub fn new() -> Self {
         Self {
             nodes: RefCell::new(Vec::with_capacity(1024)),
-            operands: RefCell::new(Vec::new()),
-            group_wins: RefCell::new(Vec::new()),
         }
     }
 
     /// Clears all recorded nodes while keeping the node storage's
-    /// capacity (and the grouped-op arenas'). Dropped node values
+    /// capacity. Dropped node values
     /// return their buffers to the tensor pool, so the next step's
     /// forward pass re-uses them — the epoch-persistent-workspace half
     /// of the allocation-free hot path.
@@ -95,8 +69,7 @@ impl Tape {
     /// persistent prefix for graph parts that are constant across
     /// epochs (e.g. the training target leaf). `Var` handles into the
     /// prefix stay valid; everything after it is dropped (buffers
-    /// return to the tensor pool) and must be rebuilt. The grouped-op
-    /// arenas are truncated to what the kept nodes reference.
+    /// return to the tensor pool) and must be rebuilt.
     ///
     /// # Panics
     /// Panics if fewer than `keep` nodes are recorded.
@@ -108,15 +81,6 @@ impl Tape {
             nodes.len()
         );
         nodes.truncate(keep);
-        // Arena ranges grow with the node index, so the last kept
-        // grouped node marks the end of the kept arena prefix.
-        let (operands, wins) = nodes
-            .iter()
-            .rev()
-            .find_map(|n| n.op.groups())
-            .map_or((0, 0), |g| (g.operands.end, g.wins.end));
-        self.operands.get_mut().truncate(operands);
-        self.group_wins.get_mut().truncate(wins);
     }
 
     /// Number of nodes recorded so far.
@@ -174,42 +138,6 @@ impl Tape {
                 f(&refs)
             }
         }
-    }
-
-    /// Records a grouped op's per-group operand vars and window counts
-    /// in the tape's arenas and applies `f` to `x`'s value and the
-    /// operands' values. A window-count list that matches the arena's
-    /// tail — as it does for every grouped op of one forward after the
-    /// first, since they share their cohort's counts — is referenced
-    /// instead of copied.
-    pub(crate) fn compute_group<R>(
-        &self,
-        x: Var,
-        operands: impl IntoIterator<Item = Var>,
-        group_wins: &[usize],
-        f: impl FnOnce(&Tensor, &GroupValues) -> R,
-    ) -> (Groups, R) {
-        let groups = {
-            let mut vars = self.operands.borrow_mut();
-            let start = vars.len();
-            vars.extend(operands);
-            let mut wins = self.group_wins.borrow_mut();
-            if !wins.ends_with(group_wins) {
-                wins.extend_from_slice(group_wins);
-            }
-            Groups {
-                operands: start..vars.len(),
-                wins: wins.len() - group_wins.len()..wins.len(),
-            }
-        };
-        let nodes = self.nodes.borrow();
-        let vars = self.operands.borrow();
-        let values = GroupValues {
-            nodes: &nodes,
-            vars: &vars[groups.operands.clone()],
-        };
-        let out = f(&nodes[x.0].value, &values);
-        (groups, out)
     }
 
     // ------------------------------------------------------------------
@@ -321,16 +249,15 @@ impl Tape {
     /// The pass frees as it goes: a non-leaf node's gradient is released
     /// as soon as its own backward step has run, and the elementwise
     /// steps write one parent's contribution into that released buffer
-    /// in place. A grouped node's gradient (`Op::Group*`) stays until
-    /// the walk ends, because the deferred per-window pieces of its
-    /// operands read it when the walk reaches them. Afterwards the
+    /// in place. A window-group node's gradient (`Op::Group*`) stays
+    /// until the walk ends, because the deferred per-window pieces of
+    /// its operands read it when the walk reaches them. Afterwards the
     /// workspace holds leaf gradients only.
     ///
     /// # Panics
     /// Panics if `loss` is not scalar-shaped.
     pub fn backward_into(&self, loss: Var, out: &mut Grads) {
         let nodes = self.nodes.borrow();
-        let (operands, group_wins) = (self.operands.borrow(), self.group_wins.borrow());
         assert_eq!(
             nodes[loss.0].value.len(),
             1,
@@ -345,7 +272,6 @@ impl Tape {
         }
         grads[loss.0] = Some(Tensor::from_vec1(vec![1.0]));
 
-        let arenas = (&operands[..], &group_wins[..]);
         for i in (0..=loss.0).rev() {
             // The tape is append-only, so every parent index is < i:
             // node i's gradient is taken (or borrowed) while the
@@ -370,9 +296,9 @@ impl Tape {
             };
             match &node.op {
                 Op::Leaf => {}
-                op if op.groups().is_some() => {
+                op if op.is_group() => {
                     if let Some(g) = slot_i.as_ref() {
-                        backward_group(&nodes, arenas, i, op, &node.value, g, &mut parents);
+                        backward_group(&nodes, i, op, g, &mut parents);
                     }
                 }
                 op => {
@@ -382,7 +308,7 @@ impl Tape {
                 }
             }
         }
-        // The grouped nodes' gradients served their operands' pieces;
+        // The window-group nodes' gradients served their operands' pieces;
         // only leaf gradients outlive the pass.
         for (slot, node) in grads.iter_mut().zip(nodes.iter()) {
             if !matches!(node.op, Op::Leaf) {
@@ -523,18 +449,14 @@ fn add_piece(slot: &mut Option<Tensor>, piece: &[f64], dims: &[usize]) {
 /// call the per-window reference graph's backward pass makes for this
 /// use, on window `w`'s contiguous row blocks.
 fn compute_piece(nodes: &[Node], u: &PendingUse, w: usize, g: &Tensor, out: &mut [f64]) {
-    let gd = g.data();
     let (g_rows, g_cols) = (u.g_rows, g.dims()[1]);
-    let g_start = (u.g_off + w * g_rows) * g_cols;
-    let g_w = &gd[g_start..g_start + g_rows * g_cols];
+    let g_w = &g.data()[w * g_rows * g_cols..(w + 1) * g_rows * g_cols];
     match u.kind {
         PendingKind::ColSums => kernels::col_sums_into(g_w, out, g_rows, g_cols),
         kind => {
             let x = &nodes[u.x_node].value;
-            let xd = x.data();
             let (x_rows, x_cols) = (u.x_rows, x.dims()[1]);
-            let x_start = (u.x_off + w * x_rows) * x_cols;
-            let x_w = &xd[x_start..x_start + x_rows * x_cols];
+            let x_w = &x.data()[w * x_rows * x_cols..(w + 1) * x_rows * x_cols];
             match kind {
                 // rhs of Matmul: x_wᵀ [r,k]ᵀ · g_w [r,n] -> [k,n].
                 PendingKind::XtG => {
@@ -555,7 +477,7 @@ fn compute_piece(nodes: &[Node], u: &PendingUse, w: usize, g: &Tensor, out: &mut
     }
 }
 
-/// Runs the backward step of one non-grouped node, whose gradient `g`
+/// Runs the backward step of one non-group node, whose gradient `g`
 /// the pass has released: accumulates the node's contribution to each
 /// parent into `parents`, in parent order. The elementwise steps write
 /// one parent's contribution into `g` in place, with the arithmetic of
@@ -715,8 +637,17 @@ fn backward_one(nodes: &[Node], op: &Op, out_value: &Tensor, mut g: Tensor, pare
             parents.add(a, g);
         }
         Op::StackRows(ref vars) => {
-            for (i, &v) in vars.iter().enumerate() {
-                parents.add(v, g.row(i));
+            // Each node gets its own rows back, in its own shape.
+            let mut off = 0;
+            for &v in vars {
+                let vv = val(v);
+                let mut d = pool::take_uninit(vv.len());
+                d.copy_from_slice(&g.data()[off..off + vv.len()]);
+                off += vv.len();
+                parents.add(
+                    v,
+                    Tensor::from_vec(vv.dims(), d).expect("stacked part shape"),
+                );
             }
         }
         Op::BlockMatmul(x, y, wins) => {
@@ -780,177 +711,99 @@ fn backward_one(nodes: &[Node], op: &Op, out_value: &Tensor, mut g: Tensor, pare
         | Op::GroupMatmulNT(..)
         | Op::GroupAddRow(..)
         | Op::GroupBlockLhsMatmul(..) => {
-            unreachable!("leaves have no step; grouped ops run in backward_group")
+            unreachable!("leaves have no step; window-group ops run in backward_group")
         }
     }
 }
 
-/// Runs the backward step of one grouped node (`Op::Group*`), whose
-/// gradient `g` stays in its slot until the walk ends: the stacked
-/// input's gradient is accumulated dense, and each group's operand
-/// gradient is deferred as per-window pieces (finalized when the walk
-/// reaches the operand); `i` is the node's own tape index, recorded as
-/// the gradient source of those pieces. `arenas` holds the tape's
-/// grouped-op operand vars and window counts.
-fn backward_group(
-    nodes: &[Node],
-    (operands, group_wins): (&[Var], &[usize]),
-    i: usize,
-    op: &Op,
-    out_value: &Tensor,
-    g: &Tensor,
-    parents: &mut Parents,
-) {
+/// Runs the backward step of one window-group node (`Op::Group*`),
+/// whose gradient `g` stays in its slot until the walk ends: the
+/// stacked input's gradient is accumulated dense, with the same kernel
+/// call as the per-window op over all rows (or, for the block lhs, per
+/// window block), and the shared operand's gradient is deferred as
+/// per-window pieces, finalized when the walk reaches the operand; `i`
+/// is the node's own tape index, recorded as the gradient source of
+/// those pieces.
+fn backward_group(nodes: &[Node], i: usize, op: &Op, g: &Tensor, parents: &mut Parents) {
     let val = |v: Var| &nodes[v.0].value;
+    // The stacked input's value and a dense gradient buffer for it.
+    let input = |x: Var| {
+        let xv = val(x);
+        (xv.dims()[0], xv.dims()[1], pool::take_uninit(xv.len()))
+    };
+    let dense = |x: Var, dx| Tensor::from_vec(val(x).dims(), dx).expect("group dx shape");
     match *op {
-        Op::GroupLinear(x, ref groups, block_rows) => {
-            // Per group b: dx_b = g_b · w_b (dense in the stack, one
-            // kernel call per group with the same (m, k, n) as the
-            // per-individual `Op::Addmm` dx rows, so the blocked-path
-            // decision — and every bit — matches the oracle), while
-            // w_b and bias_b gradients are deferred as per-window
-            // pieces of `block_rows` rows anchored at the group's row
-            // offset and replayed in the per-individual graph's
-            // accumulation order.
-            let xv = val(x);
-            let k = xv.dims()[1];
-            let out_cols = out_value.dims()[1];
-            let mut dx = pool::take_uninit(xv.len());
-            let mut off = 0usize;
-            let params = operands[groups.operands.clone()].chunks_exact(2);
-            for (pair, &wb) in params.zip(&group_wins[groups.wins.clone()]) {
-                let (w, bias) = (pair[0], pair[1]);
-                let r = wb * block_rows;
-                let g_b = &g.data()[off * out_cols..(off + r) * out_cols];
-                kernels::matmul_into(
-                    g_b,
-                    val(w).data(),
-                    &mut dx[off * k..(off + r) * k],
-                    r,
-                    out_cols,
-                    k,
-                );
-                parents.defer(
-                    w,
-                    PendingUse::group(PendingKind::GtX, i, x.0, wb, off, block_rows),
-                );
-                parents.defer(
-                    bias,
-                    PendingUse::group(PendingKind::ColSums, i, i, wb, off, block_rows),
-                );
-                off += r;
-            }
-            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
+        Op::GroupLinear(x, w, bias, wins) => {
+            // dx = g · w over the whole stack (the per-window `Op::Addmm`
+            // dx rows' kernel call); w and bias gradients are deferred.
+            let (rows, k, mut dx) = input(x);
+            let out_cols = g.dims()[1];
+            kernels::matmul_into(g.data(), val(w).data(), &mut dx, rows, out_cols, k);
+            let r = rows / wins;
+            parents.defer(w, PendingUse::group(PendingKind::GtX, i, x.0, wins, r));
+            parents.defer(bias, PendingUse::group(PendingKind::ColSums, i, i, wins, r));
+            parents.add(x, dense(x, dx));
         }
-        Op::GroupMatmul(x, ref groups, block_rows, grouped) => {
-            // Per group b: dx_b = g_b · rhs_bᵀ (dense, same (m, k, n)
-            // as the per-individual `Op::Matmul` dx rows); each group's
-            // rhs gradient is deferred as per-window XᵀG pieces
-            // anchored at the group's row offset.
-            let xv = val(x);
-            let k = xv.dims()[1];
-            let n = out_value.dims()[1];
-            let mut dx = pool::take_uninit(xv.len());
-            let mut off = 0usize;
-            let rhses = &operands[groups.operands.clone()];
-            for (&rhs, &wb) in rhses.iter().zip(&group_wins[groups.wins.clone()]) {
-                let r = wb * block_rows;
-                let g_b = &g.data()[off * n..(off + r) * n];
-                kernels::matmul_nt_into(
-                    g_b,
-                    val(rhs).data(),
-                    &mut dx[off * k..(off + r) * k],
-                    r,
-                    n,
-                    k,
-                );
-                let mut use_ = PendingUse::group(PendingKind::XtG, i, x.0, wb, off, block_rows);
-                use_.grouped = grouped;
-                parents.defer(rhs, use_);
-                off += r;
-            }
-            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
+        Op::GroupMatmul(x, rhs, wins, grouped) => {
+            // dx = g · rhsᵀ (the per-window `Op::Matmul` dx rows); the
+            // rhs gradient is deferred as per-window XᵀG pieces.
+            let (rows, k, mut dx) = input(x);
+            let n = g.dims()[1];
+            kernels::matmul_nt_into(g.data(), val(rhs).data(), &mut dx, rows, n, k);
+            let mut use_ = PendingUse::group(PendingKind::XtG, i, x.0, wins, rows / wins);
+            use_.grouped = grouped;
+            parents.defer(rhs, use_);
+            parents.add(x, dense(x, dx));
         }
-        Op::GroupMatmulNT(x, ref groups, block_rows) => {
-            // Per group b: dx_b = g_b · rhs_b (dense); each group's rhs
-            // gradient is deferred as per-window GᵀX pieces.
-            let xv = val(x);
-            let k = xv.dims()[1];
-            let n = out_value.dims()[1];
-            let mut dx = pool::take_uninit(xv.len());
-            let mut off = 0usize;
-            let rhses = &operands[groups.operands.clone()];
-            for (&rhs, &wb) in rhses.iter().zip(&group_wins[groups.wins.clone()]) {
-                let r = wb * block_rows;
-                let g_b = &g.data()[off * n..(off + r) * n];
-                kernels::matmul_into(
-                    g_b,
-                    val(rhs).data(),
-                    &mut dx[off * k..(off + r) * k],
-                    r,
-                    n,
-                    k,
-                );
-                parents.defer(
-                    rhs,
-                    PendingUse::group(PendingKind::GtX, i, x.0, wb, off, block_rows),
-                );
-                off += r;
-            }
-            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
+        Op::GroupMatmulNT(x, rhs, wins) => {
+            // dx = g · rhs; the rhs gradient is deferred as per-window
+            // GᵀX pieces.
+            let (rows, k, mut dx) = input(x);
+            let n = g.dims()[1];
+            kernels::matmul_into(g.data(), val(rhs).data(), &mut dx, rows, n, k);
+            parents.defer(
+                rhs,
+                PendingUse::group(PendingKind::GtX, i, x.0, wins, rows / wins),
+            );
+            parents.add(x, dense(x, dx));
         }
-        Op::GroupAddRow(m, ref groups, block_rows) => {
-            // dm is the gradient unchanged; each group's row gradient
-            // is deferred as per-window column sums over its block.
+        Op::GroupAddRow(m, row, wins) => {
+            // dm is the gradient unchanged; the row gradient is deferred
+            // as per-window column sums.
             parents.add_ref(m, g);
-            let mut off = 0usize;
-            let rows = &operands[groups.operands.clone()];
-            for (&row, &wb) in rows.iter().zip(&group_wins[groups.wins.clone()]) {
-                parents.defer(
-                    row,
-                    PendingUse::group(PendingKind::ColSums, i, i, wb, off, block_rows),
-                );
-                off += wb * block_rows;
-            }
+            let rows = g.dims()[0] / wins;
+            parents.defer(
+                row,
+                PendingUse::group(PendingKind::ColSums, i, i, wins, rows),
+            );
         }
-        Op::GroupBlockLhsMatmul(x, ref groups) => {
-            // Per window block: dx_w = lhs_bᵀ · g_w, the per-window
-            // Matmul rhs gradient's own kernel call on contiguous
-            // blocks of g and dx. Each group's lhs gradient is deferred
-            // as per-window G·Xᵀ pieces at the group's (output, input)
-            // row offsets.
-            let xv = val(x);
-            let n = xv.dims()[1];
-            let lhses = &operands[groups.operands.clone()];
-            let (p, q) = (val(lhses[0]).dims()[0], val(lhses[0]).dims()[1]);
-            let mut dx = pool::take_uninit(xv.len());
-            let mut blocks = g.data().chunks_exact(p * n).zip(dx.chunks_exact_mut(q * n));
-            let (mut xoff, mut goff) = (0usize, 0usize);
-            for (&lhs, &wb) in lhses.iter().zip(&group_wins[groups.wins.clone()]) {
-                let lv = val(lhs);
-                for (g_w, dx_w) in blocks.by_ref().take(wb) {
-                    kernels::matmul_tn_into(lv.data(), g_w, dx_w, p, q, n);
-                }
-                parents.defer(
-                    lhs,
-                    PendingUse {
-                        kind: PendingKind::GntX,
-                        g_node: i,
-                        x_node: x.0,
-                        wins: wb,
-                        grouped: false,
-                        g_rows: p,
-                        g_off: goff,
-                        x_rows: q,
-                        x_off: xoff,
-                    },
-                );
-                xoff += wb * q;
-                goff += wb * p;
+        Op::GroupBlockLhsMatmul(lhs, x, wins) => {
+            // Per window block: dx_w = lhsᵀ · g_w, the per-window Matmul
+            // rhs gradient's own kernel call on contiguous blocks of g
+            // and dx. The lhs gradient is deferred as per-window G·Xᵀ
+            // pieces.
+            let (_, n, mut dx) = input(x);
+            let lv = val(lhs);
+            let (p, q) = (lv.dims()[0], lv.dims()[1]);
+            let blocks = g.data().chunks_exact(p * n).zip(dx.chunks_exact_mut(q * n));
+            for (g_w, dx_w) in blocks {
+                kernels::matmul_tn_into(lv.data(), g_w, dx_w, p, q, n);
             }
-            parents.add(x, Tensor::from_vec(xv.dims(), dx).expect("group dx shape"));
+            parents.defer(
+                lhs,
+                PendingUse {
+                    kind: PendingKind::GntX,
+                    g_node: i,
+                    x_node: x.0,
+                    wins,
+                    grouped: false,
+                    g_rows: p,
+                    x_rows: q,
+                },
+            );
+            parents.add(x, dense(x, dx));
         }
-        _ => unreachable!("non-grouped ops run in backward_one"),
+        _ => unreachable!("non-group ops run in backward_one"),
     }
 }
 
@@ -1063,86 +916,76 @@ mod tests {
         let _ = tape.backward(a);
     }
 
-    /// Arena lengths: (operand vars, window counts).
-    fn arena_lens(tape: &Tape) -> (usize, usize) {
-        (tape.operands.borrow().len(), tape.group_wins.borrow().len())
-    }
-
-    /// Records `x` leaf, two per-group weight leaves and one grouped
-    /// matmul; returns (x, weights, output).
-    fn grouped_step(tape: &Tape, wins: &[usize]) -> (Var, [Var; 2], Var) {
-        let x = tape.leaf(Tensor::ones(&[wins.iter().sum(), 2]));
-        let ws = [0.5, -2.0].map(|v| tape.leaf(Tensor::filled(&[2, 3], v)));
-        (x, ws, tape.group_matmul(x, ws, wins, 1))
+    /// Records an `x` leaf (3 windows of 2 rows), a weight leaf and one
+    /// window-group matmul; returns (x, weight, output).
+    fn grouped_step(tape: &Tape, seed: u64) -> (Var, Var, Var) {
+        let mut rng = ema_tensor::Rng64::seed_from(seed);
+        let x = tape.leaf(Tensor::rand_normal(&[6, 4], 0.0, 1.0, &mut rng));
+        let w = tape.leaf(Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut rng));
+        (x, w, tape.group_matmul(x, w, 3))
     }
 
     #[test]
     fn reset_and_reset_to_truncate_group_arenas_to_the_kept_prefix() {
         let mut tape = Tape::new();
-        let (_, _, first) = grouped_step(&tape, &[1, 2]);
+        let (_, _, first) = grouped_step(&tape, 1);
         let keep = tape.len();
-        let after_first = arena_lens(&tape);
-        assert_eq!(after_first, (2, 2));
-        // A second grouped node with different window counts extends
-        // both arenas; the leaf-only tail after it extends neither.
-        let _ = grouped_step(&tape, &[2, 1]);
+        let want = tape.value(first);
+        // A second window-group node and a leaf after the prefix.
+        let _ = grouped_step(&tape, 2);
         let _ = tape.leaf(Tensor::ones(&[1]));
-        assert_eq!(arena_lens(&tape), (4, 4));
 
         tape.reset_to(keep);
         assert_eq!(tape.len(), keep);
-        assert_eq!(arena_lens(&tape), after_first);
-        assert_eq!(tape.dims(first), vec![3, 3]);
+        assert_eq!(tape.value(first).data(), want.data());
+        // Cutting into the prefix drops the window-group node itself.
         tape.reset_to(keep - 1);
-        assert_eq!(arena_lens(&tape), (0, 0));
-        let _ = grouped_step(&tape, &[1, 2]);
+        assert_eq!(tape.len(), keep - 1);
+        let _ = grouped_step(&tape, 1);
         tape.reset();
-        assert_eq!((tape.len(), arena_lens(&tape)), (0, (0, 0)));
+        assert!(tape.is_empty());
     }
 
     #[test]
     fn rerecording_a_grouped_epoch_keeps_arena_lengths() {
         let mut tape = Tape::new();
-        let keep = {
-            let _ = tape.leaf(Tensor::ones(&[1]));
-            tape.len()
-        };
+        // A persistent prefix leaf used by every epoch's graph.
+        let v = tape.leaf(probe(7, 0.0).slice_cols(0, 1).slice_rows(0, 3));
+        let keep = tape.len();
         let epoch = |tape: &Tape| {
-            let (_, _, y) = grouped_step(tape, &[2, 1]);
-            // Same window counts again: the counts are shared, the
-            // operands are not.
-            let ws = [1.0, 3.0].map(|v| tape.leaf(Tensor::filled(&[3, 1], v)));
-            let z = tape.group_matmul(y, ws, &[2, 1], 1);
-            let loss = tape.sum_all(z);
-            let _ = tape.backward(loss);
+            let (x, w, y) = grouped_step(tape, 3);
+            let z = tape.group_matmul_grouped(y, v, 3);
+            let loss = tape.sum_all(tape.square(z));
+            let grads = tape.backward(loss);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let values = [tape.value(loss), grads.get(x).unwrap().clone()];
+            let leaf_grads = [w, v].map(|p| bits(grads.get(p).unwrap()));
+            (tape.len(), values.map(|t| bits(&t)), leaf_grads)
         };
-        epoch(&tape);
-        let lens = arena_lens(&tape);
-        assert_eq!(lens, (4, 2));
+        let first = epoch(&tape);
         for _ in 0..3 {
             tape.reset_to(keep);
-            epoch(&tape);
-            assert_eq!(arena_lens(&tape), lens);
+            assert_eq!(epoch(&tape), first);
         }
     }
 
     #[test]
     fn grouped_node_kept_in_the_prefix_still_backpropagates() {
-        let loss_grads = |tape: &Tape, y: Var, x: Var, ws: [Var; 2]| {
+        let loss_grads = |tape: &Tape, y: Var, x: Var, w: Var| {
             let loss = tape.sum_all(tape.square(y));
             let grads = tape.backward(loss);
-            [x, ws[0], ws[1]].map(|v| grads.get(v).unwrap().data().to_vec())
+            [x, w].map(|v| grads.get(v).unwrap().data().to_vec())
         };
         let reference = Tape::new();
-        let (x, ws, y) = grouped_step(&reference, &[1, 2]);
-        let want = loss_grads(&reference, y, x, ws);
+        let (x, w, y) = grouped_step(&reference, 1);
+        let want = loss_grads(&reference, y, x, w);
 
         let mut tape = Tape::new();
-        let (x, ws, y) = grouped_step(&tape, &[1, 2]);
+        let (x, w, y) = grouped_step(&tape, 1);
         let keep = tape.len();
-        let _ = grouped_step(&tape, &[3, 3]);
+        let _ = grouped_step(&tape, 2);
         tape.reset_to(keep);
-        assert_eq!(loss_grads(&tape, y, x, ws), want);
+        assert_eq!(loss_grads(&tape, y, x, w), want);
     }
 
     /// A `[3, 4]` probe with both signs and an exact zero (so the ReLU
@@ -1307,13 +1150,13 @@ mod tests {
     }
 
     /// A small graph over every kind of node: a pointwise chain, a
-    /// matmul, a grouped op and a reshape, over leaves `[x, w, lhs]`.
+    /// matmul, a window-group op and a reshape, over leaves `[x, w, lhs]`.
     fn mixed_graph(tape: &Tape) -> (Var, [Var; 3]) {
         let x = tape.leaf(probe(11, 0.0));
         let w = tape.leaf(probe(12, 0.0).transpose());
         let lhs = tape.leaf(probe(13, 0.0).slice_cols(0, 3));
         let h = tape.tanh(tape.matmul(x, w)); // [3, 3]
-        let p = tape.group_block_lhs_matmul([lhs], h, &[1]); // [3, 3]
+        let p = tape.group_block_lhs_matmul(lhs, h, 1); // [3, 3]
         let s = tape.sigmoid(tape.add(p, tape.scale(h, 0.5)));
         let r = tape.reshape(tape.mul(s, s), &[9]);
         (tape.mean_all(tape.square(r)), [x, w, lhs])

@@ -2,17 +2,16 @@
 //! blocks (`[W·r, c]`, window `w` at row block `w`) recording one node
 //! for all windows.
 //!
-//! The cohort forward (`predict_cohort` in `ema-models`) uses them where
-//! an op's structure is shared by every window of every individual —
+//! The member forward (`Forecaster::predict_windows` in `ema-models`)
+//! uses them where each window has its own operands on both sides —
 //! the attention pooling (`stack_window_blocks`, `block_matmul`) and
 //! the Chebyshev products (`block_matmul[_nt]`) — and `dropout_masked`
-//! for pre-drawn masks. A shared lhs times every window block is the
-//! one-group case of `Tape::group_block_lhs_matmul`, which like the
-//! blockwise ops here runs one per-window kernel call on each
-//! contiguous window block. Every op here is **bit-identical** to its
-//! per-window twin in both directions: the blockwise ops run the
-//! per-window kernel per block outright, and gradients along the
-//! stacked axis stay dense, so row blocks match per window.
+//! for pre-drawn masks; an operand shared by every window goes through
+//! the window-group ops of `tape_ops_group` instead. Every op here is
+//! **bit-identical** to its per-window twin in both directions: the
+//! blockwise ops run the per-window kernel per block outright, and
+//! gradients along the stacked axis stay dense, so row blocks match per
+//! window.
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
@@ -112,10 +111,10 @@ impl Tape {
     }
 
     /// Applies a pre-drawn inverted-dropout mask (entries `0` or
-    /// `1/(1-p)`). The cohort forward draws each individual's masks
-    /// up front in window-major order so its RNG consumes draws in
-    /// exactly the per-window sequence (see `Tape::dropout`), then
-    /// applies each via this op. Backward is identical to
+    /// `1/(1-p)`). MTGNN's member forward draws its masks up front in
+    /// window-major order so its RNG consumes draws in exactly the
+    /// per-window sequence (see `Tape::dropout`), then applies each via
+    /// this op. Backward is identical to
     /// [`Tape::dropout`]'s.
     ///
     /// # Panics
@@ -133,7 +132,7 @@ impl Tape {
 }
 
 /// Rows per window block of a stacked operand.
-fn block_rows(x: &Tensor, wins: usize, what: &str) -> usize {
+pub(crate) fn block_rows(x: &Tensor, wins: usize, what: &str) -> usize {
     assert!(wins > 0, "{what}: needs at least one window");
     assert_eq!(
         x.dims()[0] % wins,
@@ -154,9 +153,9 @@ mod tests {
         Tensor::rand_normal(dims, 0.0, 1.0, &mut rng)
     }
 
-    /// A shared lhs times every window block is the one-group case of
-    /// `group_block_lhs_matmul`; it matches one `matmul` per window bit
-    /// for bit in the loss and the lhs gradient.
+    /// A shared lhs times every window block (`group_block_lhs_matmul`)
+    /// matches one `matmul` per window bit for bit in the loss and the
+    /// lhs gradient.
     #[test]
     fn block_lhs_matmul_matches_per_window_graph() {
         let wins = 3;
@@ -167,7 +166,7 @@ mod tests {
         let tape = Tape::new();
         let lhs = tape.leaf(lhsv.clone());
         let x = tape.leaf(xv.clone());
-        let out = tape.group_block_lhs_matmul([lhs], x, &[wins]);
+        let out = tape.group_block_lhs_matmul(lhs, x, wins);
         let loss = tape.mean_all(tape.square(out));
         let grads = tape.backward(loss);
 

@@ -1,7 +1,7 @@
 //! Shape-manipulating tape operations: concatenation, slicing, stacking.
 
 use crate::{Op, Tape, Var};
-use ema_tensor::Tensor;
+use ema_tensor::{pool, Tensor};
 
 impl Tape {
     /// Horizontal concatenation `[m,a] ++ [m,b] -> [m,a+b]`.
@@ -31,16 +31,37 @@ impl Tape {
         self.push(out, Op::Reshape(a))
     }
 
-    /// Stacks rank-1 nodes of equal length into the rows of a matrix.
+    /// Stacks nodes' rows into one `[Σ r, c]` matrix, in order: a
+    /// rank-1 `[c]` node is one row, a `[r, c]` node its `r` rows
+    /// (`predict_cohort` joins its members' `[W, V]` prediction blocks
+    /// this way). Backward hands each node its own rows.
     ///
     /// # Panics
-    /// Panics if `vars` is empty or lengths differ.
+    /// Panics if `vars` is empty, a node has rank above 2, or the row
+    /// lengths differ.
     pub fn stack_rows(&self, vars: &[Var]) -> Var {
         assert!(!vars.is_empty(), "cannot stack zero rows");
         let out = {
             let nodes = self.nodes.borrow();
-            let rows: Vec<Tensor> = vars.iter().map(|v| nodes[v.0].value.clone()).collect();
-            Tensor::stack_rows(&rows)
+            let parts = || vars.iter().map(|v| &nodes[v.0].value);
+            let cols = *nodes[vars[0].0].value.dims().last().expect("rank ≥ 1");
+            let mut rows = 0;
+            for (i, t) in parts().enumerate() {
+                assert!(t.rank() <= 2, "stack_rows: node {i} has rank {}", t.rank());
+                assert_eq!(
+                    *t.dims().last().expect("rank ≥ 1"),
+                    cols,
+                    "stack_rows: node {i} has mismatched row length"
+                );
+                rows += t.len() / cols;
+            }
+            let mut data = pool::take_uninit(rows * cols);
+            let mut off = 0;
+            for t in parts() {
+                data[off..off + t.len()].copy_from_slice(t.data());
+                off += t.len();
+            }
+            Tensor::from_vec(&[rows, cols], data).expect("stack_rows shape")
         };
         self.push(out, Op::StackRows(vars.to_vec()))
     }
@@ -103,6 +124,38 @@ mod tests {
         let loss = tape.sum_all(r);
         let grads = tape.backward(loss);
         assert_eq!(grads.get(a).unwrap().dims(), &[2, 3]);
+    }
+
+    /// `[r, c]` blocks and a rank-1 row stack in order, bit for bit, and
+    /// each node gets exactly its own rows of the gradient back, in its
+    /// own shape (a reused block accumulates both of its copies).
+    #[test]
+    fn stack_rows_joins_row_blocks_bit_for_bit() {
+        let mut rng = ema_tensor::Rng64::seed_from(4);
+        let mut rand = |dims: &[usize]| Tensor::rand_normal(dims, 0.0, 1.0, &mut rng);
+        let (a, b, c, w) = (rand(&[3, 2]), rand(&[2]), rand(&[1, 2]), rand(&[8, 2]));
+        let tape = Tape::new();
+        let (av, bv, cv) = (
+            tape.leaf(a.clone()),
+            tape.leaf(b.clone()),
+            tape.leaf(c.clone()),
+        );
+        let m = tape.stack_rows(&[av, bv, cv, av]);
+        assert_eq!(tape.dims(m), vec![8, 2]);
+        let want: Vec<f64> = [&a, &b, &c, &a]
+            .iter()
+            .flat_map(|t| t.data().iter().copied())
+            .collect();
+        assert_eq!(tape.value(m).data(), &want[..]);
+
+        let wl = tape.leaf(w.clone());
+        let grads = tape.backward(tape.sum_all(tape.mul(m, wl)));
+        let da = w.slice_rows(0, 3).add(&w.slice_rows(5, 8));
+        assert_eq!(grads.get(av).unwrap().data(), da.data());
+        assert_eq!(grads.get(bv).unwrap().dims(), &[2]);
+        assert_eq!(grads.get(bv).unwrap().data(), w.row(3).data());
+        assert_eq!(grads.get(cv).unwrap().dims(), &[1, 2]);
+        assert_eq!(grads.get(cv).unwrap().data(), w.row(4).data());
     }
 
     #[test]

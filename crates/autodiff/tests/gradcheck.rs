@@ -261,6 +261,22 @@ fn grad_stack_rows() {
 }
 
 #[test]
+fn grad_stack_rows_of_row_blocks() {
+    // [r, c] blocks beside a rank-1 row; x appears twice so its two
+    // row blocks accumulate.
+    let x = rand(&[3, 4], 40);
+    let row = rand(&[4], 41);
+    let block = rand(&[2, 4], 42);
+    assert_gradients_close(&x, TOL, |t, v| {
+        let r = t.leaf(row.clone());
+        let b = t.leaf(block.clone());
+        let m = t.stack_rows(&[v, r, b, v]);
+        let sq = t.square(m);
+        t.sum_all(sq)
+    });
+}
+
+#[test]
 fn grad_mse() {
     let x = rand(&[3, 4], 38);
     let target = rand(&[3, 4], 39);
@@ -433,19 +449,18 @@ fn grad_lstm_cell_gates_and_state() {
 
 #[test]
 fn grad_block_lhs_matmul_both_parents() {
-    // Shared [2, 3] lhs against 3 window blocks of [3, 4]: the one-group
-    // case of `group_block_lhs_matmul`.
+    // Shared [2, 3] lhs against 3 window blocks of [3, 4].
     let lhs = rand(&[2, 3], 91);
     let x = rand(&[9, 4], 92);
     assert_gradients_close(&lhs, TOL, |t, v| {
         let xl = t.leaf(x.clone());
-        let p = t.group_block_lhs_matmul([v], xl, &[3]);
+        let p = t.group_block_lhs_matmul(v, xl, 3);
         let sq = t.square(p);
         t.sum_all(sq)
     });
     assert_gradients_close(&x, TOL, |t, v| {
         let ll = t.leaf(lhs.clone());
-        let p = t.group_block_lhs_matmul([ll], v, &[3]);
+        let p = t.group_block_lhs_matmul(ll, v, 3);
         let sq = t.square(p);
         t.sum_all(sq)
     });
@@ -535,234 +550,75 @@ fn tape_reuse_multiple_backwards() {
     assert_eq!(g1.get(x).unwrap().data(), g2.get(x).unwrap().data());
 }
 
-#[test]
-fn grad_group_linear_all_parents() {
-    // A 3-group cohort stack with uneven row counts (3 + 1 + 2); check
-    // the stacked input and every group's weight and bias.
-    let rows = [3usize, 1, 2];
-    let x = rand(&[6, 3], 101);
-    let ws: Vec<Tensor> = (0..3).map(|b| rand(&[4, 3], 102 + b)).collect();
-    let bs: Vec<Tensor> = (0..3).map(|b| rand(&[4], 105 + b)).collect();
-    let build = |t: &Tape,
-                 xv,
-                 ws: &[Tensor],
-                 bs: &[Tensor],
-                 swap: Option<(usize, bool, ema_autodiff::Var)>| {
-        let params: Vec<(ema_autodiff::Var, ema_autodiff::Var)> = ws
-            .iter()
-            .zip(bs)
-            .enumerate()
-            .map(|(g, (w, b))| match swap {
-                Some((sg, is_bias, v)) if sg == g => {
-                    if is_bias {
-                        (t.leaf(w.clone()), v)
-                    } else {
-                        (v, t.leaf(b.clone()))
-                    }
-                }
-                _ => (t.leaf(w.clone()), t.leaf(b.clone())),
-            })
-            .collect();
-        let y = t.group_linear(xv, params, &rows);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&x, TOL, |t, v| build(t, v, &ws, &bs, None));
-    for g in 0..3 {
-        assert_gradients_close(&ws[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &ws, &bs, Some((g, false, v)))
-        });
-        assert_gradients_close(&bs[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &ws, &bs, Some((g, true, v)))
+/// Finite-difference checks of one window-group op over every parent:
+/// `parents` are the op's inputs in order (the stacked input first),
+/// and `op` builds the op from one var per parent.
+fn check_all_parents(
+    parents: &[Tensor],
+    op: impl Fn(&Tape, &[ema_autodiff::Var]) -> ema_autodiff::Var,
+) {
+    for i in 0..parents.len() {
+        assert_gradients_close(&parents[i], TOL, |t, v| {
+            let vars: Vec<ema_autodiff::Var> = parents
+                .iter()
+                .enumerate()
+                .map(|(j, p)| if j == i { v } else { t.leaf(p.clone()) })
+                .collect();
+            let y = op(t, &vars);
+            let sq = t.square(y);
+            t.sum_all(sq)
         });
     }
+}
+
+#[test]
+fn grad_group_linear_all_parents() {
+    // Three windows of one row each; check the stacked input, the
+    // weight and the bias.
+    let parents = [rand(&[3, 3], 101), rand(&[4, 3], 102), rand(&[4], 105)];
+    check_all_parents(&parents, |t, p| t.group_linear(p[0], p[1], p[2], 3));
 }
 
 #[test]
 fn grad_group_linear_blocks_all_parents() {
-    // Mixed group sizes with multi-row window blocks (wins 2 + 1 + 3,
-    // block_rows 2): the graph-model layout.
-    let wins = [2usize, 1, 3];
-    let x = rand(&[12, 3], 110);
-    let ws: Vec<Tensor> = (0..3).map(|b| rand(&[4, 3], 111 + b)).collect();
-    let bs: Vec<Tensor> = (0..3).map(|b| rand(&[4], 114 + b)).collect();
-    let build = |t: &Tape,
-                 xv,
-                 ws: &[Tensor],
-                 bs: &[Tensor],
-                 swap: Option<(usize, bool, ema_autodiff::Var)>| {
-        let params: Vec<(ema_autodiff::Var, ema_autodiff::Var)> = ws
-            .iter()
-            .zip(bs)
-            .enumerate()
-            .map(|(g, (w, b))| match swap {
-                Some((sg, is_bias, v)) if sg == g => {
-                    if is_bias {
-                        (t.leaf(w.clone()), v)
-                    } else {
-                        (v, t.leaf(b.clone()))
-                    }
-                }
-                _ => (t.leaf(w.clone()), t.leaf(b.clone())),
-            })
-            .collect();
-        let y = t.group_linear_blocks(xv, params, &wins, 2);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&x, TOL, |t, v| build(t, v, &ws, &bs, None));
-    for g in 0..3 {
-        assert_gradients_close(&ws[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &ws, &bs, Some((g, false, v)))
-        });
-        assert_gradients_close(&bs[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &ws, &bs, Some((g, true, v)))
-        });
-    }
+    // Multi-row window blocks (3 windows of 2 rows): the graph-model
+    // layout.
+    let parents = [rand(&[6, 3], 110), rand(&[4, 3], 111), rand(&[4], 114)];
+    check_all_parents(&parents, |t, p| t.group_linear(p[0], p[1], p[2], 3));
 }
 
 #[test]
 fn grad_group_matmul_all_parents() {
-    // wins 2 + 1 + 3, block_rows 2 → 12 stacked rows; per-group [3, 4]
-    // right-hand sides.
-    let wins = [2usize, 1, 3];
-    let x = rand(&[12, 3], 120);
-    let rs: Vec<Tensor> = (0..3).map(|b| rand(&[3, 4], 121 + b)).collect();
-    let build = |t: &Tape, xv, rs: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
-        let rhses: Vec<ema_autodiff::Var> = rs
-            .iter()
-            .enumerate()
-            .map(|(g, r)| match swap {
-                Some((sg, v)) if sg == g => v,
-                _ => t.leaf(r.clone()),
-            })
-            .collect();
-        let y = t.group_matmul(xv, rhses, &wins, 2);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&x, TOL, |t, v| build(t, v, &rs, None));
-    for g in 0..3 {
-        assert_gradients_close(&rs[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &rs, Some((g, v)))
-        });
-    }
+    // 3 windows of 2 rows against one [3, 4] rhs.
+    let parents = [rand(&[6, 3], 120), rand(&[3, 4], 121)];
+    check_all_parents(&parents, |t, p| t.group_matmul(p[0], p[1], 3));
 }
 
 #[test]
 fn grad_group_matmul_grouped_all_parents() {
     // The grouped-replay variant (attention score layout: n = 1).
-    let wins = [3usize, 2];
-    let x = rand(&[5, 4], 130);
-    let rs: Vec<Tensor> = (0..2).map(|b| rand(&[4, 1], 131 + b)).collect();
-    let build = |t: &Tape, xv, rs: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
-        let rhses: Vec<ema_autodiff::Var> = rs
-            .iter()
-            .enumerate()
-            .map(|(g, r)| match swap {
-                Some((sg, v)) if sg == g => v,
-                _ => t.leaf(r.clone()),
-            })
-            .collect();
-        let y = t.group_matmul_grouped(xv, rhses, &wins, 1);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&x, TOL, |t, v| build(t, v, &rs, None));
-    for g in 0..2 {
-        assert_gradients_close(&rs[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &rs, Some((g, v)))
-        });
-    }
+    let parents = [rand(&[4, 4], 130), rand(&[4, 1], 131)];
+    check_all_parents(&parents, |t, p| t.group_matmul_grouped(p[0], p[1], 4));
 }
 
 #[test]
 fn grad_group_matmul_nt_all_parents() {
-    // wins 1 + 4 + 2, block_rows 3; per-group transposed [4, 2] weights.
-    let wins = [1usize, 4, 2];
-    let x = rand(&[21, 2], 140);
-    let rs: Vec<Tensor> = (0..3).map(|b| rand(&[4, 2], 141 + b)).collect();
-    let build = |t: &Tape, xv, rs: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
-        let rhses: Vec<ema_autodiff::Var> = rs
-            .iter()
-            .enumerate()
-            .map(|(g, r)| match swap {
-                Some((sg, v)) if sg == g => v,
-                _ => t.leaf(r.clone()),
-            })
-            .collect();
-        let y = t.group_matmul_nt(xv, rhses, &wins, 3);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&x, TOL, |t, v| build(t, v, &rs, None));
-    for g in 0..3 {
-        assert_gradients_close(&rs[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &rs, Some((g, v)))
-        });
-    }
+    // 2 windows of 3 rows against one transposed [4, 2] weight.
+    let parents = [rand(&[6, 2], 140), rand(&[4, 2], 141)];
+    check_all_parents(&parents, |t, p| t.group_matmul_nt(p[0], p[1], 2));
 }
 
 #[test]
 fn grad_group_add_row_broadcast_all_parents() {
-    // wins 2 + 3, block_rows 2 → 10 stacked rows; per-group [5] rows.
-    let wins = [2usize, 3];
-    let m = rand(&[10, 5], 150);
-    let rs: Vec<Tensor> = (0..2).map(|b| rand(&[5], 151 + b)).collect();
-    let build = |t: &Tape, mv, rs: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
-        let rows: Vec<ema_autodiff::Var> = rs
-            .iter()
-            .enumerate()
-            .map(|(g, r)| match swap {
-                Some((sg, v)) if sg == g => v,
-                _ => t.leaf(r.clone()),
-            })
-            .collect();
-        let y = t.group_add_row_broadcast(mv, rows, &wins, 2);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&m, TOL, |t, v| build(t, v, &rs, None));
-    for g in 0..2 {
-        assert_gradients_close(&rs[g], TOL, |t, v| {
-            let ml = t.leaf(m.clone());
-            build(t, ml, &rs, Some((g, v)))
-        });
-    }
+    // 3 windows of 2 rows plus one [5] row.
+    let parents = [rand(&[6, 5], 150), rand(&[5], 151)];
+    check_all_parents(&parents, |t, p| t.group_add_row_broadcast(p[0], p[1], 3));
 }
 
 #[test]
 fn grad_group_block_lhs_matmul_all_parents() {
-    // wins 3 + 1 + 2 with rectangular [2, 3] per-group lhs matrices:
-    // x is [Σ wins·3, 2] and the output [Σ wins·2, 2].
-    let wins = [3usize, 1, 2];
-    let x = rand(&[18, 2], 160);
-    let ls: Vec<Tensor> = (0..3).map(|b| rand(&[2, 3], 161 + b)).collect();
-    let build = |t: &Tape, xv, ls: &[Tensor], swap: Option<(usize, ema_autodiff::Var)>| {
-        let lhses: Vec<ema_autodiff::Var> = ls
-            .iter()
-            .enumerate()
-            .map(|(g, l)| match swap {
-                Some((sg, v)) if sg == g => v,
-                _ => t.leaf(l.clone()),
-            })
-            .collect();
-        let y = t.group_block_lhs_matmul(lhses, xv, &wins);
-        let sq = t.square(y);
-        t.sum_all(sq)
-    };
-    assert_gradients_close(&x, TOL, |t, v| build(t, v, &ls, None));
-    for g in 0..3 {
-        assert_gradients_close(&ls[g], TOL, |t, v| {
-            let xl = t.leaf(x.clone());
-            build(t, xl, &ls, Some((g, v)))
-        });
-    }
+    // A rectangular [2, 3] lhs against 4 window blocks of [3, 2]: x is
+    // [12, 2] and the output [8, 2].
+    let parents = [rand(&[2, 3], 161), rand(&[12, 2], 160)];
+    check_all_parents(&parents, |t, p| t.group_block_lhs_matmul(p[0], p[1], 4));
 }

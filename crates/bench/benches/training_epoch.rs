@@ -10,8 +10,7 @@ use ema_core::{train_model, TrainConfig};
 use ema_data::{make_windows, split_train_test, WindowedData};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
-    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, LstmForecaster, ModelConfig, Mtgnn,
-    WindowBatch,
+    A3tgcn, Astgcn, Forecaster, ForwardCtx, LstmForecaster, ModelConfig, Mtgnn, WindowBatch,
 };
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_obs::ObsMode;
@@ -35,26 +34,27 @@ fn bench_epoch(c: &mut Harness) {
 }
 
 /// `train_epoch_<model>`: one full-batch epoch of `model` alone — the
-/// cohort forward at B = 1, as `ema_core::train_model` runs it.
-fn bench_model<M: CohortForecaster>(c: &mut Harness, mut model: M, windows: &WindowedData) {
+/// member forward over its window batch, as `ema_core::train_model`
+/// runs it.
+fn bench_model(c: &mut Harness, mut model: impl Forecaster, windows: &WindowedData) {
     let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
-    let mut drop_rng = [Rng64::seed_from(2)];
+    let mut drop_rng = Rng64::seed_from(2);
     // Persistent workspaces, exactly like `ema_core::train_cohort`: the
     // measured iteration is a *steady-state* epoch (one tape graph over
-    // all windows) — tape node storage and grouped-op arenas, gradient
-    // slots, the stacked window batch, the target-leaf tape prefix and
-    // pooled tensor buffers all carried over from the previous epoch.
+    // all windows) — tape node storage, gradient slots, the window
+    // batch, the target-leaf tape prefix and pooled tensor buffers all
+    // carried over from the previous epoch.
     let mut tape = Tape::new();
     let mut grads = Grads::empty();
-    let batch = CohortBatch::from_batches(&[&WindowBatch::from_windows(&windows.inputs)]);
+    let batch = WindowBatch::from_windows(&windows.inputs);
     let tgt = tape.leaf(windows.targets_matrix());
     let keep = tape.len();
     c.bench_function(&format!("train_epoch_{}", model.name()), |b| {
         b.iter(|| {
             tape.reset_to(keep);
             let binding = model.params().bind(&tape);
-            let mut ctx = CohortCtx::train(&mut drop_rng);
-            let stacked = M::predict_cohort(&[&model], &tape, &[&binding], &batch, &mut ctx);
+            let mut ctx = ForwardCtx::train(&mut drop_rng);
+            let stacked = model.predict_windows(&tape, &binding, &batch, &mut ctx);
             let loss = tape.mse(stacked, tgt);
             tape.backward_into(loss, &mut grads);
             adam.step(model.params_mut(), &binding, &grads);

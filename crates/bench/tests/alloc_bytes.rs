@@ -9,6 +9,10 @@
 
 use ema_autodiff::{Grads, Tape};
 use ema_bench::alloc::{live_bytes, peak_bytes, reset_peak_bytes};
+use ema_core::{run_cohort_sharded, Executor, GraphSpec, RunSpec, TrainConfig};
+use ema_data::{EmaGenerator, GeneratorConfig};
+use ema_models::{ModelConfig, ModelKind};
+use ema_obs::ObsMode;
 use ema_tensor::{Rng64, Tensor};
 
 fn peak_bytes_tracks_a_regions_high_water_mark() {
@@ -80,8 +84,43 @@ fn backward_frees_each_gradient_once_used() {
     );
 }
 
+/// The shard body runs each member end to end and drops it before the
+/// next starts, so a shard job's heap holds one member's windows,
+/// model and workspace at a time: over one tiny LSTM study, 16-member
+/// shards peak within a small constant of 1-member shards instead of
+/// growing with every member a shard holds. (The constant covers what
+/// the sharded runner itself keeps per shard: the generated series and
+/// the outcomes.)
+fn shard_peak_heap_does_not_grow_with_its_members() {
+    const SLACK: u64 = 64 * 1024;
+    ema_obs::set_mode(ObsMode::Off);
+    let generator = EmaGenerator::new(GeneratorConfig::quick(16, 4, 11));
+    let mut spec = RunSpec::new(ModelKind::Lstm, GraphSpec::None, 2);
+    spec.model_config = ModelConfig::tiny(0);
+    spec.train_config = TrainConfig::quick(2, 7);
+    let executor = Executor::sequential();
+    let peak = |shard: usize| {
+        // Warm-up run: fills the buffer pool at this shard size.
+        drop(run_cohort_sharded(&generator, &spec, shard, &executor));
+        let base = live_bytes();
+        reset_peak_bytes();
+        let outcomes = run_cohort_sharded(&generator, &spec, shard, &executor);
+        let rise = peak_bytes().saturating_sub(base);
+        assert_eq!(outcomes.len(), 16);
+        rise
+    };
+    let (one, sixteen) = (peak(1), peak(16));
+    ema_obs::set_mode(ObsMode::from_env());
+    assert!(
+        sixteen <= one + SLACK,
+        "16-member shards peaked {sixteen} bytes over the live heap, 1-member shards {one}: \
+         {} bytes more, past the {SLACK}-byte allowance",
+        sixteen.saturating_sub(one)
+    );
+}
+
 fn main() {
-    let checks: [(&str, fn()); 3] = [
+    let checks: [(&str, fn()); 4] = [
         (
             "peak_bytes_tracks_a_regions_high_water_mark",
             peak_bytes_tracks_a_regions_high_water_mark,
@@ -90,6 +129,10 @@ fn main() {
         (
             "backward_frees_each_gradient_once_used",
             backward_frees_each_gradient_once_used,
+        ),
+        (
+            "shard_peak_heap_does_not_grow_with_its_members",
+            shard_peak_heap_does_not_grow_with_its_members,
         ),
     ];
     // Name filters as libtest takes them: any non-flag argument.

@@ -8,8 +8,8 @@
 //! cluster phase ([`plan_clusters`]) samples representative
 //! individuals, clusters their flattened **training-split** series with
 //! seeded K-medoids ([`ema_similarity::k_medoids`] — no test leakage),
-//! trains **one model per cluster** on the medoid individuals as one
-//! shard of the pipeline's runner body, and keeps the resulting
+//! trains **one model per cluster** on each medoid individual through
+//! the pipeline's per-member shard body, and keeps the resulting
 //! parameters as one in-memory [`Checkpoint`] per cluster in the
 //! [`ClusterPlan`]. A plan is built for one spec, so it holds one model
 //! and one run condition. The fine-tune phase then assigns each
@@ -33,8 +33,9 @@
 //! `cluster.fine_tune_epochs` histogram.
 
 use crate::checkpoint::Checkpoint;
-use crate::pipeline::{train_shard, RunSpec};
-use ema_data::{split_train_test, EmaGenerator, Individual};
+use crate::pipeline::{train_shard_member, RunSpec};
+use ema_autodiff::{Grads, Tape};
+use ema_data::{split_train_test, EmaGenerator};
 use ema_obs::span;
 use ema_similarity::{
     argmin_distance, flatten_series, k_medoids, pairwise_series_distances, series_distance,
@@ -122,10 +123,10 @@ impl ClusterPlan {
 /// Runs the cluster phase for a sharded cohort run whose spec carries
 /// [`TrainStrategy::ClusterWarmStart`]: sample representative
 /// individuals, cluster their training-split series with seeded
-/// K-medoids, train one model per cluster on the medoid individuals
-/// (one shard of the runner body, each medoid trained exactly as its
-/// idiographic run for `cluster_epochs` epochs), and keep the
-/// resulting checkpoints.
+/// K-medoids, train one model per cluster on its medoid individual
+/// (the runner body's per-member training, each medoid trained exactly
+/// as its idiographic run for `cluster_epochs` epochs, one after
+/// another on one tape), and keep the resulting checkpoints.
 ///
 /// # Panics
 /// Panics when the spec's strategy is [`TrainStrategy::Idiographic`],
@@ -187,22 +188,29 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         .map(|&m| rep_series[m].clone())
         .collect();
 
-    // Train one model per cluster on its medoid individual.
+    // Train one model per cluster on its medoid individual and keep
+    // its parameters.
     let checkpoints = {
         let _t = span!("cluster_train", clusters = k);
-        let medoids: Vec<Individual> = medoid_ids
-            .iter()
-            .flat_map(|&id| generator.generate_range(id, id + 1))
-            .collect();
         let mut cluster_spec = spec.clone();
         cluster_spec.train_config.epochs = cluster_epochs;
         cluster_spec.train_config.warm_start = None;
-        let trained = train_shard(medoids.iter().map(|m| (m.id, &m.data)), &cluster_spec, None);
+        let _kernel = cluster_spec.train_config.kernel_backend.scoped();
+        let (mut tape, mut grads) = (Tape::new(), Grads::empty());
+        let checkpoints: Vec<Arc<Checkpoint>> = medoid_ids
+            .iter()
+            .flat_map(|&id| generator.generate_range(id, id + 1))
+            .enumerate()
+            .map(|(b, m)| {
+                let (tape, grads) = (&mut tape, &mut grads);
+                let trained =
+                    train_shard_member(b, m.id, &m.data, &cluster_spec, None, tape, grads);
+                Arc::new(Checkpoint::capture(trained.model.params()))
+            })
+            .collect();
         // One miss per cluster trained (misses = trainings).
-        ema_obs::recorder().inc_counter("cluster.cache_misses", medoids.len() as u64);
-        (0..medoids.len())
-            .map(|cluster| Arc::new(Checkpoint::capture(trained.models.get(cluster).params())))
-            .collect()
+        ema_obs::recorder().inc_counter("cluster.cache_misses", checkpoints.len() as u64);
+        checkpoints
     };
 
     ClusterPlan {
@@ -220,7 +228,7 @@ mod tests {
     use crate::exec::Executor;
     use crate::pipeline::{run_individual, GraphSpec, IndividualOutcome};
     use crate::train::TrainConfig;
-    use ema_data::GeneratorConfig;
+    use ema_data::{GeneratorConfig, Individual};
     use ema_models::{ModelConfig, ModelKind};
 
     fn warm_spec(model: ModelKind, graph: GraphSpec) -> RunSpec {

@@ -5,12 +5,12 @@
 //! executor in shards of `shard_size` individuals: each shard job
 //! *generates* its slice of the study on the worker
 //! ([`EmaGenerator::generate_range`]), runs it through the pipeline's
-//! runner body — one [`crate::train::train_cohort`] call for the
-//! shard, which trains its members one at a time on one tape, then one
-//! eval forward per member — and drops the data, so peak memory is
-//! bounded by (workers × shard), not the study size. Shard size sets
-//! job and generation granularity, not a training group. Results are
-//! byte-identical at every `(thread count, shard size)` pair and to
+//! runner body — each member end to end (prepare → train → one eval
+//! forward), one after another on one tape, dropped before the next —
+//! and drops the data, so peak memory is bounded by (workers × shard's
+//! series), not the study size. Shard size sets job and generation
+//! granularity, not a training group. Results are byte-identical at
+//! every `(thread count, shard size)` pair and to
 //! [`crate::pipeline::run_individual`] on each member.
 
 use crate::cluster::{plan_clusters, TrainStrategy};

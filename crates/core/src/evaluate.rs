@@ -2,38 +2,41 @@
 
 use crate::train::predict_all;
 use ema_data::WindowedData;
-use ema_models::CohortForecaster;
+use ema_models::Forecaster;
 use ema_tensor::Tensor;
 
 /// Scores every model over its own window set from one eval forward
-/// per model ([`predict_all`]): per model, the MSE (Eq. (1) for one individual —
-/// the squared error averaged over all test time points and variables)
-/// and the per-variable MSEs, length `V` (the paper's future-work note
-/// on per-variable error analysis).
+/// per model ([`predict_all`]): per model, the MSE (Eq. (1) for one
+/// individual) and the per-variable MSEs.
 #[must_use]
-pub fn evaluate<M: CohortForecaster>(
-    models: &[M],
-    windows: &[WindowedData],
-) -> Vec<(f64, Vec<f64>)> {
+pub fn evaluate<M: Forecaster>(models: &[M], windows: &[WindowedData]) -> Vec<(f64, Vec<f64>)> {
     predict_all(models, windows)
         .iter()
         .zip(windows)
-        .map(|(preds, windows)| {
-            let targets = windows.targets_matrix();
-            let (n, v) = (preds.dims()[0], preds.dims()[1]);
-            let per_variable = (0..v)
-                .map(|j| {
-                    let mut acc = 0.0;
-                    for i in 0..n {
-                        let d = preds.at2(i, j) - targets.at2(i, j);
-                        acc += d * d;
-                    }
-                    acc / n as f64
-                })
-                .collect();
-            (preds.mse(&targets), per_variable)
-        })
+        .map(|(preds, windows)| score(preds, windows))
         .collect()
+}
+
+/// The MSE of one individual's `[n, V]` predictions against its
+/// windows' targets (Eq. (1) for one individual — the squared error
+/// averaged over all test time points and variables) and the
+/// per-variable MSEs, length `V` (the paper's future-work note on
+/// per-variable error analysis).
+#[must_use]
+pub(crate) fn score(preds: &Tensor, windows: &WindowedData) -> (f64, Vec<f64>) {
+    let targets = windows.targets_matrix();
+    let (n, v) = (preds.dims()[0], preds.dims()[1]);
+    let per_variable = (0..v)
+        .map(|j| {
+            let mut acc = 0.0;
+            for i in 0..n {
+                let d = preds.at2(i, j) - targets.at2(i, j);
+                acc += d * d;
+            }
+            acc / n as f64
+        })
+        .collect();
+    (preds.mse(&targets), per_variable)
 }
 
 /// MSE of the naive persistence baseline (predict `x_t = x_{t-1}`) over

@@ -1,18 +1,20 @@
-//! The personalized per-individual pipeline: one runner body that
-//! trains and evaluates a shard of individuals, and the parallel cohort
-//! runner (scheduled by the [`crate::exec`] cohort execution engine)
-//! that runs it with one individual per job.
+//! The personalized per-individual pipeline: one runner body that runs
+//! a shard of individuals one after another, each end to end (prepare →
+//! build → train → evaluate), and the parallel cohort runner (scheduled
+//! by the [`crate::exec`] cohort execution engine) that runs it with
+//! one individual per job.
 
 use crate::cluster::{ClusterPlan, TrainStrategy};
-use crate::evaluate::evaluate;
+use crate::evaluate::score;
 use crate::exec::{expect_all, Executor, Job};
-use crate::train::{train_cohort, TrainConfig, TrainReport};
+use crate::train::{predict_member, train_member, TrainConfig, TrainReport};
+use ema_autodiff::{Grads, Tape};
 use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset, WindowedData};
 use ema_graph::sparsify::{sparsify, DensityThreshold};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
-    A3tgcn, Astgcn, CohortForecaster, Forecaster, GraphLearnerKind, LstmForecaster, ModelConfig,
-    ModelKind, Mtgnn, VarForecaster,
+    A3tgcn, Astgcn, Forecaster, GraphLearnerKind, LstmForecaster, ModelConfig, ModelKind, Mtgnn,
+    VarForecaster,
 };
 use ema_obs::metrics::EPOCH_BUCKETS;
 use ema_obs::span;
@@ -136,57 +138,35 @@ pub fn graph_for_individual(
     sparsify(&build_graph(train_data, metric), gdt)
 }
 
-/// A shard of individuals after training, in member order.
-pub(crate) struct TrainedShard {
-    ids: Vec<usize>,
-    pub(crate) models: Box<dyn ShardModels>,
-    reports: Vec<TrainReport>,
-    tests: Vec<WindowedData>,
-    graphs: Vec<Option<AdjacencyMatrix>>,
+/// One shard member after training: its model, training report, test
+/// windows and graph.
+pub(crate) struct TrainedMember {
+    pub(crate) model: Box<dyn Forecaster>,
+    report: TrainReport,
+    test: WindowedData,
+    graph: Option<AdjacencyMatrix>,
 }
 
-/// A trained shard's models: one concrete model kind behind a trait
-/// object, so the shard body keeps its one `match` on [`ModelKind`]
-/// while evaluation still runs the concrete cohort forward.
-pub(crate) trait ShardModels {
-    /// Member `b`'s model.
-    fn get(&self, b: usize) -> &dyn Forecaster;
-    /// Every member's test MSE and per-variable MSEs, from one eval
-    /// forward per member on one reused tape ([`evaluate`]).
-    fn evaluate(&self, tests: &[WindowedData]) -> Vec<(f64, Vec<f64>)>;
-}
-
-impl<M: CohortForecaster> ShardModels for Vec<M> {
-    fn get(&self, b: usize) -> &dyn Forecaster {
-        &self[b]
-    }
-
-    fn evaluate(&self, tests: &[WindowedData]) -> Vec<(f64, Vec<f64>)> {
-        evaluate(self, tests)
-    }
-}
-
-/// Trains a shard of `(id, data)` members with one [`train_cohort`]
-/// call, which trains them one at a time on one tape. Per member:
-/// split → graph (training split only) → windows → config with the
-/// member's own dropout stream; with a cluster `plan`, the member
-/// fine-tunes from its nearest cluster's checkpoint. Spans:
-/// `individual` (with `build_graph` inside) per member, then `train`.
+/// Prepares, builds and trains one shard member on the shard's tape and
+/// gradient workspace: split → graph (training split only) → windows →
+/// config with the member's own dropout stream (with a cluster `plan`,
+/// fine-tuning from its nearest cluster's checkpoint) → model →
+/// training. `b` is the member's position in its shard. Spans:
+/// `individual` (with `build_graph` inside), then `train`.
 ///
 /// # Panics
-/// Panics on an empty shard, a series too short for the window length,
-/// or an inconsistent spec (graph-free A3TGCN/ASTGCN).
-pub(crate) fn train_shard<'a>(
-    members: impl IntoIterator<Item = (usize, &'a Tensor)>,
+/// Panics on a series too short for the window length or an
+/// inconsistent spec (graph-free A3TGCN/ASTGCN).
+pub(crate) fn train_shard_member(
+    b: usize,
+    id: usize,
+    data: &Tensor,
     spec: &RunSpec,
     plan: Option<&ClusterPlan>,
-) -> TrainedShard {
-    // Pin the spec's kernel backend for the whole shard — graph build
-    // and model construction included, not just the training loop.
-    let _kernel = spec.train_config.kernel_backend.scoped();
-    let (mut ids, mut vars, mut graphs) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut train, mut tests, mut configs) = (Vec::new(), Vec::new(), Vec::new());
-    for (id, data) in members {
+    tape: &mut Tape,
+    grads: &mut Grads,
+) -> TrainedMember {
+    let (train, test, graph, config) = {
         let _individual_span = span!(
             "individual",
             individual = id,
@@ -197,7 +177,7 @@ pub(crate) fn train_shard<'a>(
         let (train_split, test_split) = split_train_test(data, spec.train_fraction);
         // Graph built from training data only — no test leakage.
         // Recorded in the outcome even for models that ignore it.
-        graphs.push(match &spec.graph {
+        let graph = match &spec.graph {
             GraphSpec::None => None,
             GraphSpec::Static { metric, gdt } => {
                 let _graph_span = span!(
@@ -209,9 +189,9 @@ pub(crate) fn train_shard<'a>(
                 Some(graph_for_individual(&train_split, *metric, *gdt))
             }
             GraphSpec::Provided(g) => Some(g.clone()),
-        });
-        train.push(make_windows(&train_split, spec.seq_len));
-        tests.push(make_test_windows(&train_split, &test_split, spec.seq_len));
+        };
+        let train = make_windows(&train_split, spec.seq_len);
+        let test = make_test_windows(&train_split, &test_split, spec.seq_len);
         // Per-individual dropout stream: derived from (run seed, id) up
         // front — never from draw order — so results are identical at
         // any thread count and shard size (see the seeding scheme in
@@ -224,135 +204,115 @@ pub(crate) fn train_shard<'a>(
             config.epochs = plan.fine_tune_epochs;
             config.warm_start = Some(plan.checkpoint(plan.assign(&train_split)));
         }
-        configs.push(config);
-        ids.push(id);
-        vars.push(data.dims()[1]);
-    }
-    assert!(!ids.is_empty(), "empty shard");
-
-    let _train_span = span!("train", individuals = ids.len());
-    let cfg = &spec.model_config;
-    // The one place a model kind becomes a model.
-    let (models, reports) = match spec.model {
-        ModelKind::Lstm => train_models(&vars, &graphs, &train, &configs, |v, _| {
-            LstmForecaster::new(v, cfg)
-        }),
-        ModelKind::A3tgcn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
-            let graph = graph.expect("A3TGCN requires a graph");
-            A3tgcn::with_options(v, graph, cfg, spec.use_attention)
-        }),
-        ModelKind::Astgcn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
-            Astgcn::with_options(
-                v,
-                spec.seq_len,
-                graph.expect("ASTGCN requires a graph"),
-                cfg,
-                spec.use_spatial_attention,
-            )
-        }),
-        ModelKind::Mtgnn => train_models(&vars, &graphs, &train, &configs, |v, graph| {
-            Mtgnn::with_learner(
-                v,
-                spec.seq_len,
-                graph,
-                cfg,
-                spec.learn_graph,
-                spec.graph_learner,
-            )
-        }),
-        ModelKind::Var => train_models(&vars, &graphs, &train, &configs, |v, _| {
-            VarForecaster::new(v, spec.seq_len, cfg)
-        }),
+        (train, test, graph, config)
     };
-    TrainedShard {
-        ids,
-        models,
-        reports,
-        tests,
-        graphs,
+    let _train_span = span!("train", individual = id);
+    let mut model = new_model(spec, data.dims()[1], graph.as_ref());
+    let report = train_member(b, &mut *model, &train, &config, tape, grads);
+    TrainedMember {
+        model,
+        report,
+        test,
+        graph,
     }
 }
 
-/// Builds one `M` per member (from its variable count and graph) and
-/// trains them all with one [`train_cohort`] call.
-fn train_models<M: CohortForecaster + 'static>(
-    vars: &[usize],
-    graphs: &[Option<AdjacencyMatrix>],
-    windows: &[WindowedData],
-    configs: &[TrainConfig],
-    build: impl Fn(usize, Option<&AdjacencyMatrix>) -> M,
-) -> (Box<dyn ShardModels>, Vec<TrainReport>) {
-    let mut models: Vec<M> = vars
-        .iter()
-        .zip(graphs)
-        .map(|(&v, g)| build(v, g.as_ref()))
-        .collect();
-    let reports = train_cohort(&mut models, windows, configs);
-    (Box::new(models), reports)
+/// The one place a model kind becomes a model: `spec`'s model over `v`
+/// variables and the member's graph.
+fn new_model(spec: &RunSpec, v: usize, graph: Option<&AdjacencyMatrix>) -> Box<dyn Forecaster> {
+    let cfg = &spec.model_config;
+    match spec.model {
+        ModelKind::Lstm => Box::new(LstmForecaster::new(v, cfg)),
+        ModelKind::A3tgcn => {
+            let graph = graph.expect("A3TGCN requires a graph");
+            Box::new(A3tgcn::with_options(v, graph, cfg, spec.use_attention))
+        }
+        ModelKind::Astgcn => Box::new(Astgcn::with_options(
+            v,
+            spec.seq_len,
+            graph.expect("ASTGCN requires a graph"),
+            cfg,
+            spec.use_spatial_attention,
+        )),
+        ModelKind::Mtgnn => Box::new(Mtgnn::with_learner(
+            v,
+            spec.seq_len,
+            graph,
+            cfg,
+            spec.learn_graph,
+            spec.graph_learner,
+        )),
+        ModelKind::Var => Box::new(VarForecaster::new(v, spec.seq_len, cfg)),
+    }
 }
 
-/// The runner body: trains a shard of `(id, data)` members
-/// ([`train_shard`]), then evaluates them with one eval forward per
-/// member on one reused tape (`evaluate` span). Outcomes come back in
-/// member order and are bit-identical whatever the shard's size or
-/// composition.
+/// The runner body: runs each `(id, data)` member end to end —
+/// [`train_shard_member`], then one eval forward (`evaluate` span) and
+/// its outcome — and drops it before the next member starts, so a
+/// shard job holds one member's data, graph and model at a time. Every
+/// member trains and evaluates on one tape and gradient workspace.
+/// Outcomes come back in member order and are bit-identical whatever
+/// the shard's size or composition.
+///
+/// # Panics
+/// Panics on an empty shard, or on a member [`train_shard_member`]
+/// rejects.
 pub(crate) fn run_shard<'a>(
     members: impl IntoIterator<Item = (usize, &'a Tensor)>,
     spec: &RunSpec,
     plan: Option<&ClusterPlan>,
 ) -> Vec<IndividualOutcome> {
+    // Pin the spec's kernel backend for the whole shard — graph build,
+    // model construction and evaluation included, not just training.
     let _kernel = spec.train_config.kernel_backend.scoped();
-    let shard = train_shard(members, spec, plan);
-    let fine_tuned = plan.is_some();
-    let scores = {
-        let _eval_span = span!("evaluate", individuals = shard.ids.len());
-        shard.models.evaluate(&shard.tests)
-    };
-    let models = &shard.models;
-    shard
-        .ids
+    let (mut tape, mut grads) = (Tape::new(), Grads::empty());
+    let outcomes: Vec<IndividualOutcome> = members
         .into_iter()
         .enumerate()
-        .zip(shard.reports)
-        .zip(scores)
-        .zip(shard.graphs)
-        .map(
-            |((((b, id), report), (mse, per_variable_mse)), graph_used)| {
-                // Extract the learned graph from MTGNN for Experiment C.
-                let learned_graph =
-                    (spec.model == ModelKind::Mtgnn && spec.learn_graph).then(|| {
-                        models
-                            .get(b)
-                            .as_any_mtgnn()
-                            .expect("MTGNN model exposes its learned graph")
-                            .learned_graph()
-                    });
-                if fine_tuned {
-                    ema_obs::recorder().observe(
-                        "cluster.fine_tune_epochs",
-                        &EPOCH_BUCKETS,
-                        report.epochs_run as f64,
-                    );
-                }
-                // Kernel work from graph build and evaluation lands in the
-                // current phase before the job's span closes; take-semantics
-                // keep this and the executor's job-level drain from double
-                // counting.
-                ema_obs::drain_kernel_counters();
-                IndividualOutcome {
-                    id,
-                    mse,
-                    per_variable_mse,
-                    // 0.0 stands in for "no training loss" on a 0-epoch
-                    // warm-start restore run (nomothetic serving).
-                    final_train_loss: report.final_loss_or(0.0),
-                    epochs_run: report.epochs_run,
-                    graph_used,
-                    learned_graph,
-                }
-            },
-        )
-        .collect()
+        .map(|(b, (id, data))| {
+            let member = train_shard_member(b, id, data, spec, plan, &mut tape, &mut grads);
+            let (mse, per_variable_mse) = {
+                let _eval_span = span!("evaluate", individual = id);
+                score(
+                    &predict_member(&*member.model, &member.test, &mut tape),
+                    &member.test,
+                )
+            };
+            // Extract the learned graph from MTGNN for Experiment C.
+            let learned_graph = (spec.model == ModelKind::Mtgnn && spec.learn_graph).then(|| {
+                member
+                    .model
+                    .as_any_mtgnn()
+                    .expect("MTGNN model exposes its learned graph")
+                    .learned_graph()
+            });
+            if plan.is_some() {
+                ema_obs::recorder().observe(
+                    "cluster.fine_tune_epochs",
+                    &EPOCH_BUCKETS,
+                    member.report.epochs_run as f64,
+                );
+            }
+            // Kernel work from graph build, training and evaluation lands
+            // in the current phase before the job's span closes;
+            // take-semantics keep this and the executor's job-level drain
+            // from double counting.
+            ema_obs::drain_kernel_counters();
+            IndividualOutcome {
+                id,
+                mse,
+                per_variable_mse,
+                // 0.0 stands in for "no training loss" on a 0-epoch
+                // warm-start restore run (nomothetic serving).
+                final_train_loss: member.report.final_loss_or(0.0),
+                epochs_run: member.report.epochs_run,
+                graph_used: member.graph,
+                learned_graph,
+            }
+        })
+        .collect();
+    assert!(!outcomes.is_empty(), "empty shard");
+    outcomes
 }
 
 /// Runs the full pipeline for one individual: split → graph → windows →

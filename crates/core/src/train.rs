@@ -1,12 +1,14 @@
 //! Full-batch personalized training (paper Section V-D): one loop,
-//! [`train_cohort`], trains one individual or a cohort of them, one
-//! member at a time on one reused tape; [`predict_all`] runs the
-//! eval forward the same way.
+//! `train_member`, trains one individual on a tape and gradient
+//! workspace its caller reuses; [`train_cohort`] runs it for a cohort,
+//! one member after another, and the pipeline's shard body for each
+//! member it prepares. `predict_member` (and [`predict_all`] over a
+//! cohort) runs the eval forward the same way.
 
 use crate::checkpoint::Checkpoint;
 use ema_autodiff::{Grads, Tape};
 use ema_data::WindowedData;
-use ema_models::{CohortBatch, CohortCtx, CohortForecaster, WindowBatch};
+use ema_models::{Forecaster, ForwardCtx, WindowBatch};
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
@@ -125,7 +127,7 @@ impl TrainReport {
 /// # Panics
 /// Panics on an empty window set, or on zero epochs without a
 /// warm-start checkpoint.
-pub fn train_model<M: CohortForecaster>(
+pub fn train_model<M: Forecaster>(
     model: &mut M,
     windows: &WindowedData,
     config: &TrainConfig,
@@ -138,37 +140,18 @@ pub fn train_model<M: CohortForecaster>(
     reports.pop().expect("one report per model")
 }
 
-/// One member's windows as a one-member cohort forward input.
-fn member_batch(windows: &WindowedData) -> CohortBatch {
-    CohortBatch::from_batches(&[&WindowBatch::from_windows(&windows.inputs)])
-}
-
-/// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`:
-/// the training loop. Members train one after another on one `Tape`
-/// and one `Grads` workspace, each as a one-member
-/// [`CohortForecaster::predict_cohort`] group: every epoch forwards the
-/// member's windows, scores them against its targets with MSE, runs one
-/// backward pass and takes one Adam step. The tape holds one member's
-/// graph at a time, so its working set stays in cache at any cohort
-/// size, and a member's result never depends on the rest of the
-/// cohort.
-///
-/// Per-member state (Adam moments, RNG stream, early-stopping
-/// counters) lives only while the member trains. All configs must agree
-/// on the kernel backend (one thread-local pin covers the run). A
-/// config with `warm_start` set restores the checkpoint into its model
-/// before its first epoch; with `epochs == 0` that is a pure restore
-/// that consumes zero training draws.
-///
-/// Obs: one `train_epoch` point per individual and epoch (`individual`
-/// is the cohort position `b`) and one `early_stop` point per
-/// early-stopped individual.
+/// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`,
+/// one member after another on one `Tape` and one `Grads` workspace
+/// (the training loop, `train_member`). The tape holds one member's graph at a time, so
+/// its working set stays in cache at any cohort size, and a member's
+/// result never depends on the rest of the cohort. All configs must
+/// agree on the kernel backend (one thread-local pin covers the run).
 ///
 /// # Panics
-/// Panics on empty inputs, length mismatches, an empty window set,
-/// zero epochs without a warm-start checkpoint, or disagreeing kernel
-/// backends.
-pub fn train_cohort<M: CohortForecaster>(
+/// Panics on empty inputs, length mismatches, disagreeing kernel
+/// backends, an empty window set, or zero epochs without a warm-start
+/// checkpoint.
+pub fn train_cohort<M: Forecaster>(
     models: &mut [M],
     windows: &[WindowedData],
     configs: &[TrainConfig],
@@ -177,15 +160,7 @@ pub fn train_cohort<M: CohortForecaster>(
     assert!(n > 0, "cannot train an empty cohort");
     assert_eq!(n, windows.len(), "one window set per model");
     assert_eq!(n, configs.len(), "one config per model");
-    for (b, (w, c)) in windows.iter().zip(configs).enumerate() {
-        assert!(
-            !w.is_empty(),
-            "individual {b}: cannot train on zero windows"
-        );
-        assert!(
-            c.epochs > 0 || c.warm_start.is_some(),
-            "individual {b}: need at least one epoch (or a warm-start checkpoint to restore)"
-        );
+    for (b, c) in configs.iter().enumerate() {
         assert_eq!(
             c.kernel_backend, configs[0].kernel_backend,
             "individual {b}: cohort configs must share the kernel backend"
@@ -195,12 +170,7 @@ pub fn train_cohort<M: CohortForecaster>(
     // thread-local and training runs entirely on the calling thread, so
     // concurrent runs with different backends cannot perturb each other.
     let _kernel = configs[0].kernel_backend.scoped();
-    // One tape and one gradient workspace for the whole run: reset
-    // keeps the node storage (and the grouped-op arenas) between
-    // members and epochs and recycles every tensor buffer through the
-    // pool, so steady-state epochs allocate almost nothing.
-    let mut tape = Tape::new();
-    let mut grads = Grads::empty();
+    let (mut tape, mut grads) = (Tape::new(), Grads::empty());
     let reports = models
         .iter_mut()
         .zip(windows)
@@ -215,16 +185,45 @@ pub fn train_cohort<M: CohortForecaster>(
     reports
 }
 
-/// Trains cohort member `b` for its whole schedule on the shared
-/// workspace.
-fn train_member<M: CohortForecaster>(
+/// Trains one model on its windows with full-batch Adam for its whole
+/// schedule — the training loop. Every epoch forwards all windows
+/// through [`Forecaster::predict_windows`] (one [`WindowBatch`] built
+/// once), scores them against the targets with MSE, runs one backward
+/// pass and takes one Adam step. The tape and gradient workspace are
+/// the caller's, reused from member to member: `reset` before the
+/// member, `reset_to` its target-leaf prefix between epochs, so
+/// steady-state epochs allocate almost nothing. The member's Adam
+/// state, RNG stream and early-stopping counters live only while it
+/// trains.
+///
+/// A config with `warm_start` set restores the checkpoint into the
+/// model before its first epoch; with `epochs == 0` that is a pure
+/// restore that consumes zero training draws and returns an empty
+/// report.
+///
+/// Obs: one `train_epoch` point per epoch (`individual` is `b`, the
+/// member's position in its cohort or shard) and one `early_stop`
+/// point when the member stops early.
+///
+/// # Panics
+/// Panics on an empty window set, or on zero epochs without a
+/// warm-start checkpoint.
+pub(crate) fn train_member(
     b: usize,
-    model: &mut M,
+    model: &mut dyn Forecaster,
     windows: &WindowedData,
     config: &TrainConfig,
     tape: &mut Tape,
     grads: &mut Grads,
 ) -> TrainReport {
+    assert!(
+        !windows.is_empty(),
+        "individual {b}: cannot train on zero windows"
+    );
+    assert!(
+        config.epochs > 0 || config.warm_start.is_some(),
+        "individual {b}: need at least one epoch (or a warm-start checkpoint to restore)"
+    );
     if let Some(ckpt) = &config.warm_start {
         ckpt.restore(model.params_mut())
             .expect("warm-start checkpoint must match the model architecture");
@@ -245,8 +244,8 @@ fn train_member<M: CohortForecaster>(
     tape.reset();
     let target = tape.leaf(windows.targets_matrix());
     let keep = tape.len();
-    let batch = member_batch(windows);
-    let mut rng = [Rng64::seed_from(config.seed)];
+    let batch = WindowBatch::from_windows(&windows.inputs);
+    let mut rng = Rng64::seed_from(config.seed);
     let mut adam = Adam::new(OptimizerConfig {
         learning_rate: config.learning_rate,
         grad_clip: config.grad_clip,
@@ -255,13 +254,7 @@ fn train_member<M: CohortForecaster>(
     for epoch in 0..config.epochs {
         tape.reset_to(keep);
         let binding = model.params().bind(tape);
-        let out = M::predict_cohort(
-            &[&*model],
-            tape,
-            &[&binding],
-            &batch,
-            &mut CohortCtx::train(&mut rng),
-        );
+        let out = model.predict_windows(tape, &binding, &batch, &mut ForwardCtx::train(&mut rng));
         let loss_var = tape.mse(out, target);
         tape.backward_into(loss_var, grads);
         let loss = tape.value(loss_var).data()[0];
@@ -315,36 +308,43 @@ fn train_member<M: CohortForecaster>(
     report
 }
 
-/// Eval-mode predictions of every model over its own window set, from
-/// one one-member [`CohortForecaster::predict_cohort`] per model on one
-/// reused tape: element `b` is `models[b]`'s `[n_b, V]` prediction
-/// matrix. Eval mode draws no randomness, so the rows are bit-identical
-/// to per-window `Forecaster::predict` calls.
+/// Eval-mode predictions of every model over its own window set, one
+/// eval forward per model on one reused tape: element `b` is
+/// `models[b]`'s `[n_b, V]` prediction matrix.
 ///
 /// # Panics
 /// Panics on a length mismatch or an empty window set.
 #[must_use]
-pub fn predict_all<M: CohortForecaster>(models: &[M], windows: &[WindowedData]) -> Vec<Tensor> {
+pub fn predict_all<M: Forecaster>(models: &[M], windows: &[WindowedData]) -> Vec<Tensor> {
     assert_eq!(models.len(), windows.len(), "one window set per model");
     let mut tape = Tape::new();
-    // Eval mode draws nothing; the stream only fills the context.
-    let mut rng = [Rng64::seed_from(0)];
     models
         .iter()
         .zip(windows)
-        .map(|(model, w)| {
-            tape.reset();
-            let binding = model.params().bind(&tape);
-            let out = M::predict_cohort(
-                &[model],
-                &tape,
-                &[&binding],
-                &member_batch(w),
-                &mut CohortCtx::eval(&mut rng),
-            );
-            tape.value(out)
-        })
+        .map(|(model, w)| predict_member(model, w, &mut tape))
         .collect()
+}
+
+/// Eval-mode `[n, V]` predictions of one model over its windows, from
+/// one [`Forecaster::predict_windows`] on `tape` (reset first). Eval
+/// mode draws no randomness, so the rows are bit-identical to
+/// per-window `Forecaster::predict` calls.
+///
+/// # Panics
+/// Panics on an empty window set.
+#[must_use]
+pub(crate) fn predict_member(
+    model: &dyn Forecaster,
+    windows: &WindowedData,
+    tape: &mut Tape,
+) -> Tensor {
+    tape.reset();
+    let binding = model.params().bind(tape);
+    let batch = WindowBatch::from_windows(&windows.inputs);
+    // Eval mode draws nothing; the stream only fills the context.
+    let mut rng = Rng64::seed_from(0);
+    let out = model.predict_windows(tape, &binding, &batch, &mut ForwardCtx::eval(&mut rng));
+    tape.value(out)
 }
 
 #[cfg(test)]

@@ -6,10 +6,9 @@
 //! attention module pools the hidden states into a context that a
 //! per-node head maps to the 1-lag prediction.
 
-use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
 use crate::config::DROPOUT;
 use crate::gcn::{gcn_layer, gcn_layer_grouped};
-use crate::{Forecaster, ForwardCtx, ModelConfig};
+use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{normalize, AdjacencyMatrix};
 use ema_nn::{Binding, Initializer, ParamId, ParamStore, TemporalAttention};
@@ -141,40 +140,32 @@ impl A3tgcn {
         tape.add(uh, c_minus_uc)
     }
 
-    /// [`A3tgcn::tgcn_step`] over a cohort stack (`x: [Σ W_b·V, 1]`,
-    /// `h: [Σ W_b·V, H]`): each individual's window blocks propagate
-    /// through its *own* `a_hat` and gate parameters via the grouped
-    /// ops, in the per-window op order so every row block — and every
+    /// [`A3tgcn::tgcn_step`] over a window batch (`x: [W·V, 1]`,
+    /// `h: [W·V, H]`): every window block propagates through `a_hat`
+    /// and the gate parameters via the window-group ops, in the
+    /// per-window op order, so every row block — and every
     /// parameter-gradient accumulation — is bit-identical.
-    #[allow(clippy::too_many_arguments)]
     fn tgcn_step_grouped(
-        group: &[&Self],
+        &self,
         tape: &Tape,
-        bindings: &[&Binding],
-        a_hats: &[Var],
+        binding: &Binding,
+        a_hat: Var,
         x: Var,
         h: Var,
-        group_wins: &[usize],
-        v: usize,
+        wins: usize,
     ) -> Var {
-        let gate = |pick: fn(&Self) -> &Gate| {
-            each_member(group, bindings, move |m, bind| {
-                let gate = pick(m);
-                (bind.var(gate.w), bind.var(gate.b))
-            })
-        };
-        let xh = tape.hcat(x, h); // [Σ W_b·V, 1 + H]
+        let gate = |g: &Gate| (binding.var(g.w), binding.var(g.b));
+        let xh = tape.hcat(x, h); // [W·V, 1 + H]
                                   // Update and reset read the same graph-propagated features.
-        let xh_prop = tape.group_block_lhs_matmul(a_hats.iter().copied(), xh, group_wins);
-        let u_pre = tape.group_linear_blocks(xh_prop, gate(|m| &m.update), group_wins, v);
-        let u = tape.sigmoid(u_pre);
-        let r_pre = tape.group_linear_blocks(xh_prop, gate(|m| &m.reset), group_wins, v);
-        let r = tape.sigmoid(r_pre);
+        let xh_prop = tape.group_block_lhs_matmul(a_hat, xh, wins);
+        let (w, b) = gate(&self.update);
+        let u = tape.sigmoid(tape.group_linear(xh_prop, w, b, wins));
+        let (w, b) = gate(&self.reset);
+        let r = tape.sigmoid(tape.group_linear(xh_prop, w, b, wins));
         let rh = tape.mul(r, h);
         let xrh = tape.hcat(x, rh);
-        let candidate = gate(|m| &m.candidate);
-        let c_pre = gcn_layer_grouped(tape, a_hats.iter().copied(), xrh, candidate, group_wins, v);
-        let c = tape.tanh(c_pre);
+        let (w, b) = gate(&self.candidate);
+        let c = tape.tanh(gcn_layer_grouped(tape, a_hat, xrh, w, b, wins));
         // h' = u ⊙ h + (1 − u) ⊙ c
         let uh = tape.mul(u, h);
         let uc = tape.mul(u, c);
@@ -231,70 +222,43 @@ impl Forecaster for A3tgcn {
         let pred = tape.linear(dropped, binding.var(self.head_w), binding.var(self.head_b)); // [V, 1]
         tape.flatten(pred)
     }
-}
 
-impl CohortForecaster for A3tgcn {
-    fn predict_cohort(
-        group: &[&Self],
+    fn predict_windows(
+        &self,
         tape: &Tape,
-        bindings: &[&Binding],
-        batch: &CohortBatch,
-        ctx: &mut CohortCtx,
+        binding: &Binding,
+        batch: &WindowBatch,
+        ctx: &mut ForwardCtx,
     ) -> Var {
         assert_eq!(
-            group.len(),
-            batch.num_groups(),
-            "one window batch per model"
+            batch.num_vars(),
+            self.num_variables,
+            "batch has {} variables, model expects {}",
+            batch.num_vars(),
+            self.num_variables
         );
-        assert_eq!(group.len(), bindings.len(), "one binding per model");
-        let first = group[0];
-        for (b, model) in group.iter().enumerate() {
-            assert_eq!(
-                model.num_variables,
-                batch.num_vars(),
-                "individual {b}: batch has {} variables, model expects {}",
-                batch.num_vars(),
-                model.num_variables
-            );
-            assert_eq!(
-                model.hidden, first.hidden,
-                "individual {b}: cohort models must share the hidden width"
-            );
-            assert_eq!(
-                model.use_attention, first.use_attention,
-                "individual {b}: cohort models must agree on attention use"
-            );
-        }
-        let v = batch.num_vars();
-        let seq = batch.seq_len();
-        let group_wins = batch.group_wins();
-        let total = batch.total_rows();
-        // Per-individual propagation constants, in stack order — the
-        // grouped block-lhs op applies each to its own window blocks.
-        let a_hats: Vec<Var> = group.iter().map(|m| tape.leaf(m.a_hat.clone())).collect();
-        let mut h = tape.leaf(Tensor::zeros(&[total * v, first.hidden]));
-        let mut states = Vec::with_capacity(seq);
-        for t in 0..seq {
-            // Step t's [Σ W_b, V] rows reshape to the window-blocked
-            // [Σ W_b·V, 1] node-feature column, individual-major.
-            let x = tape.leaf(batch.step(t).reshaped(&[total * v, 1]));
-            h = Self::tgcn_step_grouped(group, tape, bindings, &a_hats, x, h, group_wins, v);
+        let (v, wins) = (self.num_variables, batch.wins());
+        let a_hat = tape.leaf(self.a_hat.clone());
+        let mut h = tape.leaf(Tensor::zeros(&[wins * v, self.hidden]));
+        let mut states = Vec::with_capacity(batch.seq_len());
+        for t in 0..batch.seq_len() {
+            // Step t's [W, V] rows reshape to the window-blocked
+            // [W·V, 1] node-feature column.
+            let x = tape.leaf(batch.step(t).reshaped(&[wins * v, 1]));
+            h = self.tgcn_step_grouped(tape, binding, a_hat, x, h, wins);
             states.push(h);
         }
-        let ctx_state = if first.use_attention {
-            let attns = each_member(group, bindings, |m, bind| (&m.attention, bind));
-            TemporalAttention::forward_grouped(attns, tape, &states, group_wins)
+        let ctx_state = if self.use_attention {
+            self.attention.forward_grouped(tape, binding, &states, wins)
         } else {
             *states.last().expect("non-empty window")
         };
-        // Each individual's [W_b·V, H] mask rows come from its own
-        // stream in the per-window (window-major) draw order.
-        let dropped = cohort_dropout(tape, ctx_state, group_wins, v, ctx);
-        let heads = each_member(group, bindings, |m, bind| {
-            (bind.var(m.head_w), bind.var(m.head_b))
-        });
-        let pred = tape.group_linear_blocks(dropped, heads, group_wins, v); // [Σ W_b·V, 1]
-        tape.reshape(pred, &[total, v])
+        // The [W·V, H] mask rows are drawn in the per-window
+        // (window-major) order.
+        let dropped = tape.dropout(ctx_state, DROPOUT, ctx.training, ctx.rng);
+        let (w, b) = (binding.var(self.head_w), binding.var(self.head_b));
+        let pred = tape.group_linear(dropped, w, b, wins); // [W·V, 1]
+        tape.reshape(pred, &[wins, v])
     }
 }
 

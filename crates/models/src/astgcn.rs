@@ -11,9 +11,8 @@
 //! 3. a **temporal convolution** condenses the attended sequence;
 //! 4. a per-node affine head emits the 1-lag prediction.
 
-use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
 use crate::config::{CHEB_ORDER, DROPOUT, KERNEL};
-use crate::{Forecaster, ForwardCtx, ModelConfig};
+use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{chebyshev, AdjacencyMatrix};
 use ema_nn::{Binding, DilatedTemporalConv, Initializer, ParamId, ParamStore};
@@ -220,132 +219,98 @@ impl Forecaster for Astgcn {
         let pred = tape.linear(dropped, binding.var(self.head_w), binding.var(self.head_b));
         tape.flatten(pred) // [V]
     }
-}
 
-impl CohortForecaster for Astgcn {
-    fn predict_cohort(
-        group: &[&Self],
+    fn predict_windows(
+        &self,
         tape: &Tape,
-        bindings: &[&Binding],
-        batch: &CohortBatch,
-        ctx: &mut CohortCtx,
+        binding: &Binding,
+        batch: &WindowBatch,
+        ctx: &mut ForwardCtx,
     ) -> Var {
         assert_eq!(
-            group.len(),
-            batch.num_groups(),
-            "one window batch per model"
+            batch.num_vars(),
+            self.num_variables,
+            "batch has {} variables, model expects {}",
+            batch.num_vars(),
+            self.num_variables
         );
-        assert_eq!(group.len(), bindings.len(), "one binding per model");
-        let first = group[0];
-        for (b, model) in group.iter().enumerate() {
-            assert_eq!(
-                model.num_variables,
-                batch.num_vars(),
-                "individual {b}: batch has {} variables, model expects {}",
-                batch.num_vars(),
-                model.num_variables
-            );
-            assert_eq!(
-                model.seq_len,
-                batch.seq_len(),
-                "individual {b}: ASTGCN was built for seq_len {} but got {}",
-                model.seq_len,
-                batch.seq_len()
-            );
-            assert_eq!(
-                model.cheb.len(),
-                first.cheb.len(),
-                "individual {b}: cohort models must share the Chebyshev order"
-            );
-            assert_eq!(
-                model.use_spatial_attention, first.use_spatial_attention,
-                "individual {b}: cohort models must agree on spatial attention"
-            );
-        }
-        let s = first.seq_len;
-        let v = batch.num_vars();
-        let group_wins = batch.group_wins();
-        let total = batch.total_rows();
-        // Each individual's own copy of a parameter, in stack order.
-        let vars = |pick: fn(&Self) -> ParamId| {
-            each_member(group, bindings, move |m, bind| bind.var(pick(m)))
-        };
+        assert_eq!(
+            batch.seq_len(),
+            self.seq_len,
+            "ASTGCN was built for seq_len {} but got {}",
+            self.seq_len,
+            batch.seq_len()
+        );
+        let (s, v, wins) = (self.seq_len, self.num_variables, batch.wins());
+        let var = |id: ParamId| binding.var(id);
 
         // X blocks [V, s] (variables over time) and Xᵀ blocks [s, V] as
         // two constant leaves — the per-window graph's Transpose node
         // only feeds gradient back into the data leaf, so splitting the
         // layouts loses nothing.
-        let x_all = tape.leaf(batch.stacked_transposed().clone()); // [ΣW·V, s]
-        let xt_all = tape.leaf(batch.stacked().clone()); // [ΣW·s, V]
-                                                         // Temporal attention E per window, each individual's own P1/P2.
-        let u1 = tape.group_matmul(xt_all, vars(|m| m.ta_p1), group_wins, s); // [ΣW·s, d]
-        let u2 = tape.group_matmul(xt_all, vars(|m| m.ta_p2), group_wins, s); // [ΣW·s, d]
-        let e_pre = tape.block_matmul_nt(u1, u2, total); // [ΣW·s, s]
+        let x_all = tape.leaf(batch.stacked_transposed().clone()); // [W·V, s]
+        let xt_all = tape.leaf(batch.stacked().clone()); // [W·s, V]
+                                                         // Temporal attention E per window.
+        let u1 = tape.group_matmul(xt_all, var(self.ta_p1), wins); // [W·s, d]
+        let u2 = tape.group_matmul(xt_all, var(self.ta_p2), wins); // [W·s, d]
+        let e_pre = tape.block_matmul_nt(u1, u2, wins); // [W·s, s]
         let e_act = tape.sigmoid(e_pre);
         let e = tape.softmax_last(e_act);
-        let x_hat = tape.block_matmul_nt(x_all, e, total); // [ΣW·V, s]
+        let x_hat = tape.block_matmul_nt(x_all, e, wins); // [W·V, s]
 
-        // Spatial attention S per window, each individual's own W1/W2.
-        let e1 = tape.group_matmul(x_all, vars(|m| m.sa_w1), group_wins, v); // [ΣW·V, d]
-        let e2 = tape.group_matmul(x_all, vars(|m| m.sa_w2), group_wins, v); // [ΣW·V, d]
-        let s_pre = tape.block_matmul_nt(e1, e2, total); // [ΣW·V, V]
+        // Spatial attention S per window.
+        let e1 = tape.group_matmul(x_all, var(self.sa_w1), wins); // [W·V, d]
+        let e2 = tape.group_matmul(x_all, var(self.sa_w2), wins); // [W·V, d]
+        let s_pre = tape.block_matmul_nt(e1, e2, wins); // [W·V, V]
         let s_act = tape.sigmoid(s_pre);
         let s_attn = tape.softmax_last(s_act);
 
-        // Chebyshev constants: individual-major tiles of each model's
-        // *own* T_k stack, so the elementwise mask and blockwise
-        // propagation stay window-local dense ops.
-        let cheb_vars: Vec<Var> = (0..first.cheb.len())
-            .map(|k| {
-                let mut tiled = Vec::with_capacity(total * v * v);
-                for (m, &wins) in group.iter().zip(group_wins) {
-                    for _ in 0..wins {
-                        tiled.extend_from_slice(m.cheb[k].data());
-                    }
-                }
-                tape.leaf(Tensor::from_vec(&[total * v, v], tiled).expect("cheb tile"))
+        // Chebyshev constants tiled once per window, so the elementwise
+        // mask and the blockwise propagation stay window-local dense
+        // ops.
+        let cheb_vars: Vec<Var> = self
+            .cheb
+            .iter()
+            .map(|tk| {
+                let tiled = Tensor::from_vec(&[wins * v, v], tk.data().repeat(wins));
+                tape.leaf(tiled.expect("cheb tile"))
             })
             .collect();
         let mut steps = Vec::with_capacity(s);
         for t in 0..s {
-            let x_t = tape.slice_cols(x_hat, t, t + 1); // [ΣW·V, 1]
+            let x_t = tape.slice_cols(x_hat, t, t + 1); // [W·V, 1]
             let mut acc: Option<Var> = None;
-            for (k, &tk) in cheb_vars.iter().enumerate() {
-                let masked = if first.use_spatial_attention {
+            for (&tk, &w) in cheb_vars.iter().zip(&self.cheb_w) {
+                let masked = if self.use_spatial_attention {
                     tape.mul(tk, s_attn) // T_k ⊙ S per window
                 } else {
                     tk
                 };
-                let prop = tape.block_matmul(masked, x_t, total); // [ΣW·V, 1]
-                let cheb_w = each_member(group, bindings, move |m, bind| bind.var(m.cheb_w[k]));
-                let term = tape.group_matmul_nt(prop, cheb_w, group_wins, v); // [ΣW·V, F]
+                let prop = tape.block_matmul(masked, x_t, wins); // [W·V, 1]
+                let term = tape.group_matmul_nt(prop, var(w), wins); // [W·V, F]
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
                     None => term,
                 });
             }
             let summed = acc.expect("K >= 1");
-            let biased = tape.group_add_row_broadcast(summed, vars(|m| m.cheb_b), group_wins, v);
+            let biased = tape.group_add_row_broadcast(summed, var(self.cheb_b), wins);
             steps.push(tape.relu(biased));
         }
 
         // Temporal convolution condenses the sequence; its last step
         // plus the residual projection of the last input step feeds
         // the head.
-        let temporals = each_member(group, bindings, |m, bind| (&m.temporal, bind));
-        let conv_out = DilatedTemporalConv::forward_grouped(temporals, tape, &steps, group_wins, v);
+        let conv_out = self.temporal.forward_grouped(tape, binding, &steps, wins);
         let conv_last = *conv_out.last().expect("non-empty conv output");
-        let x_last = tape.slice_cols(x_all, s - 1, s); // [ΣW·V, 1]
-        let residual = tape.group_matmul_nt(x_last, vars(|m| m.res_w), group_wins, v); // [ΣW·V, F]
+        let x_last = tape.slice_cols(x_all, s - 1, s); // [W·V, 1]
+        let residual = tape.group_matmul_nt(x_last, var(self.res_w), wins); // [W·V, F]
         let combined = tape.add(conv_last, residual);
-        // Each individual's [W_b·V, F] mask rows come from its own
-        // stream in the per-window (window-major) draw order.
-        let dropped = cohort_dropout(tape, combined, group_wins, v, ctx);
-        let heads = each_member(group, bindings, |m, bind| {
-            (bind.var(m.head_w), bind.var(m.head_b))
-        });
-        let pred = tape.group_linear_blocks(dropped, heads, group_wins, v); // [ΣW·V, 1]
-        tape.reshape(pred, &[total, v])
+        // The [W·V, F] mask rows are drawn in the per-window
+        // (window-major) order.
+        let dropped = tape.dropout(combined, DROPOUT, ctx.training, ctx.rng);
+        let pred = tape.group_linear(dropped, var(self.head_w), var(self.head_b), wins); // [W·V, 1]
+        tape.reshape(pred, &[wins, v])
     }
 }
 

@@ -1,39 +1,45 @@
-//! Cohort batching: one tape graph per B individuals — the forward
-//! every model trains and evaluates on. Training and evaluation run it
-//! one individual at a time (B = 1); every B gives the same bits per
-//! individual.
+//! Window batches — the member forward's input — and the cohort loop
+//! kept over them.
 //!
-//! A [`CohortBatch`] row-stacks B individuals' [`WindowBatch`]es into
-//! one operand set, **individual-major then window-major**: step `t` is
-//! the `[Σ_b W_b, V]` concatenation of each individual's `[W_b, V]`
-//! step rows. Models implementing [`CohortForecaster`] run the whole
-//! group through one forward graph using grouped-operand tape ops
-//! (`Tape::group_linear`), with each individual keeping its own
-//! parameters; the output row for window `w` of individual `b` is
-//! bit-identical to [`Forecaster::predict_window`] on that window
-//! alone, in values and in every parameter gradient.
+//! A [`WindowBatch`] row-stacks one individual's `[s, V]` windows in
+//! the layouts the models read: step rows, the window stack and its
+//! transposed blocks. [`Forecaster::predict_windows`] forwards the
+//! whole batch through one tape graph; training and evaluation run it
+//! once per individual.
+//!
+//! [`CohortForecaster::predict_cohort`] is a loop over B individuals on
+//! one tape — each member's forward on its own binding and RNG stream,
+//! the `[W_b, V]` results joined with `Tape::stack_rows` — kept for the
+//! repository benchmark, which times 64-member groups, and for the
+//! equivalence suite. Members share no node, so each member's rows and
+//! gradients are bit-identical to its own forward alone.
 //!
 //! **RNG contract:** randomness (dropout masks) is consumed
-//! individual-major — group `b` draws from its own stream in
+//! individual-major — member `b` draws from its own stream in
 //! [`CohortCtx::rngs`], window-major within the individual: window
 //! outer, then the exact per-window draw sequence. Batching windows or
 //! individuals never changes numbers.
 
-use crate::config::DROPOUT;
-use crate::Forecaster;
+use crate::{Forecaster, ForwardCtx};
 use ema_autodiff::{Tape, Var};
 use ema_nn::Binding;
 use ema_tensor::{Rng64, Tensor};
 
-/// All of one individual's `[s, V]` windows row-stacked into
-/// `[W·s, V]` (window `w` at row block `w`) — the unit a
-/// [`CohortBatch`] stacks individuals from.
+/// All of one individual's `[s, V]` windows row-stacked (window `w` at
+/// row block `w`), in the layouts the member forward reads.
 #[derive(Debug, Clone)]
 pub struct WindowBatch {
     wins: usize,
     seq_len: usize,
     num_vars: usize,
+    /// `steps[t]` is `[W, V]`: row `w` is window `w`'s step `t` (the
+    /// row-block leaves the recurrent models feed).
+    steps: Vec<Tensor>,
+    /// `[W·s, V]`: the windows row-stacked.
     stacked: Tensor,
+    /// `[W·V, s]`: every window transposed (variables over time), for
+    /// models that consume `[V, s]` windows.
+    stacked_transposed: Tensor,
 }
 
 impl WindowBatch {
@@ -48,16 +54,35 @@ impl WindowBatch {
         let dims = windows[0].dims();
         assert_eq!(dims.len(), 2, "windows must be [seq, V]");
         let (seq_len, num_vars) = (dims[0], dims[1]);
-        let mut stacked = Vec::with_capacity(wins * seq_len * num_vars);
         for (w, win) in windows.iter().enumerate() {
             assert_eq!(win.dims(), dims, "window {w} shape mismatch");
-            stacked.extend_from_slice(win.data());
+        }
+        let steps = (0..seq_len)
+            .map(|t| {
+                let mut rows = Vec::with_capacity(wins * num_vars);
+                for win in windows {
+                    rows.extend_from_slice(&win.data()[t * num_vars..(t + 1) * num_vars]);
+                }
+                Tensor::from_vec(&[wins, num_vars], rows).expect("step shape")
+            })
+            .collect();
+        let mut stacked = Vec::with_capacity(wins * seq_len * num_vars);
+        let mut stacked_t = Vec::with_capacity(wins * num_vars * seq_len);
+        for win in windows {
+            let win = win.data();
+            stacked.extend_from_slice(win);
+            for j in 0..num_vars {
+                stacked_t.extend((0..seq_len).map(|t| win[t * num_vars + j]));
+            }
         }
         Self {
             wins,
             seq_len,
             num_vars,
+            steps,
             stacked: Tensor::from_vec(&[wins * seq_len, num_vars], stacked).expect("stacked shape"),
+            stacked_transposed: Tensor::from_vec(&[wins * num_vars, seq_len], stacked_t)
+                .expect("stacked_transposed shape"),
         }
     }
 
@@ -79,50 +104,49 @@ impl WindowBatch {
         self.num_vars
     }
 
+    /// Step `t` of every window: `[W, V]`.
+    #[must_use]
+    pub fn step(&self, t: usize) -> &Tensor {
+        &self.steps[t]
+    }
+
     /// The `[W·s, V]` row stack of all windows.
     #[must_use]
     pub fn stacked(&self) -> &Tensor {
         &self.stacked
     }
+
+    /// Transposed window blocks: `[W·V, s]`, window `w` as its `[V, s]`
+    /// transpose at row block `w`.
+    #[must_use]
+    pub fn stacked_transposed(&self) -> &Tensor {
+        &self.stacked_transposed
+    }
 }
 
-/// B individuals' window batches row-stacked into one operand set.
-///
-/// The stacking is an input layout only and carries no state; training
-/// and evaluation build one per member (B = 1).
+/// B individuals' window batches and their row offsets in the stacked
+/// output of [`CohortForecaster::predict_cohort`]: individual `b`'s
+/// prediction rows start at `offset(b)`.
 #[derive(Debug, Clone)]
-pub struct CohortBatch {
+pub struct CohortBatch<'a> {
+    members: Vec<&'a WindowBatch>,
     group_wins: Vec<usize>,
     offsets: Vec<usize>,
-    seq_len: usize,
-    num_vars: usize,
-    /// `steps[t]` is `[Σ_b W_b, V]`: row `w` is cohort window `w`'s
-    /// step `t` (the row-block leaves the recurrent models feed).
-    steps: Vec<Tensor>,
-    /// `[Σ_b W_b·s, V]`: individual-major concatenation of each batch's
-    /// window-stacked rows (`WindowBatch::stacked`).
-    stacked: Tensor,
-    /// `[Σ_b W_b·V, s]`: every window transposed (variables over
-    /// time), for models that consume `[V, s]` windows.
-    stacked_transposed: Tensor,
 }
 
-impl CohortBatch {
-    /// Stacks the given window batches. All batches must agree on
-    /// `seq_len` and `num_vars` and be non-empty.
+impl<'a> CohortBatch<'a> {
+    /// Groups the given window batches. All batches must agree on
+    /// `seq_len` and `num_vars`.
     ///
     /// # Panics
-    /// Panics on an empty cohort, an empty member batch, or
-    /// mismatched window geometry.
+    /// Panics on an empty cohort or mismatched window geometry.
     #[must_use]
-    pub fn from_batches(batches: &[&WindowBatch]) -> Self {
+    pub fn from_batches(batches: &[&'a WindowBatch]) -> Self {
         assert!(
             !batches.is_empty(),
             "cohort batch needs at least one individual"
         );
-        let seq_len = batches[0].seq_len();
-        let num_vars = batches[0].num_vars();
-        let mut group_wins = Vec::with_capacity(batches.len());
+        let (seq_len, num_vars) = (batches[0].seq_len(), batches[0].num_vars());
         let mut offsets = Vec::with_capacity(batches.len() + 1);
         let mut total = 0usize;
         for (b, batch) in batches.iter().enumerate() {
@@ -132,54 +156,27 @@ impl CohortBatch {
                 num_vars,
                 "individual {b} num_vars mismatch"
             );
-            assert!(batch.wins() > 0, "individual {b} has zero windows");
             offsets.push(total);
-            group_wins.push(batch.wins());
             total += batch.wins();
         }
         offsets.push(total);
-        // Individual-major window rows: cohort window `w` is the `[s, V]`
-        // row block `w`.
-        let mut stacked = Vec::with_capacity(total * seq_len * num_vars);
-        for batch in batches {
-            stacked.extend_from_slice(batch.stacked().data());
-        }
-        let block = seq_len * num_vars;
-        let windows = || stacked.chunks_exact(block);
-        let steps = (0..seq_len)
-            .map(|t| {
-                let mut rows = Vec::with_capacity(total * num_vars);
-                for win in windows() {
-                    rows.extend_from_slice(&win[t * num_vars..(t + 1) * num_vars]);
-                }
-                Tensor::from_vec(&[total, num_vars], rows).expect("cohort step shape")
-            })
-            .collect();
-        let mut stacked_t = Vec::with_capacity(total * num_vars * seq_len);
-        for win in windows() {
-            for j in 0..num_vars {
-                stacked_t.extend((0..seq_len).map(|t| win[t * num_vars + j]));
-            }
-        }
-        let stacked =
-            Tensor::from_vec(&[total * seq_len, num_vars], stacked).expect("cohort stacked shape");
-        let stacked_transposed = Tensor::from_vec(&[total * num_vars, seq_len], stacked_t)
-            .expect("cohort stacked_transposed shape");
         Self {
-            group_wins,
+            members: batches.to_vec(),
+            group_wins: batches.iter().map(|b| b.wins()).collect(),
             offsets,
-            seq_len,
-            num_vars,
-            steps,
-            stacked,
-            stacked_transposed,
         }
     }
 
-    /// Number of individuals in the stack.
+    /// Number of individuals.
     #[must_use]
     pub fn num_groups(&self) -> usize {
-        self.group_wins.len()
+        self.members.len()
+    }
+
+    /// Individual `b`'s window batch.
+    #[must_use]
+    pub fn member(&self, b: usize) -> &'a WindowBatch {
+        self.members[b]
     }
 
     /// Windows per individual, in stack order.
@@ -199,43 +196,11 @@ impl CohortBatch {
     pub fn total_rows(&self) -> usize {
         *self.offsets.last().expect("offsets non-empty")
     }
-
-    /// Window length shared by every individual.
-    #[must_use]
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
-    }
-
-    /// Variable count shared by every individual.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.num_vars
-    }
-
-    /// Step `t` across the whole cohort: `[Σ_b W_b, V]`.
-    #[must_use]
-    pub fn step(&self, t: usize) -> &Tensor {
-        &self.steps[t]
-    }
-
-    /// The whole cohort's window rows: `[Σ_b W_b·s, V]`,
-    /// individual-major concatenation of each `WindowBatch::stacked`.
-    #[must_use]
-    pub fn stacked(&self) -> &Tensor {
-        &self.stacked
-    }
-
-    /// Transposed window blocks: `[Σ_b W_b·V, s]`, window `w` as its
-    /// `[V, s]` transpose at row block `w`.
-    #[must_use]
-    pub fn stacked_transposed(&self) -> &Tensor {
-        &self.stacked_transposed
-    }
 }
 
-/// Per-forward cohort context: training flag plus one RNG stream per
+/// Per-call cohort context: training flag plus one RNG stream per
 /// individual (stack order). Each individual's stream is consumed
-/// exactly as its standalone forward would consume its own RNG.
+/// exactly as its own forward would consume it.
 pub struct CohortCtx<'a> {
     /// Training mode (dropout active)?
     pub training: bool,
@@ -261,78 +226,50 @@ impl<'a> CohortCtx<'a> {
     }
 }
 
-/// Models that run a whole cohort through one tape graph — the
-/// training and evaluation forward.
+/// The cohort loop over every [`Forecaster`].
 pub trait CohortForecaster: Forecaster {
-    /// Forwards every individual's window batch at once, returning
-    /// `[Σ_b W_b, V]`: row `offset(b) + w` is bit-identical to
-    /// `group[b].predict_window` on window `w` of individual `b`, run
-    /// window after window on its own tape with its own RNG stream —
-    /// values, every parameter gradient and the RNG draws (see the
-    /// module docs). `crates/models/tests/batched_equivalence.rs`
-    /// enforces this for every model.
+    /// Runs [`Forecaster::predict_windows`] for each individual on the
+    /// shared tape — member `b` on its own binding, window batch and
+    /// RNG stream — and joins the results into `[Σ_b W_b, V]`: row
+    /// `offset(b) + w` is bit-identical to `group[b].predict_window`
+    /// on window `w` of individual `b`, run window after window on its
+    /// own tape with its own RNG stream — values, every parameter
+    /// gradient and the RNG draws (see the module docs).
+    ///
+    /// # Panics
+    /// Panics when the group, bindings, batches and streams disagree in
+    /// count.
     fn predict_cohort(
         group: &[&Self],
         tape: &Tape,
         bindings: &[&Binding],
         batch: &CohortBatch,
         ctx: &mut CohortCtx,
-    ) -> Var
-    where
-        Self: Sized;
+    ) -> Var {
+        let n = group.len();
+        assert_eq!(n, batch.num_groups(), "one window batch per model");
+        assert_eq!(n, bindings.len(), "one binding per model");
+        assert_eq!(n, ctx.rngs.len(), "one RNG stream per model");
+        let training = ctx.training;
+        let outs: Vec<Var> = group
+            .iter()
+            .zip(bindings)
+            .zip(ctx.rngs.iter_mut())
+            .enumerate()
+            .map(|(b, ((model, binding), rng))| {
+                let mut member_ctx = if training {
+                    ForwardCtx::train(rng)
+                } else {
+                    ForwardCtx::eval(rng)
+                };
+                model.predict_windows(tape, binding, batch.member(b), &mut member_ctx)
+            })
+            .collect();
+        tape.stack_rows(&outs)
+    }
 }
 
-/// Each member's `f(model, binding)`, in stack order — the per-group
-/// operands of a grouped op or layer, without collecting them.
-pub(crate) fn each_member<'a, M, T>(
-    group: &'a [&'a M],
-    bindings: &'a [&'a Binding],
-    f: impl Fn(&'a M, &'a Binding) -> T + Clone + 'a,
-) -> impl Iterator<Item = T> + Clone + 'a {
-    group.iter().zip(bindings).map(move |(m, bind)| f(m, bind))
-}
-
-/// Grouped dropout at the paper's rate over a cohort row stack,
-/// bit-identical per window to `Tape::dropout` on that window alone.
-/// Group `b` spans `group_wins[b]` window blocks of `block_rows` rows.
-///
-/// - not training → identity (no tape node, no draws), matching
-///   `Tape::dropout`'s pass-through;
-/// - otherwise one `[Σ rows, cols]` mask is built individual-major:
-///   group `b` draws its `W_b · block_rows · cols` Bernoullis row-major
-///   from **its own** stream — window-major, the exact per-window draw
-///   sequence.
-///
-/// # Panics
-/// Panics when the group counts disagree.
-pub(crate) fn cohort_dropout(
-    tape: &Tape,
-    a: Var,
-    group_wins: &[usize],
-    block_rows: usize,
-    ctx: &mut CohortCtx,
-) -> Var {
-    assert_eq!(group_wins.len(), ctx.rngs.len(), "one RNG stream per group");
-    if !ctx.training {
-        return a;
-    }
-    let cols = tape.dims(a)[1];
-    let total: usize = group_wins.iter().sum::<usize>() * block_rows;
-    let keep = 1.0 - DROPOUT;
-    let mut mask = Tensor::zeros(&[total, cols]);
-    let data = mask.data_mut();
-    let mut off = 0usize;
-    for (&wins, rng) in group_wins.iter().zip(ctx.rngs.iter_mut()) {
-        let rows = wins * block_rows;
-        for v in &mut data[off * cols..(off + rows) * cols] {
-            if rng.bernoulli(keep) {
-                *v = 1.0 / keep;
-            }
-        }
-        off += rows;
-    }
-    tape.dropout_masked(a, mask)
-}
+impl<M: Forecaster> CohortForecaster for M {}
 
 #[cfg(test)]
 mod tests {
@@ -351,8 +288,8 @@ mod tests {
         WindowBatch::from_windows(&windows(wins, seq, v, seed))
     }
 
-    /// A different graph per individual so grouped constants are
-    /// genuinely per-group: ring, complete, or path, by index.
+    /// A different graph per individual so each member's graph
+    /// constants differ: ring, complete, or path, by index.
     fn graph_for(b: usize, n: usize) -> AdjacencyMatrix {
         match b % 3 {
             0 => {
@@ -376,59 +313,63 @@ mod tests {
         }
     }
 
-    /// Asserts the cohort forward matches each individual's windows run
-    /// one at a time through `predict_window` bit for bit — training
-    /// mode (dropout active, per-individual streams) and eval mode.
+    /// Asserts the cohort loop over the first B models, for every B up
+    /// to `models.len()`, matches each individual's windows run one at
+    /// a time through `predict_window` bit for bit — training mode
+    /// (dropout active, per-individual streams) and eval mode.
     fn assert_cohort_matches_oracle<M: CohortForecaster>(
         models: &[M],
         wins: &[usize],
         seq: usize,
         v: usize,
     ) {
-        for training in [true, false] {
-            let windows: Vec<Vec<Tensor>> = wins
-                .iter()
-                .enumerate()
-                .map(|(b, &w)| windows(w, seq, v, 10 + b as u64))
-                .collect();
-            let batches: Vec<WindowBatch> = windows
-                .iter()
-                .map(|w| WindowBatch::from_windows(w))
-                .collect();
-            let batch_refs: Vec<&WindowBatch> = batches.iter().collect();
-            let cohort = CohortBatch::from_batches(&batch_refs);
+        for groups in 1..=models.len() {
+            for training in [true, false] {
+                let windows: Vec<Vec<Tensor>> = wins[..groups]
+                    .iter()
+                    .enumerate()
+                    .map(|(b, &w)| windows(w, seq, v, 10 + b as u64))
+                    .collect();
+                let batches: Vec<WindowBatch> = windows
+                    .iter()
+                    .map(|w| WindowBatch::from_windows(w))
+                    .collect();
+                let batch_refs: Vec<&WindowBatch> = batches.iter().collect();
+                let cohort = CohortBatch::from_batches(&batch_refs);
 
-            let tape = Tape::new();
-            let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
-            let binding_refs: Vec<&Binding> = bindings.iter().collect();
-            let group: Vec<&M> = models.iter().collect();
-            let mut rngs: Vec<Rng64> = (0..wins.len())
-                .map(|b| Rng64::seed_from(70 + b as u64))
-                .collect();
-            let mut ctx = CohortCtx {
-                training,
-                rngs: &mut rngs,
-            };
-            let out = M::predict_cohort(&group, &tape, &binding_refs, &cohort, &mut ctx);
-            let out_value = tape.value(out);
-
-            for (b, model) in models.iter().enumerate() {
-                let reference = Tape::new();
-                let binding = model.params().bind(&reference);
-                let mut rng = Rng64::seed_from(70 + b as u64);
-                let mut rctx = if training {
-                    ForwardCtx::train(&mut rng)
-                } else {
-                    ForwardCtx::eval(&mut rng)
+                let tape = Tape::new();
+                let group: Vec<&M> = models[..groups].iter().collect();
+                let bindings: Vec<Binding> = group.iter().map(|m| m.params().bind(&tape)).collect();
+                let binding_refs: Vec<&Binding> = bindings.iter().collect();
+                let mut rngs: Vec<Rng64> = (0..groups)
+                    .map(|b| Rng64::seed_from(70 + b as u64))
+                    .collect();
+                let mut ctx = CohortCtx {
+                    training,
+                    rngs: &mut rngs,
                 };
-                let off = cohort.offset(b);
-                for (w, window) in windows[b].iter().enumerate() {
-                    let pred = model.predict_window(&reference, &binding, window, &mut rctx);
-                    assert_eq!(
-                        &out_value.data()[(off + w) * v..(off + w + 1) * v],
-                        reference.value(pred).data(),
-                        "individual {b} window {w} (training = {training})"
-                    );
+                let out = M::predict_cohort(&group, &tape, &binding_refs, &cohort, &mut ctx);
+                let out_value = tape.value(out);
+                assert_eq!(out_value.dims(), &[cohort.total_rows(), v]);
+
+                for (b, model) in group.iter().enumerate() {
+                    let reference = Tape::new();
+                    let binding = model.params().bind(&reference);
+                    let mut rng = Rng64::seed_from(70 + b as u64);
+                    let mut rctx = if training {
+                        ForwardCtx::train(&mut rng)
+                    } else {
+                        ForwardCtx::eval(&mut rng)
+                    };
+                    let off = cohort.offset(b);
+                    for (w, window) in windows[b].iter().enumerate() {
+                        let pred = model.predict_window(&reference, &binding, window, &mut rctx);
+                        assert_eq!(
+                            &out_value.data()[(off + w) * v..(off + w + 1) * v],
+                            reference.value(pred).data(),
+                            "B = {groups}: individual {b} window {w} (training = {training})"
+                        );
+                    }
                 }
             }
         }
@@ -445,21 +386,26 @@ mod tests {
         assert_eq!(cohort.total_rows(), 8);
         assert_eq!(cohort.offset(0), 0);
         assert_eq!(cohort.offset(1), 3);
-        let all: Vec<&Tensor> = w0.iter().chain(&w1).collect();
-        for t in 0..2 {
-            let step = cohort.step(t);
-            assert_eq!(step.dims(), &[8, 4]);
-            for (w, win) in all.iter().enumerate() {
-                assert_eq!(
-                    &step.data()[w * 4..(w + 1) * 4],
-                    win.row(t).data(),
-                    "step {t} window {w}"
-                );
+        for (b, wins) in [&w0, &w1].into_iter().enumerate() {
+            let batch = cohort.member(b);
+            assert_eq!(batch.wins(), wins.len());
+            for t in 0..2 {
+                let step = batch.step(t);
+                assert_eq!(step.dims(), &[wins.len(), 4]);
+                for (w, win) in wins.iter().enumerate() {
+                    assert_eq!(
+                        &step.data()[w * 4..(w + 1) * 4],
+                        win.row(t).data(),
+                        "individual {b} step {t} window {w}"
+                    );
+                }
             }
-        }
-        for (w, win) in all.iter().enumerate() {
-            let rows = cohort.stacked_transposed().slice_rows(w * 4, (w + 1) * 4);
-            assert_eq!(rows.data(), win.transpose().data(), "window {w} transposed");
+            for (w, win) in wins.iter().enumerate() {
+                let rows = batch.stacked().slice_rows(w * 2, (w + 1) * 2);
+                assert_eq!(rows.data(), win.data(), "individual {b} window {w}");
+                let rows = batch.stacked_transposed().slice_rows(w * 4, (w + 1) * 4);
+                assert_eq!(rows.data(), win.transpose().data(), "window {w} transposed");
+            }
         }
     }
 
@@ -473,7 +419,7 @@ mod tests {
 
     #[test]
     fn lstm_cohort_forward_matches_per_individual() {
-        let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
+        let (v, seq, wins) = (4, 3, [3usize, 1, 4, 2]);
         let models: Vec<LstmForecaster> = (0..wins.len())
             .map(|b| LstmForecaster::new(v, &ModelConfig::tiny(100 + b as u64)))
             .collect();
@@ -482,7 +428,7 @@ mod tests {
 
     #[test]
     fn var_cohort_forward_matches_per_individual() {
-        let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
+        let (v, seq, wins) = (4, 3, [3usize, 1, 4, 2]);
         let models: Vec<VarForecaster> = (0..wins.len())
             .map(|b| VarForecaster::new(v, seq, &ModelConfig::tiny(100 + b as u64)))
             .collect();
@@ -491,7 +437,7 @@ mod tests {
 
     #[test]
     fn a3tgcn_cohort_forward_matches_per_individual() {
-        let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
+        let (v, seq, wins) = (4, 3, [3usize, 1, 4, 2]);
         let models: Vec<A3tgcn> = (0..wins.len())
             .map(|b| {
                 A3tgcn::with_options(
@@ -507,7 +453,7 @@ mod tests {
 
     #[test]
     fn a3tgcn_cohort_without_attention_matches_per_individual() {
-        let (v, seq, wins) = (3, 2, [2usize, 3]);
+        let (v, seq, wins) = (3, 2, [2usize, 3, 1, 2]);
         let models: Vec<A3tgcn> = (0..wins.len())
             .map(|b| {
                 A3tgcn::with_options(
@@ -523,7 +469,7 @@ mod tests {
 
     #[test]
     fn astgcn_cohort_forward_matches_per_individual() {
-        let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
+        let (v, seq, wins) = (4, 3, [3usize, 1, 4, 2]);
         let models: Vec<Astgcn> = (0..wins.len())
             .map(|b| {
                 Astgcn::with_options(
@@ -540,7 +486,7 @@ mod tests {
 
     #[test]
     fn mtgnn_cohort_forward_matches_per_individual() {
-        let (v, seq, wins) = (4, 3, [3usize, 1, 4]);
+        let (v, seq, wins) = (4, 3, [3usize, 1, 4, 2]);
         let models: Vec<Mtgnn> = (0..wins.len())
             .map(|b| {
                 Mtgnn::new(

@@ -1,6 +1,6 @@
 //! The common forecasting interface and the model kinds.
 
-use crate::Mtgnn;
+use crate::{Mtgnn, WindowBatch};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, ParamStore};
 use ema_tensor::{Rng64, Tensor};
@@ -41,8 +41,8 @@ impl<'a> ForwardCtx<'a> {
     /// parameters or constants (MTGNN's learned adjacency, A3TGCN's
     /// propagation matrix, initial zero states) are identical for all
     /// of them. Sharing the subgraph also accumulates its parameter
-    /// gradients once instead of once per window, as the cohort
-    /// forward's one-per-individual subgraph does.
+    /// gradients once instead of once per window, as the member
+    /// forward's one-per-batch subgraph does.
     ///
     /// A context is scoped to a single tape epoch (every construction
     /// site builds `Tape`/binding and `ForwardCtx` together); a memoed
@@ -63,10 +63,10 @@ impl<'a> ForwardCtx<'a> {
 ///
 /// Implementations register their parameters in an internal
 /// [`ParamStore`]; the training loop binds the store onto its tape each
-/// epoch and forwards every window of the active individuals through
-/// [`crate::CohortForecaster::predict_cohort`], the one training and
-/// evaluation forward. [`Forecaster::predict_window`] is the per-window
-/// reference the equivalence tests compare against.
+/// epoch and forwards all of one individual's windows through
+/// [`Forecaster::predict_windows`], the one training and evaluation
+/// forward. [`Forecaster::predict_window`] is the per-window reference
+/// the equivalence tests compare against.
 pub trait Forecaster {
     /// Human-readable model name (paper notation, e.g. `"MTGNN"`).
     fn name(&self) -> &'static str;
@@ -86,6 +86,23 @@ pub trait Forecaster {
         tape: &Tape,
         binding: &Binding,
         window: &Tensor,
+        ctx: &mut ForwardCtx,
+    ) -> Var;
+
+    /// Predicts the next `[V]` values of every window of `batch` at
+    /// once, returning `[W, V]` (row `w` for window `w`) — the training
+    /// and evaluation forward. Row `w` is bit-identical to
+    /// [`Forecaster::predict_window`] on window `w`, run window after
+    /// window on one tape with the same RNG: in values, in every
+    /// parameter gradient and in the RNG draws, which are window-major
+    /// (window outer, then the exact per-window draw sequence).
+    /// `crates/models/tests/batched_equivalence.rs` enforces this for
+    /// every model.
+    fn predict_windows(
+        &self,
+        tape: &Tape,
+        binding: &Binding,
+        batch: &WindowBatch,
         ctx: &mut ForwardCtx,
     ) -> Var;
 

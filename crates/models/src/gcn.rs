@@ -10,21 +10,13 @@ pub fn gcn_layer(tape: &Tape, a_hat: Var, h: Var, w: Var, b: Var) -> Var {
     tape.linear(propagated, w, b)
 }
 
-/// Grouped [`gcn_layer`] over a cohort stack: `a_hats` and `params`
-/// yield one `[V, V]` propagation matrix and one `(w_b, bias_b)` pair
-/// per group, and group `b`'s window blocks of `h: [Σ W_b·V, F_in]`
-/// propagate through its *own* — bit-identical per window block to the
+/// [`gcn_layer`] over a window batch: every `[V, F_in]` window block of
+/// `h: [W·V, F_in]` propagates through `a_hat` and the one `(w, b)` —
+/// bit-identical per window block, in values and gradients, to the
 /// per-window layer.
-pub fn gcn_layer_grouped(
-    tape: &Tape,
-    a_hats: impl IntoIterator<Item = Var>,
-    h: Var,
-    params: impl IntoIterator<Item = (Var, Var)>,
-    group_wins: &[usize],
-    nodes: usize,
-) -> Var {
-    let propagated = tape.group_block_lhs_matmul(a_hats, h, group_wins);
-    tape.group_linear_blocks(propagated, params, group_wins, nodes)
+pub fn gcn_layer_grouped(tape: &Tape, a_hat: Var, h: Var, w: Var, b: Var, wins: usize) -> Var {
+    let propagated = tape.group_block_lhs_matmul(a_hat, h, wins);
+    tape.group_linear(propagated, w, b, wins)
 }
 
 /// MTGNN's mix-hop propagation:
@@ -71,33 +63,29 @@ pub fn mixhop_propagation(
     out.expect("depth + 1 >= 1")
 }
 
-/// Grouped [`mixhop_propagation`] over a cohort stack: group `b`'s
-/// window blocks of `h_in: [Σ W_b·V, F_in]` propagate through its
-/// *own* adjacency (`a_hats`, one per group) and hop weights
-/// (`hop_weights(k)` yields hop `k`'s weight per group); `beta` and
-/// `depth` are structural and shared, so the keep/walk mixing stays a
-/// dense elementwise op.
-#[allow(clippy::too_many_arguments)]
-pub fn mixhop_propagation_grouped<I: IntoIterator<Item = Var>>(
+/// [`mixhop_propagation`] over a window batch: every window block of
+/// `h_in: [W·V, F_in]` propagates through `a_hat` and the hop weights
+/// (`hop_weight(k)` is hop `k`'s); the keep/walk mixing is a dense
+/// elementwise op over the stack.
+pub fn mixhop_propagation_grouped(
     tape: &Tape,
-    a_hats: impl Iterator<Item = Var> + Clone,
+    a_hat: Var,
     h_in: Var,
-    hop_weights: impl Fn(usize) -> I,
+    hop_weight: impl Fn(usize) -> Var,
     beta: f64,
     depth: usize,
-    group_wins: &[usize],
-    nodes: usize,
+    wins: usize,
 ) -> Var {
     let mut h = h_in;
     let mut out: Option<Var> = None;
     for k in 0..=depth {
         if k > 0 {
-            let prop = tape.group_block_lhs_matmul(a_hats.clone(), h, group_wins);
+            let prop = tape.group_block_lhs_matmul(a_hat, h, wins);
             let keep = tape.scale(h_in, beta);
             let walk = tape.scale(prop, 1.0 - beta);
             h = tape.add(keep, walk);
         }
-        let term = tape.group_matmul_nt(h, hop_weights(k), group_wins, nodes);
+        let term = tape.group_matmul_nt(h, hop_weight(k), wins);
         out = Some(match out {
             Some(acc) => tape.add(acc, term),
             None => term,

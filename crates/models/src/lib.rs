@@ -12,9 +12,10 @@
 //!
 //! All models implement [`Forecaster`]: given a `[seq_len, V]` window
 //! they predict the `[V]` vector at the next time point (the paper's
-//! 1-lag forecasting task). All of them, the VAR baseline included,
-//! also implement [`CohortForecaster`], which forwards a group of
-//! individuals through one tape graph (training runs groups of one).
+//! 1-lag forecasting task), and [`Forecaster::predict_windows`] runs all
+//! of one individual's windows through one tape graph — the training
+//! and evaluation forward. [`CohortForecaster::predict_cohort`] loops
+//! that forward over a group of individuals on one tape.
 //! Model hyper-parameters follow Section V-D: 32 hidden units, kernel
 //! 3, dropout 0.3.
 

@@ -1,8 +1,7 @@
 //! The baseline LSTM forecaster (paper Experiment A).
 
-use crate::cohort::{cohort_dropout, each_member, CohortBatch, CohortCtx, CohortForecaster};
 use crate::config::DROPOUT;
-use crate::{Forecaster, ForwardCtx, ModelConfig};
+use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, LstmCell, ParamStore};
 use ema_tensor::{Rng64, Tensor};
@@ -80,46 +79,35 @@ impl Forecaster for LstmForecaster {
         let pred = self.head.forward(tape, binding, dropped); // [1, V]
         tape.flatten(pred)
     }
-}
 
-impl CohortForecaster for LstmForecaster {
-    fn predict_cohort(
-        group: &[&Self],
+    fn predict_windows(
+        &self,
         tape: &Tape,
-        bindings: &[&Binding],
-        batch: &CohortBatch,
-        ctx: &mut CohortCtx,
+        binding: &Binding,
+        batch: &WindowBatch,
+        ctx: &mut ForwardCtx,
     ) -> Var {
         assert_eq!(
-            group.len(),
-            batch.num_groups(),
-            "one window batch per model"
+            batch.num_vars(),
+            self.num_variables,
+            "batch has {} variables, model expects {}",
+            batch.num_vars(),
+            self.num_variables
         );
-        assert_eq!(group.len(), bindings.len(), "one binding per model");
-        for (b, model) in group.iter().enumerate() {
-            assert_eq!(
-                model.num_variables,
-                batch.num_vars(),
-                "individual {b}: batch has {} variables, model expects {}",
-                batch.num_vars(),
-                model.num_variables
-            );
-        }
-        // Step t across the whole cohort is one [Σ W_b, V] row block:
-        // the cell recurrence runs once over the stack, each window's
-        // row through its own individual's cell.
+        let wins = batch.wins();
+        // Step t of every window is one [W, V] row block: the cell
+        // recurrence runs once over the stack.
         let xs: Vec<Var> = (0..batch.seq_len())
             .map(|t| tape.leaf(batch.step(t).clone()))
             .collect();
-        let state = group[0].cell.zero_state(tape, batch.total_rows());
-        let cells = each_member(group, bindings, |m, bind| (&m.cell, bind));
-        let states = LstmCell::run_sequence_grouped(cells, tape, &xs, state, batch.group_wins());
+        let state = self.cell.zero_state(tape, wins);
+        let states = self
+            .cell
+            .run_sequence_grouped(tape, binding, &xs, state, wins);
         let last = *states.last().expect("non-empty window");
-        // Each individual's [W_b, H] mask is drawn row-major ==
-        // window-major from its own stream.
-        let dropped = cohort_dropout(tape, last, batch.group_wins(), 1, ctx);
-        let heads = each_member(group, bindings, |m, bind| (&m.head, bind));
-        Linear::forward_grouped(heads, tape, dropped, batch.group_wins()) // [Σ W_b, V]
+        // The [W, H] mask is drawn row-major, i.e. window-major.
+        let dropped = tape.dropout(last, DROPOUT, ctx.training, ctx.rng);
+        self.head.forward_grouped(tape, binding, dropped, wins) // [W, V]
     }
 }
 

@@ -14,10 +14,9 @@
 //!   residual and skip connections;
 //! * an output module mapping skip features to the 1-lag prediction.
 
-use crate::cohort::{each_member, CohortBatch, CohortCtx, CohortForecaster};
 use crate::config::{DROPOUT, GRAPH_ALPHA, KERNEL, MIXHOP_BETA, MIXHOP_DEPTH};
 use crate::gcn::{mixhop_propagation, mixhop_propagation_grouped};
-use crate::{Forecaster, ForwardCtx, ModelConfig};
+use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{sparsify, AdjacencyMatrix};
 use ema_nn::{Binding, DilatedTemporalConv, Initializer, ParamId, ParamStore};
@@ -294,46 +293,35 @@ impl Mtgnn {
         tape.div(a_tilde, denom)
     }
 
-    /// Pre-draws every dropout mask of the cohort forward: one
-    /// `[Σ W_b·V, C]` mask per (block, gated step), filled
-    /// individual-major. Each individual's rows are drawn from its
-    /// *own* stream in the per-window order — windows outermost, then
+    /// Pre-draws every dropout mask of the member forward over `wins`
+    /// windows: one `[W·V, C]` mask per (block, gated step). The rows
+    /// are drawn in the per-window order — windows outermost, then
     /// blocks, then the block's gated steps, each a row-major `[V, C]`
-    /// draw — exactly the sequence its per-window forward consumes.
+    /// draw — exactly the sequence the per-window forward consumes.
     /// Returns `None` in eval mode.
-    fn predraw_masks(
-        group: &[&Self],
-        batch: &CohortBatch,
-        ctx: &mut CohortCtx,
-    ) -> Option<Vec<Vec<Tensor>>> {
+    fn predraw_masks(&self, wins: usize, ctx: &mut ForwardCtx) -> Option<Vec<Vec<Tensor>>> {
         if !ctx.training {
             return None;
         }
-        let first = group[0];
-        let v = batch.num_vars();
-        let c = first.blocks[0].filter.out_channels();
-        let mut lens = Vec::with_capacity(first.blocks.len());
-        let mut len = first.seq_len;
-        for block in &first.blocks {
+        let v = self.num_variables;
+        let c = self.blocks[0].filter.out_channels();
+        let mut lens = Vec::with_capacity(self.blocks.len());
+        let mut len = self.seq_len;
+        for block in &self.blocks {
             len -= block.filter.shrinkage();
             lens.push(len);
         }
-        let total = batch.total_rows();
         let mut masks: Vec<Vec<Tensor>> = lens
             .iter()
-            .map(|&l| (0..l).map(|_| Tensor::zeros(&[total * v, c])).collect())
+            .map(|&l| (0..l).map(|_| Tensor::zeros(&[wins * v, c])).collect())
             .collect();
         let keep = 1.0 - DROPOUT;
-        for (b, &wins) in batch.group_wins().iter().enumerate() {
-            let off = batch.offset(b);
-            let rng = &mut ctx.rngs[b];
-            for w in 0..wins {
-                for (block_masks, &l) in masks.iter_mut().zip(&lens) {
-                    for mask in block_masks.iter_mut().take(l) {
-                        for e in &mut mask.data_mut()[(off + w) * v * c..(off + w + 1) * v * c] {
-                            if rng.bernoulli(keep) {
-                                *e = 1.0 / keep;
-                            }
+        for w in 0..wins {
+            for block_masks in &mut masks {
+                for mask in block_masks.iter_mut() {
+                    for e in &mut mask.data_mut()[w * v * c..(w + 1) * v * c] {
+                        if ctx.rng.bernoulli(keep) {
+                            *e = 1.0 / keep;
                         }
                     }
                 }
@@ -440,71 +428,51 @@ impl Forecaster for Mtgnn {
         let pred = tape.linear(h1, binding.var(self.end_w2), binding.var(self.end_b2)); // [V, 1]
         tape.flatten(pred)
     }
-}
 
-impl CohortForecaster for Mtgnn {
-    fn predict_cohort(
-        group: &[&Self],
+    fn predict_windows(
+        &self,
         tape: &Tape,
-        bindings: &[&Binding],
-        batch: &CohortBatch,
-        ctx: &mut CohortCtx,
+        binding: &Binding,
+        batch: &WindowBatch,
+        ctx: &mut ForwardCtx,
     ) -> Var {
         assert_eq!(
-            group.len(),
-            batch.num_groups(),
-            "one window batch per model"
+            batch.num_vars(),
+            self.num_variables,
+            "batch has {} variables, model expects {}",
+            batch.num_vars(),
+            self.num_variables
         );
-        assert_eq!(group.len(), bindings.len(), "one binding per model");
-        let first = group[0];
-        for (b, model) in group.iter().enumerate() {
-            assert_eq!(
-                model.num_variables,
-                batch.num_vars(),
-                "individual {b}: batch has {} variables, model expects {}",
-                batch.num_vars(),
-                model.num_variables
-            );
-            assert_eq!(
-                model.seq_len,
-                batch.seq_len(),
-                "individual {b}: MTGNN was built for seq_len {} but got {}",
-                model.seq_len,
-                batch.seq_len()
-            );
-        }
-        let v = batch.num_vars();
-        let group_wins = batch.group_wins();
-        let total = batch.total_rows();
+        assert_eq!(
+            batch.seq_len(),
+            self.seq_len,
+            "MTGNN was built for seq_len {} but got {}",
+            self.seq_len,
+            batch.seq_len()
+        );
+        let (v, wins) = (self.num_variables, batch.wins());
         // Dropout is the only RNG consumer; pre-draw every mask before
-        // anything else touches the tape so each individual's stream is
-        // consumed exactly as its per-window forward would.
-        let mut masks = Self::predraw_masks(group, batch, ctx);
-        // Per-individual propagation matrices (parameter-only subgraphs),
-        // in stack order — each learner/prior mode builds its own.
-        let a_hats: Vec<Var> =
-            each_member(group, bindings, |m, bind| m.adjacency_var(tape, bind)).collect();
+        // anything else touches the tape so the stream is consumed
+        // exactly as the per-window forward would.
+        let mut masks = self.predraw_masks(wins, ctx);
+        // The propagation matrix (a parameter-only subgraph), built once.
+        let a_hat = self.adjacency_var(tape, binding);
 
-        // Start convolution: step t across the cohort is one
-        // window-blocked [ΣW·V, 1] column lifted to [ΣW·V, C] with each
-        // individual's own lift parameters.
-        let mut seq: Vec<Var> = (0..first.seq_len)
+        // Start convolution: step t of every window is one
+        // window-blocked [W·V, 1] column lifted to [W·V, C].
+        let (start_w, start_b) = (binding.var(self.start_w), binding.var(self.start_b));
+        let mut seq: Vec<Var> = (0..self.seq_len)
             .map(|t| {
-                let x = tape.leaf(batch.step(t).reshaped(&[total * v, 1]));
-                let start = each_member(group, bindings, |m, bind| {
-                    (bind.var(m.start_w), bind.var(m.start_b))
-                });
-                tape.group_linear_blocks(x, start, group_wins, v)
+                let x = tape.leaf(batch.step(t).reshaped(&[wins * v, 1]));
+                tape.group_linear(x, start_w, start_b, wins)
             })
             .collect();
 
         let mut skip_acc: Option<Var> = None;
-        for bi in 0..first.blocks.len() {
+        for (bi, block) in self.blocks.iter().enumerate() {
             // Gated temporal convolution.
-            let filters = each_member(group, bindings, move |m, bind| (&m.blocks[bi].filter, bind));
-            let gates = each_member(group, bindings, move |m, bind| (&m.blocks[bi].gate, bind));
-            let filt = DilatedTemporalConv::forward_grouped(filters, tape, &seq, group_wins, v);
-            let gate = DilatedTemporalConv::forward_grouped(gates, tape, &seq, group_wins, v);
+            let filt = block.filter.forward_grouped(tape, binding, &seq, wins);
+            let gate = block.gate.forward_grouped(tape, binding, &seq, wins);
             // Each pre-drawn mask moves into its dropout node.
             let mut block_masks = masks
                 .as_mut()
@@ -522,10 +490,7 @@ impl CohortForecaster for Mtgnn {
                 .collect();
             // Skip connection from the block's last gated step.
             let z_last = *z.last().expect("non-empty conv output");
-            let skip_ws = each_member(group, bindings, move |m, bind| {
-                bind.var(m.blocks[bi].skip_w)
-            });
-            let skip = tape.group_matmul_nt(z_last, skip_ws, group_wins, v);
+            let skip = tape.group_matmul_nt(z_last, binding.var(block.skip_w), wins);
             skip_acc = Some(match skip_acc {
                 Some(acc) => tape.add(acc, skip),
                 None => skip,
@@ -533,22 +498,17 @@ impl CohortForecaster for Mtgnn {
             // Graph propagation per step + residual from the aligned
             // input step.
             let shrink = seq.len() - z.len();
-            let hop_weights = |k| {
-                each_member(group, bindings, move |m, bind| {
-                    bind.var(m.blocks[bi].mixhop[k])
-                })
-            };
+            let hop_weight = |k: usize| binding.var(block.mixhop[k]);
             let mut next = Vec::with_capacity(z.len());
             for (t, &zt) in z.iter().enumerate() {
                 let g = mixhop_propagation_grouped(
                     tape,
-                    a_hats.iter().copied(),
+                    a_hat,
                     zt,
-                    hop_weights,
+                    hop_weight,
                     MIXHOP_BETA,
                     MIXHOP_DEPTH,
-                    group_wins,
-                    v,
+                    wins,
                 );
                 let res = seq[t + shrink];
                 next.push(tape.add(g, res));
@@ -563,18 +523,11 @@ impl CohortForecaster for Mtgnn {
             tape.add(acc, last)
         };
         let h = tape.relu(skip);
-        let h1 = {
-            let end1 = each_member(group, bindings, |m, bind| {
-                (bind.var(m.end_w1), bind.var(m.end_b1))
-            });
-            let lin = tape.group_linear_blocks(h, end1, group_wins, v);
-            tape.relu(lin)
-        };
-        let end2 = each_member(group, bindings, |m, bind| {
-            (bind.var(m.end_w2), bind.var(m.end_b2))
-        });
-        let pred = tape.group_linear_blocks(h1, end2, group_wins, v); // [ΣW·V, 1]
-        tape.reshape(pred, &[total, v])
+        let (w1, b1) = (binding.var(self.end_w1), binding.var(self.end_b1));
+        let h1 = tape.relu(tape.group_linear(h, w1, b1, wins));
+        let (w2, b2) = (binding.var(self.end_w2), binding.var(self.end_b2));
+        let pred = tape.group_linear(h1, w2, b2, wins); // [W·V, 1]
+        tape.reshape(pred, &[wins, v])
     }
 }
 

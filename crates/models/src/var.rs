@@ -4,11 +4,10 @@
 //! The prediction is an affine map of the flattened window:
 //! `x̂_t = c + Σ_{j=1..p} W_j · x_{t−j}` — exactly a linear layer over
 //! `[1, p·V]`, fitted through the shared gradient pipeline (Adam
-//! minimises the least-squares objective). A cohort of VARs is one
-//! grouped linear layer over every window flattened to a row.
+//! minimises the least-squares objective). A window batch is one
+//! window-group linear layer over every window flattened to a row.
 
-use crate::cohort::{each_member, CohortBatch, CohortCtx, CohortForecaster};
-use crate::{Forecaster, ForwardCtx, ModelConfig};
+use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, ParamStore};
 use ema_tensor::{Rng64, Tensor};
@@ -83,37 +82,27 @@ impl Forecaster for VarForecaster {
         let pred = self.layer.forward(tape, binding, flat); // [1, V]
         tape.flatten(pred)
     }
-}
 
-impl CohortForecaster for VarForecaster {
-    fn predict_cohort(
-        group: &[&Self],
+    fn predict_windows(
+        &self,
         tape: &Tape,
-        bindings: &[&Binding],
-        batch: &CohortBatch,
-        _ctx: &mut CohortCtx,
+        binding: &Binding,
+        batch: &WindowBatch,
+        _ctx: &mut ForwardCtx,
     ) -> Var {
-        assert_eq!(
-            group.len(),
-            batch.num_groups(),
-            "one window batch per model"
-        );
         let (seq, v) = (batch.seq_len(), batch.num_vars());
-        for (b, model) in group.iter().enumerate() {
-            assert_eq!(model.num_variables, v, "individual {b}: window width");
-            assert_eq!(
-                model.seq_len, seq,
-                "individual {b}: VAR(p = {}) got windows of {seq} steps",
-                model.seq_len
-            );
-        }
+        assert_eq!(v, self.num_variables, "window width");
+        assert_eq!(
+            seq, self.seq_len,
+            "VAR(p = {}) got windows of {seq} steps",
+            self.seq_len
+        );
         // Window w's [s, V] rows, flattened row-major, are row w of the
-        // stacked windows viewed as [Σ W_b, s·V]: the per-window input
-        // of `predict_window`, so each group's rows go through its own
-        // layer exactly as its windows do one at a time.
-        let flat = tape.leaf(batch.stacked().reshaped(&[batch.total_rows(), seq * v]));
-        let layers = each_member(group, bindings, |m, bind| (&m.layer, bind));
-        Linear::forward_grouped(layers, tape, flat, batch.group_wins()) // [Σ W_b, V]
+        // stacked windows viewed as [W, s·V]: the per-window input of
+        // `predict_window`.
+        let flat = tape.leaf(batch.stacked().reshaped(&[batch.wins(), seq * v]));
+        self.layer
+            .forward_grouped(tape, binding, flat, batch.wins()) // [W, V]
     }
 }
 

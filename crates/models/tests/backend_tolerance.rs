@@ -20,8 +20,8 @@
 use ema_autodiff::{Grads, Tape};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
-    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, LstmForecaster, ModelConfig,
-    ModelKind, Mtgnn, WindowBatch,
+    A3tgcn, Astgcn, Forecaster, ForwardCtx, LstmForecaster, ModelConfig, ModelKind, Mtgnn,
+    WindowBatch,
 };
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
@@ -61,16 +61,16 @@ fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
 /// windows drawn from `seed`, and returns the final loss plus eval-mode
 /// predictions. Mirrors the steady-state loop in
 /// `ema_core::train_cohort` for one individual.
-fn train<M: CohortForecaster>(mut model: M, seed: u64) -> Trained {
+fn train(mut model: impl Forecaster, seed: u64) -> Trained {
     let mut data_rng = Rng64::seed_from(seed ^ 0xA5A5_5A5A);
     let windows: Vec<Tensor> = (0..WINS)
         .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
         .collect();
     let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
-    let cohort = CohortBatch::from_batches(&[&WindowBatch::from_windows(&windows)]);
+    let batch = WindowBatch::from_windows(&windows);
 
     let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
-    let mut drop_rng = [Rng64::seed_from(seed.wrapping_add(13))];
+    let mut drop_rng = Rng64::seed_from(seed.wrapping_add(13));
     let mut tape = Tape::new();
     let mut grads = Grads::empty();
     let tgt = tape.leaf(targets.clone());
@@ -80,8 +80,8 @@ fn train<M: CohortForecaster>(mut model: M, seed: u64) -> Trained {
     for _ in 0..EPOCHS {
         tape.reset_to(keep);
         let binding = model.params().bind(&tape);
-        let mut ctx = CohortCtx::train(&mut drop_rng);
-        let stacked = M::predict_cohort(&[&model], &tape, &[&binding], &cohort, &mut ctx);
+        let mut ctx = ForwardCtx::train(&mut drop_rng);
+        let stacked = model.predict_windows(&tape, &binding, &batch, &mut ctx);
         let loss = tape.mse(stacked, tgt);
         tape.backward_into(loss, &mut grads);
         adam.step(model.params_mut(), &binding, &grads);
@@ -90,9 +90,9 @@ fn train<M: CohortForecaster>(mut model: M, seed: u64) -> Trained {
 
     tape.reset_to(keep);
     let binding = model.params().bind(&tape);
-    let mut eval_rng = [Rng64::seed_from(0)];
-    let mut ctx = CohortCtx::eval(&mut eval_rng);
-    let out = M::predict_cohort(&[&model], &tape, &[&binding], &cohort, &mut ctx);
+    let mut eval_rng = Rng64::seed_from(0);
+    let mut ctx = ForwardCtx::eval(&mut eval_rng);
+    let out = model.predict_windows(&tape, &binding, &batch, &mut ctx);
     Trained {
         final_loss,
         predictions: tape.value(out),

@@ -1,4 +1,5 @@
-//! Property tests pinning the cohort forward
+//! Property tests pinning the member forward
+//! ([`Forecaster::predict_windows`]) and the cohort loop over it
 //! ([`CohortForecaster::predict_cohort`]) bit-identical to the
 //! per-window oracle graph — each individual's windows run one at a
 //! time through `predict_window` and stacked with `stack_rows` on its
@@ -66,10 +67,10 @@ fn run_per_window(
     finish(&tape, &binding, model, stacked, targets)
 }
 
-/// One individual's windows through a one-member cohort forward: the
+/// One individual's windows through the member forward: the
 /// window-batched graph training and evaluation run.
-fn run_batched<M: CohortForecaster>(
-    model: &M,
+fn run_batched(
+    model: &dyn Forecaster,
     windows: &[Tensor],
     targets: &Tensor,
     training: bool,
@@ -78,14 +79,13 @@ fn run_batched<M: CohortForecaster>(
     let tape = Tape::new();
     let binding = model.params().bind(&tape);
     let batch = WindowBatch::from_windows(windows);
-    let cohort = CohortBatch::from_batches(&[&batch]);
-    let mut rngs = [Rng64::seed_from(rng_seed)];
+    let mut rng = Rng64::seed_from(rng_seed);
     let mut ctx = if training {
-        CohortCtx::train(&mut rngs)
+        ForwardCtx::train(&mut rng)
     } else {
-        CohortCtx::eval(&mut rngs)
+        ForwardCtx::eval(&mut rng)
     };
-    let out = M::predict_cohort(&[model], &tape, &[&binding], &cohort, &mut ctx);
+    let out = model.predict_windows(&tape, &binding, &batch, &mut ctx);
     finish(&tape, &binding, model, out, targets)
 }
 
@@ -101,7 +101,7 @@ fn assert_bit_identical(label: &str, a: &Tensor, b: &Tensor) {
 
 /// One full comparison: same model, same windows, same RNG seed — the
 /// window-batched graph must match the per-window graph byte for byte.
-fn check_model<M: CohortForecaster>(model: &M, seed: u64, wins: usize, training: bool) {
+fn check_model(model: &dyn Forecaster, seed: u64, wins: usize, training: bool) {
     let mut data_rng = Rng64::seed_from(seed ^ 0x9e37_79b9);
     let windows: Vec<Tensor> = (0..wins)
         .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
@@ -128,8 +128,8 @@ fn check_model<M: CohortForecaster>(model: &M, seed: u64, wins: usize, training:
     }
 }
 
-/// A different graph per cohort position so grouped constants are
-/// genuinely per-individual: ring, complete, or path, by index.
+/// A different graph per cohort position so each member's graph
+/// constants differ: ring, complete, or path, by index.
 fn cohort_graph(b: usize) -> AdjacencyMatrix {
     match b % 3 {
         0 => {
@@ -153,8 +153,8 @@ fn cohort_graph(b: usize) -> AdjacencyMatrix {
     }
 }
 
-/// One cohort comparison: B independent models forward through ONE
-/// grouped tape graph ([`CohortForecaster::predict_cohort`]) with
+/// One cohort comparison: B independent models forward through the
+/// cohort loop on ONE tape ([`CohortForecaster::predict_cohort`]) with
 /// per-individual MSE losses summed into one scalar, vs B separate
 /// per-window graphs ([`run_per_window`]) — values per row block AND
 /// every individual's parameter gradients must match byte for byte.
@@ -186,7 +186,7 @@ fn check_cohort<M: CohortForecaster>(
         rng_seeds.push(derive_stream_seed(seed, b as u64));
     }
 
-    // Cohort path: one tape, one grouped forward, one backward.
+    // Cohort path: one tape, one cohort loop, one backward.
     let tape = Tape::new();
     let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
     let binding_refs: Vec<&Binding> = bindings.iter().collect();

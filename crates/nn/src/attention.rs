@@ -97,107 +97,74 @@ impl TemporalAttention {
         tape.reshape(ctx, &[n, h])
     }
 
-    /// Grouped [`TemporalAttention::weights`] over a cohort stack:
-    /// `members` yields one `(attention, binding)` per group, each
-    /// state is a `[Σ W_b·n, hidden]` individual-major stack of `n`-row
-    /// window blocks, and group `b`'s windows are scored by its *own*
-    /// `(w, b, v)` parameters. Returns the softmax weights as a
-    /// `[Σ W_b, T]` matrix whose row for window `w` of group `b` is
-    /// bit-identical to that window's per-window weights. All modules
-    /// must share the hidden and attention widths.
+    /// [`TemporalAttention::weights`] over a window batch: each state
+    /// stacks `wins` window blocks of `n` rows (`[W·n, hidden]`).
+    /// Returns the softmax weights as a `[W, T]` matrix whose row `w` is
+    /// bit-identical to window `w`'s per-window weights, and so is
+    /// every parameter gradient.
     ///
     /// # Panics
-    /// Panics if `states` is empty or lengths/widths mismatch.
-    pub fn weights_grouped<'a>(
-        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
+    /// Panics if `states` is empty or widths mismatch.
+    pub fn weights_grouped(
+        &self,
         tape: &Tape,
+        binding: &Binding,
         states: &[Var],
-        group_wins: &[usize],
+        wins: usize,
     ) -> Var {
         assert!(!states.is_empty(), "attention over an empty sequence");
-        let hidden = shared_hidden_dim(members.clone());
-        let total_wins: usize = group_wins.iter().sum();
-        let n = tape.dims(states[0])[0] / total_wins;
-        // Row-averaging matrix [1, n]; shared across windows and
-        // individuals (its own gradient is never read), so it is one
-        // block-lhs group spanning all Σ W_b windows.
+        let n = tape.dims(states[0])[0] / wins;
+        // Row-averaging matrix [1, n], one block lhs for every window
+        // (its own gradient is never read).
         let avg = tape.leaf(Tensor::filled(&[1, n], 1.0 / n as f64));
-        // Each individual's vᵀ [A, 1], shared by every step as in the
-        // per-window graph.
-        let vts: Vec<Var> = members
-            .clone()
-            .map(|(a, bind)| tape.transpose(bind.var(a.v)))
-            .collect();
+        // vᵀ [A, 1], shared by every step as in the per-window graph.
+        let vt = tape.transpose(binding.var(self.v));
+        let (w, b) = (binding.var(self.w), binding.var(self.b));
         let mut scores = Vec::with_capacity(states.len());
         for &h in states {
             assert_eq!(
                 tape.dims(h)[1],
-                hidden,
+                self.hidden_dim,
                 "hidden width mismatch in attention"
             );
-            let mean_h = tape.group_block_lhs_matmul([avg], h, &[total_wins]); // [Σ W_b, H]
-            let params = members
-                .clone()
-                .map(|(a, bind)| (bind.var(a.w), bind.var(a.b)));
-            let proj = tape.group_linear(mean_h, params, group_wins); // [Σ W_b, A]
+            let mean_h = tape.group_block_lhs_matmul(avg, h, wins); // [W, H]
+            let proj = tape.group_linear(mean_h, w, b, wins); // [W, A]
             let act = tape.tanh(proj);
             // Grouped replay: the per-window graph folds each window's
             // score gradients into that window's own vᵀ node before
             // accumulating, so v's gradient association matches.
-            let score = tape.group_matmul_grouped(act, vts.iter().copied(), group_wins, 1);
-            scores.push(score); // [Σ W_b, 1]
+            scores.push(tape.group_matmul_grouped(act, vt, wins)); // [W, 1]
         }
         let mut logits = scores[0];
         for &s in &scores[1..] {
-            logits = tape.hcat(logits, s); // [Σ W_b, T]
+            logits = tape.hcat(logits, s); // [W, T]
         }
-        tape.softmax_last(logits) // [Σ W_b, T], row-wise softmax
+        tape.softmax_last(logits) // [W, T], row-wise softmax
     }
 
-    /// Grouped [`TemporalAttention::forward`]: the attention-weighted
-    /// context for every window of every individual at once, shape
-    /// `[Σ W_b·n, hidden]`.
+    /// [`TemporalAttention::forward`] over a window batch: the
+    /// attention-weighted context of every window at once, shape
+    /// `[W·n, hidden]`.
     ///
     /// # Panics
-    /// Panics if `states` is empty or lengths/widths mismatch.
-    pub fn forward_grouped<'a>(
-        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
+    /// Panics if `states` is empty or widths mismatch.
+    pub fn forward_grouped(
+        &self,
         tape: &Tape,
+        binding: &Binding,
         states: &[Var],
-        group_wins: &[usize],
+        wins: usize,
     ) -> Var {
-        let alpha = Self::weights_grouped(members, tape, states, group_wins); // [Σ W_b, T]
-        let total_wins: usize = group_wins.iter().sum();
+        let alpha = self.weights_grouped(tape, binding, states, wins); // [W, T]
         let dims = tape.dims(states[0]);
-        let (n, h) = (dims[0] / total_wins, dims[1]);
+        let (n, h) = (dims[0] / wins, dims[1]);
         // Window block w of the stack holds the T flattened states of
         // window w; a blockwise [1, T] x [T, n*H] product then forms
-        // every window's context in one node — the pooling has no
-        // parameters, so one shared-structure op covers every
-        // individual.
-        let stacked = tape.stack_window_blocks(states, total_wins); // [Σ W_b·T, n*H]
-        let ctx = tape.block_matmul(alpha, stacked, total_wins); // [Σ W_b, n*H]
-        tape.reshape(ctx, &[total_wins * n, h])
+        // every window's context in one node.
+        let stacked = tape.stack_window_blocks(states, wins); // [W·T, n*H]
+        let ctx = tape.block_matmul(alpha, stacked, wins); // [W, n*H]
+        tape.reshape(ctx, &[wins * n, h])
     }
-}
-
-/// Asserts every module shares the hidden/attention widths and returns
-/// the hidden width.
-fn shared_hidden_dim<'a>(
-    mut members: impl Iterator<Item = (&'a TemporalAttention, &'a Binding)>,
-) -> usize {
-    let (first, _) = members.next().expect("at least one attention module");
-    for (a, _) in members {
-        assert_eq!(
-            a.hidden_dim, first.hidden_dim,
-            "grouped attention modules must share the hidden width"
-        );
-        assert_eq!(
-            a.attn_dim, first.attn_dim,
-            "grouped attention modules must share the attention width"
-        );
-    }
-    first.hidden_dim
 }
 
 #[cfg(test)]

@@ -109,52 +109,42 @@ impl DilatedTemporalConv {
         out
     }
 
-    /// Grouped [`DilatedTemporalConv::forward`] over a cohort stack:
-    /// `members` yields one `(conv, binding)` per group, each step is a
-    /// `[Σ W_b·rows, in_c]` individual-major stack of `rows`-row window
-    /// blocks, and group `b`'s rows convolve with its *own* taps/bias —
-    /// bit-identical per window block to the per-window forward. All
-    /// modules must share kernel and widths.
+    /// [`DilatedTemporalConv::forward`] over a window batch: each step
+    /// stacks `wins` window blocks (`[W·n, in_c]`), every block
+    /// convolving with these taps and bias — bit-identical per window
+    /// block, in values and parameter gradients, to the per-window
+    /// forward.
     ///
     /// # Panics
-    /// Panics if lengths/shapes mismatch or the sequence is shorter
-    /// than the receptive field.
-    pub fn forward_grouped<'a>(
-        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
+    /// Panics if shapes mismatch or the sequence is shorter than the
+    /// receptive field.
+    pub fn forward_grouped(
+        &self,
         tape: &Tape,
+        binding: &Binding,
         seq: &[Var],
-        group_wins: &[usize],
-        block_rows: usize,
+        wins: usize,
     ) -> Vec<Var> {
-        let mut convs = members.clone().map(|(c, _)| c);
-        let first = convs.next().expect("at least one conv module");
-        let geometry = |c: &Self| (c.kernel, c.in_channels, c.out_channels);
-        assert!(
-            convs.all(|c| geometry(c) == geometry(first)),
-            "grouped conv modules must share kernel/widths"
-        );
-        let span = first.shrinkage();
+        let span = self.shrinkage();
         assert!(
             seq.len() > span,
             "sequence of {} steps is shorter than receptive field {}",
             seq.len(),
             span + 1
         );
+        let bias = binding.var(self.bias);
         let mut out = Vec::with_capacity(seq.len() - span);
         for t in span..seq.len() {
             let mut acc: Option<Var> = None;
-            for j in 0..first.kernel {
-                let x = seq[t - j];
-                let taps = members.clone().map(|(c, bind)| bind.var(c.taps[j]));
-                let term = tape.group_matmul_nt(x, taps, group_wins, block_rows);
+            for (j, &tap) in self.taps.iter().enumerate() {
+                let term = tape.group_matmul_nt(seq[t - j], binding.var(tap), wins);
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
                     None => term,
                 });
             }
             let summed = acc.expect("kernel > 0");
-            let biases = members.clone().map(|(c, bind)| bind.var(c.bias));
-            out.push(tape.group_add_row_broadcast(summed, biases, group_wins, block_rows));
+            out.push(tape.group_add_row_broadcast(summed, bias, wins));
         }
         out
     }

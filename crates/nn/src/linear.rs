@@ -73,26 +73,16 @@ impl Linear {
         tape.linear(x, binding.var(self.w), binding.var(self.b))
     }
 
-    /// Grouped forward over a cohort row stack: `members` yields one
-    /// `(layer, binding)` per group, and group `b`'s `group_rows[b]`
-    /// contiguous rows of `x` go through its own layer's parameters
-    /// (each individual keeps its own parameters on the shared tape).
-    /// Row `r` of group `b` is bit-identical to [`Linear::forward`] on
-    /// that row alone (see `Tape::group_linear`).
+    /// Forward over a window batch: `x` stacks `wins` window blocks,
+    /// all through this layer. Every row is bit-identical to
+    /// [`Linear::forward`] on its window alone, and so is every
+    /// parameter gradient (see `Tape::group_linear`).
     ///
     /// # Panics
-    /// Panics when `members` and `group_rows` disagree in length or
-    /// layer widths differ.
-    pub fn forward_grouped<'a>(
-        members: impl IntoIterator<Item = (&'a Self, &'a Binding)>,
-        tape: &Tape,
-        x: Var,
-        group_rows: &[usize],
-    ) -> Var {
-        let params = members
-            .into_iter()
-            .map(|(l, bind)| (bind.var(l.w), bind.var(l.b)));
-        tape.group_linear(x, params, group_rows)
+    /// Panics when `wins` does not divide `x`'s rows or the widths
+    /// differ.
+    pub fn forward_grouped(&self, tape: &Tape, binding: &Binding, x: Var, wins: usize) -> Var {
+        tape.group_linear(x, binding.var(self.w), binding.var(self.b), wins)
     }
 }
 

@@ -116,36 +116,30 @@ impl LstmCell {
         states
     }
 
-    /// One step over a cohort row stack: `members` yields one
-    /// `(cell, binding)` per group, and group `b`'s `group_rows[b]`
-    /// contiguous rows of `x: [Σ rows, X]` go through its own cell's
-    /// parameters. Row `r` of group `b` is bit-identical to
-    /// [`LstmCell::forward`] on that row alone: the grouped linears
-    /// match per row (see `Tape::group_linear`) and the
-    /// add/cell/slice chain is rowwise.
+    /// One step over a window batch: row `w` of `x: [W, X]` is window
+    /// `w`'s input. Row `w` is bit-identical to [`LstmCell::forward`] on
+    /// that window alone, and so is every parameter gradient: the
+    /// linears go through `Tape::group_linear` and the add/cell/slice
+    /// chain is rowwise.
     ///
     /// # Panics
-    /// Panics when `members` and `group_rows` disagree in length or
-    /// the cells' widths differ.
-    pub fn forward_grouped<'a>(
-        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
+    /// Panics when the widths mismatch.
+    pub fn forward_grouped(
+        &self,
         tape: &Tape,
+        binding: &Binding,
         x: Var,
         state: LstmState,
-        group_rows: &[usize],
+        wins: usize,
     ) -> LstmState {
-        let mut cells = members.clone().map(|(c, _)| c.hidden_dim);
-        let hd = cells.next().expect("grouped LSTM needs at least one cell");
-        assert!(
-            cells.all(|h| h == hd),
-            "grouped LSTM cells must share the hidden width"
+        let hd = self.hidden_dim;
+        let gi = tape.group_linear(x, binding.var(self.w_ih), binding.var(self.b_ih), wins);
+        let gh = tape.group_linear(
+            state.h,
+            binding.var(self.w_hh),
+            binding.var(self.b_hh),
+            wins,
         );
-        let input = members
-            .clone()
-            .map(|(c, bind)| (bind.var(c.w_ih), bind.var(c.b_ih)));
-        let gi = tape.group_linear(x, input, group_rows);
-        let hidden = members.map(|(c, bind)| (bind.var(c.w_hh), bind.var(c.b_hh)));
-        let gh = tape.group_linear(state.h, hidden, group_rows);
         let gates_pre = tape.add(gi, gh);
         let hc = tape.lstm_cell(gates_pre, state.c);
         let h = tape.slice_cols(hc, 0, hd);
@@ -153,18 +147,20 @@ impl LstmCell {
         LstmState { h, c }
     }
 
-    /// Grouped [`LstmCell::run_sequence`] over a cohort stack,
-    /// returning every hidden state.
-    pub fn run_sequence_grouped<'a>(
-        members: impl Iterator<Item = (&'a Self, &'a Binding)> + Clone,
+    /// [`LstmCell::run_sequence`] over a window batch
+    /// ([`LstmCell::forward_grouped`] per step), returning every hidden
+    /// state.
+    pub fn run_sequence_grouped(
+        &self,
         tape: &Tape,
+        binding: &Binding,
         xs: &[Var],
         mut state: LstmState,
-        group_rows: &[usize],
+        wins: usize,
     ) -> Vec<Var> {
         let mut states = Vec::with_capacity(xs.len());
         for &x in xs {
-            state = Self::forward_grouped(members.clone(), tape, x, state, group_rows);
+            state = self.forward_grouped(tape, binding, x, state, wins);
             states.push(state.h);
         }
         states

@@ -190,26 +190,29 @@ impl Drop for KernelScope {
 /// Cumulative work counters for one kernel backend on one thread:
 /// matmul-family calls through the `matmul_funnel` funnel, their
 /// nominal FLOPs (`2·m·k·n` per call: one multiply + one add per
-/// accumulation) and nominal memory traffic (`8·(m·k + k·n + 2·m·n)`
-/// bytes per call: read both operands, read+write the output). The
-/// figures are *work* counts, not measurements — cache reuse makes real
-/// traffic lower — which is exactly what an achieved-GFLOP/s report
-/// needs as numerator.
+/// accumulation) and the bytes the chosen kernel moves: both operands
+/// read once plus the output — written once by the SIMD tile kernel
+/// (`8·(m·k + k·n + m·n)` bytes per call), zero-filled by the funnel
+/// and then read and written while accumulating by the row kernels
+/// (`8·(m·k + k·n + 2·m·n)`). The figures are *work* counts, not
+/// measurements — cache reuse makes real traffic lower — which is
+/// exactly what an achieved-GFLOP/s report needs as numerator.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Calls into the `matmul_funnel` funnel.
     pub calls: u64,
     /// Nominal floating-point operations (`2·m·k·n` per call).
     pub flops: u64,
-    /// Nominal bytes moved (`8·(m·k + k·n + 2·m·n)` per call).
+    /// Nominal bytes moved (`8·(m·k + k·n + p·m·n)` per call, `p` the
+    /// kernel's output passes: 1 on the tile path, 2 on the row path).
     pub bytes: u64,
 }
 
 impl KernelCounters {
-    fn add_matmul(&mut self, m: usize, k: usize, n: usize) {
+    fn add_matmul(&mut self, m: usize, k: usize, n: usize, out_passes: usize) {
         self.calls += 1;
         self.flops += 2 * (m as u64) * (k as u64) * (n as u64);
-        self.bytes += 8 * ((m * k) as u64 + (k * n) as u64 + 2 * (m * n) as u64);
+        self.bytes += 8 * ((m * k) as u64 + (k * n) as u64 + (out_passes * m * n) as u64);
     }
 }
 
@@ -260,17 +263,26 @@ pub fn kernel_counting_enabled() -> bool {
 }
 
 /// Records one funnel call on the current thread (no-op unless counting
-/// is enabled; see [`set_kernel_counting`]).
+/// is enabled; see [`set_kernel_counting`]). `out_passes` is how often
+/// the chosen kernel moves the output: 1 for the tile kernel, which
+/// writes each element once, 2 for the row kernels, which read and
+/// write it while accumulating.
 #[inline]
-pub(crate) fn record_matmul(backend: KernelBackend, m: usize, k: usize, n: usize) {
+pub(crate) fn record_matmul(
+    backend: KernelBackend,
+    m: usize,
+    k: usize,
+    n: usize,
+    out_passes: usize,
+) {
     if !kernel_counting_enabled() {
         return;
     }
     KERNEL_COUNTERS.with(|c| {
         let mut snap = c.get();
         match backend {
-            KernelBackend::Scalar => snap.scalar.add_matmul(m, k, n),
-            KernelBackend::Simd => snap.simd.add_matmul(m, k, n),
+            KernelBackend::Scalar => snap.scalar.add_matmul(m, k, n, out_passes),
+            KernelBackend::Simd => snap.simd.add_matmul(m, k, n, out_passes),
         }
         c.set(snap);
     });
@@ -346,7 +358,8 @@ mod tests {
         crate::linalg::matmul_funnel(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
         assert!(take_kernel_counters().is_empty());
 
-        // Enabled: one call, 2·m·k·n flops, 8·(mk + kn + 2mn) bytes,
+        // Enabled: one call, 2·m·k·n flops, 8·(mk + kn + 2mn) bytes
+        // (the scalar row kernel reads and writes its output),
         // attributed to the active (scalar) backend.
         set_kernel_counting(true);
         crate::linalg::matmul_funnel(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
@@ -358,6 +371,20 @@ mod tests {
         assert_eq!(snap.scalar.bytes, 8 * (6 + 12 + 2 * 8));
         // The take reset the thread-local counters.
         assert!(take_kernel_counters().is_empty());
+
+        // The SIMD tile path (finite rhs, n ≤ MM_BLOCK) writes its
+        // output once: 8·(mk + kn + mn) bytes. Skipped without AVX2+FMA.
+        if KernelBackend::simd_available() {
+            let _simd = KernelBackend::Simd.scoped();
+            set_kernel_counting(true);
+            crate::linalg::matmul_funnel(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
+            let snap = take_kernel_counters();
+            set_kernel_counting(false);
+            assert_eq!(snap.scalar, KernelCounters::default());
+            assert_eq!(snap.simd.calls, 1);
+            assert_eq!(snap.simd.flops, 2 * 2 * 3 * 4);
+            assert_eq!(snap.simd.bytes, 8 * (6 + 12 + 8));
+        }
     }
 
     #[test]

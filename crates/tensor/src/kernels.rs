@@ -166,8 +166,8 @@ mod tests {
 
     #[test]
     fn addmm_into_row_block_matches_sliced_tensor() {
-        // Per-group use: one contiguous row block of a cohort stack
-        // must produce the same bits as the per-individual addmm.
+        // One contiguous row block of a window stack must produce the
+        // same bits as the addmm of that block alone.
         let stacked = rand(&[6, 3], 13); // three [2, 3] blocks
         let w = rand(&[4, 3], 14);
         let bias = rand(&[4], 15);

@@ -165,8 +165,9 @@ pub(crate) fn matmul_tn_funnel(
     funnel(a, true, b, out, m, k, n);
 }
 
-/// The funnel body: records the call, then picks the kernel from the
-/// backend and the input (see "The SIMD kernel choice" above).
+/// The funnel body: picks the kernel from the backend and the input
+/// (see "The SIMD kernel choice" above) and records the call with the
+/// output traffic of the kernel it picked.
 fn funnel(
     a: &[f64],
     lhs_transposed: bool,
@@ -178,11 +179,13 @@ fn funnel(
 ) {
     let backend = KernelBackend::active();
     // Work accounting for the obs layer: a relaxed-flag check plus a
-    // thread-local add, keyed by the backend that will actually run.
-    // Never touches the operands, so it cannot perturb numerics.
-    crate::backend::record_matmul(backend, m, k, n);
+    // thread-local add, keyed by the backend and kernel that will
+    // actually run. Never touches the operands, so it cannot perturb
+    // numerics.
     #[cfg(target_arch = "x86_64")]
     if backend == KernelBackend::Simd && n <= MM_BLOCK && all_finite(b) {
+        // The tile kernel writes each output element once.
+        crate::backend::record_matmul(backend, m, k, n, 1);
         let strides = if lhs_transposed { (1, m) } else { (k, 1) };
         // SAFETY: `active()` returns `Simd` only when AVX2+FMA were
         // detected on the running CPU (`KernelBackend::simd_available`);
@@ -190,8 +193,9 @@ fn funnel(
         unsafe { crate::simd::matmul_tiles_simd(a, strides, b, out, m, k, n) };
         return;
     }
-    // The row kernels accumulate into `out`: each recurrence starts
-    // from the `+0.0` written here.
+    // The row kernels accumulate into `out`, reading and writing it:
+    // each recurrence starts from the `+0.0` written here.
+    crate::backend::record_matmul(backend, m, k, n, 2);
     out.fill(0.0);
     if !lhs_transposed {
         accumulate_rows(backend, a, b, out, m, k, n);

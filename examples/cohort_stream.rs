@@ -1,9 +1,10 @@
 //! Streamed sharded cohort training: the study is generated shard by
 //! shard on the executor workers (`EmaGenerator::generate_range`), each
-//! shard trains its members one at a time on one reused tape (a
-//! one-member `CohortForecaster::predict_cohort` per epoch), and
-//! per-shard memory is dropped when its job ends — so peak heap is
-//! bounded by (workers × shard size), not the study size.
+//! shard runs its members one at a time, each end to end (prepare →
+//! train with one `Forecaster::predict_windows` per epoch → evaluate)
+//! on one reused tape, and a member is dropped before the next starts
+//! — so peak heap is bounded by (workers × shard's series), not the
+//! study size.
 //!
 //! ```bash
 //! EMA_OBS=full cargo run --release -p ema-core --example cohort_stream

@@ -42,19 +42,20 @@ echo "==> cargo test (EMA_THREADS=4)"
 # Re-run the suite on a 4-worker cohort executor: results must be
 # byte-identical to the sequential run (the exec engine's guarantee).
 # This run covers, among the rest:
-# - the cohort-forward equivalence properties
+# - the member-forward equivalence properties
 #   (crates/models/tests/batched_equivalence.rs): the one training
-#   forward, which training runs one individual at a time, and grouped
-#   forwards over 2-4 individuals, pinned to the per-window oracle
-#   (each window through predict_window on its own), values and every
-#   parameter gradient, all five models;
+#   forward, predict_windows over one individual's windows, and the
+#   predict_cohort loop over 1-4 individuals on one tape that perfbench
+#   times, pinned to the per-window oracle (each window through
+#   predict_window on its own), values and every parameter gradient;
 # - the scalar fixtures (tests/scalar_fixtures.rs), which freeze every
 #   model kind, both cohort runners and every experiment preset byte
 #   for byte on this 4-worker executor;
 # - the sharded-cohort grids in tests/determinism.rs: shard boundaries
 #   must never change numbers. Shard size sets job and generation
-#   granularity (each shard job generates its slice and trains its
-#   members one at a time), not a training group, so shard sizes 1, 2
+#   granularity (each shard job generates its slice and runs its
+#   members one at a time, each end to end), not a training group, so
+#   shard sizes 1, 2
 #   and 4 (including the 2-shard x 2-individual shape) pin job layout
 #   and scheduling out of every result, for the LSTM, A3TGCN and MTGNN
 #   (the model of the stream_graph benchmark workload);
@@ -86,7 +87,9 @@ cargo test --release --offline -p ema-tensor -q
 echo "==> perfbench tests"
 # perfbench is its own Cargo workspace, so the workspace build above
 # never compiles it; it calls the model and training API directly
-# (its replay must reproduce the pipeline bit for bit).
+# (train_cohort, and predict_cohort: the loop of one member forward
+# per individual on one tape), and its replay must reproduce the
+# pipeline bit for bit.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 
 echo "==> cargo clippy"
