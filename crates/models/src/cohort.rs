@@ -147,7 +147,7 @@ impl<'a> CohortBatch<'a> {
             "cohort batch needs at least one individual"
         );
         let (seq_len, num_vars) = (batches[0].seq_len(), batches[0].num_vars());
-        let mut offsets = Vec::with_capacity(batches.len() + 1);
+        let mut offsets = Vec::with_capacity(batches.len());
         let mut total = 0usize;
         for (b, batch) in batches.iter().enumerate() {
             assert_eq!(batch.seq_len(), seq_len, "individual {b} seq_len mismatch");
@@ -159,7 +159,6 @@ impl<'a> CohortBatch<'a> {
             offsets.push(total);
             total += batch.wins();
         }
-        offsets.push(total);
         Self {
             members: batches.to_vec(),
             group_wins: batches.iter().map(|b| b.wins()).collect(),
@@ -189,12 +188,6 @@ impl<'a> CohortBatch<'a> {
     #[must_use]
     pub fn offset(&self, b: usize) -> usize {
         self.offsets[b]
-    }
-
-    /// Total stacked rows (`Σ_b W_b`).
-    #[must_use]
-    pub fn total_rows(&self) -> usize {
-        *self.offsets.last().expect("offsets non-empty")
     }
 }
 
@@ -350,7 +343,7 @@ mod tests {
                 };
                 let out = M::predict_cohort(&group, &tape, &binding_refs, &cohort, &mut ctx);
                 let out_value = tape.value(out);
-                assert_eq!(out_value.dims(), &[cohort.total_rows(), v]);
+                assert_eq!(out_value.dims(), &[wins[..groups].iter().sum(), v]);
 
                 for (b, model) in group.iter().enumerate() {
                     let reference = Tape::new();
@@ -383,7 +376,6 @@ mod tests {
         let cohort = CohortBatch::from_batches(&[&b0, &b1]);
         assert_eq!(cohort.num_groups(), 2);
         assert_eq!(cohort.group_wins(), &[3, 5]);
-        assert_eq!(cohort.total_rows(), 8);
         assert_eq!(cohort.offset(0), 0);
         assert_eq!(cohort.offset(1), 3);
         for (b, wins) in [&w0, &w1].into_iter().enumerate() {

@@ -316,11 +316,12 @@ impl Mtgnn {
             .map(|&l| (0..l).map(|_| Tensor::zeros(&[wins * v, c])).collect())
             .collect();
         let keep = 1.0 - DROPOUT;
+        let rng = &mut *ctx.rng;
         for w in 0..wins {
             for block_masks in &mut masks {
                 for mask in block_masks.iter_mut() {
                     for e in &mut mask.data_mut()[w * v * c..(w + 1) * v * c] {
-                        if ctx.rng.bernoulli(keep) {
+                        if rng.bernoulli(keep) {
                             *e = 1.0 / keep;
                         }
                     }
