@@ -243,8 +243,9 @@ mod tests {
         }
     }
 
-    /// The VAR baseline trains on the same grouped path as every other
-    /// model: one grouped linear layer over the shard's windows.
+    /// The VAR baseline runs through the shard body like every other
+    /// model: each member trains and evaluates on its own forward, one
+    /// window-group linear layer over that member's windows.
     #[test]
     fn var_cohort_batch_matches_run_individual() {
         assert_cohort_batch_matches_run_individual(&RunSpec {

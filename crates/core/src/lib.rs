@@ -50,7 +50,7 @@ pub mod train;
 pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterPlan, TrainStrategy};
 pub use cohort::run_cohort_sharded;
-pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};
+pub use ema_tensor::{with_kernel_backend, KernelBackend, KernelScope};
 pub use exec::{Executor, Job, JobError, JobResult};
 pub use json::{Json, JsonError};
 pub use pipeline::{

@@ -8,11 +8,11 @@
 //! * [`KernelBackend::Scalar`] — the reference kernel. Ascending-`k`
 //!   accumulation with separately rounded multiply and add; the
 //!   bit-identity oracle every experiment record was built on.
-//! * [`KernelBackend::Simd`] — the AVX2+FMA kernels (x86_64 only,
-//!   runtime-detected). Same per-element accumulation order, but every
-//!   multiply-add is *fused* (one rounding), so results agree with the
-//!   scalar oracle only to tolerance. See the two-contract story in the
-//!   `linalg.rs` header.
+//! * [`KernelBackend::Simd`] — the AVX2+FMA register-tile kernel
+//!   (x86_64 only, runtime-detected). Same per-element accumulation
+//!   order, but every multiply-add is *fused* (one rounding), so results
+//!   agree with the scalar oracle only to tolerance. See the
+//!   two-contract story in the `linalg.rs` header.
 //!
 //! Resolution order for [`KernelBackend::active`]:
 //!
@@ -20,11 +20,11 @@
 //!    [`with_kernel_backend`] (how `TrainConfig::kernel_backend` pins a
 //!    training run, and how equivalence tests compare backends without
 //!    racing each other);
-//! 2. the process-wide default: [`set_kernel_backend`] if called, else
-//!    the `EMA_KERNEL` environment knob (`scalar` | `simd` | `auto`,
-//!    resolved once);
-//! 3. `auto` (also the fallback for unset/unknown values): `Simd` where
-//!    AVX2+FMA are available, `Scalar` otherwise.
+//! 2. the process-wide default: the `EMA_KERNEL` environment knob
+//!    (`scalar` | `simd` | `auto`), resolved once per process;
+//! 3. `auto` (also the fallback for an unset knob, and for an
+//!    unrecognised value after a warning): `Simd` where AVX2+FMA are
+//!    available, `Scalar` otherwise.
 //!
 //! Requesting `Simd` on a machine without AVX2+FMA is not an error —
 //! `active()` normalizes it to `Scalar`, so `EMA_KERNEL=simd` is safe
@@ -33,7 +33,8 @@
 //! every thread count.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Which matmul accumulation kernel the tensor crate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,14 +42,12 @@ pub enum KernelBackend {
     /// Separately rounded multiply-then-add, ascending-`k` — the
     /// bit-identity oracle (see `linalg.rs`).
     Scalar,
-    /// AVX2+FMA register tiles and row spans, ascending-`k` with fused
-    /// multiply-add — the hot path where the hardware supports it.
+    /// The AVX2+FMA register-tile kernel for every finite rhs (a rhs
+    /// holding ±∞ or NaN runs the scalar row kernel with `mul_add`),
+    /// ascending-`k` with fused multiply-add — the hot path where the
+    /// hardware supports it.
     Simd,
 }
-
-/// Process-default encoding: 0 = unresolved (read `EMA_KERNEL` on
-/// first use), 1 = scalar, 2 = simd.
-static GLOBAL: AtomicU8 = AtomicU8::new(0);
 
 thread_local! {
     /// Innermost thread-local scope, if any (see [`KernelBackend::scoped`]).
@@ -62,7 +61,6 @@ impl KernelBackend {
     pub fn simd_available() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
-            use std::sync::OnceLock;
             static AVAILABLE: OnceLock<bool> = OnceLock::new();
             *AVAILABLE.get_or_init(|| {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -80,7 +78,10 @@ impl KernelBackend {
     /// is only ever returned when [`Self::simd_available`].
     #[must_use]
     pub fn active() -> Self {
-        let chosen = SCOPE.with(Cell::get).unwrap_or_else(global_default);
+        static PROCESS_DEFAULT: OnceLock<KernelBackend> = OnceLock::new();
+        let chosen = SCOPE
+            .with(Cell::get)
+            .unwrap_or_else(|| *PROCESS_DEFAULT.get_or_init(Self::from_env));
         match chosen {
             Self::Simd if Self::simd_available() => Self::Simd,
             _ => Self::Scalar,
@@ -88,19 +89,24 @@ impl KernelBackend {
     }
 
     /// Resolves the `EMA_KERNEL` environment knob: `scalar`, `simd`,
-    /// or `auto` (the default for unset or unrecognized values) —
-    /// `auto` picks `Simd` where available, `Scalar` otherwise.
+    /// or `auto` (the default when unset) — `auto` picks `Simd` where
+    /// available, `Scalar` otherwise. An unrecognised value falls back
+    /// to `auto` with a warning, so a typo cannot silently run the
+    /// backend a run meant to avoid.
     #[must_use]
     pub fn from_env() -> Self {
+        let auto = if Self::simd_available() {
+            Self::Simd
+        } else {
+            Self::Scalar
+        };
         match std::env::var("EMA_KERNEL").as_deref() {
             Ok("scalar") => Self::Scalar,
             Ok("simd") => Self::Simd,
-            _ => {
-                if Self::simd_available() {
-                    Self::Simd
-                } else {
-                    Self::Scalar
-                }
+            Ok("auto") | Err(_) => auto,
+            Ok(other) => {
+                eprintln!("warning: unknown EMA_KERNEL={other:?}; using \"auto\"");
+                auto
             }
         }
     }
@@ -130,36 +136,11 @@ impl KernelBackend {
 
 /// The default backend is the thread's active one — so values plumbed
 /// through configs (e.g. `TrainConfig::kernel_backend`) inherit the
-/// `EMA_KERNEL` / [`set_kernel_backend`] resolution at construction.
+/// `EMA_KERNEL` resolution at construction.
 impl Default for KernelBackend {
     fn default() -> Self {
         Self::active()
     }
-}
-
-fn global_default() -> KernelBackend {
-    match GLOBAL.load(Ordering::Relaxed) {
-        1 => KernelBackend::Scalar,
-        2 => KernelBackend::Simd,
-        _ => {
-            let resolved = KernelBackend::from_env();
-            // Racing first uses resolve the same env value; last store
-            // wins with an identical byte.
-            set_kernel_backend(resolved);
-            resolved
-        }
-    }
-}
-
-/// Sets the process-wide default backend (overriding `EMA_KERNEL`).
-/// Thread-local scopes still win. Prefer [`KernelBackend::scoped`] in
-/// tests — a global flip mid-run changes other threads' kernels.
-pub fn set_kernel_backend(backend: KernelBackend) {
-    let code = match backend {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Simd => 2,
-    };
-    GLOBAL.store(code, Ordering::Relaxed);
 }
 
 /// Runs `f` with `backend` active on the current thread (see
@@ -193,7 +174,7 @@ impl Drop for KernelScope {
 /// accumulation) and the bytes the chosen kernel moves: both operands
 /// read once plus the output — written once by the SIMD tile kernel
 /// (`8·(m·k + k·n + m·n)` bytes per call), zero-filled by the funnel
-/// and then read and written while accumulating by the row kernels
+/// and then read and written while accumulating by the row kernel
 /// (`8·(m·k + k·n + 2·m·n)`). The figures are *work* counts, not
 /// measurements — cache reuse makes real traffic lower — which is
 /// exactly what an achieved-GFLOP/s report needs as numerator.
@@ -224,7 +205,8 @@ impl KernelCounters {
 pub struct KernelCountersSnapshot {
     /// Work executed by the scalar oracle kernel.
     pub scalar: KernelCounters,
-    /// Work executed by the AVX2+FMA kernel.
+    /// Work executed under the SIMD backend: the AVX2+FMA tile kernel,
+    /// and the row kernel with `mul_add` for a non-finite rhs.
     pub simd: KernelCounters,
 }
 
@@ -265,8 +247,8 @@ pub fn kernel_counting_enabled() -> bool {
 /// Records one funnel call on the current thread (no-op unless counting
 /// is enabled; see [`set_kernel_counting`]). `out_passes` is how often
 /// the chosen kernel moves the output: 1 for the tile kernel, which
-/// writes each element once, 2 for the row kernels, which read and
-/// write it while accumulating.
+/// writes each element once, 2 for the row kernel, which reads and
+/// writes it while accumulating.
 #[inline]
 pub(crate) fn record_matmul(
     backend: KernelBackend,
@@ -372,18 +354,50 @@ mod tests {
         // The take reset the thread-local counters.
         assert!(take_kernel_counters().is_empty());
 
-        // The SIMD tile path (finite rhs, n ≤ MM_BLOCK) writes its
-        // output once: 8·(mk + kn + mn) bytes. Skipped without AVX2+FMA.
+        // Under SIMD every finite rhs, however wide, takes the tile
+        // kernel, which writes its output once: 8·(mk + kn + mn) bytes.
+        // A rhs holding ±∞ or NaN takes the row kernel, which reads and
+        // writes it: 8·(mk + kn + 2mn). Skipped without AVX2+FMA.
         if KernelBackend::simd_available() {
             let _simd = KernelBackend::Simd.scoped();
-            set_kernel_counting(true);
-            crate::linalg::matmul_funnel(&[1.0; 6], &[1.0; 12], &mut [0.0; 8], 2, 3, 4);
-            let snap = take_kernel_counters();
-            set_kernel_counting(false);
-            assert_eq!(snap.scalar, KernelCounters::default());
-            assert_eq!(snap.simd.calls, 1);
-            assert_eq!(snap.simd.flops, 2 * 2 * 3 * 4);
-            assert_eq!(snap.simd.bytes, 8 * (6 + 12 + 8));
+            let simd_counters = |b: &[f64], m: usize, k: usize, n: usize| {
+                set_kernel_counting(true);
+                crate::linalg::matmul_funnel(&vec![1.0; m * k], b, &mut vec![0.0; m * n], m, k, n);
+                let snap = take_kernel_counters();
+                set_kernel_counting(false);
+                assert_eq!(snap.scalar, KernelCounters::default());
+                assert_eq!(snap.simd.calls, 1);
+                assert_eq!(snap.simd.flops, 2 * (m * k * n) as u64);
+                snap.simd.bytes
+            };
+            assert_eq!(simd_counters(&[1.0; 12], 2, 3, 4), 8 * (6 + 12 + 8));
+            assert_eq!(simd_counters(&[1.0; 300], 2, 3, 100), 8 * (6 + 300 + 200));
+            let mut non_finite = [1.0; 12];
+            non_finite[5] = f64::INFINITY;
+            assert_eq!(simd_counters(&non_finite, 2, 3, 4), 8 * (6 + 12 + 2 * 8));
+        }
+    }
+
+    #[test]
+    fn unknown_kernel_env_value_warns() {
+        // The process default resolves once per process, so each value
+        // runs in a child: this test binary, running one test that
+        // resolves it.
+        let exe = std::env::current_exe().expect("test binary");
+        let test = "backend::tests::scopes_nest_and_restore";
+        let stderr_under = |value: &str| {
+            let out = std::process::Command::new(&exe)
+                .args([test, "--exact", "--nocapture"])
+                .env("EMA_KERNEL", value)
+                .output()
+                .expect("child test run");
+            assert!(out.status.success(), "{test} failed under {value}");
+            String::from_utf8_lossy(&out.stderr).into_owned()
+        };
+        let warning = r#"warning: unknown EMA_KERNEL="scaler"; using "auto""#;
+        assert!(stderr_under("scaler").contains(warning));
+        for known in ["scalar", "simd", "auto"] {
+            assert!(!stderr_under(known).contains("EMA_KERNEL"), "{known}");
         }
     }
 

@@ -14,8 +14,8 @@
 //! Every matmul kernel here calls the funnel in `linalg.rs`, which
 //! writes `out = a·b` over whatever `out` held: callers may pass stale
 //! pooled buffers from [`pool::take_uninit`], and no kernel zero-fills
-//! its output first (only the row kernels, which accumulate in memory,
-//! get a zeroed `out` from the funnel). `col_sums_into` overwrites its
+//! its output first (only the row kernel, which accumulates in memory,
+//! gets a zeroed `out` from the funnel). `col_sums_into` overwrites its
 //! output too.
 
 use crate::linalg::{matmul_funnel, matmul_tn_funnel};

@@ -6,15 +6,14 @@
 //! [`crate::kernels`] (the one implementation of each product), the
 //! `Tensor` methods that check shapes and call them on a pooled output
 //! ([`Tensor::matmul`], [`Tensor::matmul_tn`], [`Tensor::matmul_nt`],
-//! [`Tensor::addmm`]), the cache-blocked path and every batched
-//! autodiff op — funnels into one entry, [`matmul_funnel`] (or
-//! [`matmul_tn_funnel`] for a transposed lhs), which writes
-//! `out = a·b` over whatever `out` held and dispatches on the active
-//! [`crate::KernelBackend`]. Both
+//! [`Tensor::addmm`]) and every batched autodiff op — funnels into one
+//! entry, [`matmul_funnel`] (or [`matmul_tn_funnel`] for a transposed
+//! lhs), which writes `out = a·b` over whatever `out` held and
+//! dispatches on the active [`crate::KernelBackend`]. Both
 //! backends share one *structural* invariant — each output element is
 //! its own recurrence over its `k` products in ascending-`p` order
 //! starting from `+0.0`, and tiling only ever groups whole recurrences
-//! (i/j blocks, rows, columns, never `p`) — and differ in exactly one
+//! (rows and columns, never `p`) — and differ in exactly one
 //! rounding rule. The reference recurrences skip `lhs == 0.0`; that
 //! skip is observable only with a non-finite rhs (see the SIMD kernel
 //! choice below).
@@ -28,7 +27,7 @@
 //!    Every multiply-add is fused (one rounding). Vector lanes carry
 //!    independent output columns, so no sum is split across lanes; the
 //!    backend is *self-deterministic* (byte-identical across runs,
-//!    tile widths, kernels, blocking and thread counts, pinned to a
+//!    tile widths, kernels and thread counts, pinned to a
 //!    scalar `mul_add` reference in
 //!    `crates/tensor/tests/backend_equivalence.rs`) and agrees with the
 //!    scalar oracle element-wise to `(k + 1)·ε·Σₚ|a[i,p]·b[p,j]|` — see
@@ -36,19 +35,18 @@
 //!
 //! ## The SIMD kernel choice
 //!
-//! The funnel picks the SIMD kernel from the input alone. A finite rhs
-//! with `n ≤ MM_BLOCK` columns takes the register-tile kernel, which
-//! starts its accumulators at `+0.0` in registers, stores each output
-//! element once, reads a transposed lhs in place and tests no lhs
-//! element: with every
-//! rhs element finite, `fma(±0, b, acc) == acc` for every accumulator
-//! the recurrence can reach (it starts at `+0.0` and never becomes
-//! `−0`), so the skip is unobservable. The skip is observable only when
-//! an lhs zero meets a rhs `±∞` or NaN (`0 · ∞` is NaN), so a non-finite
-//! rhs takes the row kernel, which keeps it. Wide products also take the
-//! row kernel: over a mostly-zero lhs such as a masked adjacency, its
-//! per-row skip pays off across every column span. The row kernels
-//! accumulate in memory, so only they get a zero-filled `out` from the
+//! The funnel picks the SIMD kernel from the input alone. A finite rhs,
+//! whatever its width, takes the register-tile kernel, which starts its
+//! accumulators at `+0.0` in registers, stores each output element
+//! once, reads a transposed lhs in place and tests no lhs element: with
+//! every rhs element finite, `fma(±0, b, acc) == acc` for every
+//! accumulator the recurrence can reach (it starts at `+0.0` and never
+//! becomes `−0`), so the skip is unobservable. The skip is observable
+//! only when an lhs zero meets a rhs `±∞` or NaN (`0 · ∞` is NaN), so a
+//! non-finite rhs takes the scalar oracle's row kernel with a fused
+//! multiply-add (`a.mul_add(b, acc)`), which keeps the skip: one row
+//! kernel, generic over its multiply-add, serves both backends. It
+//! accumulates in memory, so only it gets a zero-filled `out` from the
 //! funnel; the tile kernel never reads `out`.
 //!
 //! Because the repack-and-share idiom (`matmul_nt`/`addmm` run the same
@@ -57,32 +55,30 @@
 //! fused kernels stay bit-identical to their composed forms **within
 //! whichever backend is active**; only cross-backend comparisons are
 //! tolerance-based. Backend selection: `EMA_KERNEL` env knob /
-//! [`crate::backend::set_kernel_backend`] / [`KernelBackend::scoped`] —
-//! see `backend.rs`.
+//! [`KernelBackend::scoped`] — see `backend.rs`.
 
 use crate::backend::KernelBackend;
 use crate::{kernels, pool, Shape, Tensor};
 
-/// Tile edge for the cache-blocked matmul path: output/operand row
-/// chunks of 64 f64 (512 B) stay resident in L1 across the `p` loop.
-pub(crate) const MM_BLOCK: usize = 64;
-
-/// Products with at least this many multiply-adds take the blocked
-/// path; below it the plain ikj loop wins on loop overhead.
-pub(crate) const MM_BLOCK_THRESHOLD: usize = 1 << 18;
-
 /// Register-tiled inner kernel: accumulates
 /// `out[i, j..j + W] += Σ_p a[i, p] · b[p, j..j + W]` for one output
-/// row span of compile-time width `W`. The fixed width lets the
-/// accumulator live in vector registers across the whole `p` loop; a
-/// dynamic-width span re-reads the output row from memory on every `p`
-/// step, chaining each iteration on a store-to-load roundtrip.
+/// row span of compile-time width `W`, one `madd(acc, a, b)` per step.
+/// The fixed width lets the accumulator live in vector registers across
+/// the whole `p` loop; a dynamic-width span re-reads the output row from
+/// memory on every `p` step, chaining each iteration on a store-to-load
+/// roundtrip.
 ///
 /// `b_span` must be `b` offset by the span's starting column. The `p`
 /// loop still runs 0..k in one ascending pass with the `== 0.0` skip,
 /// so the bit-identity contract is untouched.
 #[inline]
-fn accum_tile<const W: usize>(a_row: &[f64], b_span: &[f64], out_tile: &mut [f64; W], n: usize) {
+fn accum_tile<const W: usize>(
+    a_row: &[f64],
+    b_span: &[f64],
+    out_tile: &mut [f64; W],
+    n: usize,
+    madd: impl Fn(f64, f64, f64) -> f64,
+) {
     let mut acc = *out_tile;
     for (p, &aip) in a_row.iter().enumerate() {
         if aip == 0.0 {
@@ -90,52 +86,50 @@ fn accum_tile<const W: usize>(a_row: &[f64], b_span: &[f64], out_tile: &mut [f64
         }
         let brow: &[f64; W] = b_span[p * n..p * n + W].try_into().expect("span width");
         for l in 0..W {
-            acc[l] += aip * brow[l];
+            acc[l] = madd(acc[l], aip, brow[l]);
         }
     }
     *out_tile = acc;
 }
 
-/// Accumulates one output row span `out_row[jb..j_end]` by decomposing
-/// it into fixed-width register tiles (32/16/8/4) plus a scalar tail.
-fn accum_row_span(
+/// Accumulates one output row by decomposing it into fixed-width
+/// register tiles (32/16/8/4) plus a scalar tail.
+fn accum_row(
     a_row: &[f64],
     b: &[f64],
     out_row: &mut [f64],
     n: usize,
-    jb: usize,
-    j_end: usize,
+    madd: impl Fn(f64, f64, f64) -> f64 + Copy,
 ) {
-    let mut j = jb;
-    while j + 32 <= j_end {
+    let mut j = 0;
+    while j + 32 <= n {
         let tile: &mut [f64; 32] = (&mut out_row[j..j + 32]).try_into().expect("tile width");
-        accum_tile::<32>(a_row, &b[j..], tile, n);
+        accum_tile::<32>(a_row, &b[j..], tile, n, madd);
         j += 32;
     }
-    if j + 16 <= j_end {
+    if j + 16 <= n {
         let tile: &mut [f64; 16] = (&mut out_row[j..j + 16]).try_into().expect("tile width");
-        accum_tile::<16>(a_row, &b[j..], tile, n);
+        accum_tile::<16>(a_row, &b[j..], tile, n, madd);
         j += 16;
     }
-    if j + 8 <= j_end {
+    if j + 8 <= n {
         let tile: &mut [f64; 8] = (&mut out_row[j..j + 8]).try_into().expect("tile width");
-        accum_tile::<8>(a_row, &b[j..], tile, n);
+        accum_tile::<8>(a_row, &b[j..], tile, n, madd);
         j += 8;
     }
-    if j + 4 <= j_end {
+    if j + 4 <= n {
         let tile: &mut [f64; 4] = (&mut out_row[j..j + 4]).try_into().expect("tile width");
-        accum_tile::<4>(a_row, &b[j..], tile, n);
+        accum_tile::<4>(a_row, &b[j..], tile, n, madd);
         j += 4;
     }
-    if j < j_end {
+    if j < n {
         for (p, &aip) in a_row.iter().enumerate() {
             if aip == 0.0 {
                 continue;
             }
-            let brow = &b[p * n + j..p * n + j_end];
-            let orow = &mut out_row[j..j_end];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += aip * bv;
+            let brow = &b[p * n + j..(p + 1) * n];
+            for (o, &bv) in out_row[j..].iter_mut().zip(brow) {
+                *o = madd(*o, aip, bv);
             }
         }
     }
@@ -183,7 +177,7 @@ fn funnel(
     // actually run. Never touches the operands, so it cannot perturb
     // numerics.
     #[cfg(target_arch = "x86_64")]
-    if backend == KernelBackend::Simd && n <= MM_BLOCK && all_finite(b) {
+    if backend == KernelBackend::Simd && all_finite(b) {
         // The tile kernel writes each output element once.
         crate::backend::record_matmul(backend, m, k, n, 1);
         let strides = if lhs_transposed { (1, m) } else { (k, 1) };
@@ -193,49 +187,37 @@ fn funnel(
         unsafe { crate::simd::matmul_tiles_simd(a, strides, b, out, m, k, n) };
         return;
     }
-    // The row kernels accumulate into `out`, reading and writing it:
+    // The row kernel accumulates into `out`, reading and writing it:
     // each recurrence starts from the `+0.0` written here.
     crate::backend::record_matmul(backend, m, k, n, 2);
     out.fill(0.0);
-    if !lhs_transposed {
-        accumulate_rows(backend, a, b, out, m, k, n);
-        return;
-    }
-    // Repack aᵀ into a pooled scratch buffer: the row kernels walk the
+    // Repack aᵀ into a pooled scratch buffer: the row kernel walks the
     // lhs row by row, and reading `a[p * m + i]` in place would load one
     // cache line per element; the O(k·m) repack is noise next to the
     // O(m·k·n) product. Each repacked element is the value the kernel
     // reads after an explicit transpose, so accumulation order and the
     // zero skip stay bit-identical to the composed form.
-    let mut at = pool::take_uninit(m * k);
-    for (p, arow) in a.chunks_exact(m).enumerate() {
-        for (i, &av) in arow.iter().enumerate() {
-            at[i * k + p] = av;
+    let repacked = lhs_transposed.then(|| {
+        let mut at = pool::take_uninit(m * k);
+        for (p, arow) in a.chunks_exact(m).enumerate() {
+            for (i, &av) in arow.iter().enumerate() {
+                at[i * k + p] = av;
+            }
+        }
+        at
+    });
+    let a = repacked.as_deref().unwrap_or(a);
+    match backend {
+        KernelBackend::Scalar => {
+            matmul_accumulate_scalar(a, b, out, m, k, n, |acc, x, y| acc + x * y);
+        }
+        KernelBackend::Simd => {
+            matmul_accumulate_scalar(a, b, out, m, k, n, |acc, x, y| x.mul_add(y, acc));
         }
     }
-    accumulate_rows(backend, &at, b, out, m, k, n);
-    pool::recycle(at);
-}
-
-/// The row kernels: the scalar ikj oracle below or its AVX2+FMA twin
-/// in `simd.rs`, both skipping `lhs == 0.0`.
-fn accumulate_rows(
-    backend: KernelBackend,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if backend == KernelBackend::Simd {
-        // SAFETY: `active()` returns `Simd` only when AVX2+FMA were
-        // detected on the running CPU (`KernelBackend::simd_available`).
-        unsafe { crate::simd::matmul_accumulate_simd(a, b, out, m, k, n) };
-        return;
+    if let Some(at) = repacked {
+        pool::recycle(at);
     }
-    matmul_accumulate_scalar(a, b, out, m, k, n);
 }
 
 /// True when no element of `b` is ±∞ or NaN. An all-ones exponent
@@ -251,39 +233,25 @@ fn all_finite(b: &[f64]) -> bool {
     carries >> 63 == 0
 }
 
-/// Scalar ikj kernel accumulating `out += a · b` — the bit-identity
-/// oracle. Skips `a[i, p] == 0.0` (exact zeros are common after ReLU);
-/// the skip is also what fixes the accumulation sequence the
-/// bit-identity contract promises.
-pub(crate) fn matmul_accumulate_scalar(
+/// The row kernel: an ikj loop accumulating `out += a · b`, one
+/// `madd(acc, a[i, p], b[p, j])` per step — `acc + a·b` for the scalar
+/// oracle, `a.mul_add(b, acc)` for the SIMD backend's non-finite rhs.
+/// Skips `a[i, p] == 0.0` (exact zeros are common after ReLU); the skip
+/// is also what fixes the accumulation sequence the bit-identity
+/// contract promises.
+fn matmul_accumulate_scalar(
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
     m: usize,
     k: usize,
     n: usize,
+    madd: impl Fn(f64, f64, f64) -> f64 + Copy,
 ) {
-    if m * n * k >= MM_BLOCK_THRESHOLD && n > MM_BLOCK {
-        // Tile i and j only: for each output element the p loop still
-        // runs 0..k in one ascending pass, so blocking never reorders
-        // an accumulation (tiling p would).
-        for ib in (0..m).step_by(MM_BLOCK) {
-            let i_end = (ib + MM_BLOCK).min(m);
-            for jb in (0..n).step_by(MM_BLOCK) {
-                let j_end = (jb + MM_BLOCK).min(n);
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * n..(i + 1) * n];
-                    accum_row_span(a_row, b, out_row, n, jb, j_end);
-                }
-            }
-        }
-        return;
-    }
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
-        accum_row_span(a_row, b, out_row, n, 0, n);
+        accum_row(a_row, b, out_row, n, madd);
     }
 }
 
@@ -634,7 +602,8 @@ mod tests {
 
     #[test]
     fn blocked_path_matches_naive() {
-        // Large enough to cross MM_BLOCK_THRESHOLD with n > MM_BLOCK.
+        // A wide product: 72 columns split each output row into
+        // 32-, 32- and 8-wide register tiles over 72 ascending `p`.
         // The naive reference below implements the *scalar* contract,
         // so pin the oracle backend regardless of `EMA_KERNEL`.
         let _scalar = KernelBackend::Scalar.scoped();

@@ -1,202 +1,46 @@
-//! AVX2+FMA matmul kernels, x86_64 only: the register-blocked tile
-//! kernel and the row-span twin of the scalar oracle
-//! (`linalg::matmul_accumulate_scalar`).
+//! The AVX2+FMA matmul kernel, x86_64 only: one register-blocked tile
+//! kernel for every finite rhs.
 //!
 //! ## Lane-ordered accumulation contract
 //!
-//! Both kernels fuse every multiply-add (`vfmaddpd` / `f64::mul_add`,
-//! one rounding instead of two) and let vector lanes hold *independent
-//! output columns*, so no element's sum is ever split or reordered
-//! across lanes. Whatever the tiling, each output element is the plain
+//! The kernel fuses every multiply-add (`vfmaddpd`, one rounding
+//! instead of two) and lets vector lanes hold *independent output
+//! columns*, so no element's sum is ever split or reordered across
+//! lanes. Whatever the tiling, each output element is the plain
 //! recurrence
 //!
 //! ```text
 //! acc := fma(a[i, p], b[p, j], acc)   for p = 0, 1, …, k-1, from +0.0
 //! ```
 //!
-//! The row kernel ([`matmul_accumulate_simd`]) keeps the scalar
-//! oracle's structure — i/j-only cache blocking, 32/16/8/4-wide spans
-//! of one output row — accumulates into a zeroed `out` and skips
-//! `a[i, p] == 0.0`. The tile kernel ([`matmul_tiles_simd`]) holds a
-//! 6-row × 8-column output tile in twelve ymm accumulators (1–5-row,
-//! 4-wide and masked 1–3-wide remainders) that start at `+0.0`, stores
-//! each output element once without reading `out`, reads the lhs
-//! through a (row stride, column stride) pair so a transposed lhs needs
-//! no repack, and has no zero skip.
+//! [`matmul_tiles_simd`] holds a 6-row × 8-column output tile in twelve
+//! ymm accumulators (1–5-row, 4-wide and masked 1–3-wide remainders)
+//! that start at `+0.0`, stores each output element once without
+//! reading `out`, reads the lhs through a (row stride, column stride)
+//! pair so a transposed lhs needs no repack, and has no zero skip.
 //! Dropping the skip is exact when every rhs element is finite: the
 //! accumulator starts at +0.0 and, under round-to-nearest, a sum can
 //! only be −0 when both addends are, so it never becomes −0 and
 //! `fma(±0, b, acc) == acc` for finite `b`. Only `0 · ±∞` or `0 · NaN`
 //! makes the skip observable, which is why the funnel in `linalg.rs`
-//! sends a non-finite rhs to the row kernel. The results are
+//! sends a non-finite rhs to the row kernel with `f64::mul_add`, the
+//! same recurrence with the skip. The results are
 //!
-//! * **self-deterministic** — byte-identical across runs, tile and span
-//!   widths, kernels, blocked/unblocked paths and thread counts
-//!   (property-tested in `crates/tensor/tests/backend_equivalence.rs`
-//!   against a scalar `mul_add` reference implementing the recurrence
-//!   verbatim, with the skip), and
+//! * **self-deterministic** — byte-identical across runs, tile widths,
+//!   kernels and thread counts (property-tested in
+//!   `crates/tensor/tests/backend_equivalence.rs` against a scalar
+//!   `mul_add` reference implementing the recurrence verbatim, with the
+//!   skip), and
 //! * within strict relative tolerance of the scalar oracle — each FMA
 //!   commits at most one half-ulp less rounding error than the
 //!   separately rounded multiply+add, so element-wise
 //!   `|simd − scalar| ≤ (k + 1)·ε·Σₚ|a[i,p]·b[p,j]|`.
 
-use crate::linalg::{MM_BLOCK, MM_BLOCK_THRESHOLD};
 use core::arch::x86_64::{
     __m256d, __m256i, _mm256_cmpgt_epi64, _mm256_fmadd_pd, _mm256_loadu_pd, _mm256_maskload_pd,
     _mm256_maskstore_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setr_epi64x, _mm256_setzero_pd,
     _mm256_storeu_pd,
 };
-
-/// Accumulates `out[i, j..j+4·L] += Σ_p a[i, p] · b[p, j..j+4·L]` with
-/// `L` 4-lane vector accumulators living in registers across the whole
-/// `p` loop (L = 8/4/2/1 for the 32/16/8/4-wide spans).
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available, `b.len() ≥ (k-1)·n + j +
-/// 4·L` for `k = a_row.len()`, and `out_row.len() ≥ j + 4·L`.
-#[inline]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn accum_tile<const L: usize>(
-    a_row: &[f64],
-    b: &[f64],
-    out_row: &mut [f64],
-    n: usize,
-    j: usize,
-) {
-    debug_assert!(out_row.len() >= j + 4 * L);
-    debug_assert!(b.len() + n >= a_row.len() * n + j + 4 * L);
-    let out_ptr = out_row.as_mut_ptr().add(j);
-    // SAFETY (closure): `out_ptr + 4·l + 3` stays within `out_row` by
-    // the length precondition above.
-    let mut acc: [__m256d; L] =
-        core::array::from_fn(|l| unsafe { _mm256_loadu_pd(out_ptr.add(4 * l)) });
-    let b_ptr = b.as_ptr().add(j);
-    for (p, &aip) in a_row.iter().enumerate() {
-        if aip == 0.0 {
-            continue;
-        }
-        let av = _mm256_set1_pd(aip);
-        let brow = b_ptr.add(p * n);
-        for (l, acc_l) in acc.iter_mut().enumerate() {
-            *acc_l = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow.add(4 * l)), *acc_l);
-        }
-    }
-    for (l, acc_l) in acc.iter().enumerate() {
-        _mm256_storeu_pd(out_ptr.add(4 * l), *acc_l);
-    }
-}
-
-/// Vector twin of `linalg::accum_row_span`: decomposes one output row
-/// span into 32/16/8/4-wide register tiles plus a fused-multiply-add
-/// scalar tail, so every element of the span follows the lane-ordered
-/// contract above.
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available and the slice geometry of
-/// [`matmul_accumulate_simd`] holds with `jb ≤ j_end ≤ n`.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn accum_row_span(
-    a_row: &[f64],
-    b: &[f64],
-    out_row: &mut [f64],
-    n: usize,
-    jb: usize,
-    j_end: usize,
-) {
-    let mut j = jb;
-    while j + 32 <= j_end {
-        accum_tile::<8>(a_row, b, out_row, n, j);
-        j += 32;
-    }
-    if j + 16 <= j_end {
-        accum_tile::<4>(a_row, b, out_row, n, j);
-        j += 16;
-    }
-    if j + 8 <= j_end {
-        accum_tile::<2>(a_row, b, out_row, n, j);
-        j += 8;
-    }
-    if j + 4 <= j_end {
-        accum_tile::<1>(a_row, b, out_row, n, j);
-        j += 4;
-    }
-    if j < j_end {
-        // Scalar tail: `mul_add` compiles to the scalar FMA instruction
-        // inside this `target_feature(fma)` context, so tail elements
-        // round exactly like lane elements.
-        for (p, &aip) in a_row.iter().enumerate() {
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n + j..p * n + j_end];
-            let orow = &mut out_row[j..j_end];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o = aip.mul_add(bv, *o);
-            }
-        }
-    }
-}
-
-/// The whole accumulation — blocking decision, i/j tiles, span
-/// decomposition — inside one `target_feature` unit so the span and
-/// tile helpers inline into fully vectorized loops.
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available and the slice lengths
-/// match the dimensions (`a: m·k`, `b: k·n`, `out: m·n`).
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn matmul_accumulate_avx2(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    if m * n * k >= MM_BLOCK_THRESHOLD && n > MM_BLOCK {
-        // Same i/j-only tiling as the scalar kernel: each element's p
-        // loop still runs 0..k in one ascending pass.
-        for ib in (0..m).step_by(MM_BLOCK) {
-            let i_end = (ib + MM_BLOCK).min(m);
-            for jb in (0..n).step_by(MM_BLOCK) {
-                let j_end = (jb + MM_BLOCK).min(n);
-                for i in ib..i_end {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * n..(i + 1) * n];
-                    accum_row_span(a_row, b, out_row, n, jb, j_end);
-                }
-            }
-        }
-        return;
-    }
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        accum_row_span(a_row, b, out_row, n, 0, n);
-    }
-}
-
-/// AVX2+FMA twin of `linalg::matmul_accumulate_scalar`: accumulates
-/// `out += a · b` for row-major `a [m, k]`, `b [k, n]` under the
-/// lane-ordered contract documented in this module's header.
-///
-/// # Safety
-/// Caller must ensure AVX2 and FMA are available on the running CPU
-/// (`KernelBackend::active() == Simd` guarantees this); slice-length
-/// mismatches panic like the scalar twin.
-pub(crate) unsafe fn matmul_accumulate_simd(
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    assert_eq!(a.len(), m * k, "matmul lhs length");
-    assert_eq!(b.len(), k * n, "matmul rhs length");
-    assert_eq!(out.len(), m * n, "matmul out length");
-    matmul_accumulate_avx2(a, b, out, m, k, n)
-}
 
 /// Rows per full register tile: 6 rows × two 4-lane vectors is twelve
 /// accumulators, leaving room for the two rhs vectors and the lhs
@@ -434,9 +278,9 @@ mod tests {
             return;
         }
         let mut rng = Rng64::seed_from(12);
-        // Row kernel: 64·65·64 ≥ MM_BLOCK_THRESHOLD with n = 65 >
-        // MM_BLOCK forces the blocked path; its j spans are 64 (32+32)
-        // and 1 (tail).
+        // A wide finite product: 65 columns are eight 8-wide tiles and
+        // a masked 1-wide remainder; 64 rows are ten 6-row tiles and a
+        // 4-row remainder.
         let a = Tensor::rand_normal(&[64, 64], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[64, 65], 0.0, 1.0, &mut rng);
         let got = crate::backend::with_kernel_backend(KernelBackend::Simd, || a.matmul(&b));

@@ -1,5 +1,5 @@
-//! Kernel-backend equivalence suite: the SIMD (AVX2+FMA) kernels vs the
-//! scalar bit-identity oracle.
+//! Kernel-backend equivalence suite: the SIMD backend (the AVX2+FMA tile
+//! kernel) vs the scalar bit-identity oracle.
 //!
 //! Three layers of guarantee, matching the two-contract story in the
 //! `linalg.rs` header:
@@ -7,13 +7,13 @@
 //! 1. **SIMD is bit-exactly the lane-ordered FMA recurrence** — every
 //!    element is `acc = fma(a[i,p], b[p,j], acc)` ascending in `p` from
 //!    `+0.0`, skipping `a[i,p] == 0.0` — on both kernels the funnel picks
-//!    from: the register-tile kernel (finite rhs, `n ≤ MM_BLOCK`: every
-//!    1–6-row tile and the 8-wide, 4-wide and masked 1–3-wide column
-//!    tiles, with a transposed lhs read in place) and the row kernel
-//!    (wider products and the cache-blocked i/j path). The tile kernel
-//!    has no zero skip, which is exact for a finite rhs; a rhs holding
-//!    ±∞ or NaN where an lhs zero meets it is the one input that makes
-//!    the skip observable, and it must take the row kernel.
+//!    from: the register-tile kernel for every finite rhs, whatever its
+//!    width (every 1–6-row tile and the 8-wide, 4-wide and masked
+//!    1–3-wide column tiles, with a transposed lhs read in place), and
+//!    the scalar row kernel with `mul_add` for a rhs holding ±∞ or NaN.
+//!    The tile kernel has no zero skip, which is exact for a finite rhs;
+//!    a non-finite rhs where an lhs zero meets it is the one input that
+//!    makes the skip observable, and it must take the row kernel.
 //! 2. **SIMD agrees with the scalar oracle to strict tolerance**: each
 //!    FMA replaces a separately rounded multiply+add, so element-wise
 //!    `|simd − scalar| ≤ (k + 1)·ε·Σₚ|a[i,p]·b[p,j]|`.
@@ -31,10 +31,10 @@ use common::assert_slice_kernels_match;
 use ema_check::{gen, prop_assert, prop_tests};
 use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
 
-/// Column counts that force every column decomposition of both SIMD
-/// kernels: the tile kernel's 8-wide, 4-wide and masked 1–3-wide tiles
-/// and mixes thereof up to `MM_BLOCK` = 64, and past it the row kernel's
-/// 32/16/8/4-wide spans and scalar tails.
+/// Column counts that force every column decomposition of both kernels
+/// the SIMD backend runs: the tile kernel's 8-wide, 4-wide and masked
+/// 1–3-wide tiles and mixes thereof, and (under a non-finite rhs) the
+/// row kernel's 32/16/8/4-wide spans and scalar tails.
 const FORCED_WIDTHS: [usize; 17] = [1, 2, 3, 4, 5, 7, 8, 12, 16, 20, 32, 36, 52, 61, 64, 69, 92];
 
 /// Random matrix with ~25% exact zeros so the `lhs == 0.0` skip is
@@ -184,8 +184,8 @@ fn assert_matches_with_nans(got: &[f64], reference: &[f64], context: &str) {
 prop_tests! {
     // ---- contract layer 1: SIMD == lane-ordered FMA recurrence -----
 
-    // Widths up to `MM_BLOCK` take the tile kernel, wider ones the row
-    // kernel. An empty sum (k = 0) must write `+0.0` on either.
+    // Every finite width takes the tile kernel. An empty sum (k = 0)
+    // must write `+0.0`.
     fn simd_matches_fma_reference_across_tile_widths((a, b) in tile_sweep_pair) {
         assert_simd_matches_fma_reference(&a, &b, "tile sweep");
         let (m, n) = (a.dims()[0], b.dims()[1]);
@@ -193,8 +193,9 @@ prop_tests! {
         assert_slice_kernels_match(&[], &[], (m, 0, n), &vec![0.0; m * n], "k = 0");
     }
 
-    // Blocked path: volume ≥ MM_BLOCK_THRESHOLD with n > MM_BLOCK.
-    // Heavy — a few cases cover both block-boundary layouts.
+    // Wide products past every workload shape: 65 and 100 columns,
+    // 40 and 64 rows, on the tile kernel. Heavy — a few cases cover both
+    // layouts.
     @cases(4)
     fn simd_matches_fma_reference_on_blocked_path(seed in gen::u64_below(1_000_000)) {
         let mut rng = Rng64::seed_from(seed);

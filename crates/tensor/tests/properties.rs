@@ -376,9 +376,10 @@ prop_tests! {
         );
     }
 
-    // 64·65·64 multiply-adds with n = 65 > 64 forces the cache-blocked
-    // tile path; tiling i/j only must leave every accumulation order
-    // untouched. Few cases — each one is a quarter-million flops.
+    // A product past every workload shape (64·65·64 multiply-adds):
+    // the row kernel's 32-wide tiles and scalar tail must keep every
+    // accumulation order. Few cases — each one is a quarter-million
+    // flops.
     @cases(4)
     fn blocked_matmul_matches_naive_reference(seed in gen::u64_below(1_000_000)) {
         let _scalar = KernelBackend::Scalar.scoped();
@@ -408,8 +409,8 @@ prop_tests! {
     // them, so from a NaN-filled output they must overwrite every
     // element and match the `Tensor` results. The twins share the
     // write-only funnel, so the scalar oracle also checks all four
-    // kernels against the naive reference: as drawn, widened past
-    // `MM_BLOCK` with a non-finite rhs, and with k = 0.
+    // kernels against the naive reference: as drawn, widened by 64
+    // columns with a non-finite rhs, and with k = 0.
     fn kernel_slice_twins_match_tensor_ops((a, b) in tn_pair) {
         let (k, m) = (a.dims()[0], a.dims()[1]);
         let n = b.dims()[1];
@@ -418,8 +419,8 @@ prop_tests! {
             let at = a.transpose();
             let reference = naive_matmul(&at, &b);
             assert_slice_kernels_match(at.data(), b.data(), (m, k, n), reference.data(), "drawn");
-            // 64 = MM_BLOCK. An lhs zero meets the ∞: the skip keeps
-            // that element finite.
+            // An lhs zero meets the ∞: the skip keeps that element
+            // finite.
             let wide = n + 64;
             let mut lhs = at.clone();
             lhs.data_mut()[0] = 0.0;

@@ -8,7 +8,7 @@ scale="${1:-quick}"
 
 cargo build --release -p ema-bench
 
-bins=(table1 table2 table3 fig3 ablation seq_sweep per_variable hyperparams)
+bins=(table1 table2 table3 fig3 ablation seq_sweep per_variable hyperparams cluster_compare)
 for bin in "${bins[@]}"; do
     echo "=== $bin (--scale $scale) ==="
     if [ "$bin" = table1 ]; then
