@@ -1,33 +1,23 @@
 //! Runs the cluster-then-personalize comparison: idiographic vs
 //! K-medoids cluster warm-start vs nomothetic training, per model.
 
-use ema_bench::{describe_scale, save_json, scale_from_args};
 use ema_core::experiments::{run_cluster_compare, strategies};
 
 fn main() {
-    let scale = scale_from_args();
-    let threads = ema_bench::threads_from_args();
-    let _obs = ema_bench::ObsRun::for_scale("cluster_compare", &scale);
-    println!(
-        "Cluster-then-personalize comparison ({}, threads={threads})\n",
-        describe_scale(&scale)
+    ema_bench::run_experiment(
+        "cluster_compare",
+        "Cluster-then-personalize comparison",
+        |scale, executor| {
+            for (name, strategy) in strategies(scale) {
+                println!("  {name}: {strategy:?}");
+            }
+            println!();
+            run_cluster_compare(scale, executor)
+        },
+        |_| {
+            println!("shape expectations: Cluster ≈ Idiographic (within noise) at a");
+            println!("fraction of the training epochs; Nomothetic worst (no");
+            println!("personalization, serves the shared cluster model as-is).");
+        },
     );
-    for (name, strategy) in strategies(&scale) {
-        println!("  {name}: {strategy:?}");
-    }
-    println!();
-    let started = std::time::Instant::now();
-    ema_obs::recorder().phase("experiment");
-    let table = run_cluster_compare(&scale);
-    ema_obs::recorder().phase("report");
-    println!("{}", table.render());
-    println!("elapsed: {:.1?}\n", started.elapsed());
-    println!("shape expectations: Cluster ≈ Idiographic (within noise) at a");
-    println!("fraction of the training epochs; Nomothetic worst (no");
-    println!("personalization, serves the shared cluster model as-is).");
-
-    if let Some(path) = save_json("cluster_compare", &table.to_json()) {
-        println!("run recorded at {}", path.display());
-        ema_obs::recorder().annotate("results_json", path.display().to_string().into());
-    }
 }

@@ -5,12 +5,13 @@ use ema_core::experiments::scenario_grid;
 use ema_core::Json;
 
 fn main() {
-    // Table I is a pure enumeration, but the flag is accepted uniformly
-    // across every binary.
-    let _threads = ema_bench::threads_from_args();
+    // Table I is a pure enumeration, but it checks the flags every
+    // binary accepts.
+    let cli = ema_bench::Cli::from_args("table1");
     let _obs = ema_bench::ObsRun::begin(
         "table1",
         Json::obj(vec![("bin", Json::Str("table1".into()))]),
+        cli.obs,
     );
     ema_obs::recorder().phase("report");
     println!("Table I: all examined scenarios\n");

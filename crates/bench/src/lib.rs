@@ -18,12 +18,14 @@
 //! `--scale` is `tiny` (seconds), `quick` (minutes, default) or `full`
 //! (the paper's N=100/V=26/300-epoch setting; hours of CPU). Each binary
 //! prints the regenerated artifact next to the paper's reference values
-//! and writes a JSON record under `results/`.
+//! and writes a JSON record under `results/`; [`run_experiment`] is the
+//! one runner they share.
 //!
-//! Every binary also accepts `--threads N`, which sets the cohort
-//! executor's worker count (default: `EMA_THREADS`, then available
-//! parallelism). Results JSON is byte-identical at every thread count;
-//! the flag only changes wall-clock time.
+//! Every binary accepts exactly `--scale`, `--threads N` (the cohort
+//! executor's worker count; default `EMA_THREADS`, then available
+//! parallelism) and `--obs`, each at most once ([`Cli`]); anything else
+//! exits with status 2 and a usage line. Results JSON is byte-identical
+//! at every thread count; the flag only changes wall-clock time.
 
 #![warn(missing_docs)]
 
@@ -33,7 +35,8 @@ pub mod report;
 
 pub use harness::{BenchResult, Bencher, Harness};
 
-use ema_core::experiments::ExperimentScale;
+use ema_core::experiments::{ExperimentScale, Fig3Results};
+use ema_core::{Executor, Json, ResultTable};
 use std::path::{Path, PathBuf};
 
 /// Regression tolerance as a fraction: `bench_gate` fails a median, and
@@ -65,63 +68,146 @@ pub fn load_scale(ratios: &[Option<f64>], own: usize) -> f64 {
         .map_or(1.0, |m| m.clamp(1.0, MAX_LOAD_SCALE))
 }
 
-/// Parses `--scale {tiny|quick|full}` from CLI args (default: quick).
-///
-/// # Panics
-/// Panics with usage help on an unknown scale name.
-#[must_use]
-pub fn scale_from_args() -> ExperimentScale {
-    let args: Vec<String> = std::env::args().collect();
-    let mut scale = "quick".to_string();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--scale" {
-            scale = iter
-                .next()
-                .expect("--scale requires a value: tiny | quick | full")
-                .clone();
+/// The flags every table/figure binary accepts, each at most once.
+#[derive(Debug, Clone)]
+pub struct Cli {
+    /// `--scale tiny|quick|full` (default `quick`).
+    pub scale: ExperimentScale,
+    /// `--threads N` with `N ≥ 1`: the cohort executor's worker count
+    /// (default: `EMA_THREADS`, then available parallelism).
+    pub threads: Option<usize>,
+    /// `--obs`: full-verbosity telemetry for this process (as
+    /// `EMA_OBS=full`).
+    pub obs: bool,
+}
+
+impl Cli {
+    /// Parses the arguments after the program name.
+    ///
+    /// # Errors
+    /// Names the offending argument: an unknown flag, a missing or
+    /// invalid value, or a flag given twice.
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let (mut scale, mut threads, mut obs) = (None, None, false);
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let repeated = match flag.as_str() {
+                "--scale" => {
+                    let value = match args.next().as_deref() {
+                        Some("tiny") => ExperimentScale::tiny(),
+                        Some("quick") => ExperimentScale::quick(),
+                        Some("full") => ExperimentScale::full(),
+                        Some(other) => {
+                            return Err(format!("unknown scale {other:?}; use tiny | quick | full"))
+                        }
+                        None => return Err("--scale needs a value: tiny | quick | full".into()),
+                    };
+                    scale.replace(value).is_some()
+                }
+                "--threads" => {
+                    let raw = args.next().ok_or("--threads needs a positive integer")?;
+                    let n = raw.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
+                        format!("--threads expects a positive integer, got {raw:?}")
+                    })?;
+                    threads.replace(n).is_some()
+                }
+                "--obs" => std::mem::replace(&mut obs, true),
+                other => return Err(format!("unknown argument {other:?}")),
+            };
+            if repeated {
+                return Err(format!("{flag} given more than once"));
+            }
         }
+        Ok(Self {
+            scale: scale.unwrap_or_else(ExperimentScale::quick),
+            threads,
+            obs,
+        })
     }
-    match scale.as_str() {
-        "tiny" => ExperimentScale::tiny(),
-        "quick" => ExperimentScale::quick(),
-        "full" => ExperimentScale::full(),
-        other => panic!("unknown scale {other:?}; use tiny | quick | full"),
+
+    /// Parses this process's arguments; on an error prints it and the
+    /// usage line for binary `bin` to stderr and exits with status 2,
+    /// before any work is done or any file is written.
+    #[must_use]
+    pub fn from_args(bin: &str) -> Self {
+        Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {bin} [--scale tiny|quick|full] [--threads N] [--obs]");
+            std::process::exit(2)
+        })
     }
 }
 
-/// Parses `--threads N` from the CLI args and installs it as the
-/// process-wide cohort thread count ([`ema_core::exec`]). Without the
-/// flag the `EMA_THREADS` env knob (then available parallelism)
-/// applies. Returns the effective count either way; results are
-/// byte-identical at any value.
-///
-/// # Panics
-/// Panics with usage help when the value is missing or not a positive
-/// integer.
-pub fn threads_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--threads" {
-            let raw = iter
-                .next()
-                .expect("--threads requires a positive integer value");
-            let n: usize = raw
-                .parse()
-                .ok()
-                .filter(|n| *n >= 1)
-                .unwrap_or_else(|| panic!("--threads expects a positive integer, got {raw:?}"));
-            ema_core::exec::set_global_threads(n);
-            return n;
-        }
+/// A table or figure an experiment binary prints and records.
+pub trait Artifact {
+    /// The plain-text rendering printed after the run.
+    fn render(&self) -> String;
+    /// The JSON record written to `results/<name>.json`.
+    fn to_json(&self) -> String;
+}
+
+impl Artifact for ResultTable {
+    fn render(&self) -> String {
+        ResultTable::render(self)
     }
-    ema_core::exec::default_threads()
+    fn to_json(&self) -> String {
+        ResultTable::to_json(self)
+    }
+}
+
+impl Artifact for Fig3Results {
+    fn render(&self) -> String {
+        Fig3Results::render(self)
+    }
+    fn to_json(&self) -> String {
+        Fig3Results::to_json(self)
+    }
+}
+
+/// Runs one table/figure binary end to end: parses the flags
+/// ([`Cli::from_args`]), builds the executor, opens the obs run
+/// `name`, prints the header `title (scale, threads=N)`, runs
+/// `experiment` in the `experiment` phase, then in the `report` phase
+/// prints the artifact and the `elapsed:` line, calls `footer` (the
+/// paper-reference lines), and writes `results/<name>.json`, recording
+/// its path on the obs run.
+pub fn run_experiment<T: Artifact>(
+    name: &str,
+    title: &str,
+    experiment: impl FnOnce(&ExperimentScale, &Executor) -> T,
+    footer: impl FnOnce(&T),
+) {
+    let cli = Cli::from_args(name);
+    let executor = Executor::configured(cli.threads);
+    let scale = &cli.scale;
+    let config = Json::obj(vec![
+        ("bin", Json::from(name)),
+        ("num_individuals", Json::from(scale.num_individuals)),
+        ("num_variables", Json::from(scale.num_variables)),
+        ("mean_time_points", Json::from(scale.mean_time_points)),
+        ("epochs", Json::from(scale.epochs)),
+        ("hidden", Json::from(scale.hidden)),
+    ]);
+    let _obs = ObsRun::begin(name, config, cli.obs);
+    println!(
+        "{title} ({}, threads={})\n",
+        describe_scale(scale),
+        executor.threads()
+    );
+    let started = std::time::Instant::now();
+    ema_obs::recorder().phase("experiment");
+    let artifact = experiment(scale, &executor);
+    ema_obs::recorder().phase("report");
+    println!("{}", artifact.render());
+    println!("elapsed: {:.1?}\n", started.elapsed());
+    footer(&artifact);
+    if let Some(path) = save_json(name, &artifact.to_json()) {
+        println!("run recorded at {}", path.display());
+        ema_obs::recorder().annotate("results_json", path.display().to_string().into());
+    }
 }
 
 /// Human-readable description of a scale, for run records.
-#[must_use]
-pub fn describe_scale(scale: &ExperimentScale) -> String {
+fn describe_scale(scale: &ExperimentScale) -> String {
     format!(
         "N={} V={} T̄={} epochs={} hidden={}",
         scale.num_individuals,
@@ -132,14 +218,6 @@ pub fn describe_scale(scale: &ExperimentScale) -> String {
     )
 }
 
-/// True when the CLI arguments carry the `--obs` flag, which forces
-/// full-verbosity telemetry for this process (equivalent to
-/// `EMA_OBS=full`).
-#[must_use]
-pub fn obs_flag_from_args() -> bool {
-    std::env::args().any(|a| a == "--obs")
-}
-
 /// RAII handle for one binary's obs run manifest; finishes the run and
 /// prints the summary path when dropped. Inert when obs is off.
 pub struct ObsRun {
@@ -147,40 +225,19 @@ pub struct ObsRun {
 }
 
 impl ObsRun {
-    /// Starts an obs run manifest named after the binary. `--obs` on
-    /// the command line upgrades the mode to `full` (streamed JSONL);
+    /// Starts an obs run manifest named after the binary. `full` (the
+    /// `--obs` flag) upgrades the mode to `full` (streamed JSONL);
     /// otherwise the `EMA_OBS` env knob applies (default `summary`,
     /// which still records a run summary). The run writes to
     /// `results/obs/<name>.jsonl` / `<name>.summary.json` at the
     /// workspace root.
     #[must_use]
-    pub fn begin(name: &str, config: ema_obs::Json) -> Self {
-        if obs_flag_from_args() {
+    pub fn begin(name: &str, config: Json, full: bool) -> Self {
+        if full {
             ema_obs::set_mode(ema_obs::ObsMode::Full);
         }
         let active = ema_obs::recorder().begin_run(name, config);
         Self { active }
-    }
-
-    /// Starts a run for a table/figure binary, recording its scale as
-    /// the run config.
-    #[must_use]
-    pub fn for_scale(name: &str, scale: &ExperimentScale) -> Self {
-        let config = ema_obs::Json::obj(vec![
-            ("bin", ema_obs::Json::from(name)),
-            (
-                "num_individuals",
-                ema_obs::Json::from(scale.num_individuals),
-            ),
-            ("num_variables", ema_obs::Json::from(scale.num_variables)),
-            (
-                "mean_time_points",
-                ema_obs::Json::from(scale.mean_time_points),
-            ),
-            ("epochs", ema_obs::Json::from(scale.epochs)),
-            ("hidden", ema_obs::Json::from(scale.hidden)),
-        ]);
-        Self::begin(name, config)
     }
 }
 
@@ -268,6 +325,65 @@ mod tests {
         assert!(d.contains("N=100"));
         assert!(d.contains("V=26"));
         assert!(d.contains("epochs=300"));
+    }
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn cli_accepts_each_flag_once() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!(
+            describe_scale(&defaults.scale),
+            describe_scale(&ExperimentScale::quick())
+        );
+        assert_eq!((defaults.threads, defaults.obs), (None, false));
+        for (name, scale) in [
+            ("tiny", ExperimentScale::tiny()),
+            ("quick", ExperimentScale::quick()),
+            ("full", ExperimentScale::full()),
+        ] {
+            let cli = parse(&["--scale", name]).unwrap();
+            assert_eq!(describe_scale(&cli.scale), describe_scale(&scale));
+        }
+        assert_eq!(parse(&["--threads", "8"]).unwrap().threads, Some(8));
+        assert!(parse(&["--obs"]).unwrap().obs);
+        let all = parse(&["--threads", "1", "--obs", "--scale", "tiny"]).unwrap();
+        assert_eq!((all.threads, all.obs), (Some(1), true));
+        assert_eq!(
+            all.scale.num_individuals,
+            ExperimentScale::tiny().num_individuals
+        );
+    }
+
+    #[test]
+    fn cli_rejects_unknown_missing_invalid_and_repeated_flags() {
+        let cases: [(&[&str], &str); 13] = [
+            (&["--scal", "full"], r#"unknown argument "--scal""#),
+            (&["--thread", "8"], r#"unknown argument "--thread""#),
+            (&["--threads=8"], r#"unknown argument "--threads=8""#),
+            (&["tiny"], r#"unknown argument "tiny""#),
+            (&["--scale"], "--scale needs a value"),
+            (&["--threads"], "--threads needs a positive integer"),
+            (&["--scale", "bogus"], r#"unknown scale "bogus""#),
+            (&["--threads", "0"], r#"got "0""#),
+            (&["--threads", "abc"], r#"got "abc""#),
+            (&["--threads", "-1"], r#"got "-1""#),
+            (
+                &["--scale", "tiny", "--scale", "full"],
+                "--scale given more than once",
+            ),
+            (
+                &["--threads", "2", "--threads", "2"],
+                "--threads given more than once",
+            ),
+            (&["--obs", "--obs"], "--obs given more than once"),
+        ];
+        for (args, expected) in cases {
+            let error = parse(args).unwrap_err();
+            assert!(error.contains(expected), "{args:?}: {error}");
+        }
     }
 
     #[test]

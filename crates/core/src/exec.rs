@@ -16,12 +16,15 @@
 //!
 //! ## Choosing the worker count
 //!
-//! Precedence, highest first:
+//! Every experiment takes its executor from the caller. Precedence,
+//! highest first:
 //!
-//! 1. an explicit [`Executor::with_threads`] at the call site;
-//! 2. [`set_global_threads`] — set once from a `--threads N` CLI flag;
-//! 3. the `EMA_THREADS` environment variable;
-//! 4. `std::thread::available_parallelism()`.
+//! 1. an explicit count: [`Executor::with_threads`] at the call site,
+//!    or the `--threads N` flag the experiment binaries pass to
+//!    [`Executor::configured`];
+//! 2. the `EMA_THREADS` environment variable, when it is a positive
+//!    integer (any other value warns on stderr and is skipped);
+//! 3. `std::thread::available_parallelism()`.
 //!
 //! ## Panic isolation
 //!
@@ -103,32 +106,14 @@ pub struct Executor {
     threads: usize,
 }
 
-/// Process-wide `--threads` override; 0 means "not set".
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker-count override (the `--threads N` CLI
-/// flag lands here). `0` clears the override.
-pub fn set_global_threads(threads: usize) {
-    GLOBAL_THREADS.store(threads, Ordering::SeqCst);
-}
-
-/// The process-wide worker-count override, if one is set.
-#[must_use]
-pub fn global_threads() -> Option<usize> {
-    match GLOBAL_THREADS.load(Ordering::SeqCst) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Worker count from the environment: the global override, then
-/// `EMA_THREADS`, then available parallelism (see the module docs).
-#[must_use]
-pub fn default_threads() -> usize {
-    if let Some(n) = global_threads() {
+/// The worker count for an explicit request `flag` (the `--threads N`
+/// flag) and the raw `EMA_THREADS` value `env`, by the precedence in
+/// the module docs.
+fn resolve_threads(flag: Option<usize>, env: Option<&str>) -> usize {
+    if let Some(n) = flag {
         return n;
     }
-    if let Ok(raw) = std::env::var("EMA_THREADS") {
+    if let Some(raw) = env {
         match raw.parse::<usize>() {
             Ok(n) if n > 0 => return n,
             _ => eprintln!("warning: invalid EMA_THREADS={raw:?}; using available parallelism"),
@@ -157,10 +142,23 @@ impl Executor {
         Self { threads }
     }
 
-    /// The environment-configured executor ([`default_threads`]).
+    /// `threads` workers when given (the `--threads N` flag), else the
+    /// `EMA_THREADS` count, else available parallelism (see the module
+    /// docs).
+    ///
+    /// # Panics
+    /// Panics if `threads` is `Some(0)`.
+    #[must_use]
+    pub fn configured(threads: Option<usize>) -> Self {
+        let env = std::env::var("EMA_THREADS").ok();
+        Self::with_threads(resolve_threads(threads, env.as_deref()))
+    }
+
+    /// The environment-configured executor: [`Executor::configured`]
+    /// without a flag.
     #[must_use]
     pub fn from_env() -> Self {
-        Self::with_threads(default_threads())
+        Self::configured(None)
     }
 
     /// The configured worker count.
@@ -208,12 +206,6 @@ impl Executor {
                     .expect("every job slot is filled before the run ends")
             })
             .collect()
-    }
-}
-
-impl Default for Executor {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -491,6 +483,63 @@ mod tests {
             latency_total() >= lat_before + 8,
             "job latency histogram missed observations"
         );
+    }
+
+    #[test]
+    fn thread_count_precedence() {
+        let available = resolve_threads(None, None);
+        assert!(available >= 1);
+        // The flag wins over EMA_THREADS, which wins over available
+        // parallelism.
+        assert_eq!(resolve_threads(Some(3), Some("5")), 3);
+        assert_eq!(resolve_threads(Some(3), Some("abc")), 3);
+        assert_eq!(resolve_threads(None, Some("5")), 5);
+        for invalid in ["0", "abc", "", "-2"] {
+            assert_eq!(
+                resolve_threads(None, Some(invalid)),
+                available,
+                "{invalid:?}"
+            );
+        }
+    }
+
+    /// The child run of [`invalid_ema_threads_warns_and_falls_back`]:
+    /// prints the count `EMA_THREADS` resolves to.
+    #[test]
+    fn configured_executor_reports_its_count() {
+        println!("threads={}", Executor::configured(None).threads());
+        assert_eq!(Executor::configured(Some(2)).threads(), 2);
+    }
+
+    #[test]
+    fn invalid_ema_threads_warns_and_falls_back() {
+        // Each value runs in a child (this test binary, running one
+        // test), so this process's environment stays untouched.
+        let exe = std::env::current_exe().expect("test binary");
+        let test = "exec::tests::configured_executor_reports_its_count";
+        let run_under = |value: &str| {
+            let out = std::process::Command::new(&exe)
+                .args([test, "--exact", "--nocapture"])
+                .env("EMA_THREADS", value)
+                .output()
+                .expect("child test run");
+            assert!(out.status.success(), "{test} failed under {value:?}");
+            (
+                String::from_utf8_lossy(&out.stdout).into_owned(),
+                String::from_utf8_lossy(&out.stderr).into_owned(),
+            )
+        };
+        let available = format!("threads={}\n", resolve_threads(None, None));
+        for invalid in ["0", "abc"] {
+            let (stdout, stderr) = run_under(invalid);
+            let warning =
+                format!("warning: invalid EMA_THREADS={invalid:?}; using available parallelism");
+            assert!(stderr.contains(&warning), "{invalid:?}: {stderr}");
+            assert!(stdout.contains(&available), "{invalid:?}: {stdout}");
+        }
+        let (stdout, stderr) = run_under("3");
+        assert!(stdout.contains("threads=3\n"), "{stdout}");
+        assert!(!stderr.contains("EMA_THREADS"), "{stderr}");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Design-choice ablations beyond the paper's tables: how much each
 //! MTGNN ingredient matters, plus trivial-baseline calibration rows.
 
-use super::ExperimentScale;
+use super::{cohort_mses, ExperimentScale};
 use crate::evaluate::{persistence_mse, zero_prediction_mse};
 use crate::exec::{expect_all, Executor, Job};
-use crate::pipeline::{run_cohort, GraphSpec, RunSpec};
+use crate::pipeline::{GraphSpec, RunSpec};
 use crate::results::{CellStat, ResultTable};
 use ema_data::{make_test_windows, split_train_test};
 use ema_graph::sparsify::DensityThreshold;
@@ -28,7 +28,7 @@ pub const SEQ_LEN: usize = 5;
 ///
 /// One column: test MSE at Seq5, GDT 20%.
 #[must_use]
-pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
+pub fn run_ablation(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "ablation");
     let dataset = scale.dataset();
     let gdt = DensityThreshold::Gdt20;
@@ -51,10 +51,9 @@ pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
             })
         })
         .collect();
-    let (persist, zeros): (Vec<f64>, Vec<f64>) =
-        expect_all(Executor::from_env().run(jobs), "ablation baselines")
-            .into_iter()
-            .unzip();
+    let (persist, zeros): (Vec<f64>, Vec<f64>) = expect_all(exec.run(jobs), "ablation baselines")
+        .into_iter()
+        .unzip();
     table.push_row(
         "Persistence (x_t = x_{t-1})",
         vec![CellStat::from_samples(&persist)],
@@ -66,8 +65,7 @@ pub fn run_ablation(scale: &ExperimentScale) -> ResultTable {
 
     let mut add_row = |label: &str, spec: RunSpec| {
         let _row_span = span!("condition", row = label);
-        let outcomes = run_cohort(&dataset, &spec);
-        let mses: Vec<f64> = outcomes.iter().map(|o| o.mse).collect();
+        let mses = cohort_mses(&dataset, &spec, exec);
         table.push_row(label, vec![CellStat::from_samples(&mses)]);
     };
 
@@ -166,7 +164,7 @@ mod tests {
         let mut scale = ExperimentScale::tiny();
         scale.epochs = 2;
         scale.num_individuals = 2;
-        let table = run_ablation(&scale);
+        let table = run_ablation(&scale, &Executor::from_env());
         assert_eq!(table.rows.len(), 12);
         assert!(table.cell("LSTM", "MSE").is_some());
         assert!(table.cell("MTGNN (static only)", "MSE").is_some());

@@ -15,7 +15,6 @@ use crate::cohort::run_cohort_sharded;
 use crate::exec::Executor;
 use crate::pipeline::GraphSpec;
 use crate::results::{CellStat, ResultTable};
-use ema_data::{EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
 use ema_obs::span;
@@ -59,26 +58,13 @@ pub fn strategies(scale: &ExperimentScale) -> [(&'static str, TrainStrategy); 3]
     ]
 }
 
-/// Runs the comparison on the executor sized by `--threads` /
-/// `EMA_THREADS`.
-#[must_use]
-pub fn run_cluster_compare(scale: &ExperimentScale) -> ResultTable {
-    run_cluster_compare_with(scale, &Executor::from_env())
-}
-
-/// Runs the comparison on an explicit executor. Rows are
+/// Runs the comparison on `exec`. Rows are
 /// [`ModelKind::all`] (LSTM graph-free, GNNs on the correlation graph
 /// at GDT 40%), columns [`STRATEGY_COLUMNS`].
 #[must_use]
-pub fn run_cluster_compare_with(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
+pub fn run_cluster_compare(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "cluster_compare");
-    let generator = EmaGenerator::new(GeneratorConfig {
-        num_individuals: scale.num_individuals,
-        num_variables: scale.num_variables,
-        mean_time_points: scale.mean_time_points,
-        seed: scale.data_seed,
-        ..GeneratorConfig::default()
-    });
+    let generator = scale.generator();
     let mut table = ResultTable::new(
         "Cluster-then-personalize: idiographic vs cluster warm-start vs nomothetic \
          (test MSE, CORR graph @ GDT 40%)",
@@ -119,7 +105,7 @@ mod tests {
         let mut scale = ExperimentScale::tiny();
         scale.epochs = 3;
         scale.num_individuals = 4;
-        let sequential = run_cluster_compare_with(&scale, &Executor::sequential());
+        let sequential = run_cluster_compare(&scale, &Executor::sequential());
         assert_eq!(sequential.columns, STRATEGY_COLUMNS.to_vec());
         assert_eq!(sequential.rows.len(), 4);
         for (label, cells) in &sequential.rows {
@@ -129,7 +115,7 @@ mod tests {
         }
         // Byte-identical across thread counts: the cluster plan is
         // built on the caller thread, shards only fine-tune.
-        let threaded = run_cluster_compare_with(&scale, &Executor::with_threads(4));
+        let threaded = run_cluster_compare(&scale, &Executor::with_threads(4));
         assert_eq!(sequential.to_json(), threaded.to_json());
     }
 }

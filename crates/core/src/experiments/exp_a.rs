@@ -1,8 +1,9 @@
 //! Experiment A — Table II: GNN models vs the LSTM baseline across
 //! input sequence lengths (GDT fixed at 20%).
 
-use super::ExperimentScale;
-use crate::pipeline::{run_cohort, GraphSpec};
+use super::{cohort_mses, ExperimentScale};
+use crate::exec::Executor;
+use crate::pipeline::GraphSpec;
 use crate::results::{CellStat, ResultTable};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
@@ -15,7 +16,7 @@ pub const SEQ_LENS: [usize; 3] = [1, 2, 5];
 /// `LSTM, {A3TGCN, ASTGCN, MTGNN} × {EUC, kNN, DTW, CORR}`, columns
 /// `Seq1, Seq2, Seq5`, cells `mean(std)` MSE across individuals.
 #[must_use]
-pub fn run_experiment_a(scale: &ExperimentScale) -> ResultTable {
+pub fn run_experiment_a(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "exp_a_table2");
     let dataset = scale.dataset();
     let columns: Vec<String> = SEQ_LENS.iter().map(|s| format!("Seq{s}")).collect();
@@ -30,8 +31,7 @@ pub fn run_experiment_a(scale: &ExperimentScale) -> ResultTable {
         .iter()
         .map(|&seq| {
             let spec = scale.spec(ModelKind::Lstm, GraphSpec::None, seq);
-            let outcomes = run_cohort(&dataset, &spec);
-            CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
+            CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
         })
         .collect();
     table.push_row("Baseline LSTM", lstm_cells);
@@ -54,8 +54,7 @@ pub fn run_experiment_a(scale: &ExperimentScale) -> ResultTable {
                         },
                         seq,
                     );
-                    let outcomes = run_cohort(&dataset, &spec);
-                    CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
+                    CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
                 })
                 .collect();
             table.push_row(row, cells);
@@ -74,7 +73,7 @@ mod tests {
         let mut scale = ExperimentScale::tiny();
         scale.epochs = 2;
         scale.num_individuals = 2;
-        let table = run_experiment_a(&scale);
+        let table = run_experiment_a(&scale, &Executor::from_env());
         assert_eq!(table.columns, vec!["Seq1", "Seq2", "Seq5"]);
         // 1 baseline + 4 metrics × 3 GNNs.
         assert_eq!(table.rows.len(), 13);

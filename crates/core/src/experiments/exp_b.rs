@@ -1,8 +1,9 @@
 //! Experiment B — Table III: the effect of graph construction metric
 //! and density threshold (Seq5 input).
 
-use super::ExperimentScale;
-use crate::pipeline::{run_cohort, GraphSpec};
+use super::{cohort_mses, ExperimentScale};
+use crate::exec::Executor;
+use crate::pipeline::GraphSpec;
 use crate::results::{CellStat, ResultTable};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
@@ -19,7 +20,7 @@ pub const SEQ_LEN: usize = 5;
 /// `scale.random_repeats` independently drawn graphs, as in the paper
 /// ("the average score after using 5 randomly generated in training").
 #[must_use]
-pub fn run_experiment_b(scale: &ExperimentScale) -> ResultTable {
+pub fn run_experiment_b(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "exp_b_table3");
     let dataset = scale.dataset();
     let columns: Vec<String> = DensityThreshold::all()
@@ -39,8 +40,7 @@ pub fn run_experiment_b(scale: &ExperimentScale) -> ResultTable {
                 .iter()
                 .map(|&gdt| {
                     let spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-                    let outcomes = run_cohort(&dataset, &spec);
-                    CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
+                    CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
                 })
                 .collect();
             table.push_row(row, cells);
@@ -63,8 +63,7 @@ pub fn run_experiment_b(scale: &ExperimentScale) -> ResultTable {
                         rep as u64 + 1,
                     ));
                     let spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-                    let outcomes = run_cohort(&dataset, &spec);
-                    samples.extend(outcomes.iter().map(|o| o.mse));
+                    samples.extend(cohort_mses(&dataset, &spec, exec));
                 }
                 CellStat::from_samples(&samples)
             })
@@ -84,7 +83,7 @@ mod tests {
         scale.epochs = 2;
         scale.num_individuals = 2;
         scale.random_repeats = 1;
-        let table = run_experiment_b(&scale);
+        let table = run_experiment_b(&scale, &Executor::from_env());
         // 4 metrics × 3 models + 3 RAND rows.
         assert_eq!(table.rows.len(), 15);
         assert_eq!(table.columns.len(), 3);

@@ -6,10 +6,10 @@
 //! summaries; its red percentage annotations become
 //! [`Fig3Entry::pct_change`].
 
-use super::ExperimentScale;
+use super::{cohort_mses, ExperimentScale};
 use crate::exec::{expect_all, Executor, Job};
 use crate::json::{Json, JsonError};
-use crate::pipeline::{run_cohort, GraphSpec, RunSpec};
+use crate::pipeline::{run_cohort_with, GraphSpec, RunSpec};
 use crate::results::{mean_relative_change_percent, BoxplotStats};
 use ema_graph::sparsify::DensityThreshold;
 use ema_graph::stats::edge_weight_correlation;
@@ -129,7 +129,7 @@ impl Fig3Results {
 
 /// Runs Experiment C.
 #[must_use]
-pub fn run_experiment_c(scale: &ExperimentScale) -> Fig3Results {
+pub fn run_experiment_c(scale: &ExperimentScale, exec: &Executor) -> Fig3Results {
     let _exp_span = span!("experiment", name = "exp_c_fig3");
     let dataset = scale.dataset();
     let gdt = DensityThreshold::Gdt20;
@@ -141,7 +141,7 @@ pub fn run_experiment_c(scale: &ExperimentScale) -> Fig3Results {
         // 1. MTGNN primed with this static graph; collect its MSEs and
         //    per-individual learned graphs.
         let mtgnn_spec = scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-        let mtgnn_outcomes = run_cohort(&dataset, &mtgnn_spec);
+        let mtgnn_outcomes = run_cohort_with(&dataset, &mtgnn_spec, exec);
         let mtgnn_mses: Vec<f64> = mtgnn_outcomes.iter().map(|o| o.mse).collect();
 
         for outcome in &mtgnn_outcomes {
@@ -156,10 +156,7 @@ pub fn run_experiment_c(scale: &ExperimentScale) -> Fig3Results {
             learn_graph: false,
             ..scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric, gdt }, SEQ_LEN)
         };
-        let mtgnn_static: Vec<f64> = run_cohort(&dataset, &mtgnn_static_spec)
-            .iter()
-            .map(|o| o.mse)
-            .collect();
+        let mtgnn_static = cohort_mses(&dataset, &mtgnn_static_spec, exec);
         entries.push(Fig3Entry {
             model: "MTGNN".into(),
             metric: metric.label().into(),
@@ -172,10 +169,7 @@ pub fn run_experiment_c(scale: &ExperimentScale) -> Fig3Results {
         //    MTGNN-learned graph.
         for model in [ModelKind::A3tgcn, ModelKind::Astgcn] {
             let static_spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-            let static_mses: Vec<f64> = run_cohort(&dataset, &static_spec)
-                .iter()
-                .map(|o| o.mse)
-                .collect();
+            let static_mses = cohort_mses(&dataset, &static_spec, exec);
 
             // Learned condition: each individual gets its own learned
             // graph, so each (individual, graph) pair is one executor
@@ -195,8 +189,7 @@ pub fn run_experiment_c(scale: &ExperimentScale) -> Fig3Results {
                     })
                 })
                 .collect();
-            let learned_mses =
-                expect_all(Executor::from_env().run(jobs), "exp_c learned condition");
+            let learned_mses = expect_all(exec.run(jobs), "exp_c learned condition");
 
             entries.push(Fig3Entry {
                 model: model.label().into(),
@@ -229,7 +222,7 @@ mod tests {
         let mut scale = ExperimentScale::tiny();
         scale.epochs = 2;
         scale.num_individuals = 2;
-        let fig = run_experiment_c(&scale);
+        let fig = run_experiment_c(&scale, &Executor::from_env());
         // 4 metrics × 3 models.
         assert_eq!(fig.entries.len(), 12);
         for e in &fig.entries {

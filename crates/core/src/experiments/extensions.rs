@@ -1,8 +1,9 @@
 //! Future-work extensions the paper explicitly calls for:
 //! a systematic input-length sweep and per-variable error analysis.
 
-use super::ExperimentScale;
-use crate::pipeline::{run_cohort, GraphSpec};
+use super::{cohort_mses, ExperimentScale};
+use crate::exec::Executor;
+use crate::pipeline::{run_cohort_with, GraphSpec};
 use crate::results::{CellStat, ResultTable};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
@@ -16,7 +17,7 @@ pub const SWEEP_SEQ_LENS: [usize; 6] = [1, 2, 3, 5, 7, 10];
 /// Sweeps the input window length for the LSTM baseline and the best
 /// GNN (MTGNN with a CORR prior), columns = window lengths.
 #[must_use]
-pub fn run_seq_sweep(scale: &ExperimentScale) -> ResultTable {
+pub fn run_seq_sweep(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let dataset = scale.dataset();
     let columns: Vec<String> = SWEEP_SEQ_LENS.iter().map(|s| format!("Seq{s}")).collect();
     let mut table = ResultTable::new(
@@ -47,8 +48,7 @@ pub fn run_seq_sweep(scale: &ExperimentScale) -> ResultTable {
             .iter()
             .map(|&seq| {
                 let spec = scale.spec(model, graph.clone(), seq);
-                let outcomes = run_cohort(&dataset, &spec);
-                CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
+                CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
             })
             .collect();
         table.push_row(label, cells);
@@ -60,7 +60,7 @@ pub fn run_seq_sweep(scale: &ExperimentScale) -> ResultTable {
 /// individuals — the paper's future-work item on "the effects across
 /// the MSE scores when predicting each of the variables".
 #[must_use]
-pub fn run_per_variable(scale: &ExperimentScale) -> ResultTable {
+pub fn run_per_variable(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let dataset = scale.dataset();
     let spec = scale.spec(
         ModelKind::Mtgnn,
@@ -70,7 +70,7 @@ pub fn run_per_variable(scale: &ExperimentScale) -> ResultTable {
         },
         5,
     );
-    let outcomes = run_cohort(&dataset, &spec);
+    let outcomes = run_cohort_with(&dataset, &spec, exec);
     let v = dataset.num_variables();
     let mut table = ResultTable::new(
         "Per-variable MSE, MTGNN_CORR at Seq5 (future work)",
@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn seq_sweep_structure() {
-        let table = run_seq_sweep(&micro_scale());
+        let table = run_seq_sweep(&micro_scale(), &Executor::from_env());
         assert_eq!(table.columns.len(), SWEEP_SEQ_LENS.len());
         assert_eq!(table.rows.len(), 3);
         assert!(table.cell("MTGNN_CORR", "Seq10").is_some());
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn per_variable_covers_all_variables() {
         let scale = micro_scale();
-        let table = run_per_variable(&scale);
+        let table = run_per_variable(&scale, &Executor::from_env());
         assert_eq!(table.rows.len(), scale.num_variables);
         assert!(table.cell("cheerful", "MSE").is_some());
         for (label, cells) in &table.rows {

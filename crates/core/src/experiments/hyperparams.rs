@@ -3,8 +3,9 @@
 //! settling on lr = 0.01, hidden = 32. This runner reproduces that
 //! search for MTGNN.
 
-use super::ExperimentScale;
-use crate::pipeline::{run_cohort, GraphSpec};
+use super::{cohort_mses, ExperimentScale};
+use crate::exec::Executor;
+use crate::pipeline::GraphSpec;
 use crate::results::{CellStat, ResultTable};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
@@ -18,7 +19,7 @@ pub const HIDDEN_UNITS: [usize; 2] = [16, 32];
 /// Runs the sweep: rows = hidden widths, columns = learning rates,
 /// model = MTGNN with a CORR prior at Seq5 / GDT 20%.
 #[must_use]
-pub fn run_hyperparameter_sweep(scale: &ExperimentScale) -> ResultTable {
+pub fn run_hyperparameter_sweep(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let dataset = scale.dataset();
     let columns: Vec<String> = LEARNING_RATES.iter().map(|lr| format!("lr={lr}")).collect();
     let mut table = ResultTable::new(
@@ -40,8 +41,7 @@ pub fn run_hyperparameter_sweep(scale: &ExperimentScale) -> ResultTable {
                 spec.model_config.hidden = hidden;
                 spec.model_config.attn_dim = (hidden / 2).max(4);
                 spec.train_config.learning_rate = lr;
-                let outcomes = run_cohort(&dataset, &spec);
-                CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
+                CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
             })
             .collect();
         table.push_row(format!("hidden={hidden}"), cells);
@@ -58,7 +58,7 @@ mod tests {
         let mut scale = ExperimentScale::tiny();
         scale.epochs = 2;
         scale.num_individuals = 2;
-        let table = run_hyperparameter_sweep(&scale);
+        let table = run_hyperparameter_sweep(&scale, &Executor::from_env());
         assert_eq!(table.rows.len(), HIDDEN_UNITS.len());
         assert_eq!(table.columns.len(), LEARNING_RATES.len());
         assert!(table.cell("hidden=32", "lr=0.01").is_some());

@@ -11,16 +11,15 @@ mod extensions;
 mod hyperparams;
 
 pub use ablation::run_ablation;
-pub use cluster_compare::{
-    run_cluster_compare, run_cluster_compare_with, strategies, STRATEGY_COLUMNS,
-};
+pub use cluster_compare::{run_cluster_compare, strategies, STRATEGY_COLUMNS};
 pub use exp_a::run_experiment_a;
 pub use exp_b::run_experiment_b;
 pub use exp_c::{run_experiment_c, Fig3Entry, Fig3Results};
 pub use extensions::{run_per_variable, run_seq_sweep, SWEEP_SEQ_LENS};
 pub use hyperparams::{run_hyperparameter_sweep, HIDDEN_UNITS, LEARNING_RATES};
 
-use crate::pipeline::{GraphSpec, RunSpec};
+use crate::exec::Executor;
+use crate::pipeline::{run_cohort_with, GraphSpec, RunSpec};
 use crate::train::TrainConfig;
 use ema_data::{EmaDataset, EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
@@ -91,9 +90,9 @@ impl ExperimentScale {
         }
     }
 
-    /// Generates the synthetic study for this scale.
+    /// The synthetic study's generator at this scale.
     #[must_use]
-    pub fn dataset(&self) -> EmaDataset {
+    pub fn generator(&self) -> EmaGenerator {
         EmaGenerator::new(GeneratorConfig {
             num_individuals: self.num_individuals,
             num_variables: self.num_variables,
@@ -101,7 +100,12 @@ impl ExperimentScale {
             seed: self.data_seed,
             ..GeneratorConfig::default()
         })
-        .generate()
+    }
+
+    /// Generates the synthetic study for this scale.
+    #[must_use]
+    pub fn dataset(&self) -> EmaDataset {
+        self.generator().generate()
     }
 
     /// The shared model configuration at this scale.
@@ -129,17 +133,9 @@ impl ExperimentScale {
     #[must_use]
     pub fn spec(&self, model: ModelKind, graph: GraphSpec, seq_len: usize) -> RunSpec {
         RunSpec {
-            model,
-            graph,
-            seq_len,
-            train_fraction: 0.7,
             model_config: self.model_config(),
             train_config: self.train_config(),
-            learn_graph: true,
-            graph_learner: ema_models::GraphLearnerKind::Embedding,
-            use_attention: true,
-            use_spatial_attention: true,
-            train_strategy: crate::cluster::TrainStrategy::default(),
+            ..RunSpec::new(model, graph, seq_len)
         }
     }
 
@@ -169,6 +165,16 @@ impl ExperimentScale {
             GraphMetric::Correlation,
         ]
     }
+}
+
+/// The per-individual test MSEs of one condition over `dataset`, in
+/// individual order: the samples behind the experiments' table cells
+/// and Fig. 3's static distributions.
+fn cohort_mses(dataset: &EmaDataset, spec: &RunSpec, exec: &Executor) -> Vec<f64> {
+    run_cohort_with(dataset, spec, exec)
+        .iter()
+        .map(|o| o.mse)
+        .collect()
 }
 
 /// One row of Table I: the examined scenario space.

@@ -29,8 +29,9 @@
 //!
 //! ```no_run
 //! use ema_core::experiments::{ExperimentScale, run_experiment_a};
+//! use ema_core::Executor;
 //!
-//! let table2 = run_experiment_a(&ExperimentScale::quick());
+//! let table2 = run_experiment_a(&ExperimentScale::quick(), &Executor::from_env());
 //! println!("{}", table2.render());
 //! ```
 
@@ -54,8 +55,7 @@ pub use ema_tensor::{with_kernel_backend, KernelBackend, KernelScope};
 pub use exec::{Executor, Job, JobError, JobResult};
 pub use json::{Json, JsonError};
 pub use pipeline::{
-    graph_for_individual, run_cohort, run_cohort_with, run_individual, GraphSpec,
-    IndividualOutcome, RunSpec,
+    graph_for_individual, run_cohort_with, run_individual, GraphSpec, IndividualOutcome, RunSpec,
 };
 pub use results::{BoxplotStats, CellStat, ResultTable};
 pub use train::{train_cohort, train_model, TrainConfig, TrainReport};

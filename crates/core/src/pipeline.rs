@@ -328,17 +328,9 @@ pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOut
         .expect("one outcome per member")
 }
 
-/// Runs a condition across a whole cohort on the environment-configured
-/// executor (`--threads` / `EMA_THREADS`, default = available
-/// parallelism). Results are returned in individual order and are
-/// byte-identical at every thread count.
-#[must_use]
-pub fn run_cohort(dataset: &EmaDataset, spec: &RunSpec) -> Vec<IndividualOutcome> {
-    run_cohort_with(dataset, spec, &Executor::from_env())
-}
-
-/// [`run_cohort`] on an explicit executor (tests pin thread counts;
-/// binaries pass the CLI-configured one).
+/// Runs a condition across a whole cohort on `executor`. Results are
+/// returned in individual order and are byte-identical at every
+/// thread count.
 ///
 /// Each individual becomes one [`Job`] — split → graph construction →
 /// windows → train → evaluate, all hoisted into the job body — so the
@@ -438,7 +430,7 @@ mod tests {
     fn cohort_runs_all_individuals_in_order() {
         let ds = dataset();
         let spec = quick_spec(ModelKind::Lstm, GraphSpec::None);
-        let outcomes = run_cohort(&ds, &spec);
+        let outcomes = run_cohort_with(&ds, &spec, &Executor::from_env());
         assert_eq!(outcomes.len(), 3);
         for (i, o) in outcomes.iter().enumerate() {
             assert_eq!(o.id, ds.individuals[i].id);
@@ -450,8 +442,13 @@ mod tests {
     fn cohort_is_deterministic() {
         let ds = dataset();
         let spec = quick_spec(ModelKind::Lstm, GraphSpec::None);
-        let a: Vec<f64> = run_cohort(&ds, &spec).iter().map(|o| o.mse).collect();
-        let b: Vec<f64> = run_cohort(&ds, &spec).iter().map(|o| o.mse).collect();
+        let mses = || -> Vec<f64> {
+            run_cohort_with(&ds, &spec, &Executor::from_env())
+                .iter()
+                .map(|o| o.mse)
+                .collect()
+        };
+        let (a, b) = (mses(), mses());
         assert_eq!(a, b);
     }
 

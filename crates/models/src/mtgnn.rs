@@ -205,51 +205,10 @@ impl Mtgnn {
         }
     }
 
-    /// The raw learned adjacency computed from the *current* parameter
-    /// values with plain tensor math (before top-k sparsification).
-    fn plain_adjacency(&self) -> Tensor {
-        let mut a = match self.learner {
-            GraphLearnerKind::Embedding => {
-                let e1 = self.store.value(self.e1);
-                let e2 = self.store.value(self.e2);
-                let m1 = self.store.value(self.m1);
-                let m2 = self.store.value(self.m2);
-                let t1 = e1.matmul(m1).scale(GRAPH_ALPHA).tanh();
-                let t2 = e2.matmul(m2).scale(GRAPH_ALPHA).tanh();
-                let a0 = t1.matmul_nt(&t2);
-                let asym = a0.sub(&a0.transpose());
-                asym.scale(GRAPH_ALPHA).tanh().relu()
-            }
-            GraphLearnerKind::Direct => self.store.value(self.direct_logits).sigmoid(),
-        };
-        if let Some(prior) = &self.static_prior {
-            a = a.add(prior);
-        }
-        a
-    }
-
-    /// Extracts the learned graph for Experiment C: the current
-    /// adjacency, top-k sparsified — ready to feed into other GNNs.
-    #[must_use]
-    pub fn learned_graph(&self) -> AdjacencyMatrix {
-        let a = AdjacencyMatrix::new(self.plain_adjacency());
-        sparsify::top_k_per_row(&a, self.top_k)
-    }
-
-    /// Builds the normalised propagation matrix on the tape. Returns the
-    /// tape var for `D̃⁻¹(A_masked + I)`.
-    fn adjacency_var(&self, tape: &Tape, binding: &Binding) -> Var {
-        let v = self.num_variables;
-        if !self.learn_graph {
-            // Static-only ablation: constant row-normalised prior.
-            let prior = self
-                .static_prior
-                .as_ref()
-                .expect("static graph checked at construction");
-            let adj = AdjacencyMatrix::new(prior.clone());
-            return tape.leaf(ema_graph::normalize::row_norm_self_loops(&adj));
-        }
-        // Learned graph with gradients, mirroring plain_adjacency().
+    /// Records the learned adjacency before top-k sparsification on the
+    /// tape: the graph learner's output plus the static prior, when
+    /// one is given.
+    fn learned_adjacency(&self, tape: &Tape, binding: &Binding) -> Var {
         let mut a = match self.learner {
             GraphLearnerKind::Embedding => {
                 // tanh(α E₁M₁)·tanh(α E₂M₂)ᵀ, antisymmetrised.
@@ -276,10 +235,40 @@ impl Mtgnn {
             let p = tape.leaf(prior.clone());
             a = tape.add(a, p);
         }
-        // Top-k mask from the identical plain computation (gradients
-        // flow through the surviving entries).
-        let plain = self.plain_adjacency();
-        let kept = sparsify::top_k_per_row(&AdjacencyMatrix::new(plain), self.top_k);
+        a
+    }
+
+    /// The top-k-per-row sparsification of a learned adjacency value.
+    fn top_k(&self, a: Tensor) -> AdjacencyMatrix {
+        sparsify::top_k_per_row(&AdjacencyMatrix::new(a), self.top_k)
+    }
+
+    /// Extracts the learned graph for Experiment C: the current
+    /// adjacency, top-k sparsified — ready to feed into other GNNs.
+    #[must_use]
+    pub fn learned_graph(&self) -> AdjacencyMatrix {
+        let tape = Tape::new();
+        let a = self.learned_adjacency(&tape, &self.store.bind(&tape));
+        self.top_k(tape.value(a))
+    }
+
+    /// Builds the normalised propagation matrix on the tape. Returns the
+    /// tape var for `D̃⁻¹(A_masked + I)`.
+    fn adjacency_var(&self, tape: &Tape, binding: &Binding) -> Var {
+        let v = self.num_variables;
+        if !self.learn_graph {
+            // Static-only ablation: constant row-normalised prior.
+            let prior = self
+                .static_prior
+                .as_ref()
+                .expect("static graph checked at construction");
+            let adj = AdjacencyMatrix::new(prior.clone());
+            return tape.leaf(ema_graph::normalize::row_norm_self_loops(&adj));
+        }
+        let a = self.learned_adjacency(tape, binding);
+        // Top-k mask from the adjacency's own value (gradients flow
+        // through the surviving entries).
+        let kept = self.top_k(tape.value(a));
         let mask = kept.weights().map(|w| if w > 0.0 { 1.0 } else { 0.0 });
         let mask_var = tape.leaf(mask);
         let masked = tape.mul(a, mask_var);

@@ -6,9 +6,10 @@
 //! cargo run --release -p ema-core --example personalized_forecasting
 //! ```
 
-use ema_core::pipeline::{run_cohort, GraphSpec, RunSpec};
+use ema_core::pipeline::{run_cohort_with, GraphSpec, RunSpec};
 use ema_core::results::CellStat;
 use ema_core::train::TrainConfig;
+use ema_core::Executor;
 use ema_data::{EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::{ModelConfig, ModelKind};
@@ -27,6 +28,7 @@ fn main() {
         ..ModelConfig::default()
     };
     let train_config = TrainConfig::quick(50, 7);
+    let executor = Executor::from_env();
 
     println!("{:<12}{:>16}{:>12}", "model", "MSE mean(std)", "best ind.");
     println!("{}", "-".repeat(40));
@@ -59,7 +61,7 @@ fn main() {
             train_config: train_config.clone(),
             ..RunSpec::new(kind, graph, 5)
         };
-        let outcomes = run_cohort(&dataset, &spec);
+        let outcomes = run_cohort_with(&dataset, &spec, &executor);
         let mses: Vec<f64> = outcomes.iter().map(|o| o.mse).collect();
         let stat = CellStat::from_samples(&mses);
         let best = outcomes

@@ -66,14 +66,22 @@ EMA_THREADS=4 cargo test --offline --workspace -q
 
 echo "==> cluster_compare smoke (EMA_THREADS=4)"
 # The tiny cluster_compare table must render and record results JSON
-# for all four models. The run writes results/cluster_compare.json,
-# which is tracked at quick scale: move the committed file aside so the
-# check sees only what this run wrote, and put it back afterwards (or on
-# any earlier exit).
+# for all four models, and a misspelled flag must be refused. The run
+# writes results/cluster_compare.json, which is tracked at quick scale:
+# move the committed file aside so the check sees only what this run
+# wrote, and put it back afterwards (or on any earlier exit).
 mkdir -p target/ci_stash
 mv results/cluster_compare.json target/ci_stash/
 restore_cluster_compare() { mv -f target/ci_stash/cluster_compare.json results/ 2>/dev/null || true; }
 trap restore_cluster_compare EXIT
+# A misspelled flag must stop the binary with a usage line and exit
+# status 2 before it runs anything or writes its results file.
+status=0
+cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scal tiny > /dev/null 2>&1 || status=$?
+if [ "$status" != 2 ] || [ -e results/cluster_compare.json ]; then
+  echo "cluster_compare --scal tiny: expected exit status 2 and no results file, got $status" >&2
+  exit 1
+fi
 EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
 test -s results/cluster_compare.json
 restore_cluster_compare

@@ -11,10 +11,6 @@ cargo build --release -p ema-bench
 bins=(table1 table2 table3 fig3 ablation seq_sweep per_variable hyperparams cluster_compare)
 for bin in "${bins[@]}"; do
     echo "=== $bin (--scale $scale) ==="
-    if [ "$bin" = table1 ]; then
-        ./target/release/table1
-    else
-        "./target/release/$bin" --scale "$scale"
-    fi
+    "./target/release/$bin" --scale "$scale"
     echo
 done

@@ -5,8 +5,9 @@
 //! bench binaries reproduce the full tables.
 
 use ema_core::experiments::ExperimentScale;
-use ema_core::pipeline::{run_cohort, GraphSpec};
+use ema_core::pipeline::{run_cohort_with, GraphSpec};
 use ema_core::results::CellStat;
+use ema_core::Executor;
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
 use ema_similarity::GraphMetric;
@@ -24,7 +25,10 @@ fn shape_scale() -> ExperimentScale {
 fn cohort_mean(scale: &ExperimentScale, model: ModelKind, graph: GraphSpec, seq: usize) -> f64 {
     let ds = scale.dataset();
     let spec = scale.spec(model, graph, seq);
-    let mses: Vec<f64> = run_cohort(&ds, &spec).iter().map(|o| o.mse).collect();
+    let mses: Vec<f64> = run_cohort_with(&ds, &spec, &Executor::from_env())
+        .iter()
+        .map(|o| o.mse)
+        .collect();
     CellStat::from_samples(&mses).mean
 }
 

@@ -1,8 +1,9 @@
 //! End-to-end pipeline test: synthetic study → graphs → training →
 //! evaluation, across every model family.
 
-use ema_core::pipeline::{run_cohort, run_individual, GraphSpec, RunSpec};
+use ema_core::pipeline::{run_cohort_with, run_individual, GraphSpec, RunSpec};
 use ema_core::train::TrainConfig;
+use ema_core::Executor;
 use ema_data::{EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::{ModelConfig, ModelKind};
@@ -95,7 +96,10 @@ fn every_seq_len_works_for_every_model() {
 fn cohort_parallelism_matches_serial() {
     let ds = EmaGenerator::new(GeneratorConfig::quick(4, 6, 45)).generate();
     let spec = quick_spec(ModelKind::Lstm, GraphSpec::None, 2);
-    let parallel: Vec<f64> = run_cohort(&ds, &spec).iter().map(|o| o.mse).collect();
+    let parallel: Vec<f64> = run_cohort_with(&ds, &spec, &Executor::from_env())
+        .iter()
+        .map(|o| o.mse)
+        .collect();
     let serial: Vec<f64> = ds
         .individuals
         .iter()

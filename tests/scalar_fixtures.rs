@@ -11,7 +11,7 @@
 //! *intentional* numeric change.
 
 use ema_core::experiments::{
-    run_ablation, run_cluster_compare_with, run_experiment_a, run_experiment_b, run_experiment_c,
+    run_ablation, run_cluster_compare, run_experiment_a, run_experiment_b, run_experiment_c,
     run_hyperparameter_sweep, run_per_variable, run_seq_sweep, ExperimentScale,
 };
 use ema_core::{
@@ -168,23 +168,27 @@ fn experiment_presets_match_fixture() {
     let _scalar = KernelBackend::Scalar.scoped();
     let mut scale = ExperimentScale::tiny();
     scale.epochs = 2;
+    let exec = Executor::from_env();
     let record = Json::obj(vec![
-        ("table2", run_experiment_a(&scale).to_json_value()),
-        ("table3", run_experiment_b(&scale).to_json_value()),
+        ("table2", run_experiment_a(&scale, &exec).to_json_value()),
+        ("table3", run_experiment_b(&scale, &exec).to_json_value()),
         (
             "fig3",
-            Json::parse(&run_experiment_c(&scale).to_json()).expect("fig3 JSON"),
+            Json::parse(&run_experiment_c(&scale, &exec).to_json()).expect("fig3 JSON"),
         ),
-        ("ablation", run_ablation(&scale).to_json_value()),
-        ("seq_sweep", run_seq_sweep(&scale).to_json_value()),
-        ("per_variable", run_per_variable(&scale).to_json_value()),
+        ("ablation", run_ablation(&scale, &exec).to_json_value()),
+        ("seq_sweep", run_seq_sweep(&scale, &exec).to_json_value()),
+        (
+            "per_variable",
+            run_per_variable(&scale, &exec).to_json_value(),
+        ),
         (
             "hyperparams",
-            run_hyperparameter_sweep(&scale).to_json_value(),
+            run_hyperparameter_sweep(&scale, &exec).to_json_value(),
         ),
         (
             "cluster_compare",
-            run_cluster_compare_with(&scale, &Executor::from_env()).to_json_value(),
+            run_cluster_compare(&scale, &exec).to_json_value(),
         ),
     ]);
     check_fixture("scalar_presets.json", &record.pretty());
