@@ -14,6 +14,10 @@
 //! | `table3` | Table III (Experiment B) | `cargo run --release -p ema-bench --bin table3 -- --scale quick` |
 //! | `fig3`   | Fig. 3 (Experiment C) | `cargo run --release -p ema-bench --bin fig3 -- --scale quick` |
 //! | `ablation` | design-choice ablations | `cargo run --release -p ema-bench --bin ablation -- --scale quick` |
+//! | `seq_sweep` | window lengths 1–10 (future work) | `cargo run --release -p ema-bench --bin seq_sweep -- --scale quick` |
+//! | `per_variable` | per-variable MSE (future work) | `cargo run --release -p ema-bench --bin per_variable -- --scale quick` |
+//! | `hyperparams` | Sec. V-D tuning grid | `cargo run --release -p ema-bench --bin hyperparams -- --scale quick` |
+//! | `cluster_compare` | idiographic vs cluster vs nomothetic | `cargo run --release -p ema-bench --bin cluster_compare -- --scale quick` |
 //!
 //! `--scale` is `tiny` (seconds), `quick` (minutes, default) or `full`
 //! (the paper's N=100/V=26/300-epoch setting; hours of CPU). Each binary
@@ -37,6 +41,7 @@ pub use harness::{BenchResult, Bencher, Harness};
 
 use ema_core::experiments::{ExperimentScale, Fig3Results};
 use ema_core::{Executor, Json, ResultTable};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Regression tolerance as a fraction: `bench_gate` fails a median, and
@@ -69,13 +74,13 @@ pub fn load_scale(ratios: &[Option<f64>], own: usize) -> f64 {
 }
 
 /// The flags every table/figure binary accepts, each at most once.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cli {
     /// `--scale tiny|quick|full` (default `quick`).
-    pub scale: ExperimentScale,
+    scale: ExperimentScale,
     /// `--threads N` with `N ≥ 1`: the cohort executor's worker count
     /// (default: `EMA_THREADS`, then available parallelism).
-    pub threads: Option<usize>,
+    threads: Option<usize>,
     /// `--obs`: full-verbosity telemetry for this process (as
     /// `EMA_OBS=full`).
     pub obs: bool,
@@ -245,7 +250,10 @@ impl Drop for ObsRun {
     fn drop(&mut self) {
         if self.active {
             if let Some(path) = ema_obs::recorder().finish_run() {
-                println!("obs manifest at {}", path.display());
+                // Not `println!`: a closed stdout (output piped into
+                // `head`) would panic here while the body's own print
+                // panic unwinds, aborting the process.
+                let _ = writeln!(std::io::stdout(), "obs manifest at {}", path.display());
             }
         }
     }
