@@ -11,7 +11,11 @@
 //!
 //! Positional arguments are (baseline, candidate) pairs, so one
 //! invocation can gate several suites (e.g. `BENCH_training_epoch.json`
-//! and `BENCH_pipeline.json` cohort throughput).
+//! and `BENCH_pipeline.json` cohort throughput). `PCT` is a finite,
+//! non-negative percentage, given at most once. Any other argument
+//! list (an odd path count, an unknown flag, a NaN, infinite or
+//! negative tolerance) prints the usage line and exits with status 2
+//! before any file is read.
 //!
 //! The default tolerance is **15%**: generous enough to absorb normal
 //! scheduler and cache noise on a busy CI box (medians over a handful
@@ -45,7 +49,7 @@
 //! reader can tell a shift from noise. They are shown, never gated;
 //! suites recorded before the harness kept the MAD show `-` for it.
 
-use ema_bench::{load_scale, DEFAULT_TOLERANCE};
+use ema_bench::{load_scale, parse_tolerance_args};
 use ema_obs::Json;
 use std::process::ExitCode;
 
@@ -202,25 +206,17 @@ fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 
 fn main() -> ExitCode {
     const USAGE: &str =
         "usage: bench_gate <baseline.json> <candidate.json> [<baseline2> <candidate2> ...] [--tolerance PCT]";
-    let mut paths: Vec<String> = Vec::new();
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--tolerance" => {
-                let pct: f64 = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tolerance needs a percentage, e.g. --tolerance 15");
-                tolerance = pct / 100.0;
+    let (paths, tolerance) = parse_tolerance_args(std::env::args().skip(1))
+        .and_then(|(paths, tolerance)| {
+            if paths.is_empty() || !paths.len().is_multiple_of(2) {
+                return Err("expected (baseline, candidate) path pairs".to_string());
             }
-            _ => paths.push(arg),
-        }
-    }
-    assert!(
-        !paths.is_empty() && paths.len().is_multiple_of(2),
-        "{USAGE}"
-    );
+            Ok((paths, tolerance))
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        });
 
     let mut failures = 0u32;
     for pair in paths.chunks(2) {

@@ -8,12 +8,17 @@
 //!     runs' span profiles and flag call paths whose self time moved
 //!     more than PCT (default 15%) beyond the load-normalized scale.
 //!
+//! `PCT` is a finite, non-negative percentage, given at most once. Any
+//! other argument list (no run or more than two, an unknown flag, a
+//! NaN, infinite or negative tolerance) prints the usage line and exits
+//! with status 2 before any file is read.
+//!
 //! A `<run>` argument may be a path to a `.summary.json` file, a path
 //! without the suffix, or a bare run stem resolved under the default
 //! obs directory (`results/obs/`).
 
+use ema_bench::parse_tolerance_args;
 use ema_bench::report::{render_diff, render_report, RunSummary};
-use ema_bench::DEFAULT_TOLERANCE;
 use ema_obs::{default_obs_dir, Json};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,51 +54,36 @@ fn load(arg: &str) -> Result<RunSummary, String> {
     RunSummary::from_json(&json).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn run() -> Result<ExitCode, String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tolerance = DEFAULT_TOLERANCE;
-    let mut runs: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tolerance" => {
-                let pct = args
-                    .get(i + 1)
-                    .ok_or("--tolerance needs a percentage")?
-                    .parse::<f64>()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-                tolerance = pct / 100.0;
-                i += 2;
-            }
-            arg if arg.starts_with("--") => return Err(format!("unknown flag {arg}")),
-            arg => {
-                runs.push(arg);
-                i += 1;
+/// Renders run `base`'s report, or its diff against `candidate`.
+fn run(base: &str, candidate: Option<&str>, tolerance: f64) -> Result<ExitCode, String> {
+    let base = load(base)?;
+    match candidate {
+        None => {
+            print!("{}", render_report(&base));
+            if base.profile.is_empty() {
+                return Err(format!("run '{}' recorded no span profile", base.name));
             }
         }
-    }
-    match runs.as_slice() {
-        [single] => {
-            let summary = load(single)?;
-            print!("{}", render_report(&summary));
-            if summary.profile.is_empty() {
-                return Err(format!("run '{}' recorded no span profile", summary.name));
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        [base, cand] => {
-            let base = load(base)?;
-            let cand = load(cand)?;
-            let (text, _flagged) = render_diff(&base, &cand, tolerance);
+        Some(candidate) => {
+            let (text, _flagged) = render_diff(&base, &load(candidate)?, tolerance);
             print!("{text}");
-            Ok(ExitCode::SUCCESS)
         }
-        _ => Err("usage: obs_report <run> [<candidate-run>] [--tolerance PCT]".to_string()),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    match run() {
+    const USAGE: &str = "usage: obs_report <run> [<candidate-run>] [--tolerance PCT]";
+    let (runs, tolerance) = parse_tolerance_args(std::env::args().skip(1))
+        .and_then(|(runs, tolerance)| match runs.len() {
+            1 | 2 => Ok((runs, tolerance)),
+            n => Err(format!("expected one or two runs, got {n}")),
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        });
+    match run(&runs[0], runs.get(1).map(String::as_str), tolerance) {
         Ok(code) => code,
         Err(msg) => {
             eprintln!("obs_report: {msg}");

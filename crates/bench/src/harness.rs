@@ -14,10 +14,14 @@
 //! tell noise from a shift.
 //!
 //! Knobs (for CI or quick local runs):
-//! - `EMA_BENCH_SAMPLES`: sample count (default 15)
-//! - `EMA_BENCH_SAMPLE_MS`: target milliseconds per sample (default 20)
+//! - `EMA_BENCH_SAMPLES`: sample count, a positive integer (default 15)
+//! - `EMA_BENCH_SAMPLE_MS`: target milliseconds per sample, a positive
+//!   number (default 20)
 //! - a positional CLI argument filters benchmarks by substring, as in
 //!   `cargo bench -p ema-bench --bench tensor_ops -- matmul`
+//!
+//! Any other value of either environment knob warns on stderr and runs
+//! the default.
 
 use ema_core::Json;
 use std::time::Instant;
@@ -35,17 +39,43 @@ pub struct Config {
 
 impl Config {
     fn from_env() -> Self {
-        let env_num = |key: &str, default: f64| {
-            std::env::var(key)
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|v| *v > 0.0)
-                .unwrap_or(default)
-        };
+        let var = |key: &str| std::env::var(key).ok();
+        Self::resolve(
+            var("EMA_BENCH_SAMPLES").as_deref(),
+            var("EMA_BENCH_SAMPLE_MS").as_deref(),
+        )
+    }
+
+    /// The settings for the raw `EMA_BENCH_SAMPLES` and
+    /// `EMA_BENCH_SAMPLE_MS` values (`None` when unset): a positive
+    /// integer sample count and a positive, finite sample time. Any
+    /// other value warns on stderr and falls back to the default.
+    fn resolve(samples: Option<&str>, sample_ms: Option<&str>) -> Self {
+        let sample_ms = knob("EMA_BENCH_SAMPLE_MS", sample_ms, 20.0, |ms: &f64| {
+            ms.is_finite() && *ms > 0.0
+        });
         Self {
-            samples: env_num("EMA_BENCH_SAMPLES", 15.0) as usize,
-            sample_ms: env_num("EMA_BENCH_SAMPLE_MS", 20.0),
-            warmup_ms: env_num("EMA_BENCH_SAMPLE_MS", 20.0).min(50.0),
+            samples: knob("EMA_BENCH_SAMPLES", samples, 15, |&n: &usize| n > 0),
+            sample_ms,
+            warmup_ms: sample_ms.min(50.0),
+        }
+    }
+}
+
+/// Knob `key` from its raw value: `default` when unset, the parsed
+/// value when it is `valid`, else `default` after a warning on stderr.
+fn knob<T: std::str::FromStr + std::fmt::Display>(
+    key: &str,
+    raw: Option<&str>,
+    default: T,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    let Some(raw) = raw else { return default };
+    match raw.parse() {
+        Ok(value) if valid(&value) => value,
+        _ => {
+            eprintln!("warning: invalid {key}={raw:?}; using {default}");
+            default
         }
     }
 }
@@ -392,6 +422,26 @@ mod tests {
     /// concurrent test thread would land in another test's zero-alloc
     /// measurement.
     static ALLOC_MEASURE_LOCK: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn invalid_bench_knobs_fall_back_to_the_defaults() {
+        let samples = |raw| Config::resolve(Some(raw), None).samples;
+        assert_eq!(Config::resolve(None, None).samples, 15);
+        assert_eq!(samples("3"), 3);
+        for raw in ["0.5", "0", "-2", "abc", "", "inf", "3.0"] {
+            assert_eq!(samples(raw), 15, "EMA_BENCH_SAMPLES={raw:?}");
+        }
+        let sample_ms = |raw| {
+            let config = Config::resolve(None, Some(raw));
+            (config.sample_ms, config.warmup_ms)
+        };
+        assert_eq!(Config::resolve(None, None).sample_ms, 20.0);
+        assert_eq!(sample_ms("2.5"), (2.5, 2.5));
+        assert_eq!(sample_ms("80"), (80.0, 50.0));
+        for raw in ["0", "-1", "nan", "inf", "abc", ""] {
+            assert_eq!(sample_ms(raw), (20.0, 20.0), "EMA_BENCH_SAMPLE_MS={raw:?}");
+        }
+    }
 
     #[test]
     fn bencher_measures_and_harness_records() {

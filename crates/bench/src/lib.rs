@@ -55,6 +55,42 @@ pub const DEFAULT_TOLERANCE: f64 = 0.15;
 /// fails.
 pub const MAX_LOAD_SCALE: f64 = 1.5;
 
+/// Splits the arguments of `bench_gate` and `obs_report` into their
+/// positional arguments and the regression tolerance, as a fraction:
+/// `--tolerance PCT` (a finite, non-negative percentage, at most once),
+/// else [`DEFAULT_TOLERANCE`].
+///
+/// # Errors
+/// Names the offending argument: a tolerance that is missing, not a
+/// number, negative, NaN or infinite, a repeated `--tolerance`, or any
+/// other argument starting with `--`.
+pub fn parse_tolerance_args(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Vec<String>, f64), String> {
+    let (mut positional, mut tolerance) = (Vec::new(), None);
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if arg == "--tolerance" {
+            let raw = args.next().ok_or("--tolerance needs a percentage")?;
+            let pct = raw
+                .parse::<f64>()
+                .ok()
+                .filter(|p| p.is_finite() && *p >= 0.0)
+                .ok_or_else(|| {
+                    format!("--tolerance expects a finite, non-negative percentage, got {raw:?}")
+                })?;
+            if tolerance.replace(pct / 100.0).is_some() {
+                return Err("--tolerance given more than once".into());
+            }
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown argument {arg:?}"));
+        } else {
+            positional.push(arg);
+        }
+    }
+    Ok((positional, tolerance.unwrap_or(DEFAULT_TOLERANCE)))
+}
+
 /// Shared-host load scale for entry `own` of `ratios` (candidate over
 /// baseline, `None` for an unmatched entry): the least-inflated *other*
 /// ratio, floored at 1 so a fast box never raises the bar and capped at
@@ -390,6 +426,53 @@ mod tests {
         ];
         for (args, expected) in cases {
             let error = parse(args).unwrap_err();
+            assert!(error.contains(expected), "{args:?}: {error}");
+        }
+    }
+
+    fn tolerance_args(args: &[&str]) -> Result<(Vec<String>, f64), String> {
+        parse_tolerance_args(args.iter().map(ToString::to_string))
+    }
+
+    #[test]
+    fn tolerance_args_accept_one_finite_non_negative_percentage() {
+        let (paths, tolerance) = tolerance_args(&["a.json", "b.json"]).unwrap();
+        assert_eq!(
+            (paths, tolerance),
+            (vec!["a.json".into(), "b.json".into()], 0.15)
+        );
+        for (pct, fraction) in [("5", 0.05), ("0", 0.0), ("2.5", 0.025), ("300", 3.0)] {
+            let (paths, tolerance) = tolerance_args(&["a", "--tolerance", pct, "b"]).unwrap();
+            assert_eq!((paths.len(), tolerance), (2, fraction), "{pct}");
+        }
+    }
+
+    #[test]
+    fn tolerance_args_reject_non_finite_negative_repeated_and_unknown_flags() {
+        let cases: [(&[&str], &str); 11] = [
+            (&["a", "b", "--tolerance", "nan"], r#"got "nan""#),
+            (&["a", "b", "--tolerance", "NaN"], r#"got "NaN""#),
+            (&["a", "b", "--tolerance", "inf"], r#"got "inf""#),
+            (&["a", "b", "--tolerance", "-inf"], r#"got "-inf""#),
+            (&["a", "b", "--tolerance", "-50"], r#"got "-50""#),
+            (&["a", "b", "--tolerance", "abc"], r#"got "abc""#),
+            (&["a", "b", "--tolerance"], "--tolerance needs a percentage"),
+            (
+                &["--tolerance", "5", "a", "b", "--tolerance", "5"],
+                "--tolerance given more than once",
+            ),
+            (
+                &["a", "b", "--tolerence", "5"],
+                r#"unknown argument "--tolerence""#,
+            ),
+            (
+                &["a", "b", "--tolerance=5"],
+                r#"unknown argument "--tolerance=5""#,
+            ),
+            (&["--help"], r#"unknown argument "--help""#),
+        ];
+        for (args, expected) in cases {
+            let error = tolerance_args(args).unwrap_err();
             assert!(error.contains(expected), "{args:?}: {error}");
         }
     }

@@ -2,7 +2,7 @@
 //! it, so a personalized model trained once can be reused (e.g. the
 //! Experiment-C plumbing, or deployment after a study).
 
-use crate::json::Json;
+use crate::Json;
 use ema_nn::ParamStore;
 use ema_tensor::Tensor;
 use std::io;
@@ -128,7 +128,7 @@ impl Checkpoint {
     /// wrong shape.
     pub fn from_json(json: &str) -> io::Result<Self> {
         let invalid =
-            |e: crate::json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
+            |e: crate::JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
         let v = Json::parse(json).map_err(invalid)?;
         let mut params = Vec::new();
         for entry in v
@@ -183,6 +183,8 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::predict_all;
+    use ema_data::make_windows;
     use ema_models::{Forecaster, LstmForecaster, ModelConfig, VarForecaster};
     use ema_tensor::Rng64;
 
@@ -190,8 +192,13 @@ mod tests {
     fn capture_restore_round_trip_preserves_predictions() {
         let mut model = LstmForecaster::new(4, &ModelConfig::tiny(1));
         let mut rng = Rng64::seed_from(2);
-        let window = Tensor::rand_normal(&[2, 4], 0.0, 1.0, &mut rng);
-        let before = model.predict(&window, &mut rng);
+        let windows = make_windows(&Tensor::rand_normal(&[4, 4], 0.0, 1.0, &mut rng), 2);
+        let predict = |model: &LstmForecaster| {
+            predict_all(std::slice::from_ref(model), std::slice::from_ref(&windows))
+                .pop()
+                .expect("one prediction per model")
+        };
+        let before = predict(&model);
 
         let ckpt = Checkpoint::capture(model.params());
         // Scramble the parameters, then restore.
@@ -201,11 +208,11 @@ mod tests {
                 .params_mut()
                 .load(id, Tensor::rand_normal(&dims, 0.0, 1.0, &mut rng));
         }
-        let scrambled = model.predict(&window, &mut rng);
+        let scrambled = predict(&model);
         assert_ne!(before.data(), scrambled.data());
 
         ckpt.restore(model.params_mut()).unwrap();
-        let after = model.predict(&window, &mut rng);
+        let after = predict(&model);
         assert_eq!(before.data(), after.data());
     }
 

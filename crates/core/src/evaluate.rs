@@ -1,21 +1,7 @@
 //! Test-set evaluation per the paper's Eq. (1).
 
-use crate::train::predict_all;
 use ema_data::WindowedData;
-use ema_models::Forecaster;
 use ema_tensor::Tensor;
-
-/// Scores every model over its own window set from one eval forward
-/// per model ([`predict_all`]): per model, the MSE (Eq. (1) for one
-/// individual) and the per-variable MSEs.
-#[must_use]
-pub fn evaluate<M: Forecaster>(models: &[M], windows: &[WindowedData]) -> Vec<(f64, Vec<f64>)> {
-    predict_all(models, windows)
-        .iter()
-        .zip(windows)
-        .map(|(preds, windows)| score(preds, windows))
-        .collect()
-}
 
 /// The MSE of one individual's `[n, V]` predictions against its
 /// windows' targets (Eq. (1) for one individual — the squared error
@@ -68,6 +54,7 @@ pub fn zero_prediction_mse(windows: &WindowedData) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::train::predict_all;
     use ema_data::make_windows;
     use ema_models::{LstmForecaster, ModelConfig};
 
@@ -79,9 +66,8 @@ mod tests {
 
     fn evaluate_one(w: &WindowedData) -> (f64, Vec<f64>) {
         let model = LstmForecaster::new(4, &ModelConfig::tiny(0));
-        evaluate(&[model], std::slice::from_ref(w))
-            .pop()
-            .expect("one score per model")
+        let preds = predict_all(&[model], std::slice::from_ref(w));
+        score(&preds[0], w)
     }
 
     #[test]

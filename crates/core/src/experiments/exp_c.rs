@@ -8,9 +8,9 @@
 
 use super::{cohort_mses, ExperimentScale};
 use crate::exec::{expect_all, Executor, Job};
-use crate::json::{Json, JsonError};
 use crate::pipeline::{run_cohort_with, GraphSpec, RunSpec};
 use crate::results::{mean_relative_change_percent, BoxplotStats};
+use crate::{Json, JsonError};
 use ema_graph::sparsify::DensityThreshold;
 use ema_graph::stats::edge_weight_correlation;
 use ema_models::ModelKind;

@@ -43,7 +43,6 @@ pub mod cohort;
 pub mod evaluate;
 pub mod exec;
 pub mod experiments;
-pub mod json;
 pub mod pipeline;
 pub mod results;
 pub mod train;
@@ -51,9 +50,9 @@ pub mod train;
 pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterPlan, TrainStrategy};
 pub use cohort::run_cohort_sharded;
-pub use ema_tensor::{with_kernel_backend, KernelBackend, KernelScope};
+pub use ema_obs::{Json, JsonError};
+pub use ema_tensor::{KernelBackend, KernelScope};
 pub use exec::{Executor, Job, JobError, JobResult};
-pub use json::{Json, JsonError};
 pub use pipeline::{
     graph_for_individual, run_cohort_with, run_individual, GraphSpec, IndividualOutcome, RunSpec,
 };

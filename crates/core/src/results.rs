@@ -1,7 +1,7 @@
 //! Result aggregation: mean(std) cells, rendered tables and boxplot
 //! statistics for the figure reproduction.
 
-use crate::json::{Json, JsonError};
+use crate::{Json, JsonError};
 use std::fmt;
 
 /// A table cell in the paper's `mean(std)` notation.

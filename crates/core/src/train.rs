@@ -328,7 +328,7 @@ pub fn predict_all<M: Forecaster>(models: &[M], windows: &[WindowedData]) -> Vec
 /// Eval-mode `[n, V]` predictions of one model over its windows, from
 /// one [`Forecaster::predict_windows`] on `tape` (reset first). Eval
 /// mode draws no randomness, so the rows are bit-identical to
-/// per-window `Forecaster::predict` calls.
+/// eval-mode `Forecaster::predict_window` calls, one per window.
 ///
 /// # Panics
 /// Panics on an empty window set.

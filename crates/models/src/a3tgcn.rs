@@ -265,6 +265,7 @@ impl Forecaster for A3tgcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecaster::predict;
     use ema_nn::{Adam, Optimizer, OptimizerConfig};
 
     fn ring_graph(n: usize) -> AdjacencyMatrix {
@@ -282,7 +283,7 @@ mod tests {
         let model = A3tgcn::new(6, &ring_graph(6), &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(1);
         let window = Tensor::rand_normal(&[5, 6], 0.0, 1.0, &mut rng);
-        let pred = model.predict(&window, &mut rng);
+        let pred = predict(&model, &window, &mut rng);
         assert_eq!(pred.dims(), &[6]);
         assert!(pred.all_finite());
     }
@@ -292,7 +293,7 @@ mod tests {
         let model = A3tgcn::new(4, &ring_graph(4), &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(2);
         let window = Tensor::rand_normal(&[1, 4], 0.0, 1.0, &mut rng);
-        assert_eq!(model.predict(&window, &mut rng).dims(), &[4]);
+        assert_eq!(predict(&model, &window, &mut rng).dims(), &[4]);
     }
 
     #[test]
@@ -308,8 +309,8 @@ mod tests {
         let full = A3tgcn::new(6, &AdjacencyMatrix::complete(6), &cfg);
         let mut rng = Rng64::seed_from(4);
         let window = Tensor::rand_normal(&[4, 6], 0.0, 1.0, &mut rng);
-        let a = ring.predict(&window, &mut rng);
-        let b = full.predict(&window, &mut rng);
+        let a = predict(&ring, &window, &mut rng);
+        let b = predict(&full, &window, &mut rng);
         assert_ne!(a.data(), b.data());
     }
 
@@ -320,8 +321,8 @@ mod tests {
         let without = A3tgcn::with_options(5, &ring_graph(5), &cfg, false);
         let mut rng = Rng64::seed_from(9);
         let window = Tensor::rand_normal(&[4, 5], 0.0, 1.0, &mut rng);
-        let a = with_attn.predict(&window, &mut rng);
-        let b = without.predict(&window, &mut rng);
+        let a = predict(&with_attn, &window, &mut rng);
+        let b = predict(&without, &window, &mut rng);
         assert_ne!(a.data(), b.data());
         assert!(b.all_finite());
     }

@@ -317,6 +317,7 @@ impl Forecaster for Astgcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecaster::predict;
     use ema_nn::{Adam, Optimizer, OptimizerConfig};
 
     fn ring_graph(n: usize) -> AdjacencyMatrix {
@@ -334,7 +335,7 @@ mod tests {
         let model = Astgcn::new(6, 5, &ring_graph(6), &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(1);
         let window = Tensor::rand_normal(&[5, 6], 0.0, 1.0, &mut rng);
-        let pred = model.predict(&window, &mut rng);
+        let pred = predict(&model, &window, &mut rng);
         assert_eq!(pred.dims(), &[6]);
         assert!(pred.all_finite());
     }
@@ -345,7 +346,7 @@ mod tests {
         for s in [1usize, 2] {
             let model = Astgcn::new(4, s, &ring_graph(4), &ModelConfig::tiny(0));
             let window = Tensor::rand_normal(&[s, 4], 0.0, 1.0, &mut rng);
-            assert_eq!(model.predict(&window, &mut rng).dims(), &[4]);
+            assert_eq!(predict(&model, &window, &mut rng).dims(), &[4]);
         }
     }
 
@@ -355,7 +356,7 @@ mod tests {
         let model = Astgcn::new(4, 5, &ring_graph(4), &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(3);
         let window = Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng);
-        let _ = model.predict(&window, &mut rng);
+        let _ = predict(&model, &window, &mut rng);
     }
 
     #[test]
@@ -366,8 +367,8 @@ mod tests {
         let mut rng = Rng64::seed_from(5);
         let window = Tensor::rand_normal(&[3, 6], 0.0, 1.0, &mut rng);
         assert_ne!(
-            ring.predict(&window, &mut rng).data(),
-            full.predict(&window, &mut rng).data()
+            predict(&ring, &window, &mut rng).data(),
+            predict(&full, &window, &mut rng).data()
         );
     }
 
@@ -378,8 +379,8 @@ mod tests {
         let without = Astgcn::with_options(5, 3, &ring_graph(5), &cfg, false);
         let mut rng = Rng64::seed_from(10);
         let window = Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng);
-        let a = with_sa.predict(&window, &mut rng);
-        let b = without.predict(&window, &mut rng);
+        let a = predict(&with_sa, &window, &mut rng);
+        let b = predict(&without, &window, &mut rng);
         assert_ne!(a.data(), b.data());
         assert!(b.all_finite());
     }

@@ -112,15 +112,16 @@ pub trait Forecaster {
     fn as_any_mtgnn(&self) -> Option<&Mtgnn> {
         None
     }
+}
 
-    /// Convenience: evaluation-mode prediction as a plain tensor.
-    fn predict(&self, window: &Tensor, rng: &mut Rng64) -> Tensor {
-        let tape = Tape::new();
-        let binding = self.params().bind(&tape);
-        let mut ctx = ForwardCtx::eval(rng);
-        let out = self.predict_window(&tape, &binding, window, &mut ctx);
-        tape.value(out)
-    }
+/// Evaluation-mode prediction of one `[seq_len, V]` window as a plain
+/// tensor, on a fresh tape: the model unit tests' shorthand.
+#[cfg(test)]
+pub(crate) fn predict(model: &impl Forecaster, window: &Tensor, rng: &mut Rng64) -> Tensor {
+    let tape = Tape::new();
+    let binding = model.params().bind(&tape);
+    let out = model.predict_window(&tape, &binding, window, &mut ForwardCtx::eval(rng));
+    tape.value(out)
 }
 
 /// The model families of Table I, plus the classic VAR baseline from

@@ -114,6 +114,7 @@ impl Forecaster for LstmForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecaster::predict;
     use ema_nn::{Adam, Optimizer, OptimizerConfig};
 
     #[test]
@@ -121,7 +122,7 @@ mod tests {
         let model = LstmForecaster::new(6, &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(1);
         let window = Tensor::rand_normal(&[5, 6], 0.0, 1.0, &mut rng);
-        let pred = model.predict(&window, &mut rng);
+        let pred = predict(&model, &window, &mut rng);
         assert_eq!(pred.dims(), &[6]);
         assert!(pred.all_finite());
     }
@@ -131,8 +132,8 @@ mod tests {
         let model = LstmForecaster::new(4, &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(2);
         let window = Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng);
-        let a = model.predict(&window, &mut rng);
-        let b = model.predict(&window, &mut rng);
+        let a = predict(&model, &window, &mut rng);
+        let b = predict(&model, &window, &mut rng);
         assert_eq!(a.data(), b.data());
     }
 
@@ -141,7 +142,7 @@ mod tests {
         let model = LstmForecaster::new(4, &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(3);
         let window = Tensor::rand_normal(&[1, 4], 0.0, 1.0, &mut rng);
-        assert_eq!(model.predict(&window, &mut rng).dims(), &[4]);
+        assert_eq!(predict(&model, &window, &mut rng).dims(), &[4]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   residual and skip connections;
 //! * an output module mapping skip features to the 1-lag prediction.
 
-use crate::config::{DROPOUT, GRAPH_ALPHA, KERNEL, MIXHOP_BETA, MIXHOP_DEPTH};
+use crate::config::{DROPOUT, GRAPH_ALPHA, KERNEL, MIXHOP_DEPTH};
 use crate::gcn::{mixhop_propagation, mixhop_propagation_grouped};
 use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
 use ema_autodiff::{Tape, Var};
@@ -394,10 +394,10 @@ impl Forecaster for Mtgnn {
             // Graph propagation per step + residual from the aligned
             // input step.
             let shrink = seq.len() - z.len();
-            let weights: Vec<Var> = block.mixhop.iter().map(|&w| binding.var(w)).collect();
+            let hop_weight = |k: usize| binding.var(block.mixhop[k]);
             let mut next = Vec::with_capacity(z.len());
             for (t, &zt) in z.iter().enumerate() {
-                let g = mixhop_propagation(tape, a_hat, zt, &weights, MIXHOP_BETA, MIXHOP_DEPTH);
+                let g = mixhop_propagation(tape, a_hat, zt, hop_weight);
                 let res = seq[t + shrink];
                 next.push(tape.add(g, res));
             }
@@ -491,15 +491,7 @@ impl Forecaster for Mtgnn {
             let hop_weight = |k: usize| binding.var(block.mixhop[k]);
             let mut next = Vec::with_capacity(z.len());
             for (t, &zt) in z.iter().enumerate() {
-                let g = mixhop_propagation_grouped(
-                    tape,
-                    a_hat,
-                    zt,
-                    hop_weight,
-                    MIXHOP_BETA,
-                    MIXHOP_DEPTH,
-                    wins,
-                );
+                let g = mixhop_propagation_grouped(tape, a_hat, zt, hop_weight, wins);
                 let res = seq[t + shrink];
                 next.push(tape.add(g, res));
             }
@@ -524,6 +516,7 @@ impl Forecaster for Mtgnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecaster::predict;
     use ema_nn::{Adam, Optimizer, OptimizerConfig};
 
     fn ring_graph(n: usize) -> AdjacencyMatrix {
@@ -541,7 +534,7 @@ mod tests {
         let model = Mtgnn::new(6, 5, None, &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(1);
         let window = Tensor::rand_normal(&[5, 6], 0.0, 1.0, &mut rng);
-        let pred = model.predict(&window, &mut rng);
+        let pred = predict(&model, &window, &mut rng);
         assert_eq!(pred.dims(), &[6]);
         assert!(pred.all_finite());
     }
@@ -552,7 +545,7 @@ mod tests {
         let model = Mtgnn::new(6, 3, Some(&g), &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(2);
         let window = Tensor::rand_normal(&[3, 6], 0.0, 1.0, &mut rng);
-        assert!(model.predict(&window, &mut rng).all_finite());
+        assert!(predict(&model, &window, &mut rng).all_finite());
     }
 
     #[test]
@@ -561,7 +554,7 @@ mod tests {
         for s in [1usize, 2] {
             let model = Mtgnn::new(4, s, None, &ModelConfig::tiny(0));
             let window = Tensor::rand_normal(&[s, 4], 0.0, 1.0, &mut rng);
-            assert_eq!(model.predict(&window, &mut rng).dims(), &[4]);
+            assert_eq!(predict(&model, &window, &mut rng).dims(), &[4]);
         }
     }
 
@@ -616,7 +609,7 @@ mod tests {
         );
         let mut rng = Rng64::seed_from(8);
         let window = Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng);
-        assert!(model.predict(&window, &mut rng).all_finite());
+        assert!(predict(&model, &window, &mut rng).all_finite());
     }
 
     #[test]

@@ -109,14 +109,15 @@ impl Forecaster for VarForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forecaster::predict;
 
     #[test]
     fn prediction_shape_and_determinism() {
         let model = VarForecaster::new(4, 3, &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(2);
         let window = Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng);
-        let a = model.predict(&window, &mut rng);
-        let b = model.predict(&window, &mut rng);
+        let a = predict(&model, &window, &mut rng);
+        let b = predict(&model, &window, &mut rng);
         assert_eq!(a.dims(), &[4]);
         assert_eq!(a.data(), b.data());
     }
@@ -127,6 +128,6 @@ mod tests {
         let model = VarForecaster::new(3, 2, &ModelConfig::tiny(0));
         let mut rng = Rng64::seed_from(5);
         let window = Tensor::rand_normal(&[3, 3], 0.0, 1.0, &mut rng);
-        let _ = model.predict(&window, &mut rng);
+        let _ = predict(&model, &window, &mut rng);
     }
 }

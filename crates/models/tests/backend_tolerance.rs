@@ -24,7 +24,7 @@ use ema_models::{
     WindowBatch,
 };
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
-use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
+use ema_tensor::{KernelBackend, Rng64, Tensor};
 
 const V: usize = 8;
 const SEQ: usize = 4;
@@ -44,17 +44,16 @@ struct Trained {
 /// Builds `kind` fresh from `seed` and trains it (see [`train`]) —
 /// everything, construction included, computed under `backend`.
 fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
-    with_kernel_backend(backend, || {
-        let cfg = ModelConfig::tiny(seed);
-        let graph = AdjacencyMatrix::complete(V);
-        match kind {
-            ModelKind::Lstm => train(LstmForecaster::new(V, &cfg), seed),
-            ModelKind::A3tgcn => train(A3tgcn::new(V, &graph, &cfg), seed),
-            ModelKind::Astgcn => train(Astgcn::new(V, SEQ, &graph, &cfg), seed),
-            ModelKind::Mtgnn => train(Mtgnn::new(V, SEQ, Some(&graph), &cfg), seed),
-            ModelKind::Var => unreachable!("the paper models only"),
-        }
-    })
+    let _scope = backend.scoped();
+    let cfg = ModelConfig::tiny(seed);
+    let graph = AdjacencyMatrix::complete(V);
+    match kind {
+        ModelKind::Lstm => train(LstmForecaster::new(V, &cfg), seed),
+        ModelKind::A3tgcn => train(A3tgcn::new(V, &graph, &cfg), seed),
+        ModelKind::Astgcn => train(Astgcn::new(V, SEQ, &graph, &cfg), seed),
+        ModelKind::Mtgnn => train(Mtgnn::new(V, SEQ, Some(&graph), &cfg), seed),
+        ModelKind::Var => unreachable!("the paper models only"),
+    }
 }
 
 /// Trains `model` for `EPOCHS` full-batch Adam epochs on synthetic

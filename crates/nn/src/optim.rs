@@ -40,9 +40,6 @@ pub trait Optimizer {
     /// pre-clip global L2 norm of those gradients (the training loop
     /// records it per epoch).
     fn step(&mut self, store: &mut ParamStore, binding: &Binding, grads: &Grads) -> f64;
-
-    /// Number of steps taken so far.
-    fn steps(&self) -> usize;
 }
 
 /// Global L2 norm over every bound parameter's gradient — the quantity
@@ -139,10 +136,6 @@ impl Optimizer for Adam {
         }
         norm
     }
-
-    fn steps(&self) -> usize {
-        self.step
-    }
 }
 
 #[cfg(test)]
@@ -174,7 +167,6 @@ mod tests {
         let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.1));
         let w = optimise(&mut adam, 300);
         assert!((w - 3.0).abs() < 0.01, "Adam ended at {w}");
-        assert_eq!(adam.steps(), 300);
     }
 
     #[test]

@@ -180,17 +180,6 @@ impl Recorder {
         let mut inner = self.lock();
         finish_locked(&mut inner, now)
     }
-
-    /// Title of the active run's open phase, when a run with at least
-    /// one phase is in progress.
-    #[must_use]
-    pub fn current_phase(&self) -> Option<String> {
-        self.lock()
-            .run
-            .as_ref()
-            .and_then(RunState::current_phase_title)
-            .map(str::to_string)
-    }
 }
 
 fn finish_locked(inner: &mut crate::trace::Inner, now: u64) -> Option<PathBuf> {
@@ -261,11 +250,12 @@ fn finish_locked(inner: &mut crate::trace::Inner, now: u64) -> Option<PathBuf> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::trace::Recorder;
 
-    fn scratch(name: &str) -> PathBuf {
+    /// An empty scratch directory `name` under the workspace target.
+    pub(crate) fn scratch(name: &str) -> PathBuf {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
             .ancestors()
             .nth(2)
@@ -426,17 +416,50 @@ mod tests {
 
     #[test]
     fn current_phase_tracks_the_open_phase() {
+        // A kernel drain lands in `kernel.<open phase>.*`, or in
+        // `kernel.run.*` while no phase is open.
+        use ema_tensor::{KernelBackend, Tensor};
         let dir = scratch("phase");
         let rec = Recorder::with_mode(ObsMode::Summary);
-        assert_eq!(rec.current_phase(), None);
+        let _ = ema_tensor::take_kernel_counters();
+        ema_tensor::set_kernel_counting(true);
+        let _scope = KernelBackend::Scalar.scoped();
+        let matmuls_then_drain = |n: usize| {
+            for _ in 0..n {
+                let _ = Tensor::filled(&[2, 3], 1.0).matmul(&Tensor::filled(&[3, 4], 1.0));
+            }
+            rec.drain_kernel_counters();
+        };
+        let calls = |metrics: &Json, phase: &str| {
+            let key = format!("kernel.{phase}.scalar.calls");
+            metrics
+                .require("counters")
+                .unwrap()
+                .require(&key)
+                .unwrap()
+                .to_usize()
+                .unwrap()
+        };
         assert!(rec.begin_run_in("probe", Json::Null, &dir));
-        assert_eq!(rec.current_phase(), None, "no phase opened yet");
+        matmuls_then_drain(1);
         rec.phase("train");
-        assert_eq!(rec.current_phase().as_deref(), Some("train"));
+        matmuls_then_drain(2);
         rec.phase("report");
-        assert_eq!(rec.current_phase().as_deref(), Some("report"));
-        rec.finish_run();
-        assert_eq!(rec.current_phase(), None);
+        matmuls_then_drain(3);
+        let path = rec.finish_run().expect("summary written");
+        let summary = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        let metrics = summary.require("metrics").unwrap();
+        assert_eq!(
+            (
+                calls(metrics, "run"),
+                calls(metrics, "train"),
+                calls(metrics, "report")
+            ),
+            (1, 2, 3)
+        );
+        // The run is over, so no phase is open.
+        matmuls_then_drain(4);
+        assert_eq!(calls(&rec.metrics_snapshot(), "run"), 5);
     }
 
     #[test]

@@ -374,13 +374,6 @@ impl Recorder {
         self.lock().metrics.snapshot()
     }
 
-    /// How many events with this name were emitted since the last run
-    /// boundary (or recorder creation).
-    #[must_use]
-    pub fn event_count(&self, name: &str) -> u64 {
-        self.lock().event_counts.get(name).copied().unwrap_or(0)
-    }
-
     /// Takes the buffered events out of a [`Recorder::in_memory`]
     /// recorder (empty for other sinks).
     #[must_use]
@@ -640,7 +633,6 @@ mod tests {
             rec.inc_counter("n", 1);
         }
         assert!(rec.drain_events().is_empty());
-        assert_eq!(rec.event_count("quiet"), 0);
         assert_eq!(
             rec.metrics_snapshot().require("counters").unwrap(),
             &Json::Obj(vec![])
@@ -673,18 +665,36 @@ mod tests {
         assert_eq!(events[3].require("depth").unwrap().to_usize().unwrap(), 0);
     }
 
+    /// Begins a run of `rec` writing its summary under a scratch
+    /// directory named `name`.
+    fn begin_scratch_run(rec: &Recorder, name: &str) {
+        let dir = crate::manifest::tests::scratch(name);
+        assert!(rec.begin_run_in(name, Json::Null, &dir));
+    }
+
+    /// Finishes `rec`'s run and reads the counts of events `names` from
+    /// the summary's `events` object.
+    fn finished_event_counts<const N: usize>(rec: &Recorder, names: [&str; N]) -> [usize; N] {
+        let path = rec.finish_run().expect("summary written");
+        let summary = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let events = summary.require("events").unwrap();
+        names.map(|name| events.require(name).unwrap().to_usize().unwrap())
+    }
+
     #[test]
     fn summary_mode_counts_without_persisting() {
         let rec = Recorder::with_mode(ObsMode::Summary);
+        begin_scratch_run(&rec, "counts");
         rec.point("train_epoch", vec![("loss", Json::Num(0.5))]);
         rec.point("train_epoch", vec![("loss", Json::Num(0.4))]);
-        assert_eq!(rec.event_count("train_epoch"), 2);
         assert!(rec.drain_events().is_empty());
+        assert_eq!(finished_event_counts(&rec, ["train_epoch"]), [2]);
     }
 
     #[test]
     fn recorder_is_thread_safe() {
         let rec = Recorder::in_memory(ObsMode::Full);
+        begin_scratch_run(&rec, "threads");
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
@@ -695,7 +705,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(rec.event_count("worker"), 4 * 25 * 2); // enter + exit
+        assert_eq!(finished_event_counts(&rec, ["worker"]), [4 * 25 * 2]); // enter + exit
         let snap = rec.metrics_snapshot();
         let counters = snap.require("counters").unwrap();
         assert_eq!(
@@ -707,20 +717,21 @@ mod tests {
     #[test]
     fn worker_scope_tags_and_batches_events() {
         let rec = Recorder::in_memory(ObsMode::Full);
+        begin_scratch_run(&rec, "worker");
+        let _ = rec.drain_events(); // the run_start point
         {
             let _w = rec.worker_scope(3);
             let _s = rec.span("job", vec![]);
             rec.point("inside", vec![]);
-            // Buffered: nothing reaches the sink or counts yet.
-            assert_eq!(rec.event_count("job"), 0);
+            // Buffered: nothing reaches the sink yet.
+            assert!(rec.drain_events().is_empty());
         }
         let events = rec.drain_events();
         assert_eq!(events.len(), 3); // enter, point, exit
         for e in &events {
             assert_eq!(e.require("worker").unwrap().to_usize().unwrap(), 3);
         }
-        assert_eq!(rec.event_count("job"), 2);
-        assert_eq!(rec.event_count("inside"), 1);
+        assert_eq!(finished_event_counts(&rec, ["job", "inside"]), [2, 1]);
     }
 
     #[test]

@@ -32,18 +32,6 @@ impl GraphMetric {
             GraphMetric::Random(_) => "RAND",
         }
     }
-
-    /// The four static metrics compared throughout the paper, with the
-    /// default `k = 5` for kNN.
-    #[must_use]
-    pub fn paper_metrics() -> [GraphMetric; 4] {
-        [
-            GraphMetric::Euclidean,
-            GraphMetric::Knn(5),
-            GraphMetric::Dtw,
-            GraphMetric::Correlation,
-        ]
-    }
 }
 
 /// Builds the similarity graph of an individual's `[T, V]` data under
@@ -98,7 +86,12 @@ mod tests {
     #[test]
     fn static_metrics_are_deterministic() {
         let data = sample_data(2);
-        for metric in GraphMetric::paper_metrics() {
+        for metric in [
+            GraphMetric::Euclidean,
+            GraphMetric::Knn(5),
+            GraphMetric::Dtw,
+            GraphMetric::Correlation,
+        ] {
             let a = build_graph(&data, metric);
             let b = build_graph(&data, metric);
             assert_eq!(

@@ -16,10 +16,10 @@
 //!
 //! Resolution order for [`KernelBackend::active`]:
 //!
-//! 1. a thread-local scope installed by [`KernelBackend::scoped`] /
-//!    [`with_kernel_backend`] (how `TrainConfig::kernel_backend` pins a
-//!    training run, and how equivalence tests compare backends without
-//!    racing each other);
+//! 1. a thread-local scope installed by [`KernelBackend::scoped`], whose
+//!    [`KernelScope`] guard restores the previous one on drop (how
+//!    `TrainConfig::kernel_backend` pins a training run, and how
+//!    equivalence tests compare backends without racing each other);
 //! 2. the process-wide default: the `EMA_KERNEL` environment knob
 //!    (`scalar` | `simd` | `auto`), resolved once per process;
 //! 3. `auto` (also the fallback for an unset knob, and for an
@@ -143,13 +143,6 @@ impl Default for KernelBackend {
     }
 }
 
-/// Runs `f` with `backend` active on the current thread (see
-/// [`KernelBackend::scoped`]).
-pub fn with_kernel_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
-    let _scope = backend.scoped();
-    f()
-}
-
 /// RAII guard restoring the previous thread-local backend scope on
 /// drop (including on unwind, so a panicking test cannot leak its
 /// backend into the next test on the same thread).
@@ -236,14 +229,6 @@ pub fn set_kernel_counting(enabled: bool) {
     COUNTING.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether kernel work accounting is currently enabled (one relaxed
-/// atomic load — safe on hot paths).
-#[inline]
-#[must_use]
-pub fn kernel_counting_enabled() -> bool {
-    COUNTING.load(Ordering::Relaxed)
-}
-
 /// Records one funnel call on the current thread (no-op unless counting
 /// is enabled; see [`set_kernel_counting`]). `out_passes` is how often
 /// the chosen kernel moves the output: 1 for the tile kernel, which
@@ -257,7 +242,7 @@ pub(crate) fn record_matmul(
     n: usize,
     out_passes: usize,
 ) {
-    if !kernel_counting_enabled() {
+    if !COUNTING.load(Ordering::Relaxed) {
         return;
     }
     KERNEL_COUNTERS.with(|c| {
@@ -302,13 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn with_kernel_backend_restores_on_unwind() {
-        let base = KernelBackend::active();
+    fn scope_restores_on_unwind() {
+        let _outer = KernelBackend::Simd.scoped();
         let result = std::panic::catch_unwind(|| {
-            with_kernel_backend(KernelBackend::Scalar, || panic!("boom"))
+            let _inner = KernelBackend::Scalar.scoped();
+            panic!("boom")
         });
         assert!(result.is_err());
-        assert_eq!(KernelBackend::active(), base);
+        assert_eq!(SCOPE.with(Cell::get), Some(KernelBackend::Simd));
     }
 
     #[test]

@@ -47,8 +47,8 @@ mod slicing;
 mod tensor;
 
 pub use backend::{
-    kernel_counting_enabled, set_kernel_counting, take_kernel_counters, with_kernel_backend,
-    KernelBackend, KernelCounters, KernelCountersSnapshot, KernelScope,
+    set_kernel_counting, take_kernel_counters, KernelBackend, KernelCounters,
+    KernelCountersSnapshot, KernelScope,
 };
 pub use error::TensorError;
 pub use pool::{PoolStats, PooledBuf};

@@ -409,40 +409,10 @@ impl Tensor {
             .sum()
     }
 
-    /// Outer product of two rank-1 tensors: `[m] x [n] -> [m, n]`.
-    ///
-    /// # Panics
-    /// Panics unless both are rank 1.
-    #[must_use]
-    pub fn outer(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 1, "outer lhs must be rank 1");
-        assert_eq!(other.rank(), 1, "outer rhs must be rank 1");
-        let (m, n) = (self.len(), other.len());
-        let mut out = pool::take_uninit(m * n);
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] = self.data()[i] * other.data()[j];
-            }
-        }
-        Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
-    }
-
     /// Frobenius / L2 norm over all elements.
     #[must_use]
     pub fn norm(&self) -> f64 {
         self.data().iter().map(|&v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Trace of a square rank-2 tensor.
-    ///
-    /// # Panics
-    /// Panics unless `self` is a square matrix.
-    #[must_use]
-    pub fn trace(&self) -> f64 {
-        assert_eq!(self.rank(), 2, "trace requires rank 2");
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(m, n, "trace requires a square matrix");
-        (0..n).map(|i| self.data()[i * n + i]).sum()
     }
 
     /// Extracts row `i` of a rank-2 tensor as a rank-1 tensor.
@@ -667,19 +637,15 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_outer() {
+    fn dot_product() {
         let u = Tensor::from_vec1(vec![1.0, 2.0]);
         let v = Tensor::from_vec1(vec![3.0, 4.0]);
         assert_eq!(u.dot(&v), 11.0);
-        let o = u.outer(&v);
-        assert_eq!(o.dims(), &[2, 2]);
-        assert_eq!(o.data(), &[3.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]
-    fn trace_and_norm() {
+    fn frobenius_norm() {
         let a = Tensor::from_vec2(vec![vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert_eq!(a.trace(), 7.0);
         assert_eq!(a.norm(), 5.0);
     }
 

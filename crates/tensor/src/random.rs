@@ -26,10 +26,8 @@
 //!   `rng.split(7)` yields the same stream whether called before or
 //!   after any number of draws or other splits.
 //!
-//! [`Rng64::fork`] remains for call sites that *want* sequential
-//! dependence (a one-off child whose identity doesn't matter); anything
-//! iterated per individual/condition must use `split` or
-//! `derive_stream_seed` so results are identical at every thread count.
+//! Anything seeded per individual or condition uses one of the two, so
+//! results are identical at every thread count.
 
 use crate::Tensor;
 
@@ -175,14 +173,6 @@ impl Rng64 {
             p.swap(i, j);
         }
         p
-    }
-
-    /// Splits off an independent generator seeded from this one, so
-    /// per-individual streams do not interact. The child depends on how
-    /// many draws preceded the call — for order-independent streams use
-    /// [`Rng64::split`] instead (see the module docs).
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::seed_from(self.next_u64())
     }
 
     /// Derives the independent child stream `stream` of this generator.
@@ -357,15 +347,5 @@ mod tests {
         let s1 = derive_stream_seed(42, 1);
         assert_ne!(s0, s1);
         assert!(s0.abs_diff(s1) > 1 << 20, "adjacent streams too close");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Rng64::seed_from(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let a: Vec<f64> = (0..8).map(|_| c1.uniform()).collect();
-        let b: Vec<f64> = (0..8).map(|_| c2.uniform()).collect();
-        assert_ne!(a, b);
     }
 }

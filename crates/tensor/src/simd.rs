@@ -268,7 +268,8 @@ mod tests {
         // masked 1-wide; 9 rows = a 6-row tile + a 3-row remainder.
         let a = Tensor::rand_normal(&[9, 13], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[13, 37], 0.0, 1.0, &mut rng);
-        let got = crate::backend::with_kernel_backend(KernelBackend::Simd, || a.matmul(&b));
+        let _simd = KernelBackend::Simd.scoped();
+        let got = a.matmul(&b);
         assert_eq!(got.data(), naive_fma_matmul(&a, &b).as_slice());
     }
 
@@ -283,7 +284,8 @@ mod tests {
         // 4-row remainder.
         let a = Tensor::rand_normal(&[64, 64], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[64, 65], 0.0, 1.0, &mut rng);
-        let got = crate::backend::with_kernel_backend(KernelBackend::Simd, || a.matmul(&b));
+        let _simd = KernelBackend::Simd.scoped();
+        let got = a.matmul(&b);
         assert_eq!(got.data(), naive_fma_matmul(&a, &b).as_slice());
     }
 }

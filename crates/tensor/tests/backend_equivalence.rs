@@ -29,7 +29,7 @@ mod common;
 
 use common::assert_slice_kernels_match;
 use ema_check::{gen, prop_assert, prop_tests};
-use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
+use ema_tensor::{KernelBackend, Rng64, Tensor};
 
 /// Column counts that force every column decomposition of both kernels
 /// the SIMD backend runs: the tile kernel's 8-wide, 4-wide and masked
@@ -95,8 +95,14 @@ fn agreement_bound(a: &Tensor, b: &Tensor) -> Vec<f64> {
 }
 
 fn assert_backends_agree(a: &Tensor, b: &Tensor, context: &str) {
-    let scalar = with_kernel_backend(KernelBackend::Scalar, || a.matmul(b));
-    let simd = with_kernel_backend(KernelBackend::Simd, || a.matmul(b));
+    let scalar = {
+        let _scalar = KernelBackend::Scalar.scoped();
+        a.matmul(b)
+    };
+    let simd = {
+        let _simd = KernelBackend::Simd.scoped();
+        a.matmul(b)
+    };
     let bound = agreement_bound(a, b);
     for (i, ((&s, &v), &tol)) in scalar
         .data()
@@ -115,7 +121,10 @@ fn assert_backends_agree(a: &Tensor, b: &Tensor, context: &str) {
 }
 
 fn assert_simd_matches_fma_reference(a: &Tensor, b: &Tensor, context: &str) {
-    let simd = with_kernel_backend(KernelBackend::Simd, || a.matmul(b));
+    let simd = {
+        let _simd = KernelBackend::Simd.scoped();
+        a.matmul(b)
+    };
     let reference = naive_fma_matmul(a, b);
     if KernelBackend::simd_available() {
         assert!(
@@ -272,12 +281,14 @@ prop_tests! {
     fn simd_is_deterministic_across_threads(seed in gen::u64_below(1_000_000)) {
         let mut rng = Rng64::seed_from(seed);
         let (a, b) = tile_sweep_pair(&mut rng);
-        let main_thread = with_kernel_backend(KernelBackend::Simd, || a.matmul(&b));
+        let _simd = KernelBackend::Simd.scoped();
+        let main_thread = a.matmul(&b);
         let workers: Vec<_> = (0..2)
             .map(|_| {
                 let (a, b) = (a.clone(), b.clone());
                 std::thread::spawn(move || {
-                    with_kernel_backend(KernelBackend::Simd, || a.matmul(&b))
+                    let _simd = KernelBackend::Simd.scoped();
+                    a.matmul(&b)
                 })
             })
             .collect();

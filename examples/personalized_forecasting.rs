@@ -77,5 +77,5 @@ fn main() {
     }
 
     println!("\nper-variable errors expose which symptoms are hardest to forecast;");
-    println!("see ema_core::evaluate::evaluate.");
+    println!("see ema_core::IndividualOutcome::per_variable_mse.");
 }

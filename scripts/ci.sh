@@ -87,6 +87,17 @@ test -s results/cluster_compare.json
 restore_cluster_compare
 trap - EXIT
 
+echo "==> bench_gate argument check"
+# A NaN tolerance would pass every comparison; the gate must refuse it
+# with a usage line and exit status 2 before reading either suite.
+status=0
+cargo run --offline -q -p ema-bench --bin bench_gate -- \
+  results/BENCH_pipeline.json results/BENCH_pipeline.json --tolerance nan > /dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+  echo "bench_gate --tolerance nan: expected exit status 2, got $status" >&2
+  exit 1
+fi
+
 echo "==> ema-tensor tests (release)"
 # The SIMD kernels are unsafe code whose loops the optimizer reshapes;
 # run their equivalence properties as optimized code too.

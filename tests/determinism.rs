@@ -561,15 +561,24 @@ fn cohort_sharded_warm_start_identical_across_threads_shards_and_paths() {
 
 #[test]
 fn same_seed_training_yields_byte_identical_checkpoints() {
+    use ema_core::{train_model, TrainConfig};
+    use ema_data::make_windows;
     use ema_models::{Forecaster, LstmForecaster, ModelConfig};
     use ema_tensor::{Rng64, Tensor};
 
-    let capture = || {
+    const EPOCHS: usize = 4;
+    let model = || LstmForecaster::new(4, &ModelConfig::tiny(9));
+    // Seeded windows, then a few training epochs (dropout draws from the
+    // train seed, Adam moves every parameter) before the snapshot.
+    let trained = || {
         let mut rng = Rng64::seed_from(77);
-        let model = LstmForecaster::new(4, &ModelConfig::tiny(9));
-        // Touch the RNG the way a training loop would, then snapshot.
-        let _ = model.predict(&Tensor::rand_normal(&[2, 4], 0.0, 1.0, &mut rng), &mut rng);
+        let windows = make_windows(&Tensor::rand_normal(&[24, 4], 0.0, 1.0, &mut rng), 2);
+        let mut model = model();
+        let report = train_model(&mut model, &windows, &TrainConfig::quick(EPOCHS, 13));
+        assert_eq!(report.losses.len(), EPOCHS, "every epoch trains");
         Checkpoint::capture(model.params()).to_json()
     };
-    assert_eq!(capture(), capture());
+    let first = trained();
+    assert_ne!(first, Checkpoint::capture(model().params()).to_json());
+    assert_eq!(first, trained());
 }
