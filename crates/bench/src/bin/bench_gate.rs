@@ -15,7 +15,10 @@
 //! non-negative percentage, given at most once. Any other argument
 //! list (an odd path count, an unknown flag, a NaN, infinite or
 //! negative tolerance) prints the usage line and exits with status 2
-//! before any file is read.
+//! before any file is read. Every suite is read before any verdict is
+//! printed: a suite that cannot be read or parsed, or that lacks its
+//! `benchmarks` array or a benchmark's `name` or `median_ns`, prints
+//! `error: <path>: <reason>` and exits with status 2.
 //!
 //! The default tolerance is **15%**: generous enough to absorb normal
 //! scheduler and cache noise on a busy CI box (medians over a handful
@@ -65,32 +68,37 @@ struct Entry {
     peak_bytes: Option<f64>,
 }
 
-fn entries(suite: &Json, path: &str) -> Vec<Entry> {
+/// The entries of a parsed suite.
+///
+/// # Errors
+/// Names what is missing: the `benchmarks` array, or a benchmark's
+/// `name` or `median_ns`.
+fn entries(suite: &Json) -> Result<Vec<Entry>, String> {
     let benches = suite
         .get("benchmarks")
         .and_then(Json::as_arr)
-        .unwrap_or_else(|| panic!("{path}: no 'benchmarks' array"));
+        .ok_or("no 'benchmarks' array")?;
     benches
         .iter()
         .map(|b| {
             let name = b
                 .get("name")
                 .and_then(Json::as_str)
-                .unwrap_or_else(|| panic!("{path}: benchmark without a name"))
+                .ok_or("benchmark without a name")?
                 .to_string();
             let median_ns = b
                 .get("median_ns")
                 .and_then(Json::as_f64)
-                .unwrap_or_else(|| panic!("{path}: '{name}' has no median_ns"));
+                .ok_or_else(|| format!("'{name}' has no median_ns"))?;
             let num = |key: &str| b.get(key).and_then(Json::as_f64);
-            Entry {
+            Ok(Entry {
                 name,
                 median_ns,
                 min_ns: num("min_ns"),
                 mad_ns: num("mad_ns"),
                 allocs_per_iter: num("allocs_per_iter"),
                 peak_bytes: num("peak_bytes"),
-            }
+            })
         })
         .collect()
 }
@@ -100,16 +108,24 @@ fn ms(ns: Option<f64>) -> String {
     ns.map_or_else(|| "-".to_string(), |ns| format!("{:.3} ms", ns / 1e6))
 }
 
-fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    Json::parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e:?}"))
+/// Reads the suite at `path`.
+///
+/// # Errors
+/// `<path>: <reason>` when the file cannot be read or parsed, or lacks
+/// what [`entries`] needs.
+fn load(path: &str) -> Result<Vec<Entry>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let suite = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    entries(&suite).map_err(|e| format!("{path}: {e}"))
 }
 
 /// Gates one candidate suite against its baseline; returns the number
 /// of failed benchmarks.
-fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 {
-    let baseline = entries(&load(baseline_path), baseline_path);
-    let candidate = entries(&load(candidate_path), candidate_path);
+fn gate_suite(
+    (baseline_path, baseline): (&str, &[Entry]),
+    (candidate_path, candidate): (&str, &[Entry]),
+    tolerance: f64,
+) -> u32 {
     println!("-- {candidate_path} vs {baseline_path}");
 
     // Median ratios of every matched benchmark, in baseline order;
@@ -195,7 +211,7 @@ fn gate_suite(baseline_path: &str, candidate_path: &str, tolerance: f64) -> u32 
             }
         }
     }
-    for cand in &candidate {
+    for cand in candidate {
         if !baseline.iter().any(|b| b.name == cand.name) {
             println!("gate ok   {}: new benchmark (no baseline)", cand.name);
         }
@@ -218,9 +234,19 @@ fn main() -> ExitCode {
             std::process::exit(2)
         });
 
+    // Read every suite before printing any verdict, so a bad file
+    // stops the gate with nothing half reported.
+    let suites: Vec<Vec<Entry>> = paths
+        .iter()
+        .map(|path| load(path))
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
     let mut failures = 0u32;
-    for pair in paths.chunks(2) {
-        failures += gate_suite(&pair[0], &pair[1], tolerance);
+    for (pair, suite) in paths.chunks(2).zip(suites.chunks(2)) {
+        failures += gate_suite((&pair[0], &suite[0]), (&pair[1], &suite[1]), tolerance);
     }
 
     if failures > 0 {
@@ -235,5 +261,59 @@ fn main() -> ExitCode {
             tolerance * 100.0
         );
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(suite: &str) -> Result<Vec<Entry>, String> {
+        entries(&Json::parse(suite).unwrap())
+    }
+
+    #[test]
+    fn entries_read_every_benchmark() {
+        let suite = r#"{"benchmarks": [
+            {"name": "a", "median_ns": 10, "allocs_per_iter": 3},
+            {"name": "b", "median_ns": 20, "min_ns": 18, "mad_ns": 1, "peak_bytes": 64}
+        ]}"#;
+        let entries = parse(suite).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(
+            (entries[0].name.as_str(), entries[0].median_ns),
+            ("a", 10.0)
+        );
+        assert_eq!(entries[0].allocs_per_iter, Some(3.0));
+        assert_eq!(entries[0].min_ns, None);
+        assert_eq!(
+            (entries[1].min_ns, entries[1].mad_ns),
+            (Some(18.0), Some(1.0))
+        );
+        assert_eq!(entries[1].peak_bytes, Some(64.0));
+    }
+
+    #[test]
+    fn entries_name_what_a_malformed_suite_lacks() {
+        let cases = [
+            (r#"{"suite": "x"}"#, "no 'benchmarks' array"),
+            (
+                r#"{"benchmarks": [{"median_ns": 10}]}"#,
+                "benchmark without a name",
+            ),
+            (
+                r#"{"benchmarks": [{"name": "a", "median_ns": 1}, {"name": "b"}]}"#,
+                "'b' has no median_ns",
+            ),
+        ];
+        for (suite, expected) in cases {
+            assert_eq!(parse(suite).err().as_deref(), Some(expected), "{suite}");
+        }
+    }
+
+    #[test]
+    fn load_prefixes_the_path() {
+        let error = load("no/such/suite.json").err().expect("missing file");
+        assert!(error.starts_with("no/such/suite.json: "), "{error}");
     }
 }

@@ -293,11 +293,6 @@ pub(crate) fn run_shard<'a>(
                     member.report.epochs_run as f64,
                 );
             }
-            // Kernel work from graph build, training and evaluation lands
-            // in the current phase before the job's span closes;
-            // take-semantics keep this and the executor's job-level drain
-            // from double counting.
-            ema_obs::drain_kernel_counters();
             IndividualOutcome {
                 id,
                 mse,

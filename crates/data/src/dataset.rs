@@ -6,16 +6,13 @@ use ema_tensor::Tensor;
 /// One participant's EMA recording.
 #[derive(Debug, Clone)]
 pub struct Individual {
-    /// Participant identifier (stable across filtering).
+    /// Participant identifier: the individual's index in the study.
     pub id: usize,
-    /// Normalised data, `[T, V]` (per-variable z-scores).
+    /// Normalised data, `[T, V]` (per-variable z-scores of the Likert
+    /// responses).
     pub data: Tensor,
-    /// Raw Likert responses before normalisation, `[T, V]`, values in
-    /// `1 ..= likert_levels`.
-    pub raw: Tensor,
-    /// The generator's ground-truth interaction graph, when the
-    /// individual is synthetic (absent for data loaded from CSV).
-    pub ground_truth: Option<AdjacencyMatrix>,
+    /// The generator's ground-truth interaction graph.
+    pub ground_truth: AdjacencyMatrix,
 }
 
 impl Individual {
@@ -124,14 +121,12 @@ mod tests {
                 Individual {
                     id: 0,
                     data: Tensor::zeros(&[10, 3]),
-                    raw: Tensor::filled(&[10, 3], 4.0),
-                    ground_truth: None,
+                    ground_truth: AdjacencyMatrix::empty(3),
                 },
                 Individual {
                     id: 1,
                     data: Tensor::zeros(&[20, 3]),
-                    raw: Tensor::filled(&[20, 3], 4.0),
-                    ground_truth: None,
+                    ground_truth: AdjacencyMatrix::empty(3),
                 },
             ],
             variable_names: vec!["a".into(), "b".into(), "c".into()],

@@ -1,7 +1,7 @@
 //! # ema-data
 //!
-//! EMA dataset handling: synthetic data generation, preprocessing,
-//! train/test splitting, input windowing and CSV interchange.
+//! EMA dataset handling: synthetic data generation, z-normalisation,
+//! train/test splitting and input windowing.
 //!
 //! ## The dataset substitution
 //!
@@ -18,15 +18,14 @@
 //!   dropped at a configurable non-compliance rate;
 //! * per-individual z-normalisation matches the paper's preprocessing.
 //!
-//! Because the generator exposes each individual's ground-truth graph,
-//! integration tests can verify that similarity graphs and GNN-learned
-//! graphs recover real structure — something the original study could
-//! not check.
+//! Every individual therefore comes from the generator and carries its
+//! ground-truth graph, so integration tests can verify that similarity
+//! graphs and GNN-learned graphs recover real structure — something the
+//! original study could not check.
 
 #![warn(missing_docs)]
 
 mod dataset;
-pub mod io;
 pub mod preprocess;
 pub mod synthetic;
 pub mod variables;

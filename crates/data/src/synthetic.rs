@@ -225,13 +225,11 @@ impl EmaGenerator {
             rows.push(self.quantize(&z));
         }
 
-        let raw = Tensor::from_vec2(rows).expect("generated rows are rectangular");
-        let data = z_normalize(&raw);
+        let responses = Tensor::from_vec2(rows).expect("generated rows are rectangular");
         Individual {
             id,
-            data,
-            raw,
-            ground_truth: Some(ground_truth),
+            data: z_normalize(&responses),
+            ground_truth,
         }
     }
 
@@ -293,12 +291,36 @@ mod tests {
     }
 
     #[test]
-    fn raw_values_are_likert() {
-        let ds = quick_gen(2).generate();
-        for ind in &ds.individuals {
-            for &v in ind.raw.data() {
-                assert!((1.0..=7.0).contains(&v), "raw value {v} outside scale");
-                assert_eq!(v.fract(), 0.0, "raw value {v} not integral");
+    fn responses_are_likert() {
+        let gen = quick_gen(2);
+        let levels = gen.config().likert_levels;
+        // Every latent value, extremes included, maps to an integer
+        // response on the scale.
+        let mut rng = Rng64::seed_from(2);
+        let extremes = Tensor::from_vec1(vec![-1e6, -3.0, -0.5, 0.0, 0.5, 3.0, 1e6]);
+        for z in [extremes, Tensor::rand_normal(&[500], 0.0, 2.0, &mut rng)] {
+            for v in gen.quantize(&z) {
+                assert!(
+                    (1.0..=f64::from(levels)).contains(&v),
+                    "response {v} outside scale"
+                );
+                assert_eq!(v.fract(), 0.0, "response {v} not integral");
+            }
+        }
+        // z-normalisation maps each column affinely, so a column keeps
+        // at most one distinct value per Likert level.
+        for ind in &gen.generate().individuals {
+            for j in 0..ind.num_variables() {
+                let mut values: Vec<u64> =
+                    ind.data.col(j).data().iter().map(|v| v.to_bits()).collect();
+                values.sort_unstable();
+                values.dedup();
+                assert!(
+                    values.len() <= usize::from(levels),
+                    "individual {} variable {j} takes {} values",
+                    ind.id,
+                    values.len()
+                );
             }
         }
     }
@@ -322,8 +344,8 @@ mod tests {
     #[test]
     fn individuals_have_distinct_graphs_and_lengths() {
         let ds = quick_gen(4).generate();
-        let g0 = ds.individuals[0].ground_truth.as_ref().unwrap();
-        let g1 = ds.individuals[1].ground_truth.as_ref().unwrap();
+        let g0 = &ds.individuals[0].ground_truth;
+        let g1 = &ds.individuals[1].ground_truth;
         assert_ne!(g0.weights().data(), g1.weights().data());
         let lengths: Vec<usize> = ds
             .individuals
@@ -363,7 +385,10 @@ mod tests {
                     "shard size {shard_size} id {}",
                     b.id
                 );
-                assert_eq!(a.raw.data(), b.raw.data());
+                assert_eq!(
+                    a.ground_truth.weights().data(),
+                    b.ground_truth.weights().data()
+                );
             }
         }
         // An explicit sub-range also matches the full study's slice.
@@ -377,7 +402,7 @@ mod tests {
     fn ground_truth_is_sparse() {
         let ds = quick_gen(7).generate();
         for ind in &ds.individuals {
-            let gt = ind.ground_truth.as_ref().unwrap();
+            let gt = &ind.ground_truth;
             // Density 0.12 nominal; allow generous slack for small V.
             assert!(
                 gt.density() < 0.45,
@@ -397,7 +422,7 @@ mod tests {
             let first = ind.data.slice_rows(0, t / 2);
             let second = ind.data.slice_rows(t / 2, t);
             assert!((first.mean() - second.mean()).abs() < 0.6);
-            assert!(ind.raw.all_finite());
+            assert!(ind.data.all_finite());
         }
     }
 
@@ -418,7 +443,7 @@ mod tests {
         };
         let ds = EmaGenerator::new(cfg).generate();
         let ind = &ds.individuals[0];
-        let gt = ind.ground_truth.as_ref().unwrap();
+        let gt = &ind.ground_truth;
         // VAR(1) couplings surface most strongly at lag 1, so compare
         // the max of lag-0 and lag-±1 correlation magnitudes.
         let corr = ema_lagged_corr(&ind.data);

@@ -1,7 +1,6 @@
-//! Property-based tests of preprocessing, windowing and CSV IO.
+//! Property-based tests of preprocessing and windowing.
 
-use ema_check::{gen, prop_assert, prop_assert_eq, prop_assume, prop_tests};
-use ema_data::io::{from_csv, to_csv};
+use ema_check::{gen, prop_assert_eq, prop_assume, prop_tests};
 use ema_data::preprocess::z_normalize;
 use ema_data::{make_test_windows, make_windows, split_train_test};
 use ema_tensor::{Rng64, Tensor};
@@ -68,32 +67,5 @@ prop_tests! {
             let expected = test.row(i);
             prop_assert_eq!(target.data(), expected.data());
         }
-    }
-
-    fn csv_round_trip_is_lossless(data in mts) {
-        let names: Vec<String> = (0..data.dims()[1]).map(|i| format!("v{i}")).collect();
-        let csv = to_csv(&data, &names);
-        let (parsed_names, parsed) = from_csv(&csv).unwrap();
-        prop_assert_eq!(parsed_names, names);
-        ema_tensor::assert_tensors_close(&parsed, &data, 0.0);
-    }
-
-    fn csv_parser_rejects_corruption(
-        (data, row, col) in |rng: &mut Rng64| {
-            (mts(rng), gen::usize_in(rng, 0, 5), gen::usize_in(rng, 0, 3))
-        },
-    ) {
-        let names: Vec<String> = (0..data.dims()[1]).map(|i| format!("v{i}")).collect();
-        let csv = to_csv(&data, &names);
-        // Corrupt one numeric cell with garbage.
-        let mut lines: Vec<String> = csv.lines().map(String::from).collect();
-        let target_row = 1 + row % (lines.len() - 1);
-        let cells: Vec<String> = lines[target_row].split(',').map(String::from).collect();
-        let target_col = col % cells.len();
-        let mut new_cells = cells.clone();
-        new_cells[target_col] = "not-a-number".into();
-        lines[target_row] = new_cells.join(",");
-        let corrupted = lines.join("\n");
-        prop_assert!(from_csv(&corrupted).is_err());
     }
 }

@@ -13,9 +13,9 @@
 //! `results/*.json`.
 
 use crate::json::Json;
-use crate::trace::{ObsMode, Recorder, Sink};
+use crate::trace::{ObsMode, Recorder};
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// One named phase of a run (e.g. `dataset`, `experiment`, `report`).
@@ -29,10 +29,9 @@ pub(crate) struct Phase {
 pub(crate) struct RunState {
     name: String,
     /// File stem for this run's outputs: the name itself, or
-    /// `<name>.<n>` when the same recorder has begun `n` ≥ 2 runs with
-    /// that name — a deterministic, clock-free collision guard so a
-    /// process that runs the same experiment twice keeps both
-    /// manifests.
+    /// `<name>.<n>` when the process has begun `n` ≥ 2 runs with that
+    /// name — a deterministic, clock-free collision guard so a process
+    /// that runs the same experiment twice keeps both manifests.
     stem: String,
     dir: PathBuf,
     config: Json,
@@ -84,20 +83,21 @@ impl Recorder {
         if mode == ObsMode::Off {
             return false;
         }
+        // The calling thread's undrained kernel work belongs to what ran
+        // before: the previous run, finished below, or nothing this run
+        // reports (the reset below discards it).
+        self.drain_kernel_counters();
         let started_ns = self.elapsed_ns();
         let mut inner = self.lock();
         if inner.run.is_some() {
             let _ = finish_locked(&mut inner, self.elapsed_ns());
         }
-        // Each manifest summarises only its own run. The calling
-        // thread's kernel counters are discarded too, so pre-run work
-        // never leaks into the first drain inside the run.
+        // Each manifest summarises only its own run.
         inner.metrics.reset();
         inner.event_counts.clear();
         inner.profile = crate::profile::Profile::new();
-        let _ = ema_tensor::take_kernel_counters();
-        // Collision-free file stem: the n-th run named `name` on this
-        // recorder writes `<name>.<n>.*` for n ≥ 2 (first run keeps the
+        // Collision-free file stem: the n-th run named `name` in this
+        // process writes `<name>.<n>.*` for n ≥ 2 (first run keeps the
         // plain name, so existing single-run paths are unchanged).
         let uses = inner.used_run_names.entry(name.to_string()).or_insert(0);
         *uses += 1;
@@ -113,10 +113,10 @@ impl Recorder {
             );
             return false;
         }
-        if mode == ObsMode::Full && !matches!(inner.sink, Sink::Memory(_)) {
+        if mode == ObsMode::Full {
             let path = dir.join(format!("{stem}.jsonl"));
             match fs::File::create(&path) {
-                Ok(f) => inner.sink = Sink::File(BufWriter::new(f)),
+                Ok(f) => inner.log = Some(BufWriter::new(f)),
                 Err(e) => {
                     eprintln!(
                         "warning: cannot create {}: {e}; events not logged",
@@ -142,8 +142,11 @@ impl Recorder {
 
     /// Opens a named phase, closing the previous one. Phase wall-times
     /// land in the run summary; a `phase` point event marks the
-    /// boundary in the JSONL log. No-op without an active run.
+    /// boundary in the JSONL log. The calling thread's undrained kernel
+    /// work is drained first, into the phase that closes. No-op without
+    /// an active run, apart from that drain.
     pub fn phase(&self, title: &str) {
+        self.drain_kernel_counters();
         let now = self.elapsed_ns();
         {
             let mut inner = self.lock();
@@ -171,11 +174,15 @@ impl Recorder {
         }
     }
 
-    /// Closes the active run: flushes the JSONL log and writes
-    /// `<name>.summary.json` (plus `<name>.folded` when the span
-    /// profile is non-empty), returning the summary path. `None` when
-    /// no run is active or the summary could not be written.
+    /// Closes the active run: drains the calling thread's kernel work
+    /// into the last phase (work that ran outside any executor job,
+    /// such as a cluster plan trained on the caller, is counted here),
+    /// flushes the JSONL log and writes `<name>.summary.json` (plus
+    /// `<name>.folded` when the span profile is non-empty), returning
+    /// the summary path. `None` when no run is active or the summary
+    /// could not be written.
     pub fn finish_run(&self) -> Option<PathBuf> {
+        self.drain_kernel_counters();
         let now = self.elapsed_ns();
         let mut inner = self.lock();
         finish_locked(&mut inner, now)
@@ -187,9 +194,13 @@ fn finish_locked(inner: &mut crate::trace::Inner, now: u64) -> Option<PathBuf> {
     if let Some(open) = run.phases.last_mut() {
         open.end_ns.get_or_insert(now);
     }
-    // Stop streaming before summarising; flush happens on drop.
-    if matches!(inner.sink, Sink::File(_)) {
-        inner.sink = Sink::Null;
+    // Stop streaming before summarising. Dropping the writer would
+    // swallow a failed final flush, so flush it here and say so.
+    if let Some(mut log) = inner.log.take() {
+        if let Err(e) = log.flush() {
+            let path = run.dir.join(format!("{}.jsonl", run.stem));
+            eprintln!("warning: cannot write {}: {e}", path.display());
+        }
     }
 
     let phases: Vec<Json> = run
@@ -252,7 +263,20 @@ fn finish_locked(inner: &mut crate::trace::Inner, now: u64) -> Option<PathBuf> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::trace::Recorder;
+    use crate::trace::{recorder, set_mode};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serialises this crate's tests that use the recorder: each sets
+    /// the mode, runs in a scratch directory and reads back what the run
+    /// wrote.
+    static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Takes the recorder lock and sets `mode`.
+    pub(crate) fn exclusive(mode: ObsMode) -> MutexGuard<'static, ()> {
+        let guard = RECORDER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        set_mode(mode);
+        guard
+    }
 
     /// An empty scratch directory `name` under the workspace target.
     pub(crate) fn scratch(name: &str) -> PathBuf {
@@ -267,10 +291,39 @@ pub(crate) mod tests {
         dir
     }
 
+    /// What a finished run wrote: its JSONL events (none without a
+    /// log) and its summary.
+    pub(crate) struct Written {
+        pub(crate) events: Vec<Json>,
+        pub(crate) summary: Json,
+    }
+
+    /// Runs `body` as run `name` in `mode`, under the recorder lock and
+    /// in scratch directory `name`, and reads back what the run wrote.
+    pub(crate) fn written_by(name: &str, mode: ObsMode, body: impl FnOnce()) -> Written {
+        let _guard = exclusive(mode);
+        assert!(recorder().begin_run_in(name, Json::Null, &scratch(name)));
+        body();
+        let summary = recorder().finish_run().expect("summary written");
+        let stem = summary.to_str().unwrap().strip_suffix(".summary.json");
+        let log = format!("{}.jsonl", stem.unwrap());
+        Written {
+            events: fs::read_to_string(log)
+                .map(|text| {
+                    text.lines()
+                        .map(|line| Json::parse(line).expect("line parses"))
+                        .collect()
+                })
+                .unwrap_or_default(),
+            summary: Json::parse(&fs::read_to_string(summary).unwrap()).unwrap(),
+        }
+    }
+
     #[test]
     fn off_mode_creates_no_files() {
+        let _guard = exclusive(ObsMode::Off);
         let dir = scratch("off");
-        let rec = Recorder::with_mode(ObsMode::Off);
+        let rec = recorder();
         assert!(!rec.begin_run_in("probe", Json::Null, &dir));
         assert!(rec.finish_run().is_none());
         assert!(!dir.exists(), "off mode must not touch the filesystem");
@@ -278,9 +331,10 @@ pub(crate) mod tests {
 
     #[test]
     fn full_mode_streams_jsonl_and_writes_summary() {
+        let _guard = exclusive(ObsMode::Full);
         let dir = scratch("full");
-        let rec = Recorder::with_mode(ObsMode::Full);
-        assert!(rec.begin_run_in("probe", Json::obj(vec![("n", Json::from(2usize))]), &dir));
+        let rec = recorder();
+        assert!(rec.begin_run_in("full", Json::obj(vec![("n", Json::from(2usize))]), &dir));
         rec.phase("work");
         {
             let _s = rec.span("step", vec![("i", Json::from(0usize))]);
@@ -291,7 +345,7 @@ pub(crate) mod tests {
         let summary_path = rec.finish_run().expect("summary written");
 
         // Every JSONL line parses; the epoch event is present.
-        let log = fs::read_to_string(dir.join("probe.jsonl")).unwrap();
+        let log = fs::read_to_string(dir.join("full.jsonl")).unwrap();
         let mut saw_epoch = false;
         for line in log.lines() {
             let ev = Json::parse(line).expect("line parses");
@@ -304,7 +358,7 @@ pub(crate) mod tests {
 
         // The summary captures phases, events and metrics.
         let summary = Json::parse(&fs::read_to_string(&summary_path).unwrap()).unwrap();
-        assert_eq!(summary.require("run").unwrap().to_str().unwrap(), "probe");
+        assert_eq!(summary.require("run").unwrap().to_str().unwrap(), "full");
         assert_eq!(summary.require("mode").unwrap().to_str().unwrap(), "full");
         let phases = summary.require("phases").unwrap().to_arr().unwrap();
         assert_eq!(phases.len(), 2);
@@ -329,14 +383,15 @@ pub(crate) mod tests {
 
     #[test]
     fn summary_mode_writes_summary_but_no_jsonl() {
+        let _guard = exclusive(ObsMode::Summary);
         let dir = scratch("summary");
-        let rec = Recorder::with_mode(ObsMode::Summary);
-        assert!(rec.begin_run_in("probe", Json::Null, &dir));
+        let rec = recorder();
+        assert!(rec.begin_run_in("summary", Json::Null, &dir));
         rec.point("train_epoch", vec![("loss", Json::Num(0.5))]);
         let path = rec.finish_run().expect("summary written");
         assert!(path.exists());
         assert!(
-            !dir.join("probe.jsonl").exists(),
+            !dir.join("summary.jsonl").exists(),
             "summary mode streams no JSONL"
         );
         let summary = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
@@ -354,9 +409,10 @@ pub(crate) mod tests {
 
     #[test]
     fn summary_carries_the_profile_and_folded_stacks_land_on_disk() {
+        let _guard = exclusive(ObsMode::Summary);
         let dir = scratch("profile");
-        let rec = Recorder::with_mode(ObsMode::Summary);
-        assert!(rec.begin_run_in("probe", Json::Null, &dir));
+        let rec = recorder();
+        assert!(rec.begin_run_in("profile", Json::Null, &dir));
         rec.phase("work");
         {
             let _outer = rec.span("main", vec![]);
@@ -369,10 +425,10 @@ pub(crate) mod tests {
         let (name, main) = profile.roots().next().expect("profiled root");
         assert_eq!(name, "main");
         assert_eq!(main.children().next().unwrap().0, "step");
-        let folded = fs::read_to_string(dir.join("probe.folded")).unwrap();
+        let folded = fs::read_to_string(dir.join("profile.folded")).unwrap();
         assert!(folded.lines().any(|l| l.starts_with("main;step ")));
         // The next run starts from an empty profile.
-        assert!(rec.begin_run_in("again", Json::Null, &dir));
+        assert!(rec.begin_run_in("profile_again", Json::Null, &dir));
         let again = rec.finish_run().unwrap();
         let summary = Json::parse(&fs::read_to_string(&again).unwrap()).unwrap();
         assert_eq!(
@@ -380,25 +436,26 @@ pub(crate) mod tests {
             0
         );
         assert!(
-            !dir.join("again.folded").exists(),
+            !dir.join("profile_again.folded").exists(),
             "empty profiles write no folded file"
         );
     }
 
     #[test]
     fn repeated_run_names_get_distinct_file_stems() {
+        let _guard = exclusive(ObsMode::Summary);
         let dir = scratch("collide");
-        let rec = Recorder::with_mode(ObsMode::Summary);
+        let rec = recorder();
         for i in 0..3usize {
-            assert!(rec.begin_run_in("probe", Json::obj(vec![("i", Json::from(i))]), &dir));
+            assert!(rec.begin_run_in("collide", Json::obj(vec![("i", Json::from(i))]), &dir));
             rec.finish_run().expect("summary written");
         }
-        for stem in ["probe", "probe.2", "probe.3"] {
+        for stem in ["collide", "collide.2", "collide.3"] {
             let path = dir.join(format!("{stem}.summary.json"));
             assert!(path.exists(), "missing {}", path.display());
             let summary = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
             // The run *name* stays the plain name; only files get stems.
-            assert_eq!(summary.require("run").unwrap().to_str().unwrap(), "probe");
+            assert_eq!(summary.require("run").unwrap().to_str().unwrap(), "collide");
         }
         // All three configs survived — nothing was overwritten.
         let i_of = |stem: &str| {
@@ -411,36 +468,45 @@ pub(crate) mod tests {
                 .to_usize()
                 .unwrap()
         };
-        assert_eq!((i_of("probe"), i_of("probe.2"), i_of("probe.3")), (0, 1, 2));
+        assert_eq!(
+            (i_of("collide"), i_of("collide.2"), i_of("collide.3")),
+            (0, 1, 2)
+        );
+    }
+
+    /// `kernel.<phase>.scalar.calls` in a metrics snapshot.
+    fn calls(metrics: &Json, phase: &str) -> usize {
+        let key = format!("kernel.{phase}.scalar.calls");
+        metrics
+            .require("counters")
+            .unwrap()
+            .require(&key)
+            .unwrap()
+            .to_usize()
+            .unwrap()
+    }
+
+    /// Runs `n` small scalar matmuls on this thread.
+    fn matmuls(n: usize) {
+        use ema_tensor::{KernelBackend, Tensor};
+        let _scope = KernelBackend::Scalar.scoped();
+        for _ in 0..n {
+            let _ = Tensor::filled(&[2, 3], 1.0).matmul(&Tensor::filled(&[3, 4], 1.0));
+        }
     }
 
     #[test]
     fn current_phase_tracks_the_open_phase() {
         // A kernel drain lands in `kernel.<open phase>.*`, or in
         // `kernel.run.*` while no phase is open.
-        use ema_tensor::{KernelBackend, Tensor};
+        let _guard = exclusive(ObsMode::Summary);
         let dir = scratch("phase");
-        let rec = Recorder::with_mode(ObsMode::Summary);
-        let _ = ema_tensor::take_kernel_counters();
-        ema_tensor::set_kernel_counting(true);
-        let _scope = KernelBackend::Scalar.scoped();
+        let rec = recorder();
         let matmuls_then_drain = |n: usize| {
-            for _ in 0..n {
-                let _ = Tensor::filled(&[2, 3], 1.0).matmul(&Tensor::filled(&[3, 4], 1.0));
-            }
+            matmuls(n);
             rec.drain_kernel_counters();
         };
-        let calls = |metrics: &Json, phase: &str| {
-            let key = format!("kernel.{phase}.scalar.calls");
-            metrics
-                .require("counters")
-                .unwrap()
-                .require(&key)
-                .unwrap()
-                .to_usize()
-                .unwrap()
-        };
-        assert!(rec.begin_run_in("probe", Json::Null, &dir));
+        assert!(rec.begin_run_in("phase", Json::Null, &dir));
         matmuls_then_drain(1);
         rec.phase("train");
         matmuls_then_drain(2);
@@ -463,9 +529,35 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn phases_and_the_run_end_drain_the_calling_thread() {
+        // Work no executor job drained — a cluster plan trained on the
+        // calling thread, say — lands in the phase it ran in.
+        let _guard = exclusive(ObsMode::Summary);
+        let rec = recorder();
+        assert!(rec.begin_run_in("phase_drains", Json::Null, &scratch("phase_drains")));
+        matmuls(1);
+        rec.phase("train");
+        matmuls(2);
+        rec.phase("report");
+        matmuls(3);
+        let path = rec.finish_run().expect("summary written");
+        let summary = Json::parse(&fs::read_to_string(&path).unwrap()).unwrap();
+        let metrics = summary.require("metrics").unwrap();
+        assert_eq!(
+            (
+                calls(metrics, "run"),
+                calls(metrics, "train"),
+                calls(metrics, "report")
+            ),
+            (1, 2, 3)
+        );
+    }
+
+    #[test]
     fn beginning_a_run_finishes_the_previous_one() {
+        let _guard = exclusive(ObsMode::Summary);
         let dir = scratch("restart");
-        let rec = Recorder::with_mode(ObsMode::Summary);
+        let rec = recorder();
         assert!(rec.begin_run_in("first", Json::Null, &dir));
         rec.annotate("note", Json::from("hello"));
         assert!(rec.begin_run_in("second", Json::Null, &dir));

@@ -10,16 +10,16 @@
 //! Profiles are built two ways, and the two must agree (property-tested
 //! in `tests/properties.rs`):
 //!
-//! 1. **Live**, by the per-thread aggregators in [`crate::trace`]: every
+//! 1. **Live**, by the per-thread state in [`crate::trace`]: every
 //!    span exit records `(path, dur_ns)` into a thread-local tree, and
 //!    when a thread's root span closes the whole subtree merges into the
 //!    recorder under one lock — the same batching discipline
 //!    [`crate::trace::WorkerScope`] uses for events, so profiling stays
 //!    cheap under the executor. The run summary's `profile` section and
 //!    the `<run>.folded` flamegraph file come from this path.
-//! 2. **Offline**, by [`Profile::from_events`] replaying a recorded
-//!    event stream (the JSONL manifest) — what `obs_report` falls back
-//!    to, and what pins the live path in tests.
+//! 2. **Offline**, by [`Profile::from_events`] replaying a run's JSONL
+//!    event log. Only the tests use it: they check that a run's summary
+//!    profile equals the replay of the same run's log.
 //!
 //! Node durations come from the recorder's monotonic clock, so child
 //! intervals nest inside their parent's interval on the same thread and
@@ -159,8 +159,10 @@ pub struct Profile {
 impl Profile {
     /// An empty profile.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        Self {
+            roots: BTreeMap::new(),
+        }
     }
 
     /// True when no span has been recorded.
@@ -211,7 +213,7 @@ impl Profile {
     /// stream): per-thread stacks grow on `enter` and record on `exit`
     /// using the event's `dur_ns`. Spans left open (no exit in the
     /// stream) are dropped, mirroring the live aggregator, so replaying
-    /// a recorder's drained events reproduces its live profile exactly.
+    /// a run's log reproduces the profile in its summary exactly.
     #[must_use]
     pub fn from_events(events: &[Json]) -> Profile {
         let mut profile = Profile::new();

@@ -1,10 +1,17 @@
 //! Property tests for the obs layer: histogram bucket/quantile
 //! invariants, span-nesting balance and span-profile invariants,
-//! driven by `ema_check`.
+//! driven by `ema_check`. The span properties run on the process's
+//! recorder, one run per case under [`RECORDER_LOCK`], and check what
+//! each run wrote: its JSONL log and the profile in its summary.
 
 use ema_check::{gen, prop_assert, prop_assert_eq, prop_tests};
-use ema_obs::{Histogram, Json, ObsMode, Profile, Recorder};
+use ema_obs::{recorder, set_mode, Histogram, Json, ObsMode, Profile};
 use ema_tensor::Rng64;
+use std::path::Path;
+use std::sync::{Mutex, PoisonError};
+
+/// Serialises the properties that use the recorder.
+static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 /// Strictly increasing finite bucket bounds (1–8 of them).
 fn bounds_gen(rng: &mut Rng64) -> Vec<f64> {
@@ -32,21 +39,40 @@ fn program_gen(rng: &mut Rng64) -> Vec<bool> {
         .collect()
 }
 
-/// Runs a nesting program against a fresh in-memory recorder and
-/// returns the emitted events.
-fn run_program(program: &[bool]) -> Vec<Json> {
-    let rec = Recorder::in_memory(ObsMode::Full);
-    drive_program(&rec, program);
-    rec.drain_events()
+/// Runs `body` as a `full`-mode run named `name` in a scratch
+/// directory and returns the events it logged (after its `run_start`
+/// point) and the profile its summary carries.
+fn run_full(name: &str, body: impl FnOnce()) -> (Vec<Json>, Profile) {
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    set_mode(ObsMode::Full);
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .join("target/obs-scratch/properties");
+    assert!(recorder().begin_run_in(name, Json::Null, &dir));
+    body();
+    let summary = recorder().finish_run().expect("summary written");
+    let text = std::fs::read_to_string(&summary).unwrap();
+    let profile = Json::parse(&text).unwrap();
+    let profile = Profile::from_json(profile.require("profile").unwrap()).unwrap();
+    let stem = summary.to_str().unwrap().strip_suffix(".summary.json");
+    let log = std::fs::read_to_string(format!("{}.jsonl", stem.unwrap())).unwrap();
+    let events = log
+        .lines()
+        .map(|line| Json::parse(line).expect("line parses"))
+        .filter(|e| e.get("name").and_then(Json::as_str) != Some("run_start"))
+        .collect();
+    (events, profile)
 }
 
-/// Plays one nesting program's spans on `rec` from the current thread.
-fn drive_program(rec: &Recorder, program: &[bool]) {
+/// Plays one nesting program's spans from the current thread.
+fn drive_program(program: &[bool]) {
     let mut stack = Vec::new();
     for (i, &open) in program.iter().enumerate() {
         if open || stack.is_empty() {
             let name = format!("span{}", i % 5);
-            stack.push(rec.span(&name, vec![("step", Json::from(i))]));
+            stack.push(recorder().span(&name, vec![("step", Json::from(i))]));
         } else {
             drop(stack.pop());
         }
@@ -124,13 +150,10 @@ prop_tests! {
 
     @cases(64)
     fn profile_tree_invariants_hold_and_replay_matches(program in program_gen) {
-        let rec = Recorder::in_memory(ObsMode::Full);
-        drive_program(&rec, program.as_slice());
-        let live = rec.profile_snapshot();
+        let (events, live) = run_full("tree", || drive_program(program.as_slice()));
         // Live thread-local aggregation must agree exactly with an
         // offline replay of the very events those spans emitted.
-        let replayed = Profile::from_events(&rec.drain_events());
-        prop_assert_eq!(live.clone(), replayed);
+        prop_assert_eq!(live.clone(), Profile::from_events(&events));
         for (path, node) in live.flatten() {
             prop_assert!(node.count() > 0, "{path}: empty node materialised");
             prop_assert!(
@@ -151,22 +174,20 @@ prop_tests! {
 
     @cases(32)
     fn parallel_worker_profiles_equal_sequential_replay(programs in jobs_gen) {
-        let rec = Recorder::in_memory(ObsMode::Full);
-        std::thread::scope(|scope| {
-            for (w, program) in programs.iter().enumerate() {
-                let rec = &rec;
-                scope.spawn(move || {
-                    let _ws = rec.worker_scope(w);
-                    let _job = rec.span("job", vec![("w", Json::from(w))]);
-                    drive_program(rec, program.as_slice());
-                });
-            }
+        let (events, live) = run_full("workers", || {
+            std::thread::scope(|scope| {
+                for (w, program) in programs.iter().enumerate() {
+                    scope.spawn(move || {
+                        let _ws = recorder().worker_scope(w);
+                        let _job = recorder().span("job", vec![("w", Json::from(w))]);
+                        drive_program(program.as_slice());
+                    });
+                }
+            });
         });
-        let live = rec.profile_snapshot();
         // Concurrent per-thread aggregation merges to exactly what a
         // sequential replay of the recorded events produces.
-        let replayed = Profile::from_events(&rec.drain_events());
-        prop_assert_eq!(live.clone(), replayed);
+        prop_assert_eq!(live.clone(), Profile::from_events(&events));
         // Every worker's tree hangs under one "job" root, once each.
         let job = live.roots().find(|(name, _)| *name == "job");
         prop_assert!(job.is_some(), "job root missing");
@@ -175,7 +196,7 @@ prop_tests! {
 
     @cases(64)
     fn span_nesting_balances(program in program_gen) {
-        let events = run_program(&program);
+        let (events, _) = run_full("nesting", || drive_program(&program));
         // Replay the event stream: enters push, exits must match the
         // deepest open span, depths mirror the stack height, time is
         // monotone.

@@ -75,16 +75,6 @@ impl Tensor {
         Tensor::from_shape_pooled(out_shape, out)
     }
 
-    /// Means along `axis`, removing it from the shape.
-    ///
-    /// # Panics
-    /// Panics if `axis >= rank`.
-    #[must_use]
-    pub fn mean_axis(&self, axis: usize) -> Tensor {
-        let n = self.dims()[axis] as f64;
-        self.sum_axis(axis).scale(1.0 / n)
-    }
-
     /// Row sums of a rank-2 tensor, as `[rows]`.
     ///
     /// # Panics
@@ -177,12 +167,6 @@ mod tests {
         assert_eq!(s.dims(), &[2, 2]);
         // first block rows: [0,1],[2,3],[4,5] -> col sums [6, 9]
         assert_eq!(s.data(), &[6.0, 9.0, 24.0, 27.0]);
-    }
-
-    #[test]
-    fn mean_axis_consistency() {
-        let m = Tensor::from_vec2(vec![vec![2.0, 4.0], vec![6.0, 8.0]]).unwrap();
-        assert_tensors_close(&m.mean_axis(0), &Tensor::from_vec1(vec![4.0, 6.0]), 1e-12);
     }
 
     #[test]

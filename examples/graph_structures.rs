@@ -25,11 +25,7 @@ fn main() {
     let dataset = EmaGenerator::new(cfg).generate();
 
     for individual in &dataset.individuals {
-        let gt = individual
-            .ground_truth
-            .as_ref()
-            .expect("synthetic data has ground truth")
-            .symmetrized();
+        let gt = individual.ground_truth.symmetrized();
         let (train, _) = split_train_test(&individual.data, 0.7);
 
         println!(

@@ -87,7 +87,7 @@ test -s results/cluster_compare.json
 restore_cluster_compare
 trap - EXIT
 
-echo "==> bench_gate argument check"
+echo "==> bench_gate argument and missing-suite checks"
 # A NaN tolerance would pass every comparison; the gate must refuse it
 # with a usage line and exit status 2 before reading either suite.
 status=0
@@ -95,6 +95,16 @@ cargo run --offline -q -p ema-bench --bin bench_gate -- \
   results/BENCH_pipeline.json results/BENCH_pipeline.json --tolerance nan > /dev/null 2>&1 || status=$?
 if [ "$status" != 2 ]; then
   echo "bench_gate --tolerance nan: expected exit status 2, got $status" >&2
+  exit 1
+fi
+# A suite that cannot be read must stop the gate with an error line and
+# exit status 2, not a panic.
+rm -f target/ci_missing.json
+status=0
+cargo run --offline -q -p ema-bench --bin bench_gate -- \
+  target/ci_missing.json results/BENCH_pipeline.json > /dev/null 2>&1 || status=$?
+if [ "$status" != 2 ]; then
+  echo "bench_gate with a missing suite: expected exit status 2, got $status" >&2
   exit 1
 fi
 

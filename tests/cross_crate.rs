@@ -1,38 +1,14 @@
-//! Cross-crate integration: data IO feeding the pipeline, learned graphs
-//! flowing between models, and graph transformations composing.
+//! Cross-crate integration: learned graphs flowing between models,
+//! graph transformations composing, and the generated study's shape.
 
 use ema_core::pipeline::{run_individual, GraphSpec, RunSpec};
 use ema_core::train::TrainConfig;
-use ema_data::io::{from_csv, to_csv};
-use ema_data::preprocess::z_normalize;
 use ema_data::{EmaGenerator, GeneratorConfig};
 use ema_graph::chebyshev::chebyshev_from_adjacency;
 use ema_graph::normalize::{gcn_norm, spectral_radius};
 use ema_graph::sparsify::{sparsify, DensityThreshold};
 use ema_models::{ModelConfig, ModelKind};
 use ema_similarity::{build_graph, GraphMetric};
-
-#[test]
-fn csv_round_trip_preserves_pipeline_results() {
-    let ds = EmaGenerator::new(GeneratorConfig::quick(1, 6, 50)).generate();
-    let ind = &ds.individuals[0];
-
-    // Serialise, re-parse, re-normalise — pipeline must agree.
-    let csv = to_csv(&ind.raw, &ds.variable_names);
-    let (names, parsed_raw) = from_csv(&csv).unwrap();
-    assert_eq!(names, ds.variable_names);
-    let parsed_data = z_normalize(&parsed_raw);
-    ema_tensor::assert_tensors_close(&parsed_data, &ind.data, 1e-9);
-
-    let spec = RunSpec {
-        model_config: ModelConfig::tiny(2),
-        train_config: TrainConfig::quick(8, 4),
-        ..RunSpec::new(ModelKind::Lstm, GraphSpec::None, 2)
-    };
-    let direct = run_individual(0, &ind.data, &spec);
-    let via_csv = run_individual(0, &parsed_data, &spec);
-    assert_eq!(direct.mse, via_csv.mse);
-}
 
 #[test]
 fn similarity_graph_composes_with_graph_transformations() {
@@ -108,20 +84,6 @@ fn learned_graph_feeds_other_models() {
             "{} failed on the learned graph",
             model.label()
         );
-    }
-}
-
-#[test]
-fn ground_truth_graphs_survive_variable_selection() {
-    use ema_data::preprocess::select_variables;
-    let ds = EmaGenerator::new(GeneratorConfig::quick(2, 8, 53)).generate();
-    let sub = select_variables(&ds, &[1, 3, 5, 7]);
-    sub.validate(30);
-    for (orig, proj) in ds.individuals.iter().zip(sub.individuals.iter()) {
-        let g_orig = orig.ground_truth.as_ref().unwrap();
-        let g_proj = proj.ground_truth.as_ref().unwrap();
-        assert_eq!(g_proj.num_nodes(), 4);
-        assert_eq!(g_proj.weight(0, 1), g_orig.weight(1, 3));
     }
 }
 

@@ -40,7 +40,7 @@ fn correlation_graph_recovers_more_structure_than_random() {
         .individuals
         .iter()
         .map(|ind| {
-            let gt = ind.ground_truth.as_ref().unwrap().symmetrized();
+            let gt = ind.ground_truth.symmetrized();
             let (train, _) = split_train_test(&ind.data, 0.7);
             let corr_graph = build_graph(&train, GraphMetric::Correlation);
             let corr_score = edge_weight_correlation(&corr_graph, &gt);
@@ -81,7 +81,7 @@ fn correlation_graph_recovers_more_structure_than_random() {
 fn all_metrics_produce_graphs_more_informative_than_chance() {
     let ds = EmaGenerator::new(structured_config(8)).generate();
     let ind = &ds.individuals[0];
-    let gt = ind.ground_truth.as_ref().unwrap().symmetrized();
+    let gt = ind.ground_truth.symmetrized();
     let (train, _) = split_train_test(&ind.data, 0.7);
     for metric in [
         GraphMetric::Correlation,
