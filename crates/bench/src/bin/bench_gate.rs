@@ -21,15 +21,15 @@
 //! `error: <path>: <reason>` and exits with status 2.
 //!
 //! The default tolerance is **15%**: generous enough to absorb normal
-//! scheduler and cache noise on a busy CI box (medians over a handful
-//! of short samples routinely wobble several percent, and the CI run
-//! uses fast settings — few samples, short sample windows — that widen
-//! the spread further), yet tight enough that a real regression, like
-//! an allocation sneaking back into the training hot loop, lands well
+//! scheduler and cache noise on a busy CI box (medians over the
+//! harness's default 15 samples of about 20 ms still wobble several
+//! percent), yet tight enough that a real regression, like an
+//! allocation sneaking back into the training hot loop, lands well
 //! outside it. Allocation counts are near-deterministic, so the same
-//! tolerance is conservative there. Speedups and new benchmarks pass;
-//! a benchmark that *disappears* from the candidate fails the gate, so
-//! coverage cannot silently shrink.
+//! tolerance is conservative there; from a zero baseline any growth
+//! fails. Speedups and new benchmarks pass; a benchmark that
+//! *disappears* from the candidate fails the gate, so coverage cannot
+//! silently shrink.
 //!
 //! ## Shared-host load normalization
 //!
@@ -108,6 +108,16 @@ fn ms(ns: Option<f64>) -> String {
     ns.map_or_else(|| "-".to_string(), |ns| format!("{:.3} ms", ns / 1e6))
 }
 
+/// The growth of `cand` over `base` as `+x.x%`; from a zero baseline,
+/// where a percentage means nothing, `from zero`.
+fn growth(base: f64, cand: f64) -> String {
+    if base > 0.0 {
+        format!("+{:.1}%", (cand / base - 1.0) * 100.0)
+    } else {
+        "from zero".to_string()
+    }
+}
+
 /// Reads the suite at `path`.
 ///
 /// # Errors
@@ -179,17 +189,18 @@ fn gate_suite(
         );
         // Allocation gate: counts are near-deterministic, so growth
         // beyond the tolerance means an allocation crept into a hot
-        // loop even if the timing median absorbed it.
+        // loop even if the timing median absorbed it. From a zero
+        // baseline any growth fails.
         if let (Some(base_allocs), Some(cand_allocs)) = (base.allocs_per_iter, cand.allocs_per_iter)
         {
-            if base_allocs > 0.0 && cand_allocs > base_allocs * (1.0 + tolerance) {
+            if cand_allocs > base_allocs * (1.0 + tolerance) {
                 failures += 1;
                 eprintln!(
-                    "GATE FAIL {}: allocs/iter {} -> {} (+{:.1}%)",
+                    "GATE FAIL {}: allocs/iter {} -> {} ({})",
                     base.name,
                     base_allocs,
                     cand_allocs,
-                    (cand_allocs / base_allocs - 1.0) * 100.0
+                    growth(base_allocs, cand_allocs)
                 );
             }
         }
@@ -197,16 +208,17 @@ fn gate_suite(
         // high-water mark is near-deterministic and load-independent,
         // so it is never normalized. Growth beyond the tolerance means
         // a working-set regression (e.g. a shard holding more than one
-        // cohort batch alive at a time).
+        // cohort batch alive at a time); from a zero baseline, any
+        // growth.
         if let (Some(base_peak), Some(cand_peak)) = (base.peak_bytes, cand.peak_bytes) {
-            if base_peak > 0.0 && cand_peak > base_peak * (1.0 + tolerance) {
+            if cand_peak > base_peak * (1.0 + tolerance) {
                 failures += 1;
                 eprintln!(
-                    "GATE FAIL {}: peak bytes {:.0} -> {:.0} (+{:.1}%)",
+                    "GATE FAIL {}: peak bytes {:.0} -> {:.0} ({})",
                     base.name,
                     base_peak,
                     cand_peak,
-                    (cand_peak / base_peak - 1.0) * 100.0
+                    growth(base_peak, cand_peak)
                 );
             }
         }
@@ -309,6 +321,23 @@ mod tests {
         for (suite, expected) in cases {
             assert_eq!(parse(suite).err().as_deref(), Some(expected), "{suite}");
         }
+    }
+
+    #[test]
+    fn growth_from_a_zero_baseline_fails() {
+        let entry = |allocs: f64, peak: f64| Entry {
+            name: "a".to_string(),
+            median_ns: 10.0,
+            min_ns: None,
+            mad_ns: None,
+            allocs_per_iter: Some(allocs),
+            peak_bytes: Some(peak),
+        };
+        let gate =
+            |base: Entry, cand: Entry| gate_suite(("base", &[base]), ("cand", &[cand]), 0.15);
+        assert_eq!(gate(entry(0.0, 0.0), entry(0.0, 0.0)), 0, "0 -> 0 passes");
+        assert_eq!(gate(entry(0.0, 0.0), entry(5.0, 0.0)), 1, "allocs 0 -> 5");
+        assert_eq!(gate(entry(0.0, 0.0), entry(0.0, 5.0)), 1, "peak 0 -> 5");
     }
 
     #[test]

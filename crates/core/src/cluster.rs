@@ -1,5 +1,5 @@
 //! Cluster-then-personalize training: K-medoids cluster models, one
-//! checkpoint per cluster, and warm-start fine-tuning.
+//! parameter snapshot per cluster, and warm-start fine-tuning.
 //!
 //! At cohort scale, training every individual from scratch repeats most
 //! of the work: EMA studies cluster into a few behavioural regimes
@@ -9,19 +9,19 @@
 //! individuals, clusters their flattened **training-split** series with
 //! seeded K-medoids ([`ema_similarity::k_medoids`] — no test leakage),
 //! trains **one model per cluster** on each medoid individual through
-//! the pipeline's per-member shard body, and keeps the resulting
-//! parameters as one in-memory [`Checkpoint`] per cluster in the
-//! [`ClusterPlan`]. A plan is built for one spec, so it holds one model
-//! and one run condition. The fine-tune phase then assigns each
-//! streamed individual to its nearest medoid and trains
-//! `fine_tune_epochs` epochs from the cluster checkpoint instead of
-//! `epochs` from scratch — K trainings plus N cheap fine-tunes instead
-//! of N full trainings.
+//! the pipeline's per-member shard body, and keeps a clone of each
+//! cluster model's [`ParamStore`] in the [`ClusterPlan`]. A plan is
+//! built for one spec, so it holds one model and one run condition. The
+//! fine-tune phase then assigns each streamed individual to its nearest
+//! medoid, restores that cluster's parameters
+//! ([`ParamStore::restore`]) and trains `fine_tune_epochs` epochs from
+//! them instead of `epochs` from scratch — K trainings plus N cheap
+//! fine-tunes instead of N full trainings.
 //!
 //! **Determinism:** the plan is built once on the calling thread of
 //! [`crate::cohort::run_cohort_sharded`] before any shard job spawns —
-//! representative ids, medoids and checkpoints are identical at every
-//! thread count and shard size. Cluster training seeds derive from
+//! representative ids, medoids and cluster parameters are identical at
+//! every thread count and shard size. Cluster training seeds derive from
 //! `(run seed, medoid id)` exactly as the medoid's idiographic run
 //! would; fine-tune runs keep each individual's own derived stream (see
 //! the warm-start RNG contract on
@@ -32,10 +32,10 @@
 //! hits = [`ClusterPlan::checkpoint`] lookups) and a
 //! `cluster.fine_tune_epochs` histogram.
 
-use crate::checkpoint::Checkpoint;
 use crate::pipeline::{train_shard_member, RunSpec};
 use ema_autodiff::{Grads, Tape};
 use ema_data::{split_train_test, EmaGenerator};
+use ema_nn::ParamStore;
 use ema_obs::span;
 use ema_similarity::{
     argmin_distance, flatten_series, k_medoids, pairwise_series_distances, series_distance,
@@ -59,7 +59,7 @@ pub enum TrainStrategy {
     /// Cluster-then-personalize: K-medoids over representative
     /// training-split series, one cluster model trained per medoid,
     /// then each individual fine-tunes `fine_tune_epochs` epochs from
-    /// its nearest cluster's checkpoint. `k = 1` with
+    /// its nearest cluster's parameters. `k = 1` with
     /// `fine_tune_epochs = 0` is the nomothetic baseline (one shared
     /// model, served as-is).
     ClusterWarmStart {
@@ -67,24 +67,24 @@ pub enum TrainStrategy {
         k: usize,
         /// Epochs each cluster model trains on its medoid individual.
         cluster_epochs: usize,
-        /// Epochs each individual fine-tunes from its cluster
-        /// checkpoint (0 = pure restore, no personalization).
+        /// Epochs each individual fine-tunes from its cluster's
+        /// parameters (0 = pure restore, no personalization).
         fine_tune_epochs: usize,
     },
 }
 
 /// The trained cluster phase: medoid series for assignment plus one
-/// checkpoint per cluster for warm starts. Built once per
+/// parameter snapshot per cluster for warm starts. Built once per
 /// [`crate::cohort::run_cohort_sharded`] run by [`plan_clusters`];
 /// read-only afterwards, shared across shard jobs.
 #[derive(Debug, Clone)]
 pub struct ClusterPlan {
     /// Study ids of the K medoid individuals, in cluster order.
     pub medoid_ids: Vec<usize>,
-    /// Epochs each individual fine-tunes from its cluster checkpoint.
+    /// Epochs each individual fine-tunes from its cluster's parameters.
     pub fine_tune_epochs: usize,
     /// Cluster `c`'s trained parameters at index `c`.
-    checkpoints: Vec<Arc<Checkpoint>>,
+    checkpoints: Vec<Arc<ParamStore>>,
     medoid_series: Vec<Vec<f64>>,
 }
 
@@ -104,17 +104,17 @@ impl ClusterPlan {
         argmin_distance(self.medoid_series.iter().map(|m| series_distance(&flat, m)))
     }
 
-    /// The cluster's checkpoint, counted as a `cluster.cache_hits`
-    /// lookup.
+    /// The cluster model's trained parameters, counted as a
+    /// `cluster.cache_hits` lookup.
     ///
     /// # Panics
     /// Panics if `cluster` is not one of the plan's clusters.
     #[must_use]
-    pub fn checkpoint(&self, cluster: usize) -> Arc<Checkpoint> {
+    pub fn checkpoint(&self, cluster: usize) -> Arc<ParamStore> {
         let ckpt = self
             .checkpoints
             .get(cluster)
-            .expect("every planned cluster has a checkpoint");
+            .expect("every planned cluster has trained parameters");
         ema_obs::recorder().inc_counter("cluster.cache_hits", 1);
         Arc::clone(ckpt)
     }
@@ -126,7 +126,7 @@ impl ClusterPlan {
 /// K-medoids, train one model per cluster on its medoid individual
 /// (the runner body's per-member training, each medoid trained exactly
 /// as its idiographic run for `cluster_epochs` epochs, one after
-/// another on one tape), and keep the resulting checkpoints.
+/// another on one tape), and keep a clone of each one's parameters.
 ///
 /// # Panics
 /// Panics when the spec's strategy is [`TrainStrategy::Idiographic`],
@@ -197,7 +197,7 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         cluster_spec.train_config.warm_start = None;
         let _kernel = cluster_spec.train_config.kernel_backend.scoped();
         let (mut tape, mut grads) = (Tape::new(), Grads::empty());
-        let checkpoints: Vec<Arc<Checkpoint>> = medoid_ids
+        let checkpoints: Vec<Arc<ParamStore>> = medoid_ids
             .iter()
             .flat_map(|&id| generator.generate_range(id, id + 1))
             .enumerate()
@@ -205,7 +205,7 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
                 let (tape, grads) = (&mut tape, &mut grads);
                 let trained =
                     train_shard_member(b, m.id, &m.data, &cluster_spec, None, tape, grads);
-                Arc::new(Checkpoint::capture(trained.model.params()))
+                Arc::new(trained.model.params().clone())
             })
             .collect();
         // One miss per cluster trained (misses = trainings).
@@ -248,6 +248,20 @@ mod tests {
         EmaGenerator::new(GeneratorConfig::quick(6, 4, 23))
     }
 
+    /// Every parameter's name, shape and value bits, in registration
+    /// order.
+    fn param_bits(store: &ParamStore) -> Vec<(String, Vec<usize>, Vec<u64>)> {
+        store
+            .ids()
+            .into_iter()
+            .map(|id| {
+                let value = store.value(id);
+                let bits = value.data().iter().map(|v| v.to_bits()).collect();
+                (store.name(id).to_string(), value.dims().to_vec(), bits)
+            })
+            .collect()
+    }
+
     #[test]
     fn plan_is_deterministic_and_complete() {
         let generator = generator();
@@ -258,9 +272,12 @@ mod tests {
         assert_eq!(a.clusters(), 2);
         assert_eq!(a.checkpoints.len(), 2);
         for c in 0..a.clusters() {
-            let x = a.checkpoint(c);
-            let y = b.checkpoint(c);
-            assert_eq!(x.to_json(), y.to_json(), "cluster {c} checkpoints differ");
+            let (x, y) = (a.checkpoint(c), b.checkpoint(c));
+            assert_eq!(
+                param_bits(&x),
+                param_bits(&y),
+                "cluster {c} parameters differ"
+            );
         }
     }
 
@@ -289,9 +306,10 @@ mod tests {
         assert_eq!(plan.clusters(), 2);
     }
 
-    /// The per-individual oracle of the warm path: `run_individual`
-    /// with the plan's fine-tune schedule and the checkpoint of the
-    /// cluster the individual's training split is nearest to.
+    /// The per-individual oracle of the warm path: an idiographic
+    /// `run_individual` with the plan's fine-tune schedule and a manual
+    /// warm start from the cluster the individual's training split is
+    /// nearest to.
     fn manual_warm_start(
         plan: &ClusterPlan,
         ind: &Individual,
@@ -299,6 +317,7 @@ mod tests {
     ) -> IndividualOutcome {
         let (train, _) = split_train_test(&ind.data, spec.train_fraction);
         let mut manual = spec.clone();
+        manual.train_strategy = TrainStrategy::Idiographic;
         manual.train_config.epochs = plan.fine_tune_epochs;
         manual.train_config.warm_start = Some(plan.checkpoint(plan.assign(&train)));
         run_individual(ind.id, &ind.data, &manual)

@@ -10,7 +10,7 @@ use super::{cohort_mses, ExperimentScale};
 use crate::exec::{expect_all, Executor, Job};
 use crate::pipeline::{run_cohort_with, GraphSpec, RunSpec};
 use crate::results::{mean_relative_change_percent, BoxplotStats};
-use crate::{Json, JsonError};
+use crate::Json;
 use ema_graph::sparsify::DensityThreshold;
 use ema_graph::stats::edge_weight_correlation;
 use ema_models::ModelKind;
@@ -46,20 +46,6 @@ impl Fig3Entry {
             ("learned_stats", self.learned_stats.to_json_value()),
             ("pct_change", Json::Num(self.pct_change)),
         ])
-    }
-
-    /// Decodes the [`Self::to_json_value`] encoding.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on a missing member or wrong type.
-    pub fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            model: v.require("model")?.to_str()?.to_string(),
-            metric: v.require("metric")?.to_str()?.to_string(),
-            static_stats: BoxplotStats::from_json_value(v.require("static_stats")?)?,
-            learned_stats: BoxplotStats::from_json_value(v.require("learned_stats")?)?,
-            pct_change: v.require("pct_change")?.to_f64()?,
-        })
     }
 }
 
@@ -107,23 +93,6 @@ impl Fig3Results {
             ),
         ])
         .pretty()
-    }
-
-    /// Parses the [`Self::to_json`] encoding.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on malformed JSON or a wrong shape.
-    pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(json)?;
-        Ok(Self {
-            entries: v
-                .require("entries")?
-                .to_arr()?
-                .iter()
-                .map(Fig3Entry::from_json_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            mean_graph_correlation: v.require("mean_graph_correlation")?.to_f64()?,
-        })
     }
 }
 
@@ -232,8 +201,5 @@ mod tests {
         }
         let rendered = fig.render();
         assert!(rendered.contains("MTGNN / EUC") || rendered.contains("MTGNN / CORR"));
-        // JSON round trip.
-        let parsed = Fig3Results::from_json(&fig.to_json()).unwrap();
-        assert_eq!(parsed.entries.len(), 12);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's personalized EMA forecasting pipeline, end to end:
 //!
-//! 1. generate (or load) a study of `N` individuals ([`ema_data`]);
+//! 1. generate a study of `N` individuals ([`ema_data`]);
 //! 2. per individual: sequential 70/30 split, similarity-graph
 //!    construction **from the training portion only**, GDT
 //!    sparsification ([`ema_similarity`], [`ema_graph`]);
@@ -25,7 +25,7 @@
 //! (loss, gradient norm) and early-stop decisions, controlled by
 //! `EMA_OBS=off|summary|full` (default `summary`). Telemetry is
 //! determinism-safe — timing only ever appears in `results/obs/`
-//! output, never in results or checkpoint JSON.
+//! output, never in results JSON.
 //!
 //! ```no_run
 //! use ema_core::experiments::{ExperimentScale, run_experiment_a};
@@ -37,7 +37,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod cluster;
 pub mod cohort;
 pub mod evaluate;
@@ -47,7 +46,6 @@ pub mod pipeline;
 pub mod results;
 pub mod train;
 
-pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterPlan, TrainStrategy};
 pub use cohort::run_cohort_sharded;
 pub use ema_obs::{Json, JsonError};

@@ -80,11 +80,11 @@ pub struct RunSpec {
     /// (disabled = plain-ChebNet ablation).
     pub use_spatial_attention: bool,
     /// How sharded cohort runs train each individual: from scratch
-    /// (idiographic) or warm-started from K-medoids cluster
-    /// checkpoints ([`crate::cluster`]). Only
-    /// [`crate::cohort::run_cohort_sharded`] applies the strategy;
-    /// [`run_individual`] and [`run_cohort_with`] always train
-    /// idiographically.
+    /// (idiographic) or warm-started from K-medoids cluster models
+    /// ([`crate::cluster`]). Only [`crate::cohort::run_cohort_sharded`]
+    /// builds the cluster plan a warm start needs; [`run_individual`]
+    /// and [`run_cohort_with`] train idiographically and panic on any
+    /// other strategy.
     pub train_strategy: TrainStrategy,
 }
 
@@ -150,7 +150,7 @@ pub(crate) struct TrainedMember {
 /// Prepares, builds and trains one shard member on the shard's tape and
 /// gradient workspace: split → graph (training split only) → windows →
 /// config with the member's own dropout stream (with a cluster `plan`,
-/// fine-tuning from its nearest cluster's checkpoint) → model →
+/// fine-tuning from its nearest cluster's parameters) → model →
 /// training. `b` is the member's position in its shard. Spans:
 /// `individual` (with `build_graph` inside), then `train`.
 ///
@@ -310,14 +310,28 @@ pub(crate) fn run_shard<'a>(
     outcomes
 }
 
+/// Panics unless `spec` trains idiographically: a
+/// [`TrainStrategy::ClusterWarmStart`] spec needs the cluster plan that
+/// only [`crate::cohort::run_cohort_sharded`] builds, and without it
+/// every individual would silently train from scratch.
+fn assert_idiographic(spec: &RunSpec, runner: &str) {
+    assert!(
+        spec.train_strategy == TrainStrategy::Idiographic,
+        "{runner} trains idiographically; run a {:?} spec with run_cohort_sharded",
+        spec.train_strategy
+    );
+}
+
 /// Runs the full pipeline for one individual: split → graph → windows →
 /// train → evaluate (the runner body with a shard of one).
 ///
 /// # Panics
-/// Panics when the series is too short for the requested window length
-/// or the spec is inconsistent (graph-free GNN).
+/// Panics when the series is too short for the requested window length,
+/// the spec is inconsistent (graph-free GNN), or the spec's strategy is
+/// not [`TrainStrategy::Idiographic`].
 #[must_use]
 pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
+    assert_idiographic(spec, "run_individual");
     run_shard([(id, data)], spec, None)
         .pop()
         .expect("one outcome per member")
@@ -332,14 +346,17 @@ pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOut
 /// executor is free to schedule the cohort however its backend likes.
 ///
 /// # Panics
-/// Propagates the first individual's panic (with its job label) after
-/// the whole queue has drained.
+/// Panics before any individual trains when the spec's strategy is not
+/// [`TrainStrategy::Idiographic`]; otherwise propagates the first
+/// individual's panic (with its job label) after the whole queue has
+/// drained.
 #[must_use]
 pub fn run_cohort_with(
     dataset: &EmaDataset,
     spec: &RunSpec,
     executor: &Executor,
 ) -> Vec<IndividualOutcome> {
+    assert_idiographic(spec, "run_cohort_with");
     let _cohort_span = span!(
         "cohort",
         model = spec.model.label(),
@@ -460,6 +477,30 @@ mod tests {
         let sequential = mse(&Executor::sequential());
         assert_eq!(sequential, mse(&Executor::with_threads(2)));
         assert_eq!(sequential, mse(&Executor::with_threads(7)));
+    }
+
+    fn warm_start_spec() -> RunSpec {
+        RunSpec {
+            train_strategy: TrainStrategy::ClusterWarmStart {
+                k: 2,
+                cluster_epochs: 2,
+                fine_tune_epochs: 1,
+            },
+            ..quick_spec(ModelKind::Lstm, GraphSpec::None)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "run_cohort_sharded")]
+    fn run_individual_refuses_a_warm_start_spec() {
+        let ds = dataset();
+        let _ = run_individual(0, &ds.individuals[0].data, &warm_start_spec());
+    }
+
+    #[test]
+    #[should_panic(expected = "run_cohort_sharded")]
+    fn run_cohort_with_refuses_a_warm_start_spec() {
+        let _ = run_cohort_with(&dataset(), &warm_start_spec(), &Executor::sequential());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Result aggregation: mean(std) cells, rendered tables and boxplot
 //! statistics for the figure reproduction.
 
-use crate::{Json, JsonError};
+use crate::Json;
 use std::fmt;
 
 /// A table cell in the paper's `mean(std)` notation.
@@ -45,17 +45,6 @@ impl CellStat {
             ("mean", Json::Num(self.mean)),
             ("std", Json::Num(self.std)),
         ])
-    }
-
-    /// Decodes the [`Self::to_json_value`] encoding.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on a missing member or wrong type.
-    pub fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            mean: v.require("mean")?.to_f64()?,
-            std: v.require("std")?.to_f64()?,
-        })
     }
 }
 
@@ -171,42 +160,6 @@ impl ResultTable {
     pub fn to_json(&self) -> String {
         self.to_json_value().pretty()
     }
-
-    /// Parses a table from its [`Self::to_json`] encoding.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on malformed JSON or a wrong shape.
-    pub fn from_json(json: &str) -> Result<Self, JsonError> {
-        let v = Json::parse(json)?;
-        let columns = v
-            .require("columns")?
-            .to_arr()?
-            .iter()
-            .map(|c| c.to_str().map(str::to_string))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut rows = Vec::new();
-        for row in v.require("rows")?.to_arr()? {
-            let pair = row.to_arr()?;
-            if pair.len() != 2 {
-                return Err(JsonError {
-                    line: 0,
-                    col: 0,
-                    msg: format!("table row must be [label, cells], got {} items", pair.len()),
-                });
-            }
-            let cells = pair[1]
-                .to_arr()?
-                .iter()
-                .map(CellStat::from_json_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            rows.push((pair[0].to_str()?.to_string(), cells));
-        }
-        Ok(Self {
-            title: v.require("title")?.to_str()?.to_string(),
-            columns,
-            rows,
-        })
-    }
 }
 
 /// Five-number summary plus mean, for reproducing Fig. 3's boxplots as
@@ -268,21 +221,6 @@ impl BoxplotStats {
             ("max", Json::Num(self.max)),
             ("mean", Json::Num(self.mean)),
         ])
-    }
-
-    /// Decodes the [`Self::to_json_value`] encoding.
-    ///
-    /// # Errors
-    /// Returns a [`JsonError`] on a missing member or wrong type.
-    pub fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        Ok(Self {
-            min: v.require("min")?.to_f64()?,
-            q1: v.require("q1")?.to_f64()?,
-            median: v.require("median")?.to_f64()?,
-            q3: v.require("q3")?.to_f64()?,
-            max: v.require("max")?.to_f64()?,
-            mean: v.require("mean")?.to_f64()?,
-        })
     }
 }
 
@@ -350,18 +288,16 @@ mod tests {
                 },
             ],
         );
-        let json = t.to_json();
-        let parsed = ResultTable::from_json(&json).unwrap();
-        assert_eq!(parsed.cell("LSTM", "Seq2").unwrap().mean, 0.9);
-        assert!(parsed.cell("LSTM", "Seq9").is_none());
+        assert_eq!(t.cell("LSTM", "Seq2").unwrap().mean, 0.9);
+        assert!(t.cell("LSTM", "Seq9").is_none());
         assert!(t.render().contains("0.900(0.400)"));
     }
 
     #[test]
     fn table_serialization_is_stable_and_f64_exact() {
-        // Edge-case cell values must survive the round trip bit-exactly,
-        // and serialising twice must give identical bytes (the
-        // determinism guard relies on this).
+        // Edge-case cell values must read back from the written text
+        // bit-exactly, and serialising twice must give identical bytes
+        // (the determinism guard relies on this).
         let mut t = ResultTable::new("Edges", vec!["C".into()]);
         for (label, mean, std) in [
             ("neg-zero", -0.0, 0.0),
@@ -373,20 +309,18 @@ mod tests {
         }
         let json = t.to_json();
         assert_eq!(json, t.to_json(), "serialization is not deterministic");
-        let parsed = ResultTable::from_json(&json).unwrap();
-        for ((_, orig), (_, back)) in t.rows.iter().zip(parsed.rows.iter()) {
-            assert_eq!(orig[0].mean.to_bits(), back[0].mean.to_bits());
-            assert_eq!(orig[0].std.to_bits(), back[0].std.to_bits());
+        // `to_bits` tells -0.0 from 0.0, so the sign of zero is checked.
+        let parsed = Json::parse(&json).unwrap();
+        let rows = parsed.require("rows").unwrap().to_arr().unwrap();
+        assert_eq!(rows.len(), t.rows.len());
+        for ((label, orig), row) in t.rows.iter().zip(rows) {
+            let row = row.to_arr().unwrap();
+            assert_eq!(row[0].to_str().unwrap(), label);
+            let back = &row[1].to_arr().unwrap()[0];
+            let bits = |key: &str| back.require(key).unwrap().to_f64().unwrap().to_bits();
+            assert_eq!(orig[0].mean.to_bits(), bits("mean"), "{label} mean");
+            assert_eq!(orig[0].std.to_bits(), bits("std"), "{label} std");
         }
-        // -0.0 specifically keeps its sign through the pipeline.
-        assert!(parsed.rows[0].1[0].mean.is_sign_negative());
-    }
-
-    #[test]
-    fn boxplot_json_round_trip() {
-        let s = BoxplotStats::from_samples(&[0.3, 1.7, -2.0, 0.9, 4.4]);
-        let back = BoxplotStats::from_json_value(&s.to_json_value()).unwrap();
-        assert_eq!(s, back);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! member it prepares. `predict_member` (and [`predict_all`] over a
 //! cohort) runs the eval forward the same way.
 
-use crate::checkpoint::Checkpoint;
 use ema_autodiff::{Grads, Tape};
 use ema_data::WindowedData;
 use ema_models::{Forecaster, ForwardCtx, WindowBatch};
-use ema_nn::{Adam, Optimizer, OptimizerConfig};
+use ema_nn::{Adam, Optimizer, OptimizerConfig, ParamStore};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
 use ema_tensor::{KernelBackend, Rng64, Tensor};
@@ -39,18 +38,18 @@ pub struct TrainConfig {
     /// process resolution of `EMA_KERNEL` — SIMD where available).
     /// `Scalar` pins the bit-identity oracle regardless of environment.
     pub kernel_backend: KernelBackend,
-    /// Warm start: restore these parameters (bit-exact) over the
-    /// model's seeded init before the first epoch — the
-    /// cluster-then-personalize fine-tune path. **RNG contract:** the
-    /// model's init draws come from its own constructor RNG
-    /// (`ModelConfig::seed`), entirely separate from this config's
-    /// dropout stream, so a warm-started run consumes *identical*
-    /// training draw order to a cold run — the restore only overwrites
-    /// values. With `epochs == 0` the run is a pure restore: no
-    /// training RNG is created and zero draws are consumed.
-    /// `Arc` so one cluster checkpoint is shared across a shard's
-    /// individuals without copying parameters.
-    pub warm_start: Option<std::sync::Arc<Checkpoint>>,
+    /// Warm start: restore these parameters (bit-exact, through
+    /// [`ParamStore::restore`]) over the model's seeded init before the
+    /// first epoch — the cluster-then-personalize fine-tune path.
+    /// **RNG contract:** the model's init draws come from its own
+    /// constructor RNG (`ModelConfig::seed`), entirely separate from
+    /// this config's dropout stream, so a warm-started run consumes
+    /// *identical* training draw order to a cold run — the restore only
+    /// overwrites values. With `epochs == 0` the run is a pure restore:
+    /// no training RNG is created and zero draws are consumed. `Arc` so
+    /// one cluster's parameters are shared across a shard's individuals
+    /// without copying them.
+    pub warm_start: Option<std::sync::Arc<ParamStore>>,
 }
 
 impl Default for TrainConfig {
@@ -119,14 +118,13 @@ impl TrainReport {
 /// optimizer step is taken ("each individual's data is processed in a
 /// single batch", Sec. V-D). A one-model [`train_cohort`].
 ///
-/// With `warm_start` set, the checkpoint's parameters are restored
-/// (bit-exact) over the seeded init first; `epochs == 0` is then a
-/// pure restore run that consumes zero RNG draws and returns an empty
-/// report.
+/// With `warm_start` set, its parameters are restored (bit-exact) over
+/// the seeded init first; `epochs == 0` is then a pure restore run that
+/// consumes zero RNG draws and returns an empty report.
 ///
 /// # Panics
-/// Panics on an empty window set, or on zero epochs without a
-/// warm-start checkpoint.
+/// Panics on an empty window set, or on zero epochs without
+/// warm-start parameters.
 pub fn train_model<M: Forecaster>(
     model: &mut M,
     windows: &WindowedData,
@@ -149,8 +147,8 @@ pub fn train_model<M: Forecaster>(
 ///
 /// # Panics
 /// Panics on empty inputs, length mismatches, disagreeing kernel
-/// backends, an empty window set, or zero epochs without a warm-start
-/// checkpoint.
+/// backends, an empty window set, or zero epochs without warm-start
+/// parameters.
 pub fn train_cohort<M: Forecaster>(
     models: &mut [M],
     windows: &[WindowedData],
@@ -196,7 +194,7 @@ pub fn train_cohort<M: Forecaster>(
 /// state, RNG stream and early-stopping counters live only while it
 /// trains.
 ///
-/// A config with `warm_start` set restores the checkpoint into the
+/// A config with `warm_start` set restores its parameters into the
 /// model before its first epoch; with `epochs == 0` that is a pure
 /// restore that consumes zero training draws and returns an empty
 /// report.
@@ -206,8 +204,8 @@ pub fn train_cohort<M: Forecaster>(
 /// point when the member stops early.
 ///
 /// # Panics
-/// Panics on an empty window set, or on zero epochs without a
-/// warm-start checkpoint.
+/// Panics on an empty window set, or on zero epochs without
+/// warm-start parameters.
 pub(crate) fn train_member(
     b: usize,
     model: &mut dyn Forecaster,
@@ -222,11 +220,12 @@ pub(crate) fn train_member(
     );
     assert!(
         config.epochs > 0 || config.warm_start.is_some(),
-        "individual {b}: need at least one epoch (or a warm-start checkpoint to restore)"
+        "individual {b}: need at least one epoch (or warm-start parameters to restore)"
     );
-    if let Some(ckpt) = &config.warm_start {
-        ckpt.restore(model.params_mut())
-            .expect("warm-start checkpoint must match the model architecture");
+    if let Some(params) = &config.warm_start {
+        params
+            .restore(model.params_mut())
+            .expect("warm-start parameters must match the model architecture");
     }
     let mut report = TrainReport {
         losses: Vec::with_capacity(config.epochs),
@@ -351,7 +350,7 @@ pub(crate) fn predict_member(
 mod tests {
     use super::*;
     use ema_data::make_windows;
-    use ema_models::{LstmForecaster, ModelConfig};
+    use ema_models::{LstmForecaster, ModelConfig, VarForecaster};
 
     fn toy_windows(seq: usize) -> WindowedData {
         // A predictable AR(1)-ish series: x_t = 0.8 x_{t-1}.
@@ -433,6 +432,47 @@ mod tests {
         };
         let mut model = LstmForecaster::new(3, &ModelConfig::tiny(0));
         let _ = train_model(&mut model, &empty, &TrainConfig::default());
+    }
+
+    #[test]
+    fn capture_restore_round_trip_preserves_predictions() {
+        let mut model = LstmForecaster::new(4, &ModelConfig::tiny(1));
+        let mut rng = Rng64::seed_from(2);
+        let windows = make_windows(&Tensor::rand_normal(&[4, 4], 0.0, 1.0, &mut rng), 2);
+        let predict = |model: &LstmForecaster| {
+            predict_all(std::slice::from_ref(model), std::slice::from_ref(&windows))
+                .pop()
+                .expect("one prediction per model")
+        };
+        let before = predict(&model);
+
+        let snapshot = model.params().clone();
+        // Scramble the parameters, then restore.
+        for id in model.params().ids() {
+            let dims = model.params().value(id).dims().to_vec();
+            *model.params_mut().value_mut(id) = Tensor::rand_normal(&dims, 0.0, 1.0, &mut rng);
+        }
+        let scrambled = predict(&model);
+        assert_ne!(before.data(), scrambled.data());
+
+        snapshot.restore(model.params_mut()).unwrap();
+        let after = predict(&model);
+        assert_eq!(before.data(), after.data());
+    }
+
+    #[test]
+    fn restore_rejects_architecture_mismatch() {
+        let small = LstmForecaster::new(3, &ModelConfig::tiny(4));
+        let mut big = LstmForecaster::new(5, &ModelConfig::tiny(4));
+        let err = small.params().restore(big.params_mut()).unwrap_err();
+        assert!(err.contains("shape mismatch"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_wrong_model_kind() {
+        let lstm = LstmForecaster::new(4, &ModelConfig::tiny(5));
+        let mut var = VarForecaster::new(4, 2, &ModelConfig::tiny(5));
+        assert!(lstm.params().restore(var.params_mut()).is_err());
     }
 
     #[test]

@@ -185,10 +185,9 @@ mod tests {
         let conv = DilatedTemporalConv::new(&mut store, "c", 1, 1, 2, &mut rng);
         // Force taps to 1 and bias to 0 so out_t = x_t + x_{t-1}.
         for id in store.ids() {
-            let dims = store.value(id).dims().to_vec();
-            store.load(id, Tensor::ones(&dims));
+            store.value_mut(id).data_mut().fill(1.0);
         }
-        store.load(conv.bias, Tensor::zeros(&[1]));
+        store.value_mut(conv.bias).data_mut().fill(0.0);
         let tape = Tape::new();
         let binding = store.bind(&tape);
         let seq = seq_of(&tape, &[1.0, 2.0, 3.0, 4.0]);

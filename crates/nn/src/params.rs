@@ -20,6 +20,7 @@ pub(crate) fn param_id_from_index(index: usize) -> ParamId {
     ParamId(index)
 }
 
+#[derive(Debug, Clone)]
 struct ParamSlot {
     name: String,
     value: Tensor,
@@ -29,8 +30,10 @@ struct ParamSlot {
 ///
 /// Layers register parameters at construction time and hold the returned
 /// [`ParamId`]s; each training step binds the current values onto a fresh
-/// tape via [`ParamStore::bind`].
-#[derive(Default)]
+/// tape via [`ParamStore::bind`]. A clone is a snapshot of every
+/// parameter, which [`ParamStore::restore`] copies back into a store of
+/// the same layout (a cluster warm start).
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     slots: Vec<ParamSlot>,
 }
@@ -107,20 +110,42 @@ impl ParamStore {
         Binding { vars }
     }
 
-    /// Overwrites a parameter (e.g. when loading a checkpoint).
+    /// Copies every parameter value into `into`, bit for bit and in
+    /// place, when `into` has this store's layout: the same parameter
+    /// count and, in registration order, the same names and shapes (the
+    /// same model architecture and config).
     ///
-    /// # Panics
-    /// Panics if the replacement shape differs from the original.
-    pub fn load(&mut self, id: ParamId, value: Tensor) {
-        assert_eq!(
-            self.slots[id.0].value.dims(),
-            value.dims(),
-            "cannot load parameter {}: shape {:?} != {:?}",
-            self.slots[id.0].name,
-            value.dims(),
-            self.slots[id.0].value.dims()
-        );
-        self.slots[id.0].value = value;
+    /// # Errors
+    /// Names the first mismatch. The whole layout is checked before any
+    /// value is written, so a rejected restore leaves `into` untouched.
+    pub fn restore(&self, into: &mut ParamStore) -> Result<(), String> {
+        if self.slots.len() != into.slots.len() {
+            return Err(format!(
+                "source has {} parameters, target has {}",
+                self.slots.len(),
+                into.slots.len()
+            ));
+        }
+        for (src, dst) in self.slots.iter().zip(&into.slots) {
+            if src.name != dst.name {
+                return Err(format!(
+                    "parameter name mismatch: source {:?} vs target {:?}",
+                    src.name, dst.name
+                ));
+            }
+            if src.value.dims() != dst.value.dims() {
+                return Err(format!(
+                    "shape mismatch for {:?}: source {:?} vs target {:?}",
+                    src.name,
+                    src.value.dims(),
+                    dst.value.dims()
+                ));
+            }
+        }
+        for (src, dst) in self.slots.iter().zip(&mut into.slots) {
+            dst.value.data_mut().copy_from_slice(src.value.data());
+        }
+        Ok(())
     }
 }
 
@@ -183,19 +208,37 @@ mod tests {
     }
 
     #[test]
-    fn load_checks_shape() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::zeros(&[2, 2]));
-        store.load(id, Tensor::ones(&[2, 2]));
-        assert_eq!(store.value(id).data(), &[1.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot load parameter")]
-    fn load_rejects_wrong_shape() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::zeros(&[2, 2]));
-        store.load(id, Tensor::ones(&[3]));
+    fn rejected_restore_leaves_the_target_untouched() {
+        let store = |names: [&str; 2], last: &[usize], fill: f64| {
+            let mut s = ParamStore::new();
+            s.register(names[0], Tensor::filled(&[2, 2], fill));
+            s.register(names[1], Tensor::filled(last, fill));
+            s
+        };
+        let source = store(["w", "b"], &[3], 1.5);
+        let bits = |s: &ParamStore| -> Vec<u64> {
+            s.slots
+                .iter()
+                .flat_map(|slot| slot.value.data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        // Each target matches the source at parameter 0 and differs
+        // later, so a restore that wrote as it checked would already
+        // have overwritten `w`.
+        let mut short = ParamStore::new();
+        short.register("w", Tensor::filled(&[2, 2], -0.0));
+        for mut target in [
+            store(["w", "b"], &[4], -0.0),
+            store(["w", "c"], &[3], -0.0),
+            short,
+        ] {
+            let before = bits(&target);
+            assert!(source.restore(&mut target).is_err());
+            assert_eq!(bits(&target), before, "a rejected restore wrote values");
+        }
+        let mut target = store(["w", "b"], &[3], -0.0);
+        source.restore(&mut target).unwrap();
+        assert_eq!(bits(&target), bits(&source));
     }
 
     #[test]

@@ -115,7 +115,7 @@ prop_tests! {
         let mut store = ParamStore::new();
         let mut rng = Rng64::seed_from(seed);
         let layer = Linear::new(&mut store, "l", 3, 4, &mut rng);
-        store.load(layer.b, Tensor::zeros(&[4]));
+        store.value_mut(layer.b).data_mut().fill(0.0);
         let x = Tensor::rand_normal(&[2, 3], 0.0, 1.0, &mut rng);
         let y = Tensor::rand_normal(&[2, 3], 0.0, 1.0, &mut rng);
 

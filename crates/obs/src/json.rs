@@ -1,7 +1,7 @@
 //! A hand-rolled JSON value model, writer and parser.
 //!
 //! Replaces `serde`/`serde_json` for the exact shapes this workspace
-//! emits (result tables, boxplot stats, checkpoints, bench records).
+//! emits (result tables, boxplot stats, bench records, run manifests).
 //! Design points:
 //!
 //! - **f64 round-trip safety**: numbers are written with Rust's

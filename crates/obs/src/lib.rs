@@ -29,9 +29,9 @@
 //!
 //! `EMA_OBS=off|summary|full` (default `summary`); see [`trace`] for
 //! the exact semantics. The contract that makes telemetry safe to
-//! leave on: **timing only ever appears in obs output** — results and
-//! checkpoint JSON stay byte-identical across same-seed runs whatever
-//! the mode (guarded by `tests/determinism.rs` at the workspace root).
+//! leave on: **timing only ever appears in obs output** — results
+//! JSON stays byte-identical across same-seed runs whatever the mode
+//! (guarded by `tests/determinism.rs` at the workspace root).
 
 #![warn(missing_docs)]
 

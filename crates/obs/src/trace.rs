@@ -21,7 +21,7 @@
 //!
 //! Timing fields (`t_ns`, `dur_ns`) are offsets from the recorder's
 //! creation on the monotonic clock. They appear **only** in obs output;
-//! results and checkpoint JSON never contain wall-clock data, which is
+//! results JSON never contains wall-clock data, which is
 //! what keeps same-seed runs byte-identical under every mode.
 
 use crate::json::Json;

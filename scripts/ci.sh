@@ -149,6 +149,13 @@ echo "==> cohort_stream smoke (release, EMA_OBS=off)"
 # example asserts that every outcome comes back.
 EMA_OBS=off cargo run --offline -q --release -p ema-core --example cohort_stream > /dev/null
 
+echo "==> examples smoke (release, EMA_OBS=off)"
+# The four examples no step above runs, each end to end on the release
+# build; none writes a file. A panic or a nonzero exit fails CI here.
+for example in quickstart personalized_forecasting graph_structures graph_learning; do
+  EMA_OBS=off cargo run --offline -q --release -p ema-core --example "$example" > /dev/null
+done
+
 if [ "$WITH_BENCH" = 1 ]; then
   echo "==> cargo bench"
   # Snapshot the committed training-epoch suite *before* benching (the

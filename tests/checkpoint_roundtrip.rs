@@ -1,11 +1,11 @@
-//! Checkpoint round-trip hardening: save → load → save is
-//! byte-identical for every model (bit-exact f64 via `ema_core::Json`),
-//! and a warm-started `train_model` with 0 fine-tune epochs is a pure
-//! restore — it reproduces the checkpoint's predictions bitwise.
+//! Warm-start restore hardening: a warm-started `train_model` with 0
+//! fine-tune epochs is a pure restore of a trained model's cloned
+//! `ParamStore` — it reproduces that model's predictions bitwise, for
+//! every model kind.
 
 use ema_core::pipeline::graph_for_individual;
 use ema_core::train::{predict_all, train_model};
-use ema_core::{Checkpoint, TrainConfig};
+use ema_core::TrainConfig;
 use ema_data::{make_windows, split_train_test, EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
 use ema_graph::AdjacencyMatrix;
@@ -58,36 +58,10 @@ fn trained_model<M: CohortForecaster>(train: &Tensor, build: &impl Fn(u64) -> M)
     model
 }
 
-fn save_load_save<M: CohortForecaster>(label: &str, train: &Tensor, build: impl Fn(u64) -> M) {
-    let model = trained_model(train, &build);
-    let ckpt = Checkpoint::capture(model.params());
-    let path = std::env::temp_dir().join(format!(
-        "ema_ckpt_roundtrip_{label}_{}.json",
-        std::process::id()
-    ));
-    ckpt.save(&path).expect("save checkpoint");
-    let first = std::fs::read_to_string(&path).expect("read saved checkpoint");
-    let loaded = Checkpoint::load(&path).expect("load checkpoint");
-    loaded.save(&path).expect("re-save checkpoint");
-    let second = std::fs::read_to_string(&path).expect("read re-saved checkpoint");
-    let _ = std::fs::remove_file(&path);
-    assert!(first == second, "{label}: save→load→save changed bytes");
-    assert_eq!(first, ckpt.to_json(), "{label}: file differs from to_json");
-}
-
-/// `save → load → save` writes the same bytes for every model kind:
-/// the JSON schema is stable and f64s survive the round trip bit for
-/// bit.
-#[test]
-fn checkpoint_save_load_save_is_byte_identical() {
-    let (train, graph) = study_individual();
-    for_each_kind!(save_load_save, &train, &graph);
-}
-
 fn zero_epoch_restore<M: CohortForecaster>(label: &str, train: &Tensor, build: impl Fn(u64) -> M) {
     let windows = make_windows(train, SEQ_LEN);
     let source = trained_model(train, &build);
-    let ckpt = Arc::new(Checkpoint::capture(source.params()));
+    let params = Arc::new(source.params().clone());
     let windows = std::slice::from_ref(&windows);
     let want = predict_all(std::slice::from_ref(&source), windows);
 
@@ -96,7 +70,7 @@ fn zero_epoch_restore<M: CohortForecaster>(label: &str, train: &Tensor, build: i
     let mut restored = build(1234);
     let config = TrainConfig {
         epochs: 0,
-        warm_start: Some(ckpt),
+        warm_start: Some(params),
         ..TrainConfig::quick(3, 11)
     };
     let report = train_model(&mut restored, &windows[0], &config);
@@ -110,8 +84,9 @@ fn zero_epoch_restore<M: CohortForecaster>(label: &str, train: &Tensor, build: i
 }
 
 /// A warm start with `epochs = 0` is a pure restore: a freshly built
-/// model (different init seed) restored from the checkpoint predicts
-/// bitwise what the captured model predicts — for every model kind.
+/// model (different init seed) restored from the trained model's
+/// parameters predicts bitwise what that model predicts — for every
+/// model kind.
 #[test]
 fn zero_epoch_warm_start_reproduces_checkpoint_predictions_bitwise() {
     let (train, graph) = study_individual();

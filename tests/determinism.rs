@@ -4,7 +4,6 @@
 //! re-run with the same seeds. This is the contract every experiment
 //! record in `results/` relies on.
 
-use ema_core::checkpoint::Checkpoint;
 use ema_core::experiments::ExperimentScale;
 use ema_core::pipeline::{run_cohort_with, GraphSpec};
 use ema_core::results::{CellStat, ResultTable};
@@ -69,9 +68,10 @@ fn same_seed_pipeline_runs_emit_byte_identical_json() {
         first == second,
         "same-seed pipeline runs diverged:\n--- first ---\n{first}\n--- second ---\n{second}"
     );
-    // The record must also survive a parse round trip bit-exactly.
-    let parsed = ResultTable::from_json(&first).unwrap();
-    assert_eq!(parsed.to_json(), first);
+    // The written text must also read back bit-exactly: parsing it and
+    // writing the value again gives the same bytes.
+    let parsed = ema_core::Json::parse(&first).unwrap();
+    assert_eq!(parsed.pretty(), first);
 }
 
 /// The cohort executor's headline guarantee: results JSON is
@@ -564,7 +564,22 @@ fn same_seed_training_yields_byte_identical_checkpoints() {
     use ema_core::{train_model, TrainConfig};
     use ema_data::make_windows;
     use ema_models::{Forecaster, LstmForecaster, ModelConfig};
+    use ema_nn::ParamStore;
     use ema_tensor::{Rng64, Tensor};
+
+    // Every parameter's name, shape and value bits, in registration
+    // order.
+    fn param_bits(store: &ParamStore) -> Vec<(String, Vec<usize>, Vec<u64>)> {
+        store
+            .ids()
+            .into_iter()
+            .map(|id| {
+                let value = store.value(id);
+                let bits = value.data().iter().map(|v| v.to_bits()).collect();
+                (store.name(id).to_string(), value.dims().to_vec(), bits)
+            })
+            .collect()
+    }
 
     const EPOCHS: usize = 4;
     let model = || LstmForecaster::new(4, &ModelConfig::tiny(9));
@@ -576,9 +591,43 @@ fn same_seed_training_yields_byte_identical_checkpoints() {
         let mut model = model();
         let report = train_model(&mut model, &windows, &TrainConfig::quick(EPOCHS, 13));
         assert_eq!(report.losses.len(), EPOCHS, "every epoch trains");
-        Checkpoint::capture(model.params()).to_json()
+        param_bits(model.params())
     };
     let first = trained();
-    assert_ne!(first, Checkpoint::capture(model().params()).to_json());
+    assert_ne!(first, param_bits(model().params()));
     assert_eq!(first, trained());
+}
+
+/// Every JSON file the repository commits — the top-level `results/`
+/// records (the tables, `fig3.json`, the `BENCH_*` suites) and the
+/// test fixtures — is in the canonical form the writer emits: parsing
+/// it and pretty-printing the value gives back the file's exact bytes,
+/// so each committed format reads back bit-exactly through `Json`.
+#[test]
+fn committed_json_artifacts_are_canonical() {
+    use ema_core::Json;
+    use std::path::Path;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root");
+    for dir in ["results", "tests/fixtures"] {
+        let mut paths: Vec<_> = std::fs::read_dir(root.join(dir))
+            .unwrap_or_else(|e| panic!("{dir}: {e}"))
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == "json"))
+            .collect();
+        assert!(!paths.is_empty(), "{dir} holds no JSON file");
+        paths.sort();
+        for path in paths {
+            let text = std::fs::read_to_string(&path).expect("readable artifact");
+            let value = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(
+                value.pretty() == text,
+                "{} is not in the writer's canonical form",
+                path.display()
+            );
+        }
+    }
 }
