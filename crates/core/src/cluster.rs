@@ -2,17 +2,18 @@
 //! parameter snapshot per cluster, and warm-start fine-tuning.
 //!
 //! At cohort scale, training every individual from scratch repeats most
-//! of the work: EMA studies cluster into a few behavioural regimes
-//! (cf. the authors' companion paper *Model-based Clustering of
-//! Individuals' EMA Time-series for Improving Forecasting*). The
-//! cluster phase ([`plan_clusters`]) samples representative
-//! individuals, clusters their flattened **training-split** series with
-//! seeded K-medoids ([`ema_similarity::k_medoids`] — no test leakage),
-//! trains **one model per cluster** on each medoid individual through
-//! the pipeline's per-member shard body, and keeps a clone of each
-//! cluster model's [`ParamStore`] in the [`ClusterPlan`]. A plan is
-//! built for one spec, so it holds one model and one run condition. The
-//! fine-tune phase then assigns each streamed individual to its nearest
+//! of the work. The authors' companion paper (*Model-based Clustering
+//! of Individuals' EMA Time-series for Improving Forecasting*)
+//! hypothesises that EMA studies cluster into a few behavioural
+//! regimes; the synthetic generator has no regime parameter, so this
+//! substrate cannot show that they do. The cluster phase
+//! ([`plan_clusters`]) samples representative individuals, clusters
+//! their flattened **training-split** series with seeded K-medoids
+//! ([`ema_similarity::k_medoids`] — no test leakage), trains **one
+//! model per cluster** on each medoid individual through the pipeline's
+//! per-member shard body, and keeps a clone of each cluster model's
+//! [`ParamStore`] in the [`ClusterPlan`]. A plan is built for one spec,
+//! so it holds one model and one run condition. The fine-tune phase then assigns each streamed individual to its nearest
 //! medoid, restores that cluster's parameters
 //! ([`ParamStore::restore`]) and trains `fine_tune_epochs` epochs from
 //! them instead of `epochs` from scratch — K trainings plus N cheap
@@ -202,9 +203,7 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
             .flat_map(|&id| generator.generate_range(id, id + 1))
             .enumerate()
             .map(|(b, m)| {
-                let (tape, grads) = (&mut tape, &mut grads);
-                let trained =
-                    train_shard_member(b, m.id, &m.data, &cluster_spec, None, tape, grads);
+                let trained = train_shard_member(b, &m, &cluster_spec, None, &mut tape, &mut grads);
                 Arc::new(trained.model.params().clone())
             })
             .collect();
@@ -320,7 +319,7 @@ mod tests {
         manual.train_strategy = TrainStrategy::Idiographic;
         manual.train_config.epochs = plan.fine_tune_epochs;
         manual.train_config.warm_start = Some(plan.checkpoint(plan.assign(&train)));
-        run_individual(ind.id, &ind.data, &manual)
+        run_individual(ind, &manual)
     }
 
     fn key(outcomes: &[IndividualOutcome]) -> Vec<(usize, f64, f64, usize)> {

@@ -1,34 +1,82 @@
-//! Sharded cohort runs: streaming shard jobs of B individuals on the
-//! [`crate::exec`] engine.
+//! Cohort runs: one job loop of shard jobs on the [`crate::exec`]
+//! engine, and both cohort runners on top of it.
 //!
-//! [`run_cohort_sharded`] streams a synthetic study through the
-//! executor in shards of `shard_size` individuals: each shard job
-//! *generates* its slice of the study on the worker
-//! ([`EmaGenerator::generate_range`]), runs it through the pipeline's
-//! runner body — each member end to end (prepare → train → one eval
-//! forward), one after another on one tape, dropped before the next —
-//! and drops the data, so peak memory is bounded by (workers × shard's
-//! series), not the study size. Shard size sets job and generation
-//! granularity, not a training group. Results are byte-identical at
+//! The crate-private job loop is the only code that builds cohort
+//! jobs. It splits individuals `0..n` into jobs of `shard_size`; each
+//! job takes its members on its worker and runs the pipeline's runner
+//! body — each member end to end (prepare → train → one eval forward),
+//! one after another on one tape, dropped before the next.
+//! [`run_cohort_sharded`] *generates* each job's slice of the study on
+//! the worker ([`EmaGenerator::generate_range`]), so peak memory is
+//! bounded by (workers × shard's series), not the study size; every
+//! experiment cell streams through it at shard size 1.
+//! [`crate::pipeline::run_cohort_with`] borrows its members from an
+//! in-memory study at shard size 1. Shard size sets job and generation
+//! granularity, not a training group: results are byte-identical at
 //! every `(thread count, shard size)` pair and to
 //! [`crate::pipeline::run_individual`] on each member.
 
-use crate::cluster::{plan_clusters, TrainStrategy};
+use crate::cluster::{plan_clusters, ClusterPlan, TrainStrategy};
 use crate::exec::{expect_all, Executor, Job};
 use crate::pipeline::{run_shard, IndividualOutcome, RunSpec};
-use ema_data::EmaGenerator;
+use ema_data::{EmaGenerator, Individual};
 use ema_obs::span;
+use std::borrow::Cow;
+
+/// The one cohort job loop: one [`Job`] per `shard_size` individuals
+/// of `0..n`, each taking its members from `members(start, end)` on its
+/// worker and running them through [`run_shard`]. `plan` runs once on
+/// the calling thread before any job starts, so the cluster plan — and
+/// through it every result — is identical at every thread count.
+/// Outcomes come back in individual order.
+///
+/// # Panics
+/// Panics when `shard_size` is zero, or propagates the first job
+/// failure after the queue drains.
+pub(crate) fn run_shard_jobs<'a>(
+    n: usize,
+    shard_size: usize,
+    members: impl Fn(usize, usize) -> Cow<'a, [Individual]> + Sync,
+    spec: &RunSpec,
+    plan: impl FnOnce() -> Option<ClusterPlan>,
+    executor: &Executor,
+) -> Vec<IndividualOutcome> {
+    assert!(shard_size > 0, "shard size must be positive");
+    let _span = span!(
+        "cohort_sharded",
+        model = spec.model.label(),
+        graph = spec.graph.label(),
+        individuals = n,
+        shard_size = shard_size,
+        threads = executor.threads()
+    );
+    let plan = plan();
+    let (plan, members) = (plan.as_ref(), &members);
+    let jobs: Vec<Job<'_, Vec<IndividualOutcome>>> = (0..n)
+        .step_by(shard_size)
+        .map(|start| {
+            let end = (start + shard_size).min(n);
+            Job::new(format!("shard_{start}_{end}"), move || {
+                let _shard_span = span!("shard", start = start, individuals = end - start);
+                let recorder = ema_obs::recorder();
+                recorder.inc_counter("exec.shard_batches", 1);
+                recorder.inc_counter("exec.shard_individuals", (end - start) as u64);
+                run_shard(&members(start, end), spec, plan)
+            })
+        })
+        .collect();
+    expect_all(executor.run(jobs), "cohort")
+        .into_iter()
+        .flatten()
+        .collect()
+}
 
 /// Streams a synthetic study through the executor in shards of
-/// `shard_size` individuals. Each shard becomes one [`Job`] that
-/// generates its slice of the study on the worker, runs it through the
-/// runner body (warm-started from the cluster plan when the spec's
-/// strategy asks for one), and returns its outcomes; per-shard memory
-/// is dropped when the job ends, and warm pool buffers are handed
-/// across jobs by the executor.
-///
-/// Results come back in individual order and are byte-identical at
-/// every `(thread count, shard size)` pair.
+/// `shard_size` individuals: each shard job generates its slice of the
+/// study on the worker and runs it through the runner body,
+/// warm-started from a cluster plan when the spec's strategy asks for
+/// one. Results come back in individual order and are byte-identical
+/// at every `(thread count, shard size)` pair.
 ///
 /// # Panics
 /// Panics when `shard_size` is zero, or propagates the first shard
@@ -40,46 +88,17 @@ pub fn run_cohort_sharded(
     shard_size: usize,
     executor: &Executor,
 ) -> Vec<IndividualOutcome> {
-    assert!(shard_size > 0, "shard size must be positive");
-    let n = generator.config().num_individuals;
-    let _span = span!(
-        "cohort_sharded",
-        model = spec.model.label(),
-        graph = spec.graph.label(),
-        individuals = n,
-        shard_size = shard_size,
-        threads = executor.threads()
-    );
-    // Cluster phase (when the strategy asks for it) runs once on the
-    // calling thread before any shard job is spawned, so the plan — and
-    // through it every result — is identical at every thread count.
-    let plan = match &spec.train_strategy {
-        TrainStrategy::Idiographic => None,
-        TrainStrategy::ClusterWarmStart { .. } => Some(plan_clusters(generator, spec)),
-    };
-    let plan = plan.as_ref();
-    let jobs: Vec<Job<'_, Vec<IndividualOutcome>>> = (0..n)
-        .step_by(shard_size)
-        .map(|start| {
-            let end = (start + shard_size).min(n);
-            Job::new(format!("shard_{start}_{end}"), move || {
-                let _shard_span = span!("shard", start = start, individuals = end - start);
-                let recorder = ema_obs::recorder();
-                recorder.inc_counter("exec.shard_batches", 1);
-                recorder.inc_counter("exec.shard_individuals", (end - start) as u64);
-                let individuals = generator.generate_range(start, end);
-                run_shard(
-                    individuals.iter().map(|ind| (ind.id, &ind.data)),
-                    spec,
-                    plan,
-                )
-            })
-        })
-        .collect();
-    expect_all(executor.run(jobs), "sharded cohort")
-        .into_iter()
-        .flatten()
-        .collect()
+    run_shard_jobs(
+        generator.config().num_individuals,
+        shard_size,
+        |start, end| Cow::Owned(generator.generate_range(start, end)),
+        spec,
+        || match spec.train_strategy {
+            TrainStrategy::Idiographic => None,
+            TrainStrategy::ClusterWarmStart { .. } => Some(plan_clusters(generator, spec)),
+        },
+        executor,
+    )
 }
 
 #[cfg(test)]
@@ -87,7 +106,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{run_individual, GraphSpec};
     use crate::train::{train_cohort, train_model, TrainConfig};
-    use ema_data::{make_windows, split_train_test, GeneratorConfig, Individual};
+    use ema_data::{make_windows, split_train_test, GeneratorConfig};
     use ema_models::{Forecaster, LstmForecaster, ModelConfig, ModelKind};
 
     fn quick_spec() -> RunSpec {
@@ -158,7 +177,7 @@ mod tests {
             .generate()
             .individuals
             .iter()
-            .map(|ind| run_individual(ind.id, &ind.data, &spec))
+            .map(|ind| run_individual(ind, &spec))
             .collect();
         assert_eq!(oracle.len(), 5);
         for (shard_size, threads) in [(1, 1), (2, 2), (3, 4), (5, 1)] {
@@ -207,13 +226,9 @@ mod tests {
     fn assert_cohort_batch_matches_run_individual(spec: &RunSpec) {
         let ds = generator().generate();
         let model = spec.model;
-        let got = run_shard(
-            ds.individuals.iter().map(|ind| (ind.id, &ind.data)),
-            spec,
-            None,
-        );
+        let got = run_shard(&ds.individuals, spec, None);
         for (o, ind) in got.iter().zip(&ds.individuals) {
-            let want = run_individual(ind.id, &ind.data, spec);
+            let want = run_individual(ind, spec);
             assert_eq!(o.mse, want.mse, "{model:?} individual {} mse", ind.id);
             assert_eq!(
                 o.per_variable_mse, want.per_variable_mse,

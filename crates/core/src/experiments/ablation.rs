@@ -38,8 +38,9 @@ pub fn run_ablation(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
         vec!["MSE".into()],
     );
 
-    // Trivial baselines, evaluated per individual on the same split —
-    // one executor job per individual, like every cohort pass.
+    // Trivial baselines, evaluated per individual on the same split.
+    // They train no model, so they run outside the cohort runner: one
+    // executor job per individual of the materialised study.
     let jobs: Vec<Job<'_, (f64, f64)>> = dataset
         .individuals
         .iter()
@@ -65,7 +66,7 @@ pub fn run_ablation(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
 
     let mut add_row = |label: &str, spec: RunSpec| {
         let _row_span = span!("condition", row = label);
-        let mses = cohort_mses(&dataset, &spec, exec);
+        let mses = cohort_mses(scale, &spec, exec);
         table.push_row(label, vec![CellStat::from_samples(&mses)]);
     };
 

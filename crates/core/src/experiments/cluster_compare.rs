@@ -6,12 +6,12 @@
 //! a cluster model preserve idiographic accuracy at a fraction of the
 //! training cost? Rows are the four models, columns the three
 //! strategies, cells `mean(std)` test MSE across individuals (streamed
-//! through [`run_cohort_sharded`], so every arm exercises the exact
+//! through [`crate::cohort::run_cohort_sharded`] one job per individual,
+//! like every experiment cell, so every arm exercises the exact
 //! production path).
 
-use super::ExperimentScale;
+use super::{cohort_mses, ExperimentScale};
 use crate::cluster::TrainStrategy;
-use crate::cohort::run_cohort_sharded;
 use crate::exec::Executor;
 use crate::pipeline::GraphSpec;
 use crate::results::{CellStat, ResultTable};
@@ -26,9 +26,6 @@ pub const STRATEGY_COLUMNS: [&str; 3] = ["Idiographic", "Cluster", "Nomothetic"]
 /// Input window length used for every arm (the paper's multi-step
 /// setting).
 const SEQ_LEN: usize = 5;
-
-/// Shard size for the streamed cohort runs.
-const SHARD_SIZE: usize = 8;
 
 /// The three training strategies at a given scale: the paper's
 /// idiographic default, cluster-then-personalize (K from
@@ -64,7 +61,6 @@ pub fn strategies(scale: &ExperimentScale) -> [(&'static str, TrainStrategy); 3]
 #[must_use]
 pub fn run_cluster_compare(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "cluster_compare");
-    let generator = scale.generator();
     let mut table = ResultTable::new(
         "Cluster-then-personalize: idiographic vs cluster warm-start vs nomothetic \
          (test MSE, CORR graph @ GDT 40%)",
@@ -87,8 +83,7 @@ pub fn run_cluster_compare(scale: &ExperimentScale, exec: &Executor) -> ResultTa
                 let _arm_span = span!("strategy", name = name);
                 let mut spec = scale.spec(model, graph.clone(), SEQ_LEN);
                 spec.train_strategy = strategy;
-                let outcomes = run_cohort_sharded(&generator, &spec, SHARD_SIZE, exec);
-                CellStat::from_samples(&outcomes.iter().map(|o| o.mse).collect::<Vec<_>>())
+                CellStat::from_samples(&cohort_mses(scale, &spec, exec))
             })
             .collect();
         table.push_row(model.label(), cells);

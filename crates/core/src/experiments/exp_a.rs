@@ -18,7 +18,6 @@ pub const SEQ_LENS: [usize; 3] = [1, 2, 5];
 #[must_use]
 pub fn run_experiment_a(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "exp_a_table2");
-    let dataset = scale.dataset();
     let columns: Vec<String> = SEQ_LENS.iter().map(|s| format!("Seq{s}")).collect();
     let mut table = ResultTable::new(
         "Table II: GNN models vs LSTM, single- and multi-step input (GDT = 20%)",
@@ -31,7 +30,7 @@ pub fn run_experiment_a(scale: &ExperimentScale, exec: &Executor) -> ResultTable
         .iter()
         .map(|&seq| {
             let spec = scale.spec(ModelKind::Lstm, GraphSpec::None, seq);
-            CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
+            CellStat::from_samples(&cohort_mses(scale, &spec, exec))
         })
         .collect();
     table.push_row("Baseline LSTM", lstm_cells);
@@ -54,7 +53,7 @@ pub fn run_experiment_a(scale: &ExperimentScale, exec: &Executor) -> ResultTable
                         },
                         seq,
                     );
-                    CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
+                    CellStat::from_samples(&cohort_mses(scale, &spec, exec))
                 })
                 .collect();
             table.push_row(row, cells);

@@ -22,7 +22,6 @@ pub const SEQ_LEN: usize = 5;
 #[must_use]
 pub fn run_experiment_b(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
     let _exp_span = span!("experiment", name = "exp_b_table3");
-    let dataset = scale.dataset();
     let columns: Vec<String> = DensityThreshold::all()
         .iter()
         .map(|g| format!("GDT = {}", g.label()))
@@ -40,7 +39,7 @@ pub fn run_experiment_b(scale: &ExperimentScale, exec: &Executor) -> ResultTable
                 .iter()
                 .map(|&gdt| {
                     let spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-                    CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
+                    CellStat::from_samples(&cohort_mses(scale, &spec, exec))
                 })
                 .collect();
             table.push_row(row, cells);
@@ -63,7 +62,7 @@ pub fn run_experiment_b(scale: &ExperimentScale, exec: &Executor) -> ResultTable
                         rep as u64 + 1,
                     ));
                     let spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-                    samples.extend(cohort_mses(&dataset, &spec, exec));
+                    samples.extend(cohort_mses(scale, &spec, exec));
                 }
                 CellStat::from_samples(&samples)
             })

@@ -6,9 +6,9 @@
 //! summaries; its red percentage annotations become
 //! [`Fig3Entry::pct_change`].
 
-use super::{cohort_mses, ExperimentScale};
+use super::{cohort, cohort_mses, ExperimentScale};
 use crate::exec::{expect_all, Executor, Job};
-use crate::pipeline::{run_cohort_with, GraphSpec, RunSpec};
+use crate::pipeline::{run_individual, GraphSpec, RunSpec};
 use crate::results::{mean_relative_change_percent, BoxplotStats};
 use crate::Json;
 use ema_graph::sparsify::DensityThreshold;
@@ -110,7 +110,7 @@ pub fn run_experiment_c(scale: &ExperimentScale, exec: &Executor) -> Fig3Results
         // 1. MTGNN primed with this static graph; collect its MSEs and
         //    per-individual learned graphs.
         let mtgnn_spec = scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-        let mtgnn_outcomes = run_cohort_with(&dataset, &mtgnn_spec, exec);
+        let mtgnn_outcomes = cohort(scale, &mtgnn_spec, exec);
         let mtgnn_mses: Vec<f64> = mtgnn_outcomes.iter().map(|o| o.mse).collect();
 
         for outcome in &mtgnn_outcomes {
@@ -125,7 +125,7 @@ pub fn run_experiment_c(scale: &ExperimentScale, exec: &Executor) -> Fig3Results
             learn_graph: false,
             ..scale.spec(ModelKind::Mtgnn, GraphSpec::Static { metric, gdt }, SEQ_LEN)
         };
-        let mtgnn_static = cohort_mses(&dataset, &mtgnn_static_spec, exec);
+        let mtgnn_static = cohort_mses(scale, &mtgnn_static_spec, exec);
         entries.push(Fig3Entry {
             model: "MTGNN".into(),
             metric: metric.label().into(),
@@ -138,11 +138,11 @@ pub fn run_experiment_c(scale: &ExperimentScale, exec: &Executor) -> Fig3Results
         //    MTGNN-learned graph.
         for model in [ModelKind::A3tgcn, ModelKind::Astgcn] {
             let static_spec = scale.spec(model, GraphSpec::Static { metric, gdt }, SEQ_LEN);
-            let static_mses = cohort_mses(&dataset, &static_spec, exec);
+            let static_mses = cohort_mses(scale, &static_spec, exec);
 
             // Learned condition: each individual gets its own learned
-            // graph, so each (individual, graph) pair is one executor
-            // job rather than a hand-rolled loop.
+            // graph, and a spec holds one graph, so each (individual,
+            // graph) pair is one executor job outside the cohort runner.
             let jobs: Vec<Job<'_, f64>> = dataset
                 .individuals
                 .iter()
@@ -154,7 +154,7 @@ pub fn run_experiment_c(scale: &ExperimentScale, exec: &Executor) -> Fig3Results
                         .expect("MTGNN produces learned graphs");
                     let spec = scale.spec(model, GraphSpec::Provided(learned), SEQ_LEN);
                     Job::new(format!("learned_individual_{}", ind.id), move || {
-                        crate::pipeline::run_individual(ind.id, &ind.data, &spec).mse
+                        run_individual(ind, &spec).mse
                     })
                 })
                 .collect();

@@ -1,10 +1,11 @@
 //! Future-work extensions the paper explicitly calls for:
 //! a systematic input-length sweep and per-variable error analysis.
 
-use super::{cohort_mses, ExperimentScale};
+use super::{cohort, cohort_mses, ExperimentScale};
 use crate::exec::Executor;
-use crate::pipeline::{run_cohort_with, GraphSpec};
+use crate::pipeline::GraphSpec;
 use crate::results::{CellStat, ResultTable};
+use ema_data::variables::variable_names;
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::ModelKind;
 use ema_similarity::GraphMetric;
@@ -18,7 +19,6 @@ pub const SWEEP_SEQ_LENS: [usize; 6] = [1, 2, 3, 5, 7, 10];
 /// GNN (MTGNN with a CORR prior), columns = window lengths.
 #[must_use]
 pub fn run_seq_sweep(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
-    let dataset = scale.dataset();
     let columns: Vec<String> = SWEEP_SEQ_LENS.iter().map(|s| format!("Seq{s}")).collect();
     let mut table = ResultTable::new(
         "Input-length sweep (future work): MSE vs window length",
@@ -48,7 +48,7 @@ pub fn run_seq_sweep(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
             .iter()
             .map(|&seq| {
                 let spec = scale.spec(model, graph.clone(), seq);
-                CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
+                CellStat::from_samples(&cohort_mses(scale, &spec, exec))
             })
             .collect();
         table.push_row(label, cells);
@@ -61,7 +61,6 @@ pub fn run_seq_sweep(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
 /// the MSE scores when predicting each of the variables".
 #[must_use]
 pub fn run_per_variable(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
-    let dataset = scale.dataset();
     let spec = scale.spec(
         ModelKind::Mtgnn,
         GraphSpec::Static {
@@ -70,18 +69,14 @@ pub fn run_per_variable(scale: &ExperimentScale, exec: &Executor) -> ResultTable
         },
         5,
     );
-    let outcomes = run_cohort_with(&dataset, &spec, exec);
-    let v = dataset.num_variables();
+    let outcomes = cohort(scale, &spec, exec);
     let mut table = ResultTable::new(
         "Per-variable MSE, MTGNN_CORR at Seq5 (future work)",
         vec!["MSE".into()],
     );
-    for j in 0..v {
+    for (j, name) in variable_names(scale.num_variables).into_iter().enumerate() {
         let samples: Vec<f64> = outcomes.iter().map(|o| o.per_variable_mse[j]).collect();
-        table.push_row(
-            dataset.variable_names[j].clone(),
-            vec![CellStat::from_samples(&samples)],
-        );
+        table.push_row(name, vec![CellStat::from_samples(&samples)]);
     }
     table
 }

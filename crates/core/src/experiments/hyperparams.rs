@@ -20,7 +20,6 @@ pub const HIDDEN_UNITS: [usize; 2] = [16, 32];
 /// model = MTGNN with a CORR prior at Seq5 / GDT 20%.
 #[must_use]
 pub fn run_hyperparameter_sweep(scale: &ExperimentScale, exec: &Executor) -> ResultTable {
-    let dataset = scale.dataset();
     let columns: Vec<String> = LEARNING_RATES.iter().map(|lr| format!("lr={lr}")).collect();
     let mut table = ResultTable::new(
         "Hyper-parameter sweep (Sec. V-D): MTGNN_CORR, Seq5, GDT = 20%",
@@ -41,7 +40,7 @@ pub fn run_hyperparameter_sweep(scale: &ExperimentScale, exec: &Executor) -> Res
                 spec.model_config.hidden = hidden;
                 spec.model_config.attn_dim = (hidden / 2).max(4);
                 spec.train_config.learning_rate = lr;
-                CellStat::from_samples(&cohort_mses(&dataset, &spec, exec))
+                CellStat::from_samples(&cohort_mses(scale, &spec, exec))
             })
             .collect();
         table.push_row(format!("hidden={hidden}"), cells);

@@ -18,8 +18,9 @@ pub use exp_c::{run_experiment_c, Fig3Entry, Fig3Results};
 pub use extensions::{run_per_variable, run_seq_sweep, SWEEP_SEQ_LENS};
 pub use hyperparams::{run_hyperparameter_sweep, HIDDEN_UNITS, LEARNING_RATES};
 
+use crate::cohort::run_cohort_sharded;
 use crate::exec::Executor;
-use crate::pipeline::{run_cohort_with, GraphSpec, RunSpec};
+use crate::pipeline::{GraphSpec, IndividualOutcome, RunSpec};
 use crate::train::TrainConfig;
 use ema_data::{EmaDataset, EmaGenerator, GeneratorConfig};
 use ema_graph::sparsify::DensityThreshold;
@@ -167,14 +168,18 @@ impl ExperimentScale {
     }
 }
 
-/// The per-individual test MSEs of one condition over `dataset`, in
-/// individual order: the samples behind the experiments' table cells
-/// and Fig. 3's static distributions.
-fn cohort_mses(dataset: &EmaDataset, spec: &RunSpec, exec: &Executor) -> Vec<f64> {
-    run_cohort_with(dataset, spec, exec)
-        .iter()
-        .map(|o| o.mse)
-        .collect()
+/// The outcomes of one condition over `scale`'s study, in individual
+/// order: the cohort job loop at shard size 1, one job per individual,
+/// each generating its individual on its worker. Every experiment cell
+/// that trains a model runs here.
+fn cohort(scale: &ExperimentScale, spec: &RunSpec, exec: &Executor) -> Vec<IndividualOutcome> {
+    run_cohort_sharded(&scale.generator(), spec, 1, exec)
+}
+
+/// The per-individual test MSEs of [`cohort`]: the samples behind the
+/// experiments' table cells and Fig. 3's static distributions.
+fn cohort_mses(scale: &ExperimentScale, spec: &RunSpec, exec: &Executor) -> Vec<f64> {
+    cohort(scale, spec, exec).iter().map(|o| o.mse).collect()
 }
 
 /// One row of Table I: the examined scenario space.

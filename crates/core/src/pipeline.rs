@@ -1,15 +1,19 @@
 //! The personalized per-individual pipeline: one runner body that runs
 //! a shard of individuals one after another, each end to end (prepare →
-//! build → train → evaluate), and the parallel cohort runner (scheduled
-//! by the [`crate::exec`] cohort execution engine) that runs it with
-//! one individual per job.
+//! build → train → evaluate), [`run_individual`] (the body on one
+//! individual) and [`run_cohort_with`], which runs an in-memory study
+//! through the one cohort job loop ([`crate::cohort`]) with one
+//! individual per job.
 
 use crate::cluster::{ClusterPlan, TrainStrategy};
+use crate::cohort::run_shard_jobs;
 use crate::evaluate::score;
-use crate::exec::{expect_all, Executor, Job};
+use crate::exec::Executor;
 use crate::train::{predict_member, train_member, TrainConfig, TrainReport};
 use ema_autodiff::{Grads, Tape};
-use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset, WindowedData};
+use ema_data::{
+    make_test_windows, make_windows, split_train_test, EmaDataset, Individual, WindowedData,
+};
 use ema_graph::sparsify::{sparsify, DensityThreshold};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
@@ -20,6 +24,7 @@ use ema_obs::metrics::EPOCH_BUCKETS;
 use ema_obs::span;
 use ema_similarity::{build_graph, GraphMetric};
 use ema_tensor::Tensor;
+use std::borrow::Cow;
 
 /// Where a model's graph comes from.
 #[derive(Debug, Clone)]
@@ -159,13 +164,13 @@ pub(crate) struct TrainedMember {
 /// inconsistent spec (graph-free A3TGCN/ASTGCN).
 pub(crate) fn train_shard_member(
     b: usize,
-    id: usize,
-    data: &Tensor,
+    ind: &Individual,
     spec: &RunSpec,
     plan: Option<&ClusterPlan>,
     tape: &mut Tape,
     grads: &mut Grads,
 ) -> TrainedMember {
+    let (id, data) = (ind.id, &ind.data);
     let (train, test, graph, config) = {
         let _individual_span = span!(
             "individual",
@@ -246,7 +251,7 @@ fn new_model(spec: &RunSpec, v: usize, graph: Option<&AdjacencyMatrix>) -> Box<d
     }
 }
 
-/// The runner body: runs each `(id, data)` member end to end —
+/// The runner body: runs each member end to end —
 /// [`train_shard_member`], then one eval forward (`evaluate` span) and
 /// its outcome — and drops it before the next member starts, so a
 /// shard job holds one member's data, graph and model at a time. Every
@@ -257,8 +262,8 @@ fn new_model(spec: &RunSpec, v: usize, graph: Option<&AdjacencyMatrix>) -> Box<d
 /// # Panics
 /// Panics on an empty shard, or on a member [`train_shard_member`]
 /// rejects.
-pub(crate) fn run_shard<'a>(
-    members: impl IntoIterator<Item = (usize, &'a Tensor)>,
+pub(crate) fn run_shard(
+    members: &[Individual],
     spec: &RunSpec,
     plan: Option<&ClusterPlan>,
 ) -> Vec<IndividualOutcome> {
@@ -267,12 +272,12 @@ pub(crate) fn run_shard<'a>(
     let _kernel = spec.train_config.kernel_backend.scoped();
     let (mut tape, mut grads) = (Tape::new(), Grads::empty());
     let outcomes: Vec<IndividualOutcome> = members
-        .into_iter()
+        .iter()
         .enumerate()
-        .map(|(b, (id, data))| {
-            let member = train_shard_member(b, id, data, spec, plan, &mut tape, &mut grads);
+        .map(|(b, ind)| {
+            let member = train_shard_member(b, ind, spec, plan, &mut tape, &mut grads);
             let (mse, per_variable_mse) = {
-                let _eval_span = span!("evaluate", individual = id);
+                let _eval_span = span!("evaluate", individual = ind.id);
                 score(
                     &predict_member(&*member.model, &member.test, &mut tape),
                     &member.test,
@@ -294,7 +299,7 @@ pub(crate) fn run_shard<'a>(
                 );
             }
             IndividualOutcome {
-                id,
+                id: ind.id,
                 mse,
                 per_variable_mse,
                 // 0.0 stands in for "no training loss" on a 0-epoch
@@ -330,20 +335,19 @@ fn assert_idiographic(spec: &RunSpec, runner: &str) {
 /// the spec is inconsistent (graph-free GNN), or the spec's strategy is
 /// not [`TrainStrategy::Idiographic`].
 #[must_use]
-pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
+pub fn run_individual(ind: &Individual, spec: &RunSpec) -> IndividualOutcome {
     assert_idiographic(spec, "run_individual");
-    run_shard([(id, data)], spec, None)
+    run_shard(std::slice::from_ref(ind), spec, None)
         .pop()
         .expect("one outcome per member")
 }
 
-/// Runs a condition across a whole cohort on `executor`. Results are
-/// returned in individual order and are byte-identical at every
-/// thread count.
-///
-/// Each individual becomes one [`Job`] — split → graph construction →
-/// windows → train → evaluate, all hoisted into the job body — so the
-/// executor is free to schedule the cohort however its backend likes.
+/// Runs a condition across an in-memory study on `executor`: the cohort
+/// job loop at shard size 1, so each individual is one job, with its
+/// members borrowed from `dataset`. Results are returned in individual
+/// order and are byte-identical at every thread count, and to
+/// [`crate::cohort::run_cohort_sharded`] over the generator that made
+/// the study.
 ///
 /// # Panics
 /// Panics before any individual trains when the spec's strategy is not
@@ -357,24 +361,14 @@ pub fn run_cohort_with(
     executor: &Executor,
 ) -> Vec<IndividualOutcome> {
     assert_idiographic(spec, "run_cohort_with");
-    let _cohort_span = span!(
-        "cohort",
-        model = spec.model.label(),
-        graph = spec.graph.label(),
-        seq_len = spec.seq_len,
-        individuals = dataset.individuals.len(),
-        threads = executor.threads()
-    );
-    let jobs: Vec<Job<'_, IndividualOutcome>> = dataset
-        .individuals
-        .iter()
-        .map(|ind| {
-            Job::new(format!("individual_{}", ind.id), move || {
-                run_individual(ind.id, &ind.data, spec)
-            })
-        })
-        .collect();
-    expect_all(executor.run(jobs), "cohort")
+    run_shard_jobs(
+        dataset.individuals.len(),
+        1,
+        |start, end| Cow::Borrowed(&dataset.individuals[start..end]),
+        spec,
+        || None,
+        executor,
+    )
 }
 
 #[cfg(test)]
@@ -398,7 +392,7 @@ mod tests {
     fn lstm_individual_run() {
         let ds = dataset();
         let spec = quick_spec(ModelKind::Lstm, GraphSpec::None);
-        let out = run_individual(0, &ds.individuals[0].data, &spec);
+        let out = run_individual(&ds.individuals[0], &spec);
         assert!(out.mse.is_finite() && out.mse > 0.0);
         assert_eq!(out.per_variable_mse.len(), 6);
         assert!(out.graph_used.is_none());
@@ -415,7 +409,7 @@ mod tests {
                 gdt: DensityThreshold::Gdt40,
             },
         );
-        let out = run_individual(0, &ds.individuals[0].data, &spec);
+        let out = run_individual(&ds.individuals[0], &spec);
         let g = out.graph_used.unwrap();
         assert_eq!(g.num_nodes(), 6);
         // GDT 40% of 30 possible edges = 12.
@@ -432,7 +426,7 @@ mod tests {
                 gdt: DensityThreshold::Gdt20,
             },
         );
-        let out = run_individual(0, &ds.individuals[0].data, &spec);
+        let out = run_individual(&ds.individuals[0], &spec);
         let learned = out.learned_graph.expect("MTGNN yields a learned graph");
         assert_eq!(learned.num_nodes(), 6);
         assert!(learned.num_edges() > 0);
@@ -494,7 +488,7 @@ mod tests {
     #[should_panic(expected = "run_cohort_sharded")]
     fn run_individual_refuses_a_warm_start_spec() {
         let ds = dataset();
-        let _ = run_individual(0, &ds.individuals[0].data, &warm_start_spec());
+        let _ = run_individual(&ds.individuals[0], &warm_start_spec());
     }
 
     #[test]
@@ -508,7 +502,7 @@ mod tests {
         let ds = dataset();
         let g = AdjacencyMatrix::complete(6);
         let spec = quick_spec(ModelKind::A3tgcn, GraphSpec::Provided(g.clone()));
-        let out = run_individual(0, &ds.individuals[0].data, &spec);
+        let out = run_individual(&ds.individuals[0], &spec);
         assert_eq!(out.graph_used.unwrap().weights().data(), g.weights().data());
     }
 }

@@ -67,14 +67,6 @@ impl EmaDataset {
         total as f64 / self.individuals.len() as f64
     }
 
-    /// Retains only the first `n` participants — used by the scaled-down
-    /// experiment presets.
-    #[must_use]
-    pub fn take(mut self, n: usize) -> Self {
-        self.individuals.truncate(n);
-        self
-    }
-
     /// Checks the structural invariants the pipeline relies on: every
     /// individual shares `V`, data is finite, and `T_i >= min_t`.
     ///
@@ -139,13 +131,6 @@ mod tests {
         assert_eq!(d.num_individuals(), 2);
         assert_eq!(d.num_variables(), 3);
         assert_eq!(d.mean_time_points(), 15.0);
-    }
-
-    #[test]
-    fn take_truncates() {
-        let d = tiny().take(1);
-        assert_eq!(d.num_individuals(), 1);
-        assert_eq!(d.individuals[0].id, 0);
     }
 
     #[test]

@@ -167,21 +167,6 @@ impl EmaGenerator {
             .collect()
     }
 
-    /// Streams the study as shards of at most `shard_size` individuals,
-    /// materializing one shard at a time (the full study never exists
-    /// in memory at once). Concatenating the shards reproduces
-    /// [`EmaGenerator::generate`] byte for byte at any `shard_size`.
-    ///
-    /// # Panics
-    /// Panics when `shard_size` is zero.
-    pub fn shards(&self, shard_size: usize) -> impl Iterator<Item = Vec<Individual>> + '_ {
-        assert!(shard_size > 0, "shard size must be positive");
-        let n = self.config.num_individuals;
-        (0..n)
-            .step_by(shard_size)
-            .map(move |start| self.generate_range(start, (start + shard_size).min(n)))
-    }
-
     /// Generates a single participant with an independent RNG stream.
     #[must_use]
     pub fn generate_individual(&self, id: usize, rng: &mut Rng64) -> Individual {
@@ -370,13 +355,14 @@ mod tests {
     fn sharded_generation_matches_full_study_at_any_shard_size() {
         let gen = quick_gen(9);
         let full = gen.generate();
+        let n = full.individuals.len();
         for shard_size in [1, 3, 4, 7] {
-            let streamed: Vec<_> = gen.shards(shard_size).flatten().collect();
-            assert_eq!(
-                streamed.len(),
-                full.individuals.len(),
-                "shard size {shard_size}"
-            );
+            // The slices a sharded cohort run's jobs generate.
+            let streamed: Vec<_> = (0..n)
+                .step_by(shard_size)
+                .flat_map(|start| gen.generate_range(start, (start + shard_size).min(n)))
+                .collect();
+            assert_eq!(streamed.len(), n, "shard size {shard_size}");
             for (a, b) in streamed.iter().zip(&full.individuals) {
                 assert_eq!(a.id, b.id);
                 assert_eq!(

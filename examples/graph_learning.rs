@@ -31,7 +31,7 @@ fn main() {
         train_config: train_config.clone(),
         ..RunSpec::new(ModelKind::Mtgnn, GraphSpec::Static { metric, gdt }, 5)
     };
-    let mtgnn = run_individual(individual.id, &individual.data, &mtgnn_spec);
+    let mtgnn = run_individual(individual, &mtgnn_spec);
     let static_graph = mtgnn.graph_used.clone().expect("static prior present");
     let learned = mtgnn.learned_graph.clone().expect("learned graph present");
 
@@ -53,14 +53,14 @@ fn main() {
             train_config: train_config.clone(),
             ..RunSpec::new(model, GraphSpec::Static { metric, gdt }, 5)
         };
-        let with_static = run_individual(individual.id, &individual.data, &static_spec);
+        let with_static = run_individual(individual, &static_spec);
 
         let learned_spec = RunSpec {
             model_config,
             train_config: train_config.clone(),
             ..RunSpec::new(model, GraphSpec::Provided(learned.clone()), 5)
         };
-        let with_learned = run_individual(individual.id, &individual.data, &learned_spec);
+        let with_learned = run_individual(individual, &learned_spec);
 
         let delta = 100.0 * (with_learned.mse - with_static.mse) / with_static.mse;
         println!(

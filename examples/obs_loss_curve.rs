@@ -64,7 +64,7 @@ fn main() {
                 5,
             )
         };
-        let outcome = run_individual(individual.id, &individual.data, &spec);
+        let outcome = run_individual(individual, &spec);
         recorder().phase("report");
         recorder().annotate("test_mse", Json::from(outcome.mse));
         (individual.id, outcome)

@@ -35,7 +35,7 @@ fn main() {
         train_config: train_config.clone(),
         ..RunSpec::new(ModelKind::Lstm, GraphSpec::None, 5)
     };
-    let lstm = run_individual(individual.id, &individual.data, &lstm_spec);
+    let lstm = run_individual(individual, &lstm_spec);
 
     let mtgnn_spec = RunSpec {
         model_config,
@@ -49,7 +49,7 @@ fn main() {
             5,
         )
     };
-    let mtgnn = run_individual(individual.id, &individual.data, &mtgnn_spec);
+    let mtgnn = run_individual(individual, &mtgnn_spec);
 
     // 3. Compare test MSEs (z-normalised data: 1.0 ≈ predicting the mean).
     println!("individual {} test MSE:", individual.id);

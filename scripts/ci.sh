@@ -64,16 +64,23 @@ echo "==> cargo test (EMA_THREADS=4)"
 #   sizes (the plan is built once on the caller thread).
 EMA_THREADS=4 cargo test --offline --workspace -q
 
-echo "==> cluster_compare smoke (EMA_THREADS=4)"
-# The tiny cluster_compare table must render and record results JSON
-# for all four models, and a misspelled flag must be refused. The run
-# writes results/cluster_compare.json, which is tracked at quick scale:
-# move the committed file aside so the check sees only what this run
-# wrote, and put it back afterwards (or on any earlier exit).
+echo "==> table and figure binaries (--scale tiny, EMA_THREADS=4, EMA_OBS=off)"
+# Every binary of scripts/regenerate_all.sh must run at tiny scale and
+# exit 0, so a panic in any table, figure or paper-reference footer
+# fails here. Each results/<name>.json tracked at quick scale must be
+# written anew (table1 only prints): move the tracked files aside so
+# the check sees only what this run wrote, and put them back afterwards
+# (or on any earlier exit). The BENCH_* suites are not touched.
 mkdir -p target/ci_stash
-mv results/cluster_compare.json target/ci_stash/
-restore_cluster_compare() { mv -f target/ci_stash/cluster_compare.json results/ 2>/dev/null || true; }
-trap restore_cluster_compare EXIT
+tracked=()
+for f in results/*.json; do
+  case "${f##*/}" in BENCH_*) ;; *) tracked+=("${f##*/}") ;; esac
+done
+for f in "${tracked[@]}"; do mv "results/$f" target/ci_stash/; done
+restore_results() {
+  for f in "${tracked[@]}"; do mv -f "target/ci_stash/$f" results/ 2>/dev/null || true; done
+}
+trap restore_results EXIT
 # A misspelled flag must stop the binary with a usage line and exit
 # status 2 before it runs anything or writes its results file.
 status=0
@@ -82,9 +89,14 @@ if [ "$status" != 2 ] || [ -e results/cluster_compare.json ]; then
   echo "cluster_compare --scal tiny: expected exit status 2 and no results file, got $status" >&2
   exit 1
 fi
-EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
-test -s results/cluster_compare.json
-restore_cluster_compare
+EMA_THREADS=4 EMA_OBS=off scripts/regenerate_all.sh tiny > /dev/null
+for f in "${tracked[@]}"; do
+  if [ ! -s "results/$f" ]; then
+    echo "regenerate_all.sh tiny: results/$f was not written" >&2
+    exit 1
+  fi
+done
+restore_results
 trap - EXIT
 
 echo "==> bench_gate argument and missing-suite checks"

@@ -68,7 +68,7 @@ fn learned_graph_feeds_other_models() {
             2,
         )
     };
-    let learned = run_individual(ind.id, &ind.data, &mtgnn_spec)
+    let learned = run_individual(ind, &mtgnn_spec)
         .learned_graph
         .expect("learned graph");
 
@@ -78,7 +78,7 @@ fn learned_graph_feeds_other_models() {
             train_config: TrainConfig::quick(6, 7),
             ..RunSpec::new(model, GraphSpec::Provided(learned.clone()), 2)
         };
-        let out = run_individual(ind.id, &ind.data, &spec);
+        let out = run_individual(ind, &spec);
         assert!(
             out.mse.is_finite(),
             "{} failed on the learned graph",

@@ -129,7 +129,7 @@ fn mtgnn_learned_graph_is_nontrivial() {
             3,
         )
     };
-    let out = run_individual(ind.id, &ind.data, &spec);
+    let out = run_individual(ind, &spec);
     let learned = out.learned_graph.expect("learned graph present");
     assert!(learned.num_edges() > 0, "learned graph is empty");
     assert!(learned.weights().all_finite());

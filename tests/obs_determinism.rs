@@ -9,9 +9,12 @@
 //! live apart from `tests/determinism.rs`, whose pipeline tests run
 //! concurrently without the lock.
 
-use ema_core::experiments::{run_experiment_a, ExperimentScale};
+use ema_core::experiments::{
+    run_cluster_compare, run_experiment_a, ExperimentScale, STRATEGY_COLUMNS,
+};
 use ema_core::{
-    run_cohort_sharded, Executor, GraphSpec, Json, RunSpec, TrainConfig, TrainStrategy,
+    run_cohort_sharded, run_cohort_with, Executor, GraphSpec, Json, RunSpec, TrainConfig,
+    TrainStrategy,
 };
 use ema_data::{EmaGenerator, GeneratorConfig};
 use ema_models::{ModelConfig, ModelKind};
@@ -72,8 +75,8 @@ fn written_by(name: &str, mode: ObsMode, body: impl FnOnce()) -> Written {
     }
 }
 
-/// The summary's `kernel.*` counters, by name.
-fn kernel_counters(summary: &Json) -> Vec<(String, usize)> {
+/// The summary's counters whose names start with `prefix`, by name.
+fn summary_counters(summary: &Json, prefix: &str) -> Vec<(String, usize)> {
     match summary
         .require("metrics")
         .unwrap()
@@ -82,7 +85,7 @@ fn kernel_counters(summary: &Json) -> Vec<(String, usize)> {
     {
         Json::Obj(pairs) => pairs
             .iter()
-            .filter(|(k, _)| k.starts_with("kernel."))
+            .filter(|(k, _)| k.starts_with(prefix))
             .map(|(k, v)| (k.clone(), v.to_usize().unwrap()))
             .collect(),
         other => panic!("counters must be an object, got {}", other.compact()),
@@ -126,9 +129,9 @@ fn same_seed_runs_write_identical_obs_output() {
         first.summary.require("events").unwrap(),
         second.summary.require("events").unwrap()
     );
-    let kernel = kernel_counters(&first.summary);
+    let kernel = summary_counters(&first.summary, "kernel.");
     assert!(!kernel.is_empty(), "the cells record kernel work");
-    assert_eq!(kernel, kernel_counters(&second.summary));
+    assert_eq!(kernel, summary_counters(&second.summary, "kernel."));
     assert_eq!(
         profile_calls(&first.summary),
         profile_calls(&second.summary)
@@ -155,9 +158,46 @@ fn kernel_counters_do_not_depend_on_the_thread_count() {
         let written = written_by("warm_start", ObsMode::Summary, || {
             let _ = run_cohort_sharded(&generator, &spec, 2, &executor);
         });
-        kernel_counters(&written.summary)
+        summary_counters(&written.summary, "kernel.")
     };
     let sequential = counters(Executor::sequential());
     assert!(!sequential.is_empty(), "the cohort records kernel work");
     assert_eq!(sequential, counters(Executor::with_threads(2)));
+}
+
+/// How many jobs `body` ran on a 2-worker executor, summed over the
+/// run's `exec.worker_jobs.*` counters.
+fn jobs_run(name: &str, body: impl FnOnce(&Executor)) -> usize {
+    let written = written_by(name, ObsMode::Summary, || body(&Executor::with_threads(2)));
+    summary_counters(&written.summary, "exec.worker_jobs.")
+        .iter()
+        .map(|(_, jobs)| jobs)
+        .sum()
+}
+
+/// Every experiment cell runs one job per individual, so no arm of
+/// `cluster_compare` leaves a worker idle; the cluster plan trains on
+/// the calling thread, outside any job. `run_cohort_with` keeps the
+/// same layout: one job per individual of the in-memory study.
+#[test]
+fn cohort_runs_schedule_one_job_per_individual() {
+    let _guard = exclusive();
+    let scale = ExperimentScale {
+        epochs: 2,
+        ..ExperimentScale::tiny()
+    };
+    let arms = ModelKind::all().len() * STRATEGY_COLUMNS.len();
+    let jobs = jobs_run("cluster_compare_tiny", |executor| {
+        let _ = run_cluster_compare(&scale, executor);
+    });
+    assert_eq!(jobs, arms * scale.num_individuals);
+
+    let study = EmaGenerator::new(GeneratorConfig::quick(3, 4, 43)).generate();
+    let mut spec = RunSpec::new(ModelKind::Lstm, GraphSpec::None, 2);
+    spec.model_config = ModelConfig::tiny(0);
+    spec.train_config = TrainConfig::quick(2, 7);
+    let jobs = jobs_run("cohort_with", |executor| {
+        let _ = run_cohort_with(&study, &spec, executor);
+    });
+    assert_eq!(jobs, study.num_individuals());
 }

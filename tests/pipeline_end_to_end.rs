@@ -32,7 +32,7 @@ fn every_model_family_runs_end_to_end() {
         (ModelKind::Mtgnn, corr),
     ] {
         let spec = quick_spec(kind, graph, 2);
-        let out = run_individual(0, &ds.individuals[0].data, &spec);
+        let out = run_individual(&ds.individuals[0], &spec);
         assert!(
             out.mse.is_finite() && out.mse > 0.0,
             "{} produced MSE {}",
@@ -58,7 +58,7 @@ fn training_reduces_loss_on_every_model() {
         let mut spec = quick_spec(kind, graph, 2);
         spec.train_config = TrainConfig::quick(40, 9);
         spec.train_config.early_stop_rel = 0.0;
-        let out = run_individual(0, &ds.individuals[0].data, &spec);
+        let out = run_individual(&ds.individuals[0], &spec);
         // The trained model should at least approach the target-variance
         // level on the training loss.
         assert!(
@@ -86,7 +86,7 @@ fn every_seq_len_works_for_every_model() {
             };
             let mut spec = quick_spec(kind, g, seq);
             spec.train_config = TrainConfig::quick(4, 2);
-            let out = run_individual(0, &ds.individuals[0].data, &spec);
+            let out = run_individual(&ds.individuals[0], &spec);
             assert!(out.mse.is_finite(), "{} seq {seq} not finite", kind.label());
         }
     }
@@ -103,7 +103,7 @@ fn cohort_parallelism_matches_serial() {
     let serial: Vec<f64> = ds
         .individuals
         .iter()
-        .map(|ind| run_individual(ind.id, &ind.data, &spec).mse)
+        .map(|ind| run_individual(ind, &spec).mse)
         .collect();
     assert_eq!(parallel, serial, "parallel cohort diverged from serial");
 }
@@ -115,12 +115,12 @@ fn trained_model_beats_untrained() {
     // because of overfitting, so it is not asserted here; the cohort-
     // level test lives in paper_shape.rs.)
     let ds = EmaGenerator::new(GeneratorConfig::quick(1, 6, 46)).generate();
-    let data = &ds.individuals[0].data;
+    let ind = &ds.individuals[0];
     let run = |epochs| {
         let mut spec = quick_spec(ModelKind::Lstm, GraphSpec::None, 2);
         spec.train_config = TrainConfig::quick(epochs, 3);
         spec.train_config.early_stop_rel = 0.0;
-        run_individual(0, data, &spec).final_train_loss
+        run_individual(ind, &spec).final_train_loss
     };
     let trained = run(60);
     let untrained = run(1);
